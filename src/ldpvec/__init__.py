@@ -10,7 +10,6 @@ from .aggregate import (
     FrequencyEstimate,
     MeanEstimate,
     aggregate_frequencies,
-    aggregate_frequencies_bucketed,
     mae,
     mean_estimate,
     project_to_simplex,
@@ -25,7 +24,7 @@ from .amplification import (
     generic_clone_alpha,
     pq_divergence,
 )
-from .baselines import BaselineParams, baseline_frequency_estimates
+from .baselines import BaselineParams
 from .coco import (
     CocoWeights,
     CollisionRates,

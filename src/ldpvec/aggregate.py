@@ -7,19 +7,25 @@ mean / non-missing values derived through the exact identities
     mean_j       = f(j_plus) - f(j_minus)
     nonmissing_j = f(j_plus) + f(j_minus).
 
-Aggregation accumulates integer hit counts and debiases once, so the
-streaming and bucketed paths produce bit-identical results.
+Mechanisms are looked up by name in ``MECHANISMS``.  The two hash
+mechanisms share one estimator: count, per event, the views whose own
+hash sends the event onto their symbol z, then debias the integer counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import MechanismParams, PrivateView, hash_buckets, pair_signs, pair_slots
+from .domain import MechanismParams, PrivateView
+
+# Cells of the (users x events) bucket matrix evaluated per chunk of the hit count.
+HIT_CHUNK_CELLS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -44,97 +50,128 @@ class MeanEstimate:
     nonmissing: np.ndarray | None = None
 
 
+class Mechanism(NamedTuple):
+    """One randomizer and its server-side estimator.
+
+    Hash mechanisms debias per-event hit counts: ``debias(counts, n, params)``.
+    The hash-free baselines have no ``hash_kind`` or ``event_buckets`` and
+    debias their reports: ``debias(views, params) -> (values, n)``.
+    """
+
+    params: Callable  # (d, s, epsilon, t, target) -> params; t=None picks the default
+    randomize: Callable  # (supports, signs, seeds, params, rng) -> views
+    hash_kind: str | None  # UserHash layout of the views
+    event_buckets: Callable | None  # (seeds, params) -> (n, 2d) buckets in event-code order
+    debias: Callable
+
+
+def mechanism(name: str) -> Mechanism:
+    """The registered mechanism called ``name``; an unknown name is a ValueError."""
+    try:
+        return MECHANISMS[name]
+    except KeyError:
+        raise ValueError(f"unknown mechanism {name!r}") from None
+
+
+def aggregate_frequencies(views, mechanism_name: str, params) -> FrequencyEstimate:
+    """Average the per-user unbiased contributions for all 2d events.
+
+    Hash mechanisms take a list of ``PrivateView`` or a ``(seeds, z)`` pair
+    of 1-d arrays; baselines take their batch randomizer's reports.
+    """
+    mech = mechanism(mechanism_name)
+    if mech.event_buckets is None:
+        values, n = mech.debias(views, params)
+        return FrequencyEstimate(values=values, n=n)
+    seeds, z = _views_to_arrays(views, mech.hash_kind, params.t)
+    n = len(seeds)
+    if n == 0:
+        raise ValueError("no views to aggregate")
+    counts = event_hit_counts(seeds, z, mech.event_buckets, params)
+    return FrequencyEstimate(values=mech.debias(counts, n, params), n=n)
+
+
 def _views_to_arrays(views, kind: str, t: int) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(views, tuple) and len(views) == 2 and not isinstance(views[0], PrivateView):
-        seeds, z = views
-        return np.asarray(seeds, dtype=np.uint64), np.asarray(z, dtype=np.int64)
-    seeds = np.empty(len(views), dtype=np.uint64)
-    z = np.empty(len(views), dtype=np.int64)
-    for i, view in enumerate(views):
-        if not isinstance(view, PrivateView):
-            raise TypeError("views must be PrivateView instances or (seeds, z) arrays")
-        if view.hash.kind != kind or view.hash.t != t:
-            raise ValueError("views are not homogeneous with the given params")
-        seeds[i] = view.hash.seed
-        z[i] = view.z
+    if not (isinstance(views, tuple) and len(views) == 2 and not isinstance(views[0], PrivateView)):
+        for view in views:
+            if not isinstance(view, PrivateView):
+                raise TypeError("views must be PrivateView instances or (seeds, z) arrays")
+            if view.hash.kind != kind or view.hash.t != t:
+                raise ValueError("views are not homogeneous with the given params")
+        views = ([view.hash.seed for view in views], [view.z for view in views])
+    seeds, z = np.asarray(views[0], dtype=np.uint64), np.asarray(views[1], dtype=np.int64)
+    if seeds.ndim != 1 or z.ndim != 1:
+        raise ValueError(f"seeds and z must be 1-d arrays, got shapes {seeds.shape} and {z.shape}")
+    if len(seeds) != len(z):
+        raise ValueError(f"seeds and z differ in length: {len(seeds)} vs {len(z)}")
+    if len(z) and (z.min() < 1 or z.max() > t):
+        raise ValueError(f"z must lie in 1..{t}, got values in {z.min()}..{z.max()}")
     return seeds, z
 
 
-def aggregate_frequencies(views, mechanism: str, params) -> FrequencyEstimate:
-    """Average the per-user unbiased contributions for all 2d events."""
-    if mechanism == "collision":
-        if not isinstance(params, _col.CollisionParams):
-            params = _col.CollisionParams(params)
-        seeds, z = _views_to_arrays(views, "single", params.base.t)
-        n = len(seeds)
-        if n == 0:
-            raise ValueError("no views to aggregate")
-        counts = _col.collision_event_hit_counts(seeds, z, params)
-        return FrequencyEstimate(values=_col.collision_debias_counts(counts, n, params), n=n)
-    if mechanism == "coco":
-        seeds, z = _views_to_arrays(views, "paired", params.t)
-        n = len(seeds)
-        if n == 0:
-            raise ValueError("no views to aggregate")
-        plus, minus = _coco.coco_pair_hit_counts(seeds, z, params.d, params.t)
-        return FrequencyEstimate(values=_coco_frequencies(plus, minus, n, params), n=n)
-    if mechanism in ("privkv", "pckv_grr", "pckv_agrr"):
-        values = _bl.baseline_frequency_estimates(views, params)
-        n = len(views[0]) if params.variant == "privkv" else len(views)
-        return FrequencyEstimate(values=values, n=n)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+def event_hit_counts(seeds: np.ndarray, z: np.ndarray, event_buckets: Callable, params) -> np.ndarray:
+    """Per event code 1..2d, the number of views whose hash sends it onto their z.
+
+    Counts are integers, so the chunking, which keeps the (users x events)
+    bucket matrix out of memory at large n, cannot change the result.
+    """
+    counts = np.zeros(2 * params.d, dtype=np.int64)
+    chunk = max(1, HIT_CHUNK_CELLS // (2 * params.d))
+    for lo in range(0, len(seeds), chunk):
+        hi = lo + chunk
+        counts += (event_buckets(seeds[lo:hi], params) == z[lo:hi, None]).sum(axis=0, dtype=np.int64)
+    return counts
 
 
-def _coco_frequencies(plus: np.ndarray, minus: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
+def _collision_frequencies(counts: np.ndarray, n: int, params: _col.CollisionParams) -> np.ndarray:
+    denom = params.hit_prob - params.false_prob
+    if abs(denom) < 1e-15:
+        raise ValueError("degenerate parameters: e^eps/Omega equals 1/t")
+    return (counts / n - params.false_prob) / denom
+
+
+def _coco_frequencies(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
     rates = _coco.collision_rates(params.s, params.epsilon, params.t)
+    plus, minus = counts[..., 1::2], counts[..., 0::2]
     mean = (plus - minus) / (n * (rates.p_t - rates.p_o))
     nonmissing = (plus + minus - 2.0 * n * rates.p_f) / (n * (rates.p_t + rates.p_o - 2.0 * rates.p_f))
-    values = np.empty(2 * params.d)
-    values[1::2] = (nonmissing + mean) / 2.0  # j_plus
-    values[0::2] = (nonmissing - mean) / 2.0  # j_minus
+    values = np.empty(counts.shape)
+    values[..., 1::2] = (nonmissing + mean) / 2.0  # j_plus
+    values[..., 0::2] = (nonmissing - mean) / 2.0  # j_minus
     return values
 
 
-def aggregate_frequencies_bucketed(views, mechanism: str, params) -> FrequencyEstimate:
-    """Bucketed aggregation path: one indicator evaluation per distinct view.
+def _baseline_params(variant: str) -> Callable:
+    return lambda d, s, epsilon, t, target: _bl.BaselineParams(d=d, s=s, epsilon=epsilon, variant=variant)
 
-    Views sharing (hash seed, z) contribute identical indicator vectors, so
-    the hit counts are accumulated group-wise with multiplicities.  The
-    result is bit-identical to ``aggregate_frequencies``; with hashes drawn
-    from a pool of u distinct seeds the cost drops to O(n + u * d).
-    """
-    if mechanism == "collision":
-        if not isinstance(params, _col.CollisionParams):
-            params = _col.CollisionParams(params)
-        seeds, z = _views_to_arrays(views, "single", params.base.t)
-        n = len(seeds)
-        if n == 0:
-            raise ValueError("no views to aggregate")
-        pairs = np.stack([seeds.astype(np.uint64), z.astype(np.uint64)], axis=1)
-        uniq, mult = np.unique(pairs, axis=0, return_counts=True)
-        counts = np.zeros(2 * params.base.d, dtype=np.int64)
-        codes = np.arange(1, 2 * params.base.d + 1, dtype=np.int64)
-        h = hash_buckets(uniq[:, 0][:, None], codes[None, :], params.base.t)
-        hit = h == uniq[:, 1].astype(np.int64)[:, None]
-        counts = (hit * mult[:, None]).sum(axis=0)
-        return FrequencyEstimate(values=_col.collision_debias_counts(counts, n, params), n=n)
-    if mechanism == "coco":
-        seeds, z = _views_to_arrays(views, "paired", params.t)
-        n = len(seeds)
-        if n == 0:
-            raise ValueError("no views to aggregate")
-        pairs = np.stack([seeds.astype(np.uint64), z.astype(np.uint64)], axis=1)
-        uniq, mult = np.unique(pairs, axis=0, return_counts=True)
-        dims = np.arange(1, params.d + 1, dtype=np.int64)
-        h1 = pair_slots(uniq[:, 0][:, None], dims[None, :], params.t)
-        sg = pair_signs(uniq[:, 0][:, None], dims[None, :])
-        hi_bit = (sg + 1) // 2
-        half = params.t // 2
-        zz = uniq[:, 1].astype(np.int64)[:, None]
-        plus = (((h1 + hi_bit * half) == zz) * mult[:, None]).sum(axis=0)
-        minus = (((h1 + (1 - hi_bit) * half) == zz) * mult[:, None]).sum(axis=0)
-        return FrequencyEstimate(values=_coco_frequencies(plus, minus, n, params), n=n)
-    raise ValueError(f"bucketed aggregation supports collision and coco, got {mechanism!r}")
+
+def _pckv_randomize(supports, signs, seeds, params, rng):
+    return _bl.pckv_randomize_batch(supports, signs, params, rng)
+
+
+# Randomizers are looked up on their modules at call time, so a wrapper
+# installed on a module attribute (a profiler, say) sees every call.
+MECHANISMS: dict[str, Mechanism] = {
+    "collision": Mechanism(
+        lambda d, s, epsilon, t, target: _col.collision_params(d, s, epsilon, t),
+        lambda *args: _col.collision_randomize_batch(*args),
+        "single", _col.collision_event_buckets, _collision_frequencies,
+    ),
+    "coco": Mechanism(
+        lambda d, s, epsilon, t, target: _coco.coco_params(
+            d, s, epsilon, t, which="nonmissing" if target == "nonmissing" else "mean"
+        ),
+        lambda *args: _coco.coco_randomize_batch(*args),
+        "paired", _coco.coco_event_buckets, _coco_frequencies,
+    ),
+    "privkv": Mechanism(
+        _baseline_params("privkv"),
+        lambda supports, signs, seeds, params, rng: _bl.privkv_randomize_batch(supports, signs, params, rng),
+        None, None, _bl.privkv_debias,
+    ),
+    "pckv_grr": Mechanism(_baseline_params("pckv_grr"), _pckv_randomize, None, None, _bl.pckv_debias),
+    "pckv_agrr": Mechanism(_baseline_params("pckv_agrr"), _pckv_randomize, None, None, _bl.pckv_debias),
+}
 
 
 def simplex_projection(v: np.ndarray) -> np.ndarray:

@@ -34,6 +34,8 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import binom, norm
 
+from .domain import exp_budget
+
 _LN2 = math.log(2.0)
 
 
@@ -47,14 +49,16 @@ def collision_alpha(s: int, epsilon: float, t: int) -> float:
         raise ValueError("need t > s")
     if s < 1 or not epsilon > 0:
         raise ValueError("need s >= 1 and epsilon > 0")
-    return s * math.expm1(epsilon) / (s * math.exp(epsilon) + t - s)
+    omega = exp_budget(epsilon, s) + t - s
+    return s * math.expm1(epsilon) / omega
 
 
 def generic_clone_alpha(epsilon: float) -> float:
     """Amplification parameter available to every eps-LDP randomizer."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return math.expm1(epsilon) / (math.exp(epsilon) + 1.0)
+    eeps = exp_budget(epsilon)
+    return math.expm1(epsilon) / (eeps + 1.0)
 
 
 def efmrtt_closed_form(epsilon: float, delta: float, n: int) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import TernaryVector
+from .domain import TernaryVector, check_batch, exp_budget
 
 _VARIANTS = ("privkv", "pckv_grr", "pckv_agrr")
 
@@ -36,6 +36,8 @@ class BaselineParams:
             raise ValueError("epsilon must be positive")
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
+        exp_budget(self.epsilon)
+        exp_budget(self.effective_epsilon)
 
     @property
     def effective_epsilon(self) -> float:
@@ -79,6 +81,7 @@ def privkv_randomize(
 def privkv_randomize_batch(
     supports: np.ndarray, signs: np.ndarray, params: BaselineParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
+    check_batch(supports, signs, params)
     n, s = supports.shape
     j = rng.integers(1, params.d + 1, size=n)
     pos = (supports < j[:, None]).sum(axis=1)
@@ -111,6 +114,7 @@ def pckv_randomize(x: TernaryVector, params: BaselineParams, rng: np.random.Gene
 def pckv_randomize_batch(
     supports: np.ndarray, signs: np.ndarray, params: BaselineParams, rng: np.random.Generator
 ) -> np.ndarray:
+    check_batch(supports, signs, params)
     n, s = supports.shape
     slot = rng.integers(0, s, size=n)
     j = supports[np.arange(n), slot]
@@ -122,42 +126,36 @@ def pckv_randomize_batch(
     return np.where(keep, code, (code - 1 + shift) % (2 * params.d) + 1)
 
 
-def privkv_debias(j: np.ndarray, values: np.ndarray, params: BaselineParams) -> np.ndarray:
-    """Unbiased event-frequency estimates from PrivKV reports.
+def privkv_debias(views, params: BaselineParams) -> tuple[np.ndarray, int]:
+    """Unbiased event-frequency estimates from PrivKV (j, value) reports, and their count.
 
     A report only carries information about its sampled dimension, so each
     contribution is debiased within dimension j's group and scaled by d.
     """
+    j, values = (np.asarray(v) for v in views)
     n = len(j)
     if n == 0:
         raise ValueError("no views to aggregate")
     d = params.d
+    if j.shape != values.shape or j.min() < 1 or j.max() > d or not np.isin(values, (-1, 0, 1)).all():
+        raise ValueError(f"PrivKV reports need dimensions j in 1..{d} and values in -1, 0, +1, one per j")
     p, q = grr_probabilities(params.epsilon, 3)
     est = np.zeros(2 * d)
     group = np.bincount(j - 1, minlength=d).astype(float)
     for sign, off in ((-1, 0), (1, 1)):
         hits = np.bincount((j - 1)[values == sign], minlength=d).astype(float)
         est[off::2] = d * (hits - q * group) / (p - q) / n
-    return est
+    return est, n
 
 
-def pckv_debias(codes: np.ndarray, params: BaselineParams) -> np.ndarray:
-    """Unbiased event-frequency estimates from PCKV reports (scale s)."""
+def pckv_debias(views, params: BaselineParams) -> tuple[np.ndarray, int]:
+    """Unbiased event-frequency estimates (scale s) from PCKV code reports, and their count."""
+    codes = np.asarray(views)
     n = len(codes)
     if n == 0:
         raise ValueError("no views to aggregate")
+    if codes.ndim != 1 or codes.min() < 1 or codes.max() > 2 * params.d:
+        raise ValueError(f"reported codes must be a 1-d array of values in 1..{2 * params.d}")
     p, q = grr_probabilities(params.effective_epsilon, 2 * params.d)
     hits = np.bincount(codes - 1, minlength=2 * params.d).astype(float)
-    return params.s * (hits / n - q) / (p - q)
-
-
-def baseline_frequency_estimates(views, params: BaselineParams) -> np.ndarray:
-    """Dispatch debiasing for a batch of homogeneous baseline views.
-
-    For privkv, ``views`` is a (j, value) pair of arrays; for the pckv
-    variants a single array of event codes.
-    """
-    if params.variant == "privkv":
-        j, values = views
-        return privkv_debias(np.asarray(j), np.asarray(values), params)
-    return pckv_debias(np.asarray(views), params)
+    return params.s * (hits / n - q) / (p - q), n

@@ -26,6 +26,8 @@ from .domain import (
     PrivateView,
     TernaryVector,
     UserHash,
+    check_batch,
+    exp_budget,
     pair_signs,
     pair_slots,
 )
@@ -120,9 +122,9 @@ def coco_choose_t(s: int, epsilon: float, which: str) -> int:
     if s < 1 or not epsilon > 0:
         raise ValueError("need s >= 1 and epsilon > 0")
     if which == "mean":
-        t = math.ceil(math.exp(epsilon) * s + s + 2)
+        t = math.ceil(exp_budget(epsilon, s) + s + 2)
     elif which == "nonmissing":
-        t = math.ceil(math.exp(epsilon) * s + 5 * s)
+        t = math.ceil(exp_budget(epsilon, s) + 5 * s)
     else:
         raise ValueError(f"which must be 'mean' or 'nonmissing', got {which!r}")
     t = max(t, 2 * s + 2)
@@ -212,6 +214,7 @@ def coco_randomize_batch(
     a residual bucket.
     """
     _check_domain(params.s, params.t)
+    check_batch(supports, signs, params)
     n, s = supports.shape
     t = params.t
     half = t // 2
@@ -282,24 +285,16 @@ def coco_nonmissing_contribution(view: PrivateView, j: int, rates: CollisionRate
     return (hp + hm - 2.0 * rates.p_f) / denom
 
 
-def coco_pair_hit_counts(seeds: np.ndarray, z: np.ndarray, d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension counts of views with H(j_plus) = z and H(j_minus) = z."""
-    half = t // 2
-    dims = np.arange(1, d + 1, dtype=np.int64)
-    plus = np.zeros(d, dtype=np.int64)
-    minus = np.zeros(d, dtype=np.int64)
-    chunk = max(1, int(4_000_000 // max(1, d)))
-    for lo in range(0, len(seeds), chunk):
-        hi = lo + chunk
-        h1 = pair_slots(seeds[lo:hi, None], dims[None, :], t)
-        sg = pair_signs(seeds[lo:hi, None], dims[None, :])
-        hi_bit = (sg + 1) // 2
-        zp = h1 + hi_bit * half
-        zm = h1 + (1 - hi_bit) * half
-        zz = z[lo:hi, None]
-        plus += (zp == zz).sum(axis=0)
-        minus += (zm == zz).sum(axis=0)
-    return plus, minus
+def coco_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """Each user's bucket for every event code 1..2d, shape (n, 2d): j_plus is code 2j."""
+    half = params.t // 2
+    dims = np.arange(1, params.d + 1, dtype=np.int64)
+    h1 = pair_slots(seeds[:, None], dims[None, :], params.t)
+    up = (pair_signs(seeds[:, None], dims[None, :]) > 0) * half  # j_plus's offset above H1(j)
+    buckets = np.empty((len(seeds), params.d, 2), dtype=np.int64)  # (j_minus, j_plus) per dimension
+    np.subtract(h1 + half, up, out=buckets[:, :, 0])
+    np.add(h1, up, out=buckets[:, :, 1])
+    return buckets.reshape(len(seeds), 2 * params.d)
 
 
 def coco_predicted_mse(d: int, s: int, rates: CollisionRates, which: str) -> float:

@@ -24,41 +24,38 @@ from .domain import (
     PrivateView,
     TernaryVector,
     UserHash,
+    check_batch,
+    exp_budget,
     hash_buckets,
 )
 
 
 @dataclass(frozen=True)
-class CollisionParams:
+class CollisionParams(MechanismParams):
     """Validated parameters with the normaliser Omega = s*e^eps + t - s."""
 
-    base: MechanismParams
-
     def __post_init__(self):
-        if self.base.t <= self.base.s:
-            raise ValueError(
-                f"collision mechanism needs t > s, got t={self.base.t}, s={self.base.s}"
-            )
+        super().__post_init__()
+        if self.t <= self.s:
+            raise ValueError(f"collision mechanism needs t > s, got t={self.t}, s={self.s}")
 
     @property
     def omega(self) -> float:
-        b = self.base
-        return b.s * math.exp(b.epsilon) + b.t - b.s
+        return self.s * math.exp(self.epsilon) + self.t - self.s
 
     @property
     def hit_prob(self) -> float:
         """P[z = b] for a bucket b hit by a hashed event: e^eps / Omega."""
-        return math.exp(self.base.epsilon) / self.omega
+        return math.exp(self.epsilon) / self.omega
 
     @property
     def false_prob(self) -> float:
         """Marginal hit rate 1/t of a uniformly hashed absent event."""
-        return 1.0 / self.base.t
+        return 1.0 / self.t
 
     def residual_prob(self, k: int) -> float:
         """P[z = b] for an unhit bucket when k distinct buckets are hit."""
-        t = self.base.t
-        return (self.omega - math.exp(self.base.epsilon) * k) / ((t - k) * self.omega)
+        return (self.omega - math.exp(self.epsilon) * k) / ((self.t - k) * self.omega)
 
 
 def collision_optimal_t(s: int, epsilon: float) -> int:
@@ -67,30 +64,31 @@ def collision_optimal_t(s: int, epsilon: float) -> int:
         raise ValueError("s must be >= 1")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return max(s + 1, math.floor(s * math.exp(epsilon) + 2 * s - 1))
+    return max(s + 1, math.floor(exp_budget(epsilon, s) + 2 * s - 1))
 
 
 def collision_params(d: int, s: int, epsilon: float, t: int | None = None) -> CollisionParams:
     if t is None:
         t = collision_optimal_t(s, epsilon)
-    return CollisionParams(MechanismParams(d=d, s=s, epsilon=epsilon, t=t))
+    return CollisionParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
 def _check_hash(hash: UserHash, params: CollisionParams) -> None:
     if hash.kind != "single":
         raise ValueError("collision mechanism requires a single-kind hash")
-    if hash.t != params.base.t:
-        raise ValueError(f"hash range {hash.t} != params t {params.base.t}")
+    if hash.t != params.t:
+        raise ValueError(f"hash range {hash.t} != params t {params.t}")
 
 
 def collision_output_probabilities(hit_buckets: frozenset[int], params: CollisionParams) -> np.ndarray:
     """Exact output law over buckets 1..t given the set of hit buckets."""
-    t = params.base.t
+    t = params.t
     k = len(hit_buckets)
     probs = np.full(t, params.residual_prob(k))
     for b in hit_buckets:
         probs[b - 1] = params.hit_prob
     return probs
+
 
 def collision_randomize(
     x: TernaryVector,
@@ -105,9 +103,9 @@ def collision_randomize(
     residual segment selects uniformly among the t - k others.
     """
     _check_hash(hash, params)
-    if x.d != params.base.d or x.s != params.base.s:
+    if x.d != params.d or x.s != params.s:
         raise ValueError("vector shape does not match params")
-    t = params.base.t
+    t = params.t
     hits = sorted(hash.bucket_set(x.event_codes()))
     k = len(hits)
     p_hit = params.hit_prob
@@ -137,8 +135,9 @@ def collision_randomize_batch(
     signs:    (n, s) entries in {-1, +1}.
     seeds:    (n,) per-user single-layout hash seeds.
     """
+    check_batch(supports, signs, params)
     n, s = supports.shape
-    t = params.base.t
+    t = params.t
     codes = 2 * supports - 1 + (signs > 0)
     h = hash_buckets(seeds[:, None], codes, t)
     hs = np.sort(h, axis=1)
@@ -157,7 +156,7 @@ def collision_randomize_batch(
     z_hit = (hs * sel).sum(axis=1)
 
     # Residual branch: the m-th smallest bucket outside the hit set.
-    q = (params.omega - math.exp(params.base.epsilon) * k) / ((t - k) * params.omega)
+    q = (params.omega - math.exp(params.epsilon) * k) / ((t - k) * params.omega)
     m = np.minimum(((u - k * p_hit) / q).astype(np.int64), t - k - 1)
     m = np.maximum(m, 0)
     z_miss = m + 1
@@ -177,28 +176,10 @@ def collision_indicator_estimate(view: PrivateView, event: EventId, params: Coll
     return (hit - params.false_prob) / denom
 
 
-def collision_event_hit_counts(seeds: np.ndarray, z: np.ndarray, params: CollisionParams) -> np.ndarray:
-    """Number of views whose hash sends each event code onto its own z.
-
-    Returns int64 counts for codes 1..2d; the chunking keeps the
-    (users x events) indicator matrix out of memory at large n.
-    """
-    d, t = params.base.d, params.base.t
-    codes = np.arange(1, 2 * d + 1, dtype=np.int64)
-    counts = np.zeros(2 * d, dtype=np.int64)
-    chunk = max(1, int(4_000_000 // max(1, 2 * d)))
-    for lo in range(0, len(seeds), chunk):
-        hi = lo + chunk
-        h = hash_buckets(seeds[lo:hi, None], codes[None, :], t)
-        counts += (h == z[lo:hi, None]).sum(axis=0)
-    return counts
-
-
-def collision_debias_counts(counts: np.ndarray, n: int, params: CollisionParams) -> np.ndarray:
-    denom = params.hit_prob - params.false_prob
-    if abs(denom) < 1e-15:
-        raise ValueError("degenerate parameters: e^eps/Omega equals 1/t")
-    return (counts / n - params.false_prob) / denom
+def collision_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """Each user's bucket for every event code 1..2d, shape (n, 2d)."""
+    codes = np.arange(1, 2 * params.d + 1, dtype=np.int64)
+    return hash_buckets(seeds[:, None], codes[None, :], params.t)
 
 
 def collision_predicted_sum_variance(d: int, s: int, epsilon: float, t: float) -> float:

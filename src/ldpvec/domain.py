@@ -17,6 +17,7 @@ from a single master seed.  Two evaluation layouts exist:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -153,8 +154,34 @@ class MechanismParams:
             raise ValueError(f"need 1 <= s <= d, got s={self.s}, d={self.d}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.t < 1:
-            raise ValueError("t must be a positive integer")
+        exp_budget(self.epsilon, self.s)
+        if not 1 <= self.t < 2**63:  # buckets are returned as int64
+            raise ValueError(f"t must be an integer in 1..2^63-1, got {self.t}")
+
+
+def exp_budget(epsilon: float, scale: float = 1.0) -> float:
+    """scale * e^epsilon, with a budget too large for a float as a ValueError."""
+    try:
+        value = scale * math.exp(epsilon)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ValueError(f"epsilon={epsilon} is too large: e^epsilon overflows float arithmetic")
+    return value
+
+
+def check_batch(supports: np.ndarray, signs: np.ndarray, params) -> None:
+    """Reject a malformed batch of (n, s) supports and signs in O(n*s)."""
+    if supports.ndim != 2 or supports.shape[1] != params.s:
+        raise ValueError(f"supports must have shape (n, {params.s}), got {supports.shape}")
+    if signs.shape != supports.shape:
+        raise ValueError(f"signs shape {signs.shape} differs from supports shape {supports.shape}")
+    if supports.size and (supports.min() < 1 or supports.max() > params.d):
+        raise ValueError(f"support dimensions must lie in 1..{params.d}")
+    if (supports[:, 1:] <= supports[:, :-1]).any():
+        raise ValueError("support dimensions must be strictly ascending in every row")
+    if not (np.abs(signs) == 1).all():
+        raise ValueError("signs must be -1 or +1")
 
 
 @dataclass(frozen=True)
@@ -257,7 +284,7 @@ def pair_signs(seeds: np.ndarray, dims: np.ndarray) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)
     mixed = _mix64_np(np.asarray(dims, dtype=np.uint64) ^ np.uint64(_STREAM_H2 & _MASK64))
     vals = _mix64_np(seeds ^ mixed)
-    return np.where(vals & np.uint64(1), 1, -1).astype(np.int64)
+    return np.where(vals & np.uint64(1), 1, -1).astype(np.int64, copy=False)
 
 
 def discretize_ternary(values: Sequence[float], rng: np.random.Generator) -> TernaryVector:

@@ -12,18 +12,17 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from . import aggregate as agg
 from . import amplification as amp
-from . import baselines as bl
-from . import coco as coco_mod
 from . import collision as col
-from .domain import TernaryVector, hash_buckets, pair_signs, pair_slots, user_hash_seeds
+from .domain import TernaryVector, user_hash_seeds
 
-MECHANISMS = ("collision", "coco", "privkv", "pckv_grr", "pckv_agrr")
+MECHANISMS = tuple(agg.MECHANISMS)
 TARGETS = ("frequency", "mean", "nonmissing")
 METRICS = ("tve", "mae")
 REPORTS = ("raw_mean", "mean_log")
@@ -78,7 +77,7 @@ class ReportRow:
 
     def __post_init__(self):
         if not math.isfinite(self.value):
-            raise ValueError("row value must be finite")
+            raise ValueError(f"{self.metric} value {self.value} is not finite")
 
 
 CSV_HEADER = (
@@ -174,26 +173,11 @@ def frequency_estimate_for(
     t: int | None = None,
 ) -> agg.FrequencyEstimate:
     """Randomize a dataset under one mechanism and aggregate frequencies."""
-    n = supports.shape[0]
-    if mechanism == "collision":
-        params = col.collision_params(d, s, epsilon, t)
-        seeds = user_hash_seeds(hash_master, n)
-        z = col.collision_randomize_batch(supports, signs, seeds, params, rng)
-        return agg.aggregate_frequencies((seeds, z), "collision", params)
-    if mechanism == "coco":
-        which = "nonmissing" if target == "nonmissing" else "mean"
-        params = coco_mod.coco_params(d, s, epsilon, t, which=which)
-        seeds = user_hash_seeds(hash_master, n)
-        z = coco_mod.coco_randomize_batch(supports, signs, seeds, params, rng)
-        return agg.aggregate_frequencies((seeds, z), "coco", params)
-    if mechanism in ("privkv", "pckv_grr", "pckv_agrr"):
-        params = bl.BaselineParams(d=d, s=s, epsilon=epsilon, variant=mechanism)
-        if mechanism == "privkv":
-            views = bl.privkv_randomize_batch(supports, signs, params, rng)
-        else:
-            views = bl.pckv_randomize_batch(supports, signs, params, rng)
-        return agg.aggregate_frequencies(views, mechanism, params)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    mech = agg.mechanism(mechanism)
+    params = mech.params(d, s, epsilon, t, target)
+    seeds = None if mech.hash_kind is None else user_hash_seeds(hash_master, supports.shape[0])
+    views = mech.randomize(supports, signs, seeds, params, rng)
+    return agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
 
 
 def _target_values(freq_values: np.ndarray, target: str) -> np.ndarray:
@@ -256,31 +240,18 @@ def single_user_mean_squared_errors(
     Each trial draws a fresh user (data and hash) and estimates the full
     d-dimensional mean vector from that one private view.
     """
+    mech = agg.mechanism(mechanism)
+    if mech.event_buckets is None:
+        raise ValueError(f"mechanism must be collision or coco, got {mechanism!r}")
     rng_data, rng_mech, hash_master = _rep_streams(master_seed, 0, 0)
     supports, signs = gen_synthetic_arrays(trials, d, s, rng_data)
     seeds = user_hash_seeds(hash_master, trials)
-    if mechanism == "collision":
-        params = col.collision_params(d, s, epsilon, t)
-        z = col.collision_randomize_batch(supports, signs, seeds, params, rng_mech)
-        denom = params.hit_prob - params.false_prob
-        plus_codes = np.arange(2, 2 * d + 1, 2, dtype=np.int64)
-        minus_codes = np.arange(1, 2 * d, 2, dtype=np.int64)
-        hp = hash_buckets(seeds[:, None], plus_codes[None, :], params.base.t) == z[:, None]
-        hm = hash_buckets(seeds[:, None], minus_codes[None, :], params.base.t) == z[:, None]
-        est = (hp.astype(float) - hm.astype(float)) / denom
-    elif mechanism == "coco":
-        params = coco_mod.coco_params(d, s, epsilon, t, which="mean")
-        z = coco_mod.coco_randomize_batch(supports, signs, seeds, params, rng_mech)
-        rates = coco_mod.collision_rates(s, epsilon, params.t)
-        half = params.t // 2
-        dims = np.arange(1, d + 1, dtype=np.int64)
-        h1 = pair_slots(seeds[:, None], dims[None, :], params.t)
-        hi_bit = (pair_signs(seeds[:, None], dims[None, :]) + 1) // 2
-        hp = (h1 + hi_bit * half) == z[:, None]
-        hm = (h1 + (1 - hi_bit) * half) == z[:, None]
-        est = (hp.astype(float) - hm.astype(float)) / (rates.p_t - rates.p_o)
-    else:
-        raise ValueError(f"mechanism must be collision or coco, got {mechanism!r}")
+    params = mech.params(d, s, epsilon, t, "mean")
+    z = mech.randomize(supports, signs, seeds, params, rng_mech)
+    # Each trial is its own one-user aggregation: debias its row of hits.
+    hits = (mech.event_buckets(seeds, params) == z[:, None]).astype(np.int64)
+    freq = mech.debias(hits, 1, params)
+    est = freq[:, 1::2] - freq[:, 0::2]
     truth = np.zeros((trials, d))
     truth[np.arange(trials)[:, None], supports - 1] = signs
     return ((est - truth) ** 2).sum(axis=1)
@@ -293,49 +264,44 @@ def single_user_mean_squared_errors(
 def run_experiment(config: ExperimentConfig) -> tuple[list[ReportRow], list[str]]:
     """Run the full grid; returns (rows, per-point failure messages).
 
-    A precondition violation at one grid point is recorded and the sweep
+    A precondition violation at one grid point, including a metric that
+    cannot be reported as a finite value, is recorded and the sweep
     continues; partial results are still returned.
     """
     rows: list[ReportRow] = []
     errors: list[str] = []
-    grid_index = 0
-    for mechanism in config.mechanism:
-        for n in config.n:
-            for d in config.d:
-                for s in config.s:
-                    for epsilon in config.epsilon:
-                        try:
-                            reps = [
-                                simulate_point(
-                                    mechanism, n, d, s, epsilon, config.target,
-                                    config.projection, config.master_seed, grid_index, rep,
-                                )
-                                for rep in range(config.repetitions)
-                            ]
-                        except ValueError as exc:
-                            errors.append(
-                                f"{mechanism} n={n} d={d} s={s} epsilon={epsilon}: {exc}"
-                            )
-                            grid_index += 1
-                            continue
-                        metric_names = list(config.metrics)
-                        if config.projection:
-                            metric_names += [f"{m}_raw" for m in config.metrics]
-                        for metric in metric_names:
-                            vals = [r[metric] for r in reps]
-                            if config.report == "mean_log":
-                                value = float(np.mean(np.log(vals)))
-                            else:
-                                value = float(np.mean(vals))
-                            rows.append(
-                                ReportRow(
-                                    mechanism=mechanism, n=n, d=d, s=s, epsilon=epsilon,
-                                    target=config.target, projection=config.projection,
-                                    metric=metric, value=value,
-                                    repetitions=config.repetitions, seed=config.master_seed,
-                                )
-                            )
-                        grid_index += 1
+    metric_names = list(config.metrics)
+    if config.projection:
+        metric_names += [f"{m}_raw" for m in config.metrics]
+    grid = product(config.mechanism, config.n, config.d, config.s, config.epsilon)
+    for grid_index, (mechanism, n, d, s, epsilon) in enumerate(grid):
+        try:
+            reps = [
+                simulate_point(
+                    mechanism, n, d, s, epsilon, config.target,
+                    config.projection, config.master_seed, grid_index, rep,
+                )
+                for rep in range(config.repetitions)
+            ]
+            point_rows = []
+            for metric in metric_names:
+                vals = [r[metric] for r in reps]
+                if config.report == "mean_log":
+                    value = float(np.mean(np.log(vals)))
+                else:
+                    value = float(np.mean(vals))
+                point_rows.append(
+                    ReportRow(
+                        mechanism=mechanism, n=n, d=d, s=s, epsilon=epsilon,
+                        target=config.target, projection=config.projection,
+                        metric=metric, value=value,
+                        repetitions=config.repetitions, seed=config.master_seed,
+                    )
+                )
+        except ValueError as exc:
+            errors.append(f"{mechanism} n={n} d={d} s={s} epsilon={epsilon}: {exc}")
+            continue
+        rows += point_rows
     return rows, errors
 
 
@@ -362,34 +328,32 @@ def run_amplification_sweep(
     for bound in bounds:
         if bound not in AMPLIFICATION_BOUNDS:
             raise ValueError(f"unknown bound {bound!r}")
-    for n in n_list:
-        for s in s_list:
-            for epsilon in epsilons:
+    for n, s, epsilon, bound in product(n_list, s_list, epsilons, bounds):
+        caveat = ""
+        try:
+            if bound == "collision":
                 t = t_fixed if t_fixed is not None else col.collision_optimal_t(s, epsilon)
-                for bound in bounds:
-                    caveat = ""
-                    try:
-                        if bound == "collision":
-                            alpha = amp.collision_alpha(s, epsilon, t)
-                            eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta, tolerance)
-                        elif bound == "clone":
-                            alpha = amp.generic_clone_alpha(epsilon)
-                            eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta, tolerance)
-                        else:
-                            eps_c = amp.efmrtt_closed_form(epsilon, delta, n)
-                            caveat = "closed-form validity conditions not checked"
-                    except ValueError as exc:
-                        errors.append(f"{bound} n={n} s={s} epsilon={epsilon}: {exc}")
-                        continue
-                    ratio = math.log2(epsilon / max(eps_c, tolerance))
-                    for metric, value in (("epsilon_c", eps_c), ("log2_amplification", ratio)):
-                        rows.append(
-                            ReportRow(
-                                mechanism=f"bound:{bound}", n=n, d=0, s=s, epsilon=epsilon,
-                                target="amplification", projection=False, metric=metric,
-                                value=value, repetitions=1, seed=0, caveat=caveat,
-                            )
-                        )
+                alpha = amp.collision_alpha(s, epsilon, t)
+                eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta, tolerance)
+            elif bound == "clone":
+                alpha = amp.generic_clone_alpha(epsilon)
+                eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta, tolerance)
+            else:
+                eps_c = amp.efmrtt_closed_form(epsilon, delta, n)
+                caveat = "closed-form validity conditions not checked"
+            ratio = math.log2(epsilon / max(eps_c, tolerance))
+            point_rows = [
+                ReportRow(
+                    mechanism=f"bound:{bound}", n=n, d=0, s=s, epsilon=epsilon,
+                    target="amplification", projection=False, metric=metric,
+                    value=value, repetitions=1, seed=0, caveat=caveat,
+                )
+                for metric, value in (("epsilon_c", eps_c), ("log2_amplification", ratio))
+            ]
+        except ValueError as exc:
+            errors.append(f"{bound} n={n} s={s} epsilon={epsilon}: {exc}")
+            continue
+        rows += point_rows
     return rows, errors
 
 

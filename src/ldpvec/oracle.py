@@ -161,19 +161,17 @@ class _TableHash:
 
 def enumerate_distribution(mechanism: str, x: TernaryVector, params, family) -> ExactDistribution:
     """Exact output law over (table id, z), including hash randomness."""
-    _guard(len(family), params.base.t if mechanism == "collision" else params.t)
+    _guard(len(family), params.t)
     support = []
     probs = []
     for tid, (table, weight) in enumerate(family):
         if mechanism == "collision":
             p = _collision_table_probs(x, table, params)
-            t = params.base.t
         elif mechanism == "coco":
             p = _coco_table_probs(x, table, params)
-            t = params.t
         else:
             raise ValueError(f"unknown mechanism {mechanism!r}")
-        for z in range(1, t + 1):
+        for z in range(1, params.t + 1):
             support.append((tid, z))
             probs.append(weight * p[z - 1])
     return ExactDistribution(support=tuple(support), probs=np.asarray(probs))
@@ -192,21 +190,19 @@ def verify_ldp(mechanism: str, params, family=None) -> float:
     uniform family exactly.
     """
     if mechanism == "collision":
-        if not isinstance(params, CollisionParams):
-            params = CollisionParams(params)
         if family is None:
             return _collision_ldp_exhaustive(params)
-        return _ldp_over_family("collision", params, family, params.base)
+        return _ldp_over_family("collision", params, family)
     if mechanism == "coco":
         if family is None:
             return _coco_ldp_exhaustive(params)
-        return _ldp_over_family("coco", params, family, params)
+        return _ldp_over_family("coco", params, family)
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
-def _ldp_over_family(mechanism, params, family, base) -> float:
-    inputs = all_sparse_vectors(base.d, base.s)
-    _guard(len(family) * len(inputs), base.t)
+def _ldp_over_family(mechanism, params, family) -> float:
+    inputs = all_sparse_vectors(params.d, params.s)
+    _guard(len(family) * len(inputs), params.t)
     worst = 0.0
     for table, _ in family:
         dists = []
@@ -261,10 +257,9 @@ def _collision_ldp_exhaustive(params: CollisionParams) -> float:
     on the rest, so the worst ratio over z is the max over the z-classes
     a signature marks non-empty.
     """
-    base = params.base
     p_hit = params.hit_prob
     worst = 1.0
-    for kx, kxp, x_only, xp_only, both_miss in _collision_pair_signatures(base.d, base.s, base.t):
+    for kx, kxp, x_only, xp_only, both_miss in _collision_pair_signatures(params.d, params.s, params.t):
         ra = params.residual_prob(kx)
         rb = params.residual_prob(kxp)
         if x_only:
@@ -322,11 +317,9 @@ def exact_estimator_moments(
     dimensions the instance touches, which is an exact marginalisation.
     """
     if mechanism == "collision":
-        if not isinstance(params, CollisionParams):
-            params = CollisionParams(params)
         if estimator != "indicator" or event is None:
             raise ValueError("collision supports estimator='indicator' with an event")
-        t = params.base.t
+        t = params.t
         if family is None:
             codes = tuple(dict.fromkeys(x.event_codes() + (event.code,)))
             family = uniform_collision_family(codes, t)
@@ -499,8 +492,7 @@ def lower_bound_statistic_distribution(n: int, params: CollisionParams, swapped:
     With ``swapped`` the batch contains x1' instead of x1, which mirrors
     the statistic's coordinates.
     """
-    base = params.base
-    s, t = base.s, base.t
+    s, t = params.s, params.t
     if n < 1:
         raise ValueError("n must be >= 1")
     if t < 3 * s:

@@ -7,7 +7,6 @@ import pytest
 from ldpvec.aggregate import (
     FrequencyEstimate,
     aggregate_frequencies,
-    aggregate_frequencies_bucketed,
     conditional_mean,
     mae,
     mean_estimate,
@@ -16,10 +15,9 @@ from ldpvec.aggregate import (
     true_event_frequencies,
     tve,
 )
-from ldpvec.coco import coco_params, coco_randomize_batch
-from ldpvec.collision import collision_params, collision_randomize, collision_randomize_batch
+from ldpvec.coco import coco_params, coco_randomize, coco_randomize_batch
+from ldpvec.collision import collision_params, collision_randomize
 from ldpvec.domain import TernaryVector, draw_user_hash, user_hash_seeds
-from ldpvec.harness import gen_synthetic_arrays
 from ldpvec.oracle import exact_estimator_moments, all_sparse_vectors
 from ldpvec.domain import EventId
 
@@ -144,39 +142,24 @@ def test_aggregate_expectation_matches_truth_small_instance():
     assert np.abs(expect - truth).max() < 1e-10
 
 
-def test_streaming_and_bucketed_paths_identical():
-    rng = np.random.default_rng(7)
-    n, d, s, eps = 4000, 8, 2, 0.8
-    supports, signs = gen_synthetic_arrays(n, d, s, rng)
-    params = collision_params(d, s, eps)
-    # a small seed pool makes bucketing effective and collisions frequent
-    seeds = user_hash_seeds(9, 16)[rng.integers(0, 16, size=n)]
-    z = collision_randomize_batch(supports, signs, seeds, params, rng)
-    a = aggregate_frequencies((seeds, z), "collision", params)
-    b = aggregate_frequencies_bucketed((seeds, z), "collision", params)
-    assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
-
-    cparams = coco_params(d, s, eps)
-    z2 = coco_randomize_batch(supports, signs, seeds2 := user_hash_seeds(10, 8)[rng.integers(0, 8, size=n)], cparams, rng)
-    a2 = aggregate_frequencies((seeds2, z2), "coco", cparams)
-    b2 = aggregate_frequencies_bucketed((seeds2, z2), "coco", cparams)
-    assert np.array_equal(np.asarray(a2.values), np.asarray(b2.values))
-
-
 def test_view_list_and_array_paths_agree():
-    params = collision_params(5, 1, 1.0, 4)
+    cases = (
+        ("collision", "single", collision_params(5, 1, 1.0, 4), collision_randomize),
+        ("coco", "paired", coco_params(5, 1, 1.0, t=6), coco_randomize),
+    )
     x = TernaryVector(d=5, support=((2, -1),))
-    rng = np.random.default_rng(3)
-    views = []
-    for user in range(50):
-        uh = draw_user_hash(31, user, "single", 4)
-        views.append(collision_randomize(x, uh, params, rng))
-    seeds = np.array([v.hash.seed for v in views], dtype=np.uint64)
-    z = np.array([v.z for v in views], dtype=np.int64)
-    a = aggregate_frequencies(views, "collision", params)
-    b = aggregate_frequencies((seeds, z), "collision", params)
-    assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
-    assert a.n == b.n == 50
+    for mechanism, kind, params, randomize in cases:
+        rng = np.random.default_rng(3)
+        views = []
+        for user in range(50):
+            uh = draw_user_hash(31, user, kind, params.t)
+            views.append(randomize(x, uh, params, rng))
+        seeds = np.array([v.hash.seed for v in views], dtype=np.uint64)
+        z = np.array([v.z for v in views], dtype=np.int64)
+        a = aggregate_frequencies(views, mechanism, params)
+        b = aggregate_frequencies((seeds, z), mechanism, params)
+        assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
+        assert a.n == b.n == 50
 
 
 def test_coco_scalar_contributions_match_frequency_aggregation():
@@ -223,3 +206,40 @@ def test_aggregate_rejects_empty_and_mismatched():
 
     with pytest.raises(ValueError):
         aggregate_frequencies([PrivateView(hash=uh, z=1)], "collision", params)
+
+
+@pytest.mark.parametrize("mechanism, params", [("collision", collision_params(4, 1, 1.0, 3)), ("coco", coco_params(4, 1, 1.0))])
+def test_aggregate_rejects_symbols_outside_output_domain(mechanism, params):
+    seeds = user_hash_seeds(1, 3)
+    with pytest.raises(ValueError, match="z must lie in"):
+        aggregate_frequencies((seeds, [0, 999, -3]), mechanism, params)
+    with pytest.raises(ValueError, match="z must lie in"):
+        aggregate_frequencies((seeds, [1, 1, params.t + 1]), mechanism, params)
+
+
+@pytest.mark.parametrize("mechanism, params", [("collision", collision_params(4, 1, 1.0, 3)), ("coco", coco_params(4, 1, 1.0))])
+def test_aggregate_rejects_seeds_and_z_of_different_lengths(mechanism, params):
+    with pytest.raises(ValueError, match="differ in length"):
+        aggregate_frequencies((user_hash_seeds(1, 3), [1, 2]), mechanism, params)
+
+
+@pytest.mark.parametrize("mechanism, params", [("collision", collision_params(4, 1, 1.0, 3)), ("coco", coco_params(4, 1, 1.0))])
+def test_aggregate_rejects_arrays_that_are_not_1d(mechanism, params):
+    seeds = user_hash_seeds(1, 4)
+    with pytest.raises(ValueError, match="must be 1-d"):
+        aggregate_frequencies((seeds.reshape(2, 2), np.ones((2, 2), dtype=np.int64)), mechanism, params)
+    with pytest.raises(ValueError, match="must be 1-d"):
+        aggregate_frequencies((seeds, np.ones((4, 1), dtype=np.int64)), mechanism, params)
+
+
+def test_aggregate_rejects_malformed_baseline_reports():
+    from ldpvec.baselines import BaselineParams
+
+    privkv = BaselineParams(d=4, s=1, epsilon=1.0, variant="privkv")
+    with pytest.raises(ValueError, match="dimensions j"):
+        aggregate_frequencies((np.array([0, 2]), np.array([1, -1])), "privkv", privkv)
+    with pytest.raises(ValueError, match="values in"):
+        aggregate_frequencies((np.array([1, 2]), np.array([1, 5])), "privkv", privkv)
+    pckv = BaselineParams(d=4, s=1, epsilon=1.0, variant="pckv_grr")
+    with pytest.raises(ValueError, match="codes"):
+        aggregate_frequencies(np.array([1, 9]), "pckv_grr", pckv)

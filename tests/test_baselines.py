@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ldpvec.aggregate import aggregate_frequencies
 from ldpvec.baselines import (
     BaselineParams,
     amplified_budget,
-    baseline_frequency_estimates,
     grr_probabilities,
     pckv_randomize,
     pckv_randomize_batch,
@@ -117,7 +117,7 @@ def test_estimates_unbiased_by_enumeration():
         true = dict(x.support).get(j, 0)
         for v in (-1, 0, 1):
             pr = (p if v == true else q) / d
-            est += pr * baseline_frequency_estimates((np.array([j]), np.array([v])), params)
+            est += pr * aggregate_frequencies((np.array([j]), np.array([v])), params.variant, params).values
     assert np.abs(est - truth).max() < 1e-12
 
     # pckv: enumerate emitted codes
@@ -127,13 +127,13 @@ def test_estimates_unbiased_by_enumeration():
     est = np.zeros(2 * d)
     for code in range(1, 2 * d + 1):
         pr = p if code == true_code else q
-        est += pr * baseline_frequency_estimates(np.array([code]), params)
+        est += pr * aggregate_frequencies(np.array([code]), params.variant, params).values
     assert np.abs(est - truth).max() < 1e-12
 
 
 def test_privkv_zero_response_contributes_negative_mass():
     params = BaselineParams(d=4, s=1, epsilon=1.0, variant="privkv")
-    est = baseline_frequency_estimates((np.array([2]), np.array([0])), params)
+    est = aggregate_frequencies((np.array([2]), np.array([0])), params.variant, params).values
     assert est[2 * 2 - 1 - 1] < 0 and est[2 * 2 - 1] < 0  # both events of dim 2
     assert est[0] == 0.0  # unsampled dimensions untouched
 
@@ -149,7 +149,7 @@ def test_batch_estimates_match_expected_frequency():
             views = privkv_randomize_batch(supports, signs, params, rng)
         else:
             views = pckv_randomize_batch(supports, signs, params, rng)
-        est = baseline_frequency_estimates(views, params)
+        est = aggregate_frequencies(views, params.variant, params).values
         target = s / (2 * d)
         # crude per-event sigma bound: dominated by the debiasing scale
         p, q = grr_probabilities(params.effective_epsilon, 2 * d if variant != "privkv" else 3)
@@ -172,7 +172,7 @@ def test_error_scaling_exponents():
                 views = privkv_randomize_batch(supports, signs, params, rng)
             else:
                 views = pckv_randomize_batch(supports, signs, params, rng)
-            est = baseline_frequency_estimates(views, params)
+            est = aggregate_frequencies(views, params.variant, params).values
             errs.append(((est - truth) ** 2).sum())
         return float(np.mean(errs))
 

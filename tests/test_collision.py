@@ -13,7 +13,7 @@ from ldpvec.collision import (
     collision_randomize,
     collision_randomize_batch,
 )
-from ldpvec.domain import EventId, MechanismParams, PrivateView, TernaryVector, draw_user_hash, user_hash_seeds
+from ldpvec.domain import EventId, PrivateView, TernaryVector, draw_user_hash, user_hash_seeds
 
 LN2 = math.log(2)
 
@@ -64,7 +64,7 @@ def test_optimal_t_examples():
 
 def test_params_reject_t_not_above_s():
     with pytest.raises(ValueError):
-        CollisionParams(MechanismParams(d=6, s=2, epsilon=1.0, t=2))
+        CollisionParams(d=6, s=2, epsilon=1.0, t=2)
 
 
 def test_indicator_estimate_values_and_unbiasedness_identities():

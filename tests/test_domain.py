@@ -146,3 +146,51 @@ def test_discretize_ternary_preserves_expectation():
     target = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     # zero-vector rejections only remove mass symmetrically at the ends
     assert np.abs(mean - target).max() < 0.03
+
+
+def _batch_randomizers(d, s):
+    """Every batch randomizer, bound to parameters (d, s, eps=1)."""
+    from ldpvec.baselines import BaselineParams, pckv_randomize_batch, privkv_randomize_batch
+    from ldpvec.coco import coco_params, coco_randomize_batch
+    from ldpvec.collision import collision_params, collision_randomize_batch
+
+    rng = np.random.default_rng(0)
+    col, coco = collision_params(d, s, 1.0), coco_params(d, s, 1.0)
+    privkv = BaselineParams(d=d, s=s, epsilon=1.0, variant="privkv")
+    pckv = BaselineParams(d=d, s=s, epsilon=1.0, variant="pckv_grr")
+    return {
+        "collision": lambda sup, sg: collision_randomize_batch(sup, sg, user_hash_seeds(1, len(sup)), col, rng),
+        "coco": lambda sup, sg: coco_randomize_batch(sup, sg, user_hash_seeds(1, len(sup)), coco, rng),
+        "privkv": lambda sup, sg: privkv_randomize_batch(sup, sg, privkv, rng),
+        "pckv": lambda sup, sg: pckv_randomize_batch(sup, sg, pckv, rng),
+    }
+
+
+def test_batch_randomizers_reject_duplicated_dimension():
+    for name, randomize in _batch_randomizers(8, 2).items():
+        with pytest.raises(ValueError, match="strictly ascending"):
+            randomize(np.array([[3, 3]]), np.array([[1, 1]]))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            randomize(np.array([[1, 2], [5, 4]]), np.array([[1, 1], [1, 1]]))
+
+
+def test_batch_randomizers_reject_sign_outside_pm1():
+    for name, randomize in _batch_randomizers(8, 2).items():
+        with pytest.raises(ValueError, match="signs"):
+            randomize(np.array([[1, 2]]), np.array([[1, 0]]))
+
+
+def test_batch_randomizers_reject_dimension_outside_1_to_d():
+    for name, randomize in _batch_randomizers(8, 2).items():
+        with pytest.raises(ValueError, match=r"1\.\.8"):
+            randomize(np.array([[1, 40]]), np.array([[1, 1]]))
+        with pytest.raises(ValueError, match=r"1\.\.8"):
+            randomize(np.array([[0, 3]]), np.array([[1, 1]]))
+
+
+def test_batch_randomizers_reject_wrong_shape():
+    for name, randomize in _batch_randomizers(8, 2).items():
+        with pytest.raises(ValueError, match="shape"):
+            randomize(np.array([[1, 2, 3]]), np.array([[1, 1, 1]]))
+        with pytest.raises(ValueError, match="shape"):
+            randomize(np.array([[1, 2]]), np.array([[1, 1], [1, 1]]))

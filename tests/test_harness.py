@@ -201,3 +201,32 @@ def test_cli_amplify(tmp_path):
     assert "bound:collision" in res.output and "bound:efmrtt" in res.output
     res2 = runner.invoke(main, ["amplify", "--delta", "2.0"])
     assert res2.exit_code == 1
+
+
+def test_cli_large_epsilon_is_a_per_point_failure():
+    runner = CliRunner()
+    mechanisms = ("collision", "coco", "privkv", "pckv_grr", "pckv_agrr")
+    res = runner.invoke(main, ["simulate", "--master-seed", "1", "--n", "50", "--d", "4", "--s", "2",
+                               "--epsilon", "800,1.0", "--repetitions", "1", "--mechanism", ",".join(mechanisms)])
+    assert res.exit_code == 2, res.output
+    failed = [line for line in res.stderr.splitlines() if line.startswith("point failed:")]
+    assert sorted(line.split()[2] for line in failed) == sorted(mechanisms)
+    assert all("epsilon=800" in line for line in failed)
+    rows = res.stdout.splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == set(mechanisms)
+    assert all(row.split(",")[4] == "1" for row in rows)
+
+    res = runner.invoke(main, ["amplify", "--n", "100", "--s", "2", "--epsilon", "800"])
+    assert res.exit_code == 2, res.output
+    failed = [line for line in res.stderr.splitlines() if line.startswith("point failed:")]
+    assert sorted(line.split()[2] for line in failed) == ["clone", "collision"]
+    assert {row.split(",")[0] for row in res.stdout.splitlines()[1:]} == {"bound:efmrtt"}
+
+
+def test_cli_non_finite_row_is_a_per_point_failure():
+    runner = CliRunner()
+    for mechanism in ("collision", "coco", "privkv"):
+        res = runner.invoke(main, ["simulate", "--master-seed", "1", "--n", "1", "--d", "1", "--s", "1",
+                                   "--report", "mean_log", "--repetitions", "3", "--mechanism", mechanism])
+        assert res.exit_code == 2, res.output
+        assert "point failed:" in res.stderr and "is not finite" in res.stderr
