@@ -18,26 +18,40 @@ counting statistic of an actual shuffled batch realises (P, Q) exactly,
 making the bound tight.  Any eps-LDP randomizer admits the generic value
 alpha = (e^eps - 1)/(e^eps + 1), i.e. a = 1/(e^eps + 1).
 
-Divergences are evaluated by double tail truncation: a C-window keeping
-all but <= delta*1e-3 of the binomial mass and an A-window per retained
-count; every gram of truncated probability is added to the reported
-delta, so the result is a conservative upper bound that is exact when
-the windows cover the full support.
+Divergences are evaluated in closed form per row.  A pair of counts
+(u, v) lies on row m = u + v; with B(m, u) the Binomial(m, 1/2) pmf,
+E = e^eps, c = e^eps_c, X = a pc(m-1), Z = r pc(m) and r the (0, 0)
+weight,
+
+    P(u) - c Q(u) = B(m, u) [X (2u/m)(E - 1)(1 + c) + 2X(1 - cE) + Z(1 - c)].
+
+The bracket increases with u, so the cells where P exceeds cQ form a
+suffix u >= k(m) of the row with k in closed form, and the row's share
+of the divergence is a sum of Binomial(., 1/2) tail differences at k and
+at the window edge.  One evaluation is one ``betainc`` and one pmf array
+over the rows; everything that does not depend on eps_c (the windows,
+their edge tails, pc and the truncation mass) is built once per query.
+Swapping the two coordinates maps P to Q and every row window onto
+itself, so the reverse divergence equals the forward one.
+
+The windows are a C-window keeping all but <= delta*1e-3 of the
+Binomial(n-1, 2a) mass and a symmetric A-window per row.  The
+probability they exclude is summed from its binomial tails and added to
+the reported delta, so the result is a conservative upper bound that is
+exact when the windows cover the full support.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import binom, norm
+from scipy.special import bdtr, bdtrc, betainc, gammaln, ndtri, xlog1py, xlogy
 
 from .domain import exp_budget
-
-_LN2 = math.log(2.0)
-
 
 def collision_alpha(s: int, epsilon: float, t: int) -> float:
     """Amplification parameter of the collision randomizers: s(e^eps-1)/Omega.
@@ -99,6 +113,11 @@ class AmplificationQuery:
     def clone_prob(self) -> float:
         return self.alpha / math.expm1(self.epsilon)
 
+    @cached_property
+    def window(self) -> QueryWindow:
+        """The truncation window and its eps_c-free terms, built on first use."""
+        return _query_window(self)
+
 
 @dataclass(frozen=True)
 class DivergenceResult:
@@ -107,7 +126,7 @@ class DivergenceResult:
     truncation_mass: float
 
     def __post_init__(self):
-        if min(self.delta_forward, self.delta_backward, self.truncation_mass) < 0:
+        if not all(v >= 0 for v in (self.delta_forward, self.delta_backward, self.truncation_mass)):
             raise ValueError("divergence components must be non-negative")
 
     @property
@@ -115,15 +134,82 @@ class DivergenceResult:
         return max(self.delta_forward, self.delta_backward) + self.truncation_mass
 
 
-def _binom_row(c: int, u: np.ndarray) -> np.ndarray:
-    """pmf of Binomial(c, 1/2) at integer points u (zero outside 0..c)."""
-    out = np.zeros(len(u))
-    if c < 0:
-        return out
-    ok = (u >= 0) & (u <= c)
-    uu = u[ok].astype(float)
-    out[ok] = np.exp(gammaln(c + 1.0) - gammaln(uu + 1.0) - gammaln(c - uu + 1.0) - c * _LN2)
+@dataclass(frozen=True)
+class QueryWindow:
+    """Rows m = c_lo..c_hi+1 of a query and their eps_c-free terms.
+
+    ``x`` = a pc(m-1) and ``z`` = r pc(m) weight the row's two sources
+    (a distinguished message counted, or not); [u_lo, u_hi] is its
+    A-window; ``tail_prev_hi``, ``tail_prev_out`` and ``tail_out`` are the
+    upper tails G(m-1, u_hi), G(m-1, u_hi+1) and G(m, u_hi+1), with G(c, k)
+    = P(Binomial(c, 1/2) >= k).  ``truncation_mass`` is the P-mass
+    outside the window.
+    """
+
+    m: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    u_lo: np.ndarray
+    u_hi: np.ndarray
+    tail_prev_hi: np.ndarray
+    tail_prev_out: np.ndarray
+    tail_out: np.ndarray
+    truncation_mass: float
+
+
+def _half_tail(c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """G(c, k) = P(Binomial(c, 1/2) >= k): 1 for k <= 0, 0 for k > c."""
+    out = (k <= 0).astype(float)
+    inner = (k > 0) & (k <= c)
+    out[inner] = betainc(k[inner], c[inner] - k[inner] + 1.0, 0.5)
     return out
+
+
+def _binom_pmf(n, k: np.ndarray, p: float) -> np.ndarray:
+    """Binomial(n, p) pmf at k (zero outside 0..n)."""
+    n, k = np.broadcast_arrays(n, k)
+    out = np.zeros(k.shape)
+    ok = (k >= 0) & (k <= n)
+    nn, kk = n[ok].astype(float), k[ok].astype(float)
+    out[ok] = np.exp(gammaln(nn + 1.0) - gammaln(kk + 1.0) - gammaln(nn - kk + 1.0) + xlogy(kk, p) + xlog1py(nn - kk, -p))
+    return out
+
+
+def _query_window(query: AmplificationQuery) -> QueryWindow:
+    a = query.clone_prob
+    eeps = math.exp(query.epsilon)
+    r = max(0.0, 1.0 - a - eeps * a)
+    tail = query.delta * 1e-3
+    nc, pc_p = query.n - 1, 2.0 * a
+
+    # C-window: the tail/2 quantiles of C, widened by 2 on each side.
+    counts = range(nc + 1)
+    c_lo = max(0, bisect_left(counts, True, key=lambda k: bdtr(k, nc, pc_p) >= tail / 2.0) - 2)
+    c_hi = min(nc, bisect_left(counts, True, key=lambda k: bdtrc(k, nc, pc_p) <= tail / 2.0) + 2)
+    pc = _binom_pmf(nc, np.arange(c_lo, c_hi + 1), pc_p)
+    m = np.arange(c_lo, c_hi + 2)
+    x = a * np.concatenate(([0.0], pc))
+    z = r * np.concatenate((pc, [0.0]))
+
+    # A-window half-width: normal-tail quantile for the per-c budget, plus
+    # slack; the mass accounting below is exact regardless of the choice.
+    kz = abs(float(ndtri(max(tail, 1e-300) / 4.0))) + 2.0
+    w = kz * math.sqrt(max(c_hi, 1)) / 2.0 + 3.0
+    u_lo = np.maximum(0.0, np.floor(m / 2.0 - w)).astype(np.int64)
+    u_hi = m - u_lo
+    tail_prev_hi = _half_tail(m - 1, u_hi)
+    tail_prev_out = _half_tail(m - 1, u_hi + 1)
+    tail_out = _half_tail(m, u_hi + 1)
+
+    # Excluded mass: the C-tails, then per row the A-tails of each source,
+    # both sides at once since every A-window is symmetric.
+    c_tails = (bdtr(c_lo - 1, nc, pc_p) if c_lo > 0 else 0.0) + (bdtrc(c_hi, nc, pc_p) if c_hi < nc else 0.0)
+    a_tails = 2.0 * z * tail_out + (eeps + 1.0) * x * (tail_prev_hi + tail_prev_out)
+    return QueryWindow(
+        m=m, x=x, z=z, u_lo=u_lo, u_hi=u_hi,
+        tail_prev_hi=tail_prev_hi, tail_prev_out=tail_prev_out, tail_out=tail_out,
+        truncation_mass=float(c_tails + a_tails.sum()),
+    )
 
 
 def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResult:
@@ -132,53 +218,43 @@ def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResu
     Exact within the double tail truncation; the truncated probability
     mass is returned separately and belongs on top of the reported delta.
     """
-    if epsilon_c < 0:
-        raise ValueError("epsilon_c must be non-negative")
-    n, eps = query.n, query.epsilon
-    a = query.clone_prob
-    eeps = math.exp(eps)
-    r = max(0.0, 1.0 - a - eeps * a)
-    tail = query.delta * 1e-3
-
-    cdist = binom(n - 1, 2.0 * a)
-    c_lo = max(0, int(cdist.ppf(tail / 2.0)) - 2)
-    c_hi = min(n - 1, int(cdist.isf(tail / 2.0)) + 2)
-    pc = cdist.pmf(np.arange(c_lo, c_hi + 1))
-
-    # A-window half-width: normal-tail quantile for the per-c budget, plus
-    # slack; the mass accounting below is exact regardless of the choice.
-    kz = abs(norm.ppf(max(tail, 1e-300) / 4.0)) + 2.0
-    w = kz * math.sqrt(max(c_hi, 1)) / 2.0 + 3.0
-
-    ee_c = math.exp(epsilon_c)
-    fwd = 0.0
-    bwd = 0.0
-    mass = 0.0
-    for m in range(c_lo, c_hi + 2):
-        u_lo = max(0, int(math.floor(m / 2.0 - w)))
-        u_hi = m - u_lo
-        U = np.arange(u_lo, u_hi + 1)
-        pc_prev = pc[m - 1 - c_lo] if c_lo <= m - 1 <= c_hi else 0.0
-        pc_cur = pc[m - c_lo] if c_lo <= m <= c_hi else 0.0
-        row_prev = _binom_row(m - 1, np.arange(u_lo - 1, u_hi + 1))
-        pa_prev_shift = row_prev[:-1]
-        pa_prev = row_prev[1:]
-        pa_cur = _binom_row(m, U)
-        P = eeps * a * pc_prev * pa_prev_shift + a * pc_prev * pa_prev + r * pc_cur * pa_cur
-        Q = a * pc_prev * pa_prev_shift + eeps * a * pc_prev * pa_prev + r * pc_cur * pa_cur
-        fwd += float(np.maximum(0.0, P - ee_c * Q).sum())
-        bwd += float(np.maximum(0.0, Q - ee_c * P).sum())
-        mass += float(P.sum())
-    trunc = max(0.0, 1.0 - mass)
-    return DivergenceResult(delta_forward=fwd, delta_backward=bwd, truncation_mass=trunc)
+    if not (math.isfinite(epsilon_c) and epsilon_c >= 0):
+        raise ValueError(f"epsilon_c must be finite and non-negative, got {epsilon_c!r}")
+    win = query.window
+    if epsilon_c >= query.epsilon:
+        # P <= e^eps Q on every cell, so both divergences vanish.
+        return DivergenceResult(delta_forward=0.0, delta_backward=0.0, truncation_mass=win.truncation_mass)
+    eeps, ee_c = math.exp(query.epsilon), math.exp(epsilon_c)
+    slope = 2.0 * (eeps - 1.0) * (1.0 + ee_c) * win.x
+    level = 2.0 * (1.0 - ee_c * eeps) * win.x + (1.0 - ee_c) * win.z
+    # P(u) > c Q(u) exactly for u > -m level / slope; nowhere on rows with
+    # slope 0, where the bracket is Z(1 - c) <= 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = np.floor(-win.m * level / slope) + 1.0
+    k = np.where(slope > 0, np.clip(cut, win.u_lo, win.u_hi + 1), win.u_hi + 1).astype(np.int64)
+    live = k <= win.u_hi
+    k, m, x, z = k[live], win.m[live], win.x[live], win.z[live]
+    # Sum over u = k..u_hi of P - cQ = X(E - c) B(m-1, u-1) + X(1 - cE) B(m-1, u)
+    # + Z(1 - c) B(m, u), by Pascal's rule: G(m-1, k-1) = t + b, G(m, k) = t + b/2.
+    t = _half_tail(m - 1, k)
+    b = _binom_pmf(m - 1, k - 1, 0.5)
+    row = (
+        (eeps - ee_c) * x * (t + b - win.tail_prev_hi[live])
+        + (1.0 - ee_c * eeps) * x * (t - win.tail_prev_out[live])
+        + (1.0 - ee_c) * z * (t + 0.5 * b - win.tail_out[live])
+    )
+    delta = float(np.maximum(row, 0.0).sum())
+    # Q - cP on cell u equals P - cQ on cell m - u of the same window.
+    return DivergenceResult(delta_forward=delta, delta_backward=delta, truncation_mass=win.truncation_mass)
 
 
 def amplified_epsilon(n: int, epsilon: float, alpha: float, delta: float, tolerance: float = 1e-4) -> float:
     """Smallest eps_c in [0, eps] whose reported delta is below ``delta``.
 
-    Binary search over the monotone divergence; at eps_c = eps the
-    divergence vanishes, so the bracket always closes unless truncation
-    alone exceeds delta, in which case eps is returned.
+    Binary search over the monotone divergence, stopped once the bracket
+    is at most ``tolerance`` wide; its upper end is returned.  At eps_c =
+    eps the divergence vanishes, so the bracket always closes unless
+    truncation alone exceeds delta, in which case eps is returned.
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")

@@ -96,7 +96,8 @@ def simulate(config_path, master_seed, n, d, s, epsilon, mechanism, repetitions,
               help="Subset of collision,clone,efmrtt.")
 @click.option("--t", "t_fixed", type=int, default=None,
               help="Fixed output size; default is the per-point optimum.")
-@click.option("--tolerance", type=float, default=1e-4)
+@click.option("--tolerance", type=float, default=1e-4,
+              help="Width of the final bisection bracket for eps_c.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 def amplify(n, s, epsilon, delta, bounds, t_fixed, tolerance, out, fmt):

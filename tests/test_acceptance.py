@@ -3,10 +3,15 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they are produced.
 
-Criterion 6 is known-red and kept faithful rather than loosened: at d=64
-the dimension-sampling baseline's per-event variance penalty (linear in
-d) is only ~2.2x the collision randomizer's, so its TVE sits ~33% above,
-short of the required 40% margin; the margin does hold from d=256 up
+Criterion 6 is known-red and kept faithful rather than loosened.  It
+asks the collision randomizer's TVE to be at most 0.60 of each
+baseline's, raw or after projection.  At d=64 the dimension-sampling
+baseline's (PrivKV's) per-event variance penalty, linear in d, is only
+~2.2x the collision randomizer's, which puts the raw TVE ratio near
+1/sqrt(2.2) = 0.67 (measured 0.68 at eps=0.5 and 0.67 at eps=1.0).
+Projection lowers PrivKV's TVE by more, in proportion, so the projected
+ratios are higher still: 0.82 and 0.73.  Against PCKV-GRR both ratios
+are well below 0.60.  The margin does hold from d=256 up
 (test_harness.test_ordering_at_high_dimension).
 """
 
@@ -191,8 +196,8 @@ def test_criterion_6_mechanism_ordering():
     elapsed = time.time() - start
     _report(6, ok and elapsed < 120.0, "; ".join(details) + f", {elapsed:.0f}s")
     assert elapsed < 120.0
-    # Known-red at d=64: the privkv variance penalty is only ~2.2x here,
-    # capping the achievable margin near 33% (see module docstring).
+    # Known-red at d=64: against privkv the ratio is ~0.67 raw and
+    # 0.73-0.82 projected, above 0.60 (see module docstring).
     assert ok, "collision TVE not >=40% below every baseline at d=64"
 
 

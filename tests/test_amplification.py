@@ -1,8 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
+from scipy.stats import binom, norm
 
+import ldpvec
 from ldpvec.amplification import (
     AmplificationQuery,
     DivergenceResult,
@@ -15,6 +24,60 @@ from ldpvec.amplification import (
 )
 
 LN2 = math.log(2)
+
+
+def reference_window(query):
+    """C-window edges and A-window half-width, from scipy.stats quantiles."""
+    tail = query.delta * 1e-3
+    cdist = binom(query.n - 1, 2.0 * query.clone_prob)
+    c_lo = max(0, int(cdist.ppf(tail / 2.0)) - 2)
+    c_hi = min(query.n - 1, int(cdist.isf(tail / 2.0)) + 2)
+    kz = abs(norm.ppf(max(tail, 1e-300) / 4.0)) + 2.0
+    return c_lo, c_hi, kz * math.sqrt(max(c_hi, 1)) / 2.0 + 3.0
+
+
+def _half_binom_row(c, u):
+    """pmf of Binomial(c, 1/2) at integer points u (zero outside 0..c)."""
+    out = np.zeros(len(u))
+    if c < 0:
+        return out
+    ok = (u >= 0) & (u <= c)
+    uu = u[ok].astype(float)
+    out[ok] = np.exp(gammaln(c + 1.0) - gammaln(uu + 1.0) - gammaln(c - uu + 1.0) - c * LN2)
+    return out
+
+
+def reference_pq_divergence(query, eps_c):
+    """Cell-by-cell hockey-stick sums (forward, backward) over the window."""
+    eps, a = query.epsilon, query.clone_prob
+    eeps = math.exp(eps)
+    r = max(0.0, 1.0 - a - eeps * a)
+    c_lo, c_hi, w = reference_window(query)
+    pc = binom(query.n - 1, 2.0 * a).pmf(np.arange(c_lo, c_hi + 1))
+    ee_c = math.exp(eps_c)
+    fwd = bwd = 0.0
+    for m in range(c_lo, c_hi + 2):
+        u_lo = max(0, int(math.floor(m / 2.0 - w)))
+        u_hi = m - u_lo
+        pc_prev = pc[m - 1 - c_lo] if c_lo <= m - 1 <= c_hi else 0.0
+        pc_cur = pc[m - c_lo] if c_lo <= m <= c_hi else 0.0
+        row_prev = _half_binom_row(m - 1, np.arange(u_lo - 1, u_hi + 1))
+        pa_cur = _half_binom_row(m, np.arange(u_lo, u_hi + 1))
+        P = eeps * a * pc_prev * row_prev[:-1] + a * pc_prev * row_prev[1:] + r * pc_cur * pa_cur
+        Q = a * pc_prev * row_prev[:-1] + eeps * a * pc_prev * row_prev[1:] + r * pc_cur * pa_cur
+        fwd += float(np.maximum(0.0, P - ee_c * Q).sum())
+        bwd += float(np.maximum(0.0, Q - ee_c * P).sum())
+    return fwd, bwd
+
+
+@st.composite
+def queries(draw, max_n=5000):
+    """Random accountant queries with alpha up to the generic clone value."""
+    n = draw(st.integers(1, max_n))
+    eps = draw(st.floats(0.05, 5.0))
+    alpha = generic_clone_alpha(eps) * draw(st.floats(1e-4, 1.0))
+    delta = draw(st.sampled_from((1e-3, 1e-6, 1e-9)))
+    return AmplificationQuery(n=n, epsilon=eps, alpha=alpha, delta=delta)
 
 
 def brute_force_divergence(n, eps, alpha, eps_c):
@@ -163,5 +226,86 @@ def test_tightness_ordering_small_grid():
 def test_divergence_result_validation():
     with pytest.raises(ValueError):
         DivergenceResult(delta_forward=-0.1, delta_backward=0.0, truncation_mass=0.0)
+    with pytest.raises(ValueError):
+        DivergenceResult(delta_forward=math.nan, delta_backward=0.0, truncation_mass=0.0)
     res = DivergenceResult(delta_forward=0.1, delta_backward=0.2, truncation_mass=0.01)
     assert res.reported_delta == pytest.approx(0.21)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(queries(), st.floats(0.0, 1.0))
+def test_divergence_matches_cell_reference(query, frac):
+    eps_c = frac * query.epsilon
+    got = pq_divergence(query, eps_c)
+    fwd, bwd = reference_pq_divergence(query, eps_c)
+    assert got.delta_forward == pytest.approx(fwd, rel=1e-9, abs=1e-18)
+    assert got.delta_backward == pytest.approx(bwd, rel=1e-9, abs=1e-18)
+    # swapping the coordinates maps P to Q and the window onto itself,
+    # which is why the engine computes one direction for both
+    assert fwd == pytest.approx(bwd, rel=1e-9, abs=1e-18)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(queries(max_n=100_000), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
+def test_divergence_non_increasing_in_eps_c(query, fracs):
+    vals = [pq_divergence(query, f * query.epsilon).delta_forward for f in sorted(fracs)]
+    assert all(later <= earlier * (1.0 + 1e-12) for earlier, later in zip(vals, vals[1:]))
+
+
+def test_window_edges_match_scipy_stats():
+    for n in (1, 2, 10, 100, 1000, 10_000, 100_000, 1_000_000):
+        for eps in (0.25, 1.0, 4.0):
+            for frac in (1.0, 0.1, 1e-3):
+                for delta in (1e-3, 1e-6, 1e-12):
+                    query = AmplificationQuery(n=n, epsilon=eps, alpha=generic_clone_alpha(eps) * frac, delta=delta)
+                    c_lo, c_hi, w = reference_window(query)
+                    win = query.window
+                    assert (win.m[0], win.m[-1]) == (c_lo, c_hi + 1)
+                    assert np.array_equal(win.u_lo, np.maximum(0, np.floor(win.m / 2.0 - w)))
+
+
+# At delta = 0.5 the A-window tails weigh ~1e-5 of the mass, so the
+# comparison reaches them as well as the C-tails.
+@pytest.mark.parametrize("delta", [1e-6, 0.5])
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_truncation_mass_is_the_sum_of_excluded_tails(n, delta):
+    eps = 1.0
+    query = AmplificationQuery(n=n, epsilon=eps, alpha=collision_alpha(4, eps, 17), delta=delta)
+    a = query.clone_prob
+    eeps = math.exp(eps)
+    c_lo, c_hi, w = reference_window(query)
+    cdist = binom(n - 1, 2.0 * a)
+    c = np.arange(c_lo, c_hi + 1)
+    pc = cdist.pmf(c)
+    lo = np.maximum(0, np.floor(c / 2.0 - w))  # A-window of row c
+    lo_next = np.maximum(0, np.floor((c + 1) / 2.0 - w))  # and of row c + 1
+
+    def outside(lo, hi):
+        return binom.cdf(lo - 1, c, 0.5) + binom.sf(hi, c, 0.5)
+
+    terms = [cdist.cdf(c_lo - 1), cdist.sf(c_hi)]
+    terms += list((1.0 - a - eeps * a) * pc * outside(lo, c - lo))  # D = (0, 0)
+    terms += list(eeps * a * pc * outside(lo_next - 1, c - lo_next))  # D = (1, 0)
+    terms += list(a * pc * outside(lo_next, c + 1 - lo_next))  # D = (0, 1)
+    assert query.window.truncation_mass == pytest.approx(math.fsum(terms), rel=1e-6)
+
+
+@pytest.mark.parametrize("eps_c", [math.nan, math.inf, -math.inf, -0.1])
+def test_divergence_rejects_non_finite_or_negative_eps_c(eps_c):
+    query = AmplificationQuery(n=100, epsilon=1.0, alpha=0.2, delta=1e-6)
+    with pytest.raises(ValueError):
+        pq_divergence(query, eps_c)
+
+
+def test_divergence_vanishes_above_local_budget():
+    query = AmplificationQuery(n=1000, epsilon=1.0, alpha=0.2, delta=1e-6)
+    res = pq_divergence(query, 800.0)
+    assert (res.delta_forward, res.delta_backward) == (0.0, 0.0)
+    assert res.truncation_mass == pq_divergence(query, 0.5).truncation_mass > 0.0
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(ldpvec.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ldpvec.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -23,6 +23,7 @@ COMMANDS = {
     "simulate_mean.csv": SIMULATE + ["--target", "mean"],
     "simulate_nonmissing.csv": SIMULATE + ["--target", "nonmissing"],
     "amplify.csv": ["amplify", "--n", "300,1000", "--s", "2", "--epsilon", "0.5,1.0"],
+    "amplify_large.csv": ["amplify", "--n", "10000,100000", "--s", "4", "--epsilon", "0.5,1.0,2.0"],
 }
 
 
