@@ -29,31 +29,19 @@ from .coco import (
     CocoWeights,
     CollisionRates,
     coco_choose_t,
-    coco_mean_contribution,
-    coco_nonmissing_contribution,
     coco_params,
     coco_predicted_mse,
-    coco_randomize,
+    coco_randomize_batch,
     collision_rates,
 )
 from .collision import (
     CollisionParams,
-    collision_indicator_estimate,
     collision_optimal_t,
     collision_params,
-    collision_randomize,
+    collision_randomize_batch,
 )
-from .domain import (
-    EventId,
-    MechanismParams,
-    PrivateView,
-    TernaryVector,
-    UserHash,
-    discretize_ternary,
-    draw_user_hash,
-    event_set,
-)
-from .harness import ExperimentConfig, ReportRow, gen_synthetic, run_amplification_sweep, run_experiment
+from .domain import EventId, MechanismParams, TernaryVector, discretize_ternary, user_hash_seeds
+from .harness import ExperimentConfig, ReportRow, gen_synthetic_arrays, run_amplification_sweep, run_experiment
 from .oracle import (
     ExactDistribution,
     MixtureDecomposition,

@@ -22,7 +22,7 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import MechanismParams, PrivateView
+from .domain import MechanismParams, check_integer
 
 # Cells of the (users x events) bucket matrix evaluated per chunk of the hit count.
 HIT_CHUNK_CELLS = 4_000_000
@@ -54,13 +54,12 @@ class Mechanism(NamedTuple):
     """One randomizer and its server-side estimator.
 
     Hash mechanisms debias per-event hit counts: ``debias(counts, n, params)``.
-    The hash-free baselines have no ``hash_kind`` or ``event_buckets`` and
-    debias their reports: ``debias(views, params) -> (values, n)``.
+    The hash-free baselines have no ``event_buckets`` and debias their
+    reports: ``debias(views, params) -> (values, n)``.
     """
 
     params: Callable  # (d, s, epsilon, t, target) -> params; t=None picks the default
     randomize: Callable  # (supports, signs, seeds, params, rng) -> views
-    hash_kind: str | None  # UserHash layout of the views
     event_buckets: Callable | None  # (seeds, params) -> (n, 2d) buckets in event-code order
     debias: Callable
 
@@ -76,14 +75,14 @@ def mechanism(name: str) -> Mechanism:
 def aggregate_frequencies(views, mechanism_name: str, params) -> FrequencyEstimate:
     """Average the per-user unbiased contributions for all 2d events.
 
-    Hash mechanisms take a list of ``PrivateView`` or a ``(seeds, z)`` pair
-    of 1-d arrays; baselines take their batch randomizer's reports.
+    Hash mechanisms take a ``(seeds, z)`` pair of 1-d integer arrays;
+    baselines take their batch randomizer's reports.
     """
     mech = mechanism(mechanism_name)
     if mech.event_buckets is None:
         values, n = mech.debias(views, params)
         return FrequencyEstimate(values=values, n=n)
-    seeds, z = _views_to_arrays(views, mech.hash_kind, params.t)
+    seeds, z = _views_to_arrays(views, params.t)
     n = len(seeds)
     if n == 0:
         raise ValueError("no views to aggregate")
@@ -91,15 +90,10 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> FrequencyEstima
     return FrequencyEstimate(values=mech.debias(counts, n, params), n=n)
 
 
-def _views_to_arrays(views, kind: str, t: int) -> tuple[np.ndarray, np.ndarray]:
-    if not (isinstance(views, tuple) and len(views) == 2 and not isinstance(views[0], PrivateView)):
-        for view in views:
-            if not isinstance(view, PrivateView):
-                raise TypeError("views must be PrivateView instances or (seeds, z) arrays")
-            if view.hash.kind != kind or view.hash.t != t:
-                raise ValueError("views are not homogeneous with the given params")
-        views = ([view.hash.seed for view in views], [view.z for view in views])
-    seeds, z = np.asarray(views[0], dtype=np.uint64), np.asarray(views[1], dtype=np.int64)
+def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
+    seeds, z = views
+    check_integer(seeds=seeds, z=z)
+    seeds, z = np.asarray(seeds, dtype=np.uint64), np.asarray(z, dtype=np.int64)
     if seeds.ndim != 1 or z.ndim != 1:
         raise ValueError(f"seeds and z must be 1-d arrays, got shapes {seeds.shape} and {z.shape}")
     if len(seeds) != len(z):
@@ -132,9 +126,12 @@ def _collision_frequencies(counts: np.ndarray, n: int, params: _col.CollisionPar
 
 def _coco_frequencies(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
     rates = _coco.collision_rates(params.s, params.epsilon, params.t)
+    mean_denom, nonmissing_denom = rates.p_t - rates.p_o, rates.p_t + rates.p_o - 2.0 * rates.p_f
+    if min(abs(mean_denom), abs(nonmissing_denom)) < 1e-15:
+        raise ValueError("degenerate rates: p_t equals p_o")
     plus, minus = counts[..., 1::2], counts[..., 0::2]
-    mean = (plus - minus) / (n * (rates.p_t - rates.p_o))
-    nonmissing = (plus + minus - 2.0 * n * rates.p_f) / (n * (rates.p_t + rates.p_o - 2.0 * rates.p_f))
+    mean = (plus - minus) / (n * mean_denom)
+    nonmissing = (plus + minus - 2.0 * n * rates.p_f) / (n * nonmissing_denom)
     values = np.empty(counts.shape)
     values[..., 1::2] = (nonmissing + mean) / 2.0  # j_plus
     values[..., 0::2] = (nonmissing - mean) / 2.0  # j_minus
@@ -145,7 +142,7 @@ def _baseline_params(variant: str) -> Callable:
     return lambda d, s, epsilon, t, target: _bl.BaselineParams(d=d, s=s, epsilon=epsilon, variant=variant)
 
 
-def _pckv_randomize(supports, signs, seeds, params, rng):
+def _pckv_batch(supports, signs, seeds, params, rng):
     return _bl.pckv_randomize_batch(supports, signs, params, rng)
 
 
@@ -155,22 +152,22 @@ MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
         lambda d, s, epsilon, t, target: _col.collision_params(d, s, epsilon, t),
         lambda *args: _col.collision_randomize_batch(*args),
-        "single", _col.collision_event_buckets, _collision_frequencies,
+        _col.collision_event_buckets, _collision_frequencies,
     ),
     "coco": Mechanism(
         lambda d, s, epsilon, t, target: _coco.coco_params(
             d, s, epsilon, t, which="nonmissing" if target == "nonmissing" else "mean"
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
-        "paired", _coco.coco_event_buckets, _coco_frequencies,
+        _coco.coco_event_buckets, _coco_frequencies,
     ),
     "privkv": Mechanism(
         _baseline_params("privkv"),
         lambda supports, signs, seeds, params, rng: _bl.privkv_randomize_batch(supports, signs, params, rng),
-        None, None, _bl.privkv_debias,
+        None, _bl.privkv_debias,
     ),
-    "pckv_grr": Mechanism(_baseline_params("pckv_grr"), _pckv_randomize, None, None, _bl.pckv_debias),
-    "pckv_agrr": Mechanism(_baseline_params("pckv_agrr"), _pckv_randomize, None, None, _bl.pckv_debias),
+    "pckv_grr": Mechanism(_baseline_params("pckv_grr"), _pckv_batch, None, _bl.pckv_debias),
+    "pckv_agrr": Mechanism(_baseline_params("pckv_agrr"), _pckv_batch, None, _bl.pckv_debias),
 }
 
 
@@ -181,6 +178,8 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
     randomness, idempotent.
     """
     v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("estimates must be finite")
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, len(v) + 1)

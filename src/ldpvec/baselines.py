@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import TernaryVector, check_batch, exp_budget
+from .domain import check_batch, check_integer, exp_budget
 
 _VARIANTS = ("privkv", "pckv_grr", "pckv_agrr")
 
@@ -58,26 +58,6 @@ def grr_probabilities(epsilon: float, k: int) -> tuple[float, float]:
     return eeps / (eeps + k - 1.0), 1.0 / (eeps + k - 1.0)
 
 
-def privkv_randomize(
-    x: TernaryVector, params: BaselineParams, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Report (sampled dimension j, perturbed ternary value)."""
-    if params.variant != "privkv":
-        raise ValueError("params.variant must be 'privkv'")
-    j = int(rng.integers(1, params.d + 1))
-    true = 0
-    for idx, sign in x.support:
-        if idx == j:
-            true = sign
-            break
-    p, _ = grr_probabilities(params.epsilon, 3)
-    u = rng.random()
-    if u < p:
-        return j, true
-    others = [v for v in (-1, 0, 1) if v != true]
-    return j, others[0] if u < (1.0 + p) / 2.0 else others[1]
-
-
 def privkv_randomize_batch(
     supports: np.ndarray, signs: np.ndarray, params: BaselineParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -95,20 +75,6 @@ def privkv_randomize_batch(
     offset = rng.integers(1, 3, size=n)
     out = np.where(keep, cat, (cat + offset) % 3)
     return j, out - 1
-
-
-def pckv_randomize(x: TernaryVector, params: BaselineParams, rng: np.random.Generator) -> int:
-    """Report one event code in 1..2d via GRR at the variant's inner budget."""
-    if params.variant not in ("pckv_grr", "pckv_agrr"):
-        raise ValueError("params.variant must be a pckv variant")
-    slot = int(rng.integers(0, x.s))
-    j, b = x.support[slot]
-    code = 2 * j - 1 + (1 if b > 0 else 0)
-    p, _ = grr_probabilities(params.effective_epsilon, 2 * params.d)
-    if rng.random() < p:
-        return code
-    shift = int(rng.integers(1, 2 * params.d))
-    return (code - 1 + shift) % (2 * params.d) + 1
 
 
 def pckv_randomize_batch(
@@ -136,6 +102,7 @@ def privkv_debias(views, params: BaselineParams) -> tuple[np.ndarray, int]:
     n = len(j)
     if n == 0:
         raise ValueError("no views to aggregate")
+    check_integer(j=j, values=values)
     d = params.d
     if j.shape != values.shape or j.min() < 1 or j.max() > d or not np.isin(values, (-1, 0, 1)).all():
         raise ValueError(f"PrivKV reports need dimensions j in 1..{d} and values in -1, 0, +1, one per j")
@@ -154,6 +121,7 @@ def pckv_debias(views, params: BaselineParams) -> tuple[np.ndarray, int]:
     n = len(codes)
     if n == 0:
         raise ValueError("no views to aggregate")
+    check_integer(codes=codes)
     if codes.ndim != 1 or codes.min() < 1 or codes.max() > 2 * params.d:
         raise ValueError(f"reported codes must be a 1-d array of values in 1..{2 * params.d}")
     p, q = grr_probabilities(params.effective_epsilon, 2 * params.d)

@@ -1,4 +1,4 @@
-"""The correlated-collision (CoCo) randomizer and its per-user estimators.
+"""The correlated-collision (CoCo) randomizer and its collision rates.
 
 CoCo pairs output buckets (k, k + t/2) and orients each dimension's two
 events onto one pair via hashes H1 (dimension -> half-bucket) and H2
@@ -21,16 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    MechanismParams,
-    PrivateView,
-    TernaryVector,
-    UserHash,
-    check_batch,
-    exp_budget,
-    pair_signs,
-    pair_slots,
-)
+from .domain import MechanismParams, check_batch, exp_budget, pair_signs, pair_slots
 
 
 @dataclass(frozen=True)
@@ -140,32 +131,27 @@ def coco_params(d: int, s: int, epsilon: float, t: int | None = None, which: str
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
-def _check_hash(hash: UserHash, params: MechanismParams) -> None:
-    if hash.kind != "paired":
-        raise ValueError("CoCo requires a paired-kind hash")
-    if hash.t != params.t:
-        raise ValueError(f"hash range {hash.t} != params t {params.t}")
-
-
 def coco_weight_vector(
     ordered_support: tuple[tuple[int, int], ...],
-    hash: UserHash,
+    table,
     epsilon: float,
     t: int,
 ) -> CocoWeights:
     """Relative weights over buckets 1..t for one permutation of the support.
 
-    Implements the assignment loop literally: later entries overwrite both
-    members of a conflicting bucket pair, then unassigned pairs receive the
-    uniform residual weight.
+    ``table`` is one user's paired-layout hash (an ``oracle.CocoTable``):
+    ``table.event_bucket(j, b)`` and ``table.pair_slot(j)``.  Implements
+    the assignment loop literally: later entries overwrite both members of
+    a conflicting bucket pair, then unassigned pairs receive the uniform
+    residual weight.
     """
     eeps = math.exp(epsilon)
     s = len(ordered_support)
     half = t // 2
     W = np.zeros(t)
     for j, b in ordered_support:
-        hb = hash.event_bucket(j, b)
-        lb = 2 * hash.pair_slot(j) + half - hb
+        hb = table.event_bucket(j, b)
+        lb = 2 * table.pair_slot(j) + half - hb
         W[hb - 1] = eeps
         W[lb - 1] = 1.0
     omega = coco_omega(s, epsilon, t)
@@ -178,26 +164,6 @@ def coco_weight_vector(
     return CocoWeights(w=W, omega=omega, epsilon=epsilon)
 
 
-def coco_randomize(
-    x: TernaryVector,
-    hash: UserHash,
-    params: MechanismParams,
-    rng: np.random.Generator,
-) -> PrivateView:
-    """Sample one private view from the paired-bucket randomizer."""
-    _check_domain(params.s, params.t)
-    _check_hash(hash, params)
-    if x.d != params.d or x.s != params.s:
-        raise ValueError("vector shape does not match params")
-    perm = rng.permutation(x.s)
-    ordered = tuple(x.support[i] for i in perm)
-    W = coco_weight_vector(ordered, hash, params.epsilon, params.t).w
-    cdf = np.cumsum(W)
-    u = rng.random() * cdf[-1]
-    z = int(np.searchsorted(cdf, u, side="right")) + 1
-    return PrivateView(hash=hash, z=min(z, params.t))
-
-
 def coco_randomize_batch(
     supports: np.ndarray,
     signs: np.ndarray,
@@ -205,13 +171,13 @@ def coco_randomize_batch(
     params: MechanismParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorised randomizer: one output symbol per row.
+    """Sample one output symbol per row.
 
-    Equivalent to ``coco_randomize`` applied per user; the bucket-pair
-    weight layout is never materialised.  For each row the surviving
-    (last-written) entry per distinct H1 value is found by sorting, then a
-    single uniform draw picks a weight-e^eps bucket, a weight-1 bucket or
-    a residual bucket.
+    Each row follows the law of ``coco_weight_vector`` under a uniformly
+    random write order, but the bucket-pair weight layout is never
+    materialised.  For each row the surviving (last-written) entry per
+    distinct H1 value is found by sorting, then a single uniform draw
+    picks a weight-e^eps bucket, a weight-1 bucket or a residual bucket.
     """
     _check_domain(params.s, params.t)
     check_batch(supports, signs, params)
@@ -263,26 +229,6 @@ def coco_randomize_batch(
     z_res = pv + member * half
 
     return np.where(seg_high, z_high, np.where(seg_low, z_low, z_res))
-
-
-def coco_mean_contribution(view: PrivateView, j: int, rates: CollisionRates) -> float:
-    """Per-user unbiased estimate of [j_plus in Y_x] - [j_minus in Y_x]."""
-    denom = rates.p_t - rates.p_o
-    if abs(denom) < 1e-15:
-        raise ValueError("degenerate rates: p_t equals p_o")
-    hp = 1.0 if view.hash.event_bucket(j, 1) == view.z else 0.0
-    hm = 1.0 if view.hash.event_bucket(j, -1) == view.z else 0.0
-    return (hp - hm) / denom
-
-
-def coco_nonmissing_contribution(view: PrivateView, j: int, rates: CollisionRates) -> float:
-    """Per-user unbiased estimate of [j_plus in Y_x] + [j_minus in Y_x]."""
-    denom = rates.p_t + rates.p_o - 2.0 * rates.p_f
-    if abs(denom) < 1e-15:
-        raise ValueError("degenerate rates: p_t + p_o equals 2 p_f")
-    hp = 1.0 if view.hash.event_bucket(j, 1) == view.z else 0.0
-    hm = 1.0 if view.hash.event_bucket(j, -1) == view.z else 0.0
-    return (hp + hm - 2.0 * rates.p_f) / denom
 
 
 def coco_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray:

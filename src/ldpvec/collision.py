@@ -1,4 +1,4 @@
-"""The (d, s, epsilon, t)-Collision randomizer and its indicator estimator.
+"""The (d, s, epsilon, t)-Collision randomizer and its output law.
 
 The randomizer hashes a user's event set into buckets 1..t and emits one
 bucket z.  Buckets hit by a hashed event carry relative weight e^eps; the
@@ -6,9 +6,11 @@ fixed normaliser Omega = s*e^eps + t - s makes the output law sum to one
 for every input, with the probability freed by internal hash conflicts
 spread uniformly over the unhit buckets.
 
-The per-user unbiased estimator of the indicator [event in Y_x] is
+Each user's unbiased estimate of the indicator [event in Y_x] is
 
-    ([H(event) = z] - 1/t) / (e^eps/Omega - 1/t).
+    ([H(event) = z] - 1/t) / (e^eps/Omega - 1/t);
+
+the server averages it over users from per-event hit counts.
 """
 
 from __future__ import annotations
@@ -18,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    EventId,
-    MechanismParams,
-    PrivateView,
-    TernaryVector,
-    UserHash,
-    check_batch,
-    exp_budget,
-    hash_buckets,
-)
+from .domain import MechanismParams, check_batch, exp_budget, hash_buckets
 
 
 @dataclass(frozen=True)
@@ -73,13 +66,6 @@ def collision_params(d: int, s: int, epsilon: float, t: int | None = None) -> Co
     return CollisionParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
-def _check_hash(hash: UserHash, params: CollisionParams) -> None:
-    if hash.kind != "single":
-        raise ValueError("collision mechanism requires a single-kind hash")
-    if hash.t != params.t:
-        raise ValueError(f"hash range {hash.t} != params t {params.t}")
-
-
 def collision_output_probabilities(hit_buckets: frozenset[int], params: CollisionParams) -> np.ndarray:
     """Exact output law over buckets 1..t given the set of hit buckets."""
     t = params.t
@@ -90,38 +76,6 @@ def collision_output_probabilities(hit_buckets: frozenset[int], params: Collisio
     return probs
 
 
-def collision_randomize(
-    x: TernaryVector,
-    hash: UserHash,
-    params: CollisionParams,
-    rng: np.random.Generator,
-) -> PrivateView:
-    """Sample one private view; O(s) time and memory.
-
-    A single uniform draw is routed through a two-segment inverse CDF:
-    the hit segment selects among the k distinct hashed buckets, the
-    residual segment selects uniformly among the t - k others.
-    """
-    _check_hash(hash, params)
-    if x.d != params.d or x.s != params.s:
-        raise ValueError("vector shape does not match params")
-    t = params.t
-    hits = sorted(hash.bucket_set(x.event_codes()))
-    k = len(hits)
-    p_hit = params.hit_prob
-    u = rng.random()
-    if u < k * p_hit:
-        z = hits[min(int(u / p_hit), k - 1)]
-    else:
-        q = params.residual_prob(k)
-        m = min(int((u - k * p_hit) / q), t - k - 1)
-        z = m + 1
-        for b in hits:  # ascending; shift past hit buckets
-            if b <= z:
-                z += 1
-    return PrivateView(hash=hash, z=z)
-
-
 def collision_randomize_batch(
     supports: np.ndarray,
     signs: np.ndarray,
@@ -129,7 +83,11 @@ def collision_randomize_batch(
     params: CollisionParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorised randomizer: one output symbol per row of ``supports``.
+    """Sample one output symbol per row of ``supports``.
+
+    Each row's single uniform draw is routed through a two-segment inverse
+    CDF: the hit segment selects among the k distinct hashed buckets, the
+    residual segment selects uniformly among the t - k others.
 
     supports: (n, s) 1-based dimension indices, ascending per row.
     signs:    (n, s) entries in {-1, +1}.
@@ -164,16 +122,6 @@ def collision_randomize_batch(
         z_miss += (new[:, col] & (hs[:, col] <= z_miss)).astype(np.int64)
 
     return np.where(is_hit, z_hit, z_miss)
-
-
-def collision_indicator_estimate(view: PrivateView, event: EventId, params: CollisionParams) -> float:
-    """Unbiased per-user estimate of [event in Y_x] from one private view."""
-    _check_hash(view.hash, params)
-    denom = params.hit_prob - params.false_prob
-    if abs(denom) < 1e-15:
-        raise ValueError("degenerate parameters: e^eps/Omega equals 1/t")
-    hit = 1.0 if view.hash.bucket(event.code) == view.z else 0.0
-    return (hit - params.false_prob) / denom
 
 
 def collision_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray:

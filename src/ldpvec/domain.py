@@ -1,13 +1,13 @@
-"""Domain model for sparse ternary vectors and per-user hash functions.
+"""Domain model for sparse ternary vectors and per-user hash seeds.
 
 A user's datum is a d-dimensional vector in {-1, 0, +1} with exactly s
 non-zero entries.  Each non-zero entry is identified with one of 2d
 *events*: dimension j carries the event ``j_minus`` (value -1) or
 ``j_plus`` (value +1).  Events are encoded as integers in 1..2d.
 
-Per-user hash functions are realised as a keyed 64-bit pseudorandom
-function (splitmix64 finaliser), so every experiment is bit-reproducible
-from a single master seed.  Two evaluation layouts exist:
+Each user's hash functions are a keyed 64-bit pseudorandom function
+(splitmix64 finaliser) of one uint64 seed, so every experiment is
+bit-reproducible from a single master seed.  Two evaluation layouts exist:
 
   * ``single``: one hash H mapping event codes into buckets 1..t.
   * ``paired``: a dimension hash H1 into half-buckets 1..t/2 plus a sign
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,14 +33,6 @@ _STREAM_USER = 0x8AE6_55D1_1D90_2A31
 _STREAM_SINGLE = 0x243F_6A88_85A3_08D3
 _STREAM_H1 = 0x1319_8A2E_0370_7344
 _STREAM_H2 = 0xA409_3822_299F_31D0
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finaliser on python ints (wraps mod 2^64)."""
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * _MUL1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MUL2) & _MASK64
-    return x ^ (x >> 31)
 
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
@@ -131,11 +123,6 @@ class TernaryVector:
         return cls(d=len(values), support=tuple(support))
 
 
-def event_set(x: TernaryVector) -> frozenset[EventId]:
-    """Set-form representation of a ternary vector."""
-    return x.event_set()
-
-
 @dataclass(frozen=True)
 class MechanismParams:
     """Shared mechanism parameters (d, s, epsilon, t).
@@ -170,8 +157,17 @@ def exp_budget(epsilon: float, scale: float = 1.0) -> float:
     return value
 
 
+def check_integer(**arrays) -> None:
+    """Reject, by dtype alone, any named array that does not hold integers."""
+    for name, values in arrays.items():
+        dtype = np.asarray(values).dtype
+        if not np.issubdtype(dtype, np.integer):
+            raise ValueError(f"{name} must be an integer array, got dtype {dtype}")
+
+
 def check_batch(supports: np.ndarray, signs: np.ndarray, params) -> None:
     """Reject a malformed batch of (n, s) supports and signs in O(n*s)."""
+    check_integer(supports=supports, signs=signs)
     if supports.ndim != 2 or supports.shape[1] != params.s:
         raise ValueError(f"supports must have shape (n, {params.s}), got {supports.shape}")
     if signs.shape != supports.shape:
@@ -184,79 +180,10 @@ def check_batch(supports: np.ndarray, signs: np.ndarray, params) -> None:
         raise ValueError("signs must be -1 or +1")
 
 
-@dataclass(frozen=True)
-class UserHash:
-    """One user's hash specification: a 64-bit seed plus layout.
-
-    Evaluation is a pure function of (seed, kind, argument); equal inputs
-    always agree, so the hash can be shipped as part of a private view.
-    """
-
-    seed: int
-    kind: str  # "single" or "paired"
-    t: int
-
-    def __post_init__(self):
-        if self.kind not in ("single", "paired"):
-            raise ValueError(f"unknown hash kind {self.kind!r}")
-        if self.t < 1:
-            raise ValueError("t must be positive")
-        if self.kind == "paired" and self.t % 2 != 0:
-            raise ValueError("paired hashes need even t")
-
-    # -- single layout: H : event codes -> 1..t --------------------------
-    def bucket(self, code: int) -> int:
-        if self.kind != "single":
-            raise ValueError("bucket() requires a single-kind hash")
-        return int(_mix64((self.seed ^ _mix64(code ^ _STREAM_SINGLE)) & _MASK64) % self.t) + 1
-
-    def bucket_set(self, codes: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.bucket(c) for c in codes)
-
-    # -- paired layout: H1 : dims -> 1..t/2, H2 : dims -> {-1,+1} --------
-    def pair_slot(self, index: int) -> int:
-        if self.kind != "paired":
-            raise ValueError("pair_slot() requires a paired-kind hash")
-        return int(_mix64((self.seed ^ _mix64(index ^ _STREAM_H1)) & _MASK64) % (self.t // 2)) + 1
-
-    def pair_sign(self, index: int) -> int:
-        """Orientation H2(j_plus) of dimension j's bucket pair."""
-        if self.kind != "paired":
-            raise ValueError("pair_sign() requires a paired-kind hash")
-        return 1 if _mix64((self.seed ^ _mix64(index ^ _STREAM_H2)) & _MASK64) & 1 else -1
-
-    def event_bucket(self, index: int, sign: int) -> int:
-        """Bucket of event j_sign: H1(j) + ((sign*H2(j_plus)+1)/2) * t/2."""
-        h1 = self.pair_slot(index)
-        hi = (sign * self.pair_sign(index) + 1) // 2
-        return h1 + hi * (self.t // 2)
-
-
-@dataclass(frozen=True)
-class PrivateView:
-    """One user's sanitised message: the hash specification plus a symbol z."""
-
-    hash: UserHash
-    z: int
-
-    def __post_init__(self):
-        if not 1 <= self.z <= self.hash.t:
-            raise ValueError(f"z={self.z} outside output domain 1..{self.hash.t}")
-
-
-def derive_user_seed(master_seed: int, user_index: int) -> int:
-    return _mix64((_mix64(master_seed & _MASK64) ^ _mix64((user_index ^ _STREAM_USER) & _MASK64)) & _MASK64)
-
-
-def draw_user_hash(master_seed: int, user_index: int, kind: str, t: int) -> UserHash:
-    """Deterministically derive user ``user_index``'s hash from a master seed."""
-    return UserHash(seed=derive_user_seed(master_seed, user_index), kind=kind, t=t)
-
-
 def user_hash_seeds(master_seed: int, n: int) -> np.ndarray:
-    """Vectorised ``derive_user_seed`` for users 0..n-1."""
+    """Hash seeds of users 0..n-1, derived from one master seed."""
     idx = np.arange(n, dtype=np.uint64) ^ np.uint64(_STREAM_USER)
-    base = np.uint64(_mix64(master_seed & _MASK64))
+    base = _mix64_np(np.array(master_seed & _MASK64, dtype=np.uint64))
     return _mix64_np(base ^ _mix64_np(idx))
 
 

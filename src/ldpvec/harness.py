@@ -20,7 +20,7 @@ import numpy as np
 from . import aggregate as agg
 from . import amplification as amp
 from . import collision as col
-from .domain import TernaryVector, user_hash_seeds
+from .domain import user_hash_seeds
 
 MECHANISMS = tuple(agg.MECHANISMS)
 TARGETS = ("frequency", "mean", "nonmissing")
@@ -139,16 +139,6 @@ def gen_synthetic_arrays(n: int, d: int, s: int, rng: np.random.Generator) -> tu
     return supports, signs
 
 
-def gen_synthetic(n: int, d: int, s: int, seed: int) -> list[TernaryVector]:
-    """Materialised dataset; supports uniform over size-s subsets, fair signs."""
-    rng = np.random.default_rng(seed)
-    supports, signs = gen_synthetic_arrays(n, d, s, rng)
-    return [
-        TernaryVector(d=d, support=tuple(zip(supports[i].tolist(), signs[i].tolist())))
-        for i in range(n)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # One grid point
 
@@ -175,7 +165,7 @@ def frequency_estimate_for(
     """Randomize a dataset under one mechanism and aggregate frequencies."""
     mech = agg.mechanism(mechanism)
     params = mech.params(d, s, epsilon, t, target)
-    seeds = None if mech.hash_kind is None else user_hash_seeds(hash_master, supports.shape[0])
+    seeds = None if mech.event_buckets is None else user_hash_seeds(hash_master, supports.shape[0])
     views = mech.randomize(supports, signs, seeds, params, rng)
     return agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
 
@@ -328,6 +318,8 @@ def run_amplification_sweep(
     for bound in bounds:
         if bound not in AMPLIFICATION_BOUNDS:
             raise ValueError(f"unknown bound {bound!r}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     for n, s, epsilon, bound in product(n_list, s_list, epsilons, bounds):
         caveat = ""
         try:

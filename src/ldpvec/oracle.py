@@ -137,26 +137,12 @@ def _collision_table_probs(x: TernaryVector, table: CollisionTable, params: Coll
 
 def _coco_table_probs(x: TernaryVector, table: CocoTable, params: MechanismParams) -> np.ndarray:
     """Output law for a fixed (H1, H2), averaged over write permutations."""
-    fake = _TableHash(table)
     acc = np.zeros(params.t)
     perms = list(permutations(x.support))
     for ordered in perms:
-        acc += coco_weight_vector(ordered, fake, params.epsilon, params.t).w
+        acc += coco_weight_vector(ordered, table, params.epsilon, params.t).w
     omega = coco_omega(x.s, params.epsilon, params.t)
     return acc / (len(perms) * omega)
-
-
-class _TableHash:
-    """Adapter: expose an explicit CocoTable through the UserHash interface."""
-
-    def __init__(self, table: CocoTable):
-        self._t = table
-
-    def event_bucket(self, index, sign):
-        return self._t.event_bucket(index, sign)
-
-    def pair_slot(self, index):
-        return self._t.pair_slot(index)
 
 
 def enumerate_distribution(mechanism: str, x: TernaryVector, params, family) -> ExactDistribution:

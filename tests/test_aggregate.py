@@ -3,6 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ldpvec.aggregate import (
     FrequencyEstimate,
@@ -15,11 +18,10 @@ from ldpvec.aggregate import (
     true_event_frequencies,
     tve,
 )
-from ldpvec.coco import coco_params, coco_randomize, coco_randomize_batch
-from ldpvec.collision import collision_params, collision_randomize
-from ldpvec.domain import TernaryVector, draw_user_hash, user_hash_seeds
+from ldpvec.coco import coco_params, coco_randomize_batch, collision_rates
+from ldpvec.collision import collision_params, collision_randomize_batch
+from ldpvec.domain import EventId, hash_buckets, pair_signs, pair_slots, user_hash_seeds
 from ldpvec.oracle import exact_estimator_moments, all_sparse_vectors
-from ldpvec.domain import EventId
 
 LN2 = math.log(2)
 
@@ -61,15 +63,17 @@ def test_projection_matches_qp_oracle():
         assert simplex_projection(v) == pytest.approx(qp_simplex_projection(v), abs=1e-10)
 
 
-def test_projection_idempotent_and_scaled():
-    rng = np.random.default_rng(2)
-    values = rng.normal(0, 1, size=8)
-    est = FrequencyEstimate(values=values, n=5)
-    once = project_to_simplex(est, 3)
-    twice = project_to_simplex(once, 3)
-    assert np.asarray(once.values) == pytest.approx(np.asarray(twice.values), abs=1e-12)
-    assert np.asarray(once.values).sum() == pytest.approx(3.0, abs=1e-9)
-    assert np.asarray(once.values).min() >= 0.0
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    values=arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e3, 1e3)),
+    s=st.integers(1, 16),
+)
+def test_projection_idempotent_and_scaled(values, s):
+    once = np.asarray(project_to_simplex(FrequencyEstimate(values=values, n=1), s).values)
+    twice = np.asarray(project_to_simplex(FrequencyEstimate(values=once, n=1), s).values)
+    assert once.min() >= 0.0
+    assert once.sum() == pytest.approx(s, abs=1e-9)
+    assert twice == pytest.approx(once, abs=1e-12)
 
 
 def test_projection_contracts_toward_feasible_points():
@@ -115,13 +119,11 @@ def test_conditional_mean_guard():
 def test_collision_single_view_contribution_pattern():
     # a single view contributes the 9 / -3 debiased pattern per event
     params = collision_params(6, 2, LN2, 4)
-    x = TernaryVector(d=6, support=((3, 1), (5, -1)))
-    uh = draw_user_hash(5, 0, "single", 4)
-    rng = np.random.default_rng(0)
-    view = collision_randomize(x, uh, params, rng)
-    est = aggregate_frequencies([view], "collision", params)
+    seeds = user_hash_seeds(5, 1)
+    z = collision_randomize_batch(np.array([[3, 5]]), np.array([[1, -1]]), seeds, params, np.random.default_rng(0))
+    est = aggregate_frequencies((seeds, z), "collision", params)
     for code in range(1, 13):
-        hit = uh.bucket(code) == view.z
+        hit = hash_buckets(seeds, np.int64(code), 4)[0] == z[0]
         assert est.values[code - 1] == pytest.approx(9.0 if hit else -3.0)
 
 
@@ -142,43 +144,40 @@ def test_aggregate_expectation_matches_truth_small_instance():
     assert np.abs(expect - truth).max() < 1e-10
 
 
-def test_view_list_and_array_paths_agree():
-    cases = (
-        ("collision", "single", collision_params(5, 1, 1.0, 4), collision_randomize),
-        ("coco", "paired", coco_params(5, 1, 1.0, t=6), coco_randomize),
-    )
-    x = TernaryVector(d=5, support=((2, -1),))
-    for mechanism, kind, params, randomize in cases:
-        rng = np.random.default_rng(3)
-        views = []
-        for user in range(50):
-            uh = draw_user_hash(31, user, kind, params.t)
-            views.append(randomize(x, uh, params, rng))
-        seeds = np.array([v.hash.seed for v in views], dtype=np.uint64)
-        z = np.array([v.z for v in views], dtype=np.int64)
-        a = aggregate_frequencies(views, mechanism, params)
-        b = aggregate_frequencies((seeds, z), mechanism, params)
-        assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
-        assert a.n == b.n == 50
+def coco_hits(seed, z, j, t):
+    """Whether one view's symbol z is the bucket of j_plus, and of j_minus."""
+    seed = np.array([seed], dtype=np.uint64)
+    h1, h2 = pair_slots(seed, np.int64(j), t)[0], pair_signs(seed, np.int64(j))[0]
+    plus = h1 + (h2 + 1) // 2 * (t // 2)  # H1(j) + ((sign*H2(j)+1)/2) * t/2
+    minus = h1 + (1 - h2) // 2 * (t // 2)
+    return float(plus == z), float(minus == z)
+
+
+def coco_mean_contribution(seed, z, j, rates, t):
+    """One view's unbiased estimate of [j_plus in Y_x] - [j_minus in Y_x]."""
+    hp, hm = coco_hits(seed, z, j, t)
+    return (hp - hm) / (rates.p_t - rates.p_o)
+
+
+def coco_nonmissing_contribution(seed, z, j, rates, t):
+    """One view's unbiased estimate of [j_plus in Y_x] + [j_minus in Y_x]."""
+    hp, hm = coco_hits(seed, z, j, t)
+    return (hp + hm - 2.0 * rates.p_f) / (rates.p_t + rates.p_o - 2.0 * rates.p_f)
 
 
 def test_coco_scalar_contributions_match_frequency_aggregation():
-    from ldpvec.coco import coco_mean_contribution, coco_nonmissing_contribution, coco_randomize, collision_rates
-
     params = coco_params(5, 2, 0.9, t=8)
     rates = collision_rates(2, 0.9, 8)
-    x = TernaryVector(d=5, support=((2, 1), (4, -1)))
-    rng = np.random.default_rng(21)
-    views = [
-        coco_randomize(x, draw_user_hash(77, user, "paired", 8), params, rng)
-        for user in range(200)
-    ]
-    freq = aggregate_frequencies(views, "coco", params)
-    m = mean_estimate(freq)
+    n = 200
+    seeds = user_hash_seeds(77, n)
+    z = coco_randomize_batch(
+        np.tile([[2, 4]], (n, 1)), np.tile([[1, -1]], (n, 1)), seeds, params, np.random.default_rng(21)
+    )
+    m = mean_estimate(aggregate_frequencies((seeds, z), "coco", params))
     for j in range(1, 6):
-        by_views = np.mean([coco_mean_contribution(v, j, rates) for v in views])
+        by_views = np.mean([coco_mean_contribution(seed, zi, j, rates, 8) for seed, zi in zip(seeds, z)])
         assert m.values[j - 1] == pytest.approx(by_views, abs=1e-12)
-        by_views_nm = np.mean([coco_nonmissing_contribution(v, j, rates) for v in views])
+        by_views_nm = np.mean([coco_nonmissing_contribution(seed, zi, j, rates, 8) for seed, zi in zip(seeds, z)])
         assert m.nonmissing[j - 1] == pytest.approx(by_views_nm, abs=1e-12)
 
 
@@ -201,11 +200,9 @@ def test_aggregate_rejects_empty_and_mismatched():
     params = collision_params(4, 1, 1.0, 3)
     with pytest.raises(ValueError):
         aggregate_frequencies((np.array([], dtype=np.uint64), np.array([], dtype=np.int64)), "collision", params)
-    uh = draw_user_hash(0, 0, "paired", 4)
-    from ldpvec.domain import PrivateView
-
-    with pytest.raises(ValueError):
-        aggregate_frequencies([PrivateView(hash=uh, z=1)], "collision", params)
+    seeds, z = user_hash_seeds(0, 2), np.array([1, 2])
+    with pytest.raises(ValueError):  # not a (seeds, z) pair
+        aggregate_frequencies((seeds, z, z), "collision", params)
 
 
 @pytest.mark.parametrize("mechanism, params", [("collision", collision_params(4, 1, 1.0, 3)), ("coco", coco_params(4, 1, 1.0))])
@@ -230,6 +227,29 @@ def test_aggregate_rejects_arrays_that_are_not_1d(mechanism, params):
         aggregate_frequencies((seeds.reshape(2, 2), np.ones((2, 2), dtype=np.int64)), mechanism, params)
     with pytest.raises(ValueError, match="must be 1-d"):
         aggregate_frequencies((seeds, np.ones((4, 1), dtype=np.int64)), mechanism, params)
+
+
+@pytest.mark.parametrize("mechanism, params", [("collision", collision_params(4, 1, 1.0, 3)), ("coco", coco_params(4, 1, 1.0))])
+def test_aggregate_rejects_non_integer_seeds_or_symbols(mechanism, params):
+    seeds = user_hash_seeds(1, 3)
+    with pytest.raises(ValueError, match="z must be an integer array"):
+        aggregate_frequencies((seeds, [1.7, 2.2, 3.9]), mechanism, params)
+    with pytest.raises(ValueError, match="seeds must be an integer array"):
+        aggregate_frequencies((seeds.astype(float), [1, 2, 3]), mechanism, params)
+
+
+def test_aggregate_rejects_non_integer_baseline_reports():
+    from ldpvec.baselines import BaselineParams
+
+    privkv = BaselineParams(d=4, s=1, epsilon=1.0, variant="privkv")
+    with pytest.raises(ValueError, match="j must be an integer array"):
+        aggregate_frequencies((np.array([1.0, 2.0]), np.array([1, -1])), "privkv", privkv)
+    with pytest.raises(ValueError, match="values must be an integer array"):
+        aggregate_frequencies((np.array([1, 2]), np.array([1.0, -1.0])), "privkv", privkv)
+    for variant in ("pckv_grr", "pckv_agrr"):
+        pckv = BaselineParams(d=4, s=1, epsilon=1.0, variant=variant)
+        with pytest.raises(ValueError, match="codes must be an integer array"):
+            aggregate_frequencies(np.array([1.5, 2.0]), variant, pckv)
 
 
 def test_aggregate_rejects_malformed_baseline_reports():

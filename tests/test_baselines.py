@@ -8,9 +8,7 @@ from ldpvec.baselines import (
     BaselineParams,
     amplified_budget,
     grr_probabilities,
-    pckv_randomize,
     pckv_randomize_batch,
-    privkv_randomize,
     privkv_randomize_batch,
 )
 from ldpvec.domain import TernaryVector
@@ -37,19 +35,15 @@ def test_privkv_channel_probabilities():
     # empirical response distribution matches 3-ary GRR at eps
     rng = np.random.default_rng(0)
     params = BaselineParams(d=3, s=1, epsilon=LN2, variant="privkv")
-    x = TernaryVector(d=3, support=((2, 1),))
     n = 60_000
-    hits = {(-1): 0, 0: 0, 1: 0}
-    count_j2 = 0
-    for _ in range(n):
-        j, v = privkv_randomize(x, params, rng)
-        if j == 2:
-            count_j2 += 1
-            hits[v] += 1
+    j, v = privkv_randomize_batch(np.full((n, 1), 2), np.ones((n, 1), dtype=np.int64), params, rng)
+    count_j2 = (j == 2).sum()
     assert count_j2 / n == pytest.approx(1 / 3, abs=0.02)
-    assert hits[1] / count_j2 == pytest.approx(0.5, abs=0.02)
-    assert hits[0] / count_j2 == pytest.approx(0.25, abs=0.02)
-    assert hits[-1] / count_j2 == pytest.approx(0.25, abs=0.02)
+    assert (v[j == 2] == 1).sum() / count_j2 == pytest.approx(0.5, abs=0.02)
+    assert (v[j == 2] == 0).sum() / count_j2 == pytest.approx(0.25, abs=0.02)
+    assert (v[j == 2] == -1).sum() / count_j2 == pytest.approx(0.25, abs=0.02)
+    # an unsampled dimension holds 0 in x: its truthful report is 0
+    assert (v[j == 1] == 0).sum() / (j == 1).sum() == pytest.approx(0.5, abs=0.02)
 
 
 def test_privkv_ldp_by_enumeration():
@@ -194,9 +188,9 @@ def test_error_scaling_exponents():
 
 
 def test_scalar_pckv_matches_distribution():
+    # a scalar (d = 1) input +1 is reported as its code 2 with the GRR truth probability
     rng = np.random.default_rng(2)
     params = BaselineParams(d=1, s=1, epsilon=1.0, variant="pckv_grr")
-    x = TernaryVector(d=1, support=((1, 1),))
     n = 40_000
-    hits = sum(pckv_randomize(x, params, rng) == 2 for _ in range(n))
-    assert hits / n == pytest.approx(math.e / (math.e + 1), abs=0.01)
+    codes = pckv_randomize_batch(np.ones((n, 1), dtype=np.int64), np.ones((n, 1), dtype=np.int64), params, rng)
+    assert (codes == 2).mean() == pytest.approx(math.e / (math.e + 1), abs=0.01)

@@ -3,21 +3,21 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldpvec.aggregate import aggregate_frequencies, mean_estimate
 from ldpvec.coco import (
     coco_choose_t,
-    coco_mean_contribution,
-    coco_nonmissing_contribution,
     coco_omega,
     coco_params,
     coco_predicted_mse,
-    coco_randomize,
     coco_randomize_batch,
     coco_weight_vector,
     collision_rates,
     overwrite_probability,
 )
-from ldpvec.domain import MechanismParams, PrivateView, TernaryVector, draw_user_hash
+from ldpvec.domain import MechanismParams, TernaryVector, pair_signs, pair_slots, user_hash_seeds
 from ldpvec.oracle import (
     CocoTable,
     _coco_table_probs,
@@ -26,6 +26,14 @@ from ldpvec.oracle import (
 )
 
 LN2 = math.log(2)
+
+
+def user_table(seed, dims, t):
+    """The paired-layout hash of user ``seed`` on ``dims``, as an explicit table."""
+    dims = np.asarray(dims)
+    h1 = pair_slots(np.uint64(seed), dims, t).tolist()
+    h2 = pair_signs(np.uint64(seed), dims).tolist()
+    return CocoTable(dict(zip(dims.tolist(), h1)), dict(zip(dims.tolist(), h2)), t)
 
 
 def test_rates_examples():
@@ -57,13 +65,14 @@ def test_omega_example():
 def test_weight_vector_single_entry_layout():
     # s=1: one bucket at e^eps, its pair at 1, everything else at w
     t, eps = 6, LN2
-    uh = draw_user_hash(0, 2, "paired", t)
+    table = CocoTable({2: 3}, {2: -1}, t)
     x = TernaryVector(d=4, support=((2, 1),))
-    W = coco_weight_vector(x.support, uh, eps, t).w
+    W = coco_weight_vector(x.support, table, eps, t).w
     omega = coco_omega(1, eps, t)
     w = (omega - math.exp(eps) - 1.0) / (t - 2)
-    hb = uh.event_bucket(2, 1)
-    lb = uh.event_bucket(2, -1)
+    hb = table.event_bucket(2, 1)
+    lb = table.event_bucket(2, -1)
+    assert (hb, lb) == (3, 6)
     assert W[hb - 1] == pytest.approx(math.exp(eps))
     assert W[lb - 1] == pytest.approx(1.0)
     for k in range(t):
@@ -76,17 +85,9 @@ def test_weight_vector_overwrite_semantics():
     # two dims forced onto one pair: the later write wins, both buckets replaced
     t, eps = 8, 0.7
     table = CocoTable({1: 2, 2: 2}, {1: 1, 2: 1}, t)
-
-    class H:
-        def event_bucket(self, j, b):
-            return table.event_bucket(j, b)
-
-        def pair_slot(self, j):
-            return table.pair_slot(j)
-
     x = TernaryVector(d=2, support=((1, 1), (2, -1)))
     for ordered in permutations(x.support):
-        W = coco_weight_vector(tuple(ordered), H(), eps, t).w
+        W = coco_weight_vector(tuple(ordered), table, eps, t).w
         j_last, b_last = ordered[-1]
         assert W[table.event_bucket(j_last, b_last) - 1] == pytest.approx(math.exp(eps))
         assert W[table.event_bucket(j_last, -b_last) - 1] == pytest.approx(1.0)
@@ -108,7 +109,7 @@ def test_residual_weight_bounds_exhaustive():
 def test_coco_weights_validation():
     from ldpvec.coco import CocoWeights
 
-    good = coco_weight_vector(((2, 1),), draw_user_hash(0, 2, "paired", 6), LN2, 6)
+    good = coco_weight_vector(((2, 1),), user_table(5, [2], 6), LN2, 6)
     assert good.probabilities.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         CocoWeights(w=np.array([2.0, 1.0, 1.0]), omega=5.0, epsilon=LN2)  # sum mismatch
@@ -118,31 +119,35 @@ def test_coco_weights_validation():
 
 def test_randomize_rejects_bad_t():
     rng = np.random.default_rng(0)
-    x = TernaryVector(d=4, support=((1, 1),))
-    uh = draw_user_hash(0, 0, "paired", 6)
     with pytest.raises(ValueError):
-        coco_randomize(x, uh, MechanismParams(d=4, s=1, epsilon=1.0, t=3), rng)
+        coco_randomize_batch(
+            np.array([[1]]), np.array([[1]]), user_hash_seeds(0, 1), MechanismParams(d=4, s=1, epsilon=1.0, t=3), rng
+        )
     with pytest.raises(ValueError):
         coco_params(4, 2, 1.0, t=4)
 
 
-def test_randomize_matches_exact_law():
-    rng = np.random.default_rng(8)
-    for (d, s, eps, t, seed) in ((10, 3, LN2, 8, 5), (6, 2, 1.0, 8, 11), (4, 1, LN2, 6, 2)):
-        x = TernaryVector(d=d, support=tuple((j + 1, (-1) ** j) for j in range(s)))
-        params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
-        uh = draw_user_hash(seed, 0, "paired", t)
-        table = CocoTable(
-            {j: uh.pair_slot(j) for j, _ in x.support},
-            {j: uh.pair_sign(j) for j, _ in x.support},
-            t,
-        )
-        exact = _coco_table_probs(x, table, params)
-        n = 60_000
-        counts = np.zeros(t)
-        for _ in range(n):
-            counts[coco_randomize(x, uh, params, rng).z - 1] += 1
-        assert np.abs(counts / n - exact).max() < 4 * math.sqrt(0.25 / n)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_randomize_matches_exact_law(data):
+    # empirical law of one user's symbol, for a fixed (H1, H2), vs the exact law
+    d = data.draw(st.integers(2, 8))
+    s = data.draw(st.integers(1, min(d, 3)))
+    t = data.draw(st.sampled_from(range(2 * s + 2, 2 * s + 9, 2)))  # small t: H1 conflicts are common
+    eps = data.draw(st.floats(0.05, 3.0))
+    seed = data.draw(st.integers(0, 2**32))
+    dims = sorted(data.draw(st.lists(st.integers(1, d), min_size=s, max_size=s, unique=True)))
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=s, max_size=s))
+    params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
+    user = user_hash_seeds(seed, 1)
+    x = TernaryVector(d=d, support=tuple(zip(dims, signs)))
+    exact = _coco_table_probs(x, user_table(user[0], dims, t), params)
+    n = 40_000
+    z = coco_randomize_batch(
+        np.tile(dims, (n, 1)), np.tile(signs, (n, 1)), np.repeat(user, n), params, np.random.default_rng(seed)
+    )
+    emp = np.bincount(z - 1, minlength=t) / n
+    assert (np.abs(emp - exact) <= 5 * np.sqrt(exact * (1 - exact) / n) + 1e-12).all()
 
 
 def test_randomize_batch_matches_exact_law():
@@ -151,15 +156,10 @@ def test_randomize_batch_matches_exact_law():
         x_support = tuple((j + 1, (-1) ** j) for j in range(s))
         x = TernaryVector(d=d, support=x_support)
         params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
-        uh = draw_user_hash(seed, 0, "paired", t)
-        table = CocoTable(
-            {j: uh.pair_slot(j) for j, _ in x_support},
-            {j: uh.pair_sign(j) for j, _ in x_support},
-            t,
-        )
-        exact = _coco_table_probs(x, table, params)
+        user = user_hash_seeds(seed, 1)[0]
+        exact = _coco_table_probs(x, user_table(user, [j for j, _ in x_support], t), params)
         n = 200_000
-        seeds = np.full(n, uh.seed, dtype=np.uint64)
+        seeds = np.full(n, user, dtype=np.uint64)
         sup = np.tile([[j for j, _ in x_support]], (n, 1))
         sg = np.tile([[b for _, b in x_support]], (n, 1))
         z = coco_randomize_batch(sup, sg, seeds, params, rng)
@@ -168,21 +168,24 @@ def test_randomize_batch_matches_exact_law():
 
 
 def test_contribution_examples():
+    # one view's mean / non-missing contributions for dimension 2
+    params = coco_params(2, 1, LN2, t=4)
     rates = collision_rates(1, LN2, 4)
-    uh = draw_user_hash(1, 0, "paired", 4)
-    hp = uh.event_bucket(2, 1)
-    hm = uh.event_bucket(2, -1)
+    seeds = user_hash_seeds(1, 1)
+    table = user_table(seeds[0], [2], 4)
+    hp, hm = table.event_bucket(2, 1), table.event_bucket(2, -1)
     other = next(z for z in range(1, 5) if z not in (hp, hm))
-    mean_hit = coco_mean_contribution(PrivateView(hash=uh, z=hp), 2, rates)
-    mean_opp = coco_mean_contribution(PrivateView(hash=uh, z=hm), 2, rates)
-    mean_other = coco_mean_contribution(PrivateView(hash=uh, z=other), 2, rates)
+
+    def contributions(z):
+        est = mean_estimate(aggregate_frequencies((seeds, [z]), "coco", params))
+        return est.values[1], est.nonmissing[1]
+
+    (mean_hit, nm_hit), (mean_opp, _), (mean_other, nm_other) = map(contributions, (hp, hm, other))
     assert (mean_hit, mean_opp, mean_other) == pytest.approx((5.0, -5.0, 0.0))
     # unbiasedness identities at the designed rates
     assert rates.p_t * mean_hit + rates.p_o * mean_opp == pytest.approx(1.0)
     assert rates.p_f * mean_hit + rates.p_f * mean_opp == pytest.approx(0.0)
 
-    nm_hit = coco_nonmissing_contribution(PrivateView(hash=uh, z=hp), 2, rates)
-    nm_other = coco_nonmissing_contribution(PrivateView(hash=uh, z=other), 2, rates)
     assert (nm_hit, nm_other) == pytest.approx((5.0, -5.0))
     both = rates.p_t + rates.p_o
     assert both * nm_hit + (1 - both) * nm_other == pytest.approx(1.0)
@@ -190,10 +193,10 @@ def test_contribution_examples():
 
 
 def test_contribution_rejects_degenerate_rates():
-    rates = collision_rates(1, 0.0, 4)
-    uh = draw_user_hash(1, 0, "paired", 4)
-    with pytest.raises(ValueError):
-        coco_mean_contribution(PrivateView(hash=uh, z=1), 1, rates)
+    # p_t == p_o once e^eps rounds to 1
+    params = coco_params(4, 1, 1e-17, t=4)
+    with pytest.raises(ValueError, match="degenerate"):
+        aggregate_frequencies((user_hash_seeds(1, 1), [1]), "coco", params)
 
 
 def test_predicted_mse_examples():

@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldpvec.aggregate import aggregate_frequencies
 from ldpvec.collision import (
     CollisionParams,
-    collision_indicator_estimate,
     collision_optimal_t,
     collision_output_probabilities,
     collision_params,
     collision_predicted_sum_variance,
-    collision_randomize,
     collision_randomize_batch,
 )
-from ldpvec.domain import EventId, PrivateView, TernaryVector, draw_user_hash, user_hash_seeds
+from ldpvec.domain import EventId, TernaryVector, hash_buckets, user_hash_seeds
 
 LN2 = math.log(2)
 
@@ -69,12 +70,12 @@ def test_params_reject_t_not_above_s():
 
 def test_indicator_estimate_values_and_unbiasedness_identities():
     params = collision_params(6, 2, LN2, 4)
-    uh = draw_user_hash(3, 0, "single", 4)
+    seeds = user_hash_seeds(3, 1)
     event = EventId(3, 1)
-    hit_z = uh.bucket(event.code)
+    hit_z = int(hash_buckets(seeds, np.int64(event.code), 4)[0])
     miss_z = next(z for z in range(1, 5) if z != hit_z)
-    hit = collision_indicator_estimate(PrivateView(hash=uh, z=hit_z), event, params)
-    miss = collision_indicator_estimate(PrivateView(hash=uh, z=miss_z), event, params)
+    hit = aggregate_frequencies((seeds, [hit_z]), "collision", params).values[event.code - 1]
+    miss = aggregate_frequencies((seeds, [miss_z]), "collision", params).values[event.code - 1]
     assert hit == pytest.approx(9.0)
     assert miss == pytest.approx(-3.0)
     # expectation identities from the designed collision rates
@@ -83,24 +84,39 @@ def test_indicator_estimate_values_and_unbiasedness_identities():
 
 
 def test_indicator_estimate_rejects_degenerate_denominator():
-    # e^eps/Omega == 1/t at eps -> 0 with t == s impossible (t > s), force via params
-    params = collision_params(4, 1, 1e-15, 2)
-    uh = draw_user_hash(0, 0, "single", 2)
-    with pytest.raises(ValueError):
-        collision_indicator_estimate(PrivateView(hash=uh, z=1), EventId(1, 1), params)
+    # e^eps/Omega == 1/t once e^eps rounds to 1
+    params = collision_params(4, 1, 1e-17, 2)
+    with pytest.raises(ValueError, match="degenerate"):
+        aggregate_frequencies((user_hash_seeds(0, 1), [1]), "collision", params)
 
 
-def test_randomize_matches_exact_law():
-    rng = np.random.default_rng(11)
-    params = collision_params(6, 2, LN2, 4)
-    x = TernaryVector(d=6, support=((3, 1), (5, -1)))
-    uh = draw_user_hash(21, 4, "single", 4)
-    exact = collision_output_probabilities(uh.bucket_set(x.event_codes()), params)
-    n = 60_000
-    counts = np.zeros(4)
-    for _ in range(n):
-        counts[collision_randomize(x, uh, params, rng).z - 1] += 1
-    assert np.abs(counts / n - exact).max() < 4 * math.sqrt(0.25 / n)
+def _distinct_rows(draw, d, s):
+    return sorted(draw(st.lists(st.integers(1, d), min_size=s, max_size=s, unique=True)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_randomize_matches_exact_law(data):
+    # empirical law of one user's symbol, for a fixed hash, vs the exact law
+    d = data.draw(st.integers(2, 8))
+    s = data.draw(st.integers(1, min(d, 3)))
+    t = data.draw(st.integers(s + 1, 3 * s + 3))
+    eps = data.draw(st.floats(0.05, 3.0))
+    seed = data.draw(st.integers(0, 2**32))
+    support = _distinct_rows(data.draw, d, s)
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=s, max_size=s))
+    params = collision_params(d, s, eps, t)
+    x = TernaryVector(d=d, support=tuple(zip(support, signs)))
+    user = user_hash_seeds(seed, 1)
+    exact = collision_output_probabilities(
+        frozenset(hash_buckets(user, np.array(x.event_codes()), t).tolist()), params
+    )
+    n = 40_000
+    z = collision_randomize_batch(
+        np.tile(support, (n, 1)), np.tile(signs, (n, 1)), np.repeat(user, n), params, np.random.default_rng(seed)
+    )
+    emp = np.bincount(z - 1, minlength=t) / n
+    assert (np.abs(emp - exact) <= 5 * np.sqrt(exact * (1 - exact) / n) + 1e-12).all()
 
 
 def test_randomize_batch_matches_exact_law_with_and_without_conflict():
@@ -111,14 +127,14 @@ def test_randomize_batch_matches_exact_law_with_and_without_conflict():
     supports = np.tile([[3, 5]], (n, 1))
     signs = np.tile([[1, -1]], (n, 1))
     checked_conflict = checked_clean = False
-    for user in range(40):
-        uh = draw_user_hash(77, user, "single", 4)
-        hits = uh.bucket_set(x.event_codes())
+    users = user_hash_seeds(77, 40)
+    for user, row in zip(users, hash_buckets(users[:, None], np.array(x.event_codes())[None, :], 4)):
+        hits = frozenset(row.tolist())
         if len(hits) == 1 and checked_conflict:
             continue
         if len(hits) == 2 and checked_clean:
             continue
-        seeds = np.full(n, uh.seed, dtype=np.uint64)
+        seeds = np.full(n, user, dtype=np.uint64)
         z = collision_randomize_batch(supports, signs, seeds, params, rng)
         emp = np.bincount(z - 1, minlength=4) / n
         exact = collision_output_probabilities(hits, params)

@@ -7,18 +7,37 @@ from scipy.stats import chi2
 from ldpvec.domain import (
     EventId,
     MechanismParams,
-    PrivateView,
     TernaryVector,
-    UserHash,
     discretize_ternary,
-    draw_user_hash,
     event_code,
-    event_set,
     hash_buckets,
     pair_signs,
     pair_slots,
     user_hash_seeds,
 )
+
+# Reference splitmix64 on python ints, written independently of the
+# vectorised uint64 kernel it checks.
+_MASK64 = (1 << 64) - 1
+_STREAM_USER = 0x8AE6_55D1_1D90_2A31
+_STREAM_SINGLE = 0x243F_6A88_85A3_08D3
+_STREAM_H1 = 0x1319_8A2E_0370_7344
+_STREAM_H2 = 0xA409_3822_299F_31D0
+
+
+def mix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def keyed(seed: int, value: int, stream: int) -> int:
+    return mix64(seed ^ mix64(value ^ stream))
+
+
+def user_seed(master_seed: int, user: int) -> int:
+    return mix64(mix64(master_seed & _MASK64) ^ mix64(user ^ _STREAM_USER))
 
 
 def test_event_code_bijection_exhaustive():
@@ -34,11 +53,11 @@ def test_event_code_bijection_exhaustive():
 
 
 def test_event_set_examples():
-    assert event_set(TernaryVector(d=3, support=((2, 1),))) == {EventId(2, 1)}
+    assert TernaryVector(d=3, support=((2, 1),)).event_set() == {EventId(2, 1)}
     x = TernaryVector(d=6, support=((3, 1), (5, -1)))
-    assert event_set(x) == {EventId(3, 1), EventId(5, -1)}
+    assert x.event_set() == {EventId(3, 1), EventId(5, -1)}
     dense = TernaryVector(d=2, support=((1, -1), (2, -1)))
-    assert event_set(dense) == {EventId(1, -1), EventId(2, -1)}
+    assert dense.event_set() == {EventId(1, -1), EventId(2, -1)}
 
 
 def test_vector_roundtrip_and_validation():
@@ -63,14 +82,13 @@ def test_mechanism_params_validation():
         MechanismParams(d=4, s=2, epsilon=0.0, t=6)
 
 
-def test_draw_user_hash_deterministic_and_distinct():
-    a = draw_user_hash(0, 0, "single", 8)
-    b = draw_user_hash(0, 0, "single", 8)
-    assert a == b
-    codes = list(range(1, 17))
-    assert [a.bucket(c) for c in codes] == [b.bucket(c) for c in codes]
-    c = draw_user_hash(0, 1, "single", 8)
-    assert [a.bucket(k) for k in codes] != [c.bucket(k) for k in codes]
+def test_user_hash_seeds_deterministic_and_distinct():
+    a, b = user_hash_seeds(0, 2), user_hash_seeds(0, 2)
+    assert a.dtype == np.uint64 and np.array_equal(a, b)
+    codes = np.arange(1, 17)
+    buckets = hash_buckets(a[:, None], codes[None, :], 8)
+    assert not np.array_equal(buckets[0], buckets[1])
+    assert not np.array_equal(user_hash_seeds(1, 2), a)
 
 
 def test_user_hashes_look_independent():
@@ -98,36 +116,28 @@ def test_single_hash_range_and_uniformity():
 
 def test_scalar_and_vector_hash_agree():
     t = 12
-    for user in (0, 3, 917):
-        uh = draw_user_hash(42, user, "single", t)
-        seeds = user_hash_seeds(42, user + 1)
-        assert seeds[user] == uh.seed
-        for code in (1, 2, 23, 64):
-            assert hash_buckets(np.array([uh.seed], dtype=np.uint64), np.int64(code), t)[0] == uh.bucket(code)
-    uh = draw_user_hash(7, 5, "paired", t)
-    seeds = np.array([uh.seed], dtype=np.uint64)
-    for dim in (1, 4, 9):
-        assert pair_slots(seeds, np.int64(dim), t)[0] == uh.pair_slot(dim)
-        assert pair_signs(seeds, np.int64(dim))[0] == uh.pair_sign(dim)
-        assert uh.event_bucket(dim, 1) != uh.event_bucket(dim, -1)
-        assert {uh.event_bucket(dim, 1), uh.event_bucket(dim, -1)} == {
-            uh.pair_slot(dim),
-            uh.pair_slot(dim) + t // 2,
-        }
+    for master in (42, 7, -3, 2**64 - 1):
+        seeds = user_hash_seeds(master, 918)
+        for user in (0, 3, 917):
+            seed = user_seed(master, user)
+            assert int(seeds[user]) == seed
+            one = np.array([seed], dtype=np.uint64)
+            for code in (1, 2, 23, 64):
+                assert hash_buckets(one, np.int64(code), t)[0] == keyed(seed, code, _STREAM_SINGLE) % t + 1
+            for dim in (1, 4, 9):
+                assert pair_slots(one, np.int64(dim), t)[0] == keyed(seed, dim, _STREAM_H1) % (t // 2) + 1
+                assert pair_signs(one, np.int64(dim))[0] == (1 if keyed(seed, dim, _STREAM_H2) & 1 else -1)
 
 
 def test_paired_hash_requires_even_t():
-    with pytest.raises(ValueError):
-        UserHash(seed=1, kind="paired", t=7)
-    with pytest.raises(ValueError):
-        UserHash(seed=1, kind="other", t=8)
+    from ldpvec.coco import coco_params, coco_randomize_batch
 
-
-def test_private_view_range():
-    uh = draw_user_hash(0, 0, "single", 4)
-    PrivateView(hash=uh, z=4)
-    with pytest.raises(ValueError):
-        PrivateView(hash=uh, z=5)
+    with pytest.raises(ValueError, match="even t"):
+        coco_params(8, 2, 1.0, t=7)
+    odd = MechanismParams(d=8, s=2, epsilon=1.0, t=7)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="even t"):
+        coco_randomize_batch(np.array([[1, 2]]), np.array([[1, 1]]), user_hash_seeds(0, 1), odd, rng)
 
 
 def test_discretize_ternary_preserves_expectation():
@@ -194,3 +204,11 @@ def test_batch_randomizers_reject_wrong_shape():
             randomize(np.array([[1, 2, 3]]), np.array([[1, 1, 1]]))
         with pytest.raises(ValueError, match="shape"):
             randomize(np.array([[1, 2]]), np.array([[1, 1], [1, 1]]))
+
+
+def test_batch_randomizers_reject_non_integer_arrays():
+    for name, randomize in _batch_randomizers(8, 2).items():
+        with pytest.raises(ValueError, match="supports must be an integer array"):
+            randomize(np.array([[1.5, 2.5]]), np.array([[1, 1]]))
+        with pytest.raises(ValueError, match="signs must be an integer array"):
+            randomize(np.array([[1, 2]]), np.array([[1.0, -1.0]]))

@@ -8,7 +8,6 @@ from ldpvec.cli import main
 from ldpvec.harness import (
     ExperimentConfig,
     build_config,
-    gen_synthetic,
     gen_synthetic_arrays,
     parse_config_text,
     rows_to_csv,
@@ -20,13 +19,15 @@ from ldpvec.harness import (
 
 
 def test_gen_synthetic_deterministic_and_valid():
-    a = gen_synthetic(50, 10, 3, seed=7)
-    b = gen_synthetic(50, 10, 3, seed=7)
-    assert a == b
-    for x in a:
-        assert x.d == 10 and x.s == 3
-    full = gen_synthetic(5, 4, 4, seed=1)
-    assert all(x.support == tuple((j, x.support[j - 1][1]) for j in range(1, 5)) for x in full)
+    supports, signs = gen_synthetic_arrays(50, 10, 3, np.random.default_rng(7))
+    again = gen_synthetic_arrays(50, 10, 3, np.random.default_rng(7))
+    assert np.array_equal(supports, again[0]) and np.array_equal(signs, again[1])
+    assert supports.shape == signs.shape == (50, 3)
+    assert supports.dtype == signs.dtype == np.int64
+    assert supports.min() >= 1 and supports.max() <= 10
+    assert (np.diff(supports, axis=1) > 0).all() and (np.abs(signs) == 1).all()
+    full, _ = gen_synthetic_arrays(5, 4, 4, np.random.default_rng(1))
+    assert (full == np.arange(1, 5)).all()
 
 
 def test_gen_synthetic_event_frequencies():
@@ -201,6 +202,24 @@ def test_cli_amplify(tmp_path):
     assert "bound:collision" in res.output and "bound:efmrtt" in res.output
     res2 = runner.invoke(main, ["amplify", "--delta", "2.0"])
     assert res2.exit_code == 1
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1e-4", "nan", "inf"])
+def test_cli_amplify_rejects_bad_tolerance_up_front(tolerance):
+    res = CliRunner().invoke(main, ["amplify", "--n", "500,1000", "--s", "2", "--tolerance", tolerance])
+    assert res.exit_code == 1, res.output
+    assert res.stdout == ""
+    assert "invalid config: tolerance must be positive and finite" in res.stderr
+    assert "point failed" not in res.stderr
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_project_rejects_non_finite_estimates(tmp_path, bad):
+    est = tmp_path / "est.csv"
+    est.write_text(f"0.8,0.4,0.0,-0.2\n0.5,{bad},0.5\n")
+    res = CliRunner().invoke(main, ["project", "--s", "1", "--in", str(est)])
+    assert res.exit_code == 1, res.output
+    assert "invalid config: estimates must be finite" in res.stderr
 
 
 def test_cli_large_epsilon_is_a_per_point_failure():
