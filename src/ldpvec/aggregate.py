@@ -91,6 +91,8 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> FrequencyEstima
 
 
 def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
+    if not (isinstance(views, tuple) and len(views) == 2):
+        raise ValueError("hash mechanisms take a (seeds, z) pair")
     seeds, z = views
     check_integer(seeds=seeds, z=z)
     seeds, z = np.asarray(seeds, dtype=np.uint64), np.asarray(z, dtype=np.int64)
@@ -127,8 +129,10 @@ def _collision_frequencies(counts: np.ndarray, n: int, params: _col.CollisionPar
 def _coco_frequencies(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
     rates = _coco.collision_rates(params.s, params.epsilon, params.t)
     mean_denom, nonmissing_denom = rates.p_t - rates.p_o, rates.p_t + rates.p_o - 2.0 * rates.p_f
-    if min(abs(mean_denom), abs(nonmissing_denom)) < 1e-15:
+    if abs(mean_denom) < 1e-15:
         raise ValueError("degenerate rates: p_t equals p_o")
+    if abs(nonmissing_denom) < 1e-15:
+        raise ValueError("degenerate rates: p_t + p_o equals 2 p_f")
     plus, minus = counts[..., 1::2], counts[..., 0::2]
     mean = (plus - minus) / (n * mean_denom)
     nonmissing = (plus + minus - 2.0 * n * rates.p_f) / (n * nonmissing_denom)

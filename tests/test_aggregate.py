@@ -201,8 +201,9 @@ def test_aggregate_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         aggregate_frequencies((np.array([], dtype=np.uint64), np.array([], dtype=np.int64)), "collision", params)
     seeds, z = user_hash_seeds(0, 2), np.array([1, 2])
-    with pytest.raises(ValueError):  # not a (seeds, z) pair
-        aggregate_frequencies((seeds, z, z), "collision", params)
+    for views in ((seeds, z, z), [seeds, z], seeds):
+        with pytest.raises(ValueError, match=r"take a \(seeds, z\) pair"):
+            aggregate_frequencies(views, "collision", params)
 
 
 @pytest.mark.parametrize("mechanism, params", [("collision", collision_params(4, 1, 1.0, 3)), ("coco", coco_params(4, 1, 1.0))])

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpvec import coco
 from ldpvec.aggregate import aggregate_frequencies, mean_estimate
 from ldpvec.coco import (
+    CollisionRates,
     coco_choose_t,
     coco_omega,
     coco_params,
@@ -193,10 +195,19 @@ def test_contribution_examples():
 
 
 def test_contribution_rejects_degenerate_rates():
-    # p_t == p_o once e^eps rounds to 1
-    params = coco_params(4, 1, 1e-17, t=4)
-    with pytest.raises(ValueError, match="degenerate"):
-        aggregate_frequencies((user_hash_seeds(1, 1), [1]), "coco", params)
+    # at 1e-15, p_t - p_o is ~3e-16: non-zero but under the guard's threshold;
+    # at 1e-17, e^eps rounds to 1 and p_t == p_o exactly
+    for eps in (1e-15, 1e-17):
+        params = coco_params(4, 1, eps, t=4)
+        with pytest.raises(ValueError, match="degenerate rates: p_t equals p_o"):
+            aggregate_frequencies((user_hash_seeds(1, 1), [1]), "coco", params)
+
+
+def test_contribution_rejects_degenerate_nonmissing_rates(monkeypatch):
+    # p_t + p_o == 2 p_f while p_t != p_o: only the non-missing denominator fails
+    monkeypatch.setattr(coco, "collision_rates", lambda s, eps, t: CollisionRates(p_t=0.4, p_f=0.25, p_o=0.1, p_ow=0.0))
+    with pytest.raises(ValueError, match=r"degenerate rates: p_t \+ p_o equals 2 p_f"):
+        aggregate_frequencies((user_hash_seeds(1, 1), [1]), "coco", coco_params(4, 1, 1.0, t=4))
 
 
 def test_predicted_mse_examples():

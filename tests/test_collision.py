@@ -84,10 +84,12 @@ def test_indicator_estimate_values_and_unbiasedness_identities():
 
 
 def test_indicator_estimate_rejects_degenerate_denominator():
-    # e^eps/Omega == 1/t once e^eps rounds to 1
-    params = collision_params(4, 1, 1e-17, 2)
-    with pytest.raises(ValueError, match="degenerate"):
-        aggregate_frequencies((user_hash_seeds(0, 1), [1]), "collision", params)
+    # at 1e-15, e^eps/Omega - 1/t is ~3e-16: non-zero but under the guard's
+    # threshold; at 1e-17, e^eps rounds to 1 and the difference is exactly 0
+    for eps in (1e-15, 1e-17):
+        params = collision_params(4, 1, eps, 2)
+        with pytest.raises(ValueError, match="degenerate"):
+            aggregate_frequencies((user_hash_seeds(0, 1), [1]), "collision", params)
 
 
 def _distinct_rows(draw, d, s):
