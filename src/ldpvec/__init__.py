@@ -8,11 +8,10 @@ amplification accountant.
 
 from .aggregate import (
     FrequencyEstimate,
-    MeanEstimate,
     aggregate_frequencies,
     mae,
-    mean_estimate,
     project_to_simplex,
+    target_values,
     tve,
 )
 from .amplification import (
@@ -24,7 +23,6 @@ from .amplification import (
     generic_clone_alpha,
     pq_divergence,
 )
-from .baselines import BaselineParams
 from .coco import (
     CocoWeights,
     CollisionRates,
@@ -40,7 +38,7 @@ from .collision import (
     collision_params,
     collision_randomize_batch,
 )
-from .domain import EventId, MechanismParams, TernaryVector, discretize_ternary, user_hash_seeds
+from .domain import EventId, MechanismParams, TernaryVector, user_hash_seeds
 from .harness import ExperimentConfig, ReportRow, gen_synthetic_arrays, run_amplification_sweep, run_experiment
 from .oracle import (
     ExactDistribution,

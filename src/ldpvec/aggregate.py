@@ -7,6 +7,9 @@ mean / non-missing values derived through the exact identities
     mean_j       = f(j_plus) - f(j_minus)
     nonmissing_j = f(j_plus) + f(j_minus).
 
+The conditional mean of dimension j is the post-processing
+mean_j / nonmissing_j of these two estimates.
+
 Mechanisms are looked up by name in ``MECHANISMS``.  The two hash
 mechanisms share one estimator: count, per event, the views whose own
 hash sends the event onto their symbol z, then debias the integer counts.
@@ -23,6 +26,8 @@ from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
 from .domain import MechanismParams, check_integer
+
+TARGETS = ("frequency", "mean", "nonmissing")
 
 # Cells of the (users x events) bucket matrix evaluated per chunk of the hit count.
 HIT_CHUNK_CELLS = 4_000_000
@@ -42,14 +47,6 @@ class FrequencyEstimate:
             raise ValueError("values must be 1-d over the 2d events")
 
 
-@dataclass(frozen=True)
-class MeanEstimate:
-    """Per-dimension mean values, optionally with non-missing frequencies."""
-
-    values: np.ndarray
-    nonmissing: np.ndarray | None = None
-
-
 class Mechanism(NamedTuple):
     """One randomizer and its server-side estimator.
 
@@ -58,7 +55,7 @@ class Mechanism(NamedTuple):
     reports: ``debias(views, params) -> (values, n)``.
     """
 
-    params: Callable  # (d, s, epsilon, t, target) -> params; t=None picks the default
+    params: Callable  # (d, s, epsilon, t, target) -> MechanismParams; t=None picks the default; baselines fix t
     randomize: Callable  # (supports, signs, seeds, params, rng) -> views
     event_buckets: Callable | None  # (seeds, params) -> (n, 2d) buckets in event-code order
     debias: Callable
@@ -142,10 +139,6 @@ def _coco_frequencies(counts: np.ndarray, n: int, params: MechanismParams) -> np
     return values
 
 
-def _baseline_params(variant: str) -> Callable:
-    return lambda d, s, epsilon, t, target: _bl.BaselineParams(d=d, s=s, epsilon=epsilon, variant=variant)
-
-
 def _pckv_batch(supports, signs, seeds, params, rng):
     return _bl.pckv_randomize_batch(supports, signs, params, rng)
 
@@ -166,12 +159,18 @@ MECHANISMS: dict[str, Mechanism] = {
         _coco.coco_event_buckets, _coco_frequencies,
     ),
     "privkv": Mechanism(
-        _baseline_params("privkv"),
+        lambda d, s, epsilon, t, target: MechanismParams(d, s, epsilon, 3),
         lambda supports, signs, seeds, params, rng: _bl.privkv_randomize_batch(supports, signs, params, rng),
         None, _bl.privkv_debias,
     ),
-    "pckv_grr": Mechanism(_baseline_params("pckv_grr"), _pckv_batch, None, _bl.pckv_debias),
-    "pckv_agrr": Mechanism(_baseline_params("pckv_agrr"), _pckv_batch, None, _bl.pckv_debias),
+    "pckv_grr": Mechanism(
+        lambda d, s, epsilon, t, target: MechanismParams(d, s, epsilon, 2 * d),
+        _pckv_batch, None, _bl.pckv_debias,
+    ),
+    "pckv_agrr": Mechanism(  # the PCKV GRR at the sampling-amplified inner budget
+        lambda d, s, epsilon, t, target: MechanismParams(d, s, _bl.amplified_budget(s, epsilon), 2 * d),
+        _pckv_batch, None, _bl.pckv_debias,
+    ),
 }
 
 
@@ -185,9 +184,13 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("estimates must be finite")
     u = np.sort(v)[::-1]
-    css = np.cumsum(u)
+    with np.errstate(over="ignore"):
+        css = np.cumsum(u)
     j = np.arange(1, len(v) + 1)
-    rho = np.max(j[u + (1.0 - css) / j > 0.0])
+    support = j[u + (1.0 - css) / j > 0.0]  # never empty in exact arithmetic
+    if not np.isfinite(css).all() or not support.size:
+        raise ValueError("estimates overflow float arithmetic: their cumulative sum is infinite or absorbs 1")
+    rho = np.max(support)
     lam = (1.0 - css[rho - 1]) / rho
     return np.maximum(v + lam, 0.0)
 
@@ -198,24 +201,15 @@ def project_to_simplex(estimate: FrequencyEstimate, s: int) -> FrequencyEstimate
     return FrequencyEstimate(values=projected, n=estimate.n)
 
 
-def mean_estimate(freq: FrequencyEstimate) -> MeanEstimate:
-    """Mean and non-missing values via the exact frequency identities."""
-    values = np.asarray(freq.values, dtype=float)
-    return MeanEstimate(values=values[1::2] - values[0::2], nonmissing=values[1::2] + values[0::2])
-
-
-def conditional_mean(est: MeanEstimate, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension conditional mean with a definedness mask.
-
-    Undefined (masked, value NaN) where the non-missing estimate is below
-    1/n, i.e. less than one user's worth of mass.
-    """
-    if est.nonmissing is None:
-        raise ValueError("nonmissing frequencies required")
-    defined = est.nonmissing >= 1.0 / n
-    ratio = np.full_like(est.values, np.nan)
-    np.divide(est.values, est.nonmissing, out=ratio, where=defined)
-    return ratio, defined
+def target_values(frequencies: np.ndarray, target: str) -> np.ndarray:
+    """The ``target`` estimate from event frequencies (last axis over the 2d events)."""
+    if target == "frequency":
+        return frequencies
+    if target == "mean":
+        return frequencies[..., 1::2] - frequencies[..., 0::2]
+    if target == "nonmissing":
+        return frequencies[..., 1::2] + frequencies[..., 0::2]
+    raise ValueError(f"unknown target {target!r}")
 
 
 def tve(estimate, truth) -> float:

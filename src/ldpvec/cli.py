@@ -12,7 +12,7 @@ import click
 import numpy as np
 
 from . import harness
-from .aggregate import FrequencyEstimate, project_to_simplex
+from .aggregate import TARGETS, FrequencyEstimate, project_to_simplex
 
 
 def _write(text: str, out: str | None) -> None:
@@ -43,7 +43,7 @@ def main():
 @click.option("--mechanism", default=None, help="Comma-separated mechanism names.")
 @click.option("--repetitions", default=None)
 @click.option("--metrics", default=None, help="Subset of tve,mae.")
-@click.option("--target", default=None, type=click.Choice(harness.TARGETS))
+@click.option("--target", default=None, type=click.Choice(TARGETS))
 @click.option("--projection", default=None, help="true or false.")
 @click.option("--report", default=None, type=click.Choice(harness.REPORTS))
 @click.option("--full-scale", "full_scale", is_flag=True, default=False,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,23 +104,6 @@ class TernaryVector:
 
     def event_codes(self) -> tuple[int, ...]:
         return tuple(event_code(j, b) for j, b in self.support)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.d, dtype=np.int8)
-        for j, b in self.support:
-            dense[j - 1] = b
-        return dense
-
-    @classmethod
-    def from_dense(cls, values: Sequence[int]) -> "TernaryVector":
-        support = []
-        for i, v in enumerate(values):
-            if v == 0:
-                continue
-            if v not in (-1, 1):
-                raise ValueError(f"entries must be ternary, got {v}")
-            support.append((i + 1, int(v)))
-        return cls(d=len(values), support=tuple(support))
 
 
 @dataclass(frozen=True)
@@ -212,25 +195,3 @@ def pair_signs(seeds: np.ndarray, dims: np.ndarray) -> np.ndarray:
     mixed = _mix64_np(np.asarray(dims, dtype=np.uint64) ^ np.uint64(_STREAM_H2 & _MASK64))
     vals = _mix64_np(seeds ^ mixed)
     return np.where(vals & np.uint64(1), 1, -1).astype(np.int64, copy=False)
-
-
-def discretize_ternary(values: Sequence[float], rng: np.random.Generator) -> TernaryVector:
-    """Max-min normalise real values into [-1, 1], then round stochastically.
-
-    Each normalised v becomes sign(v) with probability |v| and 0 otherwise,
-    so expectations are preserved.  The realised sparsity is random; raises
-    if every entry rounds to zero (the domain requires s >= 1).
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("values must be a non-empty 1-d sequence")
-    lo, hi = arr.min(), arr.max()
-    if hi > lo:
-        norm = 2.0 * (arr - lo) / (hi - lo) - 1.0
-    else:
-        norm = np.zeros_like(arr)
-    keep = rng.random(arr.size) < np.abs(norm)
-    dense = np.where(keep, np.sign(norm), 0.0).astype(int)
-    if not dense.any():
-        raise ValueError("all entries rounded to zero; no valid sparse vector")
-    return TernaryVector.from_dense(dense)

@@ -23,7 +23,6 @@ from . import collision as col
 from .domain import user_hash_seeds
 
 MECHANISMS = tuple(agg.MECHANISMS)
-TARGETS = ("frequency", "mean", "nonmissing")
 METRICS = ("tve", "mae")
 REPORTS = ("raw_mean", "mean_log")
 
@@ -54,7 +53,7 @@ class ExperimentConfig:
         for m in self.metrics:
             if m not in METRICS:
                 raise ValueError(f"unknown metric {m!r}")
-        if self.target not in TARGETS:
+        if self.target not in agg.TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if self.report not in REPORTS:
             raise ValueError(f"unknown report convention {self.report!r}")
@@ -128,8 +127,10 @@ def rows_to_jsonl(rows: Sequence[ReportRow]) -> str:
 
 def gen_synthetic_arrays(n: int, d: int, s: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n random s-sparse supports (sorted 1-based dims) and fair signs."""
-    if s > d:
-        raise ValueError("s must not exceed d")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
+    if not 1 <= s <= d:
+        raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
     if s == d:
         supports = np.tile(np.arange(1, d + 1, dtype=np.int64), (n, 1))
     else:
@@ -170,16 +171,6 @@ def frequency_estimate_for(
     return agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
 
 
-def _target_values(freq_values: np.ndarray, target: str) -> np.ndarray:
-    if target == "frequency":
-        return freq_values
-    if target == "mean":
-        return freq_values[1::2] - freq_values[0::2]
-    if target == "nonmissing":
-        return freq_values[1::2] + freq_values[0::2]
-    raise ValueError(f"unknown target {target!r}")
-
-
 def simulate_point(
     mechanism: str,
     n: int,
@@ -197,15 +188,15 @@ def simulate_point(
     rng_data, rng_mech, hash_master = _rep_streams(master_seed, grid_index, rep)
     supports, signs = gen_synthetic_arrays(n, d, s, rng_data)
     truth_freq = agg.true_event_frequencies(supports, signs, d)
-    truth = _target_values(truth_freq, target)
+    truth = agg.target_values(truth_freq, target)
 
     est = frequency_estimate_for(
         mechanism, supports, signs, d, s, epsilon, rng_mech, hash_master, target, t
     )
     out: dict[str, float] = {}
-    raw = _target_values(np.asarray(est.values), target)
+    raw = agg.target_values(np.asarray(est.values), target)
     if projection:
-        projected = _target_values(np.asarray(agg.project_to_simplex(est, s).values), target)
+        projected = agg.target_values(np.asarray(agg.project_to_simplex(est, s).values), target)
         out["tve"] = agg.tve(projected, truth)
         out["mae"] = agg.mae(projected, truth)
         out["tve_raw"] = agg.tve(raw, truth)
@@ -240,8 +231,7 @@ def single_user_mean_squared_errors(
     z = mech.randomize(supports, signs, seeds, params, rng_mech)
     # Each trial is its own one-user aggregation: debias its row of hits.
     hits = (mech.event_buckets(seeds, params) == z[:, None]).astype(np.int64)
-    freq = mech.debias(hits, 1, params)
-    est = freq[:, 1::2] - freq[:, 0::2]
+    est = agg.target_values(mech.debias(hits, 1, params), "mean")
     truth = np.zeros((trials, d))
     truth[np.arange(trials)[:, None], supports - 1] = signs
     return ((est - truth) ** 2).sum(axis=1)

@@ -25,7 +25,6 @@ from ldpvec.amplification import (
     amplified_epsilon,
     collision_alpha,
     efmrtt_closed_form,
-    exact_pq_laws,
     generic_clone_alpha,
     pq_divergence,
 )
@@ -39,6 +38,7 @@ from ldpvec.oracle import (
     lower_bound_statistic_distribution,
     verify_ldp,
 )
+from pq_reference import exact_pq_laws
 
 LN2 = math.log(2)
 EPSILONS = (0.5, LN2, 2.0)

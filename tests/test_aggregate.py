@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ldpvec.aggregate import (
+    MECHANISMS,
+    TARGETS,
     FrequencyEstimate,
     aggregate_frequencies,
-    conditional_mean,
     mae,
-    mean_estimate,
     project_to_simplex,
     simplex_projection,
+    target_values,
     true_event_frequencies,
     tve,
 )
 from ldpvec.coco import coco_params, coco_randomize_batch, collision_rates
 from ldpvec.collision import collision_params, collision_randomize_batch
-from ldpvec.domain import EventId, hash_buckets, pair_signs, pair_slots, user_hash_seeds
+from ldpvec.domain import EventId, MechanismParams, hash_buckets, pair_signs, pair_slots, user_hash_seeds
 from ldpvec.oracle import exact_estimator_moments, all_sparse_vectors
 
 LN2 = math.log(2)
@@ -102,18 +103,24 @@ def test_metrics_examples():
 
 def test_mean_estimate_identities_exact():
     values = np.array([0.1, 0.4, 0.0, 0.2, 0.3, 0.05])
-    freq = FrequencyEstimate(values=values, n=7)
-    m = mean_estimate(freq)
-    assert np.array_equal(m.values, values[1::2] - values[0::2])
-    assert np.array_equal(m.nonmissing, values[1::2] + values[0::2])
+    assert target_values(values, "frequency") is values
+    assert np.array_equal(target_values(values, "mean"), values[1::2] - values[0::2])
+    assert np.array_equal(target_values(values, "nonmissing"), values[1::2] + values[0::2])
+    # a batch of frequency rows maps row by row
+    rows = np.stack([values, 2 * values])
+    for target in TARGETS:
+        mapped = target_values(rows, target)
+        assert np.array_equal(mapped[1], target_values(2 * values, target))
+    with pytest.raises(ValueError, match="unknown target 'conditional'"):
+        target_values(values, "conditional")
 
 
-def test_conditional_mean_guard():
-    freq = FrequencyEstimate(values=np.array([0.2, 0.4, 0.0, 0.0]), n=10)
-    ratio, defined = conditional_mean(mean_estimate(freq), 10)
-    assert defined[0] and not defined[1]
-    assert ratio[0] == pytest.approx(0.2 / 0.6)
-    assert math.isnan(ratio[1])
+def test_mechanism_table_builds_one_params_type():
+    for name, mech in MECHANISMS.items():
+        for target in TARGETS:
+            params = mech.params(6, 2, 0.8, None, target)
+            assert isinstance(params, MechanismParams), name
+            assert (params.d, params.s) == (6, 2)
 
 
 def test_collision_single_view_contribution_pattern():
@@ -173,12 +180,13 @@ def test_coco_scalar_contributions_match_frequency_aggregation():
     z = coco_randomize_batch(
         np.tile([[2, 4]], (n, 1)), np.tile([[1, -1]], (n, 1)), seeds, params, np.random.default_rng(21)
     )
-    m = mean_estimate(aggregate_frequencies((seeds, z), "coco", params))
+    freq = aggregate_frequencies((seeds, z), "coco", params).values
+    mean, nonmissing = target_values(freq, "mean"), target_values(freq, "nonmissing")
     for j in range(1, 6):
         by_views = np.mean([coco_mean_contribution(seed, zi, j, rates, 8) for seed, zi in zip(seeds, z)])
-        assert m.values[j - 1] == pytest.approx(by_views, abs=1e-12)
+        assert mean[j - 1] == pytest.approx(by_views, abs=1e-12)
         by_views_nm = np.mean([coco_nonmissing_contribution(seed, zi, j, rates, 8) for seed, zi in zip(seeds, z)])
-        assert m.nonmissing[j - 1] == pytest.approx(by_views_nm, abs=1e-12)
+        assert nonmissing[j - 1] == pytest.approx(by_views_nm, abs=1e-12)
 
 
 def test_coco_high_budget_recovers_one_hot():
@@ -240,27 +248,23 @@ def test_aggregate_rejects_non_integer_seeds_or_symbols(mechanism, params):
 
 
 def test_aggregate_rejects_non_integer_baseline_reports():
-    from ldpvec.baselines import BaselineParams
-
-    privkv = BaselineParams(d=4, s=1, epsilon=1.0, variant="privkv")
+    privkv = MECHANISMS["privkv"].params(4, 1, 1.0, None, "frequency")
     with pytest.raises(ValueError, match="j must be an integer array"):
         aggregate_frequencies((np.array([1.0, 2.0]), np.array([1, -1])), "privkv", privkv)
     with pytest.raises(ValueError, match="values must be an integer array"):
         aggregate_frequencies((np.array([1, 2]), np.array([1.0, -1.0])), "privkv", privkv)
-    for variant in ("pckv_grr", "pckv_agrr"):
-        pckv = BaselineParams(d=4, s=1, epsilon=1.0, variant=variant)
+    for name in ("pckv_grr", "pckv_agrr"):
+        pckv = MECHANISMS[name].params(4, 1, 1.0, None, "frequency")
         with pytest.raises(ValueError, match="codes must be an integer array"):
-            aggregate_frequencies(np.array([1.5, 2.0]), variant, pckv)
+            aggregate_frequencies(np.array([1.5, 2.0]), name, pckv)
 
 
 def test_aggregate_rejects_malformed_baseline_reports():
-    from ldpvec.baselines import BaselineParams
-
-    privkv = BaselineParams(d=4, s=1, epsilon=1.0, variant="privkv")
+    privkv = MECHANISMS["privkv"].params(4, 1, 1.0, None, "frequency")
     with pytest.raises(ValueError, match="dimensions j"):
         aggregate_frequencies((np.array([0, 2]), np.array([1, -1])), "privkv", privkv)
     with pytest.raises(ValueError, match="values in"):
         aggregate_frequencies((np.array([1, 2]), np.array([1, 5])), "privkv", privkv)
-    pckv = BaselineParams(d=4, s=1, epsilon=1.0, variant="pckv_grr")
+    pckv = MECHANISMS["pckv_grr"].params(4, 1, 1.0, None, "frequency")
     with pytest.raises(ValueError, match="codes"):
         aggregate_frequencies(np.array([1, 9]), "pckv_grr", pckv)

@@ -18,10 +18,10 @@ from ldpvec.amplification import (
     amplified_epsilon,
     collision_alpha,
     efmrtt_closed_form,
-    exact_pq_laws,
     generic_clone_alpha,
     pq_divergence,
 )
+from pq_reference import exact_pq_laws
 
 LN2 = math.log(2)
 
@@ -210,6 +210,22 @@ def test_amplified_epsilon_monotone_in_n_and_alpha():
 
 def test_vacuous_delta_amplifies_to_zero():
     assert amplified_epsilon(100, 1.0, 0.2, 1.0 - 1e-12) == 0.0
+
+
+@pytest.mark.parametrize("n", [1_000, 100_000])
+def test_accountant_at_tiny_delta(n):
+    # down to delta = 1e-300 the windows, the truncation slack and the
+    # search stay finite, and eps_c only shrinks as delta grows
+    eps = 1.0
+    alpha = collision_alpha(4, eps, 17)  # t = floor(4e + 7), the optimum
+    previous = eps
+    for delta in (1e-300, 1e-100, 1e-20, 1e-6):
+        eps_c = amplified_epsilon(n, eps, alpha, delta)
+        assert math.isfinite(eps_c) and 0.0 < eps_c <= previous
+        previous = eps_c
+        query = AmplificationQuery(n=n, epsilon=eps, alpha=alpha, delta=delta)
+        assert query.window.truncation_mass <= delta * 1e-3
+        assert pq_divergence(query, eps_c).reported_delta <= delta
 
 
 def test_tightness_ordering_small_grid():

@@ -3,19 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from ldpvec.aggregate import aggregate_frequencies
+from ldpvec.aggregate import MECHANISMS, aggregate_frequencies
 from ldpvec.baselines import (
-    BaselineParams,
     amplified_budget,
     grr_probabilities,
+    pckv_debias,
     pckv_randomize_batch,
+    privkv_debias,
     privkv_randomize_batch,
 )
-from ldpvec.domain import TernaryVector
+from ldpvec.domain import MechanismParams, TernaryVector
 from ldpvec.harness import gen_synthetic_arrays
 from ldpvec.oracle import all_sparse_vectors
 
 LN2 = math.log(2)
+
+
+def table_params(name, d, s, epsilon):
+    """The params the mechanism table builds for a baseline."""
+    return MECHANISMS[name].params(d, s, epsilon, None, "frequency")
 
 
 def test_grr_probabilities_examples():
@@ -29,12 +35,42 @@ def test_amplified_budget_example():
     assert amplified_budget(4, 0.5) == pytest.approx(math.log(3.59489), abs=1e-5)
     assert amplified_budget(1, 0.7) == pytest.approx(0.7)
     assert amplified_budget(3, 0.5) > 0.5
+    # e^800 overflows a float: a ValueError naming the budget, not an OverflowError
+    with pytest.raises(ValueError, match="epsilon=800 is too large"):
+        amplified_budget(4, 800)
+    for s, eps in ((0, 0.5), (2, 0.0), (2, -1.0)):
+        with pytest.raises(ValueError):
+            amplified_budget(s, eps)
+
+
+def test_table_builds_each_grr_at_its_budget_and_alphabet():
+    d, s, eps = 5, 3, 0.7
+    assert table_params("privkv", d, s, eps) == MechanismParams(d=d, s=s, epsilon=eps, t=3)
+    assert table_params("pckv_grr", d, s, eps) == MechanismParams(d=d, s=s, epsilon=eps, t=2 * d)
+    # PCKV-AGRR is PCKV-GRR at the amplified inner budget, and nothing else
+    agrr = table_params("pckv_agrr", d, s, eps)
+    assert agrr == MechanismParams(d=d, s=s, epsilon=amplified_budget(s, eps), t=2 * d)
+    assert MECHANISMS["pckv_agrr"][1:] == MECHANISMS["pckv_grr"][1:]
+
+
+def test_baselines_reject_params_of_another_alphabet():
+    supports, signs = np.array([[1, 3]]), np.array([[1, -1]])
+    rng = np.random.default_rng(0)
+    pckv, privkv = table_params("pckv_grr", 4, 2, 1.0), table_params("privkv", 4, 2, 1.0)
+    with pytest.raises(ValueError, match="3 categories, got t=8"):
+        privkv_randomize_batch(supports, signs, pckv, rng)
+    with pytest.raises(ValueError, match="3 categories, got t=8"):
+        privkv_debias((np.array([1]), np.array([0])), pckv)
+    with pytest.raises(ValueError, match="8 categories, got t=3"):
+        pckv_randomize_batch(supports, signs, privkv, rng)
+    with pytest.raises(ValueError, match="8 categories, got t=3"):
+        pckv_debias(np.array([1]), privkv)
 
 
 def test_privkv_channel_probabilities():
     # empirical response distribution matches 3-ary GRR at eps
     rng = np.random.default_rng(0)
-    params = BaselineParams(d=3, s=1, epsilon=LN2, variant="privkv")
+    params = table_params("privkv", 3, 1, LN2)
     n = 60_000
     j, v = privkv_randomize_batch(np.full((n, 1), 2), np.ones((n, 1), dtype=np.int64), params, rng)
     count_j2 = (j == 2).sum()
@@ -50,7 +86,7 @@ def test_privkv_ldp_by_enumeration():
     # channel x -> (j, v): ratio bounded by e^eps exactly
     for eps in (0.5, 1.0):
         p, q = grr_probabilities(eps, 3)
-        params = BaselineParams(d=3, s=1, epsilon=eps, variant="privkv")
+        params = table_params("privkv", 3, 1, eps)
         worst = 0.0
         inputs = all_sparse_vectors(3, 1)
         for x in inputs:
@@ -65,14 +101,14 @@ def test_privkv_ldp_by_enumeration():
 
 
 def test_pckv_ldp_by_enumeration():
-    # The inner GRR table sits exactly at the variant's effective budget;
-    # the sampled composition is amplified below it (cited, not re-proven),
-    # and for pckv_grr it stays within the declared eps.
-    for variant in ("pckv_grr", "pckv_agrr"):
+    # The inner GRR table sits exactly at the params' budget, which is the
+    # amplified one for pckv_agrr; the sampled composition is amplified below
+    # it (cited, not re-proven), and for pckv_grr it stays within the declared eps.
+    for name in ("pckv_grr", "pckv_agrr"):
         eps = 0.8
-        params = BaselineParams(d=3, s=2, epsilon=eps, variant=variant)
-        p, q = grr_probabilities(params.effective_epsilon, 6)
-        assert math.log(p / q) == pytest.approx(params.effective_epsilon, abs=1e-12)
+        params = table_params(name, 3, 2, eps)
+        p, q = grr_probabilities(params.epsilon, params.t)
+        assert math.log(p / q) == pytest.approx(params.epsilon, abs=1e-12)
         inputs = all_sparse_vectors(3, 2)
         worst = 0.0
         for x in inputs:
@@ -82,10 +118,9 @@ def test_pckv_ldp_by_enumeration():
                         codes = [2 * j - 1 + (b > 0) for j, b in vec.support]
                         return sum((p if code == c else q) for c in codes) / len(codes)
                     worst = max(worst, prob(x) / prob(xp))
-        if variant == "pckv_grr":
+        if name == "pckv_grr":
             assert math.log(worst) <= eps + 1e-12
     # with s=1 the composition is the bare GRR: ratio exactly e^eps
-    params = BaselineParams(d=2, s=1, epsilon=0.8, variant="pckv_grr")
     p, q = grr_probabilities(0.8, 4)
     inputs = all_sparse_vectors(2, 1)
     worst = max(
@@ -104,30 +139,30 @@ def test_estimates_unbiased_by_enumeration():
     truth = np.zeros(2 * d)
     truth[2 * 2 - 1 - 1] = 1.0  # event (2,-)
     # privkv: enumerate (j, v) outcomes with their exact probabilities
-    params = BaselineParams(d=d, s=s, epsilon=eps, variant="privkv")
+    params = table_params("privkv", d, s, eps)
     p, q = grr_probabilities(eps, 3)
     est = np.zeros(2 * d)
     for j in range(1, d + 1):
         true = dict(x.support).get(j, 0)
         for v in (-1, 0, 1):
             pr = (p if v == true else q) / d
-            est += pr * aggregate_frequencies((np.array([j]), np.array([v])), params.variant, params).values
+            est += pr * aggregate_frequencies((np.array([j]), np.array([v])), "privkv", params).values
     assert np.abs(est - truth).max() < 1e-12
 
     # pckv: enumerate emitted codes
-    params = BaselineParams(d=d, s=s, epsilon=eps, variant="pckv_grr")
+    params = table_params("pckv_grr", d, s, eps)
     p, q = grr_probabilities(eps, 2 * d)
     true_code = 2 * 2 - 1
     est = np.zeros(2 * d)
     for code in range(1, 2 * d + 1):
         pr = p if code == true_code else q
-        est += pr * aggregate_frequencies(np.array([code]), params.variant, params).values
+        est += pr * aggregate_frequencies(np.array([code]), "pckv_grr", params).values
     assert np.abs(est - truth).max() < 1e-12
 
 
 def test_privkv_zero_response_contributes_negative_mass():
-    params = BaselineParams(d=4, s=1, epsilon=1.0, variant="privkv")
-    est = aggregate_frequencies((np.array([2]), np.array([0])), params.variant, params).values
+    params = table_params("privkv", 4, 1, 1.0)
+    est = aggregate_frequencies((np.array([2]), np.array([0])), "privkv", params).values
     assert est[2 * 2 - 1 - 1] < 0 and est[2 * 2 - 1] < 0  # both events of dim 2
     assert est[0] == 0.0  # unsampled dimensions untouched
 
@@ -137,17 +172,17 @@ def test_batch_estimates_match_expected_frequency():
     rng = np.random.default_rng(4)
     n, d, s = 100_000, 8, 2
     supports, signs = gen_synthetic_arrays(n, d, s, rng)
-    for variant in ("privkv", "pckv_grr", "pckv_agrr"):
-        params = BaselineParams(d=d, s=s, epsilon=1.0, variant=variant)
-        if variant == "privkv":
+    for name in ("privkv", "pckv_grr", "pckv_agrr"):
+        params = table_params(name, d, s, 1.0)
+        if name == "privkv":
             views = privkv_randomize_batch(supports, signs, params, rng)
         else:
             views = pckv_randomize_batch(supports, signs, params, rng)
-        est = aggregate_frequencies(views, params.variant, params).values
+        est = aggregate_frequencies(views, name, params).values
         target = s / (2 * d)
         # crude per-event sigma bound: dominated by the debiasing scale
-        p, q = grr_probabilities(params.effective_epsilon, 2 * d if variant != "privkv" else 3)
-        scale = (d if variant == "privkv" else s) / (p - q)
+        p, q = grr_probabilities(params.epsilon, params.t)
+        scale = (d if name == "privkv" else s) / (p - q)
         sigma = scale / math.sqrt(n)
         assert np.abs(est - target).max() < 4 * sigma
 
@@ -156,17 +191,17 @@ def test_error_scaling_exponents():
     # PrivKV total squared error ~ d^2; PCKV-GRR ~ s^2 (both per §3.1 orders)
     rng = np.random.default_rng(10)
 
-    def total_sq_error(variant, n, d, s, eps, reps):
+    def total_sq_error(name, n, d, s, eps, reps):
         errs = []
         for _ in range(reps):
             supports, signs = gen_synthetic_arrays(n, d, s, rng)
             truth = np.bincount((2 * supports - 1 + (signs > 0)).ravel() - 1, minlength=2 * d) / n
-            params = BaselineParams(d=d, s=s, epsilon=eps, variant=variant)
-            if variant == "privkv":
+            params = table_params(name, d, s, eps)
+            if name == "privkv":
                 views = privkv_randomize_batch(supports, signs, params, rng)
             else:
                 views = pckv_randomize_batch(supports, signs, params, rng)
-            est = aggregate_frequencies(views, params.variant, params).values
+            est = aggregate_frequencies(views, name, params).values
             errs.append(((est - truth) ** 2).sum())
         return float(np.mean(errs))
 
@@ -190,7 +225,7 @@ def test_error_scaling_exponents():
 def test_scalar_pckv_matches_distribution():
     # a scalar (d = 1) input +1 is reported as its code 2 with the GRR truth probability
     rng = np.random.default_rng(2)
-    params = BaselineParams(d=1, s=1, epsilon=1.0, variant="pckv_grr")
+    params = table_params("pckv_grr", 1, 1, 1.0)
     n = 40_000
     codes = pckv_randomize_batch(np.ones((n, 1), dtype=np.int64), np.ones((n, 1), dtype=np.int64), params, rng)
     assert (codes == 2).mean() == pytest.approx(math.e / (math.e + 1), abs=0.01)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpvec import coco
-from ldpvec.aggregate import aggregate_frequencies, mean_estimate
+from ldpvec.aggregate import aggregate_frequencies, target_values
 from ldpvec.coco import (
     CollisionRates,
     coco_choose_t,
@@ -179,8 +179,8 @@ def test_contribution_examples():
     other = next(z for z in range(1, 5) if z not in (hp, hm))
 
     def contributions(z):
-        est = mean_estimate(aggregate_frequencies((seeds, [z]), "coco", params))
-        return est.values[1], est.nonmissing[1]
+        freq = aggregate_frequencies((seeds, [z]), "coco", params).values
+        return target_values(freq, "mean")[1], target_values(freq, "nonmissing")[1]
 
     (mean_hit, nm_hit), (mean_opp, _), (mean_other, nm_other) = map(contributions, (hp, hm, other))
     assert (mean_hit, mean_opp, mean_other) == pytest.approx((5.0, -5.0, 0.0))

@@ -8,7 +8,6 @@ from ldpvec.domain import (
     EventId,
     MechanismParams,
     TernaryVector,
-    discretize_ternary,
     event_code,
     hash_buckets,
     pair_signs,
@@ -61,9 +60,6 @@ def test_event_set_examples():
 
 
 def test_vector_roundtrip_and_validation():
-    x = TernaryVector.from_dense([0, 0, 1, 0, -1, 0])
-    assert x.support == ((3, 1), (5, -1))
-    assert TernaryVector.from_dense(x.to_dense()) == x
     with pytest.raises(ValueError):
         TernaryVector(d=3, support=())
     with pytest.raises(ValueError):
@@ -140,34 +136,16 @@ def test_paired_hash_requires_even_t():
         coco_randomize_batch(np.array([[1, 2]]), np.array([[1, 1]]), user_hash_seeds(0, 1), odd, rng)
 
 
-def test_discretize_ternary_preserves_expectation():
-    rng = np.random.default_rng(0)
-    values = [0.0, 2.5, 5.0, 7.5, 10.0]
-    # normalised to [-1, -0.5, 0, 0.5, 1]
-    acc = np.zeros(5)
-    trials = 20_000
-    for _ in range(trials):
-        try:
-            x = discretize_ternary(values, rng)
-        except ValueError:
-            continue
-        acc += x.to_dense()
-    mean = acc / trials
-    target = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    # zero-vector rejections only remove mass symmetrically at the ends
-    assert np.abs(mean - target).max() < 0.03
-
-
 def _batch_randomizers(d, s):
     """Every batch randomizer, bound to parameters (d, s, eps=1)."""
-    from ldpvec.baselines import BaselineParams, pckv_randomize_batch, privkv_randomize_batch
+    from ldpvec.aggregate import MECHANISMS
+    from ldpvec.baselines import pckv_randomize_batch, privkv_randomize_batch
     from ldpvec.coco import coco_params, coco_randomize_batch
     from ldpvec.collision import collision_params, collision_randomize_batch
 
     rng = np.random.default_rng(0)
     col, coco = collision_params(d, s, 1.0), coco_params(d, s, 1.0)
-    privkv = BaselineParams(d=d, s=s, epsilon=1.0, variant="privkv")
-    pckv = BaselineParams(d=d, s=s, epsilon=1.0, variant="pckv_grr")
+    privkv, pckv = (MECHANISMS[name].params(d, s, 1.0, None, "frequency") for name in ("privkv", "pckv_grr"))
     return {
         "collision": lambda sup, sg: collision_randomize_batch(sup, sg, user_hash_seeds(1, len(sup)), col, rng),
         "coco": lambda sup, sg: coco_randomize_batch(sup, sg, user_hash_seeds(1, len(sup)), coco, rng),

@@ -1,11 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldpvec import harness
+from ldpvec.aggregate import TARGETS
 from ldpvec.cli import main
 from ldpvec.harness import (
+    METRICS,
+    REPORTS,
     ExperimentConfig,
     build_config,
     gen_synthetic_arrays,
@@ -41,8 +48,14 @@ def test_gen_synthetic_event_frequencies():
 
 
 def test_gen_synthetic_rejects_oversparse():
-    with pytest.raises(ValueError):
-        gen_synthetic_arrays(10, 4, 5, np.random.default_rng(0))
+    for n, s in ((10, 5), (10, 0), (10, -1)):
+        with pytest.raises(ValueError, match=rf"need 1 <= s <= d, got s={s}, d=4"):
+            gen_synthetic_arrays(n, 4, s, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n must be >= 0, got n=-5"):
+        gen_synthetic_arrays(-5, 4, 2, np.random.default_rng(0))
+    res = CliRunner().invoke(main, ["gen", "--n", "3", "--d", "4", "--s", "0", "--seed", "1"])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert "invalid config: need 1 <= s <= d, got s=0, d=4" in res.stderr
 
 
 def test_config_parsing_and_overrides():
@@ -73,6 +86,57 @@ def test_config_parsing_and_overrides():
         build_config({"n": "10"})  # master_seed mandatory
     with pytest.raises(ValueError):
         parse_config_text("just words\n")
+
+
+def _distinct(elements):
+    return st.lists(elements, min_size=1, max_size=3, unique=True).map(tuple)
+
+
+CONFIGS = st.builds(
+    ExperimentConfig,
+    n=_distinct(st.integers(1, 10**6)),
+    d=_distinct(st.integers(1, 4096)),
+    s=_distinct(st.integers(1, 64)),
+    epsilon=_distinct(st.floats(1e-6, 50.0)),
+    mechanism=_distinct(st.sampled_from(harness.MECHANISMS)),
+    master_seed=st.integers(-(2**63), 2**64),
+    repetitions=st.integers(1, 1000),
+    metrics=_distinct(st.sampled_from(METRICS)),
+    target=st.sampled_from(TARGETS),
+    projection=st.booleans(),
+    report=st.sampled_from(REPORTS),
+)
+
+
+def _render(value) -> str:
+    """One config value as the text a config file or a CLI flag holds."""
+    if isinstance(value, tuple):
+        return ", ".join(_render(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(file_config=CONFIGS, flag_config=CONFIGS, data=st.data())
+def test_config_text_round_trip_and_cli_overrides(file_config, flag_config, data):
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    # key = value text round-trips through parse_config_text and build_config
+    text = "".join(f"{key} = {_render(getattr(file_config, key))}\n" for key in keys)
+    assert build_config(parse_config_text(text)) == file_config
+
+    # through the CLI, every flag given wins over the file's value for that key
+    flags = data.draw(st.sets(st.sampled_from(keys)))
+    args = [arg for key in sorted(flags) for arg in (f"--{key.replace('_', '-')}", _render(getattr(flag_config, key)))]
+    seen = []
+    runner = CliRunner()
+    with pytest.MonkeyPatch.context() as mp, runner.isolated_filesystem():
+        mp.setattr(harness, "run_experiment", lambda config: seen.append(config) or ([], []))
+        with open("sweep.cfg", "w") as fh:
+            fh.write(text)
+        res = runner.invoke(main, ["simulate", "--config", "sweep.cfg", *args])
+    assert res.exit_code == 0, res.output
+    assert seen == [dataclasses.replace(file_config, **{key: getattr(flag_config, key) for key in flags})]
 
 
 def test_run_experiment_reproducible_byte_identical():
@@ -220,6 +284,17 @@ def test_cli_project_rejects_non_finite_estimates(tmp_path, bad):
     res = CliRunner().invoke(main, ["project", "--s", "1", "--in", str(est)])
     assert res.exit_code == 1, res.output
     assert "invalid config: estimates must be finite" in res.stderr
+
+
+@pytest.mark.parametrize("line", ["1e308,1e308", "-1e308,-1e308", "1e17,0"])
+def test_cli_project_rejects_overflowing_estimates(tmp_path, line):
+    # finite entries whose sum overflows a float, or swallows the unit mass
+    est = tmp_path / "est.csv"
+    est.write_text(f"0.8,0.4,0.0,-0.2\n{line}\n")
+    res = CliRunner().invoke(main, ["project", "--s", "1", "--in", str(est)])
+    assert res.exit_code == 1, res.output
+    assert res.stdout == ""
+    assert "invalid config: estimates overflow float arithmetic" in res.stderr
 
 
 def test_cli_large_epsilon_is_a_per_point_failure():

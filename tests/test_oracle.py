@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpvec.amplification import collision_alpha, exact_pq_laws
+from ldpvec.amplification import collision_alpha
 from ldpvec.collision import collision_params
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
 from ldpvec.oracle import (
@@ -18,6 +18,7 @@ from ldpvec.oracle import (
     uniform_collision_family,
     verify_ldp,
 )
+from pq_reference import exact_pq_laws
 
 LN2 = math.log(2)
 
