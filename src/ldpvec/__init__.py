@@ -24,7 +24,6 @@ from .amplification import (
     pq_divergence,
 )
 from .coco import (
-    CocoWeights,
     CollisionRates,
     coco_choose_t,
     coco_params,

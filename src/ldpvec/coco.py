@@ -44,31 +44,6 @@ def coco_omega(s: int, epsilon: float, t: int) -> float:
     return (math.exp(epsilon) + 1.0) * s + t - 2 * s
 
 
-@dataclass(frozen=True)
-class CocoWeights:
-    """Relative bucket weights of one randomization trace.
-
-    Every weight lies in [1, e^eps] and the total equals the input- and
-    hash-independent normaliser omega.
-    """
-
-    w: np.ndarray
-    omega: float
-    epsilon: float
-
-    def __post_init__(self):
-        total = float(np.sum(self.w))
-        if abs(total - self.omega) > 1e-9 * max(1.0, self.omega):
-            raise ValueError(f"weights sum to {total}, expected omega={self.omega}")
-        eeps = math.exp(self.epsilon)
-        if float(np.min(self.w)) < 1.0 - 1e-12 or float(np.max(self.w)) > eeps + 1e-12:
-            raise ValueError("weights must lie in [1, e^eps]")
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self.w / self.omega
-
-
 def _check_domain(s: int, t: int) -> None:
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -131,39 +106,6 @@ def coco_params(d: int, s: int, epsilon: float, t: int | None = None, which: str
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
-def coco_weight_vector(
-    ordered_support: tuple[tuple[int, int], ...],
-    table,
-    epsilon: float,
-    t: int,
-) -> CocoWeights:
-    """Relative weights over buckets 1..t for one permutation of the support.
-
-    ``table`` is one user's paired-layout hash (an ``oracle.CocoTable``):
-    ``table.event_bucket(j, b)`` and ``table.pair_slot(j)``.  Implements
-    the assignment loop literally: later entries overwrite both members of
-    a conflicting bucket pair, then unassigned pairs receive the uniform
-    residual weight.
-    """
-    eeps = math.exp(epsilon)
-    s = len(ordered_support)
-    half = t // 2
-    W = np.zeros(t)
-    for j, b in ordered_support:
-        hb = table.event_bucket(j, b)
-        lb = 2 * table.pair_slot(j) + half - hb
-        W[hb - 1] = eeps
-        W[lb - 1] = 1.0
-    omega = coco_omega(s, epsilon, t)
-    assigned = W.sum()
-    w = (omega - assigned) / (t - 2.0 * assigned / (eeps + 1.0))
-    for k in range(half):
-        if W[k] == 0.0 and W[k + half] == 0.0:
-            W[k] = w
-            W[k + half] = w
-    return CocoWeights(w=W, omega=omega, epsilon=epsilon)
-
-
 def coco_randomize_batch(
     supports: np.ndarray,
     signs: np.ndarray,
@@ -173,11 +115,12 @@ def coco_randomize_batch(
 ) -> np.ndarray:
     """Sample one output symbol per row.
 
-    Each row follows the law of ``coco_weight_vector`` under a uniformly
-    random write order, but the bucket-pair weight layout is never
-    materialised.  For each row the surviving (last-written) entry per
-    distinct H1 value is found by sorting, then a single uniform draw
-    picks a weight-e^eps bucket, a weight-1 bucket or a residual bucket.
+    Each row follows CoCo's law under a uniformly random write order (the
+    surviving-writer law of ``oracle._coco_table_probs``), but the
+    bucket-pair weight layout is never materialised.  For each row the
+    surviving (last-written) entry per distinct H1 value is found by
+    sorting, then a single uniform draw picks a weight-e^eps bucket, a
+    weight-1 bucket or a residual bucket.
     """
     _check_domain(params.s, params.t)
     check_batch(supports, signs, params)

@@ -45,6 +45,13 @@ class ExperimentConfig:
         for name in ("n", "d", "s", "epsilon", "mechanism"):
             if not getattr(self, name):
                 raise ValueError(f"config field {name} must be non-empty")
+        for name in ("n", "d", "s"):
+            low = min(getattr(self, name))
+            if low < 1:
+                raise ValueError(f"{name} must be >= 1, got {name}={low}")
+        for epsilon in self.epsilon:
+            if not epsilon > 0:  # also rejects nan
+                raise ValueError(f"epsilon must be > 0, got epsilon={epsilon}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for m in self.mechanism:
@@ -267,7 +274,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ReportRow], list[str]
             for metric in metric_names:
                 vals = [r[metric] for r in reps]
                 if config.report == "mean_log":
-                    value = float(np.mean(np.log(vals)))
+                    with np.errstate(divide="ignore"):  # log(0) = -inf, rejected by ReportRow
+                        value = float(np.mean(np.log(vals)))
                 else:
                     value = float(np.mean(vals))
                 point_rows.append(

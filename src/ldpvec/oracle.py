@@ -5,6 +5,13 @@ rather than sampling, so privacy ratios, estimator moments and output
 laws come out exact up to float accumulation.  Sums are taken with
 ``math.fsum`` (correctly-rounded accumulation).
 
+Each mechanism has one ``TableLaw`` in ``LAWS``: its output law given an
+explicit table, and the hash points (event codes or dimensions) an input
+reads; the table restricted to those points keys the law's cache.  CoCo's
+law is in closed form over surviving writers: for a fixed (H1, H2) only
+the last writer of each H1 slot keeps its bucket pair, and under a
+uniformly random write order it is uniform over the slot's writers.
+
 The uniform hash family over all functions is materialised only when its
 description fits in 20 bits; mechanisms only read a hash at the events
 (or dimensions) an instance touches, so the family restricted to those
@@ -16,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .coco import coco_omega, coco_weight_vector, collision_rates
+from .coco import coco_omega, collision_rates
 from .collision import CollisionParams, collision_output_probabilities
 from .domain import EventId, MechanismParams, TernaryVector
 
@@ -54,73 +61,37 @@ class MixtureDecomposition:
     beta: float
 
 
-class CollisionTable(Mapping):
+class CollisionTable(dict):
     """Explicit single-layout hash table: event code -> bucket in 1..t."""
 
-    def __init__(self, mapping: Mapping[int, int]):
-        self._m = dict(mapping)
-
-    def __getitem__(self, code):
-        return self._m[code]
-
-    def __iter__(self):
-        return iter(self._m)
-
-    def __len__(self):
-        return len(self._m)
-
     def buckets(self, codes: Iterable[int]) -> frozenset[int]:
-        return frozenset(self._m[c] for c in codes)
+        return frozenset(self[c] for c in codes)
 
 
-class CocoTable:
-    """Explicit paired-layout table: h1 dim -> 1..t/2, h2 dim -> {-1,+1}."""
+class CocoTable(dict):
+    """Explicit paired-layout table: dim j -> the bucket of j_plus in 1..t.
 
-    def __init__(self, h1: Mapping[int, int], h2: Mapping[int, int], t: int):
-        self.h1 = dict(h1)
-        self.h2 = dict(h2)
+    That bucket is H1(j) + t/2 when H2(j) = +1 and H1(j) otherwise; j_minus
+    takes the other member of the pair (H1(j), H1(j) + t/2).
+    """
+
+    def __init__(self, plus: Mapping[int, int], t: int):
+        super().__init__(plus)
         self.t = t
 
     def event_bucket(self, index: int, sign: int) -> int:
-        hi = (sign * self.h2[index] + 1) // 2
-        return self.h1[index] + hi * (self.t // 2)
+        plus, half = self[index], self.t // 2
+        if sign > 0:
+            return plus
+        return plus - half if plus > half else plus + half
 
     def pair_slot(self, index: int) -> int:
-        return self.h1[index]
+        return (self[index] - 1) % (self.t // 2) + 1
 
 
 def _guard(count: int, t: int) -> None:
     if count * t > _SIZE_GUARD:
         raise ValueError(f"enumeration size {count}*{t} exceeds guard {_SIZE_GUARD}")
-
-
-def uniform_collision_family(codes: Sequence[int], t: int) -> list[tuple[CollisionTable, float]]:
-    """All functions from ``codes`` into 1..t, equally weighted.
-
-    Exact marginal of the uniform family over the full event domain; the
-    20-bit description guard keeps enumeration honest.
-    """
-    if len(codes) * math.log2(t) > 20:
-        raise ValueError("uniform family too large; pass an explicit sub-family")
-    tables = []
-    weight = 1.0 / t ** len(codes)
-    for values in product(range(1, t + 1), repeat=len(codes)):
-        tables.append((CollisionTable(dict(zip(codes, values))), weight))
-    return tables
-
-
-def uniform_coco_family(dims: Sequence[int], t: int) -> list[tuple[CocoTable, float]]:
-    """All (H1, H2) pairs over ``dims``, equally weighted."""
-    half = t // 2
-    bits = len(dims) * (math.log2(half) + 1)
-    if bits > 20:
-        raise ValueError("uniform family too large; pass an explicit sub-family")
-    tables = []
-    weight = 1.0 / (half ** len(dims) * 2 ** len(dims))
-    for h1_vals in product(range(1, half + 1), repeat=len(dims)):
-        for h2_vals in product((-1, 1), repeat=len(dims)):
-            tables.append((CocoTable(dict(zip(dims, h1_vals)), dict(zip(dims, h2_vals)), t), weight))
-    return tables
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
@@ -136,31 +107,92 @@ def _collision_table_probs(x: TernaryVector, table: CollisionTable, params: Coll
 
 
 def _coco_table_probs(x: TernaryVector, table: CocoTable, params: MechanismParams) -> np.ndarray:
-    """Output law for a fixed (H1, H2), averaged over write permutations."""
-    acc = np.zeros(params.t)
-    perms = list(permutations(x.support))
-    for ordered in perms:
-        acc += coco_weight_vector(ordered, table, params.epsilon, params.t).w
-    omega = coco_omega(x.s, params.epsilon, params.t)
-    return acc / (len(perms) * omega)
+    """Output law for a fixed (H1, H2) under a uniformly random write order.
+
+    Only the last writer of each H1 slot survives, uniform over the slot's
+    g writers.  If a of them put their e^eps bucket at slot k, bucket k
+    carries weight (a e^eps + g - a)/g and bucket k + t/2 carries
+    ((g - a) e^eps + a)/g.  With m occupied slots, every bucket of a free
+    pair carries the residual (Omega - m(e^eps + 1))/(t - 2m).
+    """
+    eeps = math.exp(params.epsilon)
+    t, half = params.t, params.t // 2
+    omega = coco_omega(x.s, params.epsilon, t)
+    writers: dict[int, list[int]] = {}  # occupied slot -> its writers' e^eps buckets
+    for j, b in x.support:
+        writers.setdefault(table.pair_slot(j), []).append(table.event_bucket(j, b))
+    w = [0.0] * t
+    for slot, high in writers.items():
+        g, a = len(high), high.count(slot)
+        w[slot - 1] = (a * eeps + g - a) / g
+        w[slot + half - 1] = ((g - a) * eeps + a) / g
+    m = len(writers)
+    for slot in set(range(1, half + 1)) - writers.keys():
+        w[slot - 1] = w[slot + half - 1] = (omega - m * (eeps + 1.0)) / (t - 2 * m)
+    if abs(math.fsum(w) - omega) > 1e-9 * max(1.0, omega):
+        raise ValueError(f"weights sum to {math.fsum(w)}, expected omega={omega}")
+    if min(w) < 1.0 - 1e-12 or max(w) > eeps * (1.0 + 1e-12):
+        raise ValueError("weights must lie in [1, e^eps]")
+    return np.array(w) / omega
+
+
+class TableLaw(NamedTuple):
+    """One mechanism's exact output law given an explicit hash table."""
+
+    probs: Callable  # (x, table, params) -> P[z | x, table] over z = 1..t
+    points: Callable  # x -> the hash points its law reads: event codes or dims
+    buckets: Callable  # t -> the number of values one point hashes to
+    table: Callable  # ({point: value}, t) -> the explicit table
+
+
+LAWS = {
+    "collision": TableLaw(
+        _collision_table_probs, TernaryVector.event_codes, lambda t: t, lambda values, t: CollisionTable(values)
+    ),
+    "coco": TableLaw(_coco_table_probs, lambda x: tuple(j for j, _ in x.support), lambda t: 2 * (t // 2), CocoTable),
+}
+
+
+def _law(mechanism: str) -> TableLaw:
+    try:
+        return LAWS[mechanism]
+    except KeyError:
+        raise ValueError(f"unknown mechanism {mechanism!r}") from None
+
+
+def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tuple[object, float]]:
+    """Every table on ``points``, equally weighted, generated lazily.
+
+    Exact marginal of the uniform family over the full domain; the 20-bit
+    description guard keeps enumeration honest.
+    """
+    count = law.buckets(t) ** len(points)
+    if count > 1 << 20:
+        raise ValueError("uniform family too large; pass an explicit sub-family")
+    for values in product(range(1, law.buckets(t) + 1), repeat=len(points)):
+        yield law.table(dict(zip(points, values)), t), 1.0 / count
+
+
+def uniform_collision_family(codes: Sequence[int], t: int) -> list[tuple[CollisionTable, float]]:
+    """All functions from ``codes`` into 1..t, equally weighted."""
+    return list(_uniform_tables(LAWS["collision"], codes, t))
+
+
+def _cached_probs(law: TableLaw, x: TernaryVector, points, table, params, cache: dict) -> np.ndarray:
+    key = (x.support, tuple(map(table.__getitem__, points)))
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = law.probs(x, table, params)
+    return got
 
 
 def enumerate_distribution(mechanism: str, x: TernaryVector, params, family) -> ExactDistribution:
     """Exact output law over (table id, z), including hash randomness."""
+    law = _law(mechanism)
     _guard(len(family), params.t)
-    support = []
-    probs = []
-    for tid, (table, weight) in enumerate(family):
-        if mechanism == "collision":
-            p = _collision_table_probs(x, table, params)
-        elif mechanism == "coco":
-            p = _coco_table_probs(x, table, params)
-        else:
-            raise ValueError(f"unknown mechanism {mechanism!r}")
-        for z in range(1, params.t + 1):
-            support.append((tid, z))
-            probs.append(weight * p[z - 1])
-    return ExactDistribution(support=tuple(support), probs=np.asarray(probs))
+    probs = [weight * law.probs(x, table, params) for table, weight in family]
+    support = tuple((tid, z) for tid in range(len(probs)) for z in range(1, params.t + 1))
+    return ExactDistribution(support=support, probs=np.concatenate(probs))
 
 
 # ---------------------------------------------------------------------------
@@ -172,32 +204,25 @@ def verify_ldp(mechanism: str, params, family=None) -> float:
 
     With ``family=None`` the check is exhaustive over all hash tables: the
     output law only depends on a table through its restriction to the
-    events the inputs touch, so enumerating restrictions covers the full
-    uniform family exactly.
+    points the inputs read, so enumerating restrictions covers the full
+    uniform family exactly.  Collision does so through its cached hit-set
+    signatures; CoCo enumerates every (H1, H2) on all d dimensions.
     """
-    if mechanism == "collision":
-        if family is None:
-            return _collision_ldp_exhaustive(params)
-        return _ldp_over_family("collision", params, family)
-    if mechanism == "coco":
-        if family is None:
-            return _coco_ldp_exhaustive(params)
-        return _ldp_over_family("coco", params, family)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
-
-
-def _ldp_over_family(mechanism, params, family) -> float:
+    law = _law(mechanism)
+    if family is None and mechanism == "collision":
+        return _collision_ldp_exhaustive(params)
     inputs = all_sparse_vectors(params.d, params.s)
-    _guard(len(family) * len(inputs), params.t)
+    if family is None:
+        domain = tuple(dict.fromkeys(p for x in inputs for p in law.points(x)))
+        _guard(law.buckets(params.t) ** len(domain), params.t)
+        family = _uniform_tables(law, domain, params.t)
+    else:
+        _guard(len(family) * len(inputs), params.t)
+    reads = [(x, law.points(x)) for x in inputs]
+    cache: dict[tuple, np.ndarray] = {}
     worst = 0.0
     for table, _ in family:
-        dists = []
-        for x in inputs:
-            if mechanism == "collision":
-                dists.append(_collision_table_probs(x, table, params))
-            else:
-                dists.append(_coco_table_probs(x, table, params))
-        m = np.stack(dists)
+        m = np.stack([_cached_probs(law, x, points, table, params, cache) for x, points in reads])
         worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
     return math.log(worst)
 
@@ -257,33 +282,6 @@ def _collision_ldp_exhaustive(params: CollisionParams) -> float:
     return math.log(worst)
 
 
-def _coco_ldp_exhaustive(params: MechanismParams) -> float:
-    """Exhaustive (H1, H2) patterns over all d dimensions, cached per input."""
-    d, t = params.d, params.t
-    half = t // 2
-    inputs = all_sparse_vectors(d, params.s)
-    n_patterns = half**d * 2**d
-    _guard(n_patterns, t)
-    dims = tuple(range(1, d + 1))
-    cache: dict[tuple, np.ndarray] = {}
-
-    def dist_for(x: TernaryVector, h1_vals, h2_vals) -> np.ndarray:
-        key_dims = tuple(j for j, _ in x.support)
-        key = (x.support, tuple(h1_vals[j - 1] for j in key_dims), tuple(h2_vals[j - 1] for j in key_dims))
-        got = cache.get(key)
-        if got is None:
-            table = CocoTable(dict(zip(dims, h1_vals)), dict(zip(dims, h2_vals)), t)
-            got = cache[key] = _coco_table_probs(x, table, params)
-        return got
-
-    worst = 0.0
-    for h1_vals in product(range(1, half + 1), repeat=d):
-        for h2_vals in product((-1, 1), repeat=d):
-            m = np.stack([dist_for(x, h1_vals, h2_vals) for x in inputs])
-            worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
-    return math.log(worst)
-
-
 # ---------------------------------------------------------------------------
 # Exact estimator moments
 
@@ -302,67 +300,47 @@ def exact_estimator_moments(
     The default family is the uniform family restricted to the events or
     dimensions the instance touches, which is an exact marginalisation.
     """
+    law = _law(mechanism)
+    point, terms = _estimator_terms(mechanism, params, estimator, event, dim)
+    points = law.points(x)
+    if family is None:
+        family = _uniform_tables(law, tuple(dict.fromkeys(points + (point,))), params.t)
+    cache: dict[tuple, np.ndarray] = {}
+    means, seconds, weights = [], [], []
+    for table, weight in family:
+        mean_t, second_t = terms(_cached_probs(law, x, points, table, params, cache), table)
+        means.append(weight * mean_t)
+        seconds.append(weight * second_t)
+        weights.append(weight)
+    mean = math.fsum(means) / math.fsum(weights)
+    second = math.fsum(seconds) / math.fsum(weights)
+    return mean, second - mean**2
+
+
+def _debiased_indicator(p_hit: float, p_true: float, p_false: float) -> tuple[float, float]:
+    """Mean and second moment of (1[hit] - p_false) / (p_true - p_false) when P[hit] = p_hit."""
+    denom = p_true - p_false
+    hit_v, miss_v = (1.0 - p_false) / denom, (0.0 - p_false) / denom
+    return p_hit * hit_v + (1 - p_hit) * miss_v, p_hit * hit_v**2 + (1 - p_hit) * miss_v**2
+
+
+def _estimator_terms(mechanism: str, params, estimator: str, event, dim) -> tuple[int, Callable]:
+    """The hash point an estimator reads, and its (mean, second moment) given the law p of z on a table."""
     if mechanism == "collision":
         if estimator != "indicator" or event is None:
             raise ValueError("collision supports estimator='indicator' with an event")
-        t = params.t
-        if family is None:
-            codes = tuple(dict.fromkeys(x.event_codes() + (event.code,)))
-            family = uniform_collision_family(codes, t)
-        denom = params.hit_prob - params.false_prob
-        means, seconds, weights = [], [], []
-        hit_v = (1.0 - params.false_prob) / denom
-        miss_v = (0.0 - params.false_prob) / denom
-        cache: dict[tuple, np.ndarray] = {}  # law depends on the table only via the input's codes
-        for table, weight in family:
-            key = tuple(table[c] for c in x.event_codes())
-            p = cache.get(key)
-            if p is None:
-                p = cache[key] = _collision_table_probs(x, table, params)
-            pe = p[table[event.code] - 1]
-            means.append(weight * (pe * hit_v + (1 - pe) * miss_v))
-            seconds.append(weight * (pe * hit_v**2 + (1 - pe) * miss_v**2))
-            weights.append(weight)
-        mean = math.fsum(means) / math.fsum(weights)
-        second = math.fsum(seconds) / math.fsum(weights)
-        return mean, second - mean**2
-
-    if mechanism == "coco":
-        if estimator not in ("mean", "nonmissing") or dim is None:
-            raise ValueError("coco supports estimator in {'mean','nonmissing'} with a dim")
-        t = params.t
-        if family is None:
-            dims = tuple(dict.fromkeys(tuple(j for j, _ in x.support) + (dim,)))
-            family = uniform_coco_family(dims, t)
-        rates = collision_rates(params.s, params.epsilon, t)
-        means, seconds, weights = [], [], []
-        cache: dict[tuple, np.ndarray] = {}  # law depends on the table only via the support dims
-        for table, weight in family:
-            key = tuple((table.h1[j], table.h2[j]) for j, _ in x.support)
-            p = cache.get(key)
-            if p is None:
-                p = cache[key] = _coco_table_probs(x, table, params)
-            pp = p[table.event_bucket(dim, 1) - 1]
-            pm = p[table.event_bucket(dim, -1) - 1]
-            if estimator == "mean":
-                denom = rates.p_t - rates.p_o
-                mean_t = (pp - pm) / denom
-                second_t = (pp + pm) / denom**2
-            else:
-                denom = rates.p_t + rates.p_o - 2.0 * rates.p_f
-                hit_v = (1.0 - 2.0 * rates.p_f) / denom
-                miss_v = (0.0 - 2.0 * rates.p_f) / denom
-                both = pp + pm  # H(j_+) != H(j_-), so at most one can equal z
-                mean_t = both * hit_v + (1 - both) * miss_v
-                second_t = both * hit_v**2 + (1 - both) * miss_v**2
-            means.append(weight * mean_t)
-            seconds.append(weight * second_t)
-            weights.append(weight)
-        mean = math.fsum(means) / math.fsum(weights)
-        second = math.fsum(seconds) / math.fsum(weights)
-        return mean, second - mean**2
-
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+        p_true, p_false = params.hit_prob, params.false_prob
+        return event.code, lambda p, table: _debiased_indicator(p[table[event.code] - 1], p_true, p_false)
+    if estimator not in ("mean", "nonmissing") or dim is None:
+        raise ValueError("coco supports estimator in {'mean','nonmissing'} with a dim")
+    rates = collision_rates(params.s, params.epsilon, params.t)
+    if estimator == "mean":
+        denom = rates.p_t - rates.p_o
+        moments = lambda pp, pm: ((pp - pm) / denom, (pp + pm) / denom**2)
+    else:
+        moments = lambda pp, pm: _debiased_indicator(pp + pm, rates.p_t + rates.p_o, 2.0 * rates.p_f)
+    # H(j_+) != H(j_-), so at most one can equal z
+    return dim, lambda p, table: moments(p[table.event_bucket(dim, 1) - 1], p[table.event_bucket(dim, -1) - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +373,13 @@ def coco_exact_rates_by_rank(s: int, epsilon: float, t: int) -> tuple[float, flo
 
 
 def coco_exact_rates_by_table(s: int, epsilon: float, t: int) -> tuple[float, float, float]:
-    """(P_t, P_o, P_f) by full enumeration of tables and permutations (s <= 3)."""
+    """(P_t, P_o, P_f) by full enumeration of tables, each under its surviving-writer law (s <= 3)."""
     if s > 3:
         raise ValueError("table enumeration supported for s <= 3")
     d = s + 1  # support dims 1..s, probe dim s+1 for the false rate
     params = MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
     x = TernaryVector(d=d, support=tuple((j, 1) for j in range(1, s + 1)))
-    family = uniform_coco_family(tuple(range(1, d + 1)), t)
+    family = _uniform_tables(LAWS["coco"], tuple(range(1, d + 1)), t)
     pt, po, pf = [], [], []
     for table, weight in family:
         p = _coco_table_probs(x, table, params)

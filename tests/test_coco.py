@@ -15,7 +15,6 @@ from ldpvec.coco import (
     coco_params,
     coco_predicted_mse,
     coco_randomize_batch,
-    coco_weight_vector,
     collision_rates,
     overwrite_probability,
 )
@@ -26,16 +25,16 @@ from ldpvec.oracle import (
     coco_exact_rates_by_rank,
     coco_exact_rates_by_table,
 )
+from coco_reference import CocoWeights, coco_weight_vector
 
 LN2 = math.log(2)
 
 
 def user_table(seed, dims, t):
-    """The paired-layout hash of user ``seed`` on ``dims``, as an explicit table."""
+    """The paired-layout hash of user ``seed`` on ``dims``, as an explicit table of j_plus buckets."""
     dims = np.asarray(dims)
-    h1 = pair_slots(np.uint64(seed), dims, t).tolist()
-    h2 = pair_signs(np.uint64(seed), dims).tolist()
-    return CocoTable(dict(zip(dims.tolist(), h1)), dict(zip(dims.tolist(), h2)), t)
+    plus = pair_slots(np.uint64(seed), dims, t) + (pair_signs(np.uint64(seed), dims) > 0) * (t // 2)
+    return CocoTable(dict(zip(dims.tolist(), plus.tolist())), t)
 
 
 def test_rates_examples():
@@ -67,7 +66,7 @@ def test_omega_example():
 def test_weight_vector_single_entry_layout():
     # s=1: one bucket at e^eps, its pair at 1, everything else at w
     t, eps = 6, LN2
-    table = CocoTable({2: 3}, {2: -1}, t)
+    table = CocoTable({2: 3}, t)  # H1 = 3, H2 = -1
     x = TernaryVector(d=4, support=((2, 1),))
     W = coco_weight_vector(x.support, table, eps, t).w
     omega = coco_omega(1, eps, t)
@@ -86,7 +85,7 @@ def test_weight_vector_single_entry_layout():
 def test_weight_vector_overwrite_semantics():
     # two dims forced onto one pair: the later write wins, both buckets replaced
     t, eps = 8, 0.7
-    table = CocoTable({1: 2, 2: 2}, {1: 1, 2: 1}, t)
+    table = CocoTable({1: 6, 2: 6}, t)  # H1 = 2, H2 = +1 for both
     x = TernaryVector(d=2, support=((1, 1), (2, -1)))
     for ordered in permutations(x.support):
         W = coco_weight_vector(tuple(ordered), table, eps, t).w
@@ -94,6 +93,28 @@ def test_weight_vector_overwrite_semantics():
         assert W[table.event_bucket(j_last, b_last) - 1] == pytest.approx(math.exp(eps))
         assert W[table.event_bucket(j_last, -b_last) - 1] == pytest.approx(1.0)
         assert W.sum() == pytest.approx(coco_omega(2, eps, t))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closed_form_law_matches_permutation_average(data):
+    # the surviving-writer law vs the literal loop averaged over all s! write orders
+    s = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(s, 6))
+    t = data.draw(st.sampled_from(range(2 * s + 2, 2 * s + 11, 2)))
+    eps = data.draw(st.floats(0.05, 3.0))
+    dims = sorted(data.draw(st.lists(st.integers(1, d), min_size=s, max_size=s, unique=True)))
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=s, max_size=s))
+    crowd = data.draw(st.sampled_from((1, 2, t // 2)))  # H1 drawn from 1..crowd: small crowds force conflicts
+    h1 = data.draw(st.lists(st.integers(1, crowd), min_size=s, max_size=s))
+    h2 = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=s, max_size=s))
+    table = CocoTable({j: k + (g > 0) * (t // 2) for j, k, g in zip(dims, h1, h2)}, t)
+    x = TernaryVector(d=d, support=tuple(zip(dims, signs)))
+    orders = list(permutations(x.support))
+    weights = sum(coco_weight_vector(order, table, eps, t).w for order in orders)
+    reference = weights / (len(orders) * coco_omega(s, eps, t))
+    exact = _coco_table_probs(x, table, MechanismParams(d=d, s=s, epsilon=eps, t=t))
+    assert np.abs(exact - reference).max() <= 1e-14
 
 
 def test_residual_weight_bounds_exhaustive():
@@ -109,8 +130,6 @@ def test_residual_weight_bounds_exhaustive():
 
 
 def test_coco_weights_validation():
-    from ldpvec.coco import CocoWeights
-
     good = coco_weight_vector(((2, 1),), user_table(5, [2], 6), LN2, 6)
     assert good.probabilities.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):

@@ -324,3 +324,55 @@ def test_cli_non_finite_row_is_a_per_point_failure():
                                    "--report", "mean_log", "--repetitions", "3", "--mechanism", mechanism])
         assert res.exit_code == 2, res.output
         assert "point failed:" in res.stderr and "is not finite" in res.stderr
+
+
+def _simulate(*flags):
+    grid = {"--n": "50", "--d": "4", "--s": "2", "--epsilon": "1.0", "--repetitions": "1"}
+    grid.update(zip(flags[::2], flags[1::2]))
+    return CliRunner().invoke(main, ["simulate", "--master-seed", "1", *(arg for pair in grid.items() for arg in pair)])
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--n", "0,-3"), "n must be >= 1, got n=-3"),
+        (("--n", "0"), "n must be >= 1, got n=0"),
+        (("--d", "0"), "d must be >= 1, got d=0"),
+        (("--s", "0"), "s must be >= 1, got s=0"),
+        (("--s", "2,-1"), "s must be >= 1, got s=-1"),
+        (("--epsilon", "0"), "epsilon must be > 0, got epsilon=0.0"),
+        (("--epsilon", "1.0,-0.5"), "epsilon must be > 0, got epsilon=-0.5"),
+        (("--epsilon", "nan"), "epsilon must be > 0, got epsilon=nan"),
+    ],
+)
+def test_cli_rejects_grid_values_outside_the_domain(flags, message):
+    res = _simulate(*flags)
+    assert res.exit_code == 1, res.output
+    assert res.stdout == ""
+    assert f"invalid config: {message}" in res.stderr
+    assert "point failed:" not in res.stderr
+
+
+@pytest.mark.parametrize("flags, failed", [(("--s", "2,5"), "s=5"), (("--epsilon", "1.0,800"), "epsilon=800")])
+def test_cli_sparsity_above_dimension_and_huge_epsilon_fail_per_point(flags, failed):
+    res = _simulate(*flags)
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.stderr.splitlines() if line.startswith("point failed:")]
+    assert len(errors) == 1 and failed in errors[0]
+    assert len(res.stdout.splitlines()) == 1 + 4  # header, then the good point's four metric rows
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_cli_single_user_sweeps_every_mechanism(target):
+    res = _simulate("--n", "1", "--repetitions", "2", "--mechanism", ",".join(harness.MECHANISMS), "--target", target)
+    assert res.exit_code == 0, res.output
+    rows = [row.split(",") for row in res.stdout.splitlines()[1:]]
+    assert {row[0] for row in rows} == set(harness.MECHANISMS)
+    assert all(math.isfinite(float(row[8])) for row in rows)
+
+
+def test_cli_coco_at_full_support():
+    res = _simulate("--d", "3", "--s", "3", "--mechanism", "coco")
+    assert res.exit_code == 0, res.output
+    rows = [row.split(",") for row in res.stdout.splitlines()[1:]]
+    assert len(rows) == 4 and all(row[3] == "3" and math.isfinite(float(row[8])) for row in rows)

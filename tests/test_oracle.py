@@ -40,7 +40,7 @@ def test_enumerate_collision_fixed_hash():
 def test_enumerate_coco_single_entry():
     params = MechanismParams(d=4, s=1, epsilon=LN2, t=4)
     x = TernaryVector(d=4, support=((2, 1),))
-    table = CocoTable({2: 1}, {2: 1}, 4)
+    table = CocoTable({2: 3}, 4)  # H1 = 1, H2 = +1
     dist = enumerate_distribution("coco", x, params, [(table, 1.0)])
     probs = {z: p for (tid, z), p in zip(dist.support, dist.probs)}
     omega = 5.0
@@ -88,6 +88,19 @@ def test_verify_ldp_zero_budget():
 def test_verify_ldp_coco_bounded():
     got = verify_ldp("coco", MechanismParams(d=3, s=1, epsilon=LN2, t=4))
     assert got <= LN2 + 1e-9
+
+
+def test_coco_at_full_support():
+    # s = d: every dimension is written, so H1 conflicts are as frequent as they get
+    for t in (6, 8):
+        params = MechanismParams(d=2, s=2, epsilon=LN2, t=t)
+        assert verify_ldp("coco", params) == pytest.approx(LN2, abs=1e-9)
+        for x in all_sparse_vectors(2, 2):
+            for j, sign in x.support:
+                mean, _ = exact_estimator_moments("coco", params, x, "mean", dim=j)
+                assert abs(mean - sign) < 1e-12
+                mean, _ = exact_estimator_moments("coco", params, x, "nonmissing", dim=j)
+                assert abs(mean - 1.0) < 1e-12
 
 
 def test_verify_ldp_explicit_family_matches_exhaustive():
