@@ -81,8 +81,8 @@ def efmrtt_closed_form(epsilon: float, delta: float, n: int) -> float:
     Stated validity conditions on (eps, n) are not re-checked here;
     callers should treat the value as indicative outside them.
     """
-    if n < 1 or not 0.0 < delta < 1.0:
-        raise ValueError("need n >= 1 and delta in (0,1)")
+    if n < 1 or not epsilon > 0 or not 0.0 < delta < 1.0:
+        raise ValueError("need n >= 1, epsilon > 0 and delta in (0,1)")
     return epsilon * math.sqrt(144.0 * math.log(1.0 / delta) / n)
 
 

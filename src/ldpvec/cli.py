@@ -103,14 +103,11 @@ def simulate(config_path, master_seed, n, d, s, epsilon, mechanism, repetitions,
 def amplify(n, s, epsilon, delta, bounds, t_fixed, tolerance, out, fmt):
     """Amplified budgets eps_c and log2 amplification ratios."""
     try:
-        n_list = [int(v) for v in n.split(",") if v.strip()]
-        s_list = [int(v) for v in s.split(",") if v.strip()]
-        eps_list = [float(v) for v in epsilon.split(",") if v.strip()]
-        bound_list = [b.strip() for b in bounds.split(",") if b.strip()]
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0,1)")
         rows, errors = harness.run_amplification_sweep(
-            n_list, s_list, eps_list, delta, bound_list, tolerance, t_fixed
+            harness._parse_list(n, int), harness._parse_list(s, int), harness._parse_list(epsilon, float),
+            delta, harness._parse_list(bounds, str), tolerance, t_fixed,
         )
     except ValueError as exc:
         _fail_invalid(str(exc))

@@ -27,6 +27,20 @@ METRICS = ("tve", "mae")
 REPORTS = ("raw_mean", "mean_log")
 
 
+def _check_grid(lists: dict[str, Sequence], sizes: Sequence[str]) -> None:
+    """Reject an empty grid list, a size in ``sizes`` below 1, or an epsilon not > 0."""
+    for name, values in lists.items():
+        if not values:
+            raise ValueError(f"config field {name} must be non-empty")
+    for name in sizes:
+        low = min(lists[name])
+        if low < 1:
+            raise ValueError(f"{name} must be >= 1, got {name}={low}")
+    for epsilon in lists["epsilon"]:
+        if not epsilon > 0:  # also rejects nan
+            raise ValueError(f"epsilon must be > 0, got epsilon={epsilon}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: tuple[int, ...]
@@ -42,16 +56,7 @@ class ExperimentConfig:
     report: str = "raw_mean"
 
     def __post_init__(self):
-        for name in ("n", "d", "s", "epsilon", "mechanism"):
-            if not getattr(self, name):
-                raise ValueError(f"config field {name} must be non-empty")
-        for name in ("n", "d", "s"):
-            low = min(getattr(self, name))
-            if low < 1:
-                raise ValueError(f"{name} must be >= 1, got {name}={low}")
-        for epsilon in self.epsilon:
-            if not epsilon > 0:  # also rejects nan
-                raise ValueError(f"epsilon must be > 0, got epsilon={epsilon}")
+        _check_grid({name: getattr(self, name) for name in ("n", "d", "s", "epsilon", "mechanism")}, ("n", "d", "s"))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for m in self.mechanism:
@@ -311,6 +316,7 @@ def run_amplification_sweep(
     is given.  The closed-form bound rows carry a caveat: its validity
     conditions are not checked.
     """
+    _check_grid({"n": n_list, "s": s_list, "epsilon": epsilons, "bounds": bounds}, ("n", "s"))
     rows: list[ReportRow] = []
     errors: list[str] = []
     for bound in bounds:

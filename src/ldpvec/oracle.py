@@ -6,17 +6,23 @@ laws come out exact up to float accumulation.  Sums are taken with
 ``math.fsum`` (correctly-rounded accumulation).
 
 Each mechanism has one ``TableLaw`` in ``LAWS``: its output law given an
-explicit table, and the hash points (event codes or dimensions) an input
-reads; the table restricted to those points keys the law's cache.  CoCo's
-law is in closed form over surviving writers: for a fixed (H1, H2) only
-the last writer of each H1 slot keeps its bucket pair, and under a
-uniformly random write order it is uniform over the slot's writers.
+explicit table, the hash points (event codes or dimensions) an input
+reads, and the law's symmetry (its bucket slots, and whether a slot is a
+bucket pair); the table restricted to an input's points keys the law's
+cache.  CoCo's law is in closed form over surviving writers: for a fixed
+(H1, H2) only the last writer of each H1 slot keeps its bucket pair, and
+under a uniformly random write order it is uniform over the slot's
+writers.
 
-The uniform hash family over all functions is materialised only when its
-description fits in 20 bits; mechanisms only read a hash at the events
-(or dimensions) an instance touches, so the family restricted to those
-points is an exact marginal of the full uniform family and is used
-whenever a caller does not supply an explicit family.
+Mechanisms only read a hash at the events (or dimensions) an instance
+touches, so the uniform family over all functions, restricted to those
+points, is an exact marginal of the full family and is used whenever a
+caller does not supply an explicit family.  Both laws are equivariant
+under relabelling buckets (permuting slots, and swapping the two buckets
+of a pair), and every quantity taken from them here is invariant, so
+that family is enumerated as one table per relabelling orbit, weighted
+by the orbit's share; it is materialised only when the representatives
+fit in 20 bits.
 """
 
 from __future__ import annotations
@@ -141,15 +147,16 @@ class TableLaw(NamedTuple):
 
     probs: Callable  # (x, table, params) -> P[z | x, table] over z = 1..t
     points: Callable  # x -> the hash points its law reads: event codes or dims
-    buckets: Callable  # t -> the number of values one point hashes to
+    slots: Callable  # t -> the number of slots a point hashes to
+    paired: bool  # slot k is the bucket pair (k, k + slots), else bucket k
     table: Callable  # ({point: value}, t) -> the explicit table
 
 
 LAWS = {
     "collision": TableLaw(
-        _collision_table_probs, TernaryVector.event_codes, lambda t: t, lambda values, t: CollisionTable(values)
+        _collision_table_probs, TernaryVector.event_codes, lambda t: t, False, lambda values, t: CollisionTable(values)
     ),
-    "coco": TableLaw(_coco_table_probs, lambda x: tuple(j for j, _ in x.support), lambda t: 2 * (t // 2), CocoTable),
+    "coco": TableLaw(_coco_table_probs, lambda x: tuple(j for j, _ in x.support), lambda t: t // 2, True, CocoTable),
 }
 
 
@@ -160,22 +167,48 @@ def _law(mechanism: str) -> TableLaw:
         raise ValueError(f"unknown mechanism {mechanism!r}") from None
 
 
-def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tuple[object, float]]:
-    """Every table on ``points``, equally weighted, generated lazily.
+def _orbit_count(n: int, slots: int, paired: bool) -> int:
+    """Relabelling orbits of tables on n points: sum over k <= slots of S(n, k), times 2^(n-k) if paired."""
+    members = 2 if paired else 1
+    ways = [1] + [0] * min(slots, n)  # ways[k]: representatives with k slots in use
+    for _ in range(n):
+        ways = [0] + [ways[k] * k * members + ways[k - 1] for k in range(1, len(ways))]
+    return sum(ways)
 
-    Exact marginal of the uniform family over the full domain; the 20-bit
-    description guard keeps enumeration honest.
+
+def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tuple[object, float]]:
+    """One table per relabelling orbit on ``points``, weighted by its share of the uniform family.
+
+    Slots are numbered by first use and, for a paired law, the first point
+    in a slot takes its lower bucket.  An orbit using k slots holds
+    perm(slots, k) tables, times 2^k if paired, out of (slots * 2)^n or
+    slots^n.  Generated lazily; the 20-bit guard counts representatives.
     """
-    count = law.buckets(t) ** len(points)
-    if count > 1 << 20:
+    slots, n = law.slots(t), len(points)
+    offsets = (0, slots) if law.paired else (0,)
+    if _orbit_count(n, slots, law.paired) > 1 << 20:
         raise ValueError("uniform family too large; pass an explicit sub-family")
-    for values in product(range(1, law.buckets(t) + 1), repeat=len(points)):
-        yield law.table(dict(zip(points, values)), t), 1.0 / count
+    total = (len(offsets) * slots) ** n
+
+    def extend(values: tuple[int, ...], used: int) -> Iterator[tuple[object, float]]:
+        if len(values) == n:
+            yield law.table(dict(zip(points, values)), t), math.perm(slots, used) * len(offsets) ** used / total
+            return
+        for slot in range(1, used + 1):
+            for offset in offsets:
+                yield from extend(values + (slot + offset,), used)
+        if used < slots:
+            yield from extend(values + (used + 1,), used + 1)
+
+    yield from extend((), 0)
 
 
 def uniform_collision_family(codes: Sequence[int], t: int) -> list[tuple[CollisionTable, float]]:
-    """All functions from ``codes`` into 1..t, equally weighted."""
-    return list(_uniform_tables(LAWS["collision"], codes, t))
+    """All functions from ``codes`` into 1..t, equally weighted (the full family, not orbit representatives)."""
+    count = t ** len(codes)
+    if count > 1 << 20:
+        raise ValueError("uniform family too large; pass an explicit sub-family")
+    return [(CollisionTable(zip(codes, values)), 1.0 / count) for values in product(range(1, t + 1), repeat=len(codes))]
 
 
 def _cached_probs(law: TableLaw, x: TernaryVector, points, table, params, cache: dict) -> np.ndarray:
@@ -202,83 +235,40 @@ def enumerate_distribution(mechanism: str, x: TernaryVector, params, family) -> 
 def verify_ldp(mechanism: str, params, family=None) -> float:
     """Max over inputs, tables and outputs of log(P[z|x,H] / P[z|x',H]).
 
-    With ``family=None`` the check is exhaustive over all hash tables: the
-    output law only depends on a table through its restriction to the
-    points the inputs read, so enumerating restrictions covers the full
-    uniform family exactly.  Collision does so through its cached hit-set
-    signatures; CoCo enumerates every (H1, H2) on all d dimensions.
+    With ``family=None`` the check is exhaustive over all hash tables.  A
+    pair (x, x') reads at most 2|points(x)| points, so every pair lies in
+    some set of that many points of the domain (or in the whole domain).
+    Each such set is checked on the uniform family restricted to it, an
+    exact marginal, over the inputs that read only its points, and that
+    family is enumerated as one table per bucket-relabelling orbit: the
+    worst ratio over z is the same on every table of an orbit.  The size
+    guard counts (input, representative table) evaluations.  An explicit
+    ``family`` is checked over all inputs at once.
     """
     law = _law(mechanism)
-    if family is None and mechanism == "collision":
-        return _collision_ldp_exhaustive(params)
-    inputs = all_sparse_vectors(params.d, params.s)
+    reads = [(x, law.points(x)) for x in all_sparse_vectors(params.d, params.s)]
     if family is None:
-        domain = tuple(dict.fromkeys(p for x in inputs for p in law.points(x)))
-        _guard(law.buckets(params.t) ** len(domain), params.t)
-        family = _uniform_tables(law, domain, params.t)
+        domain = sorted({p for _, points in reads for p in points})
+        k = len(reads[0][1])
+        size = min(2 * k, len(domain))
+        # each input lies in comb(|domain| - k, size - k) of the point sets
+        memberships = len(reads) * math.comb(len(domain) - k, size - k)
+        _guard(memberships * _orbit_count(size, law.slots(params.t), law.paired), params.t)
+        groups = (
+            ([r for r in reads if set(r[1]).issubset(points)], _uniform_tables(law, points, params.t))
+            for points in combinations(domain, size)
+        )
+    elif not family:
+        raise ValueError("verify_ldp needs a non-empty family of tables, got an empty family")
     else:
-        _guard(len(family) * len(inputs), params.t)
-    reads = [(x, law.points(x)) for x in inputs]
+        _guard(len(family) * len(reads), params.t)
+        groups = [(reads, family)]
     cache: dict[tuple, np.ndarray] = {}
     worst = 0.0
-    for table, _ in family:
-        m = np.stack([_cached_probs(law, x, points, table, params, cache) for x, points in reads])
-        worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
-    return math.log(worst)
-
-
-_collision_signature_cache: dict[tuple[int, int, int], frozenset] = {}
-
-
-def _collision_pair_signatures(d: int, s: int, t: int) -> frozenset:
-    """Distinct hit-set layouts over all input pairs and hash restrictions.
-
-    A pattern only matters through (|H(Y_x)|, |H(Y_x')|) and which of the
-    three z-classes (hit only x, hit only x', unhit by both) are
-    non-empty, so the exhaustive pattern sweep is collapsed once per
-    (d, s, t) and reused across privacy budgets.
-    """
-    key = (d, s, t)
-    got = _collision_signature_cache.get(key)
-    if got is not None:
-        return got
-    inputs = all_sparse_vectors(d, s)
-    sigs = set()
-    for i, x in enumerate(inputs):
-        cx = x.event_codes()
-        for xp in inputs[i + 1 :]:
-            cxp = xp.event_codes()
-            union = tuple(dict.fromkeys(cx + cxp))
-            for values in product(range(1, t + 1), repeat=len(union)):
-                lookup = dict(zip(union, values))
-                hx = frozenset(lookup[c] for c in cx)
-                hxp = frozenset(lookup[c] for c in cxp)
-                sigs.add(
-                    (len(hx), len(hxp), bool(hx - hxp), bool(hxp - hx), t > len(hx | hxp))
-                )
-    got = frozenset(sigs)
-    _collision_signature_cache[key] = got
-    return got
-
-
-def _collision_ldp_exhaustive(params: CollisionParams) -> float:
-    """Exhaustive per-table check via the cached hit-set signatures.
-
-    For a fixed table the law of z takes one value on hit buckets and one
-    on the rest, so the worst ratio over z is the max over the z-classes
-    a signature marks non-empty.
-    """
-    p_hit = params.hit_prob
-    worst = 1.0
-    for kx, kxp, x_only, xp_only, both_miss in _collision_pair_signatures(params.d, params.s, params.t):
-        ra = params.residual_prob(kx)
-        rb = params.residual_prob(kxp)
-        if x_only:
-            worst = max(worst, p_hit / rb, rb / p_hit)
-        if xp_only:
-            worst = max(worst, p_hit / ra, ra / p_hit)
-        if both_miss:
-            worst = max(worst, ra / rb, rb / ra)
+    for group, tables in groups:
+        for table, _ in tables:
+            m = np.stack([_cached_probs(law, x, points, table, params, cache) for x, points in group])
+            worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
     return math.log(worst)
 
 
@@ -373,9 +363,7 @@ def coco_exact_rates_by_rank(s: int, epsilon: float, t: int) -> tuple[float, flo
 
 
 def coco_exact_rates_by_table(s: int, epsilon: float, t: int) -> tuple[float, float, float]:
-    """(P_t, P_o, P_f) by full enumeration of tables, each under its surviving-writer law (s <= 3)."""
-    if s > 3:
-        raise ValueError("table enumeration supported for s <= 3")
+    """(P_t, P_o, P_f) by enumerating tables up to bucket relabelling, each under its surviving-writer law."""
     d = s + 1  # support dims 1..s, probe dim s+1 for the false rate
     params = MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
     x = TernaryVector(d=d, support=tuple((j, 1) for j in range(1, s + 1)))

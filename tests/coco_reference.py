@@ -1,18 +1,22 @@
-"""Literal per-permutation reference for CoCo's output law.
+"""Literal references for CoCo's output law and its hash family.
 
 ``coco_weight_vector`` runs the randomizer's assignment loop for one
 write order of the support, and ``CocoWeights`` validates one such
 trace.  Averaging the weight vector over all s! orders gives the law
 that ``ldpvec.oracle._coco_table_probs`` computes in closed form over
 surviving writers, so tests can check the closed form against it.
+``uniform_coco_family`` lists every (H1, H2) on a set of dimensions, the
+full family that the oracle's orbit representatives stand for.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from ldpvec.coco import coco_omega
+from ldpvec.oracle import CocoTable
 
 
 @dataclass(frozen=True)
@@ -71,3 +75,9 @@ def coco_weight_vector(
             W[k] = w
             W[k + half] = w
     return CocoWeights(w=W, omega=omega, epsilon=epsilon)
+
+
+def uniform_coco_family(dims, t: int) -> list:
+    """Every (H1, H2) on ``dims`` for even t, equally weighted, as j_plus bucket tables."""
+    count = t ** len(dims)
+    return [(CocoTable(dict(zip(dims, plus)), t), 1.0 / count) for plus in product(range(1, t + 1), repeat=len(dims))]

@@ -119,6 +119,9 @@ def test_efmrtt_examples():
     assert efmrtt_closed_form(1.0, 1e-6, 10**5) == pytest.approx(0.14105, abs=1e-5)
     assert efmrtt_closed_form(1.0, 1e-6, 10**12) < 1e-3
     assert efmrtt_closed_form(2.0, 1e-6, 10**5) == pytest.approx(2 * efmrtt_closed_form(1.0, 1e-6, 10**5))
+    for epsilon in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon > 0"):
+            efmrtt_closed_form(epsilon, 1e-6, 100)
 
 
 def test_query_validation():

@@ -249,7 +249,7 @@ def test_rate_ordering_and_overwrite_bound_grid():
 
 
 def test_exact_rate_routes_agree():
-    for (s, eps, t) in ((1, 0.7, 4), (2, 1.0, 8), (3, 0.5, 10), (2, 2.0, 12)):
+    for (s, eps, t) in ((1, 0.7, 4), (2, 1.0, 8), (3, 0.5, 10), (2, 2.0, 12), (4, 0.7, 10), (5, 1.0, 12)):
         closed = collision_rates(s, eps, t)
         rank = coco_exact_rates_by_rank(s, eps, t)
         table = coco_exact_rates_by_table(s, eps, t)
@@ -257,7 +257,7 @@ def test_exact_rate_routes_agree():
             assert got[0] == pytest.approx(closed.p_t, abs=1e-12)
             assert got[1] == pytest.approx(closed.p_o, abs=1e-12)
             assert got[2] == pytest.approx(closed.p_f, abs=1e-12)
-    # rank route also covers sparsities beyond table enumeration
+    # the rank route also reaches sparsities whose table enumeration would run for long
     rank = coco_exact_rates_by_rank(8, 0.5, 24)
     closed = collision_rates(8, 0.5, 24)
     assert rank[0] == pytest.approx(closed.p_t, abs=1e-12)

@@ -353,6 +353,48 @@ def test_cli_rejects_grid_values_outside_the_domain(flags, message):
     assert "point failed:" not in res.stderr
 
 
+def _amplify(*flags):
+    grid = {"--n": "500", "--s": "2", "--epsilon": "1.0"}
+    grid.update(zip(flags[::2], flags[1::2]))
+    return CliRunner().invoke(main, ["amplify", *(arg for pair in grid.items() for arg in pair)])
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--n", "0"), "n must be >= 1, got n=0"),
+        (("--n", "500,-3"), "n must be >= 1, got n=-3"),
+        (("--s", "0"), "s must be >= 1, got s=0"),
+        (("--epsilon", "0"), "epsilon must be > 0, got epsilon=0.0"),
+        (("--epsilon", "1.0,-1"), "epsilon must be > 0, got epsilon=-1.0"),
+        (("--epsilon", "nan"), "epsilon must be > 0, got epsilon=nan"),
+        (("--n", ""), "empty list value ''"),
+        (("--bounds", " , "), "empty list value ' , '"),
+    ],
+)
+def test_cli_amplify_rejects_grid_values_outside_the_domain(flags, message):
+    res = _amplify(*flags)
+    assert res.exit_code == 1, res.output
+    assert res.stdout == ""
+    assert f"invalid config: {message}" in res.stderr
+    assert "point failed:" not in res.stderr
+
+
+def test_amplification_sweep_rejects_empty_lists():
+    for args, name in ((([], [2], [1.0]), "n"), (([500], [], [1.0]), "s"), (([500], [2], []), "epsilon")):
+        with pytest.raises(ValueError, match=f"config field {name} must be non-empty"):
+            run_amplification_sweep(*args, 1e-6)
+    with pytest.raises(ValueError, match="config field bounds must be non-empty"):
+        run_amplification_sweep([500], [2], [1.0], 1e-6, bounds=())
+
+
+@pytest.mark.parametrize("flags", [("--epsilon", "inf"), ("--t", "2")])
+def test_cli_amplify_infinite_budget_and_small_t_fail_per_point(flags):
+    res = _amplify(*flags)
+    assert res.exit_code == 2, res.output
+    assert "point failed:" in res.stderr
+
+
 @pytest.mark.parametrize("flags, failed", [(("--s", "2,5"), "s=5"), (("--epsilon", "1.0,800"), "epsilon=800")])
 def test_cli_sparsity_above_dimension_and_huge_epsilon_fail_per_point(flags, failed):
     res = _simulate(*flags)

@@ -1,15 +1,21 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpvec.amplification import collision_alpha
 from ldpvec.collision import collision_params
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
 from ldpvec.oracle import (
+    LAWS,
     CocoTable,
     CollisionTable,
     ExactDistribution,
+    _orbit_count,
+    _uniform_tables,
     all_sparse_vectors,
     enumerate_distribution,
     exact_estimator_moments,
@@ -18,6 +24,7 @@ from ldpvec.oracle import (
     uniform_collision_family,
     verify_ldp,
 )
+from coco_reference import uniform_coco_family
 from pq_reference import exact_pq_laws
 
 LN2 = math.log(2)
@@ -108,6 +115,63 @@ def test_verify_ldp_explicit_family_matches_exhaustive():
     family = uniform_collision_family(tuple(range(1, 7)), 3)
     got = verify_ldp("collision", params, family)
     assert got == pytest.approx(verify_ldp("collision", params), abs=1e-12)
+
+
+def test_verify_ldp_rejects_an_empty_family():
+    with pytest.raises(ValueError, match="empty family"):
+        verify_ldp("collision", collision_params(3, 1, 0.9, 3), family=[])
+
+
+def _full_family(mechanism, d, t):
+    """The full uniform family on every point an input of dimension d can read."""
+    if mechanism == "collision":
+        return uniform_collision_family(tuple(range(1, 2 * d + 1)), t)
+    return uniform_coco_family(tuple(range(1, d + 1)), t)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_orbit_representatives_match_the_full_uniform_family(data):
+    mechanism = data.draw(st.sampled_from(sorted(LAWS)))
+    d = data.draw(st.integers(1, 3))
+    s = data.draw(st.integers(1, d))
+    if mechanism == "collision":
+        t = data.draw(st.integers(s + 1, 4))
+        params = collision_params(d, s, data.draw(st.floats(0.05, 3.0)), t)
+    else:
+        t = data.draw(st.sampled_from(range(2 * s + 2, 9, 2)))
+        params = MechanismParams(d=d, s=s, epsilon=data.draw(st.floats(0.05, 3.0)), t=t)
+    family = _full_family(mechanism, d, t)
+    assert verify_ldp(mechanism, params) == pytest.approx(verify_ldp(mechanism, params, family), abs=1e-12)
+    x = data.draw(st.sampled_from(all_sparse_vectors(d, s)))
+    if mechanism == "collision":
+        probe = {"estimator": "indicator", "event": EventId.from_code(data.draw(st.integers(1, 2 * d)))}
+    else:
+        probe = {"estimator": data.draw(st.sampled_from(("mean", "nonmissing"))), "dim": data.draw(st.integers(1, d))}
+    got = exact_estimator_moments(mechanism, params, x, **probe)
+    want = exact_estimator_moments(mechanism, params, x, family=family, **probe)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mechanism=st.sampled_from(sorted(LAWS)), n=st.integers(0, 6), t=st.integers(2, 9))
+def test_orbit_count_and_weights(mechanism, n, t):
+    law = LAWS[mechanism]
+    weights = [w for _, w in _uniform_tables(law, tuple(range(1, n + 1)), t)]
+    assert len(weights) == _orbit_count(n, law.slots(t), law.paired)
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_exhaustive_guard_counts_orbit_representatives():
+    # 8^6 tables on all six dims would exceed the guard; representatives on 4-dim sets do not
+    params = MechanismParams(d=6, s=2, epsilon=1.0, t=8)
+    assert verify_ldp("coco", params) <= 1.0 + 1e-9
+    for d, t in ((5, 6), (6, 4)):
+        assert verify_ldp("collision", collision_params(d, 2, 1.0, t)) == pytest.approx(1.0, abs=1e-9)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds guard"):
+        verify_ldp("collision", collision_params(6, 3, 1.0, 6))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_moments_collision_unbiased():
