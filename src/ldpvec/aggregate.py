@@ -13,6 +13,8 @@ mean_j / nonmissing_j of these two estimates.
 Mechanisms are looked up by name in ``MECHANISMS``.  The two hash
 mechanisms share one estimator: count, per event, the views whose own
 hash sends the event onto their symbol z, then debias the integer counts.
+Each brings one in-place hit kernel, ``event_hits(seeds, z, params)``, whose
+rows ``event_hit_counts`` sums over chunks sized to stay in a per-core L2 cache.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .domain import MechanismParams, check_integer
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
-# Cells of the (users x events) bucket matrix evaluated per chunk of the hit count.
-HIT_CHUNK_CELLS = 4_000_000
+# Cells of the (users x events) hit matrix evaluated per chunk of the hit count:
+# the kernel's two uint64 buffers (1 MiB together) stay in a per-core L2 cache.
+HIT_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,13 +54,13 @@ class Mechanism(NamedTuple):
     """One randomizer and its server-side estimator.
 
     Hash mechanisms debias per-event hit counts: ``debias(counts, n, params)``.
-    The hash-free baselines have no ``event_buckets`` and debias their
+    The hash-free baselines have no ``event_hits`` and debias their
     reports: ``debias(views, params) -> (values, n)``.
     """
 
     params: Callable  # (d, s, epsilon, t, target) -> MechanismParams; t=None picks the default; baselines fix t
     randomize: Callable  # (supports, signs, seeds, params, rng) -> views
-    event_buckets: Callable | None  # (seeds, params) -> (n, 2d) buckets in event-code order
+    event_hits: Callable | None  # (seeds, z, params) -> (m, 2d) bool hits in event-code order
     debias: Callable
 
 
@@ -76,14 +79,14 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> FrequencyEstima
     baselines take their batch randomizer's reports.
     """
     mech = mechanism(mechanism_name)
-    if mech.event_buckets is None:
+    if mech.event_hits is None:
         values, n = mech.debias(views, params)
         return FrequencyEstimate(values=values, n=n)
     seeds, z = _views_to_arrays(views, params.t)
     n = len(seeds)
     if n == 0:
         raise ValueError("no views to aggregate")
-    counts = event_hit_counts(seeds, z, mech.event_buckets, params)
+    counts = event_hit_counts(seeds, z, mech.event_hits, params)
     return FrequencyEstimate(values=mech.debias(counts, n, params), n=n)
 
 
@@ -102,17 +105,17 @@ def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
     return seeds, z
 
 
-def event_hit_counts(seeds: np.ndarray, z: np.ndarray, event_buckets: Callable, params) -> np.ndarray:
+def event_hit_counts(seeds: np.ndarray, z: np.ndarray, event_hits: Callable, params) -> np.ndarray:
     """Per event code 1..2d, the number of views whose hash sends it onto their z.
 
-    Counts are integers, so the chunking, which keeps the (users x events)
-    bucket matrix out of memory at large n, cannot change the result.
+    Counts are integers, so the chunking, which keeps each chunk's
+    (users x events) matrix in cache, cannot change the result.
     """
     counts = np.zeros(2 * params.d, dtype=np.int64)
     chunk = max(1, HIT_CHUNK_CELLS // (2 * params.d))
     for lo in range(0, len(seeds), chunk):
         hi = lo + chunk
-        counts += (event_buckets(seeds[lo:hi], params) == z[lo:hi, None]).sum(axis=0, dtype=np.int64)
+        counts += event_hits(seeds[lo:hi], z[lo:hi], params).sum(axis=0, dtype=np.int64)
     return counts
 
 
@@ -149,14 +152,14 @@ MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
         lambda d, s, epsilon, t, target: _col.collision_params(d, s, epsilon, t),
         lambda *args: _col.collision_randomize_batch(*args),
-        _col.collision_event_buckets, _collision_frequencies,
+        _col.collision_event_hits, _collision_frequencies,
     ),
     "coco": Mechanism(
         lambda d, s, epsilon, t, target: _coco.coco_params(
             d, s, epsilon, t, which="nonmissing" if target == "nonmissing" else "mean"
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
-        _coco.coco_event_buckets, _coco_frequencies,
+        _coco.coco_event_hits, _coco_frequencies,
     ),
     "privkv": Mechanism(
         lambda d, s, epsilon, t, target: MechanismParams(d, s, epsilon, 3),

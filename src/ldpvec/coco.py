@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MechanismParams, check_batch, exp_budget, pair_signs, pair_slots
+from .domain import STREAM_H1, STREAM_H2, MechanismParams, check_batch, exp_budget, keyed_hashes, pair_signs, pair_slots
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ def coco_omega(s: int, epsilon: float, t: int) -> float:
     return (math.exp(epsilon) + 1.0) * s + t - 2 * s
 
 
-def _check_domain(s: int, t: int) -> None:
+def check_coco_domain(s: int, t: int) -> None:
+    """Reject a (s, t) outside CoCo's domain, even t >= 2s+2, with a ValueError."""
     if s < 1:
         raise ValueError("s must be >= 1")
     if t % 2 != 0 or t < 2 * s + 2:
@@ -55,16 +56,17 @@ def overwrite_probability(s: int, t: int) -> float:
     """Chance a non-zero entry's bucket pair is overwritten by a later entry.
 
     Closed form 1 - (t^s - (t-2)^s) / (2 t^(s-1) s), derived from the
-    uniform rank of an entry and independent 2/t pair collisions.
+    uniform rank of an entry and independent 2/t pair collisions.  At
+    s = 1 it is exactly 0, which rounding can leave at -4e-16: clamped at 0.
     """
-    _check_domain(s, t)
+    check_coco_domain(s, t)
     ratio = (t - 2.0) / t
-    return 1.0 - t * (1.0 - ratio**s) / (2.0 * s)
+    return max(0.0, 1.0 - t * (1.0 - ratio**s) / (2.0 * s))
 
 
 def collision_rates(s: int, epsilon: float, t: int) -> CollisionRates:
     """Marginal collision rates of CoCo under ideal uniform hashing."""
-    _check_domain(s, t)
+    check_coco_domain(s, t)
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     p_ow = overwrite_probability(s, t)
@@ -102,7 +104,7 @@ def coco_choose_t(s: int, epsilon: float, which: str) -> int:
 def coco_params(d: int, s: int, epsilon: float, t: int | None = None, which: str = "mean") -> MechanismParams:
     if t is None:
         t = coco_choose_t(s, epsilon, which)
-    _check_domain(s, t)
+    check_coco_domain(s, t)
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
@@ -122,7 +124,7 @@ def coco_randomize_batch(
     sorting, then a single uniform draw picks a weight-e^eps bucket, a
     weight-1 bucket or a residual bucket.
     """
-    _check_domain(params.s, params.t)
+    check_coco_domain(params.s, params.t)
     check_batch(supports, signs, params)
     n, s = supports.shape
     t = params.t
@@ -174,16 +176,25 @@ def coco_randomize_batch(
     return np.where(seg_high, z_high, np.where(seg_low, z_low, z_res))
 
 
-def coco_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """Each user's bucket for every event code 1..2d, shape (n, 2d): j_plus is code 2j."""
+def coco_event_hits(seeds: np.ndarray, z: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """Whether each user's hashes send j_minus (code 2j-1) and j_plus (code 2j) onto its z: (m, 2d) bool.
+
+    Dimension j's events sit on the bucket pair (H1(j), H1(j) + t/2), so z can hit one only
+    where its slot (z - 1) mod t/2 equals H1(j) - 1.  The sign hash is evaluated on those
+    ~2/t of the cells alone: j_plus takes the upper bucket iff H2(j) = +1, so j_plus is hit
+    iff (H2(j) = +1) == (z > t/2), and j_minus on the other matched cells.
+    """
     half = params.t // 2
-    dims = np.arange(1, params.d + 1, dtype=np.int64)
-    h1 = pair_slots(seeds[:, None], dims[None, :], params.t)
-    up = (pair_signs(seeds[:, None], dims[None, :]) > 0) * half  # j_plus's offset above H1(j)
-    buckets = np.empty((len(seeds), params.d, 2), dtype=np.int64)  # (j_minus, j_plus) per dimension
-    np.subtract(h1 + half, up, out=buckets[:, :, 0])
-    np.add(h1, up, out=buckets[:, :, 1])
-    return buckets.reshape(len(seeds), 2 * params.d)
+    dims = np.arange(1, params.d + 1)
+    slots = keyed_hashes(seeds[:, None], dims, STREAM_H1)
+    np.remainder(slots, np.uint64(half), out=slots)
+    rows, cols = np.nonzero(slots == ((z - 1) % half).astype(np.uint64)[:, None])
+    plus_up = (keyed_hashes(seeds[rows], dims[cols], STREAM_H2) & np.uint64(1)) == 1
+    plus = plus_up == (z[rows] > half)
+    hits = np.zeros((len(seeds), params.d, 2), dtype=bool)  # (j_minus, j_plus) per dimension
+    hits[rows, cols, 1] = plus
+    hits[rows, cols, 0] = ~plus
+    return hits.reshape(len(seeds), 2 * params.d)
 
 
 def coco_predicted_mse(d: int, s: int, rates: CollisionRates, which: str) -> float:

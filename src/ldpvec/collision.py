@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MechanismParams, check_batch, exp_budget, hash_buckets
+from .domain import STREAM_SINGLE, MechanismParams, check_batch, exp_budget, hash_buckets, keyed_hashes
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,14 @@ def collision_randomize_batch(
     return np.where(is_hit, z_hit, z_miss)
 
 
-def collision_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """Each user's bucket for every event code 1..2d, shape (n, 2d)."""
-    codes = np.arange(1, 2 * params.d + 1, dtype=np.int64)
-    return hash_buckets(seeds[:, None], codes[None, :], params.t)
+def collision_event_hits(seeds: np.ndarray, z: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """Whether each user's hash sends event code c onto its symbol z, for c = 1..2d: (m, 2d) bool.
+
+    The buckets are compared 0-based in uint64: H(c) - 1 = mix(seed ^ key(c)) mod t against z - 1.
+    """
+    vals = keyed_hashes(seeds[:, None], np.arange(1, 2 * params.d + 1), STREAM_SINGLE)
+    np.remainder(vals, np.uint64(params.t), out=vals)
+    return vals == (z - 1).astype(np.uint64)[:, None]
 
 
 def collision_predicted_sum_variance(d: int, s: int, epsilon: float, t: float) -> float:

@@ -7,7 +7,8 @@ non-zero entries.  Each non-zero entry is identified with one of 2d
 
 Each user's hash functions are a keyed 64-bit pseudorandom function
 (splitmix64 finaliser) of one uint64 seed, so every experiment is
-bit-reproducible from a single master seed.  Two evaluation layouts exist:
+bit-reproducible from a single master seed: H(v) = mix(seed ^ mix(v ^ stream))
+(``keyed_hashes``), with one stream constant per hash role.  Two layouts exist:
 
   * ``single``: one hash H mapping event codes into buckets 1..t.
   * ``paired``: a dimension hash H1 into half-buckets 1..t/2 plus a sign
@@ -24,24 +25,32 @@ from typing import NamedTuple
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
 
 # Stream constants separate the independent hash roles derived from one seed.
 _STREAM_USER = 0x8AE6_55D1_1D90_2A31
-_STREAM_SINGLE = 0x243F_6A88_85A3_08D3
-_STREAM_H1 = 0x1319_8A2E_0370_7344
-_STREAM_H2 = 0xA409_3822_299F_31D0
+STREAM_SINGLE = 0x243F_6A88_85A3_08D3
+STREAM_H1 = 0x1319_8A2E_0370_7344
+STREAM_H2 = 0xA409_3822_299F_31D0
+
+
+def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finaliser over the uint64 array ``x``, in place; ``tmp`` is scratch of x's shape."""
+    np.add(x, _GOLDEN, out=x)
+    for shift, mul in ((30, _MUL1), (27, _MUL2)):
+        np.right_shift(x, shift, out=tmp)
+        np.bitwise_xor(x, tmp, out=x)
+        np.multiply(x, mul, out=x)
+    np.right_shift(x, 31, out=tmp)
+    return np.bitwise_xor(x, tmp, out=x)
 
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finaliser vectorised over uint64 arrays."""
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(_GOLDEN)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MUL1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MUL2)
-        return x ^ (x >> np.uint64(31))
+    """splitmix64 finaliser vectorised over uint64 arrays (a mixed copy)."""
+    x = np.array(x, dtype=np.uint64)
+    return _mix64_inplace(x, np.empty_like(x))
 
 
 class EventId(NamedTuple):
@@ -165,9 +174,15 @@ def check_batch(supports: np.ndarray, signs: np.ndarray, params) -> None:
 
 def user_hash_seeds(master_seed: int, n: int) -> np.ndarray:
     """Hash seeds of users 0..n-1, derived from one master seed."""
-    idx = np.arange(n, dtype=np.uint64) ^ np.uint64(_STREAM_USER)
-    base = _mix64_np(np.array(master_seed & _MASK64, dtype=np.uint64))
-    return _mix64_np(base ^ _mix64_np(idx))
+    return keyed_hashes(_mix64_np(master_seed & _MASK64), np.arange(n), _STREAM_USER)
+
+
+def keyed_hashes(seeds, values, stream: int) -> np.ndarray:
+    """mix(seed ^ mix(value ^ stream)) over broadcast seeds and integer values, mixed in place in one buffer."""
+    keys = _mix64_np(np.asarray(values, dtype=np.uint64) ^ np.uint64(stream))
+    x = np.empty(np.broadcast_shapes(np.shape(seeds), keys.shape), dtype=np.uint64)
+    np.bitwise_xor(np.asarray(seeds, dtype=np.uint64), keys, out=x)
+    return _mix64_inplace(x, np.empty_like(x))
 
 
 def hash_buckets(seeds: np.ndarray, codes: np.ndarray, t: int) -> np.ndarray:
@@ -175,23 +190,17 @@ def hash_buckets(seeds: np.ndarray, codes: np.ndarray, t: int) -> np.ndarray:
 
     Broadcasts seeds against codes; returns buckets in 1..t as int64.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    mixed = _mix64_np(np.asarray(codes, dtype=np.uint64) ^ np.uint64(_STREAM_SINGLE & _MASK64))
-    vals = _mix64_np(seeds ^ mixed)
+    vals = keyed_hashes(seeds, codes, STREAM_SINGLE)
     return (vals % np.uint64(t)).astype(np.int64) + 1
 
 
 def pair_slots(seeds: np.ndarray, dims: np.ndarray, t: int) -> np.ndarray:
     """Paired-layout H1 of ``dims`` (1-based) under each seed; in 1..t/2."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    mixed = _mix64_np(np.asarray(dims, dtype=np.uint64) ^ np.uint64(_STREAM_H1 & _MASK64))
-    vals = _mix64_np(seeds ^ mixed)
+    vals = keyed_hashes(seeds, dims, STREAM_H1)
     return (vals % np.uint64(t // 2)).astype(np.int64) + 1
 
 
 def pair_signs(seeds: np.ndarray, dims: np.ndarray) -> np.ndarray:
     """Paired-layout H2(j_plus) of ``dims`` under each seed; in {-1,+1}."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    mixed = _mix64_np(np.asarray(dims, dtype=np.uint64) ^ np.uint64(_STREAM_H2 & _MASK64))
-    vals = _mix64_np(seeds ^ mixed)
+    vals = keyed_hashes(seeds, dims, STREAM_H2)
     return np.where(vals & np.uint64(1), 1, -1).astype(np.int64, copy=False)

@@ -178,7 +178,7 @@ def frequency_estimate_for(
     """Randomize a dataset under one mechanism and aggregate frequencies."""
     mech = agg.mechanism(mechanism)
     params = mech.params(d, s, epsilon, t, target)
-    seeds = None if mech.event_buckets is None else user_hash_seeds(hash_master, supports.shape[0])
+    seeds = None if mech.event_hits is None else user_hash_seeds(hash_master, supports.shape[0])
     views = mech.randomize(supports, signs, seeds, params, rng)
     return agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
 
@@ -234,7 +234,7 @@ def single_user_mean_squared_errors(
     d-dimensional mean vector from that one private view.
     """
     mech = agg.mechanism(mechanism)
-    if mech.event_buckets is None:
+    if mech.event_hits is None:
         raise ValueError(f"mechanism must be collision or coco, got {mechanism!r}")
     rng_data, rng_mech, hash_master = _rep_streams(master_seed, 0, 0)
     supports, signs = gen_synthetic_arrays(trials, d, s, rng_data)
@@ -242,7 +242,7 @@ def single_user_mean_squared_errors(
     params = mech.params(d, s, epsilon, t, "mean")
     z = mech.randomize(supports, signs, seeds, params, rng_mech)
     # Each trial is its own one-user aggregation: debias its row of hits.
-    hits = (mech.event_buckets(seeds, params) == z[:, None]).astype(np.int64)
+    hits = mech.event_hits(seeds, z, params).astype(np.int64)
     est = agg.target_values(mech.debias(hits, 1, params), "mean")
     truth = np.zeros((trials, d))
     truth[np.arange(trials)[:, None], supports - 1] = signs

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .coco import coco_omega, collision_rates
+from .coco import check_coco_domain, coco_omega, collision_rates
 from .collision import CollisionParams, collision_output_probabilities
 from .domain import EventId, MechanismParams, TernaryVector
 
@@ -150,21 +150,29 @@ class TableLaw(NamedTuple):
     slots: Callable  # t -> the number of slots a point hashes to
     paired: bool  # slot k is the bucket pair (k, k + slots), else bucket k
     table: Callable  # ({point: value}, t) -> the explicit table
+    check: Callable  # (s, t) -> None; a ValueError outside the law's domain
 
 
 LAWS = {
     "collision": TableLaw(
-        _collision_table_probs, TernaryVector.event_codes, lambda t: t, False, lambda values, t: CollisionTable(values)
+        _collision_table_probs, TernaryVector.event_codes, lambda t: t, False, lambda values, t: CollisionTable(values),
+        lambda s, t: None,  # CollisionParams enforces t > s
     ),
-    "coco": TableLaw(_coco_table_probs, lambda x: tuple(j for j, _ in x.support), lambda t: t // 2, True, CocoTable),
+    "coco": TableLaw(
+        _coco_table_probs, lambda x: tuple(j for j, _ in x.support), lambda t: t // 2, True, CocoTable,
+        check_coco_domain,
+    ),
 }
 
 
-def _law(mechanism: str) -> TableLaw:
+def _law(mechanism: str, params) -> TableLaw:
+    """The law of ``mechanism``, once its domain check has passed on ``params``."""
     try:
-        return LAWS[mechanism]
+        law = LAWS[mechanism]
     except KeyError:
         raise ValueError(f"unknown mechanism {mechanism!r}") from None
+    law.check(params.s, params.t)
+    return law
 
 
 def _orbit_count(n: int, slots: int, paired: bool) -> int:
@@ -221,7 +229,7 @@ def _cached_probs(law: TableLaw, x: TernaryVector, points, table, params, cache:
 
 def enumerate_distribution(mechanism: str, x: TernaryVector, params, family) -> ExactDistribution:
     """Exact output law over (table id, z), including hash randomness."""
-    law = _law(mechanism)
+    law = _law(mechanism, params)
     _guard(len(family), params.t)
     probs = [weight * law.probs(x, table, params) for table, weight in family]
     support = tuple((tid, z) for tid in range(len(probs)) for z in range(1, params.t + 1))
@@ -245,7 +253,7 @@ def verify_ldp(mechanism: str, params, family=None) -> float:
     guard counts (input, representative table) evaluations.  An explicit
     ``family`` is checked over all inputs at once.
     """
-    law = _law(mechanism)
+    law = _law(mechanism, params)
     reads = [(x, law.points(x)) for x in all_sparse_vectors(params.d, params.s)]
     if family is None:
         domain = sorted({p for _, points in reads for p in points})
@@ -290,7 +298,7 @@ def exact_estimator_moments(
     The default family is the uniform family restricted to the events or
     dimensions the instance touches, which is an exact marginalisation.
     """
-    law = _law(mechanism)
+    law = _law(mechanism, params)
     point, terms = _estimator_terms(mechanism, params, estimator, event, dim)
     points = law.points(x)
     if family is None:
@@ -364,6 +372,7 @@ def coco_exact_rates_by_rank(s: int, epsilon: float, t: int) -> tuple[float, flo
 
 def coco_exact_rates_by_table(s: int, epsilon: float, t: int) -> tuple[float, float, float]:
     """(P_t, P_o, P_f) by enumerating tables up to bucket relabelling, each under its surviving-writer law."""
+    check_coco_domain(s, t)
     d = s + 1  # support dims 1..s, probe dim s+1 for the false rate
     params = MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
     x = TernaryVector(d=d, support=tuple((j, 1) for j in range(1, s + 1)))

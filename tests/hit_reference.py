@@ -1,0 +1,32 @@
+"""Literal bucket layouts that the hit kernels are checked against.
+
+Each layout returns every user's bucket for every event code 1..2d, shape
+(n, 2d), built from the public hash streams; a view hits event c exactly
+when its row's bucket for c equals its symbol z.  ``ldpvec.collision``
+and ``ldpvec.coco`` compute those hits without materialising buckets.
+"""
+
+import numpy as np
+
+from ldpvec.domain import MechanismParams, hash_buckets, pair_signs, pair_slots
+
+
+def collision_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """Each user's bucket for every event code 1..2d, shape (n, 2d)."""
+    codes = np.arange(1, 2 * params.d + 1, dtype=np.int64)
+    return hash_buckets(seeds[:, None], codes[None, :], params.t)
+
+
+def coco_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """Each user's bucket for every event code 1..2d, shape (n, 2d): j_plus is code 2j."""
+    half = params.t // 2
+    dims = np.arange(1, params.d + 1, dtype=np.int64)
+    h1 = pair_slots(seeds[:, None], dims[None, :], params.t)
+    up = (pair_signs(seeds[:, None], dims[None, :]) > 0) * half  # j_plus's offset above H1(j)
+    buckets = np.empty((len(seeds), params.d, 2), dtype=np.int64)  # (j_minus, j_plus) per dimension
+    np.subtract(h1 + half, up, out=buckets[:, :, 0])
+    np.add(h1, up, out=buckets[:, :, 1])
+    return buckets.reshape(len(seeds), 2 * params.d)
+
+
+REFERENCE_BUCKETS = {"collision": collision_event_buckets, "coco": coco_event_buckets}

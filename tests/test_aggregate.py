@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hit_reference import REFERENCE_BUCKETS
+from ldpvec import aggregate
 from ldpvec.aggregate import (
     MECHANISMS,
     TARGETS,
     FrequencyEstimate,
     aggregate_frequencies,
+    event_hit_counts,
     mae,
     project_to_simplex,
     simplex_projection,
@@ -268,3 +271,40 @@ def test_aggregate_rejects_malformed_baseline_reports():
     pckv = MECHANISMS["pckv_grr"].params(4, 1, 1.0, None, "frequency")
     with pytest.raises(ValueError, match="codes"):
         aggregate_frequencies(np.array([1, 9]), "pckv_grr", pckv)
+
+
+@st.composite
+def _hit_instances(draw):
+    """A hash mechanism's params, user seeds and symbols z, half of them on a bucket of the user's own."""
+    name = draw(st.sampled_from(sorted(REFERENCE_BUCKETS)))
+    d = draw(st.integers(1, 12))
+    s = draw(st.integers(1, d))
+    epsilon = draw(st.floats(0.05, 6.0))
+    low = 2 * s + 2 if name == "coco" else s + 1  # CoCo's minimum t, collision's t > s
+    t = draw(st.one_of(st.none(), st.just(low), st.integers(low, low + 40), st.integers(2**32 + 1, 2**40)))
+    if t is not None and name == "coco":
+        t += t % 2
+    params = MECHANISMS[name].params(d, s, epsilon, t, "mean")
+    n = draw(st.integers(1, 40))
+    seeds = user_hash_seeds(draw(st.integers(0, 2**64 - 1)), n)
+    buckets = REFERENCE_BUCKETS[name](seeds, params)
+    z = np.array([
+        buckets[i, draw(st.integers(0, 2 * d - 1))] if draw(st.booleans()) else draw(st.integers(1, params.t))
+        for i in range(n)
+    ], dtype=np.int64)
+    return name, params, seeds, z, buckets
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(instance=_hit_instances(), data=st.data())
+def test_hit_kernels_match_the_reference_layouts(instance, data):
+    name, params, seeds, z, buckets = instance
+    expected = buckets == z[:, None]
+    hits = MECHANISMS[name].event_hits(seeds, z, params)
+    assert hits.dtype == np.bool_ and np.array_equal(hits, expected)
+    cells = len(seeds) * 2 * params.d
+    for chunk in (1, 2 * params.d - 1, 2 * params.d, data.draw(st.integers(2, 3 * cells).filter(lambda c: cells % c))):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aggregate, "HIT_CHUNK_CELLS", chunk)
+            counts = event_hit_counts(seeds, z, MECHANISMS[name].event_hits, params)
+        assert counts.dtype == np.int64 and np.array_equal(counts, expected.sum(axis=0)), chunk

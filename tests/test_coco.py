@@ -45,6 +45,13 @@ def test_rates_examples():
     assert r0.p_t == pytest.approx(r0.p_o)
 
 
+def test_single_entry_is_never_overwritten():
+    # exactly 0 at s = 1, where the closed form rounds to -4.4e-16 on t = 14, 18, 24, ...
+    for t in range(4, 400, 2):
+        assert 0.0 <= overwrite_probability(1, t) < 1e-13
+        assert collision_rates(1, 3.0, t).p_ow == overwrite_probability(1, t)
+
+
 def test_rates_reject_bad_domain():
     with pytest.raises(ValueError):
         collision_rates(2, 1.0, 7)  # odd t

@@ -404,6 +404,42 @@ def test_cli_sparsity_above_dimension_and_huge_epsilon_fail_per_point(flags, fai
     assert len(res.stdout.splitlines()) == 1 + 4  # header, then the good point's four metric rows
 
 
+# Per field: (values the config accepts, among them epsilon = 800, on which every mechanism
+# fails per point; values the config rejects).
+_GRID_VALUES = {
+    "n": (st.integers(1, 50), st.sampled_from([0, -3])),
+    "d": (st.integers(1, 6), st.just(0)),
+    "s": (st.integers(1, 6), st.sampled_from([0, -1])),
+    "epsilon": (st.sampled_from([0.5, 1.0, 3.0, 800.0]), st.sampled_from([0.0, -0.5, math.nan])),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), mechanism=_distinct(st.sampled_from(harness.MECHANISMS)))
+def test_cli_simulate_exit_code_follows_the_grid(data, mechanism):
+    # at most one field carries an invalid value, mixed in with valid ones
+    bad = data.draw(st.sampled_from([None, None, None, *_GRID_VALUES]))
+    grid = {}
+    for key, (valid, invalid) in _GRID_VALUES.items():
+        values = data.draw(st.lists(valid, min_size=1, max_size=2, unique=True))
+        if key == bad:
+            values.insert(data.draw(st.integers(0, len(values))), data.draw(invalid))
+        grid[key] = values
+    res = _simulate(*(arg for key, values in grid.items() for arg in (f"--{key}", ",".join(map(str, values)))),
+                    "--mechanism", ",".join(mechanism))
+    failed = [line for line in res.stderr.splitlines() if line.startswith("point failed:")]
+    if bad is not None:
+        assert res.exit_code == 1, res.output
+        assert res.stdout == "" and "invalid config:" in res.stderr and not failed
+        return
+    points = [(d, s, e) for d in grid["d"] for s in grid["s"] for e in grid["epsilon"]]
+    failing = sum(s > d or e == 800.0 for d, s, e in points) * len(grid["n"]) * len(mechanism)
+    assert res.exit_code == (2 if failing else 0), res.output
+    assert len(failed) == failing
+    good = len(points) * len(grid["n"]) * len(mechanism) - failing
+    assert len(res.stdout.splitlines()) == 1 + 4 * good  # header, then four metric rows per good point
+
+
 @pytest.mark.parametrize("target", TARGETS)
 def test_cli_single_user_sweeps_every_mechanism(target):
     res = _simulate("--n", "1", "--repetitions", "2", "--mechanism", ",".join(harness.MECHANISMS), "--target", target)

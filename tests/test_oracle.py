@@ -17,6 +17,7 @@ from ldpvec.oracle import (
     _orbit_count,
     _uniform_tables,
     all_sparse_vectors,
+    coco_exact_rates_by_table,
     enumerate_distribution,
     exact_estimator_moments,
     lower_bound_statistic_distribution,
@@ -120,6 +121,46 @@ def test_verify_ldp_explicit_family_matches_exhaustive():
 def test_verify_ldp_rejects_an_empty_family():
     with pytest.raises(ValueError, match="empty family"):
         verify_ldp("collision", collision_params(3, 1, 0.9, 3), family=[])
+
+
+class _UnreadFamily:
+    """A family whose tables must not be reached: a domain check comes first."""
+
+    def __len__(self):
+        return 1
+
+    def __iter__(self):
+        raise AssertionError("a table was read before the domain check")
+
+
+@pytest.mark.parametrize("t", [4, 7, 1])
+def test_coco_oracle_rejects_t_outside_its_domain(t):
+    # t = 4 = 2s used to certify, odd t = 7 failed inside the law with "weights sum
+    # to ...", and t = 1 raised a bare "math domain error"
+    params = MechanismParams(d=4, s=2, epsilon=1.0, t=t)
+    x = TernaryVector(d=4, support=((1, 1), (3, -1)))
+    message = rf"CoCo needs even t >= 2s\+2, got t={t}, s=2"
+    with pytest.raises(ValueError, match=message):
+        verify_ldp("coco", params)
+    with pytest.raises(ValueError, match=message):
+        verify_ldp("coco", params, _UnreadFamily())
+    with pytest.raises(ValueError, match=message):
+        enumerate_distribution("coco", x, params, _UnreadFamily())
+    with pytest.raises(ValueError, match=message):
+        exact_estimator_moments("coco", params, x, "mean", dim=1)
+    with pytest.raises(ValueError, match=message):
+        exact_estimator_moments("coco", params, x, "nonmissing", dim=2, family=_UnreadFamily())
+    with pytest.raises(ValueError, match=message):
+        coco_exact_rates_by_table(2, 1.0, t)
+
+
+def test_oracle_checks_the_domain_once_per_call(monkeypatch):
+    calls = []
+    monkeypatch.setitem(LAWS, "coco", LAWS["coco"]._replace(check=lambda s, t: calls.append((s, t))))
+    params = MechanismParams(d=3, s=1, epsilon=LN2, t=4)
+    verify_ldp("coco", params)
+    exact_estimator_moments("coco", params, TernaryVector(d=3, support=((2, -1),)), "mean", dim=2)
+    assert calls == [(1, 4), (1, 4)]
 
 
 def _full_family(mechanism, d, t):
