@@ -7,7 +7,6 @@ amplification accountant.
 """
 
 from .aggregate import (
-    FrequencyEstimate,
     aggregate_frequencies,
     mae,
     project_to_simplex,

@@ -19,7 +19,6 @@ rows ``event_hit_counts`` sums over chunks sized to stay in a per-core L2 cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,26 +35,13 @@ TARGETS = ("frequency", "mean", "nonmissing")
 HIT_CHUNK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class FrequencyEstimate:
-    """Estimated frequencies of the 2d events, plus the contributing count."""
-
-    values: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if np.asarray(self.values).ndim != 1:
-            raise ValueError("values must be 1-d over the 2d events")
-
-
 class Mechanism(NamedTuple):
     """One randomizer and its server-side estimator.
 
     Hash mechanisms debias per-event hit counts: ``debias(counts, n, params)``.
     The hash-free baselines have no ``event_hits`` and debias their
-    reports: ``debias(views, params) -> (values, n)``.
+    reports: ``debias(views, params) -> values``.  Either way the values
+    are the 2d event-frequency estimates in event-code order.
     """
 
     params: Callable  # (d, s, epsilon, t, target) -> MechanismParams; t=None picks the default; baselines fix t
@@ -72,7 +58,7 @@ def mechanism(name: str) -> Mechanism:
         raise ValueError(f"unknown mechanism {name!r}") from None
 
 
-def aggregate_frequencies(views, mechanism_name: str, params) -> FrequencyEstimate:
+def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     """Average the per-user unbiased contributions for all 2d events.
 
     Hash mechanisms take a ``(seeds, z)`` pair of 1-d integer arrays;
@@ -80,14 +66,13 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> FrequencyEstima
     """
     mech = mechanism(mechanism_name)
     if mech.event_hits is None:
-        values, n = mech.debias(views, params)
-        return FrequencyEstimate(values=values, n=n)
+        return mech.debias(views, params)
     seeds, z = _views_to_arrays(views, params.t)
     n = len(seeds)
     if n == 0:
         raise ValueError("no views to aggregate")
     counts = event_hit_counts(seeds, z, mech.event_hits, params)
-    return FrequencyEstimate(values=mech.debias(counts, n, params), n=n)
+    return mech.debias(counts, n, params)
 
 
 def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,6 +169,8 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
     randomness, idempotent.
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"estimates must be one 1-d vector, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("estimates must be finite")
     u = np.sort(v)[::-1]
@@ -198,10 +185,9 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
-def project_to_simplex(estimate: FrequencyEstimate, s: int) -> FrequencyEstimate:
+def project_to_simplex(estimate: np.ndarray, s: int) -> np.ndarray:
     """Project 1/s-scaled frequencies onto the simplex, rescale back by s."""
-    projected = s * simplex_projection(np.asarray(estimate.values, dtype=float) / s)
-    return FrequencyEstimate(values=projected, n=estimate.n)
+    return s * simplex_projection(np.asarray(estimate, dtype=float) / s)
 
 
 def target_values(frequencies: np.ndarray, target: str) -> np.ndarray:
@@ -228,8 +214,7 @@ def mae(estimate, truth) -> float:
 
 
 def _as_matched_arrays(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(estimate.values if isinstance(estimate, FrequencyEstimate) else estimate, dtype=float)
-    b = np.asarray(truth.values if isinstance(truth, FrequencyEstimate) else truth, dtype=float)
+    a, b = np.asarray(estimate, dtype=float), np.asarray(truth, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     return a, b

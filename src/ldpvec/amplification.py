@@ -53,6 +53,11 @@ from scipy.special import bdtr, bdtrc, betainc, gammaln, ndtri, xlog1py, xlogy
 
 from .domain import exp_budget
 
+# Width of the final bisection bracket of ``amplified_epsilon``; also the
+# floor on eps_c in the log2 amplification ratio.
+BRACKET_WIDTH = 1e-4
+
+
 def collision_alpha(s: int, epsilon: float, t: int) -> float:
     """Amplification parameter of the collision randomizers: s(e^eps-1)/Omega.
 
@@ -121,17 +126,18 @@ class AmplificationQuery:
 
 @dataclass(frozen=True)
 class DivergenceResult:
-    delta_forward: float
-    delta_backward: float
+    """The divergence inside the window (either direction) and the mass outside it."""
+
+    delta: float
     truncation_mass: float
 
     def __post_init__(self):
-        if not all(v >= 0 for v in (self.delta_forward, self.delta_backward, self.truncation_mass)):
+        if not (self.delta >= 0 and self.truncation_mass >= 0):
             raise ValueError("divergence components must be non-negative")
 
     @property
     def reported_delta(self) -> float:
-        return max(self.delta_forward, self.delta_backward) + self.truncation_mass
+        return self.delta + self.truncation_mass
 
 
 @dataclass(frozen=True)
@@ -213,7 +219,7 @@ def _query_window(query: AmplificationQuery) -> QueryWindow:
 
 
 def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResult:
-    """Hockey-stick divergence D_{e^eps_c}(P || Q) and its reverse.
+    """Hockey-stick divergence D_{e^eps_c}(P || Q), which equals its reverse.
 
     Exact within the double tail truncation; the truncated probability
     mass is returned separately and belongs on top of the reported delta.
@@ -223,7 +229,7 @@ def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResu
     win = query.window
     if epsilon_c >= query.epsilon:
         # P <= e^eps Q on every cell, so both divergences vanish.
-        return DivergenceResult(delta_forward=0.0, delta_backward=0.0, truncation_mass=win.truncation_mass)
+        return DivergenceResult(delta=0.0, truncation_mass=win.truncation_mass)
     eeps, ee_c = math.exp(query.epsilon), math.exp(epsilon_c)
     slope = 2.0 * (eeps - 1.0) * (1.0 + ee_c) * win.x
     level = 2.0 * (1.0 - ee_c * eeps) * win.x + (1.0 - ee_c) * win.z
@@ -243,21 +249,18 @@ def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResu
         + (1.0 - ee_c * eeps) * x * (t - win.tail_prev_out[live])
         + (1.0 - ee_c) * z * (t + 0.5 * b - win.tail_out[live])
     )
-    delta = float(np.maximum(row, 0.0).sum())
     # Q - cP on cell u equals P - cQ on cell m - u of the same window.
-    return DivergenceResult(delta_forward=delta, delta_backward=delta, truncation_mass=win.truncation_mass)
+    return DivergenceResult(delta=float(np.maximum(row, 0.0).sum()), truncation_mass=win.truncation_mass)
 
 
-def amplified_epsilon(n: int, epsilon: float, alpha: float, delta: float, tolerance: float = 1e-4) -> float:
+def amplified_epsilon(n: int, epsilon: float, alpha: float, delta: float) -> float:
     """Smallest eps_c in [0, eps] whose reported delta is below ``delta``.
 
     Binary search over the monotone divergence, stopped once the bracket
-    is at most ``tolerance`` wide; its upper end is returned.  At eps_c =
-    eps the divergence vanishes, so the bracket always closes unless
-    truncation alone exceeds delta, in which case eps is returned.
+    is at most ``BRACKET_WIDTH`` wide; its upper end is returned.  At
+    eps_c = eps the divergence vanishes, so the bracket always closes
+    unless truncation alone exceeds delta, in which case eps is returned.
     """
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
     query = AmplificationQuery(n=n, epsilon=epsilon, alpha=alpha, delta=delta)
     if pq_divergence(query, epsilon).reported_delta > delta:
         return epsilon
@@ -265,7 +268,7 @@ def amplified_epsilon(n: int, epsilon: float, alpha: float, delta: float, tolera
         return 0.0
     lo, hi = 0.0, epsilon
     for _ in range(64):
-        if hi - lo <= tolerance:
+        if hi - lo <= BRACKET_WIDTH:
             break
         mid = 0.5 * (lo + hi)
         if pq_divergence(query, mid).reported_delta <= delta:

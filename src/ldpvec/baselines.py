@@ -6,7 +6,8 @@ randomized response.  PCKV samples one of the s existing entries and
 reports its event code through a GRR over all 2d codes; PCKV-AGRR is the
 same GRR run at the amplified inner budget eps' = log(s(e^eps - 1) + 1).
 Their ``MechanismParams`` carry the GRR's budget as ``epsilon`` and its
-number of categories as ``t``: 3 for PrivKV, 2d for PCKV.
+number of categories as ``t``: 3 for PrivKV, 2d for PCKV.  Each debias
+takes a batch of reports and returns the 2d event-frequency estimates.
 
 These reconstructions keep the error orders of the originals, which is
 all the comparative experiments rely on.
@@ -78,8 +79,8 @@ def pckv_randomize_batch(
     return np.where(keep, code, (code - 1 + shift) % params.t + 1)
 
 
-def privkv_debias(views, params: MechanismParams) -> tuple[np.ndarray, int]:
-    """Unbiased event-frequency estimates from PrivKV (j, value) reports, and their count.
+def privkv_debias(views, params: MechanismParams) -> np.ndarray:
+    """Unbiased event-frequency estimates from PrivKV (j, value) reports.
 
     A report only carries information about its sampled dimension, so each
     contribution is debiased within dimension j's group and scaled by d.
@@ -99,11 +100,11 @@ def privkv_debias(views, params: MechanismParams) -> tuple[np.ndarray, int]:
     for sign, off in ((-1, 0), (1, 1)):
         hits = np.bincount((j - 1)[values == sign], minlength=d).astype(float)
         est[off::2] = d * (hits - q * group) / (p - q) / n
-    return est, n
+    return est
 
 
-def pckv_debias(views, params: MechanismParams) -> tuple[np.ndarray, int]:
-    """Unbiased event-frequency estimates (scale s) from PCKV code reports, and their count."""
+def pckv_debias(views, params: MechanismParams) -> np.ndarray:
+    """Unbiased event-frequency estimates (scale s) from PCKV code reports."""
     _check_categories(params, 2 * params.d)
     codes = np.asarray(views)
     n = len(codes)
@@ -114,4 +115,4 @@ def pckv_debias(views, params: MechanismParams) -> tuple[np.ndarray, int]:
         raise ValueError(f"reported codes must be a 1-d array of values in 1..{params.t}")
     p, q = grr_probabilities(params.epsilon, params.t)
     hits = np.bincount(codes - 1, minlength=params.t).astype(float)
-    return params.s * (hits / n - q) / (p - q), n
+    return params.s * (hits / n - q) / (p - q)

@@ -12,7 +12,7 @@ import click
 import numpy as np
 
 from . import harness
-from .aggregate import TARGETS, FrequencyEstimate, project_to_simplex
+from .aggregate import TARGETS, project_to_simplex
 
 
 def _write(text: str, out: str | None) -> None:
@@ -96,18 +96,16 @@ def simulate(config_path, master_seed, n, d, s, epsilon, mechanism, repetitions,
               help="Subset of collision,clone,efmrtt.")
 @click.option("--t", "t_fixed", type=int, default=None,
               help="Fixed output size; default is the per-point optimum.")
-@click.option("--tolerance", type=float, default=1e-4,
-              help="Width of the final bisection bracket for eps_c.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
-def amplify(n, s, epsilon, delta, bounds, t_fixed, tolerance, out, fmt):
+def amplify(n, s, epsilon, delta, bounds, t_fixed, out, fmt):
     """Amplified budgets eps_c and log2 amplification ratios."""
     try:
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0,1)")
         rows, errors = harness.run_amplification_sweep(
             harness._parse_list(n, int), harness._parse_list(s, int), harness._parse_list(epsilon, float),
-            delta, harness._parse_list(bounds, str), tolerance, t_fixed,
+            delta, harness._parse_list(bounds, str), t_fixed,
         )
     except ValueError as exc:
         _fail_invalid(str(exc))
@@ -129,12 +127,10 @@ def project(s, in_path, out):
             raise ValueError("s must be >= 1")
         lines = []
         with open(in_path) as fh:
-            for lineno, line in enumerate(fh, 1):
+            for line in fh:
                 if not line.strip():
                     continue
-                values = np.array([float(v) for v in line.split(",")])
-                est = FrequencyEstimate(values=values, n=1)
-                projected = project_to_simplex(est, s).values
+                projected = project_to_simplex(np.array([float(v) for v in line.split(",")]), s)
                 lines.append(",".join(f"{v:.17g}" for v in projected))
     except ValueError as exc:
         _fail_invalid(str(exc))

@@ -51,6 +51,14 @@ class CollisionParams(MechanismParams):
         return (self.omega - math.exp(self.epsilon) * k) / ((self.t - k) * self.omega)
 
 
+def check_collision_params(params: MechanismParams) -> None:
+    """Reject params without collision's normaliser, which only ``CollisionParams`` carries."""
+    if not isinstance(params, CollisionParams):
+        raise ValueError(
+            f"collision needs CollisionParams, got {type(params).__name__}; build them with collision_params(d, s, epsilon, t)"
+        )
+
+
 def collision_optimal_t(s: int, epsilon: float) -> int:
     """Variance-minimising output size: max(s+1, floor(s*e^eps + 2s - 1))."""
     if s < 1:
@@ -93,6 +101,7 @@ def collision_randomize_batch(
     signs:    (n, s) entries in {-1, +1}.
     seeds:    (n,) per-user single-layout hash seeds.
     """
+    check_collision_params(params)
     check_batch(supports, signs, params)
     n, s = supports.shape
     t = params.t
@@ -128,7 +137,9 @@ def collision_event_hits(seeds: np.ndarray, z: np.ndarray, params: MechanismPara
     """Whether each user's hash sends event code c onto its symbol z, for c = 1..2d: (m, 2d) bool.
 
     The buckets are compared 0-based in uint64: H(c) - 1 = mix(seed ^ key(c)) mod t against z - 1.
+    Collision's debias needs ``CollisionParams``, so other params are rejected here, before any hashing.
     """
+    check_collision_params(params)
     vals = keyed_hashes(seeds[:, None], np.arange(1, 2 * params.d + 1), STREAM_SINGLE)
     np.remainder(vals, np.uint64(params.t), out=vals)
     return vals == (z - 1).astype(np.uint64)[:, None]

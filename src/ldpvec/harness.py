@@ -163,26 +163,6 @@ def _rep_streams(master_seed: int, grid_index: int, rep: int):
     return np.random.default_rng(c_data), np.random.default_rng(c_mech), hash_master
 
 
-def frequency_estimate_for(
-    mechanism: str,
-    supports: np.ndarray,
-    signs: np.ndarray,
-    d: int,
-    s: int,
-    epsilon: float,
-    rng: np.random.Generator,
-    hash_master: int,
-    target: str = "frequency",
-    t: int | None = None,
-) -> agg.FrequencyEstimate:
-    """Randomize a dataset under one mechanism and aggregate frequencies."""
-    mech = agg.mechanism(mechanism)
-    params = mech.params(d, s, epsilon, t, target)
-    seeds = None if mech.event_hits is None else user_hash_seeds(hash_master, supports.shape[0])
-    views = mech.randomize(supports, signs, seeds, params, rng)
-    return agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
-
-
 def simulate_point(
     mechanism: str,
     n: int,
@@ -194,7 +174,6 @@ def simulate_point(
     master_seed: int,
     grid_index: int,
     rep: int,
-    t: int | None = None,
 ) -> dict[str, float]:
     """One repetition at one grid point; returns metric name -> value."""
     rng_data, rng_mech, hash_master = _rep_streams(master_seed, grid_index, rep)
@@ -202,13 +181,16 @@ def simulate_point(
     truth_freq = agg.true_event_frequencies(supports, signs, d)
     truth = agg.target_values(truth_freq, target)
 
-    est = frequency_estimate_for(
-        mechanism, supports, signs, d, s, epsilon, rng_mech, hash_master, target, t
-    )
+    # Randomize under the mechanism (its default t) and aggregate the event frequencies.
+    mech = agg.mechanism(mechanism)
+    params = mech.params(d, s, epsilon, None, target)
+    seeds = None if mech.event_hits is None else user_hash_seeds(hash_master, n)
+    views = mech.randomize(supports, signs, seeds, params, rng_mech)
+    est = agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
     out: dict[str, float] = {}
-    raw = agg.target_values(np.asarray(est.values), target)
+    raw = agg.target_values(est, target)
     if projection:
-        projected = agg.target_values(np.asarray(agg.project_to_simplex(est, s).values), target)
+        projected = agg.target_values(agg.project_to_simplex(est, s), target)
         out["tve"] = agg.tve(projected, truth)
         out["mae"] = agg.mae(projected, truth)
         out["tve_raw"] = agg.tve(raw, truth)
@@ -307,7 +289,6 @@ def run_amplification_sweep(
     epsilons: Sequence[float],
     delta: float,
     bounds: Sequence[str] = AMPLIFICATION_BOUNDS,
-    tolerance: float = 1e-4,
     t_fixed: int | None = None,
 ) -> tuple[list[ReportRow], list[str]]:
     """Amplified budgets and log2 amplification ratios over a grid.
@@ -322,22 +303,20 @@ def run_amplification_sweep(
     for bound in bounds:
         if bound not in AMPLIFICATION_BOUNDS:
             raise ValueError(f"unknown bound {bound!r}")
-    if not 0 < tolerance < math.inf:
-        raise ValueError("tolerance must be positive and finite")
     for n, s, epsilon, bound in product(n_list, s_list, epsilons, bounds):
         caveat = ""
         try:
             if bound == "collision":
                 t = t_fixed if t_fixed is not None else col.collision_optimal_t(s, epsilon)
                 alpha = amp.collision_alpha(s, epsilon, t)
-                eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta, tolerance)
+                eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta)
             elif bound == "clone":
                 alpha = amp.generic_clone_alpha(epsilon)
-                eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta, tolerance)
+                eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta)
             else:
                 eps_c = amp.efmrtt_closed_form(epsilon, delta, n)
                 caveat = "closed-form validity conditions not checked"
-            ratio = math.log2(epsilon / max(eps_c, tolerance))
+            ratio = math.log2(epsilon / max(eps_c, amp.BRACKET_WIDTH))
             point_rows = [
                 ReportRow(
                     mechanism=f"bound:{bound}", n=n, d=0, s=s, epsilon=epsilon,

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .coco import check_coco_domain, coco_omega, collision_rates
-from .collision import CollisionParams, collision_output_probabilities
+from .collision import CollisionParams, check_collision_params, collision_output_probabilities
 from .domain import EventId, MechanismParams, TernaryVector
 
 _SIZE_GUARD = 10**6
@@ -150,17 +150,17 @@ class TableLaw(NamedTuple):
     slots: Callable  # t -> the number of slots a point hashes to
     paired: bool  # slot k is the bucket pair (k, k + slots), else bucket k
     table: Callable  # ({point: value}, t) -> the explicit table
-    check: Callable  # (s, t) -> None; a ValueError outside the law's domain
+    check: Callable  # params -> None; a ValueError outside the law's domain
 
 
 LAWS = {
     "collision": TableLaw(
         _collision_table_probs, TernaryVector.event_codes, lambda t: t, False, lambda values, t: CollisionTable(values),
-        lambda s, t: None,  # CollisionParams enforces t > s
+        check_collision_params,  # CollisionParams enforces t > s
     ),
     "coco": TableLaw(
         _coco_table_probs, lambda x: tuple(j for j, _ in x.support), lambda t: t // 2, True, CocoTable,
-        check_coco_domain,
+        lambda params: check_coco_domain(params.s, params.t),
     ),
 }
 
@@ -171,7 +171,7 @@ def _law(mechanism: str, params) -> TableLaw:
         law = LAWS[mechanism]
     except KeyError:
         raise ValueError(f"unknown mechanism {mechanism!r}") from None
-    law.check(params.s, params.t)
+    law.check(params)
     return law
 
 
@@ -453,6 +453,7 @@ def lower_bound_statistic_distribution(n: int, params: CollisionParams, swapped:
     With ``swapped`` the batch contains x1' instead of x1, which mirrors
     the statistic's coordinates.
     """
+    check_collision_params(params)
     s, t = params.s, params.t
     if n < 1:
         raise ValueError("n must be >= 1")

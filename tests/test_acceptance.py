@@ -269,7 +269,7 @@ def test_criterion_8_accountant_exactness():
         worst = max(worst, abs(got.reported_delta - brute))
     query = AmplificationQuery(n=1, epsilon=LN2, alpha=1 / 3, delta=1e-6)
     hand0 = pq_divergence(query, 0.0).reported_delta
-    hand1 = max(pq_divergence(query, LN2).delta_forward, pq_divergence(query, LN2).delta_backward)
+    hand1 = pq_divergence(query, LN2).delta
     ok = worst <= 1e-12 and abs(hand0 - 1 / 3) <= 1e-15 and hand1 == 0.0
     assert _report(
         8, ok, f"worst |engine - brute| = {worst:.2e}; n=1 hand values delta(0)={hand0:.15f}, delta(eps)={hand1}"
@@ -283,8 +283,8 @@ def test_criterion_9_tightness_ordering():
     for eps in (0.5, 1.0, 2.0):
         start = time.time()
         t = collision_optimal_t(s, eps)
-        ec_col = amplified_epsilon(n, eps, collision_alpha(s, eps, t), delta, tolerance=1e-4)
-        ec_gen = amplified_epsilon(n, eps, generic_clone_alpha(eps), delta, tolerance=1e-4)
+        ec_col = amplified_epsilon(n, eps, collision_alpha(s, eps, t), delta)
+        ec_gen = amplified_epsilon(n, eps, generic_clone_alpha(eps), delta)
         ef = efmrtt_closed_form(eps, delta, n)
         elapsed = time.time() - start
         ordered = ec_col <= ec_gen + 1e-4 and ec_gen <= ef + 1e-4

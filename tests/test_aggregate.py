@@ -12,7 +12,6 @@ from ldpvec import aggregate
 from ldpvec.aggregate import (
     MECHANISMS,
     TARGETS,
-    FrequencyEstimate,
     aggregate_frequencies,
     event_hit_counts,
     mae,
@@ -58,6 +57,10 @@ def test_projection_examples():
     assert simplex_projection(feasible) == pytest.approx(feasible)
     vertex = simplex_projection([-1.0, -2.0, -3.0])
     assert vertex == pytest.approx([1.0, 0.0, 0.0])
+    # one vector in, not a batch of rows or a scalar
+    for bad in (np.zeros((2, 3)), np.float64(0.5)):
+        with pytest.raises(ValueError, match="estimates must be one 1-d vector"):
+            simplex_projection(bad)
 
 
 def test_projection_matches_qp_oracle():
@@ -73,8 +76,8 @@ def test_projection_matches_qp_oracle():
     s=st.integers(1, 16),
 )
 def test_projection_idempotent_and_scaled(values, s):
-    once = np.asarray(project_to_simplex(FrequencyEstimate(values=values, n=1), s).values)
-    twice = np.asarray(project_to_simplex(FrequencyEstimate(values=once, n=1), s).values)
+    once = project_to_simplex(values, s)
+    twice = project_to_simplex(once, s)
     assert once.min() >= 0.0
     assert once.sum() == pytest.approx(s, abs=1e-9)
     assert twice == pytest.approx(once, abs=1e-12)
@@ -134,7 +137,7 @@ def test_collision_single_view_contribution_pattern():
     est = aggregate_frequencies((seeds, z), "collision", params)
     for code in range(1, 13):
         hit = hash_buckets(seeds, np.int64(code), 4)[0] == z[0]
-        assert est.values[code - 1] == pytest.approx(9.0 if hit else -3.0)
+        assert est[code - 1] == pytest.approx(9.0 if hit else -3.0)
 
 
 def test_aggregate_expectation_matches_truth_small_instance():
@@ -183,7 +186,7 @@ def test_coco_scalar_contributions_match_frequency_aggregation():
     z = coco_randomize_batch(
         np.tile([[2, 4]], (n, 1)), np.tile([[1, -1]], (n, 1)), seeds, params, np.random.default_rng(21)
     )
-    freq = aggregate_frequencies((seeds, z), "coco", params).values
+    freq = aggregate_frequencies((seeds, z), "coco", params)
     mean, nonmissing = target_values(freq, "mean"), target_values(freq, "nonmissing")
     for j in range(1, 6):
         by_views = np.mean([coco_mean_contribution(seed, zi, j, rates, 8) for seed, zi in zip(seeds, z)])
@@ -204,7 +207,7 @@ def test_coco_high_budget_recovers_one_hot():
     est = aggregate_frequencies((seeds, z), "coco", params)
     truth = np.zeros(2 * d)
     truth[2 * 3 - 1 - 1] = 1.0
-    assert np.abs(np.asarray(est.values) - truth).max() < 0.02
+    assert np.abs(est - truth).max() < 0.02
 
 
 def test_aggregate_rejects_empty_and_mismatched():

@@ -140,7 +140,7 @@ def test_n1_hand_values():
     r0 = pq_divergence(query, 0.0)
     assert r0.reported_delta == pytest.approx(1 / 3, abs=1e-15)
     r1 = pq_divergence(query, LN2)
-    assert max(r1.delta_forward, r1.delta_backward) == 0.0
+    assert r1.delta == 0.0
     assert r1.truncation_mass < 1e-12
 
 
@@ -155,10 +155,9 @@ def test_engine_matches_brute_force():
         query = AmplificationQuery(n=n, epsilon=eps, alpha=alpha, delta=1e-6)
         got = pq_divergence(query, eps_c)
         fwd, bwd = brute_force_divergence(n, eps, alpha, eps_c)
-        worst = max(worst, abs(got.delta_forward - fwd), abs(got.delta_backward - bwd))
+        # coordinate-swap symmetry: the one delta is both directions
+        worst = max(worst, abs(got.delta - fwd), abs(got.delta - bwd))
         assert got.truncation_mass < 1e-12
-        # coordinate-swap symmetry: the two directions agree exactly
-        assert got.delta_forward == pytest.approx(got.delta_backward, abs=1e-12)
     assert worst < 1e-12
 
 
@@ -189,7 +188,7 @@ def test_divergence_zero_at_local_budget():
     for n in (1, 2, 4, 50):
         query = AmplificationQuery(n=n, epsilon=1.0, alpha=0.25, delta=1e-8)
         res = pq_divergence(query, 1.0)
-        assert max(res.delta_forward, res.delta_backward) < 1e-15
+        assert res.delta < 1e-15
 
 
 def test_divergence_monotone_in_eps_c():
@@ -200,7 +199,7 @@ def test_divergence_monotone_in_eps_c():
 
 
 def test_amplified_epsilon_single_message_no_gain():
-    got = amplified_epsilon(1, LN2, 1 / 3, 1e-6, tolerance=1e-4)
+    got = amplified_epsilon(1, LN2, 1 / 3, 1e-6)
     assert got == pytest.approx(LN2, abs=1e-4)
 
 
@@ -244,10 +243,12 @@ def test_tightness_ordering_small_grid():
 
 def test_divergence_result_validation():
     with pytest.raises(ValueError):
-        DivergenceResult(delta_forward=-0.1, delta_backward=0.0, truncation_mass=0.0)
+        DivergenceResult(delta=-0.1, truncation_mass=0.0)
     with pytest.raises(ValueError):
-        DivergenceResult(delta_forward=math.nan, delta_backward=0.0, truncation_mass=0.0)
-    res = DivergenceResult(delta_forward=0.1, delta_backward=0.2, truncation_mass=0.01)
+        DivergenceResult(delta=math.nan, truncation_mass=0.0)
+    with pytest.raises(ValueError):
+        DivergenceResult(delta=0.1, truncation_mass=-0.01)
+    res = DivergenceResult(delta=0.2, truncation_mass=0.01)
     assert res.reported_delta == pytest.approx(0.21)
 
 
@@ -257,17 +258,16 @@ def test_divergence_matches_cell_reference(query, frac):
     eps_c = frac * query.epsilon
     got = pq_divergence(query, eps_c)
     fwd, bwd = reference_pq_divergence(query, eps_c)
-    assert got.delta_forward == pytest.approx(fwd, rel=1e-9, abs=1e-18)
-    assert got.delta_backward == pytest.approx(bwd, rel=1e-9, abs=1e-18)
     # swapping the coordinates maps P to Q and the window onto itself,
-    # which is why the engine computes one direction for both
-    assert fwd == pytest.approx(bwd, rel=1e-9, abs=1e-18)
+    # which is why the engine computes one delta for both directions
+    assert got.delta == pytest.approx(fwd, rel=1e-9, abs=1e-18)
+    assert got.delta == pytest.approx(bwd, rel=1e-9, abs=1e-18)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(queries(max_n=100_000), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
 def test_divergence_non_increasing_in_eps_c(query, fracs):
-    vals = [pq_divergence(query, f * query.epsilon).delta_forward for f in sorted(fracs)]
+    vals = [pq_divergence(query, f * query.epsilon).delta for f in sorted(fracs)]
     assert all(later <= earlier * (1.0 + 1e-12) for earlier, later in zip(vals, vals[1:]))
 
 
@@ -319,7 +319,7 @@ def test_divergence_rejects_non_finite_or_negative_eps_c(eps_c):
 def test_divergence_vanishes_above_local_budget():
     query = AmplificationQuery(n=1000, epsilon=1.0, alpha=0.2, delta=1e-6)
     res = pq_divergence(query, 800.0)
-    assert (res.delta_forward, res.delta_backward) == (0.0, 0.0)
+    assert res.delta == 0.0
     assert res.truncation_mass == pq_divergence(query, 0.5).truncation_mass > 0.0
 
 

@@ -146,7 +146,7 @@ def test_estimates_unbiased_by_enumeration():
         true = dict(x.support).get(j, 0)
         for v in (-1, 0, 1):
             pr = (p if v == true else q) / d
-            est += pr * aggregate_frequencies((np.array([j]), np.array([v])), "privkv", params).values
+            est += pr * aggregate_frequencies((np.array([j]), np.array([v])), "privkv", params)
     assert np.abs(est - truth).max() < 1e-12
 
     # pckv: enumerate emitted codes
@@ -156,13 +156,13 @@ def test_estimates_unbiased_by_enumeration():
     est = np.zeros(2 * d)
     for code in range(1, 2 * d + 1):
         pr = p if code == true_code else q
-        est += pr * aggregate_frequencies(np.array([code]), "pckv_grr", params).values
+        est += pr * aggregate_frequencies(np.array([code]), "pckv_grr", params)
     assert np.abs(est - truth).max() < 1e-12
 
 
 def test_privkv_zero_response_contributes_negative_mass():
     params = table_params("privkv", 4, 1, 1.0)
-    est = aggregate_frequencies((np.array([2]), np.array([0])), "privkv", params).values
+    est = aggregate_frequencies((np.array([2]), np.array([0])), "privkv", params)
     assert est[2 * 2 - 1 - 1] < 0 and est[2 * 2 - 1] < 0  # both events of dim 2
     assert est[0] == 0.0  # unsampled dimensions untouched
 
@@ -178,7 +178,7 @@ def test_batch_estimates_match_expected_frequency():
             views = privkv_randomize_batch(supports, signs, params, rng)
         else:
             views = pckv_randomize_batch(supports, signs, params, rng)
-        est = aggregate_frequencies(views, name, params).values
+        est = aggregate_frequencies(views, name, params)
         target = s / (2 * d)
         # crude per-event sigma bound: dominated by the debiasing scale
         p, q = grr_probabilities(params.epsilon, params.t)
@@ -201,7 +201,7 @@ def test_error_scaling_exponents():
                 views = privkv_randomize_batch(supports, signs, params, rng)
             else:
                 views = pckv_randomize_batch(supports, signs, params, rng)
-            est = aggregate_frequencies(views, name, params).values
+            est = aggregate_frequencies(views, name, params)
             errs.append(((est - truth) ** 2).sum())
         return float(np.mean(errs))
 

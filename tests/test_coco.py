@@ -205,7 +205,7 @@ def test_contribution_examples():
     other = next(z for z in range(1, 5) if z not in (hp, hm))
 
     def contributions(z):
-        freq = aggregate_frequencies((seeds, [z]), "coco", params).values
+        freq = aggregate_frequencies((seeds, [z]), "coco", params)
         return target_values(freq, "mean")[1], target_values(freq, "nonmissing")[1]
 
     (mean_hit, nm_hit), (mean_opp, _), (mean_other, nm_other) = map(contributions, (hp, hm, other))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpvec import collision, oracle
 from ldpvec.aggregate import aggregate_frequencies
 from ldpvec.collision import (
     CollisionParams,
@@ -14,7 +15,7 @@ from ldpvec.collision import (
     collision_predicted_sum_variance,
     collision_randomize_batch,
 )
-from ldpvec.domain import EventId, TernaryVector, hash_buckets, user_hash_seeds
+from ldpvec.domain import EventId, MechanismParams, TernaryVector, hash_buckets, user_hash_seeds
 
 LN2 = math.log(2)
 
@@ -74,8 +75,8 @@ def test_indicator_estimate_values_and_unbiasedness_identities():
     event = EventId(3, 1)
     hit_z = int(hash_buckets(seeds, np.int64(event.code), 4)[0])
     miss_z = next(z for z in range(1, 5) if z != hit_z)
-    hit = aggregate_frequencies((seeds, [hit_z]), "collision", params).values[event.code - 1]
-    miss = aggregate_frequencies((seeds, [miss_z]), "collision", params).values[event.code - 1]
+    hit = aggregate_frequencies((seeds, [hit_z]), "collision", params)[event.code - 1]
+    miss = aggregate_frequencies((seeds, [miss_z]), "collision", params)[event.code - 1]
     assert hit == pytest.approx(9.0)
     assert miss == pytest.approx(-3.0)
     # expectation identities from the designed collision rates
@@ -90,6 +91,41 @@ def test_indicator_estimate_rejects_degenerate_denominator():
         params = collision_params(4, 1, eps, 2)
         with pytest.raises(ValueError, match="degenerate"):
             aggregate_frequencies((user_hash_seeds(0, 1), [1]), "collision", params)
+
+
+_ONE_HOT = TernaryVector(d=3, support=((2, 1),))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda params: aggregate_frequencies((user_hash_seeds(0, 2), np.array([1, 3])), "collision", params),
+        lambda params: oracle.verify_ldp("collision", params),
+        lambda params: oracle.enumerate_distribution(
+            "collision", _ONE_HOT, params, oracle.uniform_collision_family(_ONE_HOT.event_codes(), 3)
+        ),
+        lambda params: oracle.exact_estimator_moments("collision", params, _ONE_HOT, "indicator", event=EventId(1, 1)),
+        lambda params: oracle.lower_bound_statistic_distribution(3, params),
+        lambda params: collision_randomize_batch(
+            np.array([[2]]), np.array([[1]]), user_hash_seeds(0, 1), params, np.random.default_rng(0)
+        ),
+    ],
+    ids=[
+        "aggregate_frequencies", "verify_ldp", "enumerate_distribution", "exact_estimator_moments",
+        "lower_bound_statistic_distribution", "collision_randomize_batch",
+    ],
+)
+def test_collision_entry_points_reject_params_without_the_normaliser(entry, monkeypatch):
+    # a plain MechanismParams lacks Omega and the hit/residual probabilities
+    def too_late(*args, **kwargs):
+        raise AssertionError("hashed or enumerated before the params were checked")
+
+    for module, name in (
+        (collision, "keyed_hashes"), (collision, "hash_buckets"), (oracle, "_uniform_tables"), (oracle, "all_sparse_vectors"),
+    ):
+        monkeypatch.setattr(module, name, too_late)
+    with pytest.raises(ValueError, match=r"collision needs CollisionParams.*collision_params\(d, s, epsilon, t\)"):
+        entry(MechanismParams(d=3, s=1, epsilon=1.0, t=3))
 
 
 def _distinct_rows(draw, d, s):

@@ -156,7 +156,7 @@ def test_coco_oracle_rejects_t_outside_its_domain(t):
 
 def test_oracle_checks_the_domain_once_per_call(monkeypatch):
     calls = []
-    monkeypatch.setitem(LAWS, "coco", LAWS["coco"]._replace(check=lambda s, t: calls.append((s, t))))
+    monkeypatch.setitem(LAWS, "coco", LAWS["coco"]._replace(check=lambda params: calls.append((params.s, params.t))))
     params = MechanismParams(d=3, s=1, epsilon=LN2, t=4)
     verify_ldp("coco", params)
     exact_estimator_moments("coco", params, TernaryVector(d=3, support=((2, -1),)), "mean", dim=2)
