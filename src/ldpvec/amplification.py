@@ -27,18 +27,17 @@ weight,
 
 The bracket increases with u, so the cells where P exceeds cQ form a
 suffix u >= k(m) of the row with k in closed form, and the row's share
-of the divergence is a sum of Binomial(., 1/2) tail differences at k and
-at the window edge.  One evaluation is one ``betainc`` and one pmf array
-over the rows; everything that does not depend on eps_c (the windows,
-their edge tails, pc and the truncation mass) is built once per query.
-Swapping the two coordinates maps P to Q and every row window onto
-itself, so the reverse divergence equals the forward one.
+of the divergence is a sum of Binomial(., 1/2) upper tails at k.  Every
+row is kept whole (u = 0..m), so one evaluation is one ``betainc`` and
+one pmf array over the rows; everything that does not depend on eps_c
+(the rows, pc and the truncation mass) is built once per query.
+Swapping the two coordinates maps P to Q and every row onto itself, so
+the reverse divergence equals the forward one.
 
-The windows are a C-window keeping all but <= delta*1e-3 of the
-Binomial(n-1, 2a) mass and a symmetric A-window per row.  The
-probability they exclude is summed from its binomial tails and added to
-the reported delta, so the result is a conservative upper bound that is
-exact when the windows cover the full support.
+The only truncation is a C-window keeping all but <= delta*1e-3 of the
+Binomial(n-1, 2a) mass.  The C-tail mass it excludes is added to the
+reported delta, so the result is a conservative upper bound that is
+exact inside the C-window.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, betainc, gammaln, ndtri, xlog1py, xlogy
+from scipy.special import bdtr, bdtrc, betainc, gammaln, xlog1py, xlogy
 
 from .domain import exp_budget
 
@@ -145,21 +144,13 @@ class QueryWindow:
     """Rows m = c_lo..c_hi+1 of a query and their eps_c-free terms.
 
     ``x`` = a pc(m-1) and ``z`` = r pc(m) weight the row's two sources
-    (a distinguished message counted, or not); [u_lo, u_hi] is its
-    A-window; ``tail_prev_hi``, ``tail_prev_out`` and ``tail_out`` are the
-    upper tails G(m-1, u_hi), G(m-1, u_hi+1) and G(m, u_hi+1), with G(c, k)
-    = P(Binomial(c, 1/2) >= k).  ``truncation_mass`` is the P-mass
-    outside the window.
+    (a distinguished message counted, or not); each row spans u = 0..m.
+    ``truncation_mass`` is the P-mass of the C-tails outside the window.
     """
 
     m: np.ndarray
     x: np.ndarray
     z: np.ndarray
-    u_lo: np.ndarray
-    u_hi: np.ndarray
-    tail_prev_hi: np.ndarray
-    tail_prev_out: np.ndarray
-    tail_out: np.ndarray
     truncation_mass: float
 
 
@@ -197,32 +188,15 @@ def _query_window(query: AmplificationQuery) -> QueryWindow:
     x = a * np.concatenate(([0.0], pc))
     z = r * np.concatenate((pc, [0.0]))
 
-    # A-window half-width: normal-tail quantile for the per-c budget, plus
-    # slack; the mass accounting below is exact regardless of the choice.
-    kz = abs(float(ndtri(max(tail, 1e-300) / 4.0))) + 2.0
-    w = kz * math.sqrt(max(c_hi, 1)) / 2.0 + 3.0
-    u_lo = np.maximum(0.0, np.floor(m / 2.0 - w)).astype(np.int64)
-    u_hi = m - u_lo
-    tail_prev_hi = _half_tail(m - 1, u_hi)
-    tail_prev_out = _half_tail(m - 1, u_hi + 1)
-    tail_out = _half_tail(m, u_hi + 1)
-
-    # Excluded mass: the C-tails, then per row the A-tails of each source,
-    # both sides at once since every A-window is symmetric.
     c_tails = (bdtr(c_lo - 1, nc, pc_p) if c_lo > 0 else 0.0) + (bdtrc(c_hi, nc, pc_p) if c_hi < nc else 0.0)
-    a_tails = 2.0 * z * tail_out + (eeps + 1.0) * x * (tail_prev_hi + tail_prev_out)
-    return QueryWindow(
-        m=m, x=x, z=z, u_lo=u_lo, u_hi=u_hi,
-        tail_prev_hi=tail_prev_hi, tail_prev_out=tail_prev_out, tail_out=tail_out,
-        truncation_mass=float(c_tails + a_tails.sum()),
-    )
+    return QueryWindow(m=m, x=x, z=z, truncation_mass=float(c_tails))
 
 
 def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResult:
     """Hockey-stick divergence D_{e^eps_c}(P || Q), which equals its reverse.
 
-    Exact within the double tail truncation; the truncated probability
-    mass is returned separately and belongs on top of the reported delta.
+    Exact within the C-window; the C-tail mass outside it is returned
+    separately and belongs on top of the reported delta.
     """
     if not (math.isfinite(epsilon_c) and epsilon_c >= 0):
         raise ValueError(f"epsilon_c must be finite and non-negative, got {epsilon_c!r}")
@@ -237,19 +211,19 @@ def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResu
     # slope 0, where the bracket is Z(1 - c) <= 0.
     with np.errstate(divide="ignore", invalid="ignore"):
         cut = np.floor(-win.m * level / slope) + 1.0
-    k = np.where(slope > 0, np.clip(cut, win.u_lo, win.u_hi + 1), win.u_hi + 1).astype(np.int64)
-    live = k <= win.u_hi
+    k = np.where(slope > 0, np.clip(cut, 0, win.m + 1), win.m + 1).astype(np.int64)
+    live = k <= win.m
     k, m, x, z = k[live], win.m[live], win.x[live], win.z[live]
-    # Sum over u = k..u_hi of P - cQ = X(E - c) B(m-1, u-1) + X(1 - cE) B(m-1, u)
+    # Sum over u = k..m of P - cQ = X(E - c) B(m-1, u-1) + X(1 - cE) B(m-1, u)
     # + Z(1 - c) B(m, u), by Pascal's rule: G(m-1, k-1) = t + b, G(m, k) = t + b/2.
     t = _half_tail(m - 1, k)
     b = _binom_pmf(m - 1, k - 1, 0.5)
     row = (
-        (eeps - ee_c) * x * (t + b - win.tail_prev_hi[live])
-        + (1.0 - ee_c * eeps) * x * (t - win.tail_prev_out[live])
-        + (1.0 - ee_c) * z * (t + 0.5 * b - win.tail_out[live])
+        (eeps - ee_c) * x * (t + b)
+        + (1.0 - ee_c * eeps) * x * t
+        + (1.0 - ee_c) * z * (t + 0.5 * b)
     )
-    # Q - cP on cell u equals P - cQ on cell m - u of the same window.
+    # Q - cP on cell u equals P - cQ on cell m - u of the same row.
     return DivergenceResult(delta=float(np.maximum(row, 0.0).sum()), truncation_mass=win.truncation_mass)
 
 
@@ -259,11 +233,12 @@ def amplified_epsilon(n: int, epsilon: float, alpha: float, delta: float) -> flo
     Binary search over the monotone divergence, stopped once the bracket
     is at most ``BRACKET_WIDTH`` wide; its upper end is returned.  At
     eps_c = eps the divergence vanishes, so the bracket always closes
-    unless truncation alone exceeds delta, in which case eps is returned.
+    unless truncation alone exceeds delta, which raises ``ValueError``.
     """
     query = AmplificationQuery(n=n, epsilon=epsilon, alpha=alpha, delta=delta)
-    if pq_divergence(query, epsilon).reported_delta > delta:
-        return epsilon
+    mass = query.window.truncation_mass
+    if mass > delta:
+        raise ValueError(f"truncation mass {mass:.6g} exceeds delta {delta:.6g}: no eps_c can be certified")
     if pq_divergence(query, 0.0).reported_delta <= delta:
         return 0.0
     lo, hi = 0.0, epsilon

@@ -134,7 +134,7 @@ def project(s, in_path, out):
                 lines.append(",".join(f"{v:.17g}" for v in projected))
     except ValueError as exc:
         _fail_invalid(str(exc))
-    _write("\n".join(lines) + "\n", out)
+    _write("".join(line + "\n" for line in lines), out)
     sys.exit(0)
 
 
@@ -154,7 +154,7 @@ def gen(n, d, s, seed, out):
     lines = []
     for i in range(n):
         lines.append(" ".join(f"{'+' if b > 0 else '-'}{j}" for j, b in zip(supports[i], signs[i])))
-    _write("\n".join(lines) + "\n", out)
+    _write("".join(line + "\n" for line in lines), out)
     sys.exit(0)
 
 

@@ -41,6 +41,15 @@ def _check_grid(lists: dict[str, Sequence], sizes: Sequence[str]) -> None:
             raise ValueError(f"epsilon must be > 0, got epsilon={epsilon}")
 
 
+def _check_names(kind: str, names: Sequence[str], known: Sequence[str]) -> None:
+    """Reject a name not in ``known`` or given twice."""
+    for i, name in enumerate(names):
+        if name not in known:
+            raise ValueError(f"unknown {kind} {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"{kind} {name!r} given twice")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: tuple[int, ...]
@@ -62,9 +71,7 @@ class ExperimentConfig:
         for m in self.mechanism:
             if m not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {m!r}")
-        for m in self.metrics:
-            if m not in METRICS:
-                raise ValueError(f"unknown metric {m!r}")
+        _check_names("metric", self.metrics, METRICS)
         if self.target not in agg.TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if self.report not in REPORTS:
@@ -300,9 +307,7 @@ def run_amplification_sweep(
     _check_grid({"n": n_list, "s": s_list, "epsilon": epsilons, "bounds": bounds}, ("n", "s"))
     rows: list[ReportRow] = []
     errors: list[str] = []
-    for bound in bounds:
-        if bound not in AMPLIFICATION_BOUNDS:
-            raise ValueError(f"unknown bound {bound!r}")
+    _check_names("bound", bounds, AMPLIFICATION_BOUNDS)
     for n, s, epsilon, bound in product(n_list, s_list, epsilons, bounds):
         caveat = ""
         try:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
-from scipy.stats import binom, norm
+from scipy.stats import binom
 
 import ldpvec
+from ldpvec import amplification
 from ldpvec.amplification import (
     AmplificationQuery,
     DivergenceResult,
@@ -27,13 +29,12 @@ LN2 = math.log(2)
 
 
 def reference_window(query):
-    """C-window edges and A-window half-width, from scipy.stats quantiles."""
+    """C-window edges, from scipy.stats quantiles."""
     tail = query.delta * 1e-3
     cdist = binom(query.n - 1, 2.0 * query.clone_prob)
     c_lo = max(0, int(cdist.ppf(tail / 2.0)) - 2)
     c_hi = min(query.n - 1, int(cdist.isf(tail / 2.0)) + 2)
-    kz = abs(norm.ppf(max(tail, 1e-300) / 4.0)) + 2.0
-    return c_lo, c_hi, kz * math.sqrt(max(c_hi, 1)) / 2.0 + 3.0
+    return c_lo, c_hi
 
 
 def _half_binom_row(c, u):
@@ -48,21 +49,19 @@ def _half_binom_row(c, u):
 
 
 def reference_pq_divergence(query, eps_c):
-    """Cell-by-cell hockey-stick sums (forward, backward) over the window."""
+    """Cell-by-cell hockey-stick sums (forward, backward) over whole rows of the C-window."""
     eps, a = query.epsilon, query.clone_prob
     eeps = math.exp(eps)
     r = max(0.0, 1.0 - a - eeps * a)
-    c_lo, c_hi, w = reference_window(query)
+    c_lo, c_hi = reference_window(query)
     pc = binom(query.n - 1, 2.0 * a).pmf(np.arange(c_lo, c_hi + 1))
     ee_c = math.exp(eps_c)
     fwd = bwd = 0.0
     for m in range(c_lo, c_hi + 2):
-        u_lo = max(0, int(math.floor(m / 2.0 - w)))
-        u_hi = m - u_lo
         pc_prev = pc[m - 1 - c_lo] if c_lo <= m - 1 <= c_hi else 0.0
         pc_cur = pc[m - c_lo] if c_lo <= m <= c_hi else 0.0
-        row_prev = _half_binom_row(m - 1, np.arange(u_lo - 1, u_hi + 1))
-        pa_cur = _half_binom_row(m, np.arange(u_lo, u_hi + 1))
+        row_prev = _half_binom_row(m - 1, np.arange(-1, m + 1))
+        pa_cur = _half_binom_row(m, np.arange(0, m + 1))
         P = eeps * a * pc_prev * row_prev[:-1] + a * pc_prev * row_prev[1:] + r * pc_cur * pa_cur
         Q = a * pc_prev * row_prev[:-1] + eeps * a * pc_prev * row_prev[1:] + r * pc_cur * pa_cur
         fwd += float(np.maximum(0.0, P - ee_c * Q).sum())
@@ -214,6 +213,13 @@ def test_vacuous_delta_amplifies_to_zero():
     assert amplified_epsilon(100, 1.0, 0.2, 1.0 - 1e-12) == 0.0
 
 
+def test_truncation_above_delta_is_an_error(monkeypatch):
+    real = amplification._query_window
+    monkeypatch.setattr(amplification, "_query_window", lambda q: dataclasses.replace(real(q), truncation_mass=1.0))
+    with pytest.raises(ValueError, match=r"truncation mass 1 exceeds delta 1e-06"):
+        amplified_epsilon(1000, 1.0, 0.2, 1e-6)
+
+
 @pytest.mark.parametrize("n", [1_000, 100_000])
 def test_accountant_at_tiny_delta(n):
     # down to delta = 1e-300 the windows, the truncation slack and the
@@ -258,7 +264,7 @@ def test_divergence_matches_cell_reference(query, frac):
     eps_c = frac * query.epsilon
     got = pq_divergence(query, eps_c)
     fwd, bwd = reference_pq_divergence(query, eps_c)
-    # swapping the coordinates maps P to Q and the window onto itself,
+    # swapping the coordinates maps P to Q and every row onto itself,
     # which is why the engine computes one delta for both directions
     assert got.delta == pytest.approx(fwd, rel=1e-9, abs=1e-18)
     assert got.delta == pytest.approx(bwd, rel=1e-9, abs=1e-18)
@@ -277,35 +283,20 @@ def test_window_edges_match_scipy_stats():
             for frac in (1.0, 0.1, 1e-3):
                 for delta in (1e-3, 1e-6, 1e-12):
                     query = AmplificationQuery(n=n, epsilon=eps, alpha=generic_clone_alpha(eps) * frac, delta=delta)
-                    c_lo, c_hi, w = reference_window(query)
-                    win = query.window
-                    assert (win.m[0], win.m[-1]) == (c_lo, c_hi + 1)
-                    assert np.array_equal(win.u_lo, np.maximum(0, np.floor(win.m / 2.0 - w)))
+                    c_lo, c_hi = reference_window(query)
+                    assert (query.window.m[0], query.window.m[-1]) == (c_lo, c_hi + 1)
 
 
-# At delta = 0.5 the A-window tails weigh ~1e-5 of the mass, so the
-# comparison reaches them as well as the C-tails.
+# Rows are whole, so the two C-tails are the only mass left out, at
+# delta = 0.5 (a narrow C-window) as well as at 1e-6.
 @pytest.mark.parametrize("delta", [1e-6, 0.5])
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_truncation_mass_is_the_sum_of_excluded_tails(n, delta):
     eps = 1.0
     query = AmplificationQuery(n=n, epsilon=eps, alpha=collision_alpha(4, eps, 17), delta=delta)
-    a = query.clone_prob
-    eeps = math.exp(eps)
-    c_lo, c_hi, w = reference_window(query)
-    cdist = binom(n - 1, 2.0 * a)
-    c = np.arange(c_lo, c_hi + 1)
-    pc = cdist.pmf(c)
-    lo = np.maximum(0, np.floor(c / 2.0 - w))  # A-window of row c
-    lo_next = np.maximum(0, np.floor((c + 1) / 2.0 - w))  # and of row c + 1
-
-    def outside(lo, hi):
-        return binom.cdf(lo - 1, c, 0.5) + binom.sf(hi, c, 0.5)
-
+    c_lo, c_hi = reference_window(query)
+    cdist = binom(n - 1, 2.0 * query.clone_prob)
     terms = [cdist.cdf(c_lo - 1), cdist.sf(c_hi)]
-    terms += list((1.0 - a - eeps * a) * pc * outside(lo, c - lo))  # D = (0, 0)
-    terms += list(eeps * a * pc * outside(lo_next - 1, c - lo_next))  # D = (1, 0)
-    terms += list(a * pc * outside(lo_next, c + 1 - lo_next))  # D = (0, 1)
     assert query.window.truncation_mass == pytest.approx(math.fsum(terms), rel=1e-6)
 
 

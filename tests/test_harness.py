@@ -257,6 +257,14 @@ def test_cli_gen_and_project(tmp_path):
     for row in rows:
         assert row.sum() == pytest.approx(1.0, abs=1e-9) and row.min() >= 0.0
 
+    # no rows in, no bytes out
+    res3 = runner.invoke(main, ["gen", "--n", "0", "--d", "3", "--s", "1", "--seed", "1", "--out", str(out)])
+    assert res3.exit_code == 0 and out.read_bytes() == b""
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    res4 = runner.invoke(main, ["project", "--s", "1", "--in", str(empty), "--out", str(proj)])
+    assert res4.exit_code == 0 and proj.read_bytes() == b""
+
 
 def test_cli_amplify(tmp_path):
     runner = CliRunner()
@@ -334,6 +342,7 @@ def _simulate(*flags):
         (("--epsilon", "0"), "epsilon must be > 0, got epsilon=0.0"),
         (("--epsilon", "1.0,-0.5"), "epsilon must be > 0, got epsilon=-0.5"),
         (("--epsilon", "nan"), "epsilon must be > 0, got epsilon=nan"),
+        (("--metrics", "tve,mae,tve"), "metric 'tve' given twice"),
     ],
 )
 def test_cli_rejects_grid_values_outside_the_domain(flags, message):
@@ -361,6 +370,7 @@ def _amplify(*flags):
         (("--epsilon", "nan"), "epsilon must be > 0, got epsilon=nan"),
         (("--n", ""), "empty list value ''"),
         (("--bounds", " , "), "empty list value ' , '"),
+        (("--bounds", "clone,clone"), "bound 'clone' given twice"),
     ],
 )
 def test_cli_amplify_rejects_grid_values_outside_the_domain(flags, message):

@@ -18,12 +18,15 @@ SIMULATE = [
     "simulate", "--master-seed", "11", "--n", "400", "--d", "8", "--s", "2", "--epsilon", "0.5,2.0",
     "--mechanism", "collision,coco,privkv,pckv_grr,pckv_agrr", "--repetitions", "2",
 ]
+EDGES = ["amplify", "--n", "2,17,1000,1000000", "--s", "1,8", "--epsilon", "0.05,3.0,8.0"]
 COMMANDS = {
     "simulate_frequency.csv": SIMULATE + ["--target", "frequency"],
     "simulate_mean.csv": SIMULATE + ["--target", "mean"],
     "simulate_nonmissing.csv": SIMULATE + ["--target", "nonmissing"],
     "amplify.csv": ["amplify", "--n", "300,1000", "--s", "2", "--epsilon", "0.5,1.0"],
     "amplify_large.csv": ["amplify", "--n", "10000,100000", "--s", "4", "--epsilon", "0.5,1.0,2.0"],
+    "amplify_edges_tiny.csv": EDGES + ["--delta", "1e-300"],
+    "amplify_edges_vacuous.csv": EDGES + ["--delta", "0.5"],
 }
 
 
