@@ -29,7 +29,7 @@ def amplified_budget(s: int, epsilon: float) -> float:
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     exp_budget(epsilon, s)
-    return math.log(s * math.expm1(epsilon) + 1.0)
+    return math.log1p(s * math.expm1(epsilon))
 
 
 def _check_categories(params: MechanismParams, k: int) -> None:
@@ -41,6 +41,14 @@ def grr_probabilities(epsilon: float, k: int) -> tuple[float, float]:
     """(truth, other) probabilities of a k-outcome randomized response."""
     eeps = math.exp(epsilon)
     return eeps / (eeps + k - 1.0), 1.0 / (eeps + k - 1.0)
+
+
+def _debias_probabilities(params: MechanismParams) -> tuple[float, float]:
+    """The GRR's (p, q), with p - q too small to divide by as a ValueError."""
+    p, q = grr_probabilities(params.epsilon, params.t)
+    if abs(p - q) < 1e-15:
+        raise ValueError(f"degenerate GRR: p - q = {p - q:.3g} at epsilon={params.epsilon:g} over {params.t} categories")
+    return p, q
 
 
 def privkv_randomize_batch(
@@ -94,7 +102,7 @@ def privkv_debias(views, params: MechanismParams) -> np.ndarray:
     d = params.d
     if j.shape != values.shape or j.min() < 1 or j.max() > d or not np.isin(values, (-1, 0, 1)).all():
         raise ValueError(f"PrivKV reports need dimensions j in 1..{d} and values in -1, 0, +1, one per j")
-    p, q = grr_probabilities(params.epsilon, params.t)
+    p, q = _debias_probabilities(params)
     est = np.zeros(2 * d)
     group = np.bincount(j - 1, minlength=d).astype(float)
     for sign, off in ((-1, 0), (1, 1)):
@@ -113,6 +121,6 @@ def pckv_debias(views, params: MechanismParams) -> np.ndarray:
     check_integer(codes=codes)
     if codes.ndim != 1 or codes.min() < 1 or codes.max() > params.t:
         raise ValueError(f"reported codes must be a 1-d array of values in 1..{params.t}")
-    p, q = grr_probabilities(params.epsilon, params.t)
+    p, q = _debias_probabilities(params)
     hits = np.bincount(codes - 1, minlength=params.t).astype(float)
     return params.s * (hits / n - q) / (p - q)

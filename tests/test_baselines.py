@@ -43,6 +43,12 @@ def test_amplified_budget_example():
             amplified_budget(s, eps)
 
 
+def test_amplified_budget_keeps_precision_at_small_epsilon():
+    # log(s(e^eps - 1) + 1) drops the low digits of s(e^eps - 1) when it is tiny
+    assert amplified_budget(2, 1e-12) == pytest.approx(math.log1p(2 * math.expm1(1e-12)), rel=1e-12, abs=0)
+    assert amplified_budget(2, 1e-300) > 0
+
+
 def test_table_builds_each_grr_at_its_budget_and_alphabet():
     d, s, eps = 5, 3, 0.7
     assert table_params("privkv", d, s, eps) == MechanismParams(d=d, s=s, epsilon=eps, t=3)

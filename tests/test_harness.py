@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import tracemalloc
+from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -45,6 +48,56 @@ def test_gen_synthetic_event_frequencies():
     target = s / (2 * d)
     sigma = math.sqrt(target * (1 - target) / n)
     assert np.abs(freq - target).max() < 4 * sigma
+
+
+class _ScriptedDraws:
+    """A Generator stand-in whose i-th support draw is column i of ``sequences``."""
+
+    def __init__(self, d: int, sequences: np.ndarray):
+        self.d, self.sequences, self.draws = d, sequences, 0
+
+    def integers(self, low, high, size):
+        if isinstance(size, tuple):  # the signs
+            return np.ones(size, dtype=np.int64)
+        n, k = self.sequences.shape
+        assert (low, high, size) == (0, self.d - k + self.draws + 1, n)
+        self.draws += 1
+        return self.sequences[:, self.draws - 1]
+
+
+@pytest.mark.parametrize("d, s", [(6, 1), (5, 2), (6, 3), (6, 4), (7, 5), (5, 5)])
+def test_gen_synthetic_is_exactly_uniform_over_every_draw_sequence(d, s):
+    # One row per possible draw sequence (draw i uniform in 0..d-k+i): every
+    # s-subset must come out equally often, with no sampling and no tolerance.
+    k = min(s, d - s)
+    sequences = np.array(list(product(*(range(j + 1) for j in range(d - k, d)))), dtype=np.int64)
+    rng = _ScriptedDraws(d, sequences)
+    supports, signs = gen_synthetic_arrays(len(sequences), d, s, rng)
+    assert rng.draws == k
+    assert supports.dtype == signs.dtype == np.int64 and (signs == 1).all()
+    counts = Counter(map(tuple, supports.tolist()))
+    assert set(counts) == set(combinations(range(1, d + 1), s))
+    assert len(set(counts.values())) == 1
+
+
+def test_gen_synthetic_memory_is_linear_in_the_support():
+    # an n x d float matrix at this size is 410 MB; the supports and signs are 6.4 MB each
+    tracemalloc.start()
+    try:
+        gen_synthetic_arrays(100_000, 512, 8, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_cli_gen_at_huge_dimension():
+    d = 10**12
+    res = CliRunner().invoke(main, ["gen", "--n", "2", "--d", str(d), "--s", "3", "--seed", "1"])
+    assert res.exit_code == 0, res.output
+    rows = [[abs(int(v)) for v in line.split()] for line in res.stdout.splitlines()]
+    assert len(rows) == 2
+    assert all(len(dims) == 3 and 1 <= dims[0] < dims[1] < dims[2] <= d for dims in rows)
 
 
 def test_gen_synthetic_rejects_oversparse():
@@ -439,6 +492,26 @@ def test_cli_simulate_exit_code_follows_the_grid(data, mechanism):
     assert len(failed) == failing
     good = len(points) * len(grid["n"]) * len(mechanism) - failing
     assert len(res.stdout.splitlines()) == 1 + 4 * good  # header, then four metric rows per good point
+
+
+def test_cli_unallocatable_point_is_a_per_point_failure():
+    # the 2d-long truth and report counts cannot be allocated; numpy refuses up front
+    res = _simulate("--d", "1000000000000000", "--mechanism", "pckv_grr")
+    assert res.exit_code == 2, res.output
+    assert res.stdout == harness.CSV_HEADER + "\n"
+    failed = [line for line in res.stderr.splitlines() if line.startswith("point failed:")]
+    assert len(failed) == 1 and failed[0].startswith("point failed: pckv_grr n=50 d=1000000000000000 s=2 epsilon=1.0: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_baselines_at_vanishing_epsilon_fail_per_point():
+    # at eps=1e-300 every GRR keeps the truth as often as any other answer: p = q
+    baselines = ("privkv", "pckv_grr", "pckv_agrr")
+    res = _simulate("--epsilon", "1e-300", "--mechanism", ",".join(baselines))
+    assert res.exit_code == 2, res.output
+    failed = [line for line in res.stderr.splitlines() if line.startswith("point failed:")]
+    assert sorted(line.split()[2] for line in failed) == sorted(baselines)
+    assert all("degenerate GRR" in line for line in failed)
 
 
 @pytest.mark.parametrize("target", TARGETS)
