@@ -1,7 +1,9 @@
 """Command-line front end: simulate, amplify, project, gen.
 
 Exit codes: 0 success, 1 invalid configuration, 2 per-point failures
-occurred (partial results are still written).
+occurred (partial results are still written).  A malformed command line
+(an unknown or missing option, a value of the wrong type) is an invalid
+configuration: it exits 1 with click's usage message.
 """
 
 from __future__ import annotations
@@ -28,7 +30,36 @@ def _fail_invalid(message: str) -> None:
     sys.exit(1)
 
 
-@click.group()
+def _emit(rows: list[harness.ReportRow], errors: list[str], out: str | None, fmt: str) -> None:
+    """Write the rows, report each failed point, and exit 2 if any failed."""
+    _write(harness.rows_to_csv(rows) if fmt == "csv" else harness.rows_to_jsonl(rows), out)
+    for err in errors:
+        click.echo(f"point failed: {err}", err=True)
+    sys.exit(2 if errors else 0)
+
+
+class _Group(click.Group):
+    """Click exits 2 on a malformed command line, but 2 means failed grid points here.
+
+    The group's own options are parsed in make_context, a subcommand's in invoke.
+    """
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exits_1(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exits_1(super().invoke, ctx)
+
+
+def _usage_exits_1(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+@click.group(cls=_Group)
 def main():
     """Locally private sparse-vector aggregation experiments."""
 
@@ -52,39 +83,19 @@ def main():
                    "instead of the desk-scale ones.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
-def simulate(config_path, master_seed, n, d, s, epsilon, mechanism, repetitions,
-             metrics, target, projection, report, full_scale, out, fmt):
+def simulate(config_path, full_scale, out, fmt, **grid):
     """Run an experiment grid and emit one row per (point, metric)."""
     raw: dict[str, str] = {}
     try:
         if config_path is not None:
             with open(config_path) as fh:
                 raw = harness.parse_config_text(fh.read())
-        if full_scale:
-            full = {
-                "n": "100000", "d": "512", "s": "4, 8, 16, 32",
-                "epsilon": "0.001, 0.01, 0.1, 0.2, 0.4, 0.8, 1.0, 1.5, 2.0",
-            }
-            for key, value in full.items():
-                raw.setdefault(key, value)
-        overrides = {
-            "n": n, "d": d, "s": s, "epsilon": epsilon, "mechanism": mechanism,
-            "repetitions": repetitions, "metrics": metrics, "target": target,
-            "projection": projection, "report": report,
-        }
-        for key, value in overrides.items():
-            if value is not None:
-                raw[key] = str(value)
-        if master_seed is not None:
-            raw["master_seed"] = str(master_seed)
-        config = harness.build_config(raw)
+        # Each option is named after its config key; a flag overrides the file.
+        raw.update((key, str(value)) for key, value in grid.items() if value is not None)
+        config = harness.build_config(raw, full_scale)
     except (ValueError, OSError) as exc:
         _fail_invalid(str(exc))
-    rows, errors = harness.run_experiment(config)
-    _write(harness.rows_to_csv(rows) if fmt == "csv" else harness.rows_to_jsonl(rows), out)
-    for err in errors:
-        click.echo(f"point failed: {err}", err=True)
-    sys.exit(2 if errors else 0)
+    _emit(*harness.run_experiment(config), out, fmt)
 
 
 @main.command()
@@ -109,10 +120,7 @@ def amplify(n, s, epsilon, delta, bounds, t_fixed, out, fmt):
         )
     except ValueError as exc:
         _fail_invalid(str(exc))
-    _write(harness.rows_to_csv(rows) if fmt == "csv" else harness.rows_to_jsonl(rows), out)
-    for err in errors:
-        click.echo(f"point failed: {err}", err=True)
-    sys.exit(2 if errors else 0)
+    _emit(rows, errors, out, fmt)
 
 
 @main.command()
@@ -149,7 +157,7 @@ def gen(n, d, s, seed, out):
     try:
         rng = np.random.default_rng(seed)
         supports, signs = harness.gen_synthetic_arrays(n, d, s, rng)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         _fail_invalid(str(exc))
     lines = []
     for i in range(n):

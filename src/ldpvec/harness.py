@@ -98,44 +98,31 @@ class ReportRow:
             raise ValueError(f"{self.metric} value {self.value} is not finite")
 
 
-CSV_HEADER = (
-    "mechanism,n,d,s,epsilon,target,projection,metric,value,repetitions,seed,caveat"
-)
+def _cell(kind: str, value) -> str:
+    """The output cell of a field declared ``kind``: bool as true/false, float to 17 digits, else str."""
+    if kind == "bool":
+        return "true" if value else "false"
+    return f"{value:.17g}" if kind == "float" else str(value)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ReportRow))
 
 
 def row_to_csv(row: ReportRow) -> str:
-    return ",".join(
-        (
-            row.mechanism,
-            str(row.n),
-            str(row.d),
-            str(row.s),
-            f"{row.epsilon:.17g}",
-            row.target,
-            "true" if row.projection else "false",
-            row.metric,
-            f"{row.value:.17g}",
-            str(row.repetitions),
-            str(row.seed),
-            row.caveat,
-        )
-    )
+    return ",".join(_cell(f.type, getattr(row, f.name)) for f in fields(row))
 
 
 def rows_to_csv(rows: Sequence[ReportRow]) -> str:
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for row in rows:
-        out.write(row_to_csv(row) + "\n")
-    return out.getvalue()
+    return "".join(line + "\n" for line in (CSV_HEADER, *map(row_to_csv, rows)))
 
 
 def rows_to_jsonl(rows: Sequence[ReportRow]) -> str:
+    """One JSON object per row.  A float field is written as ``float(value)``,
+    the float its 17-digit cell reads back as, so an int epsilon is 1.0."""
     out = io.StringIO()
     for row in rows:
-        record = {f.name: getattr(row, f.name) for f in fields(ReportRow)}
-        record["epsilon"] = float(f"{row.epsilon:.17g}")
-        record["value"] = float(f"{row.value:.17g}")
+        record = {f.name: getattr(row, f.name) for f in fields(row)}
+        record.update((f.name, float(record[f.name])) for f in fields(row) if f.type == "float")
         out.write(json.dumps(record, sort_keys=True) + "\n")
     return out.getvalue()
 
@@ -165,6 +152,8 @@ def gen_synthetic_arrays(n: int, d: int, s: int, rng: np.random.Generator) -> tu
         raise ValueError(f"n must be >= 0, got n={n}")
     if not 1 <= s <= d:
         raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
+    if d >= 1 << 63:  # the supports are 1-based int64
+        raise ValueError(f"d must be < 2**63, got d={d}")
     k = s if 2 * s <= d else d - s
     picks = np.empty((k, n), dtype=np.int64)  # pick i of every row is one contiguous line
     for i in range(k):
@@ -218,18 +207,16 @@ def simulate_point(
     seeds = None if mech.event_hits is None else user_hash_seeds(hash_master, n)
     views = mech.randomize(supports, signs, seeds, params, rng_mech)
     est = agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
-    out: dict[str, float] = {}
     raw = agg.target_values(est, target)
+    # With projection the headline metrics are on the projected estimate, the raw ones named *_raw.
+    estimates = {"": raw}
     if projection:
-        projected = agg.target_values(agg.project_to_simplex(est, s), target)
-        out["tve"] = agg.tve(projected, truth)
-        out["mae"] = agg.mae(projected, truth)
-        out["tve_raw"] = agg.tve(raw, truth)
-        out["mae_raw"] = agg.mae(raw, truth)
-    else:
-        out["tve"] = agg.tve(raw, truth)
-        out["mae"] = agg.mae(raw, truth)
-    return out
+        estimates = {"": agg.target_values(agg.project_to_simplex(est, s), target), "_raw": raw}
+    return {
+        metric + suffix: getattr(agg, metric)(values, truth)
+        for suffix, values in estimates.items()
+        for metric in METRICS
+    }
 
 
 def single_user_mean_squared_errors(
@@ -266,6 +253,18 @@ def single_user_mean_squared_errors(
 # Sweeps
 
 
+def _sweep(points, label, evaluate) -> tuple[list[ReportRow], list[str]]:
+    """Each point's rows, or a ``ValueError`` or ``MemoryError`` at it recorded as "<label>: <message>"."""
+    rows: list[ReportRow] = []
+    errors: list[str] = []
+    for point in points:
+        try:
+            rows += evaluate(point)
+        except (ValueError, MemoryError) as exc:
+            errors.append(f"{label(point)}: {exc}")
+    return rows, errors
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[list[ReportRow], list[str]]:
     """Run the full grid; returns (rows, per-point failure messages).
 
@@ -274,42 +273,33 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ReportRow], list[str]
     allocate, is recorded and the sweep continues; partial results are
     still returned.
     """
-    rows: list[ReportRow] = []
-    errors: list[str] = []
-    metric_names = list(config.metrics)
-    if config.projection:
-        metric_names += [f"{m}_raw" for m in config.metrics]
-    grid = product(config.mechanism, config.n, config.d, config.s, config.epsilon)
-    for grid_index, (mechanism, n, d, s, epsilon) in enumerate(grid):
-        try:
-            reps = [
-                simulate_point(
-                    mechanism, n, d, s, epsilon, config.target,
-                    config.projection, config.master_seed, grid_index, rep,
+
+    def evaluate(point) -> list[ReportRow]:
+        grid_index, (mechanism, n, d, s, epsilon) = point
+        reps = [
+            simulate_point(
+                mechanism, n, d, s, epsilon, config.target,
+                config.projection, config.master_seed, grid_index, rep,
+            )
+            for rep in range(config.repetitions)
+        ]
+        # The point's metric names, kept to config.metrics in its order, headline before *_raw.
+        names = [name for name in reps[0] if name.removesuffix("_raw") in config.metrics]
+        names.sort(key=lambda name: (name.endswith("_raw"), config.metrics.index(name.removesuffix("_raw"))))
+        transform = np.log if config.report == "mean_log" else np.asarray
+        with np.errstate(divide="ignore"):  # log(0) = -inf, rejected by ReportRow
+            return [
+                ReportRow(
+                    mechanism=mechanism, n=n, d=d, s=s, epsilon=epsilon,
+                    target=config.target, projection=config.projection,
+                    metric=name, value=float(np.mean(transform([r[name] for r in reps]))),
+                    repetitions=config.repetitions, seed=config.master_seed,
                 )
-                for rep in range(config.repetitions)
+                for name in names
             ]
-            point_rows = []
-            for metric in metric_names:
-                vals = [r[metric] for r in reps]
-                if config.report == "mean_log":
-                    with np.errstate(divide="ignore"):  # log(0) = -inf, rejected by ReportRow
-                        value = float(np.mean(np.log(vals)))
-                else:
-                    value = float(np.mean(vals))
-                point_rows.append(
-                    ReportRow(
-                        mechanism=mechanism, n=n, d=d, s=s, epsilon=epsilon,
-                        target=config.target, projection=config.projection,
-                        metric=metric, value=value,
-                        repetitions=config.repetitions, seed=config.master_seed,
-                    )
-                )
-        except (ValueError, MemoryError) as exc:
-            errors.append(f"{mechanism} n={n} d={d} s={s} epsilon={epsilon}: {exc}")
-            continue
-        rows += point_rows
-    return rows, errors
+
+    grid = enumerate(product(config.mechanism, config.n, config.d, config.s, config.epsilon))
+    return _sweep(grid, lambda point: "{} n={} d={} s={} epsilon={}".format(*point[1]), evaluate)
 
 
 AMPLIFICATION_BOUNDS = ("collision", "clone", "efmrtt")
@@ -330,36 +320,31 @@ def run_amplification_sweep(
     conditions are not checked.
     """
     _check_grid({"n": n_list, "s": s_list, "epsilon": epsilons, "bounds": bounds}, ("n", "s"))
-    rows: list[ReportRow] = []
-    errors: list[str] = []
     _check_names("bound", bounds, AMPLIFICATION_BOUNDS)
-    for n, s, epsilon, bound in product(n_list, s_list, epsilons, bounds):
+
+    def evaluate(point) -> list[ReportRow]:
+        n, s, epsilon, bound = point
         caveat = ""
-        try:
-            if bound == "collision":
-                t = t_fixed if t_fixed is not None else col.collision_optimal_t(s, epsilon)
-                alpha = amp.collision_alpha(s, epsilon, t)
-                eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta)
-            elif bound == "clone":
-                alpha = amp.generic_clone_alpha(epsilon)
-                eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta)
-            else:
-                eps_c = amp.efmrtt_closed_form(epsilon, delta, n)
-                caveat = "closed-form validity conditions not checked"
-            ratio = math.log2(epsilon / max(eps_c, amp.BRACKET_WIDTH))
-            point_rows = [
-                ReportRow(
-                    mechanism=f"bound:{bound}", n=n, d=0, s=s, epsilon=epsilon,
-                    target="amplification", projection=False, metric=metric,
-                    value=value, repetitions=1, seed=0, caveat=caveat,
-                )
-                for metric, value in (("epsilon_c", eps_c), ("log2_amplification", ratio))
-            ]
-        except ValueError as exc:
-            errors.append(f"{bound} n={n} s={s} epsilon={epsilon}: {exc}")
-            continue
-        rows += point_rows
-    return rows, errors
+        if bound == "collision":
+            t = t_fixed if t_fixed is not None else col.collision_optimal_t(s, epsilon)
+            eps_c = amp.amplified_epsilon(n, epsilon, amp.collision_alpha(s, epsilon, t), delta)
+        elif bound == "clone":
+            eps_c = amp.amplified_epsilon(n, epsilon, amp.generic_clone_alpha(epsilon), delta)
+        else:
+            eps_c = amp.efmrtt_closed_form(epsilon, delta, n)
+            caveat = "closed-form validity conditions not checked"
+        ratio = math.log2(epsilon / max(eps_c, amp.BRACKET_WIDTH))
+        return [
+            ReportRow(
+                mechanism=f"bound:{bound}", n=n, d=0, s=s, epsilon=epsilon,
+                target="amplification", projection=False, metric=metric,
+                value=value, repetitions=1, seed=0, caveat=caveat,
+            )
+            for metric, value in (("epsilon_c", eps_c), ("log2_amplification", ratio))
+        ]
+
+    grid = product(n_list, s_list, epsilons, bounds)
+    return _sweep(grid, lambda point: "{3} n={0} s={1} epsilon={2}".format(*point), evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +359,10 @@ def parse_config_text(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"line {lineno}: key {key!r} given twice")
+        out[key] = value
     return out
 
 
@@ -386,32 +373,35 @@ def _parse_list(value: str, cast):
     return tuple(cast(v) for v in items)
 
 
-def build_config(raw: dict[str, str]) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
+def _list_of(cast):
+    return lambda value: _parse_list(value, cast)
+
+
+def _flag(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError("projection must be true or false")
+    return value.lower() == "true"
+
+
+# How each ExperimentConfig field is read from its config text, and the grid
+# fields' defaults: desk scale, or full scale (``ldpvec simulate --full-scale``).
+_CONFIG_CASTS = {
+    "n": _list_of(int), "d": _list_of(int), "s": _list_of(int), "epsilon": _list_of(float),
+    "mechanism": _list_of(str), "master_seed": int, "repetitions": int, "metrics": _list_of(str),
+    "target": str, "projection": _flag, "report": str,
+}
+_DESK_DEFAULTS = {"n": "10000", "d": "64", "s": "8", "epsilon": "1.0", "mechanism": "collision"}
+_FULL_SCALE_DEFAULTS = {
+    **_DESK_DEFAULTS, "n": "100000", "d": "512", "s": "4, 8, 16, 32",
+    "epsilon": "0.001, 0.01, 0.1, 0.2, 0.4, 0.8, 1.0, 1.5, 2.0",
+}
+
+
+def build_config(raw: dict[str, str], full_scale: bool = False) -> ExperimentConfig:
+    unknown = set(raw) - set(_CONFIG_CASTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "master_seed" not in raw:
         raise ValueError("master_seed is mandatory")
-    kwargs = {
-        "n": _parse_list(raw.get("n", "10000"), int),
-        "d": _parse_list(raw.get("d", "64"), int),
-        "s": _parse_list(raw.get("s", "8"), int),
-        "epsilon": _parse_list(raw.get("epsilon", "1.0"), float),
-        "mechanism": _parse_list(raw.get("mechanism", "collision"), str),
-        "master_seed": int(raw["master_seed"]),
-    }
-    if "repetitions" in raw:
-        kwargs["repetitions"] = int(raw["repetitions"])
-    if "metrics" in raw:
-        kwargs["metrics"] = _parse_list(raw["metrics"], str)
-    if "target" in raw:
-        kwargs["target"] = raw["target"]
-    if "projection" in raw:
-        value = raw["projection"].lower()
-        if value not in ("true", "false"):
-            raise ValueError("projection must be true or false")
-        kwargs["projection"] = value == "true"
-    if "report" in raw:
-        kwargs["report"] = raw["report"]
-    return ExperimentConfig(**kwargs)
+    text = {**(_FULL_SCALE_DEFAULTS if full_scale else _DESK_DEFAULTS), **raw}
+    return ExperimentConfig(**{key: cast(text[key]) for key, cast in _CONFIG_CASTS.items() if key in text})

@@ -111,6 +111,34 @@ def test_gen_synthetic_rejects_oversparse():
     assert "invalid config: need 1 <= s <= d, got s=0, d=4" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the complement route's 2 x 1e15 row mask and a (2, 1e14) picks array: numpy refuses both up front
+        ["gen", "--n", "2", "--d", "1000000000000000", "--s", "999999999999999"],
+        ["gen", "--n", "100000000000000", "--d", "8", "--s", "2"],
+    ],
+)
+def test_cli_gen_at_impossible_sizes_is_an_invalid_config(args):
+    res = CliRunner().invoke(main, [*args, "--seed", "1"])
+    assert res.exit_code == 1, res.output
+    assert res.stdout == "" and res.stderr.startswith("invalid config: ")
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_dimension_beyond_int64_is_rejected_by_name():
+    for d in (2**63, 2**64):
+        with pytest.raises(ValueError, match=f"d must be < 2\\*\\*63, got d={d}"):
+            gen_synthetic_arrays(2, d, 3, np.random.default_rng(0))
+    gen_synthetic_arrays(2, 2**63 - 1, 3, np.random.default_rng(0))  # the largest d an int64 support holds
+    res = CliRunner().invoke(main, ["gen", "--n", "2", "--d", str(2**64), "--s", "3", "--seed", "1"])
+    assert res.stderr == f"invalid config: d must be < 2**63, got d={2**64}\n"
+    res = _simulate("--d", str(2**64), "--s", "3", "--mechanism", "privkv")
+    assert res.exit_code == 2, res.output
+    assert res.stdout == harness.CSV_HEADER + "\n"
+    assert res.stderr == f"point failed: privkv n=50 d={2**64} s=3 epsilon=1.0: d must be < 2**63, got d={2**64}\n"
+
+
 def test_config_parsing_and_overrides():
     text = """
     # experiment sweep
@@ -139,6 +167,20 @@ def test_config_parsing_and_overrides():
         build_config({"n": "10"})  # master_seed mandatory
     with pytest.raises(ValueError):
         parse_config_text("just words\n")
+
+
+def test_config_key_given_twice_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="line 4: key 'n' given twice"):
+        parse_config_text("n = 100\nmaster_seed = 2\n\nn = 200\n")
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n = 100\nmaster_seed = 2\nn = 200\nrepetitions = 1\n")
+    res = CliRunner().invoke(main, ["simulate", "--config", str(cfg)])
+    assert res.exit_code == 1, res.output
+    assert res.stdout == "" and res.stderr == "invalid config: line 3: key 'n' given twice\n"
+
+
+def test_every_config_field_has_a_config_key():
+    assert list(harness._CONFIG_CASTS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 def _distinct(elements):
@@ -205,6 +247,25 @@ def test_run_experiment_reproducible_byte_identical():
     assert rows_to_jsonl(rows1) == rows_to_jsonl(rows2)
     # headline + raw variants for both metrics at every point
     assert len(rows1) == 3 * 4
+
+
+def test_rows_follow_the_config_metric_order_headline_before_raw():
+    cfg = ExperimentConfig(n=(50,), d=(6,), s=(2,), epsilon=(1.0,), mechanism=("privkv",), master_seed=3,
+                           repetitions=1, metrics=("mae", "tve"))
+    rows, _ = run_experiment(cfg)
+    assert [row.metric for row in rows] == ["mae", "tve", "mae_raw", "tve_raw"]
+    rows, _ = run_experiment(dataclasses.replace(cfg, metrics=("mae",), projection=False))
+    assert [row.metric for row in rows] == ["mae"]
+
+
+def test_row_cells_follow_the_declared_field_types():
+    row = harness.ReportRow("m", 1, 2, 3, 1, "t", True, "tve", 0.1, 4, 2**64)  # an int epsilon
+    assert harness.CSV_HEADER == ",".join(f.name for f in dataclasses.fields(harness.ReportRow))
+    assert harness.row_to_csv(row) == f"m,1,2,3,1,t,true,tve,0.10000000000000001,4,{2**64},"
+    assert rows_to_jsonl([row]) == (
+        '{"caveat": "", "d": 2, "epsilon": 1.0, "mechanism": "m", "metric": "tve", "n": 1, "projection": true, '
+        f'"repetitions": 4, "s": 3, "seed": {2**64}, "target": "t", "value": 0.1}}\n'
+    )
 
 
 def test_run_experiment_flags_bad_points_and_continues():
@@ -404,6 +465,34 @@ def test_cli_rejects_grid_values_outside_the_domain(flags, message):
     assert res.stdout == ""
     assert f"invalid config: {message}" in res.stderr
     assert "point failed:" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--master-seed", "1", "--target", "bogus"],
+        ["simulate", "--master-seed", "abc"],
+        ["simulate", "--master-seed", "1", "--format", "xml"],
+        ["simulate", "--config", "missing.cfg", "--master-seed", "1"],
+        ["amplify", "--delta", "abc"],
+        ["amplify", "--format", "xml"],
+        ["gen", "--n", "2", "--d", "4"],
+        ["bogus"],
+        ["--bogus"],
+    ],
+)
+def test_cli_usage_error_is_an_invalid_config(args):
+    # click's own exit code for these is 2, which here means that grid points failed
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert res.stdout == "" and "Error: " in res.stderr
+    assert "point failed:" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [["--help"], ["simulate", "--help"], ["gen", "--help"]])
+def test_cli_help_exits_0(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0 and res.stdout.startswith("Usage: ")
 
 
 def _amplify(*flags):

@@ -27,6 +27,11 @@ COMMANDS = {
     "amplify_large.csv": ["amplify", "--n", "10000,100000", "--s", "4", "--epsilon", "0.5,1.0,2.0"],
     "amplify_edges_tiny.csv": EDGES + ["--delta", "1e-300"],
     "amplify_edges_vacuous.csv": EDGES + ["--delta", "0.5"],
+    "simulate_mean.jsonl": SIMULATE + ["--target", "mean", "--format", "jsonl"],
+    "simulate_raw_log.csv": SIMULATE + [
+        "--target", "nonmissing", "--projection", "false", "--report", "mean_log", "--metrics", "mae",
+    ],
+    "amplify.jsonl": ["amplify", "--n", "300,1000", "--s", "2", "--epsilon", "0.5,1.0", "--format", "jsonl"],
 }
 
 
