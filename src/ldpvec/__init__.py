@@ -38,14 +38,6 @@ from .collision import (
 )
 from .domain import EventId, MechanismParams, TernaryVector, user_hash_seeds
 from .harness import ExperimentConfig, ReportRow, gen_synthetic_arrays, run_amplification_sweep, run_experiment
-from .oracle import (
-    ExactDistribution,
-    MixtureDecomposition,
-    enumerate_distribution,
-    exact_estimator_moments,
-    lower_bound_statistic_distribution,
-    mixture_decompose,
-    verify_ldp,
-)
+from .oracle import exact_estimator_moments, lower_bound_statistic_distribution, verify_ldp
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -105,18 +105,16 @@ def simulate(config_path, full_scale, out, fmt, **grid):
 @click.option("--delta", type=float, default=1e-6)
 @click.option("--bounds", default="collision,clone,efmrtt",
               help="Subset of collision,clone,efmrtt.")
-@click.option("--t", "t_fixed", type=int, default=None,
-              help="Fixed output size; default is the per-point optimum.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
-def amplify(n, s, epsilon, delta, bounds, t_fixed, out, fmt):
+def amplify(n, s, epsilon, delta, bounds, out, fmt):
     """Amplified budgets eps_c and log2 amplification ratios."""
     try:
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0,1)")
         rows, errors = harness.run_amplification_sweep(
             harness._parse_list(n, int), harness._parse_list(s, int), harness._parse_list(epsilon, float),
-            delta, harness._parse_list(bounds, str), t_fixed,
+            delta, harness._parse_list(bounds, str),
         )
     except ValueError as exc:
         _fail_invalid(str(exc))

@@ -123,7 +123,7 @@ def collision_randomize_batch(
     z_hit = (hs * sel).sum(axis=1)
 
     # Residual branch: the m-th smallest bucket outside the hit set.
-    q = (params.omega - math.exp(params.epsilon) * k) / ((t - k) * params.omega)
+    q = params.residual_prob(k)
     m = np.minimum(((u - k * p_hit) / q).astype(np.int64), t - k - 1)
     m = np.maximum(m, 0)
     z_miss = m + 1

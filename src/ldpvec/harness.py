@@ -27,11 +27,18 @@ METRICS = ("tve", "mae")
 REPORTS = ("raw_mean", "mean_log")
 
 
-def _check_grid(lists: dict[str, Sequence], sizes: Sequence[str]) -> None:
-    """Reject an empty grid list, a size in ``sizes`` below 1, or an epsilon not > 0."""
+def _check_grid(lists: dict[str, Sequence], sizes: Sequence[str], names: dict[str, tuple[str, Sequence[str]]]) -> None:
+    """Reject an empty grid list, a value given twice, a size in ``sizes`` below 1, or an epsilon not > 0.
+
+    Every list goes through ``_check_names``; ``names`` maps a list of
+    names to the word its messages use for one name and the names it may
+    hold.
+    """
     for name, values in lists.items():
         if not values:
             raise ValueError(f"config field {name} must be non-empty")
+        kind, known = names.get(name, (name, None))
+        _check_names(kind, values, known)
     for name in sizes:
         low = min(lists[name])
         if low < 1:
@@ -41,13 +48,13 @@ def _check_grid(lists: dict[str, Sequence], sizes: Sequence[str]) -> None:
             raise ValueError(f"epsilon must be > 0, got epsilon={epsilon}")
 
 
-def _check_names(kind: str, names: Sequence[str], known: Sequence[str]) -> None:
-    """Reject a name not in ``known`` or given twice."""
-    for i, name in enumerate(names):
-        if name not in known:
-            raise ValueError(f"unknown {kind} {name!r}")
-        if name in names[:i]:
-            raise ValueError(f"{kind} {name!r} given twice")
+def _check_names(kind: str, values: Sequence, known: Sequence | None = None) -> None:
+    """Reject a value not in ``known`` (unless it is None) or given twice."""
+    for i, value in enumerate(values):
+        if known is not None and value not in known:
+            raise ValueError(f"unknown {kind} {value!r}")
+        if value in values[:i]:
+            raise ValueError(f"{kind} {value!r} given twice")
 
 
 @dataclass(frozen=True)
@@ -65,13 +72,13 @@ class ExperimentConfig:
     report: str = "raw_mean"
 
     def __post_init__(self):
-        _check_grid({name: getattr(self, name) for name in ("n", "d", "s", "epsilon", "mechanism")}, ("n", "d", "s"))
+        _check_grid(
+            {name: getattr(self, name) for name in ("n", "d", "s", "epsilon", "mechanism", "metrics")},
+            ("n", "d", "s"),
+            {"mechanism": ("mechanism", MECHANISMS), "metrics": ("metric", METRICS)},
+        )
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        for m in self.mechanism:
-            if m not in MECHANISMS:
-                raise ValueError(f"unknown mechanism {m!r}")
-        _check_names("metric", self.metrics, METRICS)
         if self.target not in agg.TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if self.report not in REPORTS:
@@ -311,23 +318,24 @@ def run_amplification_sweep(
     epsilons: Sequence[float],
     delta: float,
     bounds: Sequence[str] = AMPLIFICATION_BOUNDS,
-    t_fixed: int | None = None,
 ) -> tuple[list[ReportRow], list[str]]:
     """Amplified budgets and log2 amplification ratios over a grid.
 
-    The collision bound uses t = floor(s e^eps + 2s - 1) unless ``t_fixed``
-    is given.  The closed-form bound rows carry a caveat: its validity
-    conditions are not checked.
+    The collision bound uses t = floor(s e^eps + 2s - 1).  The
+    closed-form bound rows carry a caveat: its validity conditions are not
+    checked.
     """
-    _check_grid({"n": n_list, "s": s_list, "epsilon": epsilons, "bounds": bounds}, ("n", "s"))
-    _check_names("bound", bounds, AMPLIFICATION_BOUNDS)
+    _check_grid(
+        {"n": n_list, "s": s_list, "epsilon": epsilons, "bounds": bounds}, ("n", "s"),
+        {"bounds": ("bound", AMPLIFICATION_BOUNDS)},
+    )
 
     def evaluate(point) -> list[ReportRow]:
         n, s, epsilon, bound = point
         caveat = ""
         if bound == "collision":
-            t = t_fixed if t_fixed is not None else col.collision_optimal_t(s, epsilon)
-            eps_c = amp.amplified_epsilon(n, epsilon, amp.collision_alpha(s, epsilon, t), delta)
+            alpha = amp.collision_alpha(s, epsilon, col.collision_optimal_t(s, epsilon))
+            eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta)
         elif bound == "clone":
             eps_c = amp.amplified_epsilon(n, epsilon, amp.generic_clone_alpha(epsilon), delta)
         else:

@@ -1,9 +1,9 @@
 """Exact small-instance computations used to verify the randomizers.
 
 Everything here enumerates explicit hash tables (weighted lookup tables)
-rather than sampling, so privacy ratios, estimator moments and output
-laws come out exact up to float accumulation.  Sums are taken with
-``math.fsum`` (correctly-rounded accumulation).
+rather than sampling, so privacy ratios, estimator moments and the
+counting statistic's law come out exact up to float accumulation.  Sums
+are taken with ``math.fsum`` (correctly-rounded accumulation).
 
 Each mechanism has one ``TableLaw`` in ``LAWS``: its output law given an
 explicit table, the hash points (event codes or dimensions) an input
@@ -28,7 +28,6 @@ fit in 20 bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -39,32 +38,6 @@ from .collision import CollisionParams, check_collision_params, collision_output
 from .domain import EventId, MechanismParams, TernaryVector
 
 _SIZE_GUARD = 10**6
-
-
-@dataclass(frozen=True)
-class ExactDistribution:
-    """A finite output law over (hash-table id, output symbol) pairs."""
-
-    support: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if len(self.support) != len(p):
-            raise ValueError("support and probs lengths differ")
-        if p.min() < -1e-12:
-            raise ValueError(f"negative probability {p.min()}")
-        total = math.fsum(p.tolist())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-
-
-@dataclass(frozen=True)
-class MixtureDecomposition:
-    q1: ExactDistribution
-    q1_prime: ExactDistribution
-    q1_star: ExactDistribution
-    beta: float
 
 
 class CollisionTable(dict):
@@ -211,29 +184,12 @@ def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tu
     yield from extend((), 0)
 
 
-def uniform_collision_family(codes: Sequence[int], t: int) -> list[tuple[CollisionTable, float]]:
-    """All functions from ``codes`` into 1..t, equally weighted (the full family, not orbit representatives)."""
-    count = t ** len(codes)
-    if count > 1 << 20:
-        raise ValueError("uniform family too large; pass an explicit sub-family")
-    return [(CollisionTable(zip(codes, values)), 1.0 / count) for values in product(range(1, t + 1), repeat=len(codes))]
-
-
 def _cached_probs(law: TableLaw, x: TernaryVector, points, table, params, cache: dict) -> np.ndarray:
     key = (x.support, tuple(map(table.__getitem__, points)))
     got = cache.get(key)
     if got is None:
         got = cache[key] = law.probs(x, table, params)
     return got
-
-
-def enumerate_distribution(mechanism: str, x: TernaryVector, params, family) -> ExactDistribution:
-    """Exact output law over (table id, z), including hash randomness."""
-    law = _law(mechanism, params)
-    _guard(len(family), params.t)
-    probs = [weight * law.probs(x, table, params) for table, weight in family]
-    support = tuple((tid, z) for tid in range(len(probs)) for z in range(1, params.t + 1))
-    return ExactDistribution(support=support, probs=np.concatenate(probs))
 
 
 # ---------------------------------------------------------------------------
@@ -342,113 +298,19 @@ def _estimator_terms(mechanism: str, params, estimator: str, event, dim) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# Exact CoCo collision rates (enumeration routes, independent of the
-# closed-form expressions in coco.collision_rates)
-
-
-def coco_exact_rates_by_rank(s: int, epsilon: float, t: int) -> tuple[float, float, float]:
-    """(P_t, P_o, P_f) by summing over write ranks, no geometric closed form.
-
-    Conditions on the probed entry's uniform rank among the s writes; each
-    later write hits its bucket pair independently with chance 2/t, and a
-    fair orientation coin applies when overwritten.  Exact under the
-    uniform hash family for any s.
-    """
-    eeps = math.exp(epsilon)
-    omega = coco_omega(s, epsilon, t)
-    survive_terms = [((t - 2.0) / t) ** (s - k) for k in range(1, s + 1)]
-    p_t = math.fsum(
-        (1.0 / s) * (sv * eeps / omega + (1.0 - sv) * (eeps + 1.0) / (2.0 * omega))
-        for sv in survive_terms
-    )
-    p_o = math.fsum(
-        (1.0 / s) * (sv * 1.0 / omega + (1.0 - sv) * (eeps + 1.0) / (2.0 * omega))
-        for sv in survive_terms
-    )
-    # An absent dimension's bucket is uniform and independent of z.
-    p_f = 1.0 / t
-    return p_t, p_o, p_f
-
-
-def coco_exact_rates_by_table(s: int, epsilon: float, t: int) -> tuple[float, float, float]:
-    """(P_t, P_o, P_f) by enumerating tables up to bucket relabelling, each under its surviving-writer law."""
-    check_coco_domain(s, t)
-    d = s + 1  # support dims 1..s, probe dim s+1 for the false rate
-    params = MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
-    x = TernaryVector(d=d, support=tuple((j, 1) for j in range(1, s + 1)))
-    family = _uniform_tables(LAWS["coco"], tuple(range(1, d + 1)), t)
-    pt, po, pf = [], [], []
-    for table, weight in family:
-        p = _coco_table_probs(x, table, params)
-        pt.append(weight * p[table.event_bucket(1, 1) - 1])
-        po.append(weight * p[table.event_bucket(1, -1) - 1])
-        pf.append(weight * p[table.event_bucket(d, 1) - 1])
-    return math.fsum(pt), math.fsum(po), math.fsum(pf)
-
-
-# ---------------------------------------------------------------------------
-# Mixture decomposition (three-component clone construction)
-
-
-def mixture_decompose(r1: ExactDistribution, r1_prime: ExactDistribution, epsilon: float) -> MixtureDecomposition:
-    """Decompose an e^eps-ratio-bounded pair into the clone mixture.
-
-    beta = sum(max(0, R1 - R1')) / (e^eps - 1); the components satisfy
-        R1  = e^eps*beta*Q1 +       beta*Q1' + (1 - beta - e^eps*beta)*Q1*
-        R1' =       beta*Q1 + e^eps*beta*Q1' + (1 - beta - e^eps*beta)*Q1*
-    pointwise, with Q1 and Q1' supported on disjoint sets.
-    """
-    if r1.support != r1_prime.support:
-        raise ValueError("distributions must share a support ordering")
-    eeps = math.exp(epsilon)
-    a = np.asarray(r1.probs, dtype=float)
-    b = np.asarray(r1_prime.probs, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi = np.where(b > 0, a / b, np.where(a > 0, np.inf, 1.0))
-        lo = np.where(a > 0, b / a, np.where(b > 0, np.inf, 1.0))
-    if max(hi.max(), lo.max()) > eeps * (1.0 + 1e-9):
-        raise ValueError("inputs are not e^eps-ratio bounded")
-    pos = np.maximum(a - b, 0.0)
-    neg = np.maximum(b - a, 0.0)
-    beta = math.fsum(pos.tolist()) / (eeps - 1.0)
-    if beta <= 0.0:
-        uniform = np.full(len(a), 1.0 / len(a))
-        return MixtureDecomposition(
-            q1=ExactDistribution(r1.support, uniform),
-            q1_prime=ExactDistribution(r1.support, uniform),
-            q1_star=ExactDistribution(r1.support, a.copy()),
-            beta=0.0,
-        )
-    rest = 1.0 - beta - eeps * beta
-    if rest < -1e-12:
-        raise ValueError(f"mixture weight 1 - (1+e^eps)*beta = {rest} is negative")
-    q1 = pos / ((eeps - 1.0) * beta)
-    q1p = neg / ((eeps - 1.0) * beta)
-    if rest > 1e-12:
-        q1s = (np.minimum(a, b) - np.abs(a - b) / (eeps - 1.0)) / rest
-        q1s = np.maximum(q1s, 0.0)
-    else:
-        q1s = np.full(len(a), 1.0 / len(a))
-    return MixtureDecomposition(
-        q1=ExactDistribution(r1.support, q1),
-        q1_prime=ExactDistribution(r1.support, q1p),
-        q1_star=ExactDistribution(r1.support, q1s),
-        beta=beta,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Lower-bound statistic (worst-case two-sided counting law)
 
 
-def lower_bound_statistic_distribution(n: int, params: CollisionParams, swapped: bool = False) -> ExactDistribution:
+def lower_bound_statistic_distribution(
+    n: int, params: CollisionParams, swapped: bool = False
+) -> dict[tuple[int, int], float]:
     """Exact law of the two-sided count statistic over a shuffled batch.
 
     Builds the worst case: x1, x1' and the n-1 background inputs hash to
     pairwise-disjoint bucket blocks (possible when t >= 3s), each message
     is mapped to (1,0) / (0,1) / (0,0) according to whether it lands in
-    x1's or x1''s block, and the n per-message laws are convolved.  The
-    support of the result holds the (count, count) pairs.
+    x1's or x1''s block, and the n per-message laws are convolved into a
+    {(count, count): probability} dict.
 
     With ``swapped`` the batch contains x1' instead of x1, which mirrors
     the statistic's coordinates.
@@ -484,5 +346,9 @@ def lower_bound_statistic_distribution(n: int, params: CollisionParams, swapped:
                 key = (u + du, v + dv)
                 nxt[key] = nxt.get(key, 0.0) + p * q
         law = nxt
-    keys = sorted(law)
-    return ExactDistribution(support=tuple(keys), probs=np.array([law[k] for k in keys]))
+    if min(law.values()) < -1e-12:
+        raise ValueError(f"negative probability {min(law.values())}")
+    total = math.fsum(law.values())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    return law

@@ -7,6 +7,9 @@ that ``ldpvec.oracle._coco_table_probs`` computes in closed form over
 surviving writers, so tests can check the closed form against it.
 ``uniform_coco_family`` lists every (H1, H2) on a set of dimensions, the
 full family that the oracle's orbit representatives stand for.
+``coco_exact_rates_by_rank`` reaches the collision rates (P_t, P_o, P_f)
+by summing over write ranks, a route independent of the geometric closed
+form in ``ldpvec.coco.collision_rates``.
 """
 
 import math
@@ -81,3 +84,27 @@ def uniform_coco_family(dims, t: int) -> list:
     """Every (H1, H2) on ``dims`` for even t, equally weighted, as j_plus bucket tables."""
     count = t ** len(dims)
     return [(CocoTable(dict(zip(dims, plus)), t), 1.0 / count) for plus in product(range(1, t + 1), repeat=len(dims))]
+
+
+def coco_exact_rates_by_rank(s: int, epsilon: float, t: int) -> tuple[float, float, float]:
+    """(P_t, P_o, P_f) by summing over write ranks, no geometric closed form.
+
+    Conditions on the probed entry's uniform rank among the s writes; each
+    later write hits its bucket pair independently with chance 2/t, and a
+    fair orientation coin applies when overwritten.  Exact under the
+    uniform hash family for any s.
+    """
+    eeps = math.exp(epsilon)
+    omega = coco_omega(s, epsilon, t)
+    survive_terms = [((t - 2.0) / t) ** (s - k) for k in range(1, s + 1)]
+    p_t = math.fsum(
+        (1.0 / s) * (sv * eeps / omega + (1.0 - sv) * (eeps + 1.0) / (2.0 * omega))
+        for sv in survive_terms
+    )
+    p_o = math.fsum(
+        (1.0 / s) * (sv * 1.0 / omega + (1.0 - sv) * (eeps + 1.0) / (2.0 * omega))
+        for sv in survive_terms
+    )
+    # An absent dimension's bucket is uniform and independent of z.
+    p_f = 1.0 / t
+    return p_t, p_o, p_f

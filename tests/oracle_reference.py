@@ -1,0 +1,61 @@
+"""References for the exact oracle that no program path needs.
+
+``uniform_collision_family`` lists every single-layout hash table on a
+set of event codes, the full family that the oracle's orbit
+representatives stand for.  ``mixture_decompose`` splits a pair of
+e^eps-ratio-bounded output laws into the three-component clone mixture
+of Feldman, McMillan & Talwar ("Hiding Among the Clones", FOCS 2021),
+so tests can check its weight beta against the accountant's clone
+probability.
+"""
+
+import math
+from itertools import product
+
+import numpy as np
+
+from ldpvec.oracle import CollisionTable
+
+
+def uniform_collision_family(codes, t: int) -> list:
+    """All functions from ``codes`` into 1..t, equally weighted (the full family, not orbit representatives)."""
+    count = t ** len(codes)
+    if count > 1 << 20:
+        raise ValueError("uniform family too large; pass an explicit sub-family")
+    return [(CollisionTable(zip(codes, values)), 1.0 / count) for values in product(range(1, t + 1), repeat=len(codes))]
+
+
+def mixture_decompose(r1, r1_prime, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Decompose two e^eps-ratio-bounded laws over the same cells into (Q1, Q1', Q1*, beta).
+
+    beta = sum(max(0, R1 - R1')) / (e^eps - 1); the components satisfy
+        R1  = e^eps*beta*Q1 +       beta*Q1' + (1 - beta - e^eps*beta)*Q1*
+        R1' =       beta*Q1 + e^eps*beta*Q1' + (1 - beta - e^eps*beta)*Q1*
+    pointwise, with Q1 and Q1' supported on disjoint sets.
+    """
+    a = np.asarray(r1, dtype=float)
+    b = np.asarray(r1_prime, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("distributions must be over the same cells")
+    eeps = math.exp(epsilon)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.where(b > 0, a / b, np.where(a > 0, np.inf, 1.0))
+        lo = np.where(a > 0, b / a, np.where(b > 0, np.inf, 1.0))
+    if max(hi.max(), lo.max()) > eeps * (1.0 + 1e-9):
+        raise ValueError("inputs are not e^eps-ratio bounded")
+    pos = np.maximum(a - b, 0.0)
+    neg = np.maximum(b - a, 0.0)
+    beta = math.fsum(pos.tolist()) / (eeps - 1.0)
+    if beta <= 0.0:
+        uniform = np.full(len(a), 1.0 / len(a))
+        return uniform, uniform, a.copy(), 0.0
+    rest = 1.0 - beta - eeps * beta
+    if rest < -1e-12:
+        raise ValueError(f"mixture weight 1 - (1+e^eps)*beta = {rest} is negative")
+    q1 = pos / ((eeps - 1.0) * beta)
+    q1p = neg / ((eeps - 1.0) * beta)
+    if rest > 1e-12:
+        q1s = np.maximum((np.minimum(a, b) - np.abs(a - b) / (eeps - 1.0)) / rest, 0.0)
+    else:
+        q1s = np.full(len(a), 1.0 / len(a))
+    return q1, q1p, q1s, beta

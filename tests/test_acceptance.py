@@ -303,10 +303,8 @@ def test_criterion_10_lower_bound_consistency():
             alpha = collision_alpha(1, eps, t)
             for n in (1, 2, 3):
                 params = collision_params(3, 1, eps, t)
-                g_dist = lower_bound_statistic_distribution(n, params)
-                gq_dist = lower_bound_statistic_distribution(n, params, swapped=True)
-                g = dict(zip(g_dist.support, g_dist.probs))
-                gq = dict(zip(gq_dist.support, gq_dist.probs))
+                g = lower_bound_statistic_distribution(n, params)
+                gq = lower_bound_statistic_distribution(n, params, swapped=True)
                 P, Q = exact_pq_laws(n, eps, alpha)
                 for k in set(g) | set(P):
                     worst = max(worst, abs(g.get(k, 0.0) - P.get(k, 0.0)))

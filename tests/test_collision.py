@@ -101,9 +101,6 @@ _ONE_HOT = TernaryVector(d=3, support=((2, 1),))
     [
         lambda params: aggregate_frequencies((user_hash_seeds(0, 2), np.array([1, 3])), "collision", params),
         lambda params: oracle.verify_ldp("collision", params),
-        lambda params: oracle.enumerate_distribution(
-            "collision", _ONE_HOT, params, oracle.uniform_collision_family(_ONE_HOT.event_codes(), 3)
-        ),
         lambda params: oracle.exact_estimator_moments("collision", params, _ONE_HOT, "indicator", event=EventId(1, 1)),
         lambda params: oracle.lower_bound_statistic_distribution(3, params),
         lambda params: collision_randomize_batch(
@@ -111,7 +108,7 @@ _ONE_HOT = TernaryVector(d=3, support=((2, 1),))
         ),
     ],
     ids=[
-        "aggregate_frequencies", "verify_ldp", "enumerate_distribution", "exact_estimator_moments",
+        "aggregate_frequencies", "verify_ldp", "exact_estimator_moments",
         "lower_bound_statistic_distribution", "collision_randomize_batch",
     ],
 )

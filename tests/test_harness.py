@@ -457,6 +457,11 @@ def _simulate(*flags):
         (("--epsilon", "1.0,-0.5"), "epsilon must be > 0, got epsilon=-0.5"),
         (("--epsilon", "nan"), "epsilon must be > 0, got epsilon=nan"),
         (("--metrics", "tve,mae,tve"), "metric 'tve' given twice"),
+        (("--n", "50,50"), "n 50 given twice"),
+        (("--d", "4,8,4"), "d 4 given twice"),
+        (("--s", "2,2"), "s 2 given twice"),
+        (("--epsilon", "1.0,1"), "epsilon 1.0 given twice"),
+        (("--mechanism", "privkv,privkv"), "mechanism 'privkv' given twice"),
     ],
 )
 def test_cli_rejects_grid_values_outside_the_domain(flags, message):
@@ -476,6 +481,7 @@ def test_cli_rejects_grid_values_outside_the_domain(flags, message):
         ["simulate", "--config", "missing.cfg", "--master-seed", "1"],
         ["amplify", "--delta", "abc"],
         ["amplify", "--format", "xml"],
+        ["amplify", "--t", "2"],
         ["gen", "--n", "2", "--d", "4"],
         ["bogus"],
         ["--bogus"],
@@ -513,6 +519,9 @@ def _amplify(*flags):
         (("--n", ""), "empty list value ''"),
         (("--bounds", " , "), "empty list value ' , '"),
         (("--bounds", "clone,clone"), "bound 'clone' given twice"),
+        (("--n", "100,100"), "n 100 given twice"),
+        (("--s", "2,3,2"), "s 2 given twice"),
+        (("--epsilon", "0.5,0.50"), "epsilon 0.5 given twice"),
     ],
 )
 def test_cli_amplify_rejects_grid_values_outside_the_domain(flags, message):
@@ -531,9 +540,8 @@ def test_amplification_sweep_rejects_empty_lists():
         run_amplification_sweep([500], [2], [1.0], 1e-6, bounds=())
 
 
-@pytest.mark.parametrize("flags", [("--epsilon", "inf"), ("--t", "2")])
-def test_cli_amplify_infinite_budget_and_small_t_fail_per_point(flags):
-    res = _amplify(*flags)
+def test_cli_amplify_infinite_budget_fails_per_point():
+    res = _amplify("--epsilon", "inf")
     assert res.exit_code == 2, res.output
     assert "point failed:" in res.stderr
 

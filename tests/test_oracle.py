@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpvec import oracle
 from ldpvec.amplification import collision_alpha
 from ldpvec.collision import collision_params
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
@@ -13,20 +14,15 @@ from ldpvec.oracle import (
     LAWS,
     CocoTable,
     CollisionTable,
-    ExactDistribution,
     _orbit_count,
     _uniform_tables,
     all_sparse_vectors,
-    coco_exact_rates_by_table,
-    enumerate_distribution,
     exact_estimator_moments,
     lower_bound_statistic_distribution,
-    mixture_decompose,
-    uniform_collision_family,
     verify_ldp,
 )
 from coco_reference import uniform_coco_family
-from pq_reference import exact_pq_laws
+from oracle_reference import mixture_decompose, uniform_collision_family
 
 LN2 = math.log(2)
 
@@ -38,49 +34,39 @@ def _single_table_family(mapping, t=None):
 def test_enumerate_collision_fixed_hash():
     params = collision_params(6, 2, LN2, 4)
     x = TernaryVector(d=6, support=((3, 1), (5, -1)))
-    family = _single_table_family({c: b for c, b in zip(x.event_codes(), (1, 3))})
-    dist = enumerate_distribution("collision", x, params, family)
-    probs = {z: p for (tid, z), p in zip(dist.support, dist.probs)}
-    assert probs[1] == pytest.approx(1 / 3) and probs[3] == pytest.approx(1 / 3)
-    assert probs[2] == pytest.approx(1 / 6) and probs[4] == pytest.approx(1 / 6)
+    table = CollisionTable(zip(x.event_codes(), (1, 3)))
+    assert LAWS["collision"].probs(x, table, params) == pytest.approx([1 / 3, 1 / 6, 1 / 3, 1 / 6])
 
 
 def test_enumerate_coco_single_entry():
     params = MechanismParams(d=4, s=1, epsilon=LN2, t=4)
     x = TernaryVector(d=4, support=((2, 1),))
     table = CocoTable({2: 3}, 4)  # H1 = 1, H2 = +1
-    dist = enumerate_distribution("coco", x, params, [(table, 1.0)])
-    probs = {z: p for (tid, z), p in zip(dist.support, dist.probs)}
+    probs = LAWS["coco"].probs(x, table, params)
     omega = 5.0
     hb = table.event_bucket(2, 1)
     lb = table.event_bucket(2, -1)
     w = (omega - 3.0) / 2.0
-    assert probs[hb] == pytest.approx(2 / omega)
-    assert probs[lb] == pytest.approx(1 / omega)
+    assert probs[hb - 1] == pytest.approx(2 / omega)
+    assert probs[lb - 1] == pytest.approx(1 / omega)
     for z in set(range(1, 5)) - {hb, lb}:
-        assert probs[z] == pytest.approx(w / omega)
+        assert probs[z - 1] == pytest.approx(w / omega)
 
 
 def test_enumerate_zero_budget_uniform():
     params = collision_params(4, 1, 1e-12, 3)
     x = TernaryVector(d=4, support=((1, 1),))
     family = uniform_collision_family(x.event_codes(), 3)
-    dist = enumerate_distribution("collision", x, params, family)
-    per_z = {}
-    for (tid, z), p in zip(dist.support, dist.probs):
-        per_z[z] = per_z.get(z, 0.0) + p
-    for z in (1, 2, 3):
-        assert per_z[z] == pytest.approx(1 / 3, abs=1e-9)
+    per_z = sum(w * LAWS["collision"].probs(x, table, params) for table, w in family)
+    assert per_z == pytest.approx([1 / 3] * 3, abs=1e-9)
 
 
 def test_family_size_guards():
-    with pytest.raises(ValueError):
-        uniform_collision_family(tuple(range(1, 17)), 8)  # 48 bits
-    x = TernaryVector(d=4, support=((1, 1),))
+    # an explicit family is guarded by its (table, input) evaluations: 50,000 tables x 8 inputs x t=3
     params = collision_params(4, 1, 1.0, 3)
-    big_family = _single_table_family({1: 1}) * 400_000
-    with pytest.raises(ValueError):
-        enumerate_distribution("collision", x, params, big_family)
+    big_family = _single_table_family({code: 1 for code in range(1, 9)}) * 50_000
+    with pytest.raises(ValueError, match="exceeds guard"):
+        verify_ldp("collision", params, big_family)
 
 
 def test_verify_ldp_equality_witness_collision():
@@ -145,13 +131,9 @@ def test_coco_oracle_rejects_t_outside_its_domain(t):
     with pytest.raises(ValueError, match=message):
         verify_ldp("coco", params, _UnreadFamily())
     with pytest.raises(ValueError, match=message):
-        enumerate_distribution("coco", x, params, _UnreadFamily())
-    with pytest.raises(ValueError, match=message):
         exact_estimator_moments("coco", params, x, "mean", dim=1)
     with pytest.raises(ValueError, match=message):
         exact_estimator_moments("coco", params, x, "nonmissing", dim=2, family=_UnreadFamily())
-    with pytest.raises(ValueError, match=message):
-        coco_exact_rates_by_table(2, 1.0, t)
 
 
 def test_oracle_checks_the_domain_once_per_call(monkeypatch):
@@ -244,16 +226,16 @@ def test_exact_moments_coco_appendix_variances():
 
 
 def test_mixture_decompose_identical_inputs():
-    d = ExactDistribution(support=((0, 1), (0, 2)), probs=np.array([0.25, 0.75]))
-    mix = mixture_decompose(d, d, 1.0)
-    assert mix.beta == 0.0
-    assert np.allclose(mix.q1_star.probs, d.probs)
+    probs = np.array([0.25, 0.75])
+    _, _, q1_star, beta = mixture_decompose(probs, probs, 1.0)
+    assert beta == 0.0
+    assert np.allclose(q1_star, probs)
 
 
 def _collision_pair_distributions(params, x, xp, family):
-    r1 = enumerate_distribution("collision", x, params, family)
-    r2 = enumerate_distribution("collision", xp, params, family)
-    return r1, r2
+    """The laws of (table, z) for x and for x' over ``family``, on the same cells."""
+    law = LAWS["collision"].probs
+    return tuple(np.concatenate([w * law(v, table, params) for table, w in family]) for v in (x, xp))
 
 
 def test_mixture_decompose_disjoint_images():
@@ -263,8 +245,7 @@ def test_mixture_decompose_disjoint_images():
     xp = TernaryVector(d=4, support=((2, 1),))
     family = _single_table_family({EventId(1, 1).code: 1, EventId(2, 1).code: 2})
     r1, r2 = _collision_pair_distributions(params, x, xp, family)
-    mix = mixture_decompose(r1, r2, LN2)
-    assert mix.beta == pytest.approx(1 / 5, abs=1e-12)
+    assert mixture_decompose(r1, r2, LN2)[3] == pytest.approx(1 / 5, abs=1e-12)
 
 
 def test_mixture_decompose_matches_clone_probability_all_eps():
@@ -276,9 +257,8 @@ def test_mixture_decompose_matches_clone_probability_all_eps():
         xp = TernaryVector(d=4, support=((2, 1),))
         family = _single_table_family({EventId(1, 1).code: 1, EventId(2, 1).code: 2})
         r1, r2 = _collision_pair_distributions(params, x, xp, family)
-        mix = mixture_decompose(r1, r2, eps)
         expect = collision_alpha(1, eps, 4) / math.expm1(eps)
-        assert mix.beta == pytest.approx(expect, abs=1e-12)
+        assert mixture_decompose(r1, r2, eps)[3] == pytest.approx(expect, abs=1e-12)
 
 
 def test_mixture_decompose_invariants():
@@ -288,58 +268,32 @@ def test_mixture_decompose_invariants():
         x, xp = inputs[0], inputs[-1]
         codes = tuple(dict.fromkeys(x.event_codes() + xp.event_codes()))
         family = uniform_collision_family(codes, 5)
-        r1, r2 = _collision_pair_distributions(params, x, xp, family)
-        mix = mixture_decompose(r1, r2, eps)
+        a, b = _collision_pair_distributions(params, x, xp, family)
+        q1, q1_prime, q1_star, beta = mixture_decompose(a, b, eps)
         eeps = math.exp(eps)
-        assert 0.0 <= mix.beta <= 1.0 / (eeps + 1.0) + 1e-12
-        a = np.asarray(r1.probs)
-        b = np.asarray(r2.probs)
-        recon1 = eeps * mix.beta * mix.q1.probs + mix.beta * mix.q1_prime.probs
-        recon1 = recon1 + (1 - mix.beta - eeps * mix.beta) * mix.q1_star.probs
-        recon2 = mix.beta * mix.q1.probs + eeps * mix.beta * mix.q1_prime.probs
-        recon2 = recon2 + (1 - mix.beta - eeps * mix.beta) * mix.q1_star.probs
-        assert np.abs(recon1 - a).max() < 1e-10
-        assert np.abs(recon2 - b).max() < 1e-10
+        assert 0.0 <= beta <= 1.0 / (eeps + 1.0) + 1e-12
+        rest = (1 - beta - eeps * beta) * q1_star
+        assert np.abs(eeps * beta * q1 + beta * q1_prime + rest - a).max() < 1e-10
+        assert np.abs(beta * q1 + eeps * beta * q1_prime + rest - b).max() < 1e-10
         # Q1 and Q1' live on disjoint supports
-        assert np.minimum(mix.q1.probs, mix.q1_prime.probs).max() == 0.0
+        assert np.minimum(q1, q1_prime).max() == 0.0
 
 
 def test_mixture_decompose_rejects_unbounded_ratio():
-    a = ExactDistribution(support=((0, 1), (0, 2)), probs=np.array([0.9, 0.1]))
-    b = ExactDistribution(support=((0, 1), (0, 2)), probs=np.array([0.1, 0.9]))
-    with pytest.raises(ValueError):
-        mixture_decompose(a, b, 0.3)
-
-
-def _as_dict(dist):
-    return dict(zip(dist.support, dist.probs))
+    with pytest.raises(ValueError, match="ratio bounded"):
+        mixture_decompose(np.array([0.9, 0.1]), np.array([0.1, 0.9]), 0.3)
 
 
 def test_lower_bound_statistic_hand_example():
     # n=1, s=1, eps=ln2, t=4: (1,0) w.p. 2/5, (0,1) w.p. 1/5, (0,0) w.p. 2/5
     params = collision_params(3, 1, LN2, 4)
-    law = _as_dict(lower_bound_statistic_distribution(1, params))
+    law = lower_bound_statistic_distribution(1, params)
     assert law[(1, 0)] == pytest.approx(2 / 5, abs=1e-12)
     assert law[(0, 1)] == pytest.approx(1 / 5, abs=1e-12)
     assert law[(0, 0)] == pytest.approx(2 / 5, abs=1e-12)
-    swapped = _as_dict(lower_bound_statistic_distribution(1, params, swapped=True))
+    swapped = lower_bound_statistic_distribution(1, params, swapped=True)
     assert swapped[(0, 1)] == pytest.approx(law[(1, 0)], abs=1e-15)
     assert swapped[(1, 0)] == pytest.approx(law[(0, 1)], abs=1e-15)
-
-
-def test_lower_bound_statistic_matches_accountant():
-    for eps in (0.5, LN2, 1.7):
-        for t in (4, 6):
-            alpha = collision_alpha(1, eps, t)
-            for n in (1, 2, 3):
-                params = collision_params(3, 1, eps, t)
-                g = _as_dict(lower_bound_statistic_distribution(n, params))
-                gq = _as_dict(lower_bound_statistic_distribution(n, params, swapped=True))
-                P, Q = exact_pq_laws(n, eps, alpha)
-                for k in set(g) | set(P):
-                    assert abs(g.get(k, 0.0) - P.get(k, 0.0)) < 1e-12
-                for k in set(gq) | set(Q):
-                    assert abs(gq.get(k, 0.0) - Q.get(k, 0.0)) < 1e-12
 
 
 def test_lower_bound_statistic_requires_room():
@@ -347,8 +301,9 @@ def test_lower_bound_statistic_requires_room():
         lower_bound_statistic_distribution(2, collision_params(4, 2, 1.0, 5))
 
 
-def test_exact_distribution_validation():
-    with pytest.raises(ValueError):
-        ExactDistribution(support=((0, 1),), probs=np.array([0.9]))
-    with pytest.raises(ValueError):
-        ExactDistribution(support=((0, 1), (0, 2)), probs=np.array([1.2, -0.2]))
+def test_lower_bound_statistic_rejects_a_law_that_is_not_a_distribution(monkeypatch):
+    params = collision_params(3, 1, LN2, 4)
+    for probs, message in (([1.2, -0.2, 0.0, 0.0], "negative probability"), ([0.3] * 4, "sum to 1.2")):
+        monkeypatch.setattr(oracle, "collision_output_probabilities", lambda *args: np.array(probs))
+        with pytest.raises(ValueError, match=message):
+            lower_bound_statistic_distribution(1, params)
