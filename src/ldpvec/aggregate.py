@@ -15,10 +15,14 @@ mechanisms share one estimator: count, per event, the views whose own
 hash sends the event onto their symbol z, then debias the integer counts.
 Each brings one in-place hit kernel, ``event_hits(seeds, z, params)``, whose
 rows ``event_hit_counts`` sums over chunks sized to stay in a per-core L2 cache.
+The chunks are shared out among one worker thread per CPU the process may use,
+so each worker's chunk buffers sit in its own core's L2.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent import futures  # ThreadPoolExecutor loads on first use, not at import
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,7 +35,8 @@ from .domain import MechanismParams, check_integer
 TARGETS = ("frequency", "mean", "nonmissing")
 
 # Cells of the (users x events) hit matrix evaluated per chunk of the hit count:
-# the kernel's two uint64 buffers (1 MiB together) stay in a per-core L2 cache.
+# each worker's kernel buffers for one chunk (two uint64 arrays, 1 MiB together)
+# stay in the L2 cache of the core it runs on.
 HIT_CHUNK_CELLS = 1 << 16
 
 
@@ -93,15 +98,35 @@ def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
 def event_hit_counts(seeds: np.ndarray, z: np.ndarray, event_hits: Callable, params) -> np.ndarray:
     """Per event code 1..2d, the number of views whose hash sends it onto their z.
 
-    Counts are integers, so the chunking, which keeps each chunk's
-    (users x events) matrix in cache, cannot change the result.
+    The chunks, each small enough for its (users x events) matrix to stay
+    in cache, are dealt round-robin to one thread per CPU the process may
+    use, but no more threads than chunks; each thread sums its chunks into
+    its own count vector.  Counts are integers, so neither the chunking nor
+    the thread count can change the result.  A single chunk is counted on
+    the caller's thread.
     """
-    counts = np.zeros(2 * params.d, dtype=np.int64)
     chunk = max(1, HIT_CHUNK_CELLS // (2 * params.d))
-    for lo in range(0, len(seeds), chunk):
-        hi = lo + chunk
-        counts += event_hits(seeds[lo:hi], z[lo:hi], params).sum(axis=0, dtype=np.int64)
-    return counts
+    starts = range(0, len(seeds), chunk)
+
+    def count(mine: range) -> np.ndarray:
+        counts = np.zeros(2 * params.d, dtype=np.int64)
+        for lo in mine:
+            hi = lo + chunk
+            counts += event_hits(seeds[lo:hi], z[lo:hi], params).sum(axis=0, dtype=np.int64)
+        return counts
+
+    workers = min(_hit_workers(), len(starts))
+    if workers <= 1:
+        return count(starts)
+    with futures.ThreadPoolExecutor(workers) as pool:
+        return sum(pool.map(count, (starts[w::workers] for w in range(workers))))
+
+
+def _hit_workers() -> int:
+    """The number of CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _collision_frequencies(counts: np.ndarray, n: int, params: _col.CollisionParams) -> np.ndarray:

@@ -207,12 +207,13 @@ def verify_ldp(mechanism: str, params, family=None) -> float:
     family is enumerated as one table per bucket-relabelling orbit: the
     worst ratio over z is the same on every table of an orbit.  The size
     guard counts (input, representative table) evaluations.  An explicit
-    ``family`` is checked over all inputs at once.
+    ``family`` is checked over all inputs at once; a table without an entry
+    for a point some input reads is a ValueError.
     """
     law = _law(mechanism, params)
     reads = [(x, law.points(x)) for x in all_sparse_vectors(params.d, params.s)]
+    domain = sorted({p for _, points in reads for p in points})
     if family is None:
-        domain = sorted({p for _, points in reads for p in points})
         k = len(reads[0][1])
         size = min(2 * k, len(domain))
         # each input lies in comb(|domain| - k, size - k) of the point sets
@@ -226,6 +227,10 @@ def verify_ldp(mechanism: str, params, family=None) -> float:
         raise ValueError("verify_ldp needs a non-empty family of tables, got an empty family")
     else:
         _guard(len(family) * len(reads), params.t)
+        for i, (table, _) in enumerate(family):
+            missing = [p for p in domain if p not in table]
+            if missing:
+                raise ValueError(f"table {i} of the family has no entry for point {missing[0]}, which an input reads")
         groups = [(reads, family)]
     cache: dict[tuple, np.ndarray] = {}
     worst = 0.0

@@ -1,4 +1,5 @@
 import math
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -307,7 +308,64 @@ def test_hit_kernels_match_the_reference_layouts(instance, data):
     assert hits.dtype == np.bool_ and np.array_equal(hits, expected)
     cells = len(seeds) * 2 * params.d
     for chunk in (1, 2 * params.d - 1, 2 * params.d, data.draw(st.integers(2, 3 * cells).filter(lambda c: cells % c))):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(aggregate, "HIT_CHUNK_CELLS", chunk)
-            counts = event_hit_counts(seeds, z, MECHANISMS[name].event_hits, params)
-        assert counts.dtype == np.int64 and np.array_equal(counts, expected.sum(axis=0)), chunk
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(aggregate, "HIT_CHUNK_CELLS", chunk)
+                mp.setattr(aggregate, "_hit_workers", lambda: workers)
+                counts = event_hit_counts(seeds, z, MECHANISMS[name].event_hits, params)
+            assert counts.dtype == np.int64 and np.array_equal(counts, expected.sum(axis=0)), (chunk, workers)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BUCKETS))
+@pytest.mark.parametrize("workers", [2, 3])
+def test_hit_counts_over_chunks_that_do_not_divide_among_the_workers(monkeypatch, name, workers):
+    params = MECHANISMS[name].params(5, 2, 1.0, None, "mean")
+    seeds = user_hash_seeds(11, 7)
+    buckets = REFERENCE_BUCKETS[name](seeds, params)
+    z = buckets[np.arange(7), np.arange(7) % (2 * params.d)]
+    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 2 * params.d)  # one user per chunk: 7 chunks
+    monkeypatch.setattr(aggregate, "_hit_workers", lambda: workers)
+    counts = event_hit_counts(seeds, z, MECHANISMS[name].event_hits, params)
+    assert np.array_equal(counts, (buckets == z[:, None]).sum(axis=0))
+
+
+def test_a_single_chunk_starts_no_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built for one chunk")
+
+    monkeypatch.setattr(aggregate.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(aggregate, "_hit_workers", lambda: 4)
+    baseline = threading.active_count()
+    for name in ("collision", "coco"):
+        params = MECHANISMS[name].params(8, 2, 1.0, None, "mean")
+        seeds = user_hash_seeds(3, aggregate.HIT_CHUNK_CELLS // (2 * params.d))  # exactly one chunk
+        z = np.ones(len(seeds), dtype=np.int64)
+        counts = event_hit_counts(seeds, z, MECHANISMS[name].event_hits, params)
+        assert counts.shape == (2 * params.d,)
+        aggregate_frequencies((seeds, z), name, params)
+    assert threading.active_count() == baseline
+
+
+def test_a_worker_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 4 chunks
+    monkeypatch.setattr(aggregate, "_hit_workers", lambda: 2)
+    seeds, z = user_hash_seeds(5, 4), np.ones(4, dtype=np.int64)
+    baseline = threading.active_count()
+    callers = []
+
+    def collision_hits(seeds, z, params):
+        callers.append(threading.current_thread())
+        return MECHANISMS["collision"].event_hits(seeds, z, params)
+
+    def out_of_memory(seeds, z, params):
+        callers.append(threading.current_thread())
+        raise MemoryError("hit matrix too large")
+
+    plain = MechanismParams(4, 1, 1.0, 3)
+    with pytest.raises(ValueError, match="collision needs CollisionParams, got MechanismParams"):
+        event_hit_counts(seeds, z, collision_hits, plain)
+    assert threading.active_count() == baseline
+    with pytest.raises(MemoryError, match="hit matrix too large"):
+        event_hit_counts(seeds, z, out_of_memory, plain)
+    assert threading.active_count() == baseline
+    assert callers and threading.main_thread() not in callers

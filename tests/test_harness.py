@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpvec import harness
+from ldpvec import aggregate, harness
 from ldpvec.aggregate import TARGETS
 from ldpvec.cli import main
 from ldpvec.harness import (
@@ -599,6 +600,42 @@ def test_cli_unallocatable_point_is_a_per_point_failure():
     failed = [line for line in res.stderr.splitlines() if line.startswith("point failed:")]
     assert len(failed) == 1 and failed[0].startswith("point failed: pckv_grr n=50 d=1000000000000000 s=2 epsilon=1.0: ")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("error", [ValueError("no hits for you"), MemoryError("hit matrix too large")])
+def test_a_worker_error_is_a_per_point_failure(monkeypatch, error):
+    callers = []
+
+    def failing_hits(seeds, z, params):
+        callers.append(threading.current_thread())
+        raise error
+
+    monkeypatch.setitem(aggregate.MECHANISMS, "collision", aggregate.MECHANISMS["collision"]._replace(event_hits=failing_hits))
+    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 50 chunks
+    monkeypatch.setattr(aggregate, "_hit_workers", lambda: 2)
+    baseline = threading.active_count()
+    cfg = ExperimentConfig(n=(50,), d=(4,), s=(2,), epsilon=(1.0,), mechanism=("collision", "privkv"),
+                           master_seed=1, repetitions=1)
+    rows, errors = run_experiment(cfg)
+    assert errors == [f"collision n=50 d=4 s=2 epsilon=1.0: {error}"]
+    assert {row.mechanism for row in rows} == {"privkv"}
+    res = _simulate("--mechanism", "collision,privkv")
+    assert res.exit_code == 2, res.output
+    assert [line for line in res.stderr.splitlines() if line.startswith("point failed:")] == [f"point failed: {errors[0]}"]
+    assert threading.active_count() == baseline
+    assert callers and threading.main_thread() not in callers
+
+
+def test_cli_simulate_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    outputs = set()
+    for workers in (1, 2):
+        monkeypatch.setattr(aggregate, "_hit_workers", lambda: workers)
+        # d=16: 2048 users per chunk, so n=5000 is three chunks
+        res = _simulate("--n", "5000", "--d", "16", "--s", "1,3", "--epsilon", "0.5,2", "--repetitions", "2",
+                        "--mechanism", "collision,coco")
+        assert res.exit_code == 0, res.output
+        outputs.add(res.stdout)
+    assert len(outputs) == 1
 
 
 def test_cli_baselines_at_vanishing_epsilon_fail_per_point():

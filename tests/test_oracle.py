@@ -109,6 +109,18 @@ def test_verify_ldp_rejects_an_empty_family():
         verify_ldp("collision", collision_params(3, 1, 0.9, 3), family=[])
 
 
+def test_verify_ldp_rejects_a_table_that_misses_a_point():
+    # used to die with a bare KeyError: 2 in the probability cache
+    params = collision_params(4, 1, 1.0, 3)
+    with pytest.raises(ValueError, match="table 0 of the family has no entry for point 2"):
+        verify_ldp("collision", params, _single_table_family({1: 1}))
+    complete = _single_table_family({code: 1 for code in range(1, 9)})
+    with pytest.raises(ValueError, match="table 1 of the family has no entry for point 8"):
+        verify_ldp("collision", params, complete + _single_table_family({code: 1 for code in range(1, 8)}))
+    with pytest.raises(ValueError, match="table 0 of the family has no entry for point 3"):
+        verify_ldp("coco", MechanismParams(d=3, s=1, epsilon=LN2, t=4), [(CocoTable({1: 1, 2: 3}, 4), 1.0)])
+
+
 class _UnreadFamily:
     """A family whose tables must not be reached: a domain check comes first."""
 
