@@ -13,8 +13,8 @@ mean_j / nonmissing_j of these two estimates.
 Mechanisms are looked up by name in ``MECHANISMS``.  The two hash
 mechanisms share one estimator: count, per event, the views whose own
 hash sends the event onto their symbol z, then debias the integer counts.
-Each brings one in-place hit kernel, ``event_hits(seeds, z, params)``, whose
-rows ``event_hit_counts`` sums over chunks sized to stay in a per-core L2 cache.
+Each brings one counting kernel, ``hit_counts(seeds, z, params)``, which
+``event_hit_counts`` runs on chunks sized to stay in a per-core L2 cache.
 The chunks are shared out among one worker thread per CPU the process may use,
 so each worker's chunk buffers sit in its own core's L2.
 """
@@ -30,11 +30,11 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import MechanismParams, check_integer
+from .domain import MechanismParams, check_integer, event_code
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
-# Cells of the (users x events) hit matrix evaluated per chunk of the hit count:
+# (user, event) cells hashed per chunk of the hit count:
 # each worker's kernel buffers for one chunk (two uint64 arrays, 1 MiB together)
 # stay in the L2 cache of the core it runs on.
 HIT_CHUNK_CELLS = 1 << 16
@@ -44,14 +44,14 @@ class Mechanism(NamedTuple):
     """One randomizer and its server-side estimator.
 
     Hash mechanisms debias per-event hit counts: ``debias(counts, n, params)``.
-    The hash-free baselines have no ``event_hits`` and debias their
+    The hash-free baselines have no ``hit_counts`` and debias their
     reports: ``debias(views, params) -> values``.  Either way the values
     are the 2d event-frequency estimates in event-code order.
     """
 
     params: Callable  # (d, s, epsilon, t, target) -> MechanismParams; t=None picks the default; baselines fix t
     randomize: Callable  # (supports, signs, seeds, params, rng) -> views
-    event_hits: Callable | None  # (seeds, z, params) -> (m, 2d) bool hits in event-code order
+    hit_counts: Callable | None  # (seeds, z, params) -> (2d,) int64 hit counts in event-code order
     debias: Callable
 
 
@@ -70,13 +70,13 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     baselines take their batch randomizer's reports.
     """
     mech = mechanism(mechanism_name)
-    if mech.event_hits is None:
+    if mech.hit_counts is None:
         return mech.debias(views, params)
     seeds, z = _views_to_arrays(views, params.t)
     n = len(seeds)
     if n == 0:
         raise ValueError("no views to aggregate")
-    counts = event_hit_counts(seeds, z, mech.event_hits, params)
+    counts = event_hit_counts(seeds, z, mech.hit_counts, params)
     return mech.debias(counts, n, params)
 
 
@@ -95,13 +95,13 @@ def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
     return seeds, z
 
 
-def event_hit_counts(seeds: np.ndarray, z: np.ndarray, event_hits: Callable, params) -> np.ndarray:
+def event_hit_counts(seeds: np.ndarray, z: np.ndarray, hit_counts: Callable, params) -> np.ndarray:
     """Per event code 1..2d, the number of views whose hash sends it onto their z.
 
-    The chunks, each small enough for its (users x events) matrix to stay
+    The chunks, each small enough for its (users x events) hashes to stay
     in cache, are dealt round-robin to one thread per CPU the process may
-    use, but no more threads than chunks; each thread sums its chunks into
-    its own count vector.  Counts are integers, so neither the chunking nor
+    use, but no more threads than chunks; each thread adds its chunks' counts
+    into its own count vector.  Counts are integers, so neither the chunking nor
     the thread count can change the result.  A single chunk is counted on
     the caller's thread.
     """
@@ -112,7 +112,7 @@ def event_hit_counts(seeds: np.ndarray, z: np.ndarray, event_hits: Callable, par
         counts = np.zeros(2 * params.d, dtype=np.int64)
         for lo in mine:
             hi = lo + chunk
-            counts += event_hits(seeds[lo:hi], z[lo:hi], params).sum(axis=0, dtype=np.int64)
+            counts += hit_counts(seeds[lo:hi], z[lo:hi], params)
         return counts
 
     workers = min(_hit_workers(), len(starts))
@@ -162,14 +162,14 @@ MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
         lambda d, s, epsilon, t, target: _col.collision_params(d, s, epsilon, t),
         lambda *args: _col.collision_randomize_batch(*args),
-        _col.collision_event_hits, _collision_frequencies,
+        _col.collision_hit_counts, _collision_frequencies,
     ),
     "coco": Mechanism(
         lambda d, s, epsilon, t, target: _coco.coco_params(
             d, s, epsilon, t, which="nonmissing" if target == "nonmissing" else "mean"
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
-        _coco.coco_event_hits, _coco_frequencies,
+        _coco.coco_hit_counts, _coco_frequencies,
     ),
     "privkv": Mechanism(
         lambda d, s, epsilon, t, target: MechanismParams(d, s, epsilon, 3),
@@ -248,5 +248,5 @@ def _as_matched_arrays(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
 def true_event_frequencies(supports: np.ndarray, signs: np.ndarray, d: int) -> np.ndarray:
     """Empirical event frequencies of a dataset given as index/sign arrays."""
     n = supports.shape[0]
-    codes = (2 * supports - 1 + (signs > 0)).ravel()
+    codes = event_code(supports, signs).ravel()
     return np.bincount(codes - 1, minlength=2 * d) / n

@@ -35,7 +35,8 @@ Swapping the two coordinates maps P to Q and every row onto itself, so
 the reverse divergence equals the forward one.
 
 The only truncation is a C-window keeping all but <= delta*1e-3 of the
-Binomial(n-1, 2a) mass.  The C-tail mass it excludes is added to the
+Binomial(n-1, 2a) mass; its quantiles and tails are ``betainc`` values,
+finite for any n.  The C-tail mass it excludes is added to the
 reported delta, so the result is a conservative upper bound that is
 exact inside the C-window.
 """
@@ -48,12 +49,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, betainc, gammaln, xlog1py, xlogy
+from scipy.special import betainc, gammaln, xlog1py, xlogy
 
 from .domain import exp_budget
 
-# Width of the final bisection bracket of ``amplified_epsilon``; also the
-# floor on eps_c in the log2 amplification ratio.
+# Width of the final bisection bracket of ``amplified_epsilon``; also, capped
+# at eps, the floor on eps_c in the log2 amplification ratio.
 BRACKET_WIDTH = 1e-4
 
 
@@ -172,6 +173,11 @@ def _binom_pmf(n, k: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _binom_tail(k: int, n: int, p: float) -> float:
+    """P(Binomial(n, p) > k) = I_p(k + 1, n - k): 1 for k < 0, 0 for k >= n; finite for any n."""
+    return 1.0 if k < 0 else betainc(k + 1, n - k, p) if k < n else 0.0
+
+
 def _query_window(query: AmplificationQuery) -> QueryWindow:
     a = query.clone_prob
     eeps = math.exp(query.epsilon)
@@ -179,16 +185,17 @@ def _query_window(query: AmplificationQuery) -> QueryWindow:
     tail = query.delta * 1e-3
     nc, pc_p = query.n - 1, 2.0 * a
 
-    # C-window: the tail/2 quantiles of C, widened by 2 on each side.
+    # C-window: the tail/2 quantiles of C, widened by 2 on each side.  P(C <= k) is the
+    # upper tail P(nc - C > nc - k - 1) of nc - C ~ Binomial(nc, 1 - 2a).
     counts = range(nc + 1)
-    c_lo = max(0, bisect_left(counts, True, key=lambda k: bdtr(k, nc, pc_p) >= tail / 2.0) - 2)
-    c_hi = min(nc, bisect_left(counts, True, key=lambda k: bdtrc(k, nc, pc_p) <= tail / 2.0) + 2)
+    c_lo = max(0, bisect_left(counts, True, key=lambda k: _binom_tail(nc - k - 1, nc, 1.0 - pc_p) >= tail / 2.0) - 2)
+    c_hi = min(nc, bisect_left(counts, True, key=lambda k: _binom_tail(k, nc, pc_p) <= tail / 2.0) + 2)
     pc = _binom_pmf(nc, np.arange(c_lo, c_hi + 1), pc_p)
     m = np.arange(c_lo, c_hi + 2)
     x = a * np.concatenate(([0.0], pc))
     z = r * np.concatenate((pc, [0.0]))
 
-    c_tails = (bdtr(c_lo - 1, nc, pc_p) if c_lo > 0 else 0.0) + (bdtrc(c_hi, nc, pc_p) if c_hi < nc else 0.0)
+    c_tails = _binom_tail(nc - c_lo, nc, 1.0 - pc_p) + _binom_tail(c_hi, nc, pc_p)
     return QueryWindow(m=m, x=x, z=z, truncation_mass=float(c_tails))
 
 

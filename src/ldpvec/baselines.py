@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .domain import MechanismParams, check_batch, check_integer, exp_budget
+from .domain import MechanismParams, check_batch, check_integer, event_code, exp_budget
 
 
 def amplified_budget(s: int, epsilon: float) -> float:
@@ -80,7 +80,7 @@ def pckv_randomize_batch(
     slot = rng.integers(0, s, size=n)
     j = supports[np.arange(n), slot]
     b = signs[np.arange(n), slot]
-    code = 2 * j - 1 + (b > 0)
+    code = event_code(j, b)
     p, _ = grr_probabilities(params.epsilon, params.t)
     keep = rng.random(n) < p
     shift = rng.integers(1, params.t, size=n)

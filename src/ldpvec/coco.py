@@ -138,9 +138,8 @@ def coco_randomize_batch(
     high = h1 + hi_bit * half  # bucket carrying weight e^eps per slot
     low = 2 * h1 + half - high
 
-    # Random write order; within equal H1 the max-rank slot wins.
-    ranks = np.argsort(np.argsort(rng.random((n, s)), axis=1), axis=1)
-    order = np.argsort(h1 * s + (s - 1 - ranks), axis=1)
+    # Random write order u; sorted by H1, and within equal H1 the last-written (max-u) slot first.
+    order = np.lexsort((-rng.random((n, s)), h1), axis=1)
     h1_s = np.take_along_axis(h1, order, axis=1)
     high_s = np.take_along_axis(high, order, axis=1)
     low_s = np.take_along_axis(low, order, axis=1)
@@ -176,8 +175,8 @@ def coco_randomize_batch(
     return np.where(seg_high, z_high, np.where(seg_low, z_low, z_res))
 
 
-def coco_event_hits(seeds: np.ndarray, z: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """Whether each user's hashes send j_minus (code 2j-1) and j_plus (code 2j) onto its z: (m, 2d) bool.
+def coco_hit_counts(seeds: np.ndarray, z: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """Per event code, how many users' hashes send j_minus (code 2j-1) or j_plus (code 2j) onto their z: (2d,) int64.
 
     Dimension j's events sit on the bucket pair (H1(j), H1(j) + t/2), so z can hit one only
     where its slot (z - 1) mod t/2 equals H1(j) - 1.  The sign hash is evaluated on those
@@ -191,10 +190,7 @@ def coco_event_hits(seeds: np.ndarray, z: np.ndarray, params: MechanismParams) -
     rows, cols = np.nonzero(slots == ((z - 1) % half).astype(np.uint64)[:, None])
     plus_up = (keyed_hashes(seeds[rows], dims[cols], STREAM_H2) & np.uint64(1)) == 1
     plus = plus_up == (z[rows] > half)
-    hits = np.zeros((len(seeds), params.d, 2), dtype=bool)  # (j_minus, j_plus) per dimension
-    hits[rows, cols, 1] = plus
-    hits[rows, cols, 0] = ~plus
-    return hits.reshape(len(seeds), 2 * params.d)
+    return np.bincount(2 * cols + plus, minlength=2 * params.d)
 
 
 def coco_predicted_mse(d: int, s: int, rates: CollisionRates, which: str) -> float:

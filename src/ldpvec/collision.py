@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import STREAM_SINGLE, MechanismParams, check_batch, exp_budget, hash_buckets, keyed_hashes
+from .domain import STREAM_SINGLE, MechanismParams, check_batch, event_code, exp_budget, hash_buckets, keyed_hashes
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ def collision_randomize_batch(
     check_batch(supports, signs, params)
     n, s = supports.shape
     t = params.t
-    codes = 2 * supports - 1 + (signs > 0)
-    h = hash_buckets(seeds[:, None], codes, t)
+    h = hash_buckets(seeds[:, None], event_code(supports, signs), t)
     hs = np.sort(h, axis=1)
     new = np.ones_like(hs, dtype=bool)
     new[:, 1:] = hs[:, 1:] != hs[:, :-1]
@@ -133,8 +132,8 @@ def collision_randomize_batch(
     return np.where(is_hit, z_hit, z_miss)
 
 
-def collision_event_hits(seeds: np.ndarray, z: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """Whether each user's hash sends event code c onto its symbol z, for c = 1..2d: (m, 2d) bool.
+def collision_hit_counts(seeds: np.ndarray, z: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """Per event code c = 1..2d, how many users' hash sends c onto their symbol z: (2d,) int64.
 
     The buckets are compared 0-based in uint64: H(c) - 1 = mix(seed ^ key(c)) mod t against z - 1.
     Collision's debias needs ``CollisionParams``, so other params are rejected here, before any hashing.
@@ -142,7 +141,7 @@ def collision_event_hits(seeds: np.ndarray, z: np.ndarray, params: MechanismPara
     check_collision_params(params)
     vals = keyed_hashes(seeds[:, None], np.arange(1, 2 * params.d + 1), STREAM_SINGLE)
     np.remainder(vals, np.uint64(params.t), out=vals)
-    return vals == (z - 1).astype(np.uint64)[:, None]
+    return (vals == (z - 1).astype(np.uint64)[:, None]).sum(axis=0, dtype=np.int64)
 
 
 def collision_predicted_sum_variance(d: int, s: int, epsilon: float, t: float) -> float:

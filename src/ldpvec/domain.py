@@ -61,7 +61,6 @@ class EventId(NamedTuple):
 
     @property
     def code(self) -> int:
-        """Integer encoding: (j, -1) -> 2j-1, (j, +1) -> 2j."""
         return event_code(self.index, self.sign)
 
     @classmethod
@@ -73,8 +72,9 @@ class EventId(NamedTuple):
         return cls(index, sign)
 
 
-def event_code(index: int, sign: int) -> int:
-    return 2 * index - 1 + (1 if sign > 0 else 0)
+def event_code(index, sign):
+    """(j, -1) -> 2j-1, (j, +1) -> 2j, for ints or elementwise over integer arrays."""
+    return 2 * index - 1 + (sign > 0)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,8 @@ class MechanismParams:
             raise ValueError("epsilon must be positive")
         exp_budget(self.epsilon, self.s)
         if not 1 <= self.t < 2**63:  # buckets are returned as int64
-            raise ValueError(f"t must be an integer in 1..2^63-1, got {self.t}")
+            got = f"about 2^{math.log2(self.t):.1f}" if self.t >= 2**63 else self.t  # t from a huge epsilon has ~300 digits
+            raise ValueError(f"t must be an integer in 1..2^63-1, got {got}")
 
 
 def exp_budget(epsilon: float, scale: float = 1.0) -> float:

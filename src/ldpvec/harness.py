@@ -211,7 +211,7 @@ def simulate_point(
     # Randomize under the mechanism (its default t) and aggregate the event frequencies.
     mech = agg.mechanism(mechanism)
     params = mech.params(d, s, epsilon, None, target)
-    seeds = None if mech.event_hits is None else user_hash_seeds(hash_master, n)
+    seeds = None if mech.hit_counts is None else user_hash_seeds(hash_master, n)
     views = mech.randomize(supports, signs, seeds, params, rng_mech)
     est = agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
     raw = agg.target_values(est, target)
@@ -224,36 +224,6 @@ def simulate_point(
         for suffix, values in estimates.items()
         for metric in METRICS
     }
-
-
-def single_user_mean_squared_errors(
-    mechanism: str,
-    d: int,
-    s: int,
-    epsilon: float,
-    trials: int,
-    master_seed: int,
-    t: int | None = None,
-) -> np.ndarray:
-    """Per-trial summed squared error of the single-user mean estimate.
-
-    Each trial draws a fresh user (data and hash) and estimates the full
-    d-dimensional mean vector from that one private view.
-    """
-    mech = agg.mechanism(mechanism)
-    if mech.event_hits is None:
-        raise ValueError(f"mechanism must be collision or coco, got {mechanism!r}")
-    rng_data, rng_mech, hash_master = _rep_streams(master_seed, 0, 0)
-    supports, signs = gen_synthetic_arrays(trials, d, s, rng_data)
-    seeds = user_hash_seeds(hash_master, trials)
-    params = mech.params(d, s, epsilon, t, "mean")
-    z = mech.randomize(supports, signs, seeds, params, rng_mech)
-    # Each trial is its own one-user aggregation: debias its row of hits.
-    hits = mech.event_hits(seeds, z, params).astype(np.int64)
-    est = agg.target_values(mech.debias(hits, 1, params), "mean")
-    truth = np.zeros((trials, d))
-    truth[np.arange(trials)[:, None], supports - 1] = signs
-    return ((est - truth) ** 2).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +311,8 @@ def run_amplification_sweep(
         else:
             eps_c = amp.efmrtt_closed_form(epsilon, delta, n)
             caveat = "closed-form validity conditions not checked"
-        ratio = math.log2(epsilon / max(eps_c, amp.BRACKET_WIDTH))
+        # eps_c is resolved only to BRACKET_WIDTH, so it is floored there, but never above epsilon.
+        ratio = math.log2(epsilon / max(eps_c, min(amp.BRACKET_WIDTH, epsilon)))
         return [
             ReportRow(
                 mechanism=f"bound:{bound}", n=n, d=0, s=s, epsilon=epsilon,

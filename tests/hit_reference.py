@@ -3,12 +3,14 @@
 Each layout returns every user's bucket for every event code 1..2d, shape
 (n, 2d), built from the public hash streams; a view hits event c exactly
 when its row's bucket for c equals its symbol z.  ``ldpvec.collision``
-and ``ldpvec.coco`` compute those hits without materialising buckets.
+and ``ldpvec.coco`` count those hits without materialising buckets.
 """
 
 import numpy as np
 
-from ldpvec.domain import MechanismParams, hash_buckets, pair_signs, pair_slots
+from ldpvec import aggregate as agg
+from ldpvec.domain import MechanismParams, hash_buckets, pair_signs, pair_slots, user_hash_seeds
+from ldpvec.harness import _rep_streams, gen_synthetic_arrays
 
 
 def collision_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray:
@@ -30,3 +32,31 @@ def coco_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray
 
 
 REFERENCE_BUCKETS = {"collision": collision_event_buckets, "coco": coco_event_buckets}
+
+
+def single_user_mean_squared_errors(
+    mechanism: str,
+    d: int,
+    s: int,
+    epsilon: float,
+    trials: int,
+    master_seed: int,
+    t: int | None = None,
+) -> np.ndarray:
+    """Per-trial summed squared error of the single-user mean estimate.
+
+    Each trial draws a fresh user (data and hash) and estimates the full
+    d-dimensional mean vector from that one private view.
+    """
+    mech = agg.mechanism(mechanism)
+    rng_data, rng_mech, hash_master = _rep_streams(master_seed, 0, 0)
+    supports, signs = gen_synthetic_arrays(trials, d, s, rng_data)
+    seeds = user_hash_seeds(hash_master, trials)
+    params = mech.params(d, s, epsilon, t, "mean")
+    z = mech.randomize(supports, signs, seeds, params, rng_mech)
+    # Each trial is its own one-user aggregation: debias its row of hits.
+    hits = (REFERENCE_BUCKETS[mechanism](seeds, params) == z[:, None]).astype(np.int64)
+    est = agg.target_values(mech.debias(hits, 1, params), "mean")
+    truth = np.zeros((trials, d))
+    truth[np.arange(trials)[:, None], supports - 1] = signs
+    return ((est - truth) ** 2).sum(axis=1)

@@ -31,13 +31,14 @@ from ldpvec.amplification import (
 from ldpvec.coco import coco_predicted_mse, collision_rates
 from ldpvec.collision import collision_optimal_t, collision_params
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
-from ldpvec.harness import simulate_point, single_user_mean_squared_errors
+from ldpvec.harness import simulate_point
 from ldpvec.oracle import (
     all_sparse_vectors,
     exact_estimator_moments,
     lower_bound_statistic_distribution,
     verify_ldp,
 )
+from hit_reference import single_user_mean_squared_errors
 from pq_reference import exact_pq_laws
 
 LN2 = math.log(2)

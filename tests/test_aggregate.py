@@ -304,15 +304,17 @@ def _hit_instances(draw):
 def test_hit_kernels_match_the_reference_layouts(instance, data):
     name, params, seeds, z, buckets = instance
     expected = buckets == z[:, None]
-    hits = MECHANISMS[name].event_hits(seeds, z, params)
-    assert hits.dtype == np.bool_ and np.array_equal(hits, expected)
+    kernel = MECHANISMS[name].hit_counts
+    for i in range(len(seeds)):  # each view on its own: a one-row batch counts that row's hits
+        counts = kernel(seeds[i : i + 1], z[i : i + 1], params)
+        assert counts.dtype == np.int64 and np.array_equal(counts, expected[i]), i
     cells = len(seeds) * 2 * params.d
     for chunk in (1, 2 * params.d - 1, 2 * params.d, data.draw(st.integers(2, 3 * cells).filter(lambda c: cells % c))):
         for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(aggregate, "HIT_CHUNK_CELLS", chunk)
                 mp.setattr(aggregate, "_hit_workers", lambda: workers)
-                counts = event_hit_counts(seeds, z, MECHANISMS[name].event_hits, params)
+                counts = event_hit_counts(seeds, z, kernel, params)
             assert counts.dtype == np.int64 and np.array_equal(counts, expected.sum(axis=0)), (chunk, workers)
 
 
@@ -325,7 +327,7 @@ def test_hit_counts_over_chunks_that_do_not_divide_among_the_workers(monkeypatch
     z = buckets[np.arange(7), np.arange(7) % (2 * params.d)]
     monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 2 * params.d)  # one user per chunk: 7 chunks
     monkeypatch.setattr(aggregate, "_hit_workers", lambda: workers)
-    counts = event_hit_counts(seeds, z, MECHANISMS[name].event_hits, params)
+    counts = event_hit_counts(seeds, z, MECHANISMS[name].hit_counts, params)
     assert np.array_equal(counts, (buckets == z[:, None]).sum(axis=0))
 
 
@@ -340,7 +342,7 @@ def test_a_single_chunk_starts_no_thread(monkeypatch):
         params = MECHANISMS[name].params(8, 2, 1.0, None, "mean")
         seeds = user_hash_seeds(3, aggregate.HIT_CHUNK_CELLS // (2 * params.d))  # exactly one chunk
         z = np.ones(len(seeds), dtype=np.int64)
-        counts = event_hit_counts(seeds, z, MECHANISMS[name].event_hits, params)
+        counts = event_hit_counts(seeds, z, MECHANISMS[name].hit_counts, params)
         assert counts.shape == (2 * params.d,)
         aggregate_frequencies((seeds, z), name, params)
     assert threading.active_count() == baseline
@@ -355,7 +357,7 @@ def test_a_worker_error_reaches_the_caller(monkeypatch):
 
     def collision_hits(seeds, z, params):
         callers.append(threading.current_thread())
-        return MECHANISMS["collision"].event_hits(seeds, z, params)
+        return MECHANISMS["collision"].hit_counts(seeds, z, params)
 
     def out_of_memory(seeds, z, params):
         callers.append(threading.current_thread())

@@ -300,6 +300,17 @@ def test_truncation_mass_is_the_sum_of_excluded_tails(n, delta):
     assert query.window.truncation_mass == pytest.approx(math.fsum(terms), rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [2**31 - 1, 2**31 + 1])
+def test_window_is_finite_on_both_sides_of_2_31(n):
+    # scipy's bdtr/bdtrc return nan from 2^31 trials on; the window's betainc tails do not
+    query = AmplificationQuery(n=n, epsilon=1.0, alpha=generic_clone_alpha(1.0), delta=1e-6)
+    c_lo, c_hi = reference_window(query)
+    assert (query.window.m[0], query.window.m[-1]) == (c_lo, c_hi + 1)
+    cdist = binom(n - 1, 2.0 * query.clone_prob)
+    assert query.window.truncation_mass == pytest.approx(cdist.cdf(c_lo - 1) + cdist.sf(c_hi), rel=1e-6)
+    assert 0.0 < pq_divergence(query, 0.5).reported_delta <= 1e-6
+
+
 @pytest.mark.parametrize("eps_c", [math.nan, math.inf, -math.inf, -0.1])
 def test_divergence_rejects_non_finite_or_negative_eps_c(eps_c):
     query = AmplificationQuery(n=100, epsilon=1.0, alpha=0.2, delta=1e-6)

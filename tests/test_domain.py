@@ -51,6 +51,15 @@ def test_event_code_bijection_exhaustive():
         assert seen == set(range(1, 2 * d + 1))
 
 
+def test_event_code_works_elementwise_on_arrays():
+    supports = np.array([[1, 3, 64], [2, 5, 7]])
+    signs = np.array([[-1, 1, 1], [1, -1, -1]])
+    codes = event_code(supports, signs)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [[event_code(int(j), int(b)) for j, b in zip(*rows)] for rows in zip(supports, signs)]
+    assert type(event_code(3, 1)) is int and event_code(3, 1) == 6
+
+
 def test_event_set_examples():
     assert TernaryVector(d=3, support=((2, 1),)).event_set() == {EventId(2, 1)}
     x = TernaryVector(d=6, support=((3, 1), (5, -1)))

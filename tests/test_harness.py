@@ -431,6 +431,15 @@ def test_cli_large_epsilon_is_a_per_point_failure():
     assert {row.split(",")[0] for row in res.stdout.splitlines()[1:]} == {"bound:efmrtt"}
 
 
+def test_cli_out_of_range_t_fails_on_one_short_line():
+    # at epsilon = 700 the hash mechanisms' default t has over 300 digits
+    res = _simulate("--epsilon", "700", "--n", "10", "--d", "8", "--mechanism", "collision,coco")
+    assert res.exit_code == 2, res.output
+    failed = res.stderr.splitlines()
+    assert len(failed) == 2 and all(line.startswith("point failed:") and len(line) < 200 for line in failed)
+    assert all(line.endswith("t must be an integer in 1..2^63-1, got about 2^1010.9") for line in failed)
+
+
 def test_cli_non_finite_row_is_a_per_point_failure():
     runner = CliRunner()
     for mechanism in ("collision", "coco", "privkv"):
@@ -533,6 +542,15 @@ def test_cli_amplify_rejects_grid_values_outside_the_domain(flags, message):
     assert "point failed:" not in res.stderr
 
 
+def test_log2_amplification_floor_never_exceeds_epsilon():
+    # below BRACKET_WIDTH a certified eps_c of 0 is floored at epsilon itself: ratio 0, not negative
+    rows, errors = run_amplification_sweep([1000], [1], [1e-5, 0.5], 1e-6, bounds=("collision", "clone"))
+    assert not errors
+    ratios = {(row.mechanism, row.epsilon): row.value for row in rows if row.metric == "log2_amplification"}
+    assert ratios[("bound:collision", 1e-5)] == ratios[("bound:clone", 1e-5)] == 0.0
+    assert all(ratio > 0.0 for (_, epsilon), ratio in ratios.items() if epsilon == 0.5)
+
+
 def test_amplification_sweep_rejects_empty_lists():
     for args, name in ((([], [2], [1.0]), "n"), (([500], [], [1.0]), "s"), (([500], [2], []), "epsilon")):
         with pytest.raises(ValueError, match=f"config field {name} must be non-empty"):
@@ -610,7 +628,7 @@ def test_a_worker_error_is_a_per_point_failure(monkeypatch, error):
         callers.append(threading.current_thread())
         raise error
 
-    monkeypatch.setitem(aggregate.MECHANISMS, "collision", aggregate.MECHANISMS["collision"]._replace(event_hits=failing_hits))
+    monkeypatch.setitem(aggregate.MECHANISMS, "collision", aggregate.MECHANISMS["collision"]._replace(hit_counts=failing_hits))
     monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 50 chunks
     monkeypatch.setattr(aggregate, "_hit_workers", lambda: 2)
     baseline = threading.active_count()
