@@ -30,7 +30,7 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import MechanismParams, check_integer, event_code
+from .domain import MechanismParams, check_integer, debias_denominator, event_code
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
@@ -130,19 +130,16 @@ def _hit_workers() -> int:
 
 
 def _collision_frequencies(counts: np.ndarray, n: int, params: _col.CollisionParams) -> np.ndarray:
-    denom = params.hit_prob - params.false_prob
-    if abs(denom) < 1e-15:
-        raise ValueError("degenerate parameters: e^eps/Omega equals 1/t")
+    denom = debias_denominator(params.hit_prob - params.false_prob, "degenerate parameters: e^eps/Omega equals 1/t")
     return (counts / n - params.false_prob) / denom
 
 
 def _coco_frequencies(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
     rates = _coco.collision_rates(params.s, params.epsilon, params.t)
-    mean_denom, nonmissing_denom = rates.p_t - rates.p_o, rates.p_t + rates.p_o - 2.0 * rates.p_f
-    if abs(mean_denom) < 1e-15:
-        raise ValueError("degenerate rates: p_t equals p_o")
-    if abs(nonmissing_denom) < 1e-15:
-        raise ValueError("degenerate rates: p_t + p_o equals 2 p_f")
+    mean_denom = debias_denominator(rates.p_t - rates.p_o, "degenerate rates: p_t equals p_o")
+    nonmissing_denom = debias_denominator(
+        rates.p_t + rates.p_o - 2.0 * rates.p_f, "degenerate rates: p_t + p_o equals 2 p_f"
+    )
     plus, minus = counts[..., 1::2], counts[..., 0::2]
     mean = (plus - minus) / (n * mean_denom)
     nonmissing = (plus + minus - 2.0 * n * rates.p_f) / (n * nonmissing_denom)

@@ -88,6 +88,8 @@ def efmrtt_closed_form(epsilon: float, delta: float, n: int) -> float:
     """
     if n < 1 or not epsilon > 0 or not 0.0 < delta < 1.0:
         raise ValueError("need n >= 1, epsilon > 0 and delta in (0,1)")
+    if math.isinf(1.0 / delta):
+        raise ValueError(f"1/delta overflows float arithmetic at delta={delta!r}")
     return epsilon * math.sqrt(144.0 * math.log(1.0 / delta) / n)
 
 

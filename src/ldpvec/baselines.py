@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .domain import MechanismParams, check_batch, check_integer, event_code, exp_budget
+from .domain import MechanismParams, check_batch, check_integer, debias_denominator, event_code, exp_budget
 
 
 def amplified_budget(s: int, epsilon: float) -> float:
@@ -46,8 +46,7 @@ def grr_probabilities(epsilon: float, k: int) -> tuple[float, float]:
 def _debias_probabilities(params: MechanismParams) -> tuple[float, float]:
     """The GRR's (p, q), with p - q too small to divide by as a ValueError."""
     p, q = grr_probabilities(params.epsilon, params.t)
-    if abs(p - q) < 1e-15:
-        raise ValueError(f"degenerate GRR: p - q = {p - q:.3g} at epsilon={params.epsilon:g} over {params.t} categories")
+    debias_denominator(p - q, f"degenerate GRR: p - q = {p - q:.3g} at epsilon={params.epsilon:g} over {params.t} categories")
     return p, q
 
 
@@ -88,20 +87,23 @@ def pckv_randomize_batch(
 
 
 def privkv_debias(views, params: MechanismParams) -> np.ndarray:
-    """Unbiased event-frequency estimates from PrivKV (j, value) reports.
+    """Unbiased event-frequency estimates from a ``(j, values)`` pair of PrivKV reports.
 
     A report only carries information about its sampled dimension, so each
     contribution is debiased within dimension j's group and scaled by d.
     """
     _check_categories(params, 3)
+    if not (isinstance(views, tuple) and len(views) == 2):
+        raise ValueError("PrivKV takes a (j, values) pair")
     j, values = (np.asarray(v) for v in views)
-    n = len(j)
+    if j.ndim != 1 or j.shape != values.shape:
+        raise ValueError(f"j and values must be 1-d arrays of one length, got shapes {j.shape} and {values.shape}")
+    n, d = len(j), params.d
     if n == 0:
         raise ValueError("no views to aggregate")
     check_integer(j=j, values=values)
-    d = params.d
-    if j.shape != values.shape or j.min() < 1 or j.max() > d or not np.isin(values, (-1, 0, 1)).all():
-        raise ValueError(f"PrivKV reports need dimensions j in 1..{d} and values in -1, 0, +1, one per j")
+    if j.min() < 1 or j.max() > d or not np.isin(values, (-1, 0, 1)).all():
+        raise ValueError(f"PrivKV reports need dimensions j in 1..{d} and values in -1, 0, +1")
     p, q = _debias_probabilities(params)
     est = np.zeros(2 * d)
     group = np.bincount(j - 1, minlength=d).astype(float)
@@ -115,12 +117,14 @@ def pckv_debias(views, params: MechanismParams) -> np.ndarray:
     """Unbiased event-frequency estimates (scale s) from PCKV code reports."""
     _check_categories(params, 2 * params.d)
     codes = np.asarray(views)
+    if codes.ndim != 1:
+        raise ValueError(f"reported codes must be a 1-d array, got shape {codes.shape}")
     n = len(codes)
     if n == 0:
         raise ValueError("no views to aggregate")
     check_integer(codes=codes)
-    if codes.ndim != 1 or codes.min() < 1 or codes.max() > params.t:
-        raise ValueError(f"reported codes must be a 1-d array of values in 1..{params.t}")
+    if codes.min() < 1 or codes.max() > params.t:
+        raise ValueError(f"reported codes must lie in 1..{params.t}")
     p, q = _debias_probabilities(params)
     hits = np.bincount(codes - 1, minlength=params.t).astype(float)
     return params.s * (hits / n - q) / (p - q)

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import STREAM_H1, STREAM_H2, MechanismParams, check_batch, exp_budget, keyed_hashes, pair_signs, pair_slots
+from .domain import (
+    STREAM_H1, STREAM_H2, MechanismParams, check_batch, debias_denominator, exp_budget, keyed_hashes, pair_signs, pair_slots,
+)
 
 
 @dataclass(frozen=True)
@@ -197,16 +199,11 @@ def coco_predicted_mse(d: int, s: int, rates: CollisionRates, which: str) -> flo
     """Single-user summed estimator MSE predicted from the collision rates."""
     if d < s:
         raise ValueError("need d >= s")
+    both = rates.p_t + rates.p_o
     if which == "nonmissing":
-        denom = (rates.p_t + rates.p_o - 2.0 * rates.p_f) ** 2
-        if denom < 1e-30:
-            raise ValueError("degenerate rates: p_t + p_o equals 2 p_f")
-        both = rates.p_t + rates.p_o
-        return (s * both * (1.0 - both) + (d - s) * 2.0 * rates.p_f * (1.0 - 2.0 * rates.p_f)) / denom
+        denom = debias_denominator(both - 2.0 * rates.p_f, "degenerate rates: p_t + p_o equals 2 p_f")
+        return (s * both * (1.0 - both) + (d - s) * 2.0 * rates.p_f * (1.0 - 2.0 * rates.p_f)) / denom**2
     if which == "mean":
-        denom = (rates.p_t - rates.p_o) ** 2
-        if denom < 1e-30:
-            raise ValueError("degenerate rates: p_t equals p_o")
-        both = rates.p_t + rates.p_o
-        return (s * (both - (rates.p_t - rates.p_o) ** 2) + (d - s) * 2.0 * rates.p_f) / denom
+        denom = debias_denominator(rates.p_t - rates.p_o, "degenerate rates: p_t equals p_o")
+        return (s * (both - denom**2) + (d - s) * 2.0 * rates.p_f) / denom**2
     raise ValueError(f"which must be 'mean' or 'nonmissing', got {which!r}")

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import STREAM_SINGLE, MechanismParams, check_batch, event_code, exp_budget, hash_buckets, keyed_hashes
+from .domain import (
+    STREAM_SINGLE, MechanismParams, check_batch, debias_denominator, event_code, exp_budget, hash_buckets, keyed_hashes,
+)
 
 
 @dataclass(frozen=True)
@@ -152,4 +154,5 @@ def collision_predicted_sum_variance(d: int, s: int, epsilon: float, t: float) -
     omega = s * math.exp(epsilon) + t - s
     p = math.exp(epsilon) / omega
     q = 1.0 / t
-    return (s * p * (1 - p) + (2 * d - s) * q * (1 - q)) / (p - q) ** 2
+    denom = debias_denominator(p - q, "degenerate parameters: e^eps/Omega equals 1/t")
+    return (s * p * (1 - p) + (2 * d - s) * q * (1 - q)) / denom**2

@@ -150,6 +150,13 @@ def exp_budget(epsilon: float, scale: float = 1.0) -> float:
     return value
 
 
+def debias_denominator(value: float, message: str) -> float:
+    """``value``, or a ValueError with ``message`` when it is too close to 0 to divide by."""
+    if abs(value) < 1e-15:
+        raise ValueError(message)
+    return value
+
+
 def check_integer(**arrays) -> None:
     """Reject, by dtype alone, any named array that does not hold integers."""
     for name, values in arrays.items():

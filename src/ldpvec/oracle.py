@@ -16,13 +16,12 @@ writers.
 
 Mechanisms only read a hash at the events (or dimensions) an instance
 touches, so the uniform family over all functions, restricted to those
-points, is an exact marginal of the full family and is used whenever a
-caller does not supply an explicit family.  Both laws are equivariant
-under relabelling buckets (permuting slots, and swapping the two buckets
-of a pair), and every quantity taken from them here is invariant, so
-that family is enumerated as one table per relabelling orbit, weighted
-by the orbit's share; it is materialised only when the representatives
-fit in 20 bits.
+points, is an exact marginal of the full family; it is the one family
+the oracle enumerates.  Both laws are equivariant under relabelling
+buckets (permuting slots, and swapping the two buckets of a pair), and
+every quantity taken from them here is invariant, so that family is
+enumerated as one table per relabelling orbit, weighted by the orbit's
+share; it is materialised only when the representatives fit in 20 bits.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .coco import check_coco_domain, coco_omega, collision_rates
 from .collision import CollisionParams, check_collision_params, collision_output_probabilities
-from .domain import EventId, MechanismParams, TernaryVector
+from .domain import EventId, MechanismParams, TernaryVector, debias_denominator
 
 _SIZE_GUARD = 10**6
 
@@ -66,11 +65,6 @@ class CocoTable(dict):
 
     def pair_slot(self, index: int) -> int:
         return (self[index] - 1) % (self.t // 2) + 1
-
-
-def _guard(count: int, t: int) -> None:
-    if count * t > _SIZE_GUARD:
-        raise ValueError(f"enumeration size {count}*{t} exceeds guard {_SIZE_GUARD}")
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
@@ -168,7 +162,7 @@ def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tu
     slots, n = law.slots(t), len(points)
     offsets = (0, slots) if law.paired else (0,)
     if _orbit_count(n, slots, law.paired) > 1 << 20:
-        raise ValueError("uniform family too large; pass an explicit sub-family")
+        raise ValueError(f"uniform family on {n} points has more than 2^20 orbit representatives")
     total = (len(offsets) * slots) ** n
 
     def extend(values: tuple[int, ...], used: int) -> Iterator[tuple[object, float]]:
@@ -196,47 +190,33 @@ def _cached_probs(law: TableLaw, x: TernaryVector, points, table, params, cache:
 # LDP verification
 
 
-def verify_ldp(mechanism: str, params, family=None) -> float:
-    """Max over inputs, tables and outputs of log(P[z|x,H] / P[z|x',H]).
+def verify_ldp(mechanism: str, params) -> float:
+    """Max over inputs, hash tables and outputs of log(P[z|x,H] / P[z|x',H]).
 
-    With ``family=None`` the check is exhaustive over all hash tables.  A
-    pair (x, x') reads at most 2|points(x)| points, so every pair lies in
-    some set of that many points of the domain (or in the whole domain).
-    Each such set is checked on the uniform family restricted to it, an
-    exact marginal, over the inputs that read only its points, and that
-    family is enumerated as one table per bucket-relabelling orbit: the
-    worst ratio over z is the same on every table of an orbit.  The size
-    guard counts (input, representative table) evaluations.  An explicit
-    ``family`` is checked over all inputs at once; a table without an entry
-    for a point some input reads is a ValueError.
+    The check is exhaustive over all hash tables.  A pair (x, x') reads at
+    most 2|points(x)| points, so every pair lies in some set of that many
+    points of the domain (or in the whole domain).  Each such set is
+    checked on the uniform family restricted to it, an exact marginal,
+    over the inputs that read only its points, and that family is
+    enumerated as one table per bucket-relabelling orbit: the worst ratio
+    over z is the same on every table of an orbit.  The size guard counts
+    (input, representative table) evaluations.
     """
     law = _law(mechanism, params)
     reads = [(x, law.points(x)) for x in all_sparse_vectors(params.d, params.s)]
     domain = sorted({p for _, points in reads for p in points})
-    if family is None:
-        k = len(reads[0][1])
-        size = min(2 * k, len(domain))
-        # each input lies in comb(|domain| - k, size - k) of the point sets
-        memberships = len(reads) * math.comb(len(domain) - k, size - k)
-        _guard(memberships * _orbit_count(size, law.slots(params.t), law.paired), params.t)
-        groups = (
-            ([r for r in reads if set(r[1]).issubset(points)], _uniform_tables(law, points, params.t))
-            for points in combinations(domain, size)
-        )
-    elif not family:
-        raise ValueError("verify_ldp needs a non-empty family of tables, got an empty family")
-    else:
-        _guard(len(family) * len(reads), params.t)
-        for i, (table, _) in enumerate(family):
-            missing = [p for p in domain if p not in table]
-            if missing:
-                raise ValueError(f"table {i} of the family has no entry for point {missing[0]}, which an input reads")
-        groups = [(reads, family)]
+    k = len(reads[0][1])
+    size = min(2 * k, len(domain))
+    # each input lies in comb(|domain| - k, size - k) of the point sets
+    count = len(reads) * math.comb(len(domain) - k, size - k) * _orbit_count(size, law.slots(params.t), law.paired)
+    if count * params.t > _SIZE_GUARD:
+        raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
     cache: dict[tuple, np.ndarray] = {}
     worst = 0.0
-    for group, tables in groups:
-        for table, _ in tables:
-            m = np.stack([_cached_probs(law, x, points, table, params, cache) for x, points in group])
+    for points in combinations(domain, size):
+        group = [r for r in reads if set(r[1]).issubset(points)]
+        for table, _ in _uniform_tables(law, points, params.t):
+            m = np.stack([_cached_probs(law, x, x_points, table, params, cache) for x, x_points in group])
             worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
     return math.log(worst)
 
@@ -252,21 +232,18 @@ def exact_estimator_moments(
     estimator: str,
     event: EventId | None = None,
     dim: int | None = None,
-    family=None,
 ) -> tuple[float, float]:
     """Exact (mean, variance) of one per-user estimator under ideal hashing.
 
-    The default family is the uniform family restricted to the events or
-    dimensions the instance touches, which is an exact marginalisation.
+    The tables enumerated are the uniform family restricted to the events
+    or dimensions the instance touches, which is an exact marginalisation.
     """
     law = _law(mechanism, params)
     point, terms = _estimator_terms(mechanism, params, estimator, event, dim)
     points = law.points(x)
-    if family is None:
-        family = _uniform_tables(law, tuple(dict.fromkeys(points + (point,))), params.t)
     cache: dict[tuple, np.ndarray] = {}
     means, seconds, weights = [], [], []
-    for table, weight in family:
+    for table, weight in _uniform_tables(law, tuple(dict.fromkeys(points + (point,))), params.t):
         mean_t, second_t = terms(_cached_probs(law, x, points, table, params, cache), table)
         means.append(weight * mean_t)
         seconds.append(weight * second_t)
@@ -276,9 +253,8 @@ def exact_estimator_moments(
     return mean, second - mean**2
 
 
-def _debiased_indicator(p_hit: float, p_true: float, p_false: float) -> tuple[float, float]:
-    """Mean and second moment of (1[hit] - p_false) / (p_true - p_false) when P[hit] = p_hit."""
-    denom = p_true - p_false
+def _debiased_indicator(p_hit: float, p_false: float, denom: float) -> tuple[float, float]:
+    """Mean and second moment of (1[hit] - p_false) / denom when P[hit] = p_hit."""
     hit_v, miss_v = (1.0 - p_false) / denom, (0.0 - p_false) / denom
     return p_hit * hit_v + (1 - p_hit) * miss_v, p_hit * hit_v**2 + (1 - p_hit) * miss_v**2
 
@@ -288,16 +264,17 @@ def _estimator_terms(mechanism: str, params, estimator: str, event, dim) -> tupl
     if mechanism == "collision":
         if estimator != "indicator" or event is None:
             raise ValueError("collision supports estimator='indicator' with an event")
-        p_true, p_false = params.hit_prob, params.false_prob
-        return event.code, lambda p, table: _debiased_indicator(p[table[event.code] - 1], p_true, p_false)
+        denom = debias_denominator(params.hit_prob - params.false_prob, "degenerate parameters: e^eps/Omega equals 1/t")
+        return event.code, lambda p, table: _debiased_indicator(p[table[event.code] - 1], params.false_prob, denom)
     if estimator not in ("mean", "nonmissing") or dim is None:
         raise ValueError("coco supports estimator in {'mean','nonmissing'} with a dim")
     rates = collision_rates(params.s, params.epsilon, params.t)
     if estimator == "mean":
-        denom = rates.p_t - rates.p_o
+        denom = debias_denominator(rates.p_t - rates.p_o, "degenerate rates: p_t equals p_o")
         moments = lambda pp, pm: ((pp - pm) / denom, (pp + pm) / denom**2)
     else:
-        moments = lambda pp, pm: _debiased_indicator(pp + pm, rates.p_t + rates.p_o, 2.0 * rates.p_f)
+        denom = debias_denominator(rates.p_t + rates.p_o - 2.0 * rates.p_f, "degenerate rates: p_t + p_o equals 2 p_f")
+        moments = lambda pp, pm: _debiased_indicator(pp + pm, 2.0 * rates.p_f, denom)
     # H(j_+) != H(j_-), so at most one can equal z
     return dim, lambda p, table: moments(p[table.event_bucket(dim, 1) - 1], p[table.event_bucket(dim, -1) - 1])
 

@@ -2,11 +2,15 @@
 
 ``uniform_collision_family`` lists every single-layout hash table on a
 set of event codes, the full family that the oracle's orbit
-representatives stand for.  ``mixture_decompose`` splits a pair of
-e^eps-ratio-bounded output laws into the three-component clone mixture
-of Feldman, McMillan & Talwar ("Hiding Among the Clones", FOCS 2021),
-so tests can check its weight beta against the accountant's clone
-probability.
+representatives stand for.  ``family_privacy_loss`` and
+``family_moments`` evaluate the oracle's two quantities table by table
+over such an explicit family, from the law of each table alone: no
+orbit representatives, orbit weights or point-set grouping, so they
+check the oracle's enumeration without sharing it.  ``mixture_decompose``
+splits a pair of e^eps-ratio-bounded output laws into the
+three-component clone mixture of Feldman, McMillan & Talwar ("Hiding
+Among the Clones", FOCS 2021), so tests can check its weight beta
+against the accountant's clone probability.
 """
 
 import math
@@ -14,15 +18,48 @@ from itertools import product
 
 import numpy as np
 
-from ldpvec.oracle import CollisionTable
+from ldpvec.oracle import LAWS, CollisionTable, _estimator_terms
 
 
 def uniform_collision_family(codes, t: int) -> list:
     """All functions from ``codes`` into 1..t, equally weighted (the full family, not orbit representatives)."""
     count = t ** len(codes)
     if count > 1 << 20:
-        raise ValueError("uniform family too large; pass an explicit sub-family")
+        raise ValueError(f"uniform family of {count} tables exceeds 2^20")
     return [(CollisionTable(zip(codes, values)), 1.0 / count) for values in product(range(1, t + 1), repeat=len(codes))]
+
+
+def _memo_probs(mechanism: str, params):
+    """P[z | x, table] over 1..t, memoised per input on the table's values at the points x reads."""
+    law, memo = LAWS[mechanism], {}
+
+    def probs(x, table):
+        key = (x.support, tuple(table[p] for p in law.points(x)))
+        if key not in memo:
+            memo[key] = law.probs(x, table, params)
+        return memo[key]
+
+    return probs
+
+
+def family_privacy_loss(mechanism: str, params, inputs, family) -> float:
+    """Max over the tables of ``family``, the inputs and z of log(P[z|x,H] / P[z|x',H])."""
+    probs = _memo_probs(mechanism, params)
+    worst = 0.0
+    for table, _ in family:
+        laws = np.stack([probs(x, table) for x in inputs])
+        worst = max(worst, float(np.max(laws.max(axis=0) / laws.min(axis=0))))
+    return math.log(worst)
+
+
+def family_moments(mechanism: str, params, x, family, estimator: str, event=None, dim=None) -> tuple[float, float]:
+    """(mean, variance) of one per-user estimator over the weighted tables of ``family``."""
+    probs = _memo_probs(mechanism, params)
+    _, terms = _estimator_terms(mechanism, params, estimator, event, dim)
+    moments = [(weight, *terms(probs(x, table), table)) for table, weight in family]
+    total = math.fsum(w for w, _, _ in moments)
+    mean = math.fsum(w * m for w, m, _ in moments) / total
+    return mean, math.fsum(w * second for w, _, second in moments) / total - mean**2
 
 
 def mixture_decompose(r1, r1_prime, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -275,6 +275,15 @@ def test_aggregate_rejects_malformed_baseline_reports():
     pckv = MECHANISMS["pckv_grr"].params(4, 1, 1.0, None, "frequency")
     with pytest.raises(ValueError, match="codes"):
         aggregate_frequencies(np.array([1, 9]), "pckv_grr", pckv)
+    # each used to escape as a TypeError or a numpy error from len, unpacking or bincount
+    with pytest.raises(ValueError, match=r"reported codes must be a 1-d array, got shape \(\)"):
+        aggregate_frequencies(np.array(3), "pckv_grr", pckv)
+    for views in (5, (np.array([1]), np.array([0]), np.array([0])), [np.array([1]), np.array([0])]):
+        with pytest.raises(ValueError, match=r"PrivKV takes a \(j, values\) pair"):
+            aggregate_frequencies(views, "privkv", privkv)
+    for views in ((np.array(1), np.array(0)), (np.array([[1, 2]]), np.array([[0, 1]]))):
+        with pytest.raises(ValueError, match="j and values must be 1-d arrays of one length"):
+            aggregate_frequencies(views, "privkv", privkv)
 
 
 @st.composite

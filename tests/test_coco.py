@@ -19,7 +19,7 @@ from ldpvec.coco import (
     overwrite_probability,
 )
 from ldpvec.domain import MechanismParams, TernaryVector, pair_signs, pair_slots, user_hash_seeds
-from ldpvec.oracle import CocoTable, _coco_table_probs
+from ldpvec.oracle import CocoTable, _coco_table_probs, all_sparse_vectors, exact_estimator_moments
 from coco_reference import CocoWeights, coco_exact_rates_by_rank, coco_weight_vector
 
 LN2 = math.log(2)
@@ -216,12 +216,23 @@ def test_contribution_examples():
 
 
 def test_contribution_rejects_degenerate_rates():
-    # at 1e-15, p_t - p_o is ~3e-16: non-zero but under the guard's threshold;
-    # at 1e-17, e^eps rounds to 1 and p_t == p_o exactly
+    # at 1e-15, p_t - p_o and p_t + p_o - 2 p_f are ~3e-16: non-zero but under the
+    # guard's threshold; at 1e-17, e^eps rounds to 1 and both are exactly 0.
+    # The oracle and the closed-form MSE used to divide by them regardless.
+    x = TernaryVector(d=4, support=((1, 1),))
+    mean, nonmissing = "degenerate rates: p_t equals p_o", r"degenerate rates: p_t \+ p_o equals 2 p_f"
     for eps in (1e-15, 1e-17):
         params = coco_params(4, 1, eps, t=4)
-        with pytest.raises(ValueError, match="degenerate rates: p_t equals p_o"):
-            aggregate_frequencies((user_hash_seeds(1, 1), [1]), "coco", params)
+        rates = collision_rates(1, eps, 4)
+        for call, message in (
+            (lambda: aggregate_frequencies((user_hash_seeds(1, 1), [1]), "coco", params), mean),
+            (lambda: exact_estimator_moments("coco", params, x, "mean", dim=1), mean),
+            (lambda: exact_estimator_moments("coco", params, x, "nonmissing", dim=2), nonmissing),
+            (lambda: coco_predicted_mse(4, 1, rates, "mean"), mean),
+            (lambda: coco_predicted_mse(4, 1, rates, "nonmissing"), nonmissing),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_contribution_rejects_degenerate_nonmissing_rates(monkeypatch):
@@ -238,6 +249,12 @@ def test_predicted_mse_examples():
     val = coco_predicted_mse(1, 1, rates, "mean")
     expect = ((rates.p_t + rates.p_o) - (rates.p_t - rates.p_o) ** 2) / (rates.p_t - rates.p_o) ** 2
     assert val == pytest.approx(expect)
+    # the non-missing closed form is the summed exact single-user variance over the d dimensions
+    for d, s, t, eps in ((3, 1, 4, LN2), (3, 2, 6, 1.0), (4, 2, 8, 0.3), (3, 1, 6, 2.0), (4, 3, 8, 1.5)):
+        x = all_sparse_vectors(d, s)[-1]
+        params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
+        exact = math.fsum(exact_estimator_moments("coco", params, x, "nonmissing", dim=j)[1] for j in range(1, d + 1))
+        assert coco_predicted_mse(d, s, collision_rates(s, eps, t), "nonmissing") == pytest.approx(exact, abs=1e-9)
 
 
 def test_rate_ordering_and_overwrite_bound_grid():

@@ -86,11 +86,18 @@ def test_indicator_estimate_values_and_unbiasedness_identities():
 
 def test_indicator_estimate_rejects_degenerate_denominator():
     # at 1e-15, e^eps/Omega - 1/t is ~3e-16: non-zero but under the guard's
-    # threshold; at 1e-17, e^eps rounds to 1 and the difference is exactly 0
+    # threshold; at 1e-17, e^eps rounds to 1 and the difference is exactly 0.
+    # The oracle and the closed-form variance used to divide by it regardless.
+    x = TernaryVector(d=4, support=((1, 1),))
     for eps in (1e-15, 1e-17):
         params = collision_params(4, 1, eps, 2)
-        with pytest.raises(ValueError, match="degenerate"):
-            aggregate_frequencies((user_hash_seeds(0, 1), [1]), "collision", params)
+        for call in (
+            lambda: aggregate_frequencies((user_hash_seeds(0, 1), [1]), "collision", params),
+            lambda: oracle.exact_estimator_moments("collision", params, x, "indicator", event=EventId(1, 1)),
+            lambda: collision_predicted_sum_variance(4, 1, eps, 2),
+        ):
+            with pytest.raises(ValueError, match=r"degenerate parameters: e\^eps/Omega equals 1/t"):
+                call()
 
 
 _ONE_HOT = TernaryVector(d=3, support=((2, 1),))

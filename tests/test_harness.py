@@ -440,6 +440,15 @@ def test_cli_out_of_range_t_fails_on_one_short_line():
     assert all(line.endswith("t must be an integer in 1..2^63-1, got about 2^1010.9") for line in failed)
 
 
+def test_cli_efmrtt_at_a_subnormal_delta_names_delta():
+    # 1/delta overflows to inf, and the ratio used to fail on log2(0) as "math domain error"
+    res = CliRunner().invoke(main, ["amplify", "--n", "100", "--s", "1", "--epsilon", "1", "--delta", "1e-320"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.splitlines() == [
+        "point failed: efmrtt n=100 s=1 epsilon=1.0: 1/delta overflows float arithmetic at delta=1e-320"
+    ]
+
+
 def test_cli_non_finite_row_is_a_per_point_failure():
     runner = CliRunner()
     for mechanism in ("collision", "coco", "privkv"):

@@ -22,7 +22,7 @@ from ldpvec.oracle import (
     verify_ldp,
 )
 from coco_reference import uniform_coco_family
-from oracle_reference import mixture_decompose, uniform_collision_family
+from oracle_reference import family_moments, family_privacy_loss, mixture_decompose, uniform_collision_family
 
 LN2 = math.log(2)
 
@@ -61,14 +61,6 @@ def test_enumerate_zero_budget_uniform():
     assert per_z == pytest.approx([1 / 3] * 3, abs=1e-9)
 
 
-def test_family_size_guards():
-    # an explicit family is guarded by its (table, input) evaluations: 50,000 tables x 8 inputs x t=3
-    params = collision_params(4, 1, 1.0, 3)
-    big_family = _single_table_family({code: 1 for code in range(1, 9)}) * 50_000
-    with pytest.raises(ValueError, match="exceeds guard"):
-        verify_ldp("collision", params, big_family)
-
-
 def test_verify_ldp_equality_witness_collision():
     got = verify_ldp("collision", collision_params(4, 2, LN2, 4))
     assert got == pytest.approx(LN2, abs=1e-9)
@@ -100,52 +92,27 @@ def test_coco_at_full_support():
 def test_verify_ldp_explicit_family_matches_exhaustive():
     params = collision_params(3, 1, 0.9, 3)
     family = uniform_collision_family(tuple(range(1, 7)), 3)
-    got = verify_ldp("collision", params, family)
+    got = family_privacy_loss("collision", params, all_sparse_vectors(3, 1), family)
     assert got == pytest.approx(verify_ldp("collision", params), abs=1e-12)
 
 
-def test_verify_ldp_rejects_an_empty_family():
-    with pytest.raises(ValueError, match="empty family"):
-        verify_ldp("collision", collision_params(3, 1, 0.9, 3), family=[])
-
-
-def test_verify_ldp_rejects_a_table_that_misses_a_point():
-    # used to die with a bare KeyError: 2 in the probability cache
-    params = collision_params(4, 1, 1.0, 3)
-    with pytest.raises(ValueError, match="table 0 of the family has no entry for point 2"):
-        verify_ldp("collision", params, _single_table_family({1: 1}))
-    complete = _single_table_family({code: 1 for code in range(1, 9)})
-    with pytest.raises(ValueError, match="table 1 of the family has no entry for point 8"):
-        verify_ldp("collision", params, complete + _single_table_family({code: 1 for code in range(1, 8)}))
-    with pytest.raises(ValueError, match="table 0 of the family has no entry for point 3"):
-        verify_ldp("coco", MechanismParams(d=3, s=1, epsilon=LN2, t=4), [(CocoTable({1: 1, 2: 3}, 4), 1.0)])
-
-
-class _UnreadFamily:
-    """A family whose tables must not be reached: a domain check comes first."""
-
-    def __len__(self):
-        return 1
-
-    def __iter__(self):
-        raise AssertionError("a table was read before the domain check")
-
-
 @pytest.mark.parametrize("t", [4, 7, 1])
-def test_coco_oracle_rejects_t_outside_its_domain(t):
+def test_coco_oracle_rejects_t_outside_its_domain(t, monkeypatch):
     # t = 4 = 2s used to certify, odd t = 7 failed inside the law with "weights sum
     # to ...", and t = 1 raised a bare "math domain error"
+    def unread(*args):
+        raise AssertionError("a table was enumerated before the domain check")
+
+    monkeypatch.setattr(oracle, "_uniform_tables", unread)
     params = MechanismParams(d=4, s=2, epsilon=1.0, t=t)
     x = TernaryVector(d=4, support=((1, 1), (3, -1)))
     message = rf"CoCo needs even t >= 2s\+2, got t={t}, s=2"
     with pytest.raises(ValueError, match=message):
         verify_ldp("coco", params)
     with pytest.raises(ValueError, match=message):
-        verify_ldp("coco", params, _UnreadFamily())
-    with pytest.raises(ValueError, match=message):
         exact_estimator_moments("coco", params, x, "mean", dim=1)
     with pytest.raises(ValueError, match=message):
-        exact_estimator_moments("coco", params, x, "nonmissing", dim=2, family=_UnreadFamily())
+        exact_estimator_moments("coco", params, x, "nonmissing", dim=2)
 
 
 def test_oracle_checks_the_domain_once_per_call(monkeypatch):
@@ -176,15 +143,15 @@ def test_orbit_representatives_match_the_full_uniform_family(data):
     else:
         t = data.draw(st.sampled_from(range(2 * s + 2, 9, 2)))
         params = MechanismParams(d=d, s=s, epsilon=data.draw(st.floats(0.05, 3.0)), t=t)
-    family = _full_family(mechanism, d, t)
-    assert verify_ldp(mechanism, params) == pytest.approx(verify_ldp(mechanism, params, family), abs=1e-12)
-    x = data.draw(st.sampled_from(all_sparse_vectors(d, s)))
+    family, inputs = _full_family(mechanism, d, t), all_sparse_vectors(d, s)
+    assert verify_ldp(mechanism, params) == pytest.approx(family_privacy_loss(mechanism, params, inputs, family), abs=1e-12)
+    x = data.draw(st.sampled_from(inputs))
     if mechanism == "collision":
         probe = {"estimator": "indicator", "event": EventId.from_code(data.draw(st.integers(1, 2 * d)))}
     else:
         probe = {"estimator": data.draw(st.sampled_from(("mean", "nonmissing"))), "dim": data.draw(st.integers(1, d))}
     got = exact_estimator_moments(mechanism, params, x, **probe)
-    want = exact_estimator_moments(mechanism, params, x, family=family, **probe)
+    want = family_moments(mechanism, params, x, family, **probe)
     assert got == pytest.approx(want, abs=1e-12)
 
 
