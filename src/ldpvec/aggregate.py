@@ -13,10 +13,10 @@ mean_j / nonmissing_j of these two estimates.
 Mechanisms are looked up by name in ``MECHANISMS``.  The two hash
 mechanisms share one estimator: count, per event, the views whose own
 hash sends the event onto their symbol z, then debias the integer counts.
-Each brings one counting kernel, ``hit_counts(seeds, z, params)``, which
-``event_hit_counts`` runs on chunks sized to stay in a per-core L2 cache.
-The chunks are shared out among one worker thread per CPU the process may use,
-so each worker's chunk buffers sit in its own core's L2.
+Each brings one kernel factory, ``hit_counter(params, users) -> count(seeds, z)``,
+which makes the per-event keys and one chunk's buffers.  ``event_hit_counts`` builds
+one counter per worker thread (one per CPU the process may use), so no chunk
+allocates, and runs the chunks, sized to stay in a core's L2, on those threads.
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ class Mechanism(NamedTuple):
     """One randomizer and its server-side estimator.
 
     Hash mechanisms debias per-event hit counts: ``debias(counts, n, params)``.
-    The hash-free baselines have no ``hit_counts`` and debias their
+    The hash-free baselines have no ``hit_counter`` and debias their
     reports: ``debias(views, params) -> values``.  Either way the values
     are the 2d event-frequency estimates in event-code order.
     """
 
     params: Callable  # (d, s, epsilon, t, target) -> MechanismParams; t=None picks the default; baselines fix t
     randomize: Callable  # (supports, signs, seeds, params, rng) -> views
-    hit_counts: Callable | None  # (seeds, z, params) -> (2d,) int64 hit counts in event-code order
+    hit_counter: Callable | None  # (params, users) -> count(seeds, z) -> (2d,) int64 hit counts in event-code order
     debias: Callable
 
 
@@ -70,13 +70,13 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     baselines take their batch randomizer's reports.
     """
     mech = mechanism(mechanism_name)
-    if mech.hit_counts is None:
+    if mech.hit_counter is None:
         return mech.debias(views, params)
     seeds, z = _views_to_arrays(views, params.t)
     n = len(seeds)
     if n == 0:
         raise ValueError("no views to aggregate")
-    counts = event_hit_counts(seeds, z, mech.hit_counts, params)
+    counts = event_hit_counts(seeds, z, mech.hit_counter, params)
     return mech.debias(counts, n, params)
 
 
@@ -95,24 +95,24 @@ def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
     return seeds, z
 
 
-def event_hit_counts(seeds: np.ndarray, z: np.ndarray, hit_counts: Callable, params) -> np.ndarray:
+def event_hit_counts(seeds: np.ndarray, z: np.ndarray, hit_counter: Callable, params) -> np.ndarray:
     """Per event code 1..2d, the number of views whose hash sends it onto their z.
 
     The chunks, each small enough for its (users x events) hashes to stay
     in cache, are dealt round-robin to one thread per CPU the process may
-    use, but no more threads than chunks; each thread adds its chunks' counts
-    into its own count vector.  Counts are integers, so neither the chunking nor
-    the thread count can change the result.  A single chunk is counted on
-    the caller's thread.
+    use, but no more threads than chunks.  Each thread builds one counter
+    and adds its chunks' counts into its own count vector.  Counts are integers,
+    so neither the chunking nor the thread count can change the result.  A
+    single chunk is counted on the caller's thread.
     """
     chunk = max(1, HIT_CHUNK_CELLS // (2 * params.d))
     starts = range(0, len(seeds), chunk)
 
     def count(mine: range) -> np.ndarray:
+        counter = hit_counter(params, min(chunk, len(seeds)))
         counts = np.zeros(2 * params.d, dtype=np.int64)
         for lo in mine:
-            hi = lo + chunk
-            counts += hit_counts(seeds[lo:hi], z[lo:hi], params)
+            counts += counter(seeds[lo : lo + chunk], z[lo : lo + chunk])
         return counts
 
     workers = min(_hit_workers(), len(starts))
@@ -159,14 +159,14 @@ MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
         lambda d, s, epsilon, t, target: _col.collision_params(d, s, epsilon, t),
         lambda *args: _col.collision_randomize_batch(*args),
-        _col.collision_hit_counts, _collision_frequencies,
+        _col.collision_hit_counter, _collision_frequencies,
     ),
     "coco": Mechanism(
         lambda d, s, epsilon, t, target: _coco.coco_params(
             d, s, epsilon, t, which="nonmissing" if target == "nonmissing" else "mean"
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
-        _coco.coco_hit_counts, _coco_frequencies,
+        _coco.coco_hit_counter, _coco_frequencies,
     ),
     "privkv": Mechanism(
         lambda d, s, epsilon, t, target: MechanismParams(d, s, epsilon, 3),

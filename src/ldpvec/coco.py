@@ -23,6 +23,7 @@ import numpy as np
 
 from .domain import (
     STREAM_H1, STREAM_H2, MechanismParams, check_batch, debias_denominator, exp_budget, keyed_hashes, pair_signs, pair_slots,
+    remainder_inplace, stream_keys,
 )
 
 
@@ -177,22 +178,28 @@ def coco_randomize_batch(
     return np.where(seg_high, z_high, np.where(seg_low, z_low, z_res))
 
 
-def coco_hit_counts(seeds: np.ndarray, z: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """Per event code, how many users' hashes send j_minus (code 2j-1) or j_plus (code 2j) onto their z: (2d,) int64.
+def coco_hit_counter(params: MechanismParams, users: int):
+    """``count(seeds, z)``: per event, how many of at most ``users`` users' hashes send it onto z; buffers made here.
 
-    Dimension j's events sit on the bucket pair (H1(j), H1(j) + t/2), so z can hit one only
-    where its slot (z - 1) mod t/2 equals H1(j) - 1.  The sign hash is evaluated on those
-    ~2/t of the cells alone: j_plus takes the upper bucket iff H2(j) = +1, so j_plus is hit
-    iff (H2(j) = +1) == (z > t/2), and j_minus on the other matched cells.
+    Dimension j's events sit on the bucket pair (H1(j), H1(j) + t/2), so z can hit one only where its slot
+    (z - 1) mod t/2 equals H1(j) - 1.  The sign hash is evaluated on those ~2/t of the cells alone, in the spent
+    slot buffers: j_plus (code 2j) takes the upper bucket iff H2(j) = +1, so it is hit iff (H2(j) = +1) == (z > t/2),
+    and j_minus (code 2j-1) on the other matched cells.
     """
-    half = params.t // 2
-    dims = np.arange(1, params.d + 1)
-    slots = keyed_hashes(seeds[:, None], dims, STREAM_H1)
-    np.remainder(slots, np.uint64(half), out=slots)
-    rows, cols = np.nonzero(slots == ((z - 1) % half).astype(np.uint64)[:, None])
-    plus_up = (keyed_hashes(seeds[rows], dims[cols], STREAM_H2) & np.uint64(1)) == 1
-    plus = plus_up == (z[rows] > half)
-    return np.bincount(2 * cols + plus, minlength=2 * params.d)
+    d, half = params.d, params.t // 2
+    slot_keys, sign_keys = (stream_keys(np.arange(1, d + 1), stream) for stream in (STREAM_H1, STREAM_H2))
+    slots, tmp = np.empty((2, users, d), dtype=np.uint64)
+    matched = np.empty((users, d), dtype=bool)
+
+    def count(seeds: np.ndarray, z: np.ndarray) -> np.ndarray:
+        m, up = len(seeds), z > half
+        h1 = remainder_inplace(keyed_hashes(seeds[:, None], slot_keys, slots[:m], tmp[:m]), np.uint64(half), tmp[:m])
+        np.equal(h1, (z - 1 - half * up).astype(np.uint64)[:, None], out=matched[:m])
+        rows, cols = divmod(np.flatnonzero(matched[:m]), d)
+        h2 = keyed_hashes(seeds[rows], sign_keys[cols], slots.reshape(-1)[: len(rows)], tmp.reshape(-1)[: len(rows)])
+        return np.bincount(2 * cols + (((h2 & np.uint64(1)) == 1) == up[rows]), minlength=2 * d)
+
+    return count
 
 
 def coco_predicted_mse(d: int, s: int, rates: CollisionRates, which: str) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .domain import (
     STREAM_SINGLE, MechanismParams, check_batch, debias_denominator, event_code, exp_budget, hash_buckets, keyed_hashes,
+    remainder_inplace, stream_keys,
 )
 
 
@@ -134,16 +135,23 @@ def collision_randomize_batch(
     return np.where(is_hit, z_hit, z_miss)
 
 
-def collision_hit_counts(seeds: np.ndarray, z: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """Per event code c = 1..2d, how many users' hash sends c onto their symbol z: (2d,) int64.
+def collision_hit_counter(params: MechanismParams, users: int):
+    """``count(seeds, z)``: per event code c = 1..2d, how many of at most ``users`` users' hash sends c onto z.
 
-    The buckets are compared 0-based in uint64: H(c) - 1 = mix(seed ^ key(c)) mod t against z - 1.
-    Collision's debias needs ``CollisionParams``, so other params are rejected here, before any hashing.
+    The event keys and one chunk's buffers are made once, here.  Buckets are compared 0-based in uint64,
+    H(c) - 1 = mix(seed ^ key(c)) mod t against z - 1.  Debias needs ``CollisionParams``: others fail here.
     """
     check_collision_params(params)
-    vals = keyed_hashes(seeds[:, None], np.arange(1, 2 * params.d + 1), STREAM_SINGLE)
-    np.remainder(vals, np.uint64(params.t), out=vals)
-    return (vals == (z - 1).astype(np.uint64)[:, None]).sum(axis=0, dtype=np.int64)
+    keys, t = stream_keys(np.arange(1, 2 * params.d + 1), STREAM_SINGLE), np.uint64(params.t)
+    vals, tmp = np.empty((2, users, 2 * params.d), dtype=np.uint64)
+    hit = np.empty((users, 2 * params.d), dtype=bool)
+
+    def count(seeds: np.ndarray, z: np.ndarray) -> np.ndarray:
+        m = len(seeds)
+        v = remainder_inplace(keyed_hashes(seeds[:, None], keys, vals[:m], tmp[:m]), t, tmp[:m])
+        return np.equal(v, (z - 1).astype(np.uint64)[:, None], out=hit[:m]).sum(axis=0, dtype=np.int64)
+
+    return count
 
 
 def collision_predicted_sum_variance(d: int, s: int, epsilon: float, t: float) -> float:

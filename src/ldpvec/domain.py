@@ -7,8 +7,10 @@ non-zero entries.  Each non-zero entry is identified with one of 2d
 
 Each user's hash functions are a keyed 64-bit pseudorandom function
 (splitmix64 finaliser) of one uint64 seed, so every experiment is
-bit-reproducible from a single master seed: H(v) = mix(seed ^ mix(v ^ stream))
-(``keyed_hashes``), with one stream constant per hash role.  Two layouts exist:
+bit-reproducible from a single master seed: H(v) = mix(seed ^ key(v)), key(v) =
+mix(v ^ stream) (``keyed_hashes``, ``stream_keys``), with one stream constant per
+hash role.  Every H mod t is H - (H // t) * t (``remainder_inplace``): numpy's ``//``
+by a scalar multiplies and shifts, its ``%`` divides per element.  Two layouts exist:
 
   * ``single``: one hash H mapping event codes into buckets 1..t.
   * ``paired``: a dimension hash H1 into half-buckets 1..t/2 plus a sign
@@ -45,12 +47,6 @@ def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         np.multiply(x, mul, out=x)
     np.right_shift(x, 31, out=tmp)
     return np.bitwise_xor(x, tmp, out=x)
-
-
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finaliser vectorised over uint64 arrays (a mixed copy)."""
-    x = np.array(x, dtype=np.uint64)
-    return _mix64_inplace(x, np.empty_like(x))
 
 
 class EventId(NamedTuple):
@@ -181,16 +177,27 @@ def check_batch(supports: np.ndarray, signs: np.ndarray, params) -> None:
 
 
 def user_hash_seeds(master_seed: int, n: int) -> np.ndarray:
-    """Hash seeds of users 0..n-1, derived from one master seed."""
-    return keyed_hashes(_mix64_np(master_seed & _MASK64), np.arange(n), _STREAM_USER)
+    """Hash seeds of users 0..n-1, derived from one master seed (whose key under stream 0 is mix(master))."""
+    return keyed_hashes(stream_keys(master_seed & _MASK64, 0), stream_keys(np.arange(n), _STREAM_USER))
 
 
-def keyed_hashes(seeds, values, stream: int) -> np.ndarray:
-    """mix(seed ^ mix(value ^ stream)) over broadcast seeds and integer values, mixed in place in one buffer."""
-    keys = _mix64_np(np.asarray(values, dtype=np.uint64) ^ np.uint64(stream))
-    x = np.empty(np.broadcast_shapes(np.shape(seeds), keys.shape), dtype=np.uint64)
-    np.bitwise_xor(np.asarray(seeds, dtype=np.uint64), keys, out=x)
-    return _mix64_inplace(x, np.empty_like(x))
+def stream_keys(values, stream: int) -> np.ndarray:
+    """Per-value keys mix(value ^ stream) of one hash role, so that H(value) = mix(seed ^ key)."""
+    x = np.array(values, dtype=np.uint64)
+    return _mix64_inplace(np.bitwise_xor(x, np.uint64(stream), out=x), np.empty_like(x))
+
+
+def keyed_hashes(seeds, keys: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """mix(seed ^ key) over broadcast seeds and ``keys``, in ``out`` with ``tmp`` as scratch of its shape if given."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(seeds), keys.shape), dtype=np.uint64)
+        tmp = np.empty_like(out)
+    return _mix64_inplace(np.bitwise_xor(np.asarray(seeds, dtype=np.uint64), keys, out=out), tmp)
+
+
+def remainder_inplace(h: np.ndarray, t: np.uint64, tmp: np.ndarray) -> np.ndarray:
+    """h mod t over uint64 ``h`` in place, exact for every t >= 1: (h // t) * t <= h never wraps."""
+    return np.subtract(h, np.multiply(np.floor_divide(h, t, out=tmp), t, out=tmp), out=h)
 
 
 def hash_buckets(seeds: np.ndarray, codes: np.ndarray, t: int) -> np.ndarray:
@@ -198,17 +205,17 @@ def hash_buckets(seeds: np.ndarray, codes: np.ndarray, t: int) -> np.ndarray:
 
     Broadcasts seeds against codes; returns buckets in 1..t as int64.
     """
-    vals = keyed_hashes(seeds, codes, STREAM_SINGLE)
-    return (vals % np.uint64(t)).astype(np.int64) + 1
+    vals = keyed_hashes(seeds, stream_keys(codes, STREAM_SINGLE))
+    return remainder_inplace(vals, np.uint64(t), np.empty_like(vals)).astype(np.int64) + 1
 
 
 def pair_slots(seeds: np.ndarray, dims: np.ndarray, t: int) -> np.ndarray:
     """Paired-layout H1 of ``dims`` (1-based) under each seed; in 1..t/2."""
-    vals = keyed_hashes(seeds, dims, STREAM_H1)
-    return (vals % np.uint64(t // 2)).astype(np.int64) + 1
+    vals = keyed_hashes(seeds, stream_keys(dims, STREAM_H1))
+    return remainder_inplace(vals, np.uint64(t // 2), np.empty_like(vals)).astype(np.int64) + 1
 
 
 def pair_signs(seeds: np.ndarray, dims: np.ndarray) -> np.ndarray:
     """Paired-layout H2(j_plus) of ``dims`` under each seed; in {-1,+1}."""
-    vals = keyed_hashes(seeds, dims, STREAM_H2)
+    vals = keyed_hashes(seeds, stream_keys(dims, STREAM_H2))
     return np.where(vals & np.uint64(1), 1, -1).astype(np.int64, copy=False)

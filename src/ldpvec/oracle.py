@@ -237,8 +237,11 @@ def exact_estimator_moments(
 
     The tables enumerated are the uniform family restricted to the events
     or dimensions the instance touches, which is an exact marginalisation.
+    An input, event or dim outside the params' domain is a ValueError.
     """
     law = _law(mechanism, params)
+    if not isinstance(x, TernaryVector) or (x.d, x.s) != (params.d, params.s):
+        raise ValueError(f"x must be a TernaryVector with d={params.d} and s={params.s}, got {x!r}")
     point, terms = _estimator_terms(mechanism, params, estimator, event, dim)
     points = law.points(x)
     cache: dict[tuple, np.ndarray] = {}
@@ -264,10 +267,14 @@ def _estimator_terms(mechanism: str, params, estimator: str, event, dim) -> tupl
     if mechanism == "collision":
         if estimator != "indicator" or event is None:
             raise ValueError("collision supports estimator='indicator' with an event")
+        if not (isinstance(event.index, (int, np.integer)) and 1 <= event.index <= params.d and event.sign in (-1, 1)):
+            raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
         denom = debias_denominator(params.hit_prob - params.false_prob, "degenerate parameters: e^eps/Omega equals 1/t")
         return event.code, lambda p, table: _debiased_indicator(p[table[event.code] - 1], params.false_prob, denom)
     if estimator not in ("mean", "nonmissing") or dim is None:
         raise ValueError("coco supports estimator in {'mean','nonmissing'} with a dim")
+    if not (isinstance(dim, (int, np.integer)) and 1 <= dim <= params.d):
+        raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
     rates = collision_rates(params.s, params.epsilon, params.t)
     if estimator == "mean":
         denom = debias_denominator(rates.p_t - rates.p_o, "degenerate rates: p_t equals p_o")

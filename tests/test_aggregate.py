@@ -313,9 +313,10 @@ def _hit_instances(draw):
 def test_hit_kernels_match_the_reference_layouts(instance, data):
     name, params, seeds, z, buckets = instance
     expected = buckets == z[:, None]
-    kernel = MECHANISMS[name].hit_counts
+    counter = MECHANISMS[name].hit_counter
+    count = counter(params, len(seeds))
     for i in range(len(seeds)):  # each view on its own: a one-row batch counts that row's hits
-        counts = kernel(seeds[i : i + 1], z[i : i + 1], params)
+        counts = count(seeds[i : i + 1], z[i : i + 1])
         assert counts.dtype == np.int64 and np.array_equal(counts, expected[i]), i
     cells = len(seeds) * 2 * params.d
     for chunk in (1, 2 * params.d - 1, 2 * params.d, data.draw(st.integers(2, 3 * cells).filter(lambda c: cells % c))):
@@ -323,7 +324,7 @@ def test_hit_kernels_match_the_reference_layouts(instance, data):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(aggregate, "HIT_CHUNK_CELLS", chunk)
                 mp.setattr(aggregate, "_hit_workers", lambda: workers)
-                counts = event_hit_counts(seeds, z, kernel, params)
+                counts = event_hit_counts(seeds, z, counter, params)
             assert counts.dtype == np.int64 and np.array_equal(counts, expected.sum(axis=0)), (chunk, workers)
 
 
@@ -336,8 +337,21 @@ def test_hit_counts_over_chunks_that_do_not_divide_among_the_workers(monkeypatch
     z = buckets[np.arange(7), np.arange(7) % (2 * params.d)]
     monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 2 * params.d)  # one user per chunk: 7 chunks
     monkeypatch.setattr(aggregate, "_hit_workers", lambda: workers)
-    counts = event_hit_counts(seeds, z, MECHANISMS[name].hit_counts, params)
+    counts = event_hit_counts(seeds, z, MECHANISMS[name].hit_counter, params)
     assert np.array_equal(counts, (buckets == z[:, None]).sum(axis=0))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BUCKETS))
+def test_a_counter_reused_on_a_shorter_chunk_counts_only_that_chunk(name):
+    # every view sits on one of its own buckets, so rows left over from a longer chunk would add hits
+    params = MECHANISMS[name].params(6, 2, 1.0, None, "mean")
+    seeds = user_hash_seeds(23, 9)
+    buckets = REFERENCE_BUCKETS[name](seeds, params)
+    z = buckets[np.arange(9), (3 * np.arange(9)) % (2 * params.d)]
+    hits = buckets == z[:, None]
+    count = MECHANISMS[name].hit_counter(params, 9)
+    for m in (9, 4, 1, 9, 8):
+        assert np.array_equal(count(seeds[:m], z[:m]), hits[:m].sum(axis=0)), m
 
 
 def test_a_single_chunk_starts_no_thread(monkeypatch):
@@ -351,7 +365,7 @@ def test_a_single_chunk_starts_no_thread(monkeypatch):
         params = MECHANISMS[name].params(8, 2, 1.0, None, "mean")
         seeds = user_hash_seeds(3, aggregate.HIT_CHUNK_CELLS // (2 * params.d))  # exactly one chunk
         z = np.ones(len(seeds), dtype=np.int64)
-        counts = event_hit_counts(seeds, z, MECHANISMS[name].hit_counts, params)
+        counts = event_hit_counts(seeds, z, MECHANISMS[name].hit_counter, params)
         assert counts.shape == (2 * params.d,)
         aggregate_frequencies((seeds, z), name, params)
     assert threading.active_count() == baseline
@@ -364,11 +378,11 @@ def test_a_worker_error_reaches_the_caller(monkeypatch):
     baseline = threading.active_count()
     callers = []
 
-    def collision_hits(seeds, z, params):
+    def collision_hits(params, users):
         callers.append(threading.current_thread())
-        return MECHANISMS["collision"].hit_counts(seeds, z, params)
+        return MECHANISMS["collision"].hit_counter(params, users)
 
-    def out_of_memory(seeds, z, params):
+    def out_of_memory(params, users):
         callers.append(threading.current_thread())
         raise MemoryError("hit matrix too large")
 

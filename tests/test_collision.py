@@ -125,7 +125,8 @@ def test_collision_entry_points_reject_params_without_the_normaliser(entry, monk
         raise AssertionError("hashed or enumerated before the params were checked")
 
     for module, name in (
-        (collision, "keyed_hashes"), (collision, "hash_buckets"), (oracle, "_uniform_tables"), (oracle, "all_sparse_vectors"),
+        (collision, "stream_keys"), (collision, "keyed_hashes"), (collision, "hash_buckets"),
+        (oracle, "_uniform_tables"), (oracle, "all_sparse_vectors"),
     ):
         monkeypatch.setattr(module, name, too_late)
     with pytest.raises(ValueError, match=r"collision needs CollisionParams.*collision_params\(d, s, epsilon, t\)"):

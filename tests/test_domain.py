@@ -12,6 +12,7 @@ from ldpvec.domain import (
     hash_buckets,
     pair_signs,
     pair_slots,
+    remainder_inplace,
     user_hash_seeds,
 )
 
@@ -132,6 +133,16 @@ def test_scalar_and_vector_hash_agree():
             for dim in (1, 4, 9):
                 assert pair_slots(one, np.int64(dim), t)[0] == keyed(seed, dim, _STREAM_H1) % (t // 2) + 1
                 assert pair_signs(one, np.int64(dim))[0] == (1 if keyed(seed, dim, _STREAM_H2) & 1 else -1)
+
+
+def test_remainder_equals_the_modulo_at_the_edges_of_uint64():
+    rng = np.random.default_rng(17)
+    for t in (1, 2, 7, 2**32 + 15, 2**63 - 1):
+        values = [0, t - 1, t, 2**64 - t, 2**64 - 1] + [int(v) for v in rng.integers(0, 2**64, 8, dtype=np.uint64)]
+        h = np.array(values, dtype=np.uint64)
+        got = remainder_inplace(h, np.uint64(t), np.empty_like(h))
+        assert got is h and got.dtype == np.uint64
+        assert [int(v) for v in got] == [v % t for v in values], t
 
 
 def test_paired_hash_requires_even_t():

@@ -633,11 +633,11 @@ def test_cli_unallocatable_point_is_a_per_point_failure():
 def test_a_worker_error_is_a_per_point_failure(monkeypatch, error):
     callers = []
 
-    def failing_hits(seeds, z, params):
+    def failing_hits(params, users):
         callers.append(threading.current_thread())
         raise error
 
-    monkeypatch.setitem(aggregate.MECHANISMS, "collision", aggregate.MECHANISMS["collision"]._replace(hit_counts=failing_hits))
+    monkeypatch.setitem(aggregate.MECHANISMS, "collision", aggregate.MECHANISMS["collision"]._replace(hit_counter=failing_hits))
     monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 50 chunks
     monkeypatch.setattr(aggregate, "_hit_workers", lambda: 2)
     baseline = threading.active_count()

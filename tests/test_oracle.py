@@ -115,6 +115,37 @@ def test_coco_oracle_rejects_t_outside_its_domain(t, monkeypatch):
         exact_estimator_moments("coco", params, x, "nonmissing", dim=2)
 
 
+@pytest.mark.parametrize(
+    "mechanism, params, x, probe, message",
+    [
+        ("collision", collision_params(3, 1, 1.0, 3), TernaryVector(d=3, support=((2, 1),)),
+         {"estimator": "indicator", "event": EventId(9, 1)},
+         r"index in 1\.\.3 and sign -1 or \+1, got EventId\(index=9, sign=1\)"),
+        ("collision", collision_params(3, 1, 1.0, 3), TernaryVector(d=3, support=((2, 1),)),
+         {"estimator": "indicator", "event": EventId(2, 0)},
+         r"index in 1\.\.3 and sign -1 or \+1, got EventId\(index=2, sign=0\)"),
+        ("collision", collision_params(3, 1, 1.0, 3), TernaryVector(d=5, support=((2, 1),)),
+         {"estimator": "indicator", "event": EventId(1, 1)}, "x must be a TernaryVector with d=3 and s=1"),
+        ("coco", MechanismParams(d=3, s=1, epsilon=1.0, t=4), TernaryVector(d=3, support=((1, 1), (2, -1))),
+         {"estimator": "mean", "dim": 1}, "x must be a TernaryVector with d=3 and s=1"),
+        ("coco", MechanismParams(d=3, s=1, epsilon=1.0, t=4), TernaryVector(d=3, support=((2, -1),)),
+         {"estimator": "mean", "dim": 7}, r"dim must be an integer in 1\.\.3, got 7"),
+        ("coco", MechanismParams(d=3, s=1, epsilon=1.0, t=4), TernaryVector(d=3, support=((2, -1),)),
+         {"estimator": "nonmissing", "dim": 0}, r"dim must be an integer in 1\.\.3, got 0"),
+        ("coco", MechanismParams(d=3, s=1, epsilon=1.0, t=4), TernaryVector(d=3, support=((2, -1),)),
+         {"estimator": "mean", "dim": 1.5}, r"dim must be an integer in 1\.\.3, got 1\.5"),
+    ],
+)
+def test_moments_reject_probes_outside_the_params(mechanism, params, x, probe, message, monkeypatch):
+    # each probe used to return moments: (0.0, 6.73) for CoCo's dims 7, 0 and 1.5 alike
+    def unread(*args):
+        raise AssertionError("a table was enumerated before the probe check")
+
+    monkeypatch.setattr(oracle, "_uniform_tables", unread)
+    with pytest.raises(ValueError, match=message):
+        exact_estimator_moments(mechanism, params, x, **probe)
+
+
 def test_oracle_checks_the_domain_once_per_call(monkeypatch):
     calls = []
     monkeypatch.setitem(LAWS, "coco", LAWS["coco"]._replace(check=lambda params: calls.append((params.s, params.t))))
