@@ -153,6 +153,8 @@ def project(s, in_path, out):
 def gen(n, d, s, seed, out):
     """Dump a synthetic dataset, one user per line as signed dimensions."""
     try:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         supports, signs = harness.gen_synthetic_arrays(n, d, s, rng)
     except (ValueError, MemoryError) as exc:

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from . import aggregate as agg
-from . import amplification as amp
 from . import collision as col
 from .domain import user_hash_seeds
 
@@ -295,6 +294,8 @@ def run_amplification_sweep(
     closed-form bound rows carry a caveat: its validity conditions are not
     checked.
     """
+    from . import amplification as amp  # here, not at the top: only the accountant needs scipy
+
     _check_grid(
         {"n": n_list, "s": s_list, "epsilon": epsilons, "bounds": bounds}, ("n", "s"),
         {"bounds": ("bound", AMPLIFICATION_BOUNDS)},

@@ -112,6 +112,16 @@ def test_gen_synthetic_rejects_oversparse():
     assert "invalid config: need 1 <= s <= d, got s=0, d=4" in res.stderr
 
 
+def test_cli_gen_rejects_a_negative_seed_by_name():
+    res = CliRunner().invoke(main, ["gen", "--n", "3", "--d", "4", "--s", "2", "--seed", "-5"])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == "invalid config: seed must be >= 0, got -5\n"
+    res = CliRunner().invoke(main, ["gen", "--n", "3", "--d", "4", "--s", "2", "--seed", "0"])
+    supports, signs = gen_synthetic_arrays(3, 4, 2, np.random.default_rng(0))
+    assert res.exit_code == 0
+    assert res.stdout.split() == [f"{'+' if b > 0 else '-'}{j}" for j, b in zip(supports.flat, signs.flat)]
+
+
 @pytest.mark.parametrize(
     "args",
     [
