@@ -30,7 +30,7 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import MechanismParams, check_integer, debias_denominator, event_code
+from .domain import MechanismParams, check_integer, event_code
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
@@ -129,26 +129,6 @@ def _hit_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _collision_frequencies(counts: np.ndarray, n: int, params: _col.CollisionParams) -> np.ndarray:
-    denom = debias_denominator(params.hit_prob - params.false_prob, "degenerate parameters: e^eps/Omega equals 1/t")
-    return (counts / n - params.false_prob) / denom
-
-
-def _coco_frequencies(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
-    rates = _coco.collision_rates(params.s, params.epsilon, params.t)
-    mean_denom = debias_denominator(rates.p_t - rates.p_o, "degenerate rates: p_t equals p_o")
-    nonmissing_denom = debias_denominator(
-        rates.p_t + rates.p_o - 2.0 * rates.p_f, "degenerate rates: p_t + p_o equals 2 p_f"
-    )
-    plus, minus = counts[..., 1::2], counts[..., 0::2]
-    mean = (plus - minus) / (n * mean_denom)
-    nonmissing = (plus + minus - 2.0 * n * rates.p_f) / (n * nonmissing_denom)
-    values = np.empty(counts.shape)
-    values[..., 1::2] = (nonmissing + mean) / 2.0  # j_plus
-    values[..., 0::2] = (nonmissing - mean) / 2.0  # j_minus
-    return values
-
-
 def _pckv_batch(supports, signs, seeds, params, rng):
     return _bl.pckv_randomize_batch(supports, signs, params, rng)
 
@@ -159,14 +139,14 @@ MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
         lambda d, s, epsilon, t, target: _col.collision_params(d, s, epsilon, t),
         lambda *args: _col.collision_randomize_batch(*args),
-        _col.collision_hit_counter, _collision_frequencies,
+        _col.collision_hit_counter, _col.collision_debias,
     ),
     "coco": Mechanism(
         lambda d, s, epsilon, t, target: _coco.coco_params(
             d, s, epsilon, t, which="nonmissing" if target == "nonmissing" else "mean"
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
-        _coco.coco_hit_counter, _coco_frequencies,
+        _coco.coco_hit_counter, _coco.coco_debias,
     ),
     "privkv": Mechanism(
         lambda d, s, epsilon, t, target: MechanismParams(d, s, epsilon, 3),

@@ -51,6 +51,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import betainc, gammaln, xlog1py, xlogy
 
+from .collision import collision_omega
 from .domain import exp_budget
 
 # Width of the final bisection bracket of ``amplified_epsilon``; also, capped
@@ -68,8 +69,7 @@ def collision_alpha(s: int, epsilon: float, t: int) -> float:
         raise ValueError("need t > s")
     if s < 1 or not epsilon > 0:
         raise ValueError("need s >= 1 and epsilon > 0")
-    omega = exp_budget(epsilon, s) + t - s
-    return s * math.expm1(epsilon) / omega
+    return s * math.expm1(epsilon) / collision_omega(s, epsilon, t)
 
 
 def generic_clone_alpha(epsilon: float) -> float:
@@ -157,14 +157,6 @@ class QueryWindow:
     truncation_mass: float
 
 
-def _half_tail(c: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """G(c, k) = P(Binomial(c, 1/2) >= k): 1 for k <= 0, 0 for k > c."""
-    out = (k <= 0).astype(float)
-    inner = (k > 0) & (k <= c)
-    out[inner] = betainc(k[inner], c[inner] - k[inner] + 1.0, 0.5)
-    return out
-
-
 def _binom_pmf(n, k: np.ndarray, p: float) -> np.ndarray:
     """Binomial(n, p) pmf at k (zero outside 0..n)."""
     n, k = np.broadcast_arrays(n, k)
@@ -175,9 +167,13 @@ def _binom_pmf(n, k: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _binom_tail(k: int, n: int, p: float) -> float:
-    """P(Binomial(n, p) > k) = I_p(k + 1, n - k): 1 for k < 0, 0 for k >= n; finite for any n."""
-    return 1.0 if k < 0 else betainc(k + 1, n - k, p) if k < n else 0.0
+def _binom_tail(k, n, p: float):
+    """P(Binomial(n, p) > k) = I_p(k + 1, n - k) elementwise, for 0 < p < 1; finite for any n.
+
+    k is clamped to -1..n, where betainc's limits I_p(0, n + 1) = 1 and I_p(n + 1, 0) = 0 are the tails.
+    """
+    k = np.minimum(np.maximum(k, -1), n)
+    return betainc(k + 1, n - k, p)
 
 
 def _query_window(query: AmplificationQuery) -> QueryWindow:
@@ -224,8 +220,9 @@ def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResu
     live = k <= win.m
     k, m, x, z = k[live], win.m[live], win.x[live], win.z[live]
     # Sum over u = k..m of P - cQ = X(E - c) B(m-1, u-1) + X(1 - cE) B(m-1, u)
-    # + Z(1 - c) B(m, u), by Pascal's rule: G(m-1, k-1) = t + b, G(m, k) = t + b/2.
-    t = _half_tail(m - 1, k)
+    # + Z(1 - c) B(m, u).  With G(c, j) = P(Binomial(c, 1/2) >= j), t = G(m-1, k) and b = B(m-1, k-1),
+    # Pascal's rule gives G(m-1, k-1) = t + b and G(m, k) = t + b/2.
+    t = _binom_tail(k - 1, m - 1, 0.5)
     b = _binom_pmf(m - 1, k - 1, 0.5)
     row = (
         (eeps - ee_c) * x * (t + b)

@@ -42,6 +42,16 @@ class CollisionRates:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} is not a probability")
 
+    @property
+    def mean_denominator(self) -> float:
+        """p_t - p_o, the mean estimate's debias denominator; a ValueError when it is too close to 0."""
+        return debias_denominator(self.p_t - self.p_o, "degenerate rates: p_t equals p_o")
+
+    @property
+    def nonmissing_denominator(self) -> float:
+        """p_t + p_o - 2 p_f, the non-missing estimate's debias denominator; a ValueError when it is too close to 0."""
+        return debias_denominator(self.p_t + self.p_o - 2.0 * self.p_f, "degenerate rates: p_t + p_o equals 2 p_f")
+
 
 def coco_omega(s: int, epsilon: float, t: int) -> float:
     return (math.exp(epsilon) + 1.0) * s + t - 2 * s
@@ -186,6 +196,7 @@ def coco_hit_counter(params: MechanismParams, users: int):
     slot buffers: j_plus (code 2j) takes the upper bucket iff H2(j) = +1, so it is hit iff (H2(j) = +1) == (z > t/2),
     and j_minus (code 2j-1) on the other matched cells.
     """
+    check_coco_domain(params.s, params.t)
     d, half = params.d, params.t // 2
     slot_keys, sign_keys = (stream_keys(np.arange(1, d + 1), stream) for stream in (STREAM_H1, STREAM_H2))
     slots, tmp = np.empty((2, users, d), dtype=np.uint64)
@@ -202,15 +213,26 @@ def coco_hit_counter(params: MechanismParams, users: int):
     return count
 
 
+def coco_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
+    """The 2d event-frequency estimates, (nonmissing +- mean) / 2 per dimension, from ``n`` views' hit counts."""
+    rates = collision_rates(params.s, params.epsilon, params.t)
+    plus, minus = counts[..., 1::2], counts[..., 0::2]
+    mean = (plus - minus) / (n * rates.mean_denominator)
+    nonmissing = (plus + minus - 2.0 * n * rates.p_f) / (n * rates.nonmissing_denominator)
+    values = np.empty(counts.shape)
+    values[..., 1::2] = (nonmissing + mean) / 2.0  # j_plus
+    values[..., 0::2] = (nonmissing - mean) / 2.0  # j_minus
+    return values
+
+
 def coco_predicted_mse(d: int, s: int, rates: CollisionRates, which: str) -> float:
     """Single-user summed estimator MSE predicted from the collision rates."""
     if d < s:
         raise ValueError("need d >= s")
-    both = rates.p_t + rates.p_o
+    both, p_f = rates.p_t + rates.p_o, rates.p_f
     if which == "nonmissing":
-        denom = debias_denominator(both - 2.0 * rates.p_f, "degenerate rates: p_t + p_o equals 2 p_f")
-        return (s * both * (1.0 - both) + (d - s) * 2.0 * rates.p_f * (1.0 - 2.0 * rates.p_f)) / denom**2
+        return (s * both * (1.0 - both) + (d - s) * 2.0 * p_f * (1.0 - 2.0 * p_f)) / rates.nonmissing_denominator**2
     if which == "mean":
-        denom = debias_denominator(rates.p_t - rates.p_o, "degenerate rates: p_t equals p_o")
-        return (s * (both - denom**2) + (d - s) * 2.0 * rates.p_f) / denom**2
+        denom = rates.mean_denominator
+        return (s * (both - denom**2) + (d - s) * 2.0 * p_f) / denom**2
     raise ValueError(f"which must be 'mean' or 'nonmissing', got {which!r}")

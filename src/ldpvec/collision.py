@@ -37,7 +37,7 @@ class CollisionParams(MechanismParams):
 
     @property
     def omega(self) -> float:
-        return self.s * math.exp(self.epsilon) + self.t - self.s
+        return collision_omega(self.s, self.epsilon, self.t)
 
     @property
     def hit_prob(self) -> float:
@@ -52,6 +52,16 @@ class CollisionParams(MechanismParams):
     def residual_prob(self, k: int) -> float:
         """P[z = b] for an unhit bucket when k distinct buckets are hit."""
         return (self.omega - math.exp(self.epsilon) * k) / ((self.t - k) * self.omega)
+
+    @property
+    def denominator(self) -> float:
+        """e^eps/Omega - 1/t, the debias denominator; a ValueError when it is too close to 0."""
+        return debias_denominator(self.hit_prob - self.false_prob, "degenerate parameters: e^eps/Omega equals 1/t")
+
+
+def collision_omega(s: int, epsilon: float, t: float) -> float:
+    """The normaliser Omega = s*e^eps + t - s; an e^eps too large for a float is a ValueError."""
+    return exp_budget(epsilon, s) + t - s
 
 
 def check_collision_params(params: MechanismParams) -> None:
@@ -154,13 +164,16 @@ def collision_hit_counter(params: MechanismParams, users: int):
     return count
 
 
+def collision_debias(counts: np.ndarray, n: int, params: CollisionParams) -> np.ndarray:
+    """The 2d event-frequency estimates from ``n`` views' per-event hit counts."""
+    return (counts / n - params.false_prob) / params.denominator
+
+
 def collision_predicted_sum_variance(d: int, s: int, epsilon: float, t: float) -> float:
     """Single-user variance of the 2d indicator estimates, summed.
 
     Treats t as a real parameter; used for the convexity of the t-choice.
     """
-    omega = s * math.exp(epsilon) + t - s
-    p = math.exp(epsilon) / omega
-    q = 1.0 / t
-    denom = debias_denominator(p - q, "degenerate parameters: e^eps/Omega equals 1/t")
-    return (s * p * (1 - p) + (2 * d - s) * q * (1 - q)) / denom**2
+    params = CollisionParams(d=d, s=s, epsilon=epsilon, t=t)
+    p, q = params.hit_prob, params.false_prob
+    return (s * p * (1 - p) + (2 * d - s) * q * (1 - q)) / params.denominator**2

@@ -76,6 +76,8 @@ class ExperimentConfig:
             ("n", "d", "s"),
             {"mechanism": ("mechanism", MECHANISMS), "metrics": ("metric", METRICS)},
         )
+        if not 0 <= self.master_seed < 1 << 64:  # every random stream is keyed by the whole seed
+            raise ValueError(f"master_seed must lie in 0..2**64-1, got {self.master_seed}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.target not in agg.TARGETS:
@@ -183,7 +185,7 @@ def gen_synthetic_arrays(n: int, d: int, s: int, rng: np.random.Generator) -> tu
 
 
 def _rep_streams(master_seed: int, grid_index: int, rep: int):
-    ss = np.random.SeedSequence(entropy=(master_seed & ((1 << 64) - 1), grid_index, rep))
+    ss = np.random.SeedSequence(entropy=(master_seed, grid_index, rep))
     c_data, c_mech, c_hash = ss.spawn(3)
     hash_master = int(c_hash.generate_state(1, np.uint64)[0])
     return np.random.default_rng(c_data), np.random.default_rng(c_mech), hash_master

@@ -28,22 +28,15 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .coco import check_coco_domain, coco_omega, collision_rates
 from .collision import CollisionParams, check_collision_params, collision_output_probabilities
-from .domain import EventId, MechanismParams, TernaryVector, debias_denominator
+from .domain import EventId, MechanismParams, TernaryVector
 
 _SIZE_GUARD = 10**6
-
-
-class CollisionTable(dict):
-    """Explicit single-layout hash table: event code -> bucket in 1..t."""
-
-    def buckets(self, codes: Iterable[int]) -> frozenset[int]:
-        return frozenset(self[c] for c in codes)
 
 
 class CocoTable(dict):
@@ -75,8 +68,8 @@ def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
     return out
 
 
-def _collision_table_probs(x: TernaryVector, table: CollisionTable, params: CollisionParams) -> np.ndarray:
-    return collision_output_probabilities(table.buckets(x.event_codes()), params)
+def _collision_table_probs(x: TernaryVector, table: dict[int, int], params: CollisionParams) -> np.ndarray:
+    return collision_output_probabilities(frozenset(table[c] for c in x.event_codes()), params)
 
 
 def _coco_table_probs(x: TernaryVector, table: CocoTable, params: MechanismParams) -> np.ndarray:
@@ -122,7 +115,7 @@ class TableLaw(NamedTuple):
 
 LAWS = {
     "collision": TableLaw(
-        _collision_table_probs, TernaryVector.event_codes, lambda t: t, False, lambda values, t: CollisionTable(values),
+        _collision_table_probs, TernaryVector.event_codes, lambda t: t, False, lambda values, t: values,
         check_collision_params,  # CollisionParams enforces t > s
     ),
     "coco": TableLaw(
@@ -269,7 +262,7 @@ def _estimator_terms(mechanism: str, params, estimator: str, event, dim) -> tupl
             raise ValueError("collision supports estimator='indicator' with an event")
         if not (isinstance(event.index, (int, np.integer)) and 1 <= event.index <= params.d and event.sign in (-1, 1)):
             raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
-        denom = debias_denominator(params.hit_prob - params.false_prob, "degenerate parameters: e^eps/Omega equals 1/t")
+        denom = params.denominator
         return event.code, lambda p, table: _debiased_indicator(p[table[event.code] - 1], params.false_prob, denom)
     if estimator not in ("mean", "nonmissing") or dim is None:
         raise ValueError("coco supports estimator in {'mean','nonmissing'} with a dim")
@@ -277,10 +270,10 @@ def _estimator_terms(mechanism: str, params, estimator: str, event, dim) -> tupl
         raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
     rates = collision_rates(params.s, params.epsilon, params.t)
     if estimator == "mean":
-        denom = debias_denominator(rates.p_t - rates.p_o, "degenerate rates: p_t equals p_o")
+        denom = rates.mean_denominator
         moments = lambda pp, pm: ((pp - pm) / denom, (pp + pm) / denom**2)
     else:
-        denom = debias_denominator(rates.p_t + rates.p_o - 2.0 * rates.p_f, "degenerate rates: p_t + p_o equals 2 p_f")
+        denom = rates.nonmissing_denominator
         moments = lambda pp, pm: _debiased_indicator(pp + pm, 2.0 * rates.p_f, denom)
     # H(j_+) != H(j_-), so at most one can equal z
     return dim, lambda p, table: moments(p[table.event_bucket(dim, 1) - 1], p[table.event_bucket(dim, -1) - 1])
@@ -313,15 +306,7 @@ def lower_bound_statistic_distribution(
 
     def block_law(hit_buckets: frozenset[int]) -> dict[tuple[int, int], float]:
         probs = collision_output_probabilities(hit_buckets, params)
-        law = {(1, 0): 0.0, (0, 1): 0.0, (0, 0): 0.0}
-        for z in range(1, t + 1):
-            if z <= s:
-                law[(1, 0)] += probs[z - 1]
-            elif z <= 2 * s:
-                law[(0, 1)] += probs[z - 1]
-            else:
-                law[(0, 0)] += probs[z - 1]
-        return law
+        return {(1, 0): math.fsum(probs[:s]), (0, 1): math.fsum(probs[s : 2 * s]), (0, 0): math.fsum(probs[2 * s :])}
 
     first = block_law(frozenset(range(s + 1, 2 * s + 1) if swapped else range(1, s + 1)))
     background = block_law(frozenset(range(2 * s + 1, 3 * s + 1)))

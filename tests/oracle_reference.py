@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from ldpvec.oracle import LAWS, CollisionTable, _estimator_terms
+from ldpvec.oracle import LAWS, _estimator_terms
 
 
 def uniform_collision_family(codes, t: int) -> list:
@@ -26,7 +26,7 @@ def uniform_collision_family(codes, t: int) -> list:
     count = t ** len(codes)
     if count > 1 << 20:
         raise ValueError(f"uniform family of {count} tables exceeds 2^20")
-    return [(CollisionTable(zip(codes, values)), 1.0 / count) for values in product(range(1, t + 1), repeat=len(codes))]
+    return [(dict(zip(codes, values)), 1.0 / count) for values in product(range(1, t + 1), repeat=len(codes))]
 
 
 def _memo_probs(mechanism: str, params):

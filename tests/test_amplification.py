@@ -306,6 +306,20 @@ def test_window_is_finite_on_both_sides_of_2_31(n):
     assert 0.0 < pq_divergence(query, 0.5).reported_delta <= 1e-6
 
 
+@pytest.mark.parametrize("p", [1e-9, 0.3, 0.5])
+def test_binom_tail_matches_scipy_stats(p):
+    # P(Binomial(n, p) > k), elementwise and on scalars: k below 0, inside, at and above n, n on both sides of 2^31
+    for n in (1, 7, 1000, 2**31 - 1, 2**31 + 1):
+        mid = int(n * p)
+        k = np.array([-3, -1, 0, 1, mid - 2 * math.isqrt(mid + 1), mid, mid + 3 * math.isqrt(mid + 1), n - 1, n, n + 2])
+        want = binom.sf(k, n, p)
+        got = amplification._binom_tail(k, np.full(len(k), n), p)
+        assert got.shape == k.shape
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-300)
+        for one, expected in zip(k.tolist(), want):
+            assert float(amplification._binom_tail(one, n, p)) == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+
 @pytest.mark.parametrize("eps_c", [math.nan, math.inf, -math.inf, -0.1])
 def test_divergence_rejects_non_finite_or_negative_eps_c(eps_c):
     query = AmplificationQuery(n=100, epsilon=1.0, alpha=0.2, delta=1e-6)

@@ -7,6 +7,7 @@ rather than first in a benchmark run.  The benchmark's files are only read.
 
 import math
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -30,3 +31,30 @@ def test_benchmark_oracle_and_closed_forms_run_without_failures(monkeypatch):
     assert tally.attempted > 0 and tally.failures == []
     assert tracer.named("oracle.verify_ldp") and tracer.named("oracle.exact_estimator_moments")
     assert all(math.isfinite(v) and v > 0 for v in predicted)
+
+
+def test_benchmark_sees_every_stage_of_every_mechanism(monkeypatch):
+    # perfbench times a stage by wrapping the module function a point calls,
+    # so a mechanism table entry bound to the function object hides it
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import layers
+    import workloads as wl
+    from spans import Tracer
+
+    tally, tracer = wl.Tally(), Tracer("test")
+    layers.install(tracer)
+    try:
+        wl.sweep_round(wl.SMOKE_SWEEP, 1, tally, wl.Digests())
+    finally:
+        assert tracer.restore() == []
+    assert tally.attempted == len(wl.MECHANISMS) and tally.failures == []
+    stages = defaultdict(set)
+    for span in tracer.spans:
+        stages[span["parent"]].add(layers.STAGES.get(span["name"]))
+    points = tracer.named("harness.simulate_point")
+    assert {point["attrs"]["mechanism"] for point in points} == set(wl.MECHANISMS)
+    for point in points:
+        mechanism = point["attrs"]["mechanism"]
+        expected = {"gen", "randomize", "aggregate", "metrics"} | ({"seeds"} if mechanism in ("collision", "coco") else set())
+        assert expected <= stages[point["id"]], mechanism

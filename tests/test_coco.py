@@ -150,6 +150,17 @@ def test_randomize_rejects_bad_t():
         coco_params(4, 2, 1.0, t=4)
 
 
+def test_aggregation_rejects_bad_t_before_hashing(monkeypatch):
+    def too_late(*args, **kwargs):
+        raise AssertionError("hashed before the params were checked")
+
+    for name in ("stream_keys", "keyed_hashes"):
+        monkeypatch.setattr(coco, name, too_late)
+    views = (user_hash_seeds(0, 2), np.array([1, 3]))
+    with pytest.raises(ValueError, match=r"CoCo needs even t >= 2s\+2, got t=5, s=1"):
+        aggregate_frequencies(views, "coco", MechanismParams(d=3, s=1, epsilon=1.0, t=5))
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_randomize_matches_exact_law(data):

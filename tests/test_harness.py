@@ -205,7 +205,7 @@ CONFIGS = st.builds(
     s=_distinct(st.integers(1, 64)),
     epsilon=_distinct(st.floats(1e-6, 50.0)),
     mechanism=_distinct(st.sampled_from(harness.MECHANISMS)),
-    master_seed=st.integers(-(2**63), 2**64),
+    master_seed=st.integers(0, 2**64 - 1),
     repetitions=st.integers(1, 1000),
     metrics=_distinct(st.sampled_from(METRICS)),
     target=st.sampled_from(TARGETS),
@@ -491,6 +491,8 @@ def _simulate(*flags):
         (("--s", "2,2"), "s 2 given twice"),
         (("--epsilon", "1.0,1"), "epsilon 1.0 given twice"),
         (("--mechanism", "privkv,privkv"), "mechanism 'privkv' given twice"),
+        (("--master-seed", "-1"), "master_seed must lie in 0..2**64-1, got -1"),
+        (("--master-seed", str(2**64)), f"master_seed must lie in 0..2**64-1, got {2**64}"),
     ],
 )
 def test_cli_rejects_grid_values_outside_the_domain(flags, message):
@@ -499,6 +501,15 @@ def test_cli_rejects_grid_values_outside_the_domain(flags, message):
     assert res.stdout == ""
     assert f"invalid config: {message}" in res.stderr
     assert "point failed:" not in res.stderr
+
+
+def test_cli_master_seed_takes_the_whole_64_bit_range():
+    # each bound of 0..2**64-1 runs and is recorded; -1 and 2**64 once aliased 2**64-1 and 0
+    for seed in ("0", str(2**64 - 1)):
+        res = _simulate("--master-seed", seed, "--mechanism", "collision")
+        assert res.exit_code == 0, res.output
+        rows = res.stdout.splitlines()[1:]
+        assert rows and all(row.split(",")[10] == seed for row in rows)
 
 
 @pytest.mark.parametrize(
