@@ -2,8 +2,8 @@
 
 Randomizers (single-hash collision, paired-bucket CoCo, baselines),
 server-side estimation with simplex-projection post-processing, an exact
-small-instance verification oracle, and a tight shuffle-model privacy
-amplification accountant.
+small-instance verification oracle, and a shuffle-model privacy
+amplification accountant, tight for the worst-case counting statistic.
 
 The accountant's names (``amplified_epsilon``, ``AmplificationQuery`` and
 the rest of ``amplification``) load on first use, and with them scipy, so
@@ -33,7 +33,7 @@ from .collision import (
 )
 from .domain import EventId, MechanismParams, TernaryVector, user_hash_seeds
 from .harness import ExperimentConfig, ReportRow, gen_synthetic_arrays, run_amplification_sweep, run_experiment
-from .oracle import exact_estimator_moments, lower_bound_statistic_distribution, verify_ldp
+from .oracle import exact_estimator_moments, verify_ldp
 
 # The accountant alone needs scipy.special, about half of a fresh start-up;
 # its names are imported from ``amplification`` on first access (PEP 562).

@@ -49,7 +49,7 @@ class Mechanism(NamedTuple):
     are the 2d event-frequency estimates in event-code order.
     """
 
-    params: Callable  # (d, s, epsilon, t, target) -> MechanismParams; t=None picks the default; baselines fix t
+    params: Callable  # (d, s, epsilon, target) -> MechanismParams at the mechanism's default t
     randomize: Callable  # (supports, signs, seeds, params, rng) -> views
     hit_counter: Callable | None  # (params, users) -> count(seeds, z) -> (2d,) int64 hit counts in event-code order
     debias: Callable
@@ -137,28 +137,28 @@ def _pckv_batch(supports, signs, seeds, params, rng):
 # installed on a module attribute (a profiler, say) sees every call.
 MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
-        lambda d, s, epsilon, t, target: _col.collision_params(d, s, epsilon, t),
+        lambda d, s, epsilon, target: _col.collision_params(d, s, epsilon),
         lambda *args: _col.collision_randomize_batch(*args),
         _col.collision_hit_counter, _col.collision_debias,
     ),
     "coco": Mechanism(
-        lambda d, s, epsilon, t, target: _coco.coco_params(
-            d, s, epsilon, t, which="nonmissing" if target == "nonmissing" else "mean"
+        lambda d, s, epsilon, target: _coco.coco_params(
+            d, s, epsilon, which="nonmissing" if target == "nonmissing" else "mean"
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
         _coco.coco_hit_counter, _coco.coco_debias,
     ),
     "privkv": Mechanism(
-        lambda d, s, epsilon, t, target: MechanismParams(d, s, epsilon, 3),
+        lambda d, s, epsilon, target: MechanismParams(d, s, epsilon, 3),
         lambda supports, signs, seeds, params, rng: _bl.privkv_randomize_batch(supports, signs, params, rng),
         None, _bl.privkv_debias,
     ),
     "pckv_grr": Mechanism(
-        lambda d, s, epsilon, t, target: MechanismParams(d, s, epsilon, 2 * d),
+        lambda d, s, epsilon, target: MechanismParams(d, s, epsilon, 2 * d),
         _pckv_batch, None, _bl.pckv_debias,
     ),
     "pckv_agrr": Mechanism(  # the PCKV GRR at the sampling-amplified inner budget
-        lambda d, s, epsilon, t, target: MechanismParams(d, s, _bl.amplified_budget(s, epsilon), 2 * d),
+        lambda d, s, epsilon, target: MechanismParams(d, s, _bl.amplified_budget(s, epsilon), 2 * d),
         _pckv_batch, None, _bl.pckv_debias,
     ),
 }

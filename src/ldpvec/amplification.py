@@ -13,9 +13,11 @@ with P = (A + D1, C - A + D2) and Q = (A + D2, C - A + D1).
 ``a`` is the clone probability.  The mechanism-level amplification
 parameter alpha reported here (and in the mixture analysis) equals
 (e^eps - 1) * a; for the single-hash collision randomizer with output
-size t it is alpha = s(e^eps - 1)/(s e^eps + t - s), and the worst-case
-counting statistic of an actual shuffled batch realises (P, Q) exactly,
-making the bound tight.  Any eps-LDP randomizer admits the generic value
+size t it is alpha = s(e^eps - 1)/(s e^eps + t - s).  The worst-case
+two-sided counting statistic of a shuffled batch realises (P, Q)
+exactly, so the bound is tight for that statistic; at small n a
+shuffled batch of (seed, z) views can exceed it.  Any eps-LDP
+randomizer admits the generic value
 alpha = (e^eps - 1)/(e^eps + 1), i.e. a = 1/(e^eps + 1).
 
 Divergences are evaluated in closed form per row.  A pair of counts
@@ -168,11 +170,14 @@ def _binom_pmf(n, k: np.ndarray, p: float) -> np.ndarray:
 
 
 def _binom_tail(k, n, p: float):
-    """P(Binomial(n, p) > k) = I_p(k + 1, n - k) elementwise, for 0 < p < 1; finite for any n.
+    """P(Binomial(n, p) > k) = I_p(k + 1, n - k) elementwise, for 0 <= p <= 1; finite for any n.
 
     k is clamped to -1..n, where betainc's limits I_p(0, n + 1) = 1 and I_p(n + 1, 0) = 0 are the tails.
+    At p in {0, 1} (e^eps rounding to 1) it is the point mass at pn, where betainc's limits fail.
     """
     k = np.minimum(np.maximum(k, -1), n)
+    if p in (0.0, 1.0):
+        return (k < p * n) * 1.0
     return betainc(k + 1, n - k, p)
 
 

@@ -211,7 +211,7 @@ def simulate_point(
 
     # Randomize under the mechanism (its default t) and aggregate the event frequencies.
     mech = agg.mechanism(mechanism)
-    params = mech.params(d, s, epsilon, None, target)
+    params = mech.params(d, s, epsilon, target)
     seeds = None if mech.hit_counter is None else user_hash_seeds(hash_master, n)
     views = mech.randomize(supports, signs, seeds, params, rng_mech)
     est = agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)

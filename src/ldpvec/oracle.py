@@ -1,18 +1,20 @@
 """Exact small-instance computations used to verify the randomizers.
 
 Everything here enumerates explicit hash tables (weighted lookup tables)
-rather than sampling, so privacy ratios, estimator moments and the
-counting statistic's law come out exact up to float accumulation.  Sums
-are taken with ``math.fsum`` (correctly-rounded accumulation).
+rather than sampling, so privacy ratios and estimator moments come out
+exact up to float accumulation.  Sums are taken with ``math.fsum``
+(correctly-rounded accumulation).
 
 Each mechanism has one ``TableLaw`` in ``LAWS``: its output law given an
 explicit table, the hash points (event codes or dimensions) an input
-reads, and the law's symmetry (its bucket slots, and whether a slot is a
-bucket pair); the table restricted to an input's points keys the law's
-cache.  CoCo's law is in closed form over surviving writers: for a fixed
-(H1, H2) only the last writer of each H1 slot keeps its bucket pair, and
-under a uniformly random write order it is uniform over the slot's
-writers.
+reads, and whether a point hashes to a bucket pair; the table restricted
+to an input's points keys the law's cache.  A table is a plain
+``{point: bucket}`` dict: collision's maps event codes to buckets, CoCo's
+maps each dim to j_plus's bucket, and j_minus takes the other member of
+the pair (H1, H1 + t/2).  CoCo's law is in closed form over surviving
+writers: for a fixed (H1, H2) only the last writer of each H1 slot keeps
+its bucket pair, and under a uniformly random write order it is uniform
+over the slot's writers.
 
 Mechanisms only read a hash at the events (or dimensions) an instance
 touches, so the uniform family over all functions, restricted to those
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, product
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,27 +39,6 @@ from .collision import CollisionParams, check_collision_params, collision_output
 from .domain import EventId, MechanismParams, TernaryVector
 
 _SIZE_GUARD = 10**6
-
-
-class CocoTable(dict):
-    """Explicit paired-layout table: dim j -> the bucket of j_plus in 1..t.
-
-    That bucket is H1(j) + t/2 when H2(j) = +1 and H1(j) otherwise; j_minus
-    takes the other member of the pair (H1(j), H1(j) + t/2).
-    """
-
-    def __init__(self, plus: Mapping[int, int], t: int):
-        super().__init__(plus)
-        self.t = t
-
-    def event_bucket(self, index: int, sign: int) -> int:
-        plus, half = self[index], self.t // 2
-        if sign > 0:
-            return plus
-        return plus - half if plus > half else plus + half
-
-    def pair_slot(self, index: int) -> int:
-        return (self[index] - 1) % (self.t // 2) + 1
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
@@ -72,7 +53,13 @@ def _collision_table_probs(x: TernaryVector, table: dict[int, int], params: Coll
     return collision_output_probabilities(frozenset(table[c] for c in x.event_codes()), params)
 
 
-def _coco_table_probs(x: TernaryVector, table: CocoTable, params: MechanismParams) -> np.ndarray:
+def _pair_partner(bucket: int, params: MechanismParams) -> int:
+    """The other member of ``bucket``'s CoCo pair (H1, H1 + t/2): j_minus's bucket, given j_plus's."""
+    half = params.t // 2
+    return bucket - half if bucket > half else bucket + half
+
+
+def _coco_table_probs(x: TernaryVector, table: dict[int, int], params: MechanismParams) -> np.ndarray:
     """Output law for a fixed (H1, H2) under a uniformly random write order.
 
     Only the last writer of each H1 slot survives, uniform over the slot's
@@ -86,7 +73,8 @@ def _coco_table_probs(x: TernaryVector, table: CocoTable, params: MechanismParam
     omega = coco_omega(x.s, params.epsilon, t)
     writers: dict[int, list[int]] = {}  # occupied slot -> its writers' e^eps buckets
     for j, b in x.support:
-        writers.setdefault(table.pair_slot(j), []).append(table.event_bucket(j, b))
+        plus = table[j]
+        writers.setdefault((plus - 1) % half + 1, []).append(plus if b > 0 else _pair_partner(plus, params))
     w = [0.0] * t
     for slot, high in writers.items():
         g, a = len(high), high.count(slot)
@@ -103,23 +91,21 @@ def _coco_table_probs(x: TernaryVector, table: CocoTable, params: MechanismParam
 
 
 class TableLaw(NamedTuple):
-    """One mechanism's exact output law given an explicit hash table."""
+    """One mechanism's exact output law given an explicit ``{point: bucket}`` table."""
 
     probs: Callable  # (x, table, params) -> P[z | x, table] over z = 1..t
     points: Callable  # x -> the hash points its law reads: event codes or dims
-    slots: Callable  # t -> the number of slots a point hashes to
-    paired: bool  # slot k is the bucket pair (k, k + slots), else bucket k
-    table: Callable  # ({point: value}, t) -> the explicit table
+    paired: bool  # a point is a dim whose bucket lies in the pair (k, k + t/2), else an event code's bucket k
     check: Callable  # params -> None; a ValueError outside the law's domain
 
 
 LAWS = {
     "collision": TableLaw(
-        _collision_table_probs, TernaryVector.event_codes, lambda t: t, False, lambda values, t: values,
+        _collision_table_probs, TernaryVector.event_codes, False,
         check_collision_params,  # CollisionParams enforces t > s
     ),
     "coco": TableLaw(
-        _coco_table_probs, lambda x: tuple(j for j, _ in x.support), lambda t: t // 2, True, CocoTable,
+        _coco_table_probs, lambda x: tuple(j for j, _ in x.support), True,
         lambda params: check_coco_domain(params.s, params.t),
     ),
 }
@@ -135,6 +121,11 @@ def _law(mechanism: str, params) -> TableLaw:
     return law
 
 
+def _slots(law: TableLaw, t: int) -> int:
+    """The slots a point hashes to: t/2 bucket pairs for a paired law, else t buckets."""
+    return t // 2 if law.paired else t
+
+
 def _orbit_count(n: int, slots: int, paired: bool) -> int:
     """Relabelling orbits of tables on n points: sum over k <= slots of S(n, k), times 2^(n-k) if paired."""
     members = 2 if paired else 1
@@ -144,7 +135,7 @@ def _orbit_count(n: int, slots: int, paired: bool) -> int:
     return sum(ways)
 
 
-def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tuple[object, float]]:
+def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tuple[dict[int, int], float]]:
     """One table per relabelling orbit on ``points``, weighted by its share of the uniform family.
 
     Slots are numbered by first use and, for a paired law, the first point
@@ -152,15 +143,15 @@ def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tu
     perm(slots, k) tables, times 2^k if paired, out of (slots * 2)^n or
     slots^n.  Generated lazily; the 20-bit guard counts representatives.
     """
-    slots, n = law.slots(t), len(points)
+    slots, n = _slots(law, t), len(points)
     offsets = (0, slots) if law.paired else (0,)
     if _orbit_count(n, slots, law.paired) > 1 << 20:
         raise ValueError(f"uniform family on {n} points has more than 2^20 orbit representatives")
     total = (len(offsets) * slots) ** n
 
-    def extend(values: tuple[int, ...], used: int) -> Iterator[tuple[object, float]]:
+    def extend(values: tuple[int, ...], used: int) -> Iterator[tuple[dict[int, int], float]]:
         if len(values) == n:
-            yield law.table(dict(zip(points, values)), t), math.perm(slots, used) * len(offsets) ** used / total
+            yield dict(zip(points, values)), math.perm(slots, used) * len(offsets) ** used / total
             return
         for slot in range(1, used + 1):
             for offset in offsets:
@@ -193,17 +184,19 @@ def verify_ldp(mechanism: str, params) -> float:
     over the inputs that read only its points, and that family is
     enumerated as one table per bucket-relabelling orbit: the worst ratio
     over z is the same on every table of an orbit.  The size guard counts
-    (input, representative table) evaluations.
+    (input, representative table) evaluations, in closed form before
+    anything is enumerated.
     """
     law = _law(mechanism, params)
-    reads = [(x, law.points(x)) for x in all_sparse_vectors(params.d, params.s)]
-    domain = sorted({p for _, points in reads for p in points})
-    k = len(reads[0][1])
-    size = min(2 * k, len(domain))
-    # each input lies in comb(|domain| - k, size - k) of the point sets
-    count = len(reads) * math.comb(len(domain) - k, size - k) * _orbit_count(size, law.slots(params.t), law.paired)
+    d, s = params.d, params.s
+    domain = range(1, (d if law.paired else 2 * d) + 1)  # dims or event codes
+    size = min(2 * s, len(domain))
+    # comb(d, s) 2^s inputs, each reading s points and lying in comb(|domain| - s, size - s) of the point sets
+    count = math.comb(d, s) * 2**s * math.comb(len(domain) - s, size - s)
+    count *= _orbit_count(size, _slots(law, params.t), law.paired)
     if count * params.t > _SIZE_GUARD:
         raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
+    reads = [(x, law.points(x)) for x in all_sparse_vectors(d, s)]
     cache: dict[tuple, np.ndarray] = {}
     worst = 0.0
     for points in combinations(domain, size):
@@ -276,53 +269,4 @@ def _estimator_terms(mechanism: str, params, estimator: str, event, dim) -> tupl
         denom = rates.nonmissing_denominator
         moments = lambda pp, pm: _debiased_indicator(pp + pm, 2.0 * rates.p_f, denom)
     # H(j_+) != H(j_-), so at most one can equal z
-    return dim, lambda p, table: moments(p[table.event_bucket(dim, 1) - 1], p[table.event_bucket(dim, -1) - 1])
-
-
-# ---------------------------------------------------------------------------
-# Lower-bound statistic (worst-case two-sided counting law)
-
-
-def lower_bound_statistic_distribution(
-    n: int, params: CollisionParams, swapped: bool = False
-) -> dict[tuple[int, int], float]:
-    """Exact law of the two-sided count statistic over a shuffled batch.
-
-    Builds the worst case: x1, x1' and the n-1 background inputs hash to
-    pairwise-disjoint bucket blocks (possible when t >= 3s), each message
-    is mapped to (1,0) / (0,1) / (0,0) according to whether it lands in
-    x1's or x1''s block, and the n per-message laws are convolved into a
-    {(count, count): probability} dict.
-
-    With ``swapped`` the batch contains x1' instead of x1, which mirrors
-    the statistic's coordinates.
-    """
-    check_collision_params(params)
-    s, t = params.s, params.t
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if t < 3 * s:
-        raise ValueError("worst-case construction needs t >= 3s")
-
-    def block_law(hit_buckets: frozenset[int]) -> dict[tuple[int, int], float]:
-        probs = collision_output_probabilities(hit_buckets, params)
-        return {(1, 0): math.fsum(probs[:s]), (0, 1): math.fsum(probs[s : 2 * s]), (0, 0): math.fsum(probs[2 * s :])}
-
-    first = block_law(frozenset(range(s + 1, 2 * s + 1) if swapped else range(1, s + 1)))
-    background = block_law(frozenset(range(2 * s + 1, 3 * s + 1)))
-
-    law = {(0, 0): 1.0}
-    parts = [first] + [background] * (n - 1)
-    for part in parts:
-        nxt: dict[tuple[int, int], float] = {}
-        for (u, v), p in law.items():
-            for (du, dv), q in part.items():
-                key = (u + du, v + dv)
-                nxt[key] = nxt.get(key, 0.0) + p * q
-        law = nxt
-    if min(law.values()) < -1e-12:
-        raise ValueError(f"negative probability {min(law.values())}")
-    total = math.fsum(law.values())
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return law
+    return dim, lambda p, table: moments(p[table[dim] - 1], p[_pair_partner(table[dim], params) - 1])

@@ -5,6 +5,7 @@ write order of the support, and ``CocoWeights`` validates one such
 trace.  Averaging the weight vector over all s! orders gives the law
 that ``ldpvec.oracle._coco_table_probs`` computes in closed form over
 surviving writers, so tests can check the closed form against it.
+``event_buckets`` states the pair rule of a table on its own, and
 ``uniform_coco_family`` lists every (H1, H2) on a set of dimensions, the
 full family that the oracle's orbit representatives stand for.
 ``coco_exact_rates_by_rank`` reaches the collision rates (P_t, P_o, P_f)
@@ -19,7 +20,6 @@ from itertools import product
 import numpy as np
 
 from ldpvec.coco import coco_omega
-from ldpvec.oracle import CocoTable
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,13 @@ class CocoWeights:
         return self.w / self.omega
 
 
+def event_buckets(table: dict[int, int], j: int, t: int) -> tuple[int, int]:
+    """(j_plus's bucket, j_minus's bucket) of dim j: the pair (H1(j), H1(j) + t/2), j_plus on ``table[j]``."""
+    half = t // 2
+    h1 = (table[j] - 1) % half + 1
+    return table[j], 2 * h1 + half - table[j]
+
+
 def coco_weight_vector(
     ordered_support: tuple[tuple[int, int], ...],
     table,
@@ -55,19 +62,18 @@ def coco_weight_vector(
 ) -> CocoWeights:
     """Relative weights over buckets 1..t for one permutation of the support.
 
-    ``table`` is one user's paired-layout hash (an ``oracle.CocoTable``):
-    ``table.event_bucket(j, b)`` and ``table.pair_slot(j)``.  Implements
-    the assignment loop literally: later entries overwrite both members of
-    a conflicting bucket pair, then unassigned pairs receive the uniform
-    residual weight.
+    ``table`` is one user's paired-layout hash, ``{dim: j_plus's bucket}``
+    (see ``event_buckets``).  Implements the assignment loop literally:
+    later entries overwrite both members of a conflicting bucket pair, then
+    unassigned pairs receive the uniform residual weight.
     """
     eeps = math.exp(epsilon)
     s = len(ordered_support)
     half = t // 2
     W = np.zeros(t)
     for j, b in ordered_support:
-        hb = table.event_bucket(j, b)
-        lb = 2 * table.pair_slot(j) + half - hb
+        plus, minus = event_buckets(table, j, t)
+        hb, lb = (plus, minus) if b > 0 else (minus, plus)
         W[hb - 1] = eeps
         W[lb - 1] = 1.0
     omega = coco_omega(s, epsilon, t)
@@ -83,7 +89,7 @@ def coco_weight_vector(
 def uniform_coco_family(dims, t: int) -> list:
     """Every (H1, H2) on ``dims`` for even t, equally weighted, as j_plus bucket tables."""
     count = t ** len(dims)
-    return [(CocoTable(dict(zip(dims, plus)), t), 1.0 / count) for plus in product(range(1, t + 1), repeat=len(dims))]
+    return [(dict(zip(dims, plus)), 1.0 / count) for plus in product(range(1, t + 1), repeat=len(dims))]
 
 
 def coco_exact_rates_by_rank(s: int, epsilon: float, t: int) -> tuple[float, float, float]:

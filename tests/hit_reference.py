@@ -9,6 +9,8 @@ and ``ldpvec.coco`` count those hits without materialising buckets.
 import numpy as np
 
 from ldpvec import aggregate as agg
+from ldpvec.coco import coco_params
+from ldpvec.collision import collision_params
 from ldpvec.domain import MechanismParams, hash_buckets, pair_signs, pair_slots, user_hash_seeds
 from ldpvec.harness import _rep_streams, gen_synthetic_arrays
 
@@ -32,6 +34,8 @@ def coco_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray
 
 
 REFERENCE_BUCKETS = {"collision": collision_event_buckets, "coco": coco_event_buckets}
+# (d, s, epsilon, t) -> params of each hash mechanism; t=None picks its default (CoCo's for the mean)
+HASH_PARAMS = {"collision": collision_params, "coco": coco_params}
 
 
 def single_user_mean_squared_errors(
@@ -52,7 +56,7 @@ def single_user_mean_squared_errors(
     rng_data, rng_mech, hash_master = _rep_streams(master_seed, 0, 0)
     supports, signs = gen_synthetic_arrays(trials, d, s, rng_data)
     seeds = user_hash_seeds(hash_master, trials)
-    params = mech.params(d, s, epsilon, t, "mean")
+    params = HASH_PARAMS[mechanism](d, s, epsilon, t)
     z = mech.randomize(supports, signs, seeds, params, rng_mech)
     # Each trial is its own one-user aggregation: debias its row of hits.
     hits = (REFERENCE_BUCKETS[mechanism](seeds, params) == z[:, None]).astype(np.int64)

@@ -1,12 +1,17 @@
-"""Brute-force reference for the shuffle accountant's counting laws.
+"""Brute-force references for the shuffle accountant's counting laws.
 
 ``exact_pq_laws`` builds the P and Q laws of ``ldpvec.amplification`` by
 direct convolution over every (clone count, split) cell, with no window
-and no closed form, so tests can check the divergence engine and the
-oracle's counting statistic against it.
+and no closed form, so tests can check the divergence engine against it.
+``lower_bound_statistic_distribution`` builds the law of the worst-case
+counting statistic of a real shuffled collision batch, which criterion
+10 checks against (P, Q): the clone reduction is tight for that
+statistic.
 """
 
 import math
+
+from ldpvec.collision import CollisionParams, collision_output_probabilities
 
 
 def exact_pq_laws(n: int, epsilon: float, alpha: float) -> tuple[dict, dict]:
@@ -33,3 +38,46 @@ def exact_pq_laws(n: int, epsilon: float, alpha: float) -> tuple[dict, dict]:
                 P[kp] = P.get(kp, 0.0) + base * pd
                 Q[kq] = Q.get(kq, 0.0) + base * pd
     return P, Q
+
+
+def lower_bound_statistic_distribution(
+    n: int, params: CollisionParams, swapped: bool = False
+) -> dict[tuple[int, int], float]:
+    """Exact law of the two-sided count statistic over a shuffled batch.
+
+    Builds the worst case: x1, x1' and the n-1 background inputs hash to
+    pairwise-disjoint bucket blocks (possible when t >= 3s), each message
+    is mapped to (1,0) / (0,1) / (0,0) according to whether it lands in
+    x1's or x1''s block, and the n per-message laws are convolved into a
+    {(count, count): probability} dict.
+
+    With ``swapped`` the batch contains x1' instead of x1, which mirrors
+    the statistic's coordinates.
+    """
+    s, t = params.s, params.t
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if t < 3 * s:
+        raise ValueError("worst-case construction needs t >= 3s")
+
+    def block_law(hit_buckets: frozenset[int]) -> dict[tuple[int, int], float]:
+        probs = collision_output_probabilities(hit_buckets, params)
+        return {(1, 0): math.fsum(probs[:s]), (0, 1): math.fsum(probs[s : 2 * s]), (0, 0): math.fsum(probs[2 * s :])}
+
+    first = block_law(frozenset(range(s + 1, 2 * s + 1) if swapped else range(1, s + 1)))
+    background = block_law(frozenset(range(2 * s + 1, 3 * s + 1)))
+
+    law = {(0, 0): 1.0}
+    for part in [first] + [background] * (n - 1):
+        nxt: dict[tuple[int, int], float] = {}
+        for (u, v), p in law.items():
+            for (du, dv), q in part.items():
+                key = (u + du, v + dv)
+                nxt[key] = nxt.get(key, 0.0) + p * q
+        law = nxt
+    if min(law.values()) < -1e-12:
+        raise ValueError(f"negative probability {min(law.values())}")
+    total = math.fsum(law.values())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    return law

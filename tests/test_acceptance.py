@@ -32,14 +32,9 @@ from ldpvec.coco import coco_predicted_mse, collision_rates
 from ldpvec.collision import collision_optimal_t, collision_params
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
 from ldpvec.harness import simulate_point
-from ldpvec.oracle import (
-    all_sparse_vectors,
-    exact_estimator_moments,
-    lower_bound_statistic_distribution,
-    verify_ldp,
-)
+from ldpvec.oracle import all_sparse_vectors, exact_estimator_moments, verify_ldp
 from hit_reference import single_user_mean_squared_errors
-from pq_reference import exact_pq_laws
+from pq_reference import exact_pq_laws, lower_bound_statistic_distribution
 
 LN2 = math.log(2)
 EPSILONS = (0.5, LN2, 2.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hit_reference import REFERENCE_BUCKETS
+from hit_reference import HASH_PARAMS, REFERENCE_BUCKETS
 from ldpvec import aggregate
 from ldpvec.aggregate import (
     MECHANISMS,
@@ -125,7 +125,7 @@ def test_mean_estimate_identities_exact():
 def test_mechanism_table_builds_one_params_type():
     for name, mech in MECHANISMS.items():
         for target in TARGETS:
-            params = mech.params(6, 2, 0.8, None, target)
+            params = mech.params(6, 2, 0.8, target)
             assert isinstance(params, MechanismParams), name
             assert (params.d, params.s) == (6, 2)
 
@@ -255,24 +255,24 @@ def test_aggregate_rejects_non_integer_seeds_or_symbols(mechanism, params):
 
 
 def test_aggregate_rejects_non_integer_baseline_reports():
-    privkv = MECHANISMS["privkv"].params(4, 1, 1.0, None, "frequency")
+    privkv = MECHANISMS["privkv"].params(4, 1, 1.0, "frequency")
     with pytest.raises(ValueError, match="j must be an integer array"):
         aggregate_frequencies((np.array([1.0, 2.0]), np.array([1, -1])), "privkv", privkv)
     with pytest.raises(ValueError, match="values must be an integer array"):
         aggregate_frequencies((np.array([1, 2]), np.array([1.0, -1.0])), "privkv", privkv)
     for name in ("pckv_grr", "pckv_agrr"):
-        pckv = MECHANISMS[name].params(4, 1, 1.0, None, "frequency")
+        pckv = MECHANISMS[name].params(4, 1, 1.0, "frequency")
         with pytest.raises(ValueError, match="codes must be an integer array"):
             aggregate_frequencies(np.array([1.5, 2.0]), name, pckv)
 
 
 def test_aggregate_rejects_malformed_baseline_reports():
-    privkv = MECHANISMS["privkv"].params(4, 1, 1.0, None, "frequency")
+    privkv = MECHANISMS["privkv"].params(4, 1, 1.0, "frequency")
     with pytest.raises(ValueError, match="dimensions j"):
         aggregate_frequencies((np.array([0, 2]), np.array([1, -1])), "privkv", privkv)
     with pytest.raises(ValueError, match="values in"):
         aggregate_frequencies((np.array([1, 2]), np.array([1, 5])), "privkv", privkv)
-    pckv = MECHANISMS["pckv_grr"].params(4, 1, 1.0, None, "frequency")
+    pckv = MECHANISMS["pckv_grr"].params(4, 1, 1.0, "frequency")
     with pytest.raises(ValueError, match="codes"):
         aggregate_frequencies(np.array([1, 9]), "pckv_grr", pckv)
     # each used to escape as a TypeError or a numpy error from len, unpacking or bincount
@@ -297,7 +297,7 @@ def _hit_instances(draw):
     t = draw(st.one_of(st.none(), st.just(low), st.integers(low, low + 40), st.integers(2**32 + 1, 2**40)))
     if t is not None and name == "coco":
         t += t % 2
-    params = MECHANISMS[name].params(d, s, epsilon, t, "mean")
+    params = HASH_PARAMS[name](d, s, epsilon, t)
     n = draw(st.integers(1, 40))
     seeds = user_hash_seeds(draw(st.integers(0, 2**64 - 1)), n)
     buckets = REFERENCE_BUCKETS[name](seeds, params)
@@ -331,7 +331,7 @@ def test_hit_kernels_match_the_reference_layouts(instance, data):
 @pytest.mark.parametrize("name", sorted(REFERENCE_BUCKETS))
 @pytest.mark.parametrize("workers", [2, 3])
 def test_hit_counts_over_chunks_that_do_not_divide_among_the_workers(monkeypatch, name, workers):
-    params = MECHANISMS[name].params(5, 2, 1.0, None, "mean")
+    params = MECHANISMS[name].params(5, 2, 1.0, "mean")
     seeds = user_hash_seeds(11, 7)
     buckets = REFERENCE_BUCKETS[name](seeds, params)
     z = buckets[np.arange(7), np.arange(7) % (2 * params.d)]
@@ -344,7 +344,7 @@ def test_hit_counts_over_chunks_that_do_not_divide_among_the_workers(monkeypatch
 @pytest.mark.parametrize("name", sorted(REFERENCE_BUCKETS))
 def test_a_counter_reused_on_a_shorter_chunk_counts_only_that_chunk(name):
     # every view sits on one of its own buckets, so rows left over from a longer chunk would add hits
-    params = MECHANISMS[name].params(6, 2, 1.0, None, "mean")
+    params = MECHANISMS[name].params(6, 2, 1.0, "mean")
     seeds = user_hash_seeds(23, 9)
     buckets = REFERENCE_BUCKETS[name](seeds, params)
     z = buckets[np.arange(9), (3 * np.arange(9)) % (2 * params.d)]
@@ -362,7 +362,7 @@ def test_a_single_chunk_starts_no_thread(monkeypatch):
     monkeypatch.setattr(aggregate, "_hit_workers", lambda: 4)
     baseline = threading.active_count()
     for name in ("collision", "coco"):
-        params = MECHANISMS[name].params(8, 2, 1.0, None, "mean")
+        params = MECHANISMS[name].params(8, 2, 1.0, "mean")
         seeds = user_hash_seeds(3, aggregate.HIT_CHUNK_CELLS // (2 * params.d))  # exactly one chunk
         z = np.ones(len(seeds), dtype=np.int64)
         counts = event_hit_counts(seeds, z, MECHANISMS[name].hit_counter, params)

@@ -18,6 +18,7 @@ from ldpvec.amplification import (
     generic_clone_alpha,
     pq_divergence,
 )
+from ldpvec.collision import collision_optimal_t
 from pq_reference import exact_pq_laws
 
 LN2 = math.log(2)
@@ -215,6 +216,18 @@ def test_truncation_above_delta_is_an_error(monkeypatch):
         amplified_epsilon(1000, 1.0, 0.2, 1e-6)
 
 
+@pytest.mark.parametrize("epsilon", [1e-16, 1e-17])
+def test_accountant_where_e_eps_rounds_to_one(epsilon):
+    # e^eps == 1.0 makes the clone probability exactly 1/2, so C ~ Binomial(n - 1, 1); the C-tails
+    # used to sum to 1 there and every query failed with "truncation mass 1 exceeds delta"
+    for alpha in (collision_alpha(1, epsilon, collision_optimal_t(1, epsilon)), generic_clone_alpha(epsilon)):
+        for n in (2, 1000):
+            query = AmplificationQuery(n=n, epsilon=epsilon, alpha=alpha, delta=1e-6)
+            assert query.clone_prob == 0.5
+            assert query.window.truncation_mass == 0.0
+            assert amplified_epsilon(n, epsilon, alpha, 1e-6) == 0.0
+
+
 @pytest.mark.parametrize("n", [1_000, 100_000])
 def test_accountant_at_tiny_delta(n):
     # down to delta = 1e-300 the windows, the truncation slack and the
@@ -318,6 +331,17 @@ def test_binom_tail_matches_scipy_stats(p):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-300)
         for one, expected in zip(k.tolist(), want):
             assert float(amplification._binom_tail(one, n, p)) == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_binom_tail_of_a_point_mass(p):
+    # Binomial(n, 0) is 0 and Binomial(n, 1) is n; betainc's limits gave P(X > -1) = 0 at p = 0 and P(X > n) = 1 at p = 1
+    for n in (1, 7, 2**31 + 1):
+        k = np.array([-3, -1, 0, 1, n - 1, n, n + 2])
+        want = (k < 0 if p == 0.0 else k < n).astype(float)
+        np.testing.assert_array_equal(amplification._binom_tail(k, np.full(len(k), n), p), want)
+        for one, expected in zip(k.tolist(), want):
+            assert float(amplification._binom_tail(one, n, p)) == expected
 
 
 @pytest.mark.parametrize("eps_c", [math.nan, math.inf, -math.inf, -0.1])

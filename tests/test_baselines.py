@@ -21,7 +21,7 @@ LN2 = math.log(2)
 
 def table_params(name, d, s, epsilon):
     """The params the mechanism table builds for a baseline."""
-    return MECHANISMS[name].params(d, s, epsilon, None, "frequency")
+    return MECHANISMS[name].params(d, s, epsilon, "frequency")
 
 
 def test_grr_probabilities_examples():

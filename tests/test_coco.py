@@ -19,8 +19,8 @@ from ldpvec.coco import (
     overwrite_probability,
 )
 from ldpvec.domain import MechanismParams, TernaryVector, pair_signs, pair_slots, user_hash_seeds
-from ldpvec.oracle import CocoTable, _coco_table_probs, all_sparse_vectors, exact_estimator_moments
-from coco_reference import CocoWeights, coco_exact_rates_by_rank, coco_weight_vector
+from ldpvec.oracle import _coco_table_probs, all_sparse_vectors, exact_estimator_moments
+from coco_reference import CocoWeights, coco_exact_rates_by_rank, coco_weight_vector, event_buckets
 
 LN2 = math.log(2)
 
@@ -29,7 +29,7 @@ def user_table(seed, dims, t):
     """The paired-layout hash of user ``seed`` on ``dims``, as an explicit table of j_plus buckets."""
     dims = np.asarray(dims)
     plus = pair_slots(np.uint64(seed), dims, t) + (pair_signs(np.uint64(seed), dims) > 0) * (t // 2)
-    return CocoTable(dict(zip(dims.tolist(), plus.tolist())), t)
+    return dict(zip(dims.tolist(), plus.tolist()))
 
 
 def test_rates_examples():
@@ -68,13 +68,12 @@ def test_omega_example():
 def test_weight_vector_single_entry_layout():
     # s=1: one bucket at e^eps, its pair at 1, everything else at w
     t, eps = 6, LN2
-    table = CocoTable({2: 3}, t)  # H1 = 3, H2 = -1
+    table = {2: 3}  # H1 = 3, H2 = -1
     x = TernaryVector(d=4, support=((2, 1),))
     W = coco_weight_vector(x.support, table, eps, t).w
     omega = coco_omega(1, eps, t)
     w = (omega - math.exp(eps) - 1.0) / (t - 2)
-    hb = table.event_bucket(2, 1)
-    lb = table.event_bucket(2, -1)
+    hb, lb = event_buckets(table, 2, t)
     assert (hb, lb) == (3, 6)
     assert W[hb - 1] == pytest.approx(math.exp(eps))
     assert W[lb - 1] == pytest.approx(1.0)
@@ -87,13 +86,16 @@ def test_weight_vector_single_entry_layout():
 def test_weight_vector_overwrite_semantics():
     # two dims forced onto one pair: the later write wins, both buckets replaced
     t, eps = 8, 0.7
-    table = CocoTable({1: 6, 2: 6}, t)  # H1 = 2, H2 = +1 for both
+    table = {1: 6, 2: 6}  # H1 = 2, H2 = +1 for both
+    assert event_buckets(table, 1, t) == (6, 2)
     x = TernaryVector(d=2, support=((1, 1), (2, -1)))
     for ordered in permutations(x.support):
         W = coco_weight_vector(tuple(ordered), table, eps, t).w
         j_last, b_last = ordered[-1]
-        assert W[table.event_bucket(j_last, b_last) - 1] == pytest.approx(math.exp(eps))
-        assert W[table.event_bucket(j_last, -b_last) - 1] == pytest.approx(1.0)
+        plus, minus = event_buckets(table, j_last, t)
+        high, low = (plus, minus) if b_last > 0 else (minus, plus)
+        assert W[high - 1] == pytest.approx(math.exp(eps))
+        assert W[low - 1] == pytest.approx(1.0)
         assert W.sum() == pytest.approx(coco_omega(2, eps, t))
 
 
@@ -110,7 +112,7 @@ def test_closed_form_law_matches_permutation_average(data):
     crowd = data.draw(st.sampled_from((1, 2, t // 2)))  # H1 drawn from 1..crowd: small crowds force conflicts
     h1 = data.draw(st.lists(st.integers(1, crowd), min_size=s, max_size=s))
     h2 = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=s, max_size=s))
-    table = CocoTable({j: k + (g > 0) * (t // 2) for j, k, g in zip(dims, h1, h2)}, t)
+    table = {j: k + (g > 0) * (t // 2) for j, k, g in zip(dims, h1, h2)}
     x = TernaryVector(d=d, support=tuple(zip(dims, signs)))
     orders = list(permutations(x.support))
     weights = sum(coco_weight_vector(order, table, eps, t).w for order in orders)
@@ -207,7 +209,7 @@ def test_contribution_examples():
     rates = collision_rates(1, LN2, 4)
     seeds = user_hash_seeds(1, 1)
     table = user_table(seeds[0], [2], 4)
-    hp, hm = table.event_bucket(2, 1), table.event_bucket(2, -1)
+    hp, hm = event_buckets(table, 2, 4)
     other = next(z for z in range(1, 5) if z not in (hp, hm))
 
     def contributions(z):

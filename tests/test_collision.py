@@ -109,14 +109,12 @@ _ONE_HOT = TernaryVector(d=3, support=((2, 1),))
         lambda params: aggregate_frequencies((user_hash_seeds(0, 2), np.array([1, 3])), "collision", params),
         lambda params: oracle.verify_ldp("collision", params),
         lambda params: oracle.exact_estimator_moments("collision", params, _ONE_HOT, "indicator", event=EventId(1, 1)),
-        lambda params: oracle.lower_bound_statistic_distribution(3, params),
         lambda params: collision_randomize_batch(
             np.array([[2]]), np.array([[1]]), user_hash_seeds(0, 1), params, np.random.default_rng(0)
         ),
     ],
     ids=[
-        "aggregate_frequencies", "verify_ldp", "exact_estimator_moments",
-        "lower_bound_statistic_distribution", "collision_randomize_batch",
+        "aggregate_frequencies", "verify_ldp", "exact_estimator_moments", "collision_randomize_batch",
     ],
 )
 def test_collision_entry_points_reject_params_without_the_normaliser(entry, monkeypatch):

@@ -165,7 +165,7 @@ def _batch_randomizers(d, s):
 
     rng = np.random.default_rng(0)
     col, coco = collision_params(d, s, 1.0), coco_params(d, s, 1.0)
-    privkv, pckv = (MECHANISMS[name].params(d, s, 1.0, None, "frequency") for name in ("privkv", "pckv_grr"))
+    privkv, pckv = (MECHANISMS[name].params(d, s, 1.0, "frequency") for name in ("privkv", "pckv_grr"))
     return {
         "collision": lambda sup, sg: collision_randomize_batch(sup, sg, user_hash_seeds(1, len(sup)), col, rng),
         "coco": lambda sup, sg: coco_randomize_batch(sup, sg, user_hash_seeds(1, len(sup)), coco, rng),

@@ -8,20 +8,22 @@ from hypothesis import strategies as st
 
 from ldpvec import oracle
 from ldpvec.amplification import collision_alpha
+from ldpvec.coco import coco_params
 from ldpvec.collision import collision_params
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
 from ldpvec.oracle import (
     LAWS,
-    CocoTable,
     _orbit_count,
+    _slots,
     _uniform_tables,
     all_sparse_vectors,
     exact_estimator_moments,
-    lower_bound_statistic_distribution,
     verify_ldp,
 )
-from coco_reference import uniform_coco_family
+import pq_reference
+from coco_reference import event_buckets, uniform_coco_family
 from oracle_reference import family_moments, family_privacy_loss, mixture_decompose, uniform_collision_family
+from pq_reference import lower_bound_statistic_distribution
 
 LN2 = math.log(2)
 
@@ -40,11 +42,10 @@ def test_enumerate_collision_fixed_hash():
 def test_enumerate_coco_single_entry():
     params = MechanismParams(d=4, s=1, epsilon=LN2, t=4)
     x = TernaryVector(d=4, support=((2, 1),))
-    table = CocoTable({2: 3}, 4)  # H1 = 1, H2 = +1
+    table = {2: 3}  # H1 = 1, H2 = +1
     probs = LAWS["coco"].probs(x, table, params)
     omega = 5.0
-    hb = table.event_bucket(2, 1)
-    lb = table.event_bucket(2, -1)
+    hb, lb = event_buckets(table, 2, 4)
     w = (omega - 3.0) / 2.0
     assert probs[hb - 1] == pytest.approx(2 / omega)
     assert probs[lb - 1] == pytest.approx(1 / omega)
@@ -190,7 +191,7 @@ def test_orbit_representatives_match_the_full_uniform_family(data):
 def test_orbit_count_and_weights(mechanism, n, t):
     law = LAWS[mechanism]
     weights = [w for _, w in _uniform_tables(law, tuple(range(1, n + 1)), t)]
-    assert len(weights) == _orbit_count(n, law.slots(t), law.paired)
+    assert len(weights) == _orbit_count(n, _slots(law, t), law.paired)
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -204,6 +205,20 @@ def test_exhaustive_guard_counts_orbit_representatives():
     with pytest.raises(ValueError, match="exceeds guard"):
         verify_ldp("collision", collision_params(6, 3, 1.0, 6))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("mechanism, params", [
+    ("collision", collision_params(64, 8, 1.0)),
+    ("coco", coco_params(64, 8, 1.0)),
+])
+def test_exhaustive_guard_counts_before_enumerating_inputs(mechanism, params, monkeypatch):
+    # the comb(64, 8) 2^8 = 1.1e12 inputs were listed before the guard was counted, so this never returned
+    def unread(*args):
+        raise AssertionError("an input was enumerated before the size guard")
+
+    monkeypatch.setattr(oracle, "all_sparse_vectors", unread)
+    with pytest.raises(ValueError, match=r"enumeration size \d+\*\d+ exceeds guard 1000000"):
+        verify_ldp(mechanism, params)
 
 
 def test_exact_moments_collision_unbiased():
@@ -313,6 +328,6 @@ def test_lower_bound_statistic_requires_room():
 def test_lower_bound_statistic_rejects_a_law_that_is_not_a_distribution(monkeypatch):
     params = collision_params(3, 1, LN2, 4)
     for probs, message in (([1.2, -0.2, 0.0, 0.0], "negative probability"), ([0.3] * 4, "sum to 1.2")):
-        monkeypatch.setattr(oracle, "collision_output_probabilities", lambda *args: np.array(probs))
+        monkeypatch.setattr(pq_reference, "collision_output_probabilities", lambda *args: np.array(probs))
         with pytest.raises(ValueError, match=message):
             lower_bound_statistic_distribution(1, params)
