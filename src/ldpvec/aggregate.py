@@ -34,9 +34,9 @@ from .domain import MechanismParams, check_integer, event_code
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
-# (user, event) cells hashed per chunk of the hit count:
-# each worker's kernel buffers for one chunk (two uint64 arrays, 1 MiB together)
-# stay in the L2 cache of the core it runs on.
+# (user, event) cells hashed per chunk of the hit count: each worker's kernel buffers
+# for one chunk stay in the L2 cache of the core it runs on.  They are two uint64 arrays,
+# 1 MiB together for collision (users x 2d cells) and half that for CoCo (users x d).
 HIT_CHUNK_CELLS = 1 << 16
 
 

@@ -46,7 +46,7 @@ def grr_probabilities(epsilon: float, k: int) -> tuple[float, float]:
 def _debias_probabilities(params: MechanismParams) -> tuple[float, float]:
     """The GRR's (p, q), with p - q too small to divide by as a ValueError."""
     p, q = grr_probabilities(params.epsilon, params.t)
-    debias_denominator(p - q, f"degenerate GRR: p - q = {p - q:.3g} at epsilon={params.epsilon:g} over {params.t} categories")
+    debias_denominator(p - q, f"degenerate GRR: p - q = {p - q:.3g} at GRR budget {params.epsilon:g} over {params.t} categories")
     return p, q
 
 

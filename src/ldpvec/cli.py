@@ -110,8 +110,6 @@ def simulate(config_path, full_scale, out, fmt, **grid):
 def amplify(n, s, epsilon, delta, bounds, out, fmt):
     """Amplified budgets eps_c and log2 amplification ratios."""
     try:
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must lie in (0,1)")
         rows, errors = harness.run_amplification_sweep(
             harness._parse_list(n, int), harness._parse_list(s, int), harness._parse_list(epsilon, float),
             delta, harness._parse_list(bounds, str),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import (
     STREAM_H1, STREAM_H2, MechanismParams, check_batch, debias_denominator, exp_budget, keyed_hashes, pair_signs, pair_slots,
-    remainder_inplace, stream_keys,
+    remainder_inplace, sample_layout, stream_keys,
 )
 
 
@@ -128,64 +128,21 @@ def coco_randomize_batch(
     params: MechanismParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample one output symbol per row.
-
-    Each row follows CoCo's law under a uniformly random write order (the
-    surviving-writer law of ``oracle._coco_table_probs``), but the
-    bucket-pair weight layout is never materialised.  For each row the
-    surviving (last-written) entry per distinct H1 value is found by
-    sorting, then a single uniform draw picks a weight-e^eps bucket, a
-    weight-1 bucket or a residual bucket.
+    """One output symbol per row under a uniformly random write order (the surviving-writer law of
+    ``oracle._coco_table_probs``): the last writer of each of the m distinct H1 slots puts e^eps on its
+    high bucket and 1 on its low one, and the t - 2m buckets of the other slots take the residual.
     """
     check_coco_domain(params.s, params.t)
     check_batch(supports, signs, params)
-    n, s = supports.shape
-    t = params.t
-    half = t // 2
-    eeps = math.exp(params.epsilon)
-    omega = coco_omega(s, params.epsilon, t)
-
+    (n, s), t, half = supports.shape, params.t, params.t // 2
+    eeps, omega = math.exp(params.epsilon), coco_omega(s, params.epsilon, t)
     h1 = pair_slots(seeds[:, None], supports, t)
-    sg2 = pair_signs(seeds[:, None], supports)
-    hi_bit = (signs * sg2 + 1) // 2
-    high = h1 + hi_bit * half  # bucket carrying weight e^eps per slot
-    low = 2 * h1 + half - high
-
-    # Random write order u; sorted by H1, and within equal H1 the last-written (max-u) slot first.
+    high = h1 + (signs * pair_signs(seeds[:, None], supports) + 1) // 2 * half  # the bucket carrying e^eps
+    # Random write order; sorted by H1, and within equal H1 the last-written (max) entry first.
     order = np.lexsort((-rng.random((n, s)), h1), axis=1)
-    h1_s = np.take_along_axis(h1, order, axis=1)
-    high_s = np.take_along_axis(high, order, axis=1)
-    low_s = np.take_along_axis(low, order, axis=1)
-    lead = np.ones((n, s), dtype=bool)
-    lead[:, 1:] = h1_s[:, 1:] != h1_s[:, :-1]
-    m = lead.sum(axis=1)  # surviving bucket pairs
-    grp = np.cumsum(lead, axis=1) - 1
-
-    u = rng.random(n) * omega
-    seg_high = u < m * eeps
-    seg_low = ~seg_high & (u < m * (eeps + 1.0))
-
-    idx_high = np.minimum((u / eeps).astype(np.int64), m - 1)
-    idx_low = np.minimum((u - m * eeps).astype(np.int64), m - 1)
-    idx = np.where(seg_high, idx_high, idx_low)
-    pick = lead & (grp == idx[:, None])
-    z_high = (high_s * pick).sum(axis=1)
-    z_low = (low_s * pick).sum(axis=1)
-
-    # Residual: the r-th bucket among unassigned pairs.
-    w = (omega - m * (eeps + 1.0)) / (t - 2 * m)
-    v = u - m * (eeps + 1.0)
-    r = np.minimum((v / w).astype(np.int64), t - 2 * m - 1)
-    r = np.maximum(r, 0)
-    free = half - m
-    pos = r % np.maximum(free, 1)
-    member = r // np.maximum(free, 1)
-    pv = pos + 1
-    for col in range(s):
-        pv += (lead[:, col] & (h1_s[:, col] <= pv)).astype(np.int64)
-    z_res = pv + member * half
-
-    return np.where(seg_high, z_high, np.where(seg_low, z_low, z_res))
+    h1_s, high_s = np.take_along_axis(h1, order, axis=1), np.take_along_axis(high, order, axis=1)
+    layers = [(high_s, eeps), (2 * h1_s + half - high_s, 1.0)]
+    return sample_layout(rng.random(n) * omega, h1_s, layers, lambda m: (omega - m * (eeps + 1.0)) / (t - 2 * m), half)
 
 
 def coco_hit_counter(params: MechanismParams, users: int):

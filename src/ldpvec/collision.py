@@ -22,7 +22,7 @@ import numpy as np
 
 from .domain import (
     STREAM_SINGLE, MechanismParams, check_batch, debias_denominator, event_code, exp_budget, hash_buckets, keyed_hashes,
-    remainder_inplace, stream_keys,
+    remainder_inplace, sample_layout, stream_keys,
 )
 
 
@@ -104,11 +104,7 @@ def collision_randomize_batch(
     params: CollisionParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample one output symbol per row of ``supports``.
-
-    Each row's single uniform draw is routed through a two-segment inverse
-    CDF: the hit segment selects among the k distinct hashed buckets, the
-    residual segment selects uniformly among the t - k others.
+    """One output symbol per row: each of the k distinct hashed buckets at e^eps/Omega, the t - k others at the residual.
 
     supports: (n, s) 1-based dimension indices, ascending per row.
     signs:    (n, s) entries in {-1, +1}.
@@ -116,33 +112,8 @@ def collision_randomize_batch(
     """
     check_collision_params(params)
     check_batch(supports, signs, params)
-    n, s = supports.shape
-    t = params.t
-    h = hash_buckets(seeds[:, None], event_code(supports, signs), t)
-    hs = np.sort(h, axis=1)
-    new = np.ones_like(hs, dtype=bool)
-    new[:, 1:] = hs[:, 1:] != hs[:, :-1]
-    k = new.sum(axis=1)
-
-    p_hit = params.hit_prob
-    u = rng.random(n)
-    is_hit = u < k * p_hit
-
-    # Hit branch: pick the idx-th distinct hashed bucket (ascending).
-    idx = np.minimum((u / p_hit).astype(np.int64), k - 1)
-    rank = np.cumsum(new, axis=1) - 1
-    sel = new & (rank == idx[:, None])
-    z_hit = (hs * sel).sum(axis=1)
-
-    # Residual branch: the m-th smallest bucket outside the hit set.
-    q = params.residual_prob(k)
-    m = np.minimum(((u - k * p_hit) / q).astype(np.int64), t - k - 1)
-    m = np.maximum(m, 0)
-    z_miss = m + 1
-    for col in range(s):
-        z_miss += (new[:, col] & (hs[:, col] <= z_miss)).astype(np.int64)
-
-    return np.where(is_hit, z_hit, z_miss)
+    hs = np.sort(hash_buckets(seeds[:, None], event_code(supports, signs), params.t), axis=1)
+    return sample_layout(rng.random(len(hs)), hs, [(hs, params.hit_prob)], params.residual_prob, params.t)
 
 
 def collision_hit_counter(params: MechanismParams, users: int):

@@ -16,6 +16,11 @@ by a scalar multiplies and shifts, its ``%`` divides per element.  Two layouts e
   * ``paired``: a dimension hash H1 into half-buckets 1..t/2 plus a sign
     hash H2 into {-1, +1}; together they orient each dimension's two
     events onto the bucket pair (k, k + t/2).
+
+Both randomizers emit one bucket of a weighted layout over such positions with a
+fixed normaliser Omega, by inversion of its CDF (``sample_layout``; Devroye 1986,
+ch. 2): each distinct occupied position holds one bucket per layer at that
+layer's weight, and every other bucket takes the residual weight.
 """
 
 from __future__ import annotations
@@ -129,6 +134,8 @@ class MechanismParams:
             raise ValueError(f"need 1 <= s <= d, got s={self.s}, d={self.d}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if self.d >= 2**62:
+            raise ValueError(f"d must be < 2**62, since event codes 1..2d are int64, got d={self.d}")
         exp_budget(self.epsilon, self.s)
         if not 1 <= self.t < 2**63:  # buckets are returned as int64
             got = f"about 2^{math.log2(self.t):.1f}" if self.t >= 2**63 else self.t  # t from a huge epsilon has ~300 digits
@@ -219,3 +226,39 @@ def pair_signs(seeds: np.ndarray, dims: np.ndarray) -> np.ndarray:
     """Paired-layout H2(j_plus) of ``dims`` under each seed; in {-1,+1}."""
     vals = keyed_hashes(seeds, stream_keys(dims, STREAM_H2))
     return np.where(vals & np.uint64(1), 1, -1).astype(np.int64, copy=False)
+
+
+def sample_layout(u: np.ndarray, pos: np.ndarray, layers, residual, space: int) -> np.ndarray:
+    """One bucket per row, the inverse CDF of its layout at ``u``, uniform on [0, Omega).
+
+    ``pos`` (n, s) holds each row's occupied positions in 1..``space``, ascending; a row's m distinct
+    positions are the entries that differ from their left neighbour.  Each layer (buckets, weight)
+    gives every distinct position the bucket ``buckets`` holds at its first entry.  The CDF runs
+    through the layers in order, a band of m * weight each, where the idx-th distinct position's
+    bucket takes [idx * weight, (idx + 1) * weight) of the band.  The len(layers) * (space - m)
+    free buckets follow at weight ``residual(m)``: free bucket r is free position r mod (space - m),
+    counted past the occupied positions, plus r // (space - m) * space.
+    """
+    lead = np.ones(pos.shape, dtype=bool)
+    lead[:, 1:] = pos[:, 1:] != pos[:, :-1]
+    rank = np.cumsum(lead, axis=1)  # the 1-based rank of each distinct position; the last is m
+    m = rank[:, -1]
+    edges, idx, offset, end = [], None, u, 0.0  # offset: u less the ends of the bands before
+    for _, weight in layers:
+        band = (offset / weight).astype(np.int64)
+        idx = band if idx is None else np.where(u < edges[-1], idx, band)
+        end += weight
+        edges.append(m * end)
+        offset = u - edges[-1]
+    pick = lead & (rank == (np.minimum(idx, m - 1) + 1)[:, None])
+
+    free = space - m
+    r = np.maximum(np.minimum((offset / residual(m)).astype(np.int64), len(layers) * free - 1), 0)
+    copy, r = np.divmod(r, free)
+    z = r + 1
+    for col in range(pos.shape[1]):
+        z += lead[:, col] & (pos[:, col] <= z)
+    z += copy * space
+    for (buckets, _), edge in zip(layers[::-1], edges[::-1]):
+        z = np.where(u < edge, (buckets * pick).sum(axis=1), z)
+    return z

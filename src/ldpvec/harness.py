@@ -206,12 +206,11 @@ def simulate_point(
     """One repetition at one grid point; returns metric name -> value."""
     rng_data, rng_mech, hash_master = _rep_streams(master_seed, grid_index, rep)
     supports, signs = gen_synthetic_arrays(n, d, s, rng_data)
-    truth_freq = agg.true_event_frequencies(supports, signs, d)
-    truth = agg.target_values(truth_freq, target)
+    mech = agg.mechanism(mechanism)
+    params = mech.params(d, s, epsilon, target)  # before the truth: it rejects a d whose 2d events overflow int64
+    truth = agg.target_values(agg.true_event_frequencies(supports, signs, d), target)
 
     # Randomize under the mechanism (its default t) and aggregate the event frequencies.
-    mech = agg.mechanism(mechanism)
-    params = mech.params(d, s, epsilon, target)
     seeds = None if mech.hit_counter is None else user_hash_seeds(hash_master, n)
     views = mech.randomize(supports, signs, seeds, params, rng_mech)
     est = agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
@@ -296,6 +295,8 @@ def run_amplification_sweep(
     closed-form bound rows carry a caveat: its validity conditions are not
     checked.
     """
+    if not 0.0 < delta < 1.0:  # also rejects nan
+        raise ValueError("delta must lie in (0,1)")
     from . import amplification as amp  # here, not at the top: only the accountant needs scipy
 
     _check_grid(

@@ -13,6 +13,7 @@ from ldpvec.domain import (
     pair_signs,
     pair_slots,
     remainder_inplace,
+    sample_layout,
     user_hash_seeds,
 )
 
@@ -86,6 +87,43 @@ def test_mechanism_params_validation():
         MechanismParams(d=4, s=5, epsilon=1.0, t=6)
     with pytest.raises(ValueError):
         MechanismParams(d=4, s=2, epsilon=0.0, t=6)
+
+
+def _layout_reference(pos, layers, residual, space):
+    """One row's (bucket, weight) list in the sampler's CDF order: each layer's band over the distinct
+    positions, read at their first entry, then the free buckets, copy c of the positions at c * space."""
+    lead = [i for i in range(len(pos)) if i == 0 or pos[i] != pos[i - 1]]
+    ref = [(buckets[i], weight) for buckets, weight in layers for i in lead]
+    free = [p for p in range(1, space + 1) if p not in pos]
+    return ref + [(c * space + p, residual(len(lead))) for c in range(len(layers)) for p in free]
+
+
+# (pos, per-layer buckets and weights, space, omega): a single layout of
+# weight 2.5 and a paired one of weights e = 3 and 1 over t = 2 * space, each
+# with rows that repeat a position and rows of one position only (m = 1).
+_POS_1 = [[1, 3, 5], [2, 2, 6], [4, 4, 4], [5, 6, 7]]
+_POS_2 = np.array([[1, 2, 4], [3, 3, 5], [2, 2, 2], [1, 4, 4]])
+_HIGH_2 = _POS_2 + 5 * np.array([[0, 1, 1], [1, 0, 0], [0, 1, 1], [1, 1, 0]])
+_LAYOUTS = [
+    (np.array(_POS_1), [(np.array(_POS_1), 2.5)], 7, 3 * 2.5 + 7 - 3),
+    (_POS_2, [(_HIGH_2, 3.0), (2 * _POS_2 + 5 - _HIGH_2, 1.0)], 5, 4.0 * 3 + 10 - 6),
+]
+
+
+@pytest.mark.parametrize("pos, layers, space, omega", _LAYOUTS, ids=["single", "paired"])
+def test_sample_layout_maps_each_bucket_midpoint_to_its_bucket(pos, layers, space, omega):
+    def residual(m):  # the weight that makes every row's layout sum to omega
+        return (omega - m * sum(w for _, w in layers)) / (len(layers) * (space - m))
+
+    for row in range(len(pos)):
+        ref = _layout_reference(list(pos[row]), [(b[row], w) for b, w in layers], residual, space)
+        assert sorted(b for b, _ in ref) == list(range(1, len(layers) * space + 1))
+        starts = np.cumsum([0.0] + [w for _, w in ref])
+        assert math.isclose(starts[-1], omega)
+        u = starts[:-1] + np.array([w for _, w in ref]) / 2
+        rows = np.full(len(ref), row)
+        z = sample_layout(u, pos[rows], [(b[rows], w) for b, w in layers], residual, space)
+        assert z.tolist() == [b for b, _ in ref]
 
 
 def test_user_hash_seeds_deterministic_and_distinct():

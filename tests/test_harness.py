@@ -148,6 +148,15 @@ def test_dimension_beyond_int64_is_rejected_by_name():
     assert res.exit_code == 2, res.output
     assert res.stdout == harness.CSV_HEADER + "\n"
     assert res.stderr == f"point failed: privkv n=50 d={2**64} s=3 epsilon=1.0: d must be < 2**63, got d={2**64}\n"
+    # from 2**62 on, the supports fit int64 but the event codes 1..2d do not: every mechanism's params reject d
+    for d in (2**62, 2**63 - 1):
+        res = _simulate("--n", "2", "--d", str(d), "--s", "1", "--mechanism", ",".join(harness.MECHANISMS))
+        assert res.exit_code == 2, res.output
+        assert res.stdout == harness.CSV_HEADER + "\n"
+        assert sorted(res.stderr.splitlines()) == sorted(
+            f"point failed: {name} n=2 d={d} s=1 epsilon=1.0: d must be < 2**62, since event codes 1..2d are int64, got d={d}"
+            for name in harness.MECHANISMS
+        )
 
 
 def test_config_parsing_and_overrides():
@@ -579,6 +588,12 @@ def test_log2_amplification_floor_never_exceeds_epsilon():
     ratios = {(row.mechanism, row.epsilon): row.value for row in rows if row.metric == "log2_amplification"}
     assert ratios[("bound:collision", 1e-5)] == ratios[("bound:clone", 1e-5)] == 0.0
     assert all(ratio > 0.0 for (_, epsilon), ratio in ratios.items() if epsilon == 0.5)
+
+
+@pytest.mark.parametrize("delta", [2.0, math.nan])
+def test_amplification_sweep_rejects_delta_once(delta):
+    with pytest.raises(ValueError, match=r"delta must lie in \(0,1\)"):
+        run_amplification_sweep([1000], [1], [1.0], delta)
 
 
 def test_amplification_sweep_rejects_empty_lists():
