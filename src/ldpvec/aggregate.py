@@ -13,16 +13,14 @@ mean_j / nonmissing_j of these two estimates.
 Mechanisms are looked up by name in ``MECHANISMS``.  The two hash
 mechanisms share one estimator: count, per event, the views whose own
 hash sends the event onto their symbol z, then debias the integer counts.
-Each brings one kernel factory, ``hit_counter(params, users) -> count(seeds, z)``,
-which makes the per-event keys and one chunk's buffers.  ``event_hit_counts`` builds
-one counter per worker thread (one per CPU the process may use), so no chunk
-allocates, and runs the chunks, sized to stay in a core's L2, on those threads.
+Each brings a kernel factory, ``hit_counter(params, users) -> count(seeds, z)``, which
+makes the per-event keys and one chunk's buffers of ``hit_cells(params)`` cells per user
+(2d events for collision, d slots for CoCo).  ``event_hit_counts`` runs chunks of
+``HIT_CHUNK_CELLS // hit_cells`` users on the shared pool, one counter per worker thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent import futures  # ThreadPoolExecutor loads on first use, not at import
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,13 +28,13 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import MechanismParams, check_integer, event_code
+from .domain import MechanismParams, check_integer, deal_chunks, event_code
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
-# (user, event) cells hashed per chunk of the hit count: each worker's kernel buffers
-# for one chunk stay in the L2 cache of the core it runs on.  They are two uint64 arrays,
-# 1 MiB together for collision (users x 2d cells) and half that for CoCo (users x d).
+# Cells hashed per chunk of the hit count, so that each worker's kernel buffers for one chunk
+# stay in the L2 cache of the core it runs on.  Both mechanisms' counters hold two uint64
+# arrays of users x hit_cells: 1 MiB together, for collision's 2d events and CoCo's d slots alike.
 HIT_CHUNK_CELLS = 1 << 16
 
 
@@ -53,6 +51,7 @@ class Mechanism(NamedTuple):
     randomize: Callable  # (supports, signs, seeds, params, rng) -> views
     hit_counter: Callable | None  # (params, users) -> count(seeds, z) -> (2d,) int64 hit counts in event-code order
     debias: Callable
+    hit_cells: Callable | None = None  # params -> cells per user in one hit_counter buffer
 
 
 def mechanism(name: str) -> Mechanism:
@@ -76,7 +75,7 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     n = len(seeds)
     if n == 0:
         raise ValueError("no views to aggregate")
-    counts = event_hit_counts(seeds, z, mech.hit_counter, params)
+    counts = event_hit_counts(seeds, z, mech, params)
     return mech.debias(counts, n, params)
 
 
@@ -95,38 +94,23 @@ def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
     return seeds, z
 
 
-def event_hit_counts(seeds: np.ndarray, z: np.ndarray, hit_counter: Callable, params) -> np.ndarray:
+def event_hit_counts(seeds: np.ndarray, z: np.ndarray, mech: Mechanism, params) -> np.ndarray:
     """Per event code 1..2d, the number of views whose hash sends it onto their z.
 
-    The chunks, each small enough for its (users x events) hashes to stay
-    in cache, are dealt round-robin to one thread per CPU the process may
-    use, but no more threads than chunks.  Each thread builds one counter
-    and adds its chunks' counts into its own count vector.  Counts are integers,
-    so neither the chunking nor the thread count can change the result.  A
-    single chunk is counted on the caller's thread.
+    Chunks of ``HIT_CHUNK_CELLS // mech.hit_cells(params)`` users, whose hashes stay in cache, run on the shared
+    pool (``domain.deal_chunks``).  Each worker builds one counter, so no chunk allocates, and sums its chunks'
+    counts.  Counts are integers, so neither the chunking nor the thread count can change the result.
     """
-    chunk = max(1, HIT_CHUNK_CELLS // (2 * params.d))
-    starts = range(0, len(seeds), chunk)
+    chunk = max(1, HIT_CHUNK_CELLS // mech.hit_cells(params))
 
     def count(mine: range) -> np.ndarray:
-        counter = hit_counter(params, min(chunk, len(seeds)))
+        counter = mech.hit_counter(params, min(chunk, len(seeds)))
         counts = np.zeros(2 * params.d, dtype=np.int64)
         for lo in mine:
             counts += counter(seeds[lo : lo + chunk], z[lo : lo + chunk])
         return counts
 
-    workers = min(_hit_workers(), len(starts))
-    if workers <= 1:
-        return count(starts)
-    with futures.ThreadPoolExecutor(workers) as pool:
-        return sum(pool.map(count, (starts[w::workers] for w in range(workers))))
-
-
-def _hit_workers() -> int:
-    """The number of CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return sum(deal_chunks(count, range(0, len(seeds), chunk)))
 
 
 def _pckv_batch(supports, signs, seeds, params, rng):
@@ -139,14 +123,14 @@ MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
         lambda d, s, epsilon, target: _col.collision_params(d, s, epsilon),
         lambda *args: _col.collision_randomize_batch(*args),
-        _col.collision_hit_counter, _col.collision_debias,
+        _col.collision_hit_counter, _col.collision_debias, lambda params: 2 * params.d,
     ),
     "coco": Mechanism(
         lambda d, s, epsilon, target: _coco.coco_params(
             d, s, epsilon, which="nonmissing" if target == "nonmissing" else "mean"
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
-        _coco.coco_hit_counter, _coco.coco_debias,
+        _coco.coco_hit_counter, _coco.coco_debias, lambda params: params.d,
     ),
     "privkv": Mechanism(
         lambda d, s, epsilon, target: MechanismParams(d, s, epsilon, 3),

@@ -3,12 +3,15 @@
 Exit codes: 0 success, 1 invalid configuration, 2 per-point failures
 occurred (partial results are still written).  A malformed command line
 (an unknown or missing option, a value of the wrong type) is an invalid
-configuration: it exits 1 with click's usage message.
+configuration: it exits 1 with click's usage message.  So is an ``--out``
+path that cannot be opened for writing; it is opened once the rest of the
+configuration is checked, before any work, so no sweep runs for nothing.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 
 import click
 import numpy as np
@@ -17,12 +20,22 @@ from . import harness
 from .aggregate import TARGETS, project_to_simplex
 
 
-def _write(text: str, out: str | None) -> None:
+def _open_out(out: str | None):
+    """A context holding the ``--out`` file opened for writing, or None for stdout; a path that cannot be opened exits 1."""
     if out is None:
+        return nullcontext()
+    try:
+        return open(out, "w", newline="")
+    except OSError as exc:
+        _fail_invalid(f"cannot write --out {out}: {exc.strerror or exc}")
+
+
+def _write(text: str, fh) -> None:
+    """``text`` to stdout when ``fh`` is None, else into the open file ``fh``."""
+    if fh is None:
         click.echo(text, nl=False)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        fh.write(text)
 
 
 def _fail_invalid(message: str) -> None:
@@ -30,9 +43,9 @@ def _fail_invalid(message: str) -> None:
     sys.exit(1)
 
 
-def _emit(rows: list[harness.ReportRow], errors: list[str], out: str | None, fmt: str) -> None:
+def _emit(rows: list[harness.ReportRow], errors: list[str], fh, fmt: str) -> None:
     """Write the rows, report each failed point, and exit 2 if any failed."""
-    _write(harness.rows_to_csv(rows) if fmt == "csv" else harness.rows_to_jsonl(rows), out)
+    _write(harness.rows_to_csv(rows) if fmt == "csv" else harness.rows_to_jsonl(rows), fh)
     for err in errors:
         click.echo(f"point failed: {err}", err=True)
     sys.exit(2 if errors else 0)
@@ -95,7 +108,8 @@ def simulate(config_path, full_scale, out, fmt, **grid):
         config = harness.build_config(raw, full_scale)
     except (ValueError, OSError) as exc:
         _fail_invalid(str(exc))
-    _emit(*harness.run_experiment(config), out, fmt)
+    with _open_out(out) as fh:
+        _emit(*harness.run_experiment(config), fh, fmt)
 
 
 @main.command()
@@ -110,13 +124,13 @@ def simulate(config_path, full_scale, out, fmt, **grid):
 def amplify(n, s, epsilon, delta, bounds, out, fmt):
     """Amplified budgets eps_c and log2 amplification ratios."""
     try:
-        rows, errors = harness.run_amplification_sweep(
-            harness._parse_list(n, int), harness._parse_list(s, int), harness._parse_list(epsilon, float),
-            delta, harness._parse_list(bounds, str),
-        )
+        grid = (harness._parse_list(n, int), harness._parse_list(s, int), harness._parse_list(epsilon, float), delta,
+                harness._parse_list(bounds, str))
+        harness.check_amplification_grid(*grid)
     except ValueError as exc:
         _fail_invalid(str(exc))
-    _emit(rows, errors, out, fmt)
+    with _open_out(out) as fh:
+        _emit(*harness.run_amplification_sweep(*grid), fh, fmt)
 
 
 @main.command()
@@ -138,7 +152,8 @@ def project(s, in_path, out):
                 lines.append(",".join(f"{v:.17g}" for v in projected))
     except ValueError as exc:
         _fail_invalid(str(exc))
-    _write("".join(line + "\n" for line in lines), out)
+    with _open_out(out) as fh:
+        _write("".join(line + "\n" for line in lines), fh)
     sys.exit(0)
 
 
@@ -157,10 +172,11 @@ def gen(n, d, s, seed, out):
         supports, signs = harness.gen_synthetic_arrays(n, d, s, rng)
     except (ValueError, MemoryError) as exc:
         _fail_invalid(str(exc))
-    lines = []
-    for i in range(n):
-        lines.append(" ".join(f"{'+' if b > 0 else '-'}{j}" for j, b in zip(supports[i], signs[i])))
-    _write("".join(line + "\n" for line in lines), out)
+    with _open_out(out) as fh:
+        lines = []
+        for i in range(n):
+            lines.append(" ".join(f"{'+' if b > 0 else '-'}{j}" for j, b in zip(supports[i], signs[i])))
+        _write("".join(line + "\n" for line in lines), fh)
     sys.exit(0)
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    STREAM_H1, STREAM_H2, MechanismParams, check_batch, debias_denominator, exp_budget, keyed_hashes, pair_signs, pair_slots,
-    remainder_inplace, sample_layout, stream_keys,
+    STREAM_H1, STREAM_H2, MechanismParams, check_batch, debias_denominator, exp_budget, keyed_hashes, map_rows, pair_signs,
+    pair_slots, remainder_inplace, sample_layout, stream_keys,
 )
 
 
@@ -136,13 +136,18 @@ def coco_randomize_batch(
     check_batch(supports, signs, params)
     (n, s), t, half = supports.shape, params.t, params.t // 2
     eeps, omega = math.exp(params.epsilon), coco_omega(s, params.epsilon, t)
-    h1 = pair_slots(seeds[:, None], supports, t)
-    high = h1 + (signs * pair_signs(seeds[:, None], supports) + 1) // 2 * half  # the bucket carrying e^eps
-    # Random write order; sorted by H1, and within equal H1 the last-written (max) entry first.
-    order = np.lexsort((-rng.random((n, s)), h1), axis=1)
-    h1_s, high_s = np.take_along_axis(h1, order, axis=1), np.take_along_axis(high, order, axis=1)
-    layers = [(high_s, eeps), (2 * h1_s + half - high_s, 1.0)]
-    return sample_layout(rng.random(n) * omega, h1_s, layers, lambda m: (omega - m * (eeps + 1.0)) / (t - 2 * m), half)
+    write, u = rng.random((n, s)), rng.random(n)
+
+    def rows(r: slice) -> np.ndarray:
+        h1 = pair_slots(seeds[r, None], supports[r], t)
+        high = h1 + (signs[r] * pair_signs(seeds[r, None], supports[r]) + 1) // 2 * half  # the bucket carrying e^eps
+        # Random write order; sorted by H1, and within equal H1 the last-written (max) entry first.
+        order = np.lexsort((-write[r], h1), axis=1)
+        h1_s, high_s = np.take_along_axis(h1, order, axis=1), np.take_along_axis(high, order, axis=1)
+        layers = [(high_s, eeps), (2 * h1_s + half - high_s, 1.0)]
+        return sample_layout(u[r] * omega, h1_s, layers, lambda m: (omega - m * (eeps + 1.0)) / (t - 2 * m), half)
+
+    return map_rows(rows, n, s)
 
 
 def coco_hit_counter(params: MechanismParams, users: int):

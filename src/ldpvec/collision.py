@@ -22,7 +22,7 @@ import numpy as np
 
 from .domain import (
     STREAM_SINGLE, MechanismParams, check_batch, debias_denominator, event_code, exp_budget, hash_buckets, keyed_hashes,
-    remainder_inplace, sample_layout, stream_keys,
+    map_rows, remainder_inplace, sample_layout, stream_keys,
 )
 
 
@@ -112,8 +112,13 @@ def collision_randomize_batch(
     """
     check_collision_params(params)
     check_batch(supports, signs, params)
-    hs = np.sort(hash_buckets(seeds[:, None], event_code(supports, signs), params.t), axis=1)
-    return sample_layout(rng.random(len(hs)), hs, [(hs, params.hit_prob)], params.residual_prob, params.t)
+    u = rng.random(len(supports))
+
+    def rows(r: slice) -> np.ndarray:
+        hs = np.sort(hash_buckets(seeds[r, None], event_code(supports[r], signs[r]), params.t), axis=1)
+        return sample_layout(u[r], hs, [(hs, params.hit_prob)], params.residual_prob, params.t)
+
+    return map_rows(rows, *supports.shape)
 
 
 def collision_hit_counter(params: MechanismParams, users: int):

@@ -26,8 +26,10 @@ layer's weight, and every other bucket takes the residual weight.
 from __future__ import annotations
 
 import math
+import os
+from concurrent import futures  # ThreadPoolExecutor loads on first use, not at import
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,6 +183,35 @@ def check_batch(supports: np.ndarray, signs: np.ndarray, params) -> None:
         raise ValueError("support dimensions must be strictly ascending in every row")
     if not (np.abs(signs) == 1).all():
         raise ValueError("signs must be -1 or +1")
+
+
+# (row x support entry) cells per row chunk of a batch randomizer: a desk-scale batch (n*s = 8e4) is one chunk.
+ROW_CHUNK_CELLS = 1 << 17
+
+
+def pool_workers() -> int:
+    """The number of CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def deal_chunks(work: Callable[[Sequence], object], chunks: Sequence) -> list:
+    """``work`` over consecutive runs of ``chunks``, one run per thread (one per CPU the process may use, at most one
+    per chunk), as a list in run order; a single run runs on the caller's thread.  A worker's exception reaches the caller.
+    """
+    workers = min(pool_workers(), len(chunks))
+    if workers <= 1:
+        return [work(chunks)]
+    cuts = [len(chunks) * w // workers for w in range(workers + 1)]
+    with futures.ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(work, (chunks[lo:hi] for lo, hi in zip(cuts, cuts[1:]))))
+
+
+def map_rows(rows: Callable[[slice], np.ndarray], n: int, s: int) -> np.ndarray:
+    """A pure row function ``rows(slice)`` over chunks of ``ROW_CHUNK_CELLS // s`` of n rows, concatenated in order."""
+    step = max(1, ROW_CHUNK_CELLS // s)
+    runs = deal_chunks(lambda mine: [rows(slice(lo, lo + step)) for lo in mine], range(0, max(n, 1), step))  # n=0: one chunk
+    parts = [part for run in runs for part in run]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)  # copying a lone chunk cost a desk batch ~30%
 
 
 def user_hash_seeds(master_seed: int, n: int) -> np.ndarray:

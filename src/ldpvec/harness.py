@@ -282,6 +282,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ReportRow], list[str]
 AMPLIFICATION_BOUNDS = ("collision", "clone", "efmrtt")
 
 
+def check_amplification_grid(n_list, s_list, epsilons, delta: float, bounds) -> None:
+    """Reject an amplification grid, as ``run_amplification_sweep`` would, before any query runs."""
+    if not 0.0 < delta < 1.0:  # also rejects nan
+        raise ValueError("delta must lie in (0,1)")
+    _check_grid(
+        {"n": n_list, "s": s_list, "epsilon": epsilons, "bounds": bounds}, ("n", "s"),
+        {"bounds": ("bound", AMPLIFICATION_BOUNDS)},
+    )
+
+
 def run_amplification_sweep(
     n_list: Sequence[int],
     s_list: Sequence[int],
@@ -291,18 +301,13 @@ def run_amplification_sweep(
 ) -> tuple[list[ReportRow], list[str]]:
     """Amplified budgets and log2 amplification ratios over a grid.
 
-    The collision bound uses t = floor(s e^eps + 2s - 1).  The
-    closed-form bound rows carry a caveat: its validity conditions are not
-    checked.
+    The collision bound uses t = floor(s e^eps + 2s - 1).  Its rows carry a
+    caveat: it is tight for the counting statistic, and a real shuffled batch
+    of views can exceed it at small n.  The closed-form bound rows carry one
+    too: its validity conditions are not checked.
     """
-    if not 0.0 < delta < 1.0:  # also rejects nan
-        raise ValueError("delta must lie in (0,1)")
+    check_amplification_grid(n_list, s_list, epsilons, delta, bounds)
     from . import amplification as amp  # here, not at the top: only the accountant needs scipy
-
-    _check_grid(
-        {"n": n_list, "s": s_list, "epsilon": epsilons, "bounds": bounds}, ("n", "s"),
-        {"bounds": ("bound", AMPLIFICATION_BOUNDS)},
-    )
 
     def evaluate(point) -> list[ReportRow]:
         n, s, epsilon, bound = point
@@ -310,6 +315,7 @@ def run_amplification_sweep(
         if bound == "collision":
             alpha = amp.collision_alpha(s, epsilon, col.collision_optimal_t(s, epsilon))
             eps_c = amp.amplified_epsilon(n, epsilon, alpha, delta)
+            caveat = "bounds the counting statistic only; a real shuffled batch can exceed it at small n"
         elif bound == "clone":
             eps_c = amp.amplified_epsilon(n, epsilon, amp.generic_clone_alpha(epsilon), delta)
         else:

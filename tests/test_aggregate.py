@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hit_reference import HASH_PARAMS, REFERENCE_BUCKETS
-from ldpvec import aggregate
+from ldpvec import aggregate, domain
 from ldpvec.aggregate import (
     MECHANISMS,
     TARGETS,
@@ -313,18 +313,20 @@ def _hit_instances(draw):
 def test_hit_kernels_match_the_reference_layouts(instance, data):
     name, params, seeds, z, buckets = instance
     expected = buckets == z[:, None]
-    counter = MECHANISMS[name].hit_counter
-    count = counter(params, len(seeds))
+    mech = MECHANISMS[name]
+    count = mech.hit_counter(params, len(seeds))
     for i in range(len(seeds)):  # each view on its own: a one-row batch counts that row's hits
         counts = count(seeds[i : i + 1], z[i : i + 1])
         assert counts.dtype == np.int64 and np.array_equal(counts, expected[i]), i
     cells = len(seeds) * 2 * params.d
-    for chunk in (1, 2 * params.d - 1, 2 * params.d, data.draw(st.integers(2, 3 * cells).filter(lambda c: cells % c))):
+    width = mech.hit_cells(params)  # one user per chunk up to 2 * width - 1 cells, two from 2 * width
+    chunks = {1, 2 * params.d - 1, 2 * params.d, data.draw(st.integers(2, 3 * cells).filter(lambda c: cells % c))}
+    for chunk in sorted(chunks | {c for c in (width - 1, width, 2 * width - 1, 2 * width) if c >= 1}):
         for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(aggregate, "HIT_CHUNK_CELLS", chunk)
-                mp.setattr(aggregate, "_hit_workers", lambda: workers)
-                counts = event_hit_counts(seeds, z, counter, params)
+                mp.setattr(domain, "pool_workers", lambda: workers)
+                counts = event_hit_counts(seeds, z, mech, params)
             assert counts.dtype == np.int64 and np.array_equal(counts, expected.sum(axis=0)), (chunk, workers)
 
 
@@ -335,9 +337,9 @@ def test_hit_counts_over_chunks_that_do_not_divide_among_the_workers(monkeypatch
     seeds = user_hash_seeds(11, 7)
     buckets = REFERENCE_BUCKETS[name](seeds, params)
     z = buckets[np.arange(7), np.arange(7) % (2 * params.d)]
-    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 2 * params.d)  # one user per chunk: 7 chunks
-    monkeypatch.setattr(aggregate, "_hit_workers", lambda: workers)
-    counts = event_hit_counts(seeds, z, MECHANISMS[name].hit_counter, params)
+    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", MECHANISMS[name].hit_cells(params))  # one user per chunk: 7 chunks
+    monkeypatch.setattr(domain, "pool_workers", lambda: workers)
+    counts = event_hit_counts(seeds, z, MECHANISMS[name], params)
     assert np.array_equal(counts, (buckets == z[:, None]).sum(axis=0))
 
 
@@ -358,22 +360,24 @@ def test_a_single_chunk_starts_no_thread(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was built for one chunk")
 
-    monkeypatch.setattr(aggregate.futures, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(aggregate, "_hit_workers", lambda: 4)
+    monkeypatch.setattr(domain.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(domain, "pool_workers", lambda: 4)
     baseline = threading.active_count()
     for name in ("collision", "coco"):
         params = MECHANISMS[name].params(8, 2, 1.0, "mean")
-        seeds = user_hash_seeds(3, aggregate.HIT_CHUNK_CELLS // (2 * params.d))  # exactly one chunk
-        z = np.ones(len(seeds), dtype=np.int64)
-        counts = event_hit_counts(seeds, z, MECHANISMS[name].hit_counter, params)
+        users = aggregate.HIT_CHUNK_CELLS // MECHANISMS[name].hit_cells(params)  # exactly one chunk
+        seeds, z = user_hash_seeds(3, users + 1), np.ones(users + 1, dtype=np.int64)
+        counts = event_hit_counts(seeds[:users], z[:users], MECHANISMS[name], params)
         assert counts.shape == (2 * params.d,)
-        aggregate_frequencies((seeds, z), name, params)
+        aggregate_frequencies((seeds[:users], z[:users]), name, params)
+        with pytest.raises(AssertionError, match="a thread pool was built"):  # one user more is two chunks
+            event_hit_counts(seeds, z, MECHANISMS[name], params)
     assert threading.active_count() == baseline
 
 
 def test_a_worker_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 4 chunks
-    monkeypatch.setattr(aggregate, "_hit_workers", lambda: 2)
+    monkeypatch.setattr(domain, "pool_workers", lambda: 2)
     seeds, z = user_hash_seeds(5, 4), np.ones(4, dtype=np.int64)
     baseline = threading.active_count()
     callers = []
@@ -388,9 +392,9 @@ def test_a_worker_error_reaches_the_caller(monkeypatch):
 
     plain = MechanismParams(4, 1, 1.0, 3)
     with pytest.raises(ValueError, match="collision needs CollisionParams, got MechanismParams"):
-        event_hit_counts(seeds, z, collision_hits, plain)
+        event_hit_counts(seeds, z, MECHANISMS["collision"]._replace(hit_counter=collision_hits), plain)
     assert threading.active_count() == baseline
     with pytest.raises(MemoryError, match="hit matrix too large"):
-        event_hit_counts(seeds, z, out_of_memory, plain)
+        event_hit_counts(seeds, z, MECHANISMS["collision"]._replace(hit_counter=out_of_memory), plain)
     assert threading.active_count() == baseline
     assert callers and threading.main_thread() not in callers

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpvec import aggregate, harness
+from ldpvec import aggregate, domain, harness
 from ldpvec.aggregate import TARGETS
 from ldpvec.cli import main
 from ldpvec.harness import (
@@ -315,7 +315,10 @@ def test_amplification_sweep_ordering_and_vacuous_delta():
     assert eps_c["bound:collision"] <= eps_c["bound:clone"] + 1e-4
     assert eps_c["bound:clone"] <= eps_c["bound:efmrtt"] + 1e-4
     caveats = {r.mechanism: r.caveat for r in rows if r.metric == "epsilon_c"}
-    assert caveats["bound:efmrtt"] and not caveats["bound:collision"]
+    assert caveats["bound:efmrtt"] and not caveats["bound:clone"]
+    # the collision bound is tight for the counting statistic, not for every shuffled batch of views
+    assert "counting statistic" in caveats["bound:collision"] and "small n" in caveats["bound:collision"]
+    assert "," not in caveats["bound:collision"]
 
     rows, _ = run_amplification_sweep([50], [2], [1.0], 1.0 - 1e-12, bounds=("collision", "clone"))
     for r in rows:
@@ -408,6 +411,30 @@ def test_cli_amplify(tmp_path):
     assert "bound:collision" in res.output and "bound:efmrtt" in res.output
     res2 = runner.invoke(main, ["amplify", "--delta", "2.0"])
     assert res2.exit_code == 1
+
+
+@pytest.mark.parametrize("command, args", [
+    ("simulate", ["--master-seed", "1"]),
+    ("amplify", ["--n", "1000", "--s", "1", "--epsilon", "1"]),
+    ("project", ["--s", "1"]),
+    ("gen", ["--n", "3", "--d", "4", "--s", "2", "--seed", "0"]),
+])
+def test_cli_out_into_a_missing_directory_is_an_invalid_config(tmp_path, monkeypatch, command, args):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was opened")
+
+    monkeypatch.setattr(harness, "run_experiment", no_sweep)
+    monkeypatch.setattr(harness, "run_amplification_sweep", no_sweep)
+    est = tmp_path / "est.csv"
+    est.write_text("0.8,0.4\n")
+    out = tmp_path / "no" / "such" / "x.csv"
+    extra = ["--in", str(est)] if command == "project" else []
+    res = CliRunner().invoke(main, [command, *args, *extra, "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith(f"invalid config: cannot write --out {out}: ")
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -675,7 +702,7 @@ def test_a_worker_error_is_a_per_point_failure(monkeypatch, error):
 
     monkeypatch.setitem(aggregate.MECHANISMS, "collision", aggregate.MECHANISMS["collision"]._replace(hit_counter=failing_hits))
     monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 50 chunks
-    monkeypatch.setattr(aggregate, "_hit_workers", lambda: 2)
+    monkeypatch.setattr(domain, "pool_workers", lambda: 2)
     baseline = threading.active_count()
     cfg = ExperimentConfig(n=(50,), d=(4,), s=(2,), epsilon=(1.0,), mechanism=("collision", "privkv"),
                            master_seed=1, repetitions=1)
@@ -692,8 +719,8 @@ def test_a_worker_error_is_a_per_point_failure(monkeypatch, error):
 def test_cli_simulate_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     outputs = set()
     for workers in (1, 2):
-        monkeypatch.setattr(aggregate, "_hit_workers", lambda: workers)
-        # d=16: 2048 users per chunk, so n=5000 is three chunks
+        monkeypatch.setattr(domain, "pool_workers", lambda: workers)
+        # d=16: 2048 collision or 4096 CoCo users per chunk, so n=5000 is three or two chunks
         res = _simulate("--n", "5000", "--d", "16", "--s", "1,3", "--epsilon", "0.5,2", "--repetitions", "2",
                         "--mechanism", "collision,coco")
         assert res.exit_code == 0, res.output
