@@ -105,8 +105,8 @@ class AmplificationQuery:
     delta: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n < 2**63:  # the C-window bisects range(n), whose length must fit a C ssize_t
+            raise ValueError(f"n must lie in 1..2^63-1, got n={self.n}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.delta < 1.0:

@@ -24,6 +24,10 @@ buckets (permuting slots, and swapping the two buckets of a pair), and
 every quantity taken from them here is invariant, so that family is
 enumerated as one table per relabelling orbit, weighted by the orbit's
 share; it is materialised only when the representatives fit in 20 bits.
+Permuting dimensions and swapping a dimension's two events maps inputs
+onto inputs and that family onto itself, and both laws are equivariant
+under it too, so ``verify_ldp`` checks one set of hash points per orbit of
+that symmetry, and its work does not grow with d.
 """
 
 from __future__ import annotations
@@ -36,17 +40,20 @@ import numpy as np
 
 from .coco import check_coco_domain, coco_omega, collision_rates
 from .collision import CollisionParams, check_collision_params, collision_output_probabilities
-from .domain import EventId, MechanismParams, TernaryVector
+from .domain import EventId, MechanismParams, TernaryVector, event_code
 
 _SIZE_GUARD = 10**6
 
 
+def _sparse_vectors(d: int, s: int, signs: dict[int, tuple[int, ...]]) -> Iterator[TernaryVector]:
+    """The inputs of dimension d with s nonzero dims among ``signs``' keys, each dim taking one of its signs."""
+    for dims in combinations(signs, s):
+        for picked in product(*map(signs.__getitem__, dims)):
+            yield TernaryVector(d=d, support=tuple(zip(dims, picked)))
+
+
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
-    out = []
-    for dims in combinations(range(1, d + 1), s):
-        for signs in product((-1, 1), repeat=s):
-            out.append(TernaryVector(d=d, support=tuple(zip(dims, signs))))
-    return out
+    return list(_sparse_vectors(d, s, dict.fromkeys(range(1, d + 1), (-1, 1))))
 
 
 def _collision_table_probs(x: TernaryVector, table: dict[int, int], params: CollisionParams) -> np.ndarray:
@@ -181,26 +188,32 @@ def verify_ldp(mechanism: str, params) -> float:
     most 2|points(x)| points, so every pair lies in some set of that many
     points of the domain (or in the whole domain).  Each such set is
     checked on the uniform family restricted to it, an exact marginal,
-    over the inputs that read only its points, and that family is
-    enumerated as one table per bucket-relabelling orbit: the worst ratio
-    over z is the same on every table of an orbit.  The size guard counts
-    (input, representative table) evaluations, in closed form before
-    anything is enumerated.
+    over the inputs that read only its points.  Permuting dims and swapping
+    a dim's two signs maps inputs onto inputs and the uniform family onto
+    itself, and both laws are equivariant under it, so every set has its
+    orbit representative's worst ratios: one set per orbit is checked, and
+    d only decides which orbits exist.  A set's family is enumerated as one
+    table per bucket-relabelling orbit: the worst ratio over z is the same
+    on every table of an orbit.  The size guard counts (input,
+    representative table) evaluations, in closed form before anything is
+    enumerated.
     """
     law = _law(mechanism, params)
     d, s = params.d, params.s
-    domain = range(1, (d if law.paired else 2 * d) + 1)  # dims or event codes
-    size = min(2 * s, len(domain))
-    # comb(d, s) 2^s inputs, each reading s points and lying in comb(|domain| - s, size - s) of the point sets
-    count = math.comb(d, s) * 2**s * math.comb(len(domain) - s, size - s)
+    size = min(2 * s, d if law.paired else 2 * d)
+    # Point-set orbits as (a, b): a dims hold both signs' points and b one sign's.  A paired law's points
+    # are dims, so all its sets are one orbit; an event-code set of a given a has b = size - 2a.
+    orbits = [(size, 0)] if law.paired else [(a, size - 2 * a) for a in range(max(0, size - d), size // 2 + 1)]
+    count = sum(math.comb(a, i) * 2**i * math.comb(b, s - i) for a, b in orbits for i in range(s + 1))  # inputs
     count *= _orbit_count(size, _slots(law, params.t), law.paired)
     if count * params.t > _SIZE_GUARD:
         raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
-    reads = [(x, law.points(x)) for x in all_sparse_vectors(d, s)]
     cache: dict[tuple, np.ndarray] = {}
     worst = 0.0
-    for points in combinations(domain, size):
-        group = [r for r in reads if set(r[1]).issubset(points)]
+    for a, b in orbits:  # representative: dims 1..a with both signs, then b dims with their minus sign
+        signs = {j: (-1, 1) if j <= a else (-1,) for j in range(1, a + b + 1)}
+        points = tuple(signs) if law.paired else tuple(event_code(j, v) for j, vs in signs.items() for v in vs)
+        group = [(x, law.points(x)) for x in _sparse_vectors(d, s, signs)]
         for table, _ in _uniform_tables(law, points, params.t):
             m = np.stack([_cached_probs(law, x, x_points, table, params, cache) for x, x_points in group])
             worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))

@@ -6,7 +6,10 @@ representatives stand for.  ``family_privacy_loss`` and
 ``family_moments`` evaluate the oracle's two quantities table by table
 over such an explicit family, from the law of each table alone: no
 orbit representatives, orbit weights or point-set grouping, so they
-check the oracle's enumeration without sharing it.  ``mixture_decompose``
+check the oracle's enumeration without sharing it.
+``all_point_sets_privacy_loss`` is ``verify_ldp`` without its point-set
+symmetry: it checks every set of 2s hash points of the domain, where the
+oracle checks one set per orbit.  ``mixture_decompose``
 splits a pair of e^eps-ratio-bounded output laws into the
 three-component clone mixture of Feldman, McMillan & Talwar ("Hiding
 Among the Clones", FOCS 2021), so tests can check its weight beta
@@ -14,11 +17,13 @@ against the accountant's clone probability.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
-from ldpvec.oracle import LAWS, _estimator_terms
+from ldpvec.oracle import (
+    _SIZE_GUARD, LAWS, _cached_probs, _estimator_terms, _law, _orbit_count, _slots, _uniform_tables, all_sparse_vectors,
+)
 
 
 def uniform_collision_family(codes, t: int) -> list:
@@ -60,6 +65,28 @@ def family_moments(mechanism: str, params, x, family, estimator: str, event=None
     total = math.fsum(w for w, _, _ in moments)
     mean = math.fsum(w * m for w, m, _ in moments) / total
     return mean, math.fsum(w * second for w, _, second in moments) / total - mean**2
+
+
+def all_point_sets_privacy_loss(mechanism: str, params) -> float:
+    """``verify_ldp``'s maximum over every set of min(2s, |domain|) hash points, not one per orbit, with its guard on that work."""
+    law = _law(mechanism, params)
+    d, s = params.d, params.s
+    domain = range(1, (d if law.paired else 2 * d) + 1)  # dims or event codes
+    size = min(2 * s, len(domain))
+    # comb(d, s) 2^s inputs, each reading s points and lying in comb(|domain| - s, size - s) of the point sets
+    count = math.comb(d, s) * 2**s * math.comb(len(domain) - s, size - s)
+    count *= _orbit_count(size, _slots(law, params.t), law.paired)
+    if count * params.t > _SIZE_GUARD:
+        raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
+    reads = [(x, law.points(x)) for x in all_sparse_vectors(d, s)]
+    cache: dict = {}
+    worst = 0.0
+    for points in combinations(domain, size):
+        group = [r for r in reads if set(r[1]).issubset(points)]
+        for table, _ in _uniform_tables(law, points, params.t):
+            m = np.stack([_cached_probs(law, x, x_points, table, params, cache) for x, x_points in group])
+            worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
+    return math.log(worst)
 
 
 def mixture_decompose(r1, r1_prime, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

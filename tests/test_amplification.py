@@ -110,6 +110,16 @@ def test_generic_clone_alpha_examples():
     assert generic_clone_alpha(1e-9) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [0, 2**63, 10**30])
+def test_query_rejects_n_outside_the_window_range(n):
+    with pytest.raises(ValueError, match=rf"n must lie in 1\.\.2\^63-1, got n={n}$"):
+        AmplificationQuery(n, 1.0, generic_clone_alpha(1.0), 1e-6)
+
+
+def test_query_accepts_the_largest_n_without_building_its_window():
+    assert AmplificationQuery(2**63 - 1, 1.0, generic_clone_alpha(1.0), 1e-6).n == 2**63 - 1
+
+
 def test_efmrtt_examples():
     assert efmrtt_closed_form(1.0, 1e-6, 10**5) == pytest.approx(0.14105, abs=1e-5)
     assert efmrtt_closed_form(1.0, 1e-6, 10**12) < 1e-3

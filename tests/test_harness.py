@@ -457,6 +457,17 @@ def test_cli_project_rejects_overflowing_estimates(tmp_path, line):
     assert "invalid config: estimates overflow float arithmetic" in res.stderr
 
 
+def test_cli_project_rejects_a_scale_past_float_range(tmp_path):
+    # an int s above the largest float ended in an OverflowError traceback
+    est = tmp_path / "est.csv"
+    est.write_text("0.8,0.4,0.0,-0.2\n")
+    s = "1" + "0" * 400
+    res = CliRunner().invoke(main, ["project", "--s", s, "--in", str(est)])
+    assert res.exit_code == 1, res.output
+    assert res.stdout == ""
+    assert res.stderr == f"invalid config: s must be at most 1.79769e+308, got s={s}\n"
+
+
 def test_cli_large_epsilon_is_a_per_point_failure():
     runner = CliRunner()
     mechanisms = ("collision", "coco", "privkv", "pckv_grr", "pckv_agrr")
@@ -606,6 +617,18 @@ def test_cli_amplify_rejects_grid_values_outside_the_domain(flags, message):
     assert res.stdout == ""
     assert f"invalid config: {message}" in res.stderr
     assert "point failed:" not in res.stderr
+
+
+@pytest.mark.parametrize("n", [2**63, 10**30])
+def test_cli_amplify_past_the_window_range_is_a_per_point_failure(n):
+    # n >= 2^63 ended in an OverflowError traceback from the C-window's bisection, losing the efmrtt rows too
+    res = _amplify("--n", str(n), "--s", "1", "--bounds", "collision,clone,efmrtt")
+    assert res.exit_code == 2, res.output
+    assert res.stderr.splitlines() == [
+        f"point failed: {bound} n={n} s=1 epsilon=1.0: n must lie in 1..2^63-1, got n={n}" for bound in ("collision", "clone")
+    ]
+    rows = res.stdout.splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["bound:efmrtt", str(n)]] * 2
 
 
 def test_log2_amplification_floor_never_exceeds_epsilon():

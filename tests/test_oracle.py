@@ -22,7 +22,13 @@ from ldpvec.oracle import (
 )
 import pq_reference
 from coco_reference import event_buckets, uniform_coco_family
-from oracle_reference import family_moments, family_privacy_loss, mixture_decompose, uniform_collision_family
+from oracle_reference import (
+    all_point_sets_privacy_loss,
+    family_moments,
+    family_privacy_loss,
+    mixture_decompose,
+    uniform_collision_family,
+)
 from pq_reference import lower_bound_statistic_distribution
 
 LN2 = math.log(2)
@@ -201,10 +207,69 @@ def test_exhaustive_guard_counts_orbit_representatives():
     assert verify_ldp("coco", params) <= 1.0 + 1e-9
     for d, t in ((5, 6), (6, 4)):
         assert verify_ldp("collision", collision_params(d, 2, 1.0, t)) == pytest.approx(1.0, abs=1e-9)
+    # 56 inputs over the four point-set orbits, times 203 tables and t = 6: 68,208 evaluations
+    assert verify_ldp("collision", collision_params(6, 3, 1.0, 6)) <= 1.0 + 1e-9
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="exceeds guard"):
-        verify_ldp("collision", collision_params(6, 3, 1.0, 6))
+    with pytest.raises(ValueError, match=r"enumeration size 869400\*8 exceeds guard"):  # 210 inputs times 4140 tables
+        verify_ldp("collision", collision_params(8, 4, 1.0, 8))
     assert time.perf_counter() - start < 1.0
+
+
+def _identity_grid():
+    """Collision and CoCo instances with d <= 5: each (d, s) at two t, s = d included, plus criterion 1's grid."""
+    epsilons = (0.5, LN2, 2.0)
+    grid = []
+    for d in range(1, 6):
+        for s in range(1, d + 1):
+            for k, (t_collision, t_coco) in enumerate(((s + 1, 2 * s + 2), (2 * s + 1, 2 * s + 4))):
+                eps = epsilons[(d + s + k) % 3]
+                grid += [("collision", collision_params(d, s, eps, t_collision)),
+                         ("coco", MechanismParams(d=d, s=s, epsilon=eps, t=t_coco))]
+    grid += [("collision", collision_params(4, 2, eps, t)) for t in (4, 5, 6) for eps in epsilons]
+    grid += [("coco", MechanismParams(d=4, s=s, epsilon=eps, t=t)) for s in (1, 2) for t in (6, 8) for eps in epsilons]
+    return grid
+
+
+def test_one_point_set_per_orbit_is_bitwise_the_all_sets_maximum():
+    # every instance the all-sets reference runs within its own guard (the work of the all-sets loop)
+    checked = 0
+    for mechanism, params in _identity_grid():
+        try:
+            want = all_point_sets_privacy_loss(mechanism, params)
+        except ValueError:
+            continue
+        assert verify_ldp(mechanism, params) == want, (mechanism, params)
+        checked += 1
+    assert checked >= 70
+
+
+@pytest.mark.parametrize("mechanism, params_at", [
+    ("collision", lambda d: collision_params(d, 2, LN2, 4)),
+    ("coco", lambda d: coco_params(d, 2, LN2)),
+])
+def test_verify_ldp_does_not_depend_on_d(mechanism, params_at, monkeypatch):
+    listed = []
+    sparse_vectors = oracle._sparse_vectors
+
+    def counted(*args):
+        for x in sparse_vectors(*args):
+            listed.append(x)
+            yield x
+
+    monkeypatch.setattr(oracle, "_sparse_vectors", counted)
+    loss, inputs = {}, {}
+    for d in (4, 512):  # d = 2s, then the paper's d
+        listed.clear()
+        start = time.perf_counter()
+        loss[d] = verify_ldp(mechanism, params_at(d))
+        assert time.perf_counter() - start < 1.0
+        inputs[d] = len(listed)
+    assert loss[512] == loss[4]
+    assert inputs[512] == inputs[4] < math.comb(512, 2) * 4
+    if mechanism == "collision":
+        assert loss[512] == pytest.approx(LN2, abs=1e-9)
+    else:
+        assert loss[512] <= LN2 + 1e-9
 
 
 @pytest.mark.parametrize("mechanism, params", [
