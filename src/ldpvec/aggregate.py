@@ -173,6 +173,8 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
 
 def project_to_simplex(estimate: np.ndarray, s: int) -> np.ndarray:
     """Project 1/s-scaled frequencies onto the simplex, rescale back by s."""
+    if not s >= 1:  # also rejects nan
+        raise ValueError(f"s must be at least 1, got s={s}")
     if s > float(np.finfo(float).max):  # a Python float compares with an int of any size; a float64 overflows
         raise ValueError(f"s must be at most {np.finfo(float).max:g}, got s={s}")
     return s * simplex_projection(np.asarray(estimate, dtype=float) / s)

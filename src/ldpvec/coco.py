@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    STREAM_H1, STREAM_H2, MechanismParams, check_batch, debias_denominator, exp_budget, keyed_hashes, map_rows, pair_signs,
-    pair_slots, remainder_inplace, sample_layout, stream_keys,
+    STREAM_H1, STREAM_H2, MechanismParams, check_batch, debias_denominator, exp_budget, is_integer, keyed_hashes, map_rows,
+    pair_signs, pair_slots, remainder_inplace, sample_layout, stream_keys,
 )
 
 
@@ -54,13 +54,18 @@ class CollisionRates:
 
 
 def coco_omega(s: int, epsilon: float, t: int) -> float:
-    return (math.exp(epsilon) + 1.0) * s + t - 2 * s
+    """The normaliser Omega = (e^eps + 1)*s + t - 2s; an e^eps too large for a float is a ValueError."""
+    return (exp_budget(epsilon) + 1.0) * s + t - 2 * s
 
 
 def check_coco_domain(s: int, t: int) -> None:
-    """Reject a (s, t) outside CoCo's domain, even t >= 2s+2, with a ValueError."""
+    """Reject a (s, t) outside CoCo's domain, an integer t with even t >= 2s+2 that a float holds, with a ValueError."""
     if s < 1:
         raise ValueError("s must be >= 1")
+    if not is_integer(t):
+        raise ValueError(f"t must be an integer, got t={t!r}")
+    if t > float(np.finfo(float).max):  # the closed forms take t as a float
+        raise ValueError(f"t must be at most {np.finfo(float).max:g}, got t={t}")
     if t % 2 != 0 or t < 2 * s + 2:
         raise ValueError(f"CoCo needs even t >= 2s+2, got t={t}, s={s}")
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    STREAM_SINGLE, MechanismParams, check_batch, debias_denominator, event_code, exp_budget, hash_buckets, keyed_hashes,
-    map_rows, remainder_inplace, sample_layout, stream_keys,
+    STREAM_SINGLE, MechanismParams, check_batch, debias_denominator, event_code, exp_budget, hash_buckets, is_integer,
+    keyed_hashes, map_rows, remainder_inplace, sample_layout, stream_keys,
 )
 
 
@@ -65,11 +65,13 @@ def collision_omega(s: int, epsilon: float, t: float) -> float:
 
 
 def check_collision_params(params: MechanismParams) -> None:
-    """Reject params without collision's normaliser, which only ``CollisionParams`` carries."""
+    """Reject params without collision's normaliser, which only ``CollisionParams`` carries, or with a non-integer t."""
     if not isinstance(params, CollisionParams):
         raise ValueError(
             f"collision needs CollisionParams, got {type(params).__name__}; build them with collision_params(d, s, epsilon, t)"
         )
+    if not is_integer(params.t):
+        raise ValueError(f"t must be an integer, got t={params.t!r}")
 
 
 def collision_optimal_t(s: int, epsilon: float) -> int:

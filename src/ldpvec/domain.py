@@ -29,6 +29,7 @@ import math
 import os
 from concurrent import futures  # ThreadPoolExecutor loads on first use, not at import
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -68,8 +69,8 @@ class EventId(NamedTuple):
 
     @classmethod
     def from_code(cls, code: int) -> "EventId":
-        if code < 1:
-            raise ValueError(f"event code must be >= 1, got {code}")
+        if not is_integer(code) or code < 1:
+            raise ValueError(f"event code must be an integer >= 1, got {code!r}")
         index = (code + 1) // 2
         sign = 1 if code % 2 == 0 else -1
         return cls(index, sign)
@@ -80,42 +81,31 @@ def event_code(index, sign):
     return 2 * index - 1 + (sign > 0)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer scalar; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TernaryVector:
     """A d-dimensional vector in {-1,0,+1}^d with non-zero support.
 
     ``support`` lists (index, sign) pairs with strictly increasing
-    1-based indices; its length is the sparsity s.
+    1-based indices; its length is the sparsity s.  It is one row of the
+    batch form, and ``check_batch`` checks it as one.
     """
 
     d: int
     support: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be positive")
-        s = len(self.support)
-        if not 1 <= s <= self.d:
-            raise ValueError(f"support size {s} outside 1..d={self.d}")
-        prev = 0
-        for index, sign in self.support:
-            if not 1 <= index <= self.d:
-                raise ValueError(f"index {index} outside 1..{self.d}")
-            if index <= prev:
-                raise ValueError("support indices must be strictly increasing")
-            if sign not in (-1, 1):
-                raise ValueError(f"sign must be -1 or +1, got {sign}")
-            prev = index
-
-    @property
-    def s(self) -> int:
-        return len(self.support)
+        if not self.support:
+            raise ValueError("support must be non-empty")
+        dims, signs = zip(*self.support)
+        check_batch(np.array([dims]), np.array([signs]), SimpleNamespace(d=self.d, s=len(self.support)))
 
     def event_set(self) -> frozenset[EventId]:
         return frozenset(EventId(j, b) for j, b in self.support)
-
-    def event_codes(self) -> tuple[int, ...]:
-        return tuple(event_code(j, b) for j, b in self.support)
 
 
 @dataclass(frozen=True)

@@ -40,24 +40,24 @@ import numpy as np
 
 from .coco import check_coco_domain, coco_omega, collision_rates
 from .collision import CollisionParams, check_collision_params, collision_output_probabilities
-from .domain import EventId, MechanismParams, TernaryVector, event_code
+from .domain import EventId, MechanismParams, TernaryVector, event_code, is_integer
 
 _SIZE_GUARD = 10**6
 
 
-def _sparse_vectors(d: int, s: int, signs: dict[int, tuple[int, ...]]) -> Iterator[TernaryVector]:
-    """The inputs of dimension d with s nonzero dims among ``signs``' keys, each dim taking one of its signs."""
+def _sparse_vectors(s: int, signs: dict[int, tuple[int, ...]]) -> Iterator[tuple]:
+    """The supports of s nonzero dims among ``signs``' keys, each dim taking one of its signs."""
     for dims in combinations(signs, s):
         for picked in product(*map(signs.__getitem__, dims)):
-            yield TernaryVector(d=d, support=tuple(zip(dims, picked)))
+            yield tuple(zip(dims, picked))
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
-    return list(_sparse_vectors(d, s, dict.fromkeys(range(1, d + 1), (-1, 1))))
+    return [TernaryVector(d, support) for support in _sparse_vectors(s, dict.fromkeys(range(1, d + 1), (-1, 1)))]
 
 
-def _collision_table_probs(x: TernaryVector, table: dict[int, int], params: CollisionParams) -> np.ndarray:
-    return collision_output_probabilities(frozenset(table[c] for c in x.event_codes()), params)
+def _collision_table_probs(support: tuple, table: dict[int, int], params: CollisionParams) -> np.ndarray:
+    return collision_output_probabilities(frozenset(table[event_code(j, b)] for j, b in support), params)
 
 
 def _pair_partner(bucket: int, params: MechanismParams) -> int:
@@ -66,7 +66,7 @@ def _pair_partner(bucket: int, params: MechanismParams) -> int:
     return bucket - half if bucket > half else bucket + half
 
 
-def _coco_table_probs(x: TernaryVector, table: dict[int, int], params: MechanismParams) -> np.ndarray:
+def _coco_table_probs(support: tuple, table: dict[int, int], params: MechanismParams) -> np.ndarray:
     """Output law for a fixed (H1, H2) under a uniformly random write order.
 
     Only the last writer of each H1 slot survives, uniform over the slot's
@@ -77,9 +77,9 @@ def _coco_table_probs(x: TernaryVector, table: dict[int, int], params: Mechanism
     """
     eeps = math.exp(params.epsilon)
     t, half = params.t, params.t // 2
-    omega = coco_omega(x.s, params.epsilon, t)
+    omega = coco_omega(len(support), params.epsilon, t)
     writers: dict[int, list[int]] = {}  # occupied slot -> its writers' e^eps buckets
-    for j, b in x.support:
+    for j, b in support:
         plus = table[j]
         writers.setdefault((plus - 1) % half + 1, []).append(plus if b > 0 else _pair_partner(plus, params))
     w = [0.0] * t
@@ -100,19 +100,19 @@ def _coco_table_probs(x: TernaryVector, table: dict[int, int], params: Mechanism
 class TableLaw(NamedTuple):
     """One mechanism's exact output law given an explicit ``{point: bucket}`` table."""
 
-    probs: Callable  # (x, table, params) -> P[z | x, table] over z = 1..t
-    points: Callable  # x -> the hash points its law reads: event codes or dims
+    probs: Callable  # (support, table, params) -> P[z | x, table] over z = 1..t
+    points: Callable  # support -> the hash points its law reads: event codes or dims
     paired: bool  # a point is a dim whose bucket lies in the pair (k, k + t/2), else an event code's bucket k
     check: Callable  # params -> None; a ValueError outside the law's domain
 
 
 LAWS = {
     "collision": TableLaw(
-        _collision_table_probs, TernaryVector.event_codes, False,
+        _collision_table_probs, lambda support: tuple(event_code(j, b) for j, b in support), False,
         check_collision_params,  # CollisionParams enforces t > s
     ),
     "coco": TableLaw(
-        _coco_table_probs, lambda x: tuple(j for j, _ in x.support), True,
+        _coco_table_probs, lambda support: tuple(j for j, _ in support), True,
         lambda params: check_coco_domain(params.s, params.t),
     ),
 }
@@ -169,11 +169,11 @@ def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tu
     yield from extend((), 0)
 
 
-def _cached_probs(law: TableLaw, x: TernaryVector, points, table, params, cache: dict) -> np.ndarray:
-    key = (x.support, tuple(map(table.__getitem__, points)))
+def _cached_probs(law: TableLaw, support: tuple, points, table, params, cache: dict) -> np.ndarray:
+    key = (support, tuple(map(table.__getitem__, points)))
     got = cache.get(key)
     if got is None:
-        got = cache[key] = law.probs(x, table, params)
+        got = cache[key] = law.probs(support, table, params)
     return got
 
 
@@ -213,7 +213,7 @@ def verify_ldp(mechanism: str, params) -> float:
     for a, b in orbits:  # representative: dims 1..a with both signs, then b dims with their minus sign
         signs = {j: (-1, 1) if j <= a else (-1,) for j in range(1, a + b + 1)}
         points = tuple(signs) if law.paired else tuple(event_code(j, v) for j, vs in signs.items() for v in vs)
-        group = [(x, law.points(x)) for x in _sparse_vectors(d, s, signs)]
+        group = [(x, law.points(x)) for x in _sparse_vectors(s, signs)]
         for table, _ in _uniform_tables(law, points, params.t):
             m = np.stack([_cached_probs(law, x, x_points, table, params, cache) for x, x_points in group])
             worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
@@ -239,14 +239,15 @@ def exact_estimator_moments(
     An input, event or dim outside the params' domain is a ValueError.
     """
     law = _law(mechanism, params)
-    if not isinstance(x, TernaryVector) or (x.d, x.s) != (params.d, params.s):
+    if not isinstance(x, TernaryVector) or (x.d, len(x.support)) != (params.d, params.s):
         raise ValueError(f"x must be a TernaryVector with d={params.d} and s={params.s}, got {x!r}")
     point, terms = _estimator_terms(mechanism, params, estimator, event, dim)
-    points = law.points(x)
+    support = x.support
+    points = law.points(support)
     cache: dict[tuple, np.ndarray] = {}
     means, seconds, weights = [], [], []
     for table, weight in _uniform_tables(law, tuple(dict.fromkeys(points + (point,))), params.t):
-        mean_t, second_t = terms(_cached_probs(law, x, points, table, params, cache), table)
+        mean_t, second_t = terms(_cached_probs(law, support, points, table, params, cache), table)
         means.append(weight * mean_t)
         seconds.append(weight * second_t)
         weights.append(weight)
@@ -266,13 +267,13 @@ def _estimator_terms(mechanism: str, params, estimator: str, event, dim) -> tupl
     if mechanism == "collision":
         if estimator != "indicator" or event is None:
             raise ValueError("collision supports estimator='indicator' with an event")
-        if not (isinstance(event.index, (int, np.integer)) and 1 <= event.index <= params.d and event.sign in (-1, 1)):
+        if not (is_integer(event.index) and 1 <= event.index <= params.d and event.sign in (-1, 1)):
             raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
         denom = params.denominator
         return event.code, lambda p, table: _debiased_indicator(p[table[event.code] - 1], params.false_prob, denom)
     if estimator not in ("mean", "nonmissing") or dim is None:
         raise ValueError("coco supports estimator in {'mean','nonmissing'} with a dim")
-    if not (isinstance(dim, (int, np.integer)) and 1 <= dim <= params.d):
+    if not (is_integer(dim) and 1 <= dim <= params.d):
         raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
     rates = collision_rates(params.s, params.epsilon, params.t)
     if estimator == "mean":

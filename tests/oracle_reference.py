@@ -39,9 +39,9 @@ def _memo_probs(mechanism: str, params):
     law, memo = LAWS[mechanism], {}
 
     def probs(x, table):
-        key = (x.support, tuple(table[p] for p in law.points(x)))
+        key = (x.support, tuple(table[p] for p in law.points(x.support)))
         if key not in memo:
-            memo[key] = law.probs(x, table, params)
+            memo[key] = law.probs(x.support, table, params)
         return memo[key]
 
     return probs
@@ -78,7 +78,7 @@ def all_point_sets_privacy_loss(mechanism: str, params) -> float:
     count *= _orbit_count(size, _slots(law, params.t), law.paired)
     if count * params.t > _SIZE_GUARD:
         raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
-    reads = [(x, law.points(x)) for x in all_sparse_vectors(d, s)]
+    reads = [(x.support, law.points(x.support)) for x in all_sparse_vectors(d, s)]
     cache: dict = {}
     worst = 0.0
     for points in combinations(domain, size):

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 from itertools import combinations
 
@@ -25,7 +26,7 @@ from ldpvec.aggregate import (
 from ldpvec.coco import coco_params, coco_randomize_batch, collision_rates
 from ldpvec.collision import collision_params, collision_randomize_batch
 from ldpvec.domain import EventId, MechanismParams, hash_buckets, pair_signs, pair_slots, user_hash_seeds
-from ldpvec.oracle import exact_estimator_moments, all_sparse_vectors
+from ldpvec.oracle import all_sparse_vectors, exact_estimator_moments, verify_ldp
 
 LN2 = math.log(2)
 
@@ -62,6 +63,13 @@ def test_projection_examples():
     for bad in (np.zeros((2, 3)), np.float64(0.5)):
         with pytest.raises(ValueError, match="estimates must be one 1-d vector"):
             simplex_projection(bad)
+
+
+@pytest.mark.parametrize("s", [0, -1, 0.5, math.nan])
+def test_projection_rejects_a_scale_below_one(s):
+    # s=0 raised "estimates must be finite" after a divide-by-zero warning; s=-1 projected onto the negative simplex
+    with pytest.raises(ValueError, match=f"s must be at least 1, got s={s}"):
+        project_to_simplex(np.array([0.8, 0.4]), s)
 
 
 def test_projection_matches_qp_oracle():
@@ -128,6 +136,27 @@ def test_mechanism_table_builds_one_params_type():
             params = mech.params(6, 2, 0.8, target)
             assert isinstance(params, MechanismParams), name
             assert (params.d, params.s) == (6, 2)
+
+
+@pytest.mark.parametrize("mechanism, params", [
+    ("collision", collision_params(4, 1, 1.0, 4.5)),
+    ("collision", collision_params(4, 1, 1.0, np.float64(5.0))),
+    ("coco", MechanismParams(d=4, s=1, epsilon=1.0, t=6.0)),
+    ("coco", MechanismParams(d=4, s=1, epsilon=1.0, t=np.float64(6.0))),
+])
+def test_every_hash_entry_point_rejects_a_non_integer_t(mechanism, params):
+    # collision at t=4.5 drew float64 symbols up to 4.5, whose aggregate was biased by ~+0.23 on each absent event
+    randomize = collision_randomize_batch if mechanism == "collision" else coco_randomize_batch
+    probe = {"estimator": "indicator", "event": EventId(1, 1)} if mechanism == "collision" else {"estimator": "mean", "dim": 1}
+    seeds = user_hash_seeds(0, 2)
+    for call in (
+        lambda: randomize(np.array([[1]]), np.array([[1]]), seeds[:1], params, np.random.default_rng(0)),
+        lambda: aggregate_frequencies((seeds, np.array([1, 2])), mechanism, params),
+        lambda: verify_ldp(mechanism, params),
+        lambda: exact_estimator_moments(mechanism, params, all_sparse_vectors(4, 1)[0], **probe),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"t must be an integer, got t={params.t!r}")):
+            call()
 
 
 def test_collision_single_view_contribution_pattern():

@@ -127,6 +127,10 @@ def test_efmrtt_examples():
     for epsilon in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError, match="epsilon > 0"):
             efmrtt_closed_form(epsilon, 1e-6, 100)
+    # an int n above the largest float raised OverflowError from log(1/delta) / n
+    assert efmrtt_closed_form(1.0, 1e-6, 10**308) > 0.0
+    with pytest.raises(ValueError, match=r"n must be at most 1\.79769e\+308, got n=1000"):
+        efmrtt_closed_form(1.0, 1e-6, 10**400)
 
 
 def test_query_validation():

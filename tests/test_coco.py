@@ -113,11 +113,11 @@ def test_closed_form_law_matches_permutation_average(data):
     h1 = data.draw(st.lists(st.integers(1, crowd), min_size=s, max_size=s))
     h2 = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=s, max_size=s))
     table = {j: k + (g > 0) * (t // 2) for j, k, g in zip(dims, h1, h2)}
-    x = TernaryVector(d=d, support=tuple(zip(dims, signs)))
-    orders = list(permutations(x.support))
+    support = tuple(zip(dims, signs))
+    orders = list(permutations(support))
     weights = sum(coco_weight_vector(order, table, eps, t).w for order in orders)
     reference = weights / (len(orders) * coco_omega(s, eps, t))
-    exact = _coco_table_probs(x, table, MechanismParams(d=d, s=s, epsilon=eps, t=t))
+    exact = _coco_table_probs(support, table, MechanismParams(d=d, s=s, epsilon=eps, t=t))
     assert np.abs(exact - reference).max() <= 1e-14
 
 
@@ -150,6 +150,21 @@ def test_randomize_rejects_bad_t():
         )
     with pytest.raises(ValueError):
         coco_params(4, 2, 1.0, t=4)
+    for t in (6.0, np.float64(6.0), True):  # t=6.0 was accepted as t=6
+        for call in (lambda: coco_params(4, 1, 1.0, t), lambda: collision_rates(1, 1.0, t)):
+            with pytest.raises(ValueError, match="t must be an integer, got t="):
+                call()
+    assert coco_params(4, 1, 1.0, np.int64(6)).t == 6
+
+
+def test_closed_forms_reject_inputs_past_float_range():
+    # both raised OverflowError: e^1000 in the normaliser, and t = 10^400 converted to a float
+    for call in (lambda: collision_rates(1, 1000.0, 4), lambda: coco_omega(1, 1000.0, 4)):
+        with pytest.raises(ValueError, match="epsilon=1000.0 is too large: e\\^epsilon overflows"):
+            call()
+    for call in (lambda: collision_rates(2, 1.0, 10**400), lambda: overwrite_probability(2, 10**400)):
+        with pytest.raises(ValueError, match=r"t must be at most 1\.79769e\+308, got t=1000"):
+            call()
 
 
 def test_aggregation_rejects_bad_t_before_hashing(monkeypatch):
@@ -176,8 +191,7 @@ def test_randomize_matches_exact_law(data):
     signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=s, max_size=s))
     params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
     user = user_hash_seeds(seed, 1)
-    x = TernaryVector(d=d, support=tuple(zip(dims, signs)))
-    exact = _coco_table_probs(x, user_table(user[0], dims, t), params)
+    exact = _coco_table_probs(tuple(zip(dims, signs)), user_table(user[0], dims, t), params)
     n = 40_000
     z = coco_randomize_batch(
         np.tile(dims, (n, 1)), np.tile(signs, (n, 1)), np.repeat(user, n), params, np.random.default_rng(seed)
@@ -190,10 +204,9 @@ def test_randomize_batch_matches_exact_law():
     rng = np.random.default_rng(12)
     for (d, s, eps, t, seed) in ((10, 3, LN2, 8, 5), (8, 3, 0.5, 10, 9), (6, 2, 1.0, 8, 11)):
         x_support = tuple((j + 1, (-1) ** j) for j in range(s))
-        x = TernaryVector(d=d, support=x_support)
         params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
         user = user_hash_seeds(seed, 1)[0]
-        exact = _coco_table_probs(x, user_table(user, [j for j, _ in x_support], t), params)
+        exact = _coco_table_probs(x_support, user_table(user, [j for j, _ in x_support], t), params)
         n = 200_000
         seeds = np.full(n, user, dtype=np.uint64)
         sup = np.tile([[j for j, _ in x_support]], (n, 1))

@@ -71,14 +71,30 @@ def test_event_set_examples():
 
 
 def test_vector_roundtrip_and_validation():
-    with pytest.raises(ValueError):
-        TernaryVector(d=3, support=())
-    with pytest.raises(ValueError):
-        TernaryVector(d=3, support=((2, 1), (2, -1)))
-    with pytest.raises(ValueError):
-        TernaryVector(d=3, support=((1, 2),))
-    with pytest.raises(ValueError):
-        TernaryVector(d=3, support=((3, 1), (1, 1)))
+    # a vector is checked as one row of the batch form; index 1.5 was read as event (2, -1) by the exact oracle
+    for support, message in (
+        ((), "support must be non-empty"),
+        (((2, 1), (2, -1)), "strictly ascending"),
+        (((1, 2),), r"signs must be -1 or \+1"),
+        (((3, 1), (1, 1)), "strictly ascending"),
+        (((0, 1),), r"support dimensions must lie in 1\.\.3"),
+        (((1.5, 1), (3, -1)), "supports must be an integer array"),
+        (((np.float64(2.0), 1),), "supports must be an integer array"),
+        (((True, 1),), "supports must be an integer array"),
+        (((2, True),), "signs must be an integer array"),
+        (((1, False), (3, True)), "signs must be an integer array"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            TernaryVector(d=3, support=support)
+    assert TernaryVector(d=3, support=((np.int64(2), 1), (3, np.int8(-1)))).event_set() == {EventId(2, 1), EventId(3, -1)}
+
+
+@pytest.mark.parametrize("code", [2.5, 2.0, np.float64(3.0), True, 0, -1])
+def test_event_from_code_rejects_a_non_integer_or_bool_code(code):
+    # from_code(2.5) returned EventId(index=1.0, sign=-1)
+    with pytest.raises(ValueError, match="event code must be an integer >= 1"):
+        EventId.from_code(code)
+    assert EventId.from_code(np.int64(4)) == EventId(2, 1)
 
 
 def test_mechanism_params_validation():

@@ -631,6 +631,15 @@ def test_cli_amplify_past_the_window_range_is_a_per_point_failure(n):
     assert [row.split(",")[:2] for row in rows] == [["bound:efmrtt", str(n)]] * 2
 
 
+def test_cli_efmrtt_past_float_range_is_a_per_point_failure():
+    # an int n above the largest float ended in an OverflowError traceback from the closed form
+    n = "1" + "0" * 400
+    res = _amplify("--n", n, "--s", "1", "--bounds", "efmrtt")
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"point failed: efmrtt n={n} s=1 epsilon=1.0: n must be at most 1.79769e+308, got n={n}\n"
+    assert res.stdout.splitlines()[1:] == []
+
+
 def test_log2_amplification_floor_never_exceeds_epsilon():
     # below BRACKET_WIDTH a certified eps_c of 0 is floored at epsilon itself: ratio 0, not negative
     rows, errors = run_amplification_sweep([1000], [1], [1e-5, 0.5], 1e-6, bounds=("collision", "clone"))

@@ -10,7 +10,7 @@ from ldpvec import oracle
 from ldpvec.amplification import collision_alpha
 from ldpvec.coco import coco_params
 from ldpvec.collision import collision_params
-from ldpvec.domain import EventId, MechanismParams, TernaryVector
+from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code
 from ldpvec.oracle import (
     LAWS,
     _orbit_count,
@@ -40,16 +40,15 @@ def _single_table_family(mapping, t=None):
 
 def test_enumerate_collision_fixed_hash():
     params = collision_params(6, 2, LN2, 4)
-    x = TernaryVector(d=6, support=((3, 1), (5, -1)))
-    table = dict(zip(x.event_codes(), (1, 3)))
-    assert LAWS["collision"].probs(x, table, params) == pytest.approx([1 / 3, 1 / 6, 1 / 3, 1 / 6])
+    support = ((3, 1), (5, -1))
+    table = {event_code(3, 1): 1, event_code(5, -1): 3}
+    assert LAWS["collision"].probs(support, table, params) == pytest.approx([1 / 3, 1 / 6, 1 / 3, 1 / 6])
 
 
 def test_enumerate_coco_single_entry():
     params = MechanismParams(d=4, s=1, epsilon=LN2, t=4)
-    x = TernaryVector(d=4, support=((2, 1),))
     table = {2: 3}  # H1 = 1, H2 = +1
-    probs = LAWS["coco"].probs(x, table, params)
+    probs = LAWS["coco"].probs(((2, 1),), table, params)
     omega = 5.0
     hb, lb = event_buckets(table, 2, 4)
     w = (omega - 3.0) / 2.0
@@ -61,9 +60,8 @@ def test_enumerate_coco_single_entry():
 
 def test_enumerate_zero_budget_uniform():
     params = collision_params(4, 1, 1e-12, 3)
-    x = TernaryVector(d=4, support=((1, 1),))
-    family = uniform_collision_family(x.event_codes(), 3)
-    per_z = sum(w * LAWS["collision"].probs(x, table, params) for table, w in family)
+    family = uniform_collision_family((event_code(1, 1),), 3)
+    per_z = sum(w * LAWS["collision"].probs(((1, 1),), table, params) for table, w in family)
     assert per_z == pytest.approx([1 / 3] * 3, abs=1e-9)
 
 
@@ -273,6 +271,20 @@ def test_verify_ldp_does_not_depend_on_d(mechanism, params_at, monkeypatch):
 
 
 @pytest.mark.parametrize("mechanism, params", [
+    ("collision", collision_params(4, 2, LN2, 4)),
+    ("coco", coco_params(4, 2, LN2)),
+])
+def test_verify_ldp_constructs_no_vector(mechanism, params, monkeypatch):
+    # its inputs are plain supports, one batch row each: a vector's check_batch stays out of the loops
+    def built(self):
+        raise AssertionError("verify_ldp constructed a TernaryVector")
+
+    want = verify_ldp(mechanism, params)
+    monkeypatch.setattr(TernaryVector, "__post_init__", built)
+    assert verify_ldp(mechanism, params) == want
+
+
+@pytest.mark.parametrize("mechanism, params", [
     ("collision", collision_params(64, 8, 1.0)),
     ("coco", coco_params(64, 8, 1.0)),
 ])
@@ -324,7 +336,7 @@ def test_mixture_decompose_identical_inputs():
 def _collision_pair_distributions(params, x, xp, family):
     """The laws of (table, z) for x and for x' over ``family``, on the same cells."""
     law = LAWS["collision"].probs
-    return tuple(np.concatenate([w * law(v, table, params) for table, w in family]) for v in (x, xp))
+    return tuple(np.concatenate([w * law(v.support, table, params) for table, w in family]) for v in (x, xp))
 
 
 def test_mixture_decompose_disjoint_images():
@@ -355,7 +367,7 @@ def test_mixture_decompose_invariants():
         params = collision_params(4, 2, eps, 5)
         inputs = all_sparse_vectors(4, 2)
         x, xp = inputs[0], inputs[-1]
-        codes = tuple(dict.fromkeys(x.event_codes() + xp.event_codes()))
+        codes = tuple(dict.fromkeys(event_code(j, b) for j, b in x.support + xp.support))
         family = uniform_collision_family(codes, 5)
         a, b = _collision_pair_distributions(params, x, xp, family)
         q1, q1_prime, q1_star, beta = mixture_decompose(a, b, eps)
