@@ -13,10 +13,10 @@ mean_j / nonmissing_j of these two estimates.
 Mechanisms are looked up by name in ``MECHANISMS``.  The two hash
 mechanisms share one estimator: count, per event, the views whose own
 hash sends the event onto their symbol z, then debias the integer counts.
-Each brings a kernel factory, ``hit_counter(params, users) -> count(seeds, z)``, which
-makes the per-event keys and one chunk's buffers of ``hit_cells(params)`` cells per user
-(2d events for collision, d slots for CoCo).  ``event_hit_counts`` runs chunks of
-``HIT_CHUNK_CELLS // hit_cells`` users on the shared pool, one counter per worker thread.
+Each brings only its hash points' keys, ``hash_keys(params)`` (the 2d event
+codes for collision, the d dims of a ``paired`` layout for CoCo), and one
+kernel counts both, ``domain.hit_counter``.  ``event_hit_counts`` runs chunks of
+``HIT_CHUNK_CELLS // len(keys)`` users on the shared pool, one counter per worker thread.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import MechanismParams, check_integer, deal_chunks, event_code
+from .domain import MechanismParams, check_integer, deal_chunks, event_code, hit_counter
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
 # Cells hashed per chunk of the hit count, so that each worker's kernel buffers for one chunk
-# stay in the L2 cache of the core it runs on.  Both mechanisms' counters hold two uint64
-# arrays of users x hit_cells: 1 MiB together, for collision's 2d events and CoCo's d slots alike.
+# stay in the L2 cache of the core it runs on.  The counter holds two uint64 arrays of
+# users x len(keys): 1 MiB together, for collision's 2d events and CoCo's d dims alike.
 HIT_CHUNK_CELLS = 1 << 16
 
 
@@ -42,16 +42,16 @@ class Mechanism(NamedTuple):
     """One randomizer and its server-side estimator.
 
     Hash mechanisms debias per-event hit counts: ``debias(counts, n, params)``.
-    The hash-free baselines have no ``hit_counter`` and debias their
+    The hash-free baselines have no ``hash_keys`` and debias their
     reports: ``debias(views, params) -> values``.  Either way the values
     are the 2d event-frequency estimates in event-code order.
     """
 
     params: Callable  # (d, s, epsilon, target) -> MechanismParams at the mechanism's default t
     randomize: Callable  # (supports, signs, seeds, params, rng) -> views
-    hit_counter: Callable | None  # (params, users) -> count(seeds, z) -> (2d,) int64 hit counts in event-code order
+    hash_keys: Callable | None  # params -> stream keys of the hash points ``domain.hit_counter`` counts on
     debias: Callable
-    hit_cells: Callable | None = None  # params -> cells per user in one hit_counter buffer
+    paired: bool = False  # a hash point is a dim whose events sit on a bucket pair, else an event code
 
 
 def mechanism(name: str) -> Mechanism:
@@ -69,7 +69,7 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     baselines take their batch randomizer's reports.
     """
     mech = mechanism(mechanism_name)
-    if mech.hit_counter is None:
+    if mech.hash_keys is None:
         return mech.debias(views, params)
     seeds, z = _views_to_arrays(views, params.t)
     n = len(seeds)
@@ -97,14 +97,15 @@ def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
 def event_hit_counts(seeds: np.ndarray, z: np.ndarray, mech: Mechanism, params) -> np.ndarray:
     """Per event code 1..2d, the number of views whose hash sends it onto their z.
 
-    Chunks of ``HIT_CHUNK_CELLS // mech.hit_cells(params)`` users, whose hashes stay in cache, run on the shared
-    pool (``domain.deal_chunks``).  Each worker builds one counter, so no chunk allocates, and sums its chunks'
+    Chunks of ``HIT_CHUNK_CELLS // len(keys)`` users, whose hashes stay in cache, run on the shared pool
+    (``domain.deal_chunks``).  Each worker builds one counter, so no chunk allocates, and sums its chunks'
     counts.  Counts are integers, so neither the chunking nor the thread count can change the result.
     """
-    chunk = max(1, HIT_CHUNK_CELLS // mech.hit_cells(params))
+    keys = mech.hash_keys(params)
+    chunk = max(1, HIT_CHUNK_CELLS // len(keys))
 
     def count(mine: range) -> np.ndarray:
-        counter = mech.hit_counter(params, min(chunk, len(seeds)))
+        counter = hit_counter(keys, params.t, mech.paired, min(chunk, len(seeds)))
         counts = np.zeros(2 * params.d, dtype=np.int64)
         for lo in mine:
             counts += counter(seeds[lo : lo + chunk], z[lo : lo + chunk])
@@ -123,14 +124,14 @@ MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
         lambda d, s, epsilon, target: _col.collision_params(d, s, epsilon),
         lambda *args: _col.collision_randomize_batch(*args),
-        _col.collision_hit_counter, _col.collision_debias, lambda params: 2 * params.d,
+        _col.collision_hash_keys, _col.collision_debias,
     ),
     "coco": Mechanism(
         lambda d, s, epsilon, target: _coco.coco_params(
             d, s, epsilon, which="nonmissing" if target == "nonmissing" else "mean"
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
-        _coco.coco_hit_counter, _coco.coco_debias, lambda params: params.d,
+        _coco.coco_hash_keys, _coco.coco_debias, paired=True,
     ),
     "privkv": Mechanism(
         lambda d, s, epsilon, target: MechanismParams(d, s, epsilon, 3),

@@ -1,14 +1,14 @@
 """The correlated-collision (CoCo) randomizer and its collision rates.
 
 CoCo pairs output buckets (k, k + t/2) and orients each dimension's two
-events onto one pair via hashes H1 (dimension -> half-bucket) and H2
-(dimension -> sign).  The present event's bucket gets relative weight
-e^eps and its pair partner weight 1, so within a dimension the two
-indicator observations are anti-correlated; that drives the opposite
-collision rate P_o below the false rate P_f and shrinks the variance of
-the mean estimator.
+events onto one pair with one hash H of the dimension into 1..t: j_plus
+takes bucket H(j), and j_minus the other member of its pair.  The present
+event's bucket gets relative weight e^eps and its pair partner weight 1,
+so within a dimension the two indicator observations are anti-correlated;
+that drives the opposite collision rate P_o below the false rate P_f and
+shrinks the variance of the mean estimator.
 
-Entries are written in a uniformly random order; on an H1 conflict the
+Entries are written in a uniformly random order; on a pair conflict the
 later entry overwrites the whole bucket pair.  The probability freed by
 overwrites is spread evenly over untouched pairs so the normaliser
 Omega = (e^eps + 1)*s + t - 2s holds for every input and hash.
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    STREAM_H1, STREAM_H2, MechanismParams, check_batch, debias_denominator, exp_budget, is_integer, keyed_hashes, map_rows,
-    pair_signs, pair_slots, remainder_inplace, sample_layout, stream_keys,
+    STREAM_H1, MechanismParams, check_batch, debias_denominator, exp_budget, hash_buckets, is_integer, map_rows,
+    pair_partner, sample_layout, stream_keys,
 )
 
 
@@ -74,12 +74,13 @@ def overwrite_probability(s: int, t: int) -> float:
     """Chance a non-zero entry's bucket pair is overwritten by a later entry.
 
     Closed form 1 - (t^s - (t-2)^s) / (2 t^(s-1) s), derived from the
-    uniform rank of an entry and independent 2/t pair collisions.  At
-    s = 1 it is exactly 0, which rounding can leave at -4e-16: clamped at 0.
+    uniform rank of an entry and independent 2/t pair collisions, taken as
+    1 + t * expm1(s * log1p(-2/t)) / (2s): the ratio form's 1 - ((t-2)/t)^s
+    lost about t * 1e-16 and reached 1.0 from t ~ 1e17.  At s = 1 it is
+    exactly 0, which rounding can leave 1e-16 off; it is clamped at 0.
     """
     check_coco_domain(s, t)
-    ratio = (t - 2.0) / t
-    return max(0.0, 1.0 - t * (1.0 - ratio**s) / (2.0 * s))
+    return max(0.0, 1.0 + t * math.expm1(s * math.log1p(-2.0 / t)) / (2.0 * s))
 
 
 def collision_rates(s: int, epsilon: float, t: int) -> CollisionRates:
@@ -134,8 +135,8 @@ def coco_randomize_batch(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One output symbol per row under a uniformly random write order (the surviving-writer law of
-    ``oracle._coco_table_probs``): the last writer of each of the m distinct H1 slots puts e^eps on its
-    high bucket and 1 on its low one, and the t - 2m buckets of the other slots take the residual.
+    ``oracle._coco_table_probs``): the last writer of each of the m distinct occupied bucket pairs puts e^eps on
+    its own event's bucket and 1 on the partner, and the t - 2m buckets of the other pairs take the residual.
     """
     check_coco_domain(params.s, params.t)
     check_batch(supports, signs, params)
@@ -144,40 +145,22 @@ def coco_randomize_batch(
     write, u = rng.random((n, s)), rng.random(n)
 
     def rows(r: slice) -> np.ndarray:
-        h1 = pair_slots(seeds[r, None], supports[r], t)
-        high = h1 + (signs[r] * pair_signs(seeds[r, None], supports[r]) + 1) // 2 * half  # the bucket carrying e^eps
-        # Random write order; sorted by H1, and within equal H1 the last-written (max) entry first.
-        order = np.lexsort((-write[r], h1), axis=1)
-        h1_s, high_s = np.take_along_axis(h1, order, axis=1), np.take_along_axis(high, order, axis=1)
-        layers = [(high_s, eeps), (2 * h1_s + half - high_s, 1.0)]
-        return sample_layout(u[r] * omega, h1_s, layers, lambda m: (omega - m * (eeps + 1.0)) / (t - 2 * m), half)
+        high = hash_buckets(seeds[r, None], supports[r], t, STREAM_H1)  # j_plus's bucket; where the sign is -1,
+        np.copyto(high, pair_partner(high, t), where=signs[r] < 0)  # j_minus's: the bucket carrying e^eps
+        slot = high - half * (high > half)  # the pair's lower bucket, in 1..t/2
+        # Random write order; sorted by slot, and within equal slots the last-written (max) entry first.
+        order = np.lexsort((-write[r], slot), axis=1)
+        slot_s, high_s = np.take_along_axis(slot, order, axis=1), np.take_along_axis(high, order, axis=1)
+        layers = [(high_s, eeps), (pair_partner(high_s, t), 1.0)]
+        return sample_layout(u[r] * omega, slot_s, layers, lambda m: (omega - m * (eeps + 1.0)) / (t - 2 * m), half)
 
     return map_rows(rows, n, s)
 
 
-def coco_hit_counter(params: MechanismParams, users: int):
-    """``count(seeds, z)``: per event, how many of at most ``users`` users' hashes send it onto z; buffers made here.
-
-    Dimension j's events sit on the bucket pair (H1(j), H1(j) + t/2), so z can hit one only where its slot
-    (z - 1) mod t/2 equals H1(j) - 1.  The sign hash is evaluated on those ~2/t of the cells alone, in the spent
-    slot buffers: j_plus (code 2j) takes the upper bucket iff H2(j) = +1, so it is hit iff (H2(j) = +1) == (z > t/2),
-    and j_minus (code 2j-1) on the other matched cells.
-    """
+def coco_hash_keys(params: MechanismParams) -> np.ndarray:
+    """The stream keys of dims 1..d, the paired points ``domain.hit_counter`` hashes, once (s, t) is in CoCo's domain."""
     check_coco_domain(params.s, params.t)
-    d, half = params.d, params.t // 2
-    slot_keys, sign_keys = (stream_keys(np.arange(1, d + 1), stream) for stream in (STREAM_H1, STREAM_H2))
-    slots, tmp = np.empty((2, users, d), dtype=np.uint64)
-    matched = np.empty((users, d), dtype=bool)
-
-    def count(seeds: np.ndarray, z: np.ndarray) -> np.ndarray:
-        m, up = len(seeds), z > half
-        h1 = remainder_inplace(keyed_hashes(seeds[:, None], slot_keys, slots[:m], tmp[:m]), np.uint64(half), tmp[:m])
-        np.equal(h1, (z - 1 - half * up).astype(np.uint64)[:, None], out=matched[:m])
-        rows, cols = divmod(np.flatnonzero(matched[:m]), d)
-        h2 = keyed_hashes(seeds[rows], sign_keys[cols], slots.reshape(-1)[: len(rows)], tmp.reshape(-1)[: len(rows)])
-        return np.bincount(2 * cols + (((h2 & np.uint64(1)) == 1) == up[rows]), minlength=2 * d)
-
-    return count
+    return stream_keys(np.arange(1, params.d + 1), STREAM_H1)
 
 
 def coco_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .domain import (
     STREAM_SINGLE, MechanismParams, check_batch, debias_denominator, event_code, exp_budget, hash_buckets, is_integer,
-    keyed_hashes, map_rows, remainder_inplace, sample_layout, stream_keys,
+    map_rows, sample_layout, stream_keys,
 )
 
 
@@ -123,23 +123,10 @@ def collision_randomize_batch(
     return map_rows(rows, *supports.shape)
 
 
-def collision_hit_counter(params: MechanismParams, users: int):
-    """``count(seeds, z)``: per event code c = 1..2d, how many of at most ``users`` users' hash sends c onto z.
-
-    The event keys and one chunk's buffers are made once, here.  Buckets are compared 0-based in uint64,
-    H(c) - 1 = mix(seed ^ key(c)) mod t against z - 1.  Debias needs ``CollisionParams``: others fail here.
-    """
+def collision_hash_keys(params: MechanismParams) -> np.ndarray:
+    """The stream keys of event codes 1..2d, the points ``domain.hit_counter`` hashes; debias needs ``CollisionParams``."""
     check_collision_params(params)
-    keys, t = stream_keys(np.arange(1, 2 * params.d + 1), STREAM_SINGLE), np.uint64(params.t)
-    vals, tmp = np.empty((2, users, 2 * params.d), dtype=np.uint64)
-    hit = np.empty((users, 2 * params.d), dtype=bool)
-
-    def count(seeds: np.ndarray, z: np.ndarray) -> np.ndarray:
-        m = len(seeds)
-        v = remainder_inplace(keyed_hashes(seeds[:, None], keys, vals[:m], tmp[:m]), t, tmp[:m])
-        return np.equal(v, (z - 1).astype(np.uint64)[:, None], out=hit[:m]).sum(axis=0, dtype=np.int64)
-
-    return count
+    return stream_keys(np.arange(1, 2 * params.d + 1), STREAM_SINGLE)
 
 
 def collision_debias(counts: np.ndarray, n: int, params: CollisionParams) -> np.ndarray:

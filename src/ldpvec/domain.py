@@ -10,12 +10,11 @@ Each user's hash functions are a keyed 64-bit pseudorandom function
 bit-reproducible from a single master seed: H(v) = mix(seed ^ key(v)), key(v) =
 mix(v ^ stream) (``keyed_hashes``, ``stream_keys``), with one stream constant per
 hash role.  Every H mod t is H - (H // t) * t (``remainder_inplace``): numpy's ``//``
-by a scalar multiplies and shifts, its ``%`` divides per element.  Two layouts exist:
+by a scalar multiplies and shifts, its ``%`` divides per element.  One hash serves two layouts:
 
-  * ``single``: one hash H mapping event codes into buckets 1..t.
-  * ``paired``: a dimension hash H1 into half-buckets 1..t/2 plus a sign
-    hash H2 into {-1, +1}; together they orient each dimension's two
-    events onto the bucket pair (k, k + t/2).
+  * ``single``: H maps each event code onto its bucket in 1..t.
+  * ``paired`` (even t): H maps dimension j onto j_plus's bucket in 1..t, and j_minus
+    takes the other member of its bucket pair (k, k + t/2) (``pair_partner``).
 
 Both randomizers emit one bucket of a weighted layout over such positions with a
 fixed normaliser Omega, by inversion of its CDF (``sample_layout``; Devroye 1986,
@@ -43,7 +42,6 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 _STREAM_USER = 0x8AE6_55D1_1D90_2A31
 STREAM_SINGLE = 0x243F_6A88_85A3_08D3
 STREAM_H1 = 0x1319_8A2E_0370_7344
-STREAM_H2 = 0xA409_3822_299F_31D0
 
 
 def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -228,25 +226,41 @@ def remainder_inplace(h: np.ndarray, t: np.uint64, tmp: np.ndarray) -> np.ndarra
     return np.subtract(h, np.multiply(np.floor_divide(h, t, out=tmp), t, out=tmp), out=h)
 
 
-def hash_buckets(seeds: np.ndarray, codes: np.ndarray, t: int) -> np.ndarray:
-    """Single-layout hash of event ``codes`` under each of ``seeds``.
+def hash_buckets(seeds: np.ndarray, points: np.ndarray, t: int, stream: int = STREAM_SINGLE) -> np.ndarray:
+    """The hash of ``points`` (event codes, or dims under ``STREAM_H1``) under each of ``seeds``.
 
-    Broadcasts seeds against codes; returns buckets in 1..t as int64.
+    Broadcasts seeds against points; returns buckets in 1..t as int64.
     """
-    vals = keyed_hashes(seeds, stream_keys(codes, STREAM_SINGLE))
+    vals = keyed_hashes(seeds, stream_keys(points, stream))
     return remainder_inplace(vals, np.uint64(t), np.empty_like(vals)).astype(np.int64) + 1
 
 
-def pair_slots(seeds: np.ndarray, dims: np.ndarray, t: int) -> np.ndarray:
-    """Paired-layout H1 of ``dims`` (1-based) under each seed; in 1..t/2."""
-    vals = keyed_hashes(seeds, stream_keys(dims, STREAM_H1))
-    return remainder_inplace(vals, np.uint64(t // 2), np.empty_like(vals)).astype(np.int64) + 1
+def pair_partner(bucket, t: int):
+    """The other member of ``bucket``'s pair (k, k + t/2) for even t, for ints or elementwise; never past t."""
+    return bucket - t // 2 + t * (bucket <= t // 2)
 
 
-def pair_signs(seeds: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """Paired-layout H2(j_plus) of ``dims`` under each seed; in {-1,+1}."""
-    vals = keyed_hashes(seeds, stream_keys(dims, STREAM_H2))
-    return np.where(vals & np.uint64(1), 1, -1).astype(np.int64, copy=False)
+def hit_counter(keys: np.ndarray, t: int, paired: bool, users: int):
+    """``count(seeds, z)``: per event code c = 1..2d, how many of at most ``users`` views' hash sends c onto z.
+
+    ``keys`` are the stream keys of the hash points: the 2d event codes of the single layout, or the d dims of the
+    paired one.  One chunk's buffers are made once, here.  Buckets are compared 0-based in uint64, H - 1 =
+    mix(seed ^ key) mod t against z - 1; a paired layout also compares with z's partner - 1, for j_minus.
+    """
+    vals, tmp = np.empty((2, users, len(keys)), dtype=np.uint64)
+    hit = np.empty((users, len(keys)), dtype=bool)
+
+    def count(seeds: np.ndarray, z: np.ndarray) -> np.ndarray:
+        m = len(seeds)
+        v = remainder_inplace(keyed_hashes(seeds[:, None], keys, vals[:m], tmp[:m]), np.uint64(t), tmp[:m])
+        hits = lambda b: np.equal(v, (b - 1).astype(np.uint64)[:, None], out=hit[:m]).sum(axis=0, dtype=np.int64)
+        if not paired:
+            return hits(z)
+        counts = np.empty(2 * len(keys), dtype=np.int64)
+        counts[0::2], counts[1::2] = hits(pair_partner(z, t)), hits(z)  # (j_minus, j_plus) of each dim
+        return counts
+
+    return count
 
 
 def sample_layout(u: np.ndarray, pos: np.ndarray, layers, residual, space: int) -> np.ndarray:

@@ -211,7 +211,7 @@ def simulate_point(
     truth = agg.target_values(agg.true_event_frequencies(supports, signs, d), target)
 
     # Randomize under the mechanism (its default t) and aggregate the event frequencies.
-    seeds = None if mech.hit_counter is None else user_hash_seeds(hash_master, n)
+    seeds = None if mech.hash_keys is None else user_hash_seeds(hash_master, n)
     views = mech.randomize(supports, signs, seeds, params, rng_mech)
     est = agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
     raw = agg.target_values(est, target)

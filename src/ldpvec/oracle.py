@@ -11,10 +11,10 @@ reads, and whether a point hashes to a bucket pair; the table restricted
 to an input's points keys the law's cache.  A table is a plain
 ``{point: bucket}`` dict: collision's maps event codes to buckets, CoCo's
 maps each dim to j_plus's bucket, and j_minus takes the other member of
-the pair (H1, H1 + t/2).  CoCo's law is in closed form over surviving
-writers: for a fixed (H1, H2) only the last writer of each H1 slot keeps
-its bucket pair, and under a uniformly random write order it is uniform
-over the slot's writers.
+its pair (k, k + t/2).  CoCo's law is in closed form over surviving
+writers: for a fixed table only the last writer of each bucket pair keeps
+it, and under a uniformly random write order it is uniform over the
+pair's writers.
 
 Mechanisms only read a hash at the events (or dimensions) an instance
 touches, so the uniform family over all functions, restricted to those
@@ -40,7 +40,7 @@ import numpy as np
 
 from .coco import check_coco_domain, coco_omega, collision_rates
 from .collision import CollisionParams, check_collision_params, collision_output_probabilities
-from .domain import EventId, MechanismParams, TernaryVector, event_code, is_integer
+from .domain import EventId, MechanismParams, TernaryVector, event_code, is_integer, pair_partner
 
 _SIZE_GUARD = 10**6
 
@@ -60,20 +60,14 @@ def _collision_table_probs(support: tuple, table: dict[int, int], params: Collis
     return collision_output_probabilities(frozenset(table[event_code(j, b)] for j, b in support), params)
 
 
-def _pair_partner(bucket: int, params: MechanismParams) -> int:
-    """The other member of ``bucket``'s CoCo pair (H1, H1 + t/2): j_minus's bucket, given j_plus's."""
-    half = params.t // 2
-    return bucket - half if bucket > half else bucket + half
-
-
 def _coco_table_probs(support: tuple, table: dict[int, int], params: MechanismParams) -> np.ndarray:
-    """Output law for a fixed (H1, H2) under a uniformly random write order.
+    """Output law for a fixed table under a uniformly random write order.
 
-    Only the last writer of each H1 slot survives, uniform over the slot's
-    g writers.  If a of them put their e^eps bucket at slot k, bucket k
-    carries weight (a e^eps + g - a)/g and bucket k + t/2 carries
-    ((g - a) e^eps + a)/g.  With m occupied slots, every bucket of a free
-    pair carries the residual (Omega - m(e^eps + 1))/(t - 2m).
+    Only the last writer of each bucket pair (k, k + t/2), its slot k,
+    survives, uniform over the slot's g writers.  If a of them put their
+    e^eps bucket at slot k, bucket k carries weight (a e^eps + g - a)/g and
+    bucket k + t/2 carries ((g - a) e^eps + a)/g.  With m occupied slots, every
+    bucket of a free pair carries the residual (Omega - m(e^eps + 1))/(t - 2m).
     """
     eeps = math.exp(params.epsilon)
     t, half = params.t, params.t // 2
@@ -81,7 +75,7 @@ def _coco_table_probs(support: tuple, table: dict[int, int], params: MechanismPa
     writers: dict[int, list[int]] = {}  # occupied slot -> its writers' e^eps buckets
     for j, b in support:
         plus = table[j]
-        writers.setdefault((plus - 1) % half + 1, []).append(plus if b > 0 else _pair_partner(plus, params))
+        writers.setdefault((plus - 1) % half + 1, []).append(plus if b > 0 else pair_partner(plus, t))
     w = [0.0] * t
     for slot, high in writers.items():
         g, a = len(high), high.count(slot)
@@ -283,4 +277,4 @@ def _estimator_terms(mechanism: str, params, estimator: str, event, dim) -> tupl
         denom = rates.nonmissing_denominator
         moments = lambda pp, pm: _debiased_indicator(pp + pm, 2.0 * rates.p_f, denom)
     # H(j_+) != H(j_-), so at most one can equal z
-    return dim, lambda p, table: moments(p[table[dim] - 1], p[_pair_partner(table[dim], params) - 1])
+    return dim, lambda p, table: moments(p[table[dim] - 1], p[pair_partner(table[dim], params.t) - 1])

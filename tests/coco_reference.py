@@ -6,7 +6,7 @@ trace.  Averaging the weight vector over all s! orders gives the law
 that ``ldpvec.oracle._coco_table_probs`` computes in closed form over
 surviving writers, so tests can check the closed form against it.
 ``event_buckets`` states the pair rule of a table on its own, and
-``uniform_coco_family`` lists every (H1, H2) on a set of dimensions, the
+``uniform_coco_family`` lists every table on a set of dimensions, the
 full family that the oracle's orbit representatives stand for.
 ``coco_exact_rates_by_rank`` reaches the collision rates (P_t, P_o, P_f)
 by summing over write ranks, a route independent of the geometric closed
@@ -48,7 +48,7 @@ class CocoWeights:
 
 
 def event_buckets(table: dict[int, int], j: int, t: int) -> tuple[int, int]:
-    """(j_plus's bucket, j_minus's bucket) of dim j: the pair (H1(j), H1(j) + t/2), j_plus on ``table[j]``."""
+    """(j_plus's bucket, j_minus's bucket) of dim j: the pair (k, k + t/2), j_plus on ``table[j]``."""
     half = t // 2
     h1 = (table[j] - 1) % half + 1
     return table[j], 2 * h1 + half - table[j]
@@ -87,7 +87,7 @@ def coco_weight_vector(
 
 
 def uniform_coco_family(dims, t: int) -> list:
-    """Every (H1, H2) on ``dims`` for even t, equally weighted, as j_plus bucket tables."""
+    """Every table on ``dims`` for even t, equally weighted: each dim's j_plus bucket uniform over 1..t."""
     count = t ** len(dims)
     return [(dict(zip(dims, plus)), 1.0 / count) for plus in product(range(1, t + 1), repeat=len(dims))]
 

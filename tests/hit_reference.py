@@ -2,8 +2,8 @@
 
 Each layout returns every user's bucket for every event code 1..2d, shape
 (n, 2d), built from the public hash streams; a view hits event c exactly
-when its row's bucket for c equals its symbol z.  ``ldpvec.collision``
-and ``ldpvec.coco`` count those hits without materialising buckets.
+when its row's bucket for c equals its symbol z.  ``ldpvec.domain.hit_counter``
+counts those hits without materialising buckets.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ import numpy as np
 from ldpvec import aggregate as agg
 from ldpvec.coco import coco_params
 from ldpvec.collision import collision_params
-from ldpvec.domain import MechanismParams, hash_buckets, pair_signs, pair_slots, user_hash_seeds
+from ldpvec.domain import STREAM_H1, MechanismParams, hash_buckets, keyed_hashes, stream_keys, user_hash_seeds
 from ldpvec.harness import _rep_streams, gen_synthetic_arrays
 
 
@@ -22,15 +22,15 @@ def collision_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.nd
 
 
 def coco_event_buckets(seeds: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """Each user's bucket for every event code 1..2d, shape (n, 2d): j_plus is code 2j."""
-    half = params.t // 2
+    """Each user's bucket for every event code 1..2d, shape (n, 2d): j_plus is code 2j, on bucket H(j), and
+    j_minus the other member of its pair (k, k + t/2)."""
+    t, half = np.uint64(params.t), np.uint64(params.t // 2)
     dims = np.arange(1, params.d + 1, dtype=np.int64)
-    h1 = pair_slots(seeds[:, None], dims[None, :], params.t)
-    up = (pair_signs(seeds[:, None], dims[None, :]) > 0) * half  # j_plus's offset above H1(j)
-    buckets = np.empty((len(seeds), params.d, 2), dtype=np.int64)  # (j_minus, j_plus) per dimension
-    np.subtract(h1 + half, up, out=buckets[:, :, 0])
-    np.add(h1, up, out=buckets[:, :, 1])
-    return buckets.reshape(len(seeds), 2 * params.d)
+    plus = keyed_hashes(seeds[:, None], stream_keys(dims, STREAM_H1)[None, :]) % t + np.uint64(1)
+    buckets = np.empty((len(seeds), params.d, 2), dtype=np.uint64)  # (j_minus, j_plus) per dimension
+    buckets[:, :, 0] = np.where(plus > half, plus - half, plus + half)
+    buckets[:, :, 1] = plus
+    return buckets.reshape(len(seeds), 2 * params.d).astype(np.int64)
 
 
 REFERENCE_BUCKETS = {"collision": collision_event_buckets, "coco": coco_event_buckets}

@@ -25,7 +25,7 @@ from ldpvec.aggregate import (
 )
 from ldpvec.coco import coco_params, coco_randomize_batch, collision_rates
 from ldpvec.collision import collision_params, collision_randomize_batch
-from ldpvec.domain import EventId, MechanismParams, hash_buckets, pair_signs, pair_slots, user_hash_seeds
+from ldpvec.domain import STREAM_H1, EventId, MechanismParams, hash_buckets, keyed_hashes, stream_keys, user_hash_seeds
 from ldpvec.oracle import all_sparse_vectors, exact_estimator_moments, verify_ldp
 
 LN2 = math.log(2)
@@ -189,10 +189,8 @@ def test_aggregate_expectation_matches_truth_small_instance():
 
 def coco_hits(seed, z, j, t):
     """Whether one view's symbol z is the bucket of j_plus, and of j_minus."""
-    seed = np.array([seed], dtype=np.uint64)
-    h1, h2 = pair_slots(seed, np.int64(j), t)[0], pair_signs(seed, np.int64(j))[0]
-    plus = h1 + (h2 + 1) // 2 * (t // 2)  # H1(j) + ((sign*H2(j)+1)/2) * t/2
-    minus = h1 + (1 - h2) // 2 * (t // 2)
+    plus = int(keyed_hashes(np.uint64(seed), stream_keys(j, STREAM_H1))) % t + 1  # H(j), j_plus's bucket
+    minus = plus - t // 2 if plus > t // 2 else plus + t // 2  # the other member of its pair
     return float(plus == z), float(minus == z)
 
 
@@ -323,7 +321,8 @@ def _hit_instances(draw):
     s = draw(st.integers(1, d))
     epsilon = draw(st.floats(0.05, 6.0))
     low = 2 * s + 2 if name == "coco" else s + 1  # CoCo's minimum t, collision's t > s
-    t = draw(st.one_of(st.none(), st.just(low), st.integers(low, low + 40), st.integers(2**32 + 1, 2**40)))
+    t = draw(st.one_of(st.none(), st.just(low), st.integers(low, low + 40), st.integers(2**32 + 1, 2**40),
+                        st.integers(2**62, 2**63 - 2)))
     if t is not None and name == "coco":
         t += t % 2
     params = HASH_PARAMS[name](d, s, epsilon, t)
@@ -343,12 +342,13 @@ def test_hit_kernels_match_the_reference_layouts(instance, data):
     name, params, seeds, z, buckets = instance
     expected = buckets == z[:, None]
     mech = MECHANISMS[name]
-    count = mech.hit_counter(params, len(seeds))
+    keys = mech.hash_keys(params)
+    count = domain.hit_counter(keys, params.t, mech.paired, len(seeds))
     for i in range(len(seeds)):  # each view on its own: a one-row batch counts that row's hits
         counts = count(seeds[i : i + 1], z[i : i + 1])
         assert counts.dtype == np.int64 and np.array_equal(counts, expected[i]), i
     cells = len(seeds) * 2 * params.d
-    width = mech.hit_cells(params)  # one user per chunk up to 2 * width - 1 cells, two from 2 * width
+    width = len(keys)  # one user per chunk up to 2 * width - 1 cells, two from 2 * width
     chunks = {1, 2 * params.d - 1, 2 * params.d, data.draw(st.integers(2, 3 * cells).filter(lambda c: cells % c))}
     for chunk in sorted(chunks | {c for c in (width - 1, width, 2 * width - 1, 2 * width) if c >= 1}):
         for workers in (1, 2, 3):
@@ -366,10 +366,22 @@ def test_hit_counts_over_chunks_that_do_not_divide_among_the_workers(monkeypatch
     seeds = user_hash_seeds(11, 7)
     buckets = REFERENCE_BUCKETS[name](seeds, params)
     z = buckets[np.arange(7), np.arange(7) % (2 * params.d)]
-    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", MECHANISMS[name].hit_cells(params))  # one user per chunk: 7 chunks
+    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", len(MECHANISMS[name].hash_keys(params)))  # one user per chunk: 7 chunks
     monkeypatch.setattr(domain, "pool_workers", lambda: workers)
     counts = event_hit_counts(seeds, z, MECHANISMS[name], params)
     assert np.array_equal(counts, (buckets == z[:, None]).sum(axis=0))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BUCKETS))
+def test_hit_counts_at_the_top_of_the_range_of_t(name):
+    # from t ~ 2^63 * 2/3, z - 1 + t/2 overflows int64: a partner taken as (z - 1 + t/2) mod t there counted
+    # 17 of 40 views on dim 1's j_minus
+    params = HASH_PARAMS[name](6, 2, 1.0, 2**63 - 2)
+    seeds = user_hash_seeds(3, 40)
+    buckets = REFERENCE_BUCKETS[name](seeds, params)
+    for code in range(2 * params.d):
+        z = buckets[:, code]
+        assert np.array_equal(event_hit_counts(seeds, z, MECHANISMS[name], params), (buckets == z[:, None]).sum(axis=0))
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_BUCKETS))
@@ -380,7 +392,8 @@ def test_a_counter_reused_on_a_shorter_chunk_counts_only_that_chunk(name):
     buckets = REFERENCE_BUCKETS[name](seeds, params)
     z = buckets[np.arange(9), (3 * np.arange(9)) % (2 * params.d)]
     hits = buckets == z[:, None]
-    count = MECHANISMS[name].hit_counter(params, 9)
+    mech = MECHANISMS[name]
+    count = domain.hit_counter(mech.hash_keys(params), params.t, mech.paired, 9)
     for m in (9, 4, 1, 9, 8):
         assert np.array_equal(count(seeds[:m], z[:m]), hits[:m].sum(axis=0)), m
 
@@ -394,7 +407,7 @@ def test_a_single_chunk_starts_no_thread(monkeypatch):
     baseline = threading.active_count()
     for name in ("collision", "coco"):
         params = MECHANISMS[name].params(8, 2, 1.0, "mean")
-        users = aggregate.HIT_CHUNK_CELLS // MECHANISMS[name].hit_cells(params)  # exactly one chunk
+        users = aggregate.HIT_CHUNK_CELLS // len(MECHANISMS[name].hash_keys(params))  # exactly one chunk
         seeds, z = user_hash_seeds(3, users + 1), np.ones(users + 1, dtype=np.int64)
         counts = event_hit_counts(seeds[:users], z[:users], MECHANISMS[name], params)
         assert counts.shape == (2 * params.d,)
@@ -411,19 +424,15 @@ def test_a_worker_error_reaches_the_caller(monkeypatch):
     baseline = threading.active_count()
     callers = []
 
-    def collision_hits(params, users):
-        callers.append(threading.current_thread())
-        return MECHANISMS["collision"].hit_counter(params, users)
-
-    def out_of_memory(params, users):
+    def out_of_memory(*args):
         callers.append(threading.current_thread())
         raise MemoryError("hit matrix too large")
 
-    plain = MechanismParams(4, 1, 1.0, 3)
+    monkeypatch.setattr(aggregate, "hit_counter", out_of_memory)
     with pytest.raises(ValueError, match="collision needs CollisionParams, got MechanismParams"):
-        event_hit_counts(seeds, z, MECHANISMS["collision"]._replace(hit_counter=collision_hits), plain)
-    assert threading.active_count() == baseline
+        event_hit_counts(seeds, z, MECHANISMS["collision"], MechanismParams(4, 1, 1.0, 3))
+    assert threading.active_count() == baseline and callers == []  # rejected before any worker built a counter
     with pytest.raises(MemoryError, match="hit matrix too large"):
-        event_hit_counts(seeds, z, MECHANISMS["collision"]._replace(hit_counter=out_of_memory), plain)
+        event_hit_counts(seeds, z, MECHANISMS["collision"], collision_params(4, 1, 1.0, 3))
     assert threading.active_count() == baseline
     assert callers and threading.main_thread() not in callers

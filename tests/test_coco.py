@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpvec import coco
+from ldpvec import aggregate, coco
 from ldpvec.aggregate import aggregate_frequencies, target_values
 from ldpvec.coco import (
     CollisionRates,
@@ -18,7 +19,7 @@ from ldpvec.coco import (
     collision_rates,
     overwrite_probability,
 )
-from ldpvec.domain import MechanismParams, TernaryVector, pair_signs, pair_slots, user_hash_seeds
+from ldpvec.domain import STREAM_H1, MechanismParams, TernaryVector, keyed_hashes, stream_keys, user_hash_seeds
 from ldpvec.oracle import _coco_table_probs, all_sparse_vectors, exact_estimator_moments
 from coco_reference import CocoWeights, coco_exact_rates_by_rank, coco_weight_vector, event_buckets
 
@@ -26,9 +27,9 @@ LN2 = math.log(2)
 
 
 def user_table(seed, dims, t):
-    """The paired-layout hash of user ``seed`` on ``dims``, as an explicit table of j_plus buckets."""
+    """The paired-layout hash of user ``seed`` on ``dims``, as an explicit table of j_plus buckets H(j) in 1..t."""
     dims = np.asarray(dims)
-    plus = pair_slots(np.uint64(seed), dims, t) + (pair_signs(np.uint64(seed), dims) > 0) * (t // 2)
+    plus = keyed_hashes(np.uint64(seed), stream_keys(dims, STREAM_H1)) % np.uint64(t) + np.uint64(1)
     return dict(zip(dims.tolist(), plus.tolist()))
 
 
@@ -46,6 +47,13 @@ def test_single_entry_is_never_overwritten():
         assert 0.0 <= overwrite_probability(1, t) < 1e-13
         assert collision_rates(1, 3.0, t).p_ow == overwrite_probability(1, t)
 
+
+def test_overwrite_probability_is_exact_up_to_the_largest_t():
+    # the ratio form lost about t * 1e-16: 7.06e-8 for 7.00e-8 at (8, 1e8), 2.2e-5 for 1e-12 at (2, 1e12), 1.0 from 1e17
+    for s in (1, 2, 3, 5, 8, 13, 21, 32):
+        for t in [*range(2 * s + 2, 2 * s + 2002, 46), 10**8, 10**12, 10**17, 2**40, 2**62]:
+            exact = 1 - Fraction(t) * (1 - Fraction(t - 2, t) ** s) / (2 * s)
+            assert abs(overwrite_probability(s, t) - exact) <= 1e-15, (s, t)
 
 def test_rates_reject_bad_domain():
     with pytest.raises(ValueError):
@@ -171,8 +179,8 @@ def test_aggregation_rejects_bad_t_before_hashing(monkeypatch):
     def too_late(*args, **kwargs):
         raise AssertionError("hashed before the params were checked")
 
-    for name in ("stream_keys", "keyed_hashes"):
-        monkeypatch.setattr(coco, name, too_late)
+    monkeypatch.setattr(coco, "stream_keys", too_late)
+    monkeypatch.setattr(aggregate, "hit_counter", too_late)
     views = (user_hash_seeds(0, 2), np.array([1, 3]))
     with pytest.raises(ValueError, match=r"CoCo needs even t >= 2s\+2, got t=5, s=1"):
         aggregate_frequencies(views, "coco", MechanismParams(d=3, s=1, epsilon=1.0, t=5))

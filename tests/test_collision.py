@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpvec import collision, oracle
+from ldpvec import aggregate, collision, oracle
 from ldpvec.aggregate import aggregate_frequencies
 from ldpvec.collision import (
     CollisionParams,
@@ -123,7 +123,7 @@ def test_collision_entry_points_reject_params_without_the_normaliser(entry, monk
         raise AssertionError("hashed or enumerated before the params were checked")
 
     for module, name in (
-        (collision, "stream_keys"), (collision, "keyed_hashes"), (collision, "hash_buckets"),
+        (collision, "stream_keys"), (aggregate, "hit_counter"), (collision, "hash_buckets"),
         (oracle, "_uniform_tables"), (oracle, "all_sparse_vectors"),
     ):
         monkeypatch.setattr(module, name, too_late)

@@ -10,8 +10,6 @@ from ldpvec.domain import (
     TernaryVector,
     event_code,
     hash_buckets,
-    pair_signs,
-    pair_slots,
     remainder_inplace,
     sample_layout,
     user_hash_seeds,
@@ -23,7 +21,6 @@ _MASK64 = (1 << 64) - 1
 _STREAM_USER = 0x8AE6_55D1_1D90_2A31
 _STREAM_SINGLE = 0x243F_6A88_85A3_08D3
 _STREAM_H1 = 0x1319_8A2E_0370_7344
-_STREAM_H2 = 0xA409_3822_299F_31D0
 
 
 def mix64(x: int) -> int:
@@ -185,8 +182,7 @@ def test_scalar_and_vector_hash_agree():
             for code in (1, 2, 23, 64):
                 assert hash_buckets(one, np.int64(code), t)[0] == keyed(seed, code, _STREAM_SINGLE) % t + 1
             for dim in (1, 4, 9):
-                assert pair_slots(one, np.int64(dim), t)[0] == keyed(seed, dim, _STREAM_H1) % (t // 2) + 1
-                assert pair_signs(one, np.int64(dim))[0] == (1 if keyed(seed, dim, _STREAM_H2) & 1 else -1)
+                assert hash_buckets(one, np.int64(dim), t, _STREAM_H1)[0] == keyed(seed, dim, _STREAM_H1) % t + 1
 
 
 def test_remainder_equals_the_modulo_at_the_edges_of_uint64():

@@ -468,6 +468,14 @@ def test_cli_project_rejects_a_scale_past_float_range(tmp_path):
     assert res.stderr == f"invalid config: s must be at most 1.79769e+308, got s={s}\n"
 
 
+def test_cli_coco_at_epsilon_40_runs():
+    # t ~ 9.4e17: the ratio form of the overwrite probability read 1.0, so p_t equalled p_o and the point failed
+    res = CliRunner().invoke(main, ["simulate", "--master-seed", "1", "--n", "200", "--d", "8", "--s", "2",
+                                    "--epsilon", "40", "--mechanism", "coco"])
+    assert res.exit_code == 0, res.output
+    assert res.stderr == "" and len(res.stdout.splitlines()) == 1 + 4
+
+
 def test_cli_large_epsilon_is_a_per_point_failure():
     runner = CliRunner()
     mechanisms = ("collision", "coco", "privkv", "pckv_grr", "pckv_agrr")
@@ -728,11 +736,11 @@ def test_cli_unallocatable_point_is_a_per_point_failure():
 def test_a_worker_error_is_a_per_point_failure(monkeypatch, error):
     callers = []
 
-    def failing_hits(params, users):
+    def failing_hits(*args):
         callers.append(threading.current_thread())
         raise error
 
-    monkeypatch.setitem(aggregate.MECHANISMS, "collision", aggregate.MECHANISMS["collision"]._replace(hit_counter=failing_hits))
+    monkeypatch.setattr(aggregate, "hit_counter", failing_hits)  # privkv counts no hits, so only collision fails
     monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 50 chunks
     monkeypatch.setattr(domain, "pool_workers", lambda: 2)
     baseline = threading.active_count()

@@ -65,7 +65,7 @@ def test_a_desk_batch_is_one_chunk_and_starts_no_thread(monkeypatch, name):
     assert threading.active_count() == baseline
 
 
-@pytest.mark.parametrize("name, hashed", [("collision", "hash_buckets"), ("coco", "pair_slots")])
+@pytest.mark.parametrize("name, hashed", [("collision", "hash_buckets"), ("coco", "hash_buckets")])
 def test_an_error_in_a_randomize_worker_reaches_the_caller(monkeypatch, name, hashed):
     module = collision if name == "collision" else coco
     callers = []
