@@ -28,7 +28,7 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import MechanismParams, check_integer, deal_chunks, event_code, hit_counter
+from .domain import FLOAT_MAX, MechanismParams, check_integer, deal_chunks, event_code, hit_counter
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
@@ -176,8 +176,8 @@ def project_to_simplex(estimate: np.ndarray, s: int) -> np.ndarray:
     """Project 1/s-scaled frequencies onto the simplex, rescale back by s."""
     if not s >= 1:  # also rejects nan
         raise ValueError(f"s must be at least 1, got s={s}")
-    if s > float(np.finfo(float).max):  # a Python float compares with an int of any size; a float64 overflows
-        raise ValueError(f"s must be at most {np.finfo(float).max:g}, got s={s}")
+    if s > FLOAT_MAX:  # a float64 overflows
+        raise ValueError(f"s must be at most {FLOAT_MAX:g}, got s={s}")
     return s * simplex_projection(np.asarray(estimate, dtype=float) / s)
 
 

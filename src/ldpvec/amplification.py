@@ -54,7 +54,7 @@ import numpy as np
 from scipy.special import betainc, gammaln, xlog1py, xlogy
 
 from .collision import collision_omega
-from .domain import exp_budget
+from .domain import FLOAT_MAX, exp_budget
 
 # Width of the final bisection bracket of ``amplified_epsilon``; also, capped
 # at eps, the floor on eps_c in the log2 amplification ratio.
@@ -92,8 +92,8 @@ def efmrtt_closed_form(epsilon: float, delta: float, n: int) -> float:
         raise ValueError("need n >= 1, epsilon > 0 and delta in (0,1)")
     if math.isinf(1.0 / delta):
         raise ValueError(f"1/delta overflows float arithmetic at delta={delta!r}")
-    if n > float(np.finfo(float).max):  # a Python float compares with an int of any size, but n / float overflows
-        raise ValueError(f"n must be at most {np.finfo(float).max:g}, got n={n}")
+    if n > FLOAT_MAX:  # n / float overflows
+        raise ValueError(f"n must be at most {FLOAT_MAX:g}, got n={n}")
     return epsilon * math.sqrt(144.0 * math.log(1.0 / delta) / n)
 
 

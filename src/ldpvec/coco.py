@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    STREAM_H1, MechanismParams, check_batch, debias_denominator, exp_budget, hash_buckets, is_integer, map_rows,
-    pair_partner, sample_layout, stream_keys,
+    FLOAT_MAX, STREAM_H1, MechanismParams, check_batch, debias_denominator, exp_budget, hash_buckets, is_integer,
+    map_rows, pair_partner, sample_layout, stream_keys,
 )
 
 
@@ -64,8 +64,8 @@ def check_coco_domain(s: int, t: int) -> None:
         raise ValueError("s must be >= 1")
     if not is_integer(t):
         raise ValueError(f"t must be an integer, got t={t!r}")
-    if t > float(np.finfo(float).max):  # the closed forms take t as a float
-        raise ValueError(f"t must be at most {np.finfo(float).max:g}, got t={t}")
+    if t > FLOAT_MAX:  # the closed forms take t as a float
+        raise ValueError(f"t must be at most {FLOAT_MAX:g}, got t={t}")
     if t % 2 != 0 or t < 2 * s + 2:
         raise ValueError(f"CoCo needs even t >= 2s+2, got t={t}, s={s}")
 

@@ -43,6 +43,8 @@ _STREAM_USER = 0x8AE6_55D1_1D90_2A31
 STREAM_SINGLE = 0x243F_6A88_85A3_08D3
 STREAM_H1 = 0x1319_8A2E_0370_7344
 
+FLOAT_MAX = float(np.finfo(float).max)  # the largest float; a Python float compares with an int of any size
+
 
 def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """splitmix64 finaliser over the uint64 array ``x``, in place; ``tmp`` is scratch of x's shape."""

@@ -27,13 +27,18 @@ share; it is materialised only when the representatives fit in 20 bits.
 Permuting dimensions and swapping a dimension's two events maps inputs
 onto inputs and that family onto itself, and both laws are equivariant
 under it too, so ``verify_ldp`` checks one set of hash points per orbit of
-that symmetry, and its work does not grow with d.
+that symmetry, and its work does not grow with d.  Hash values are iid
+over points, so ``exact_estimator_moments`` enumerates an input once, on its
+points plus one free point that stands for every point it does not read,
+and keeps the last input's moments for all of its events.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import combinations, product
+import operator
+from itertools import combinations, islice, product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -226,28 +231,58 @@ def exact_estimator_moments(
     event: EventId | None = None,
     dim: int | None = None,
 ) -> tuple[float, float]:
-    """Exact (mean, variance) of one per-user estimator under ideal hashing.
+    """Exact (mean, variance) of one per-user estimator under ideal hashing, from x's one enumeration.
 
-    The tables enumerated are the uniform family restricted to the events
-    or dimensions the instance touches, which is an exact marginalisation.
-    An input, event or dim outside the params' domain is a ValueError.
+    An input, event or dim outside the params' domain, or the other
+    mechanism's probe keyword, is a ValueError raised before any table.
     """
     law = _law(mechanism, params)
     if not isinstance(x, TernaryVector) or (x.d, len(x.support)) != (params.d, params.s):
         raise ValueError(f"x must be a TernaryVector with d={params.d} and s={params.s}, got {x!r}")
-    point, terms = _estimator_terms(mechanism, params, estimator, event, dim)
-    support = x.support
+    if mechanism == "collision":
+        if estimator != "indicator" or event is None or dim is not None:
+            raise ValueError("collision supports estimator='indicator' with an event and no dim")
+        if not (is_integer(event.index) and 1 <= event.index <= params.d and event.sign in (-1, 1)):
+            raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
+        point = event.code
+    else:
+        if estimator not in ("mean", "nonmissing") or dim is None or event is not None:
+            raise ValueError("coco supports estimator in {'mean','nonmissing'} with a dim and no event")
+        if not (is_integer(dim) and 1 <= dim <= params.d):
+            raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
+        point = dim
+    moments = _input_moments(mechanism, law, params, x.support)[estimator]
+    if isinstance(moments, ValueError):
+        raise ValueError(*moments.args)
+    return moments[point] if point in moments else moments[None]
+
+
+@functools.lru_cache(maxsize=1)
+def _input_moments(mechanism: str, law: TableLaw, params, support: tuple) -> dict[str, dict | ValueError]:
+    """Every estimator's {point: (mean, variance)} on one input, or the ValueError of its degenerate denominator;
+    the points x does not read share the entry keyed None (CoCo has none at s = d)."""
     points = law.points(support)
-    cache: dict[tuple, np.ndarray] = {}
-    means, seconds, weights = [], [], []
-    for table, weight in _uniform_tables(law, tuple(dict.fromkeys(points + (point,))), params.t):
-        mean_t, second_t = terms(_cached_probs(law, support, points, table, params, cache), table)
-        means.append(weight * mean_t)
-        seconds.append(weight * second_t)
+    unread = (q for q in range(1, (params.d if law.paired else 2 * params.d) + 1) if q not in points)
+    cache, weights, hits = {}, [], {q: [] for q in points + tuple(islice(unread, 1))}
+    for table, weight in _uniform_tables(law, tuple(hits), params.t):
+        p = _cached_probs(law, support, points, table, params, cache)
         weights.append(weight)
-    mean = math.fsum(means) / math.fsum(weights)
-    second = math.fsum(seconds) / math.fsum(weights)
-    return mean, second - mean**2
+        for q, row in hits.items():  # H(j_+) != H(j_-), so at most one can equal z
+            row.append((p[table[q] - 1], p[pair_partner(table[q], params.t) - 1] if law.paired else 0.0))
+    total = math.fsum(weights)
+    moments: dict[str, dict | ValueError] = {}
+    for name, (denominator, terms) in _estimators(mechanism, params).items():
+        try:
+            den = denominator()
+        except ValueError as error:  # a degenerate denominator fails only the calls that ask for its estimator
+            moments[name] = error
+            continue
+        moments[name] = {}
+        for q, row in hits.items():
+            mean_t, second_t = zip(*(terms(plus, minus, den) for plus, minus in row))
+            mean, second = (math.fsum(map(operator.mul, weights, column)) / total for column in (mean_t, second_t))
+            moments[name][q if q in points else None] = mean, second - mean**2
+    return moments
 
 
 def _debiased_indicator(p_hit: float, p_false: float, denom: float) -> tuple[float, float]:
@@ -256,25 +291,12 @@ def _debiased_indicator(p_hit: float, p_false: float, denom: float) -> tuple[flo
     return p_hit * hit_v + (1 - p_hit) * miss_v, p_hit * hit_v**2 + (1 - p_hit) * miss_v**2
 
 
-def _estimator_terms(mechanism: str, params, estimator: str, event, dim) -> tuple[int, Callable]:
-    """The hash point an estimator reads, and its (mean, second moment) given the law p of z on a table."""
+def _estimators(mechanism: str, params) -> dict[str, tuple[Callable, Callable]]:
+    """Each estimator's denominator, unevaluated, and its terms: (P[z = H(q)], P[z = partner], den) -> (mean, second)."""
     if mechanism == "collision":
-        if estimator != "indicator" or event is None:
-            raise ValueError("collision supports estimator='indicator' with an event")
-        if not (is_integer(event.index) and 1 <= event.index <= params.d and event.sign in (-1, 1)):
-            raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
-        denom = params.denominator
-        return event.code, lambda p, table: _debiased_indicator(p[table[event.code] - 1], params.false_prob, denom)
-    if estimator not in ("mean", "nonmissing") or dim is None:
-        raise ValueError("coco supports estimator in {'mean','nonmissing'} with a dim")
-    if not (is_integer(dim) and 1 <= dim <= params.d):
-        raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
+        indicator = lambda hit, _, den: _debiased_indicator(hit, params.false_prob, den)
+        return {"indicator": (lambda: params.denominator, indicator)}
     rates = collision_rates(params.s, params.epsilon, params.t)
-    if estimator == "mean":
-        denom = rates.mean_denominator
-        moments = lambda pp, pm: ((pp - pm) / denom, (pp + pm) / denom**2)
-    else:
-        denom = rates.nonmissing_denominator
-        moments = lambda pp, pm: _debiased_indicator(pp + pm, 2.0 * rates.p_f, denom)
-    # H(j_+) != H(j_-), so at most one can equal z
-    return dim, lambda p, table: moments(p[table[dim] - 1], p[pair_partner(table[dim], params.t) - 1])
+    mean = lambda plus, minus, den: ((plus - minus) / den, (plus + minus) / den**2)
+    present = lambda plus, minus, den: _debiased_indicator(plus + minus, 2.0 * rates.p_f, den)
+    return {"mean": (lambda: rates.mean_denominator, mean), "nonmissing": (lambda: rates.nonmissing_denominator, present)}

@@ -7,6 +7,9 @@ representatives stand for.  ``family_privacy_loss`` and
 over such an explicit family, from the law of each table alone: no
 orbit representatives, orbit weights or point-set grouping, so they
 check the oracle's enumeration without sharing it.
+``per_event_moments`` is ``exact_estimator_moments`` one probe at a time:
+each call enumerates the orbit tables on x's points and the probed point,
+where the oracle enumerates x's points and one free point once for all.
 ``all_point_sets_privacy_loss`` is ``verify_ldp`` without its point-set
 symmetry: it checks every set of 2s hash points of the domain, where the
 oracle checks one set per orbit.  ``mixture_decompose``
@@ -21,8 +24,11 @@ from itertools import combinations, product
 
 import numpy as np
 
+from ldpvec.coco import collision_rates
+from ldpvec.domain import pair_partner
 from ldpvec.oracle import (
-    _SIZE_GUARD, LAWS, _cached_probs, _estimator_terms, _law, _orbit_count, _slots, _uniform_tables, all_sparse_vectors,
+    _SIZE_GUARD, LAWS, _cached_probs, _debiased_indicator, _law, _orbit_count, _slots, _uniform_tables,
+    all_sparse_vectors,
 )
 
 
@@ -57,10 +63,42 @@ def family_privacy_loss(mechanism: str, params, inputs, family) -> float:
     return math.log(worst)
 
 
+def estimator_terms(mechanism: str, params, estimator: str, event=None, dim=None):
+    """The hash point an estimator reads, and its (mean, second moment) given the law p of z on one table."""
+    if mechanism == "collision":
+        denom = params.denominator
+        return event.code, lambda p, table: _debiased_indicator(p[table[event.code] - 1], params.false_prob, denom)
+    rates = collision_rates(params.s, params.epsilon, params.t)
+    if estimator == "mean":
+        denom = rates.mean_denominator
+        moments = lambda pp, pm: ((pp - pm) / denom, (pp + pm) / denom**2)
+    else:
+        denom = rates.nonmissing_denominator
+        moments = lambda pp, pm: _debiased_indicator(pp + pm, 2.0 * rates.p_f, denom)
+    # H(j_+) != H(j_-), so at most one can equal z
+    return dim, lambda p, table: moments(p[table[dim] - 1], p[pair_partner(table[dim], params.t) - 1])
+
+
+def per_event_moments(mechanism: str, params, x, estimator: str, event=None, dim=None) -> tuple[float, float]:
+    """``exact_estimator_moments`` one event at a time: the orbit tables on x's points and the probed one."""
+    law = _law(mechanism, params)
+    point, terms = estimator_terms(mechanism, params, estimator, event, dim)
+    points = law.points(x.support)
+    cache: dict = {}
+    means, seconds, weights = [], [], []
+    for table, weight in _uniform_tables(law, tuple(dict.fromkeys(points + (point,))), params.t):
+        mean_t, second_t = terms(_cached_probs(law, x.support, points, table, params, cache), table)
+        means.append(weight * mean_t)
+        seconds.append(weight * second_t)
+        weights.append(weight)
+    mean = math.fsum(means) / math.fsum(weights)
+    return mean, math.fsum(seconds) / math.fsum(weights) - mean**2
+
+
 def family_moments(mechanism: str, params, x, family, estimator: str, event=None, dim=None) -> tuple[float, float]:
     """(mean, variance) of one per-user estimator over the weighted tables of ``family``."""
     probs = _memo_probs(mechanism, params)
-    _, terms = _estimator_terms(mechanism, params, estimator, event, dim)
+    _, terms = estimator_terms(mechanism, params, estimator, event, dim)
     moments = [(weight, *terms(probs(x, table), table)) for table, weight in family]
     total = math.fsum(w for w, _, _ in moments)
     mean = math.fsum(w * m for w, m, _ in moments) / total

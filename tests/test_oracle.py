@@ -27,11 +27,13 @@ from oracle_reference import (
     family_moments,
     family_privacy_loss,
     mixture_decompose,
+    per_event_moments,
     uniform_collision_family,
 )
 from pq_reference import lower_bound_statistic_distribution
 
 LN2 = math.log(2)
+EPSILONS = (0.5, LN2, 2.0)  # criteria 1-2's grid
 
 
 def _single_table_family(mapping, t=None):
@@ -138,6 +140,10 @@ def test_coco_oracle_rejects_t_outside_its_domain(t, monkeypatch):
          {"estimator": "nonmissing", "dim": 0}, r"dim must be an integer in 1\.\.3, got 0"),
         ("coco", MechanismParams(d=3, s=1, epsilon=1.0, t=4), TernaryVector(d=3, support=((2, -1),)),
          {"estimator": "mean", "dim": 1.5}, r"dim must be an integer in 1\.\.3, got 1\.5"),
+        ("collision", collision_params(3, 1, 1.0, 3), TernaryVector(d=3, support=((2, 1),)),
+         {"estimator": "indicator", "event": EventId(2, 1), "dim": 99}, "with an event and no dim"),
+        ("coco", MechanismParams(d=3, s=1, epsilon=1.0, t=4), TernaryVector(d=3, support=((2, -1),)),
+         {"estimator": "mean", "dim": 2, "event": EventId(99, 5)}, "with a dim and no event"),
     ],
 )
 def test_moments_reject_probes_outside_the_params(mechanism, params, x, probe, message, monkeypatch):
@@ -307,6 +313,49 @@ def test_exact_moments_collision_unbiased():
         target = 1.0 if event in x.event_set() else 0.0
         assert abs(mean - target) < 1e-12
         assert var > 0
+
+
+def _moment_probes():
+    """Every probe of criteria 1-2's grids, plus instances at s = d and at d > 2s."""
+    collision_grid = [collision_params(4, 2, eps, t) for t in (4, 5, 6) for eps in EPSILONS]
+    collision_grid += [collision_params(2, 2, LN2, 3), collision_params(3, 3, 2.0, 5), collision_params(7, 2, 0.5, 4)]
+    coco_grid = [MechanismParams(d=4, s=s, epsilon=eps, t=t) for s in (1, 2) for t in (6, 8) for eps in EPSILONS]
+    coco_grid += [MechanismParams(d=d, s=s, epsilon=eps, t=t) for d, s, eps, t in ((2, 2, LN2, 6), (3, 3, 2.0, 10), (7, 2, 0.5, 6))]
+    for params in collision_grid:
+        for x in all_sparse_vectors(params.d, params.s):
+            for code in range(1, 2 * params.d + 1):
+                yield "collision", params, x, {"estimator": "indicator", "event": EventId.from_code(code)}
+    for params in coco_grid:
+        for x in all_sparse_vectors(params.d, params.s):
+            for j in range(1, params.d + 1):
+                for estimator in ("mean", "nonmissing"):
+                    yield "coco", params, x, {"estimator": estimator, "dim": j}
+
+
+def test_moments_match_the_per_event_reference():
+    # one enumeration per input, on its points plus one free point, against one per event on its points plus that event's
+    checked = 0
+    for mechanism, params, x, probe in _moment_probes():
+        got = exact_estimator_moments(mechanism, params, x, **probe)
+        assert got == pytest.approx(per_event_moments(mechanism, params, x, **probe), abs=1e-12), (params, x, probe)
+        checked += 1
+    assert checked > 3264
+
+
+@pytest.mark.parametrize("mechanism, params, x, probe", [
+    ("collision", collision_params(4, 2, LN2, 4), TernaryVector(d=4, support=((1, 1), (3, -1))),
+     {"estimator": "indicator", "event": EventId(1, 1)}),
+    ("coco", MechanismParams(d=4, s=2, epsilon=LN2, t=6), TernaryVector(d=4, support=((1, 1), (3, -1))),
+     {"estimator": "mean", "dim": 2}),
+])
+def test_the_moment_memo_follows_a_replaced_law(mechanism, params, x, probe, monkeypatch):
+    # the memo is keyed on the law itself, so a replaced entry is never served the old law's moments
+    before = exact_estimator_moments(mechanism, params, x, **probe)
+    law = LAWS[mechanism]
+    monkeypatch.setitem(LAWS, mechanism, law._replace(probs=lambda *args: np.roll(law.probs(*args), 1)))
+    assert exact_estimator_moments(mechanism, params, x, **probe) != before
+    monkeypatch.undo()
+    assert exact_estimator_moments(mechanism, params, x, **probe) == before
 
 
 def test_exact_moments_coco_appendix_variances():
