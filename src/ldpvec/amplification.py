@@ -54,7 +54,7 @@ import numpy as np
 from scipy.special import betainc, gammaln, xlog1py, xlogy
 
 from .collision import collision_omega
-from .domain import FLOAT_MAX, exp_budget
+from .domain import FLOAT_MAX, exp_budget, is_integer
 
 # Width of the final bisection bracket of ``amplified_epsilon``; also, capped
 # at eps, the floor on eps_c in the log2 amplification ratio.
@@ -64,8 +64,9 @@ BRACKET_WIDTH = 1e-4
 def collision_alpha(s: int, epsilon: float, t: int) -> float:
     """Amplification parameter of the collision randomizers: s(e^eps-1)/Omega.
 
-    Valid for the paired-bucket variant as well, whose probability design
-    shares the same normaliser.
+    The paired-bucket variant shares the normaliser, hence this alpha.  For
+    both, the bound it gives holds for the counting statistic only; a real
+    shuffled batch of (seed, z) views can exceed it at small n.
     """
     if t <= s:
         raise ValueError("need t > s")
@@ -107,8 +108,8 @@ class AmplificationQuery:
     delta: float
 
     def __post_init__(self):
-        if not 1 <= self.n < 2**63:  # the C-window bisects range(n), whose length must fit a C ssize_t
-            raise ValueError(f"n must lie in 1..2^63-1, got n={self.n}")
+        if not (is_integer(self.n) and 1 <= self.n < 2**63):  # the C-window bisects range(n), whose length fits a ssize_t
+            raise ValueError(f"n must lie in 1..2^63-1, got n={self.n!r}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.delta < 1.0:

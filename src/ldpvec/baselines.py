@@ -1,13 +1,15 @@
 """Comparison mechanisms: PrivKV, PCKV-GRR and the amplified PCKV-AGRR.
 
-PrivKV samples one dimension uniformly from [d] and reports (dimension,
-value) where the ternary value passes through a 3-outcome generalized
-randomized response.  PCKV samples one of the s existing entries and
-reports its event code through a GRR over all 2d codes; PCKV-AGRR is the
-same GRR run at the amplified inner budget eps' = log(s(e^eps - 1) + 1).
-Their ``MechanismParams`` carry the GRR's budget as ``epsilon`` and its
-number of categories as ``t``: 3 for PrivKV, 2d for PCKV.  Each debias
-takes a batch of reports and returns the 2d event-frequency estimates.
+Each is a generalized randomized response (GRR) on one sampled item that
+reports one category code.  PrivKV samples one dimension j uniformly from
+[d] and passes its ternary value through a 3-outcome GRR, reporting the
+code 3(j - 1) + c + 1 in 1..3d (c = 0, 1, 2 for the values -1, 0, +1).
+PCKV samples one of the s existing entries and reports its event code
+through a GRR over all 2d codes; PCKV-AGRR is the same GRR run at the
+amplified inner budget eps' = log(s(e^eps - 1) + 1).  Their
+``MechanismParams`` carry the GRR's budget as ``epsilon`` and its number
+of categories as ``t``: 3 for PrivKV, 2d for PCKV.  Each debias takes a
+batch of codes and returns the 2d event-frequency estimates.
 
 These reconstructions keep the error orders of the originals, which is
 all the comparative experiments rely on.
@@ -43,6 +45,26 @@ def grr_probabilities(epsilon: float, k: int) -> tuple[float, float]:
     return eeps / (eeps + k - 1.0), 1.0 / (eeps + k - 1.0)
 
 
+def _randomized_response(truth: np.ndarray, k: int, epsilon: float, rng: np.random.Generator) -> np.ndarray:
+    """Each category in 1..k kept with the GRR's truth probability, else moved to one of the other k - 1 uniformly."""
+    keep = rng.random(len(truth)) < grr_probabilities(epsilon, k)[0]
+    shift = rng.integers(1, k, size=len(truth))
+    return np.where(keep, truth, (truth - 1 + shift) % k + 1)
+
+
+def _report_counts(views, k: int) -> tuple[np.ndarray, int]:
+    """The count of each category 1..k among a batch of reports, a non-empty 1-d integer array in 1..k, and its size."""
+    codes = np.asarray(views)
+    if codes.ndim != 1:
+        raise ValueError(f"reported codes must be a 1-d array, got shape {codes.shape}")
+    if len(codes) == 0:
+        raise ValueError("no views to aggregate")
+    check_integer(codes=codes)
+    if codes.min() < 1 or codes.max() > k:
+        raise ValueError(f"reported codes must lie in 1..{k}")
+    return np.bincount(codes - 1, minlength=k).astype(float), len(codes)
+
+
 def _debias_probabilities(params: MechanismParams) -> tuple[float, float]:
     """The GRR's (p, q), with p - q too small to divide by as a ValueError."""
     p, q = grr_probabilities(params.epsilon, params.t)
@@ -52,79 +74,50 @@ def _debias_probabilities(params: MechanismParams) -> tuple[float, float]:
 
 def privkv_randomize_batch(
     supports: np.ndarray, signs: np.ndarray, params: MechanismParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     _check_categories(params, 3)
-    check_batch(supports, signs, params)
+    if params.d > (2**63 - 1) // 3:
+        raise ValueError(f"d must be < 2**63 / 3, since PrivKV's codes 1..3d are int64, got d={params.d}")
+    check_batch(supports, signs, params.d, params.s)
     n, s = supports.shape
     j = rng.integers(1, params.d + 1, size=n)
-    pos = (supports < j[:, None]).sum(axis=1)
-    clipped = np.minimum(pos, s - 1)
+    clipped = np.minimum((supports < j[:, None]).sum(axis=1), s - 1)  # j's slot in the row, if present
     found = supports[np.arange(n), clipped] == j
-    true = np.where(found, signs[np.arange(n), clipped], 0)
-    # 3-ary GRR on category codes {0, 1, 2} for values {-1, 0, +1}
-    cat = true + 1
-    p, _ = grr_probabilities(params.epsilon, params.t)
-    keep = rng.random(n) < p
-    offset = rng.integers(1, 3, size=n)
-    out = np.where(keep, cat, (cat + offset) % 3)
-    return j, out - 1
+    value = np.where(found, signs[np.arange(n), clipped], 0)
+    value += 2  # categories 1, 2, 3 for the values -1, 0, +1
+    j -= 1
+    j *= 3  # in place: dimension j's codes are 3(j - 1) + 1..3
+    return np.add(j, _randomized_response(value, 3, params.epsilon, rng), out=j)
 
 
 def pckv_randomize_batch(
     supports: np.ndarray, signs: np.ndarray, params: MechanismParams, rng: np.random.Generator
 ) -> np.ndarray:
     _check_categories(params, 2 * params.d)
-    check_batch(supports, signs, params)
+    check_batch(supports, signs, params.d, params.s)
     n, s = supports.shape
     slot = rng.integers(0, s, size=n)
-    j = supports[np.arange(n), slot]
-    b = signs[np.arange(n), slot]
-    code = event_code(j, b)
-    p, _ = grr_probabilities(params.epsilon, params.t)
-    keep = rng.random(n) < p
-    shift = rng.integers(1, params.t, size=n)
-    return np.where(keep, code, (code - 1 + shift) % params.t + 1)
+    code = event_code(supports[np.arange(n), slot], signs[np.arange(n), slot])
+    return _randomized_response(code, params.t, params.epsilon, rng)
 
 
 def privkv_debias(views, params: MechanismParams) -> np.ndarray:
-    """Unbiased event-frequency estimates from a ``(j, values)`` pair of PrivKV reports.
+    """Unbiased event-frequency estimates from PrivKV's codes.
 
     A report only carries information about its sampled dimension, so each
     contribution is debiased within dimension j's group and scaled by d.
     """
     _check_categories(params, 3)
-    if not (isinstance(views, tuple) and len(views) == 2):
-        raise ValueError("PrivKV takes a (j, values) pair")
-    j, values = (np.asarray(v) for v in views)
-    if j.ndim != 1 or j.shape != values.shape:
-        raise ValueError(f"j and values must be 1-d arrays of one length, got shapes {j.shape} and {values.shape}")
-    n, d = len(j), params.d
-    if n == 0:
-        raise ValueError("no views to aggregate")
-    check_integer(j=j, values=values)
-    if j.min() < 1 or j.max() > d or not np.isin(values, (-1, 0, 1)).all():
-        raise ValueError(f"PrivKV reports need dimensions j in 1..{d} and values in -1, 0, +1")
+    hits, n = _report_counts(views, 3 * params.d)
     p, q = _debias_probabilities(params)
-    est = np.zeros(2 * d)
-    group = np.bincount(j - 1, minlength=d).astype(float)
-    for sign, off in ((-1, 0), (1, 1)):
-        hits = np.bincount((j - 1)[values == sign], minlength=d).astype(float)
-        est[off::2] = d * (hits - q * group) / (p - q) / n
-    return est
+    hits = hits.reshape(params.d, 3)  # per dimension, the reports of -1, 0 and +1
+    group = hits.sum(axis=1, keepdims=True)
+    return (params.d * (hits[:, ::2] - q * group) / (p - q) / n).ravel()  # rows of (j_minus, j_plus): event-code order
 
 
 def pckv_debias(views, params: MechanismParams) -> np.ndarray:
     """Unbiased event-frequency estimates (scale s) from PCKV code reports."""
     _check_categories(params, 2 * params.d)
-    codes = np.asarray(views)
-    if codes.ndim != 1:
-        raise ValueError(f"reported codes must be a 1-d array, got shape {codes.shape}")
-    n = len(codes)
-    if n == 0:
-        raise ValueError("no views to aggregate")
-    check_integer(codes=codes)
-    if codes.min() < 1 or codes.max() > params.t:
-        raise ValueError(f"reported codes must lie in 1..{params.t}")
+    hits, n = _report_counts(views, params.t)
     p, q = _debias_probabilities(params)
-    hits = np.bincount(codes - 1, minlength=params.t).astype(float)
     return params.s * (hits / n - q) / (p - q)

@@ -30,14 +30,6 @@ def _open_out(out: str | None):
         _fail_invalid(f"cannot write --out {out}: {exc.strerror or exc}")
 
 
-def _write(text: str, fh) -> None:
-    """``text`` to stdout when ``fh`` is None, else into the open file ``fh``."""
-    if fh is None:
-        click.echo(text, nl=False)
-    else:
-        fh.write(text)
-
-
 def _fail_invalid(message: str) -> None:
     click.echo(f"invalid config: {message}", err=True)
     sys.exit(1)
@@ -45,7 +37,7 @@ def _fail_invalid(message: str) -> None:
 
 def _emit(rows: list[harness.ReportRow], errors: list[str], fh, fmt: str) -> None:
     """Write the rows, report each failed point, and exit 2 if any failed."""
-    _write(harness.rows_to_csv(rows) if fmt == "csv" else harness.rows_to_jsonl(rows), fh)
+    click.echo(harness.rows_to_csv(rows) if fmt == "csv" else harness.rows_to_jsonl(rows), file=fh, nl=False)
     for err in errors:
         click.echo(f"point failed: {err}", err=True)
     sys.exit(2 if errors else 0)
@@ -153,7 +145,7 @@ def project(s, in_path, out):
     except ValueError as exc:
         _fail_invalid(str(exc))
     with _open_out(out) as fh:
-        _write("".join(line + "\n" for line in lines), fh)
+        click.echo("".join(line + "\n" for line in lines), file=fh, nl=False)
     sys.exit(0)
 
 
@@ -176,7 +168,7 @@ def gen(n, d, s, seed, out):
         lines = []
         for i in range(n):
             lines.append(" ".join(f"{'+' if b > 0 else '-'}{j}" for j, b in zip(supports[i], signs[i])))
-        _write("".join(line + "\n" for line in lines), fh)
+        click.echo("".join(line + "\n" for line in lines), file=fh, nl=False)
     sys.exit(0)
 
 

@@ -139,7 +139,7 @@ def coco_randomize_batch(
     its own event's bucket and 1 on the partner, and the t - 2m buckets of the other pairs take the residual.
     """
     check_coco_domain(params.s, params.t)
-    check_batch(supports, signs, params)
+    check_batch(supports, signs, params.d, params.s)
     (n, s), t, half = supports.shape, params.t, params.t // 2
     eeps, omega = math.exp(params.epsilon), coco_omega(s, params.epsilon, t)
     write, u = rng.random((n, s)), rng.random(n)

@@ -113,7 +113,7 @@ def collision_randomize_batch(
     seeds:    (n,) per-user single-layout hash seeds.
     """
     check_collision_params(params)
-    check_batch(supports, signs, params)
+    check_batch(supports, signs, params.d, params.s)
     u = rng.random(len(supports))
 
     def rows(r: slice) -> np.ndarray:

@@ -28,7 +28,6 @@ import math
 import os
 from concurrent import futures  # ThreadPoolExecutor loads on first use, not at import
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -102,7 +101,7 @@ class TernaryVector:
         if not self.support:
             raise ValueError("support must be non-empty")
         dims, signs = zip(*self.support)
-        check_batch(np.array([dims]), np.array([signs]), SimpleNamespace(d=self.d, s=len(self.support)))
+        check_batch(np.array([dims]), np.array([signs]), self.d, len(self.support))
 
     def event_set(self) -> frozenset[EventId]:
         return frozenset(EventId(j, b) for j, b in self.support)
@@ -122,6 +121,8 @@ class MechanismParams:
     t: int
 
     def __post_init__(self):
+        if not (is_integer(self.d) and is_integer(self.s)):
+            raise ValueError(f"d and s must be integers, got d={self.d!r}, s={self.s!r}")
         if self.d < 1 or self.s < 1 or self.s > self.d:
             raise ValueError(f"need 1 <= s <= d, got s={self.s}, d={self.d}")
         if not self.epsilon > 0:
@@ -160,15 +161,15 @@ def check_integer(**arrays) -> None:
             raise ValueError(f"{name} must be an integer array, got dtype {dtype}")
 
 
-def check_batch(supports: np.ndarray, signs: np.ndarray, params) -> None:
-    """Reject a malformed batch of (n, s) supports and signs in O(n*s)."""
+def check_batch(supports: np.ndarray, signs: np.ndarray, d: int, s: int) -> None:
+    """Reject a malformed batch of (n, s) supports and signs over dimensions 1..d in O(n*s)."""
     check_integer(supports=supports, signs=signs)
-    if supports.ndim != 2 or supports.shape[1] != params.s:
-        raise ValueError(f"supports must have shape (n, {params.s}), got {supports.shape}")
+    if supports.ndim != 2 or supports.shape[1] != s:
+        raise ValueError(f"supports must have shape (n, {s}), got {supports.shape}")
     if signs.shape != supports.shape:
         raise ValueError(f"signs shape {signs.shape} differs from supports shape {supports.shape}")
-    if supports.size and (supports.min() < 1 or supports.max() > params.d):
-        raise ValueError(f"support dimensions must lie in 1..{params.d}")
+    if supports.size and (supports.min() < 1 or supports.max() > d):
+        raise ValueError(f"support dimensions must lie in 1..{d}")
     if (supports[:, 1:] <= supports[:, :-1]).any():
         raise ValueError("support dimensions must be strictly ascending in every row")
     if not (np.abs(signs) == 1).all():

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import collision as col
-from .domain import user_hash_seeds
+from .domain import is_integer, user_hash_seeds
 
 MECHANISMS = tuple(agg.MECHANISMS)
 METRICS = ("tve", "mae")
@@ -27,7 +27,7 @@ REPORTS = ("raw_mean", "mean_log")
 
 
 def _check_grid(lists: dict[str, Sequence], sizes: Sequence[str], names: dict[str, tuple[str, Sequence[str]]]) -> None:
-    """Reject an empty grid list, a value given twice, a size in ``sizes`` below 1, or an epsilon not > 0.
+    """Reject an empty grid list, a value given twice, a size in ``sizes`` not an integer >= 1, or an epsilon not > 0.
 
     Every list goes through ``_check_names``; ``names`` maps a list of
     names to the word its messages use for one name and the names it may
@@ -39,6 +39,9 @@ def _check_grid(lists: dict[str, Sequence], sizes: Sequence[str], names: dict[st
         kind, known = names.get(name, (name, None))
         _check_names(kind, values, known)
     for name in sizes:
+        for value in lists[name]:
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {name}={value!r}")
         low = min(lists[name])
         if low < 1:
             raise ValueError(f"{name} must be >= 1, got {name}={low}")
@@ -78,8 +81,8 @@ class ExperimentConfig:
         )
         if not 0 <= self.master_seed < 1 << 64:  # every random stream is keyed by the whole seed
             raise ValueError(f"master_seed must lie in 0..2**64-1, got {self.master_seed}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not is_integer(self.repetitions) or self.repetitions < 1:
+            raise ValueError(f"repetitions must be an integer >= 1, got {self.repetitions!r}")
         if self.target not in agg.TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if self.report not in REPORTS:

@@ -26,6 +26,7 @@ from ldpvec.aggregate import (
 from ldpvec.coco import coco_params, coco_randomize_batch, collision_rates
 from ldpvec.collision import collision_params, collision_randomize_batch
 from ldpvec.domain import STREAM_H1, EventId, MechanismParams, hash_buckets, keyed_hashes, stream_keys, user_hash_seeds
+from ldpvec.harness import gen_synthetic_arrays
 from ldpvec.oracle import all_sparse_vectors, exact_estimator_moments, verify_ldp
 
 LN2 = math.log(2)
@@ -283,10 +284,9 @@ def test_aggregate_rejects_non_integer_seeds_or_symbols(mechanism, params):
 
 def test_aggregate_rejects_non_integer_baseline_reports():
     privkv = MECHANISMS["privkv"].params(4, 1, 1.0, "frequency")
-    with pytest.raises(ValueError, match="j must be an integer array"):
-        aggregate_frequencies((np.array([1.0, 2.0]), np.array([1, -1])), "privkv", privkv)
-    with pytest.raises(ValueError, match="values must be an integer array"):
-        aggregate_frequencies((np.array([1, 2]), np.array([1.0, -1.0])), "privkv", privkv)
+    # PrivKV's codes for (j, value) = (1, +1), (2, -1), as floats
+    with pytest.raises(ValueError, match="codes must be an integer array"):
+        aggregate_frequencies(np.array([3.0, 4.0]), "privkv", privkv)
     for name in ("pckv_grr", "pckv_agrr"):
         pckv = MECHANISMS[name].params(4, 1, 1.0, "frequency")
         with pytest.raises(ValueError, match="codes must be an integer array"):
@@ -295,22 +295,38 @@ def test_aggregate_rejects_non_integer_baseline_reports():
 
 def test_aggregate_rejects_malformed_baseline_reports():
     privkv = MECHANISMS["privkv"].params(4, 1, 1.0, "frequency")
-    with pytest.raises(ValueError, match="dimensions j"):
-        aggregate_frequencies((np.array([0, 2]), np.array([1, -1])), "privkv", privkv)
-    with pytest.raises(ValueError, match="values in"):
-        aggregate_frequencies((np.array([1, 2]), np.array([1, 5])), "privkv", privkv)
+    # a code below dimension 1's first, and one past dimension 4's last
+    with pytest.raises(ValueError, match=r"reported codes must lie in 1\.\.12"):
+        aggregate_frequencies(np.array([0, 4]), "privkv", privkv)
+    with pytest.raises(ValueError, match=r"reported codes must lie in 1\.\.12"):
+        aggregate_frequencies(np.array([3, 13]), "privkv", privkv)
     pckv = MECHANISMS["pckv_grr"].params(4, 1, 1.0, "frequency")
     with pytest.raises(ValueError, match="codes"):
         aggregate_frequencies(np.array([1, 9]), "pckv_grr", pckv)
     # each used to escape as a TypeError or a numpy error from len, unpacking or bincount
     with pytest.raises(ValueError, match=r"reported codes must be a 1-d array, got shape \(\)"):
         aggregate_frequencies(np.array(3), "pckv_grr", pckv)
-    for views in (5, (np.array([1]), np.array([0]), np.array([0])), [np.array([1]), np.array([0])]):
-        with pytest.raises(ValueError, match=r"PrivKV takes a \(j, values\) pair"):
+    for views in (np.array(2), np.array([[2, 6]])):
+        with pytest.raises(ValueError, match="reported codes must be a 1-d array"):
             aggregate_frequencies(views, "privkv", privkv)
-    for views in ((np.array(1), np.array(0)), (np.array([[1, 2]]), np.array([[0, 1]]))):
-        with pytest.raises(ValueError, match="j and values must be 1-d arrays of one length"):
-            aggregate_frequencies(views, "privkv", privkv)
+
+
+@pytest.mark.parametrize("name", list(MECHANISMS))
+def test_every_randomizer_reports_one_integer_per_user(name):
+    # z in 1..t for the hash mechanisms, an event code in 1..2d for PCKV, a (dimension, value) code in 1..3d for PrivKV
+    n, d, s = 400, 6, 2
+    rng = np.random.default_rng(11)
+    supports, signs = gen_synthetic_arrays(n, d, s, rng)
+    mech = MECHANISMS[name]
+    params = mech.params(d, s, 1.0, "frequency")
+    views = mech.randomize(supports, signs, user_hash_seeds(5, n), params, rng)
+    k = {"privkv": 3 * d, "pckv_grr": 2 * d, "pckv_agrr": 2 * d}.get(name, params.t)
+    assert views.shape == (n,) and np.issubdtype(views.dtype, np.integer)
+    assert views.min() == 1 and views.max() == k
+    if mech.hash_keys is None:  # the baselines' debias takes the same array, and rejects each malformed one
+        for bad in (views.reshape(2, -1), views.astype(float), np.array([0]), np.array([k + 1]), views[:0]):
+            with pytest.raises(ValueError):
+                aggregate_frequencies(bad, name, params)
 
 
 @st.composite

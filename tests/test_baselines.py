@@ -19,6 +19,16 @@ from ldpvec.oracle import all_sparse_vectors
 LN2 = math.log(2)
 
 
+def privkv_code(j, value):
+    """PrivKV's report code of dimension j and ternary value in -1, 0, +1."""
+    return 3 * (j - 1) + value + 2
+
+
+def privkv_decode(codes):
+    """The (dimensions, values) a batch of PrivKV codes stands for."""
+    return (codes - 1) // 3 + 1, (codes - 1) % 3 - 1
+
+
 def table_params(name, d, s, epsilon):
     """The params the mechanism table builds for a baseline."""
     return MECHANISMS[name].params(d, s, epsilon, "frequency")
@@ -66,7 +76,7 @@ def test_baselines_reject_params_of_another_alphabet():
     with pytest.raises(ValueError, match="3 categories, got t=8"):
         privkv_randomize_batch(supports, signs, pckv, rng)
     with pytest.raises(ValueError, match="3 categories, got t=8"):
-        privkv_debias((np.array([1]), np.array([0])), pckv)
+        privkv_debias(np.array([privkv_code(1, 0)]), pckv)
     with pytest.raises(ValueError, match="8 categories, got t=3"):
         pckv_randomize_batch(supports, signs, privkv, rng)
     with pytest.raises(ValueError, match="8 categories, got t=3"):
@@ -78,7 +88,7 @@ def test_privkv_channel_probabilities():
     rng = np.random.default_rng(0)
     params = table_params("privkv", 3, 1, LN2)
     n = 60_000
-    j, v = privkv_randomize_batch(np.full((n, 1), 2), np.ones((n, 1), dtype=np.int64), params, rng)
+    j, v = privkv_decode(privkv_randomize_batch(np.full((n, 1), 2), np.ones((n, 1), dtype=np.int64), params, rng))
     count_j2 = (j == 2).sum()
     assert count_j2 / n == pytest.approx(1 / 3, abs=0.02)
     assert (v[j == 2] == 1).sum() / count_j2 == pytest.approx(0.5, abs=0.02)
@@ -86,6 +96,19 @@ def test_privkv_channel_probabilities():
     assert (v[j == 2] == -1).sum() / count_j2 == pytest.approx(0.25, abs=0.02)
     # an unsampled dimension holds 0 in x: its truthful report is 0
     assert (v[j == 1] == 0).sum() / (j == 1).sum() == pytest.approx(0.5, abs=0.02)
+
+
+def test_privkv_codes_fit_int64_up_to_the_largest_d():
+    rng = np.random.default_rng(0)
+    top = (2**63 - 1) // 3
+    n = 1000
+    params = table_params("privkv", top, 1, 50.0)
+    codes = privkv_randomize_batch(np.full((n, 1), top), np.ones((n, 1), dtype=np.int64), params, rng)
+    j, v = privkv_decode(codes)
+    assert codes.min() >= 1 and codes.max() <= 3 * top and j.min() >= 1
+    assert np.array_equal(v, (j == top).astype(int))  # e^50 keeps each truth but for ~1e-21
+    with pytest.raises(ValueError, match=r"d must be < 2\*\*63 / 3"):
+        privkv_randomize_batch(np.array([[1]]), np.array([[1]]), table_params("privkv", top + 1, 1, 1.0), rng)
 
 
 def test_privkv_ldp_by_enumeration():
@@ -144,7 +167,7 @@ def test_estimates_unbiased_by_enumeration():
     x = TernaryVector(d=d, support=((2, -1),))
     truth = np.zeros(2 * d)
     truth[2 * 2 - 1 - 1] = 1.0  # event (2,-)
-    # privkv: enumerate (j, v) outcomes with their exact probabilities
+    # privkv: enumerate (j, v) outcomes, reported as one code each, with their exact probabilities
     params = table_params("privkv", d, s, eps)
     p, q = grr_probabilities(eps, 3)
     est = np.zeros(2 * d)
@@ -152,7 +175,7 @@ def test_estimates_unbiased_by_enumeration():
         true = dict(x.support).get(j, 0)
         for v in (-1, 0, 1):
             pr = (p if v == true else q) / d
-            est += pr * aggregate_frequencies((np.array([j]), np.array([v])), "privkv", params)
+            est += pr * aggregate_frequencies(np.array([privkv_code(j, v)]), "privkv", params)
     assert np.abs(est - truth).max() < 1e-12
 
     # pckv: enumerate emitted codes
@@ -168,7 +191,7 @@ def test_estimates_unbiased_by_enumeration():
 
 def test_privkv_zero_response_contributes_negative_mass():
     params = table_params("privkv", 4, 1, 1.0)
-    est = aggregate_frequencies((np.array([2]), np.array([0])), "privkv", params)
+    est = aggregate_frequencies(np.array([privkv_code(2, 0)]), "privkv", params)
     assert est[2 * 2 - 1 - 1] < 0 and est[2 * 2 - 1] < 0  # both events of dim 2
     assert est[0] == 0.0  # unsampled dimensions untouched
 

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from ldpvec import aggregate, domain, harness
 from ldpvec.aggregate import TARGETS
+from ldpvec.amplification import amplified_epsilon, generic_clone_alpha
 from ldpvec.cli import main
+from ldpvec.collision import collision_params
 from ldpvec.harness import (
     METRICS,
     REPORTS,
@@ -27,6 +29,7 @@ from ldpvec.harness import (
     run_experiment,
     simulate_point,
 )
+from ldpvec.oracle import verify_ldp
 
 
 def test_gen_synthetic_deterministic_and_valid():
@@ -157,6 +160,34 @@ def test_dimension_beyond_int64_is_rejected_by_name():
             f"point failed: {name} n=2 d={d} s=1 epsilon=1.0: d must be < 2**62, since event codes 1..2d are int64, got d={d}"
             for name in harness.MECHANISMS
         )
+
+
+def _grid_config(**sizes):
+    grid = dict(n=(50,), d=(8,), s=(2,), epsilon=(1.0,), mechanism=("privkv",), master_seed=1, repetitions=1)
+    return ExperimentConfig(**{**grid, **sizes})
+
+
+SIZE_ENTRIES = {  # every library entry that takes a size, given one bad value
+    "MechanismParams.d": lambda v: domain.MechanismParams(v, 2, 1.0, 8),
+    "MechanismParams.s": lambda v: domain.MechanismParams(8, v, 1.0, 8),
+    "collision_params.d": lambda v: collision_params(v, 2, 1.0),
+    "verify_ldp.s": lambda v: verify_ldp("coco", domain.MechanismParams(4, v, 1.0, 8)),
+    "amplified_epsilon.n": lambda v: amplified_epsilon(v, 1.0, generic_clone_alpha(1.0), 1e-6),
+    "ExperimentConfig.n": lambda v: _grid_config(n=(v,)),
+    "ExperimentConfig.d": lambda v: _grid_config(d=(v,)),
+    "ExperimentConfig.s": lambda v: _grid_config(s=(v,)),
+    "ExperimentConfig.repetitions": lambda v: _grid_config(repetitions=v),
+    "run_amplification_sweep.n": lambda v: run_amplification_sweep([v], [2], [1.0], 1e-6),
+    "run_amplification_sweep.s": lambda v: run_amplification_sweep([1000], [v], [1.0], 1e-6),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 8.0, True])
+@pytest.mark.parametrize("entry", list(SIZE_ENTRIES))
+def test_every_size_entry_rejects_a_float_or_bool(entry, value):
+    # each was accepted, or ended in a TypeError (or, for n=True, returned an eps_c) past its checks
+    with pytest.raises(ValueError, match="integer|n must lie in"):
+        SIZE_ENTRIES[entry](value)
 
 
 def test_config_parsing_and_overrides():
