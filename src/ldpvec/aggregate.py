@@ -10,13 +10,13 @@ mean / non-missing values derived through the exact identities
 The conditional mean of dimension j is the post-processing
 mean_j / nonmissing_j of these two estimates.
 
-Mechanisms are looked up by name in ``MECHANISMS``.  The two hash
-mechanisms share one estimator: count, per event, the views whose own
-hash sends the event onto their symbol z, then debias the integer counts.
-Each brings only its hash points' keys, ``hash_keys(params)`` (the 2d event
-codes for collision, the d dims of a ``paired`` layout for CoCo), and one
-kernel counts both, ``domain.hit_counter``.  ``event_hit_counts`` runs chunks of
-``HIT_CHUNK_CELLS // len(keys)`` users on the shared pool, one counter per worker thread.
+Mechanisms are looked up by name in ``MECHANISMS``.  A hash mechanism's
+entry is the one statement of its domain ``check`` and its layout
+(``paired``), which the exact oracle reads too.  Both hash mechanisms
+count, per event, the views whose own hash sends it onto their symbol z
+(``domain.hit_counter`` on ``domain.hash_keys(d, paired)``), then debias
+the integer counts.  ``event_hit_counts`` runs chunks of
+``HIT_CHUNK_CELLS // len(keys)`` users on the shared pool, one per thread.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import FLOAT_MAX, MechanismParams, check_integer, deal_chunks, event_code, hit_counter
+from .domain import FLOAT_MAX, MechanismParams, check_integer, deal_chunks, event_code, hash_keys, hit_counter
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
@@ -42,14 +42,14 @@ class Mechanism(NamedTuple):
     """One randomizer and its server-side estimator.
 
     Hash mechanisms debias per-event hit counts: ``debias(counts, n, params)``.
-    The hash-free baselines have no ``hash_keys`` and debias their
+    The hash-free baselines have no ``check`` and debias their
     reports: ``debias(views, params) -> values``.  Either way the values
     are the 2d event-frequency estimates in event-code order.
     """
 
     params: Callable  # (d, s, epsilon, target) -> MechanismParams at the mechanism's default t
     randomize: Callable  # (supports, signs, seeds, params, rng) -> views
-    hash_keys: Callable | None  # params -> stream keys of the hash points ``domain.hit_counter`` counts on
+    check: Callable | None  # params -> None, a ValueError outside a hash mechanism's domain; None for a baseline
     debias: Callable
     paired: bool = False  # a hash point is a dim whose events sit on a bucket pair, else an event code
 
@@ -69,14 +69,10 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     baselines take their batch randomizer's reports.
     """
     mech = mechanism(mechanism_name)
-    if mech.hash_keys is None:
+    if mech.check is None:
         return mech.debias(views, params)
     seeds, z = _views_to_arrays(views, params.t)
-    n = len(seeds)
-    if n == 0:
-        raise ValueError("no views to aggregate")
-    counts = event_hit_counts(seeds, z, mech, params)
-    return mech.debias(counts, n, params)
+    return mech.debias(event_hit_counts(seeds, z, mech, params), len(seeds), params)
 
 
 def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +85,9 @@ def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"seeds and z must be 1-d arrays, got shapes {seeds.shape} and {z.shape}")
     if len(seeds) != len(z):
         raise ValueError(f"seeds and z differ in length: {len(seeds)} vs {len(z)}")
-    if len(z) and (z.min() < 1 or z.max() > t):
+    if len(z) == 0:
+        raise ValueError("no views to aggregate")
+    if z.min() < 1 or z.max() > t:
         raise ValueError(f"z must lie in 1..{t}, got values in {z.min()}..{z.max()}")
     return seeds, z
 
@@ -101,7 +99,8 @@ def event_hit_counts(seeds: np.ndarray, z: np.ndarray, mech: Mechanism, params) 
     (``domain.deal_chunks``).  Each worker builds one counter, so no chunk allocates, and sums its chunks'
     counts.  Counts are integers, so neither the chunking nor the thread count can change the result.
     """
-    keys = mech.hash_keys(params)
+    mech.check(params)
+    keys = hash_keys(params.d, mech.paired)
     chunk = max(1, HIT_CHUNK_CELLS // len(keys))
 
     def count(mine: range) -> np.ndarray:
@@ -124,14 +123,14 @@ MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
         lambda d, s, epsilon, target: _col.collision_params(d, s, epsilon),
         lambda *args: _col.collision_randomize_batch(*args),
-        _col.collision_hash_keys, _col.collision_debias,
+        _col.check_collision_params, _col.collision_debias,
     ),
     "coco": Mechanism(
         lambda d, s, epsilon, target: _coco.coco_params(
             d, s, epsilon, which="nonmissing" if target == "nonmissing" else "mean"
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
-        _coco.coco_hash_keys, _coco.coco_debias, paired=True,
+        lambda params: _coco.check_coco_domain(params.s, params.t), _coco.coco_debias, paired=True,
     ),
     "privkv": Mechanism(
         lambda d, s, epsilon, target: MechanismParams(d, s, epsilon, 3),

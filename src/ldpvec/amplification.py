@@ -89,6 +89,8 @@ def efmrtt_closed_form(epsilon: float, delta: float, n: int) -> float:
     Stated validity conditions on (eps, n) are not re-checked here;
     callers should treat the value as indicative outside them.
     """
+    if not is_integer(n):
+        raise ValueError(f"n must be an integer, got n={n!r}")
     if n < 1 or not epsilon > 0 or not 0.0 < delta < 1.0:
         raise ValueError("need n >= 1, epsilon > 0 and delta in (0,1)")
     if math.isinf(1.0 / delta):
@@ -108,7 +110,9 @@ class AmplificationQuery:
     delta: float
 
     def __post_init__(self):
-        if not (is_integer(self.n) and 1 <= self.n < 2**63):  # the C-window bisects range(n), whose length fits a ssize_t
+        if not is_integer(self.n):
+            raise ValueError(f"n must be an integer, got n={self.n!r}")
+        if not 1 <= self.n < 2**63:  # the C-window bisects range(n), whose length fits a ssize_t
             raise ValueError(f"n must lie in 1..2^63-1, got n={self.n!r}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")

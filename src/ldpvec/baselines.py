@@ -39,6 +39,12 @@ def _check_categories(params: MechanismParams, k: int) -> None:
         raise ValueError(f"this GRR reports one of {k} categories, got t={params.t}")
 
 
+def _check_privkv(params: MechanismParams) -> None:
+    _check_categories(params, 3)
+    if params.d > (2**63 - 1) // 3:
+        raise ValueError(f"d must be < 2**63 / 3, since PrivKV's codes 1..3d are int64, got d={params.d}")
+
+
 def grr_probabilities(epsilon: float, k: int) -> tuple[float, float]:
     """(truth, other) probabilities of a k-outcome randomized response."""
     eeps = math.exp(epsilon)
@@ -75,9 +81,7 @@ def _debias_probabilities(params: MechanismParams) -> tuple[float, float]:
 def privkv_randomize_batch(
     supports: np.ndarray, signs: np.ndarray, params: MechanismParams, rng: np.random.Generator
 ) -> np.ndarray:
-    _check_categories(params, 3)
-    if params.d > (2**63 - 1) // 3:
-        raise ValueError(f"d must be < 2**63 / 3, since PrivKV's codes 1..3d are int64, got d={params.d}")
+    _check_privkv(params)
     check_batch(supports, signs, params.d, params.s)
     n, s = supports.shape
     j = rng.integers(1, params.d + 1, size=n)
@@ -107,7 +111,7 @@ def privkv_debias(views, params: MechanismParams) -> np.ndarray:
     A report only carries information about its sampled dimension, so each
     contribution is debiased within dimension j's group and scaled by d.
     """
-    _check_categories(params, 3)
+    _check_privkv(params)
     hits, n = _report_counts(views, 3 * params.d)
     p, q = _debias_probabilities(params)
     hits = hits.reshape(params.d, 3)  # per dimension, the reports of -1, 0 and +1

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import (
     FLOAT_MAX, STREAM_H1, MechanismParams, check_batch, debias_denominator, exp_budget, hash_buckets, is_integer,
-    map_rows, pair_partner, sample_layout, stream_keys,
+    map_rows, pair_partner, sample_layout,
 )
 
 
@@ -155,12 +155,6 @@ def coco_randomize_batch(
         return sample_layout(u[r] * omega, slot_s, layers, lambda m: (omega - m * (eeps + 1.0)) / (t - 2 * m), half)
 
     return map_rows(rows, n, s)
-
-
-def coco_hash_keys(params: MechanismParams) -> np.ndarray:
-    """The stream keys of dims 1..d, the paired points ``domain.hit_counter`` hashes, once (s, t) is in CoCo's domain."""
-    check_coco_domain(params.s, params.t)
-    return stream_keys(np.arange(1, params.d + 1), STREAM_H1)
 
 
 def coco_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:

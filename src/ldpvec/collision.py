@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    STREAM_SINGLE, MechanismParams, check_batch, debias_denominator, event_code, exp_budget, hash_buckets, is_integer,
-    map_rows, sample_layout, stream_keys,
+    MechanismParams, check_batch, debias_denominator, event_code, exp_budget, hash_buckets, is_integer, map_rows,
+    sample_layout,
 )
 
 
@@ -121,12 +121,6 @@ def collision_randomize_batch(
         return sample_layout(u[r], hs, [(hs, params.hit_prob)], params.residual_prob, params.t)
 
     return map_rows(rows, *supports.shape)
-
-
-def collision_hash_keys(params: MechanismParams) -> np.ndarray:
-    """The stream keys of event codes 1..2d, the points ``domain.hit_counter`` hashes; debias needs ``CollisionParams``."""
-    check_collision_params(params)
-    return stream_keys(np.arange(1, 2 * params.d + 1), STREAM_SINGLE)
 
 
 def collision_debias(counts: np.ndarray, n: int, params: CollisionParams) -> np.ndarray:

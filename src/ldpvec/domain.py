@@ -207,6 +207,8 @@ def map_rows(rows: Callable[[slice], np.ndarray], n: int, s: int) -> np.ndarray:
 
 def user_hash_seeds(master_seed: int, n: int) -> np.ndarray:
     """Hash seeds of users 0..n-1, derived from one master seed (whose key under stream 0 is mix(master))."""
+    if not is_integer(n) or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got n={n!r}")
     return keyed_hashes(stream_keys(master_seed & _MASK64, 0), stream_keys(np.arange(n), _STREAM_USER))
 
 
@@ -243,12 +245,16 @@ def pair_partner(bucket, t: int):
     return bucket - t // 2 + t * (bucket <= t // 2)
 
 
+def hash_keys(d: int, paired: bool) -> np.ndarray:
+    """The stream keys of a layout's hash points: event codes 1..2d, or dims 1..d of a paired layout under ``STREAM_H1``."""
+    return stream_keys(np.arange(1, d + 1), STREAM_H1) if paired else stream_keys(np.arange(1, 2 * d + 1), STREAM_SINGLE)
+
+
 def hit_counter(keys: np.ndarray, t: int, paired: bool, users: int):
     """``count(seeds, z)``: per event code c = 1..2d, how many of at most ``users`` views' hash sends c onto z.
 
-    ``keys`` are the stream keys of the hash points: the 2d event codes of the single layout, or the d dims of the
-    paired one.  One chunk's buffers are made once, here.  Buckets are compared 0-based in uint64, H - 1 =
-    mix(seed ^ key) mod t against z - 1; a paired layout also compares with z's partner - 1, for j_minus.
+    ``keys`` are ``hash_keys(d, paired)``.  One chunk's buffers are made once, here.  Buckets are compared 0-based in
+    uint64, H - 1 = mix(seed ^ key) mod t against z - 1; a paired layout also compares with z's partner - 1, for j_minus.
     """
     vals, tmp = np.empty((2, users, len(keys)), dtype=np.uint64)
     hit = np.empty((users, len(keys)), dtype=bool)

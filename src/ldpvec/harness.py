@@ -159,6 +159,8 @@ def gen_synthetic_arrays(n: int, d: int, s: int, rng: np.random.Generator) -> tu
     slower of the two for k above ~100, i.e. s from ~96 to ~400 (1.6 s
     against 1.3 s at s=128, 6.9 s against 1.6 s at s=256).
     """
+    if not (is_integer(n) and is_integer(d) and is_integer(s)):
+        raise ValueError(f"n, d and s must be integers, got n={n!r}, d={d!r}, s={s!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got n={n}")
     if not 1 <= s <= d:
@@ -214,7 +216,7 @@ def simulate_point(
     truth = agg.target_values(agg.true_event_frequencies(supports, signs, d), target)
 
     # Randomize under the mechanism (its default t) and aggregate the event frequencies.
-    seeds = None if mech.hash_keys is None else user_hash_seeds(hash_master, n)
+    seeds = None if mech.check is None else user_hash_seeds(hash_master, n)
     views = mech.randomize(supports, signs, seeds, params, rng_mech)
     est = agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
     raw = agg.target_values(est, target)

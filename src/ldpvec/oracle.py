@@ -5,16 +5,14 @@ rather than sampling, so privacy ratios and estimator moments come out
 exact up to float accumulation.  Sums are taken with ``math.fsum``
 (correctly-rounded accumulation).
 
-Each mechanism has one ``TableLaw`` in ``LAWS``: its output law given an
-explicit table, the hash points (event codes or dimensions) an input
-reads, and whether a point hashes to a bucket pair; the table restricted
-to an input's points keys the law's cache.  A table is a plain
-``{point: bucket}`` dict: collision's maps event codes to buckets, CoCo's
-maps each dim to j_plus's bucket, and j_minus takes the other member of
-its pair (k, k + t/2).  CoCo's law is in closed form over surviving
-writers: for a fixed table only the last writer of each bucket pair keeps
-it, and under a uniformly random write order it is uniform over the
-pair's writers.
+``LAWS`` holds each hash mechanism's output law given an explicit
+``{point: bucket}`` table; its layout and domain check are read from its
+``aggregate.MECHANISMS`` entry.  Collision's points are event codes on t
+buckets; CoCo's (``paired``) are dims on t/2 bucket pairs (k, k + t/2):
+a dim maps to j_plus's bucket and j_minus takes the other one.  CoCo's
+law is in closed form over surviving writers: for a fixed table only the
+last writer of each bucket pair keeps it, and under a uniformly random
+write order it is uniform over the pair's writers.
 
 Mechanisms only read a hash at the events (or dimensions) an instance
 touches, so the uniform family over all functions, restricted to those
@@ -39,12 +37,13 @@ import functools
 import math
 import operator
 from itertools import combinations, islice, product
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .coco import check_coco_domain, coco_omega, collision_rates
-from .collision import CollisionParams, check_collision_params, collision_output_probabilities
+from .aggregate import MECHANISMS
+from .coco import coco_omega, collision_rates
+from .collision import CollisionParams, collision_output_probabilities
 from .domain import EventId, MechanismParams, TernaryVector, event_code, is_integer, pair_partner
 
 _SIZE_GUARD = 10**6
@@ -96,62 +95,44 @@ def _coco_table_probs(support: tuple, table: dict[int, int], params: MechanismPa
     return np.array(w) / omega
 
 
-class TableLaw(NamedTuple):
-    """One mechanism's exact output law given an explicit ``{point: bucket}`` table."""
-
-    probs: Callable  # (support, table, params) -> P[z | x, table] over z = 1..t
-    points: Callable  # support -> the hash points its law reads: event codes or dims
-    paired: bool  # a point is a dim whose bucket lies in the pair (k, k + t/2), else an event code's bucket k
-    check: Callable  # params -> None; a ValueError outside the law's domain
+# (support, table, params) -> P[z | x, table] over z = 1..t, per hash mechanism
+LAWS: dict[str, Callable] = {"collision": _collision_table_probs, "coco": _coco_table_probs}
 
 
-LAWS = {
-    "collision": TableLaw(
-        _collision_table_probs, lambda support: tuple(event_code(j, b) for j, b in support), False,
-        check_collision_params,  # CollisionParams enforces t > s
-    ),
-    "coco": TableLaw(
-        _coco_table_probs, lambda support: tuple(j for j, _ in support), True,
-        lambda params: check_coco_domain(params.s, params.t),
-    ),
-}
+def _law(mechanism: str, params) -> tuple[Callable, bool]:
+    """The law of ``mechanism`` and its registered ``paired``, once the registered domain check passed on ``params``."""
+    if mechanism not in LAWS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    mech = MECHANISMS[mechanism]
+    mech.check(params)
+    return LAWS[mechanism], mech.paired
 
 
-def _law(mechanism: str, params) -> TableLaw:
-    """The law of ``mechanism``, once its domain check has passed on ``params``."""
-    try:
-        law = LAWS[mechanism]
-    except KeyError:
-        raise ValueError(f"unknown mechanism {mechanism!r}") from None
-    law.check(params)
-    return law
+def _points(support: tuple, paired: bool) -> tuple[int, ...]:
+    """The hash points an input reads: its dims if paired, else its event codes."""
+    return tuple(j if paired else event_code(j, b) for j, b in support)
 
 
-def _slots(law: TableLaw, t: int) -> int:
-    """The slots a point hashes to: t/2 bucket pairs for a paired law, else t buckets."""
-    return t // 2 if law.paired else t
-
-
-def _orbit_count(n: int, slots: int, paired: bool) -> int:
-    """Relabelling orbits of tables on n points: sum over k <= slots of S(n, k), times 2^(n-k) if paired."""
-    members = 2 if paired else 1
+def _orbit_count(n: int, t: int, paired: bool) -> int:
+    """Relabelling orbits of tables on n points: sum over k <= slots (t/2 pairs or t) of S(n, k), times 2^(n-k) if paired."""
+    slots, members = (t // 2, 2) if paired else (t, 1)
     ways = [1] + [0] * min(slots, n)  # ways[k]: representatives with k slots in use
     for _ in range(n):
         ways = [0] + [ways[k] * k * members + ways[k - 1] for k in range(1, len(ways))]
     return sum(ways)
 
 
-def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tuple[dict[int, int], float]]:
+def _uniform_tables(paired: bool, points: Sequence[int], t: int) -> Iterator[tuple[dict[int, int], float]]:
     """One table per relabelling orbit on ``points``, weighted by its share of the uniform family.
 
-    Slots are numbered by first use and, for a paired law, the first point
+    Slots are numbered by first use and, for a paired layout, the first point
     in a slot takes its lower bucket.  An orbit using k slots holds
     perm(slots, k) tables, times 2^k if paired, out of (slots * 2)^n or
     slots^n.  Generated lazily; the 20-bit guard counts representatives.
     """
-    slots, n = _slots(law, t), len(points)
-    offsets = (0, slots) if law.paired else (0,)
-    if _orbit_count(n, slots, law.paired) > 1 << 20:
+    slots, n = t // 2 if paired else t, len(points)
+    offsets = (0, slots) if paired else (0,)
+    if _orbit_count(n, t, paired) > 1 << 20:
         raise ValueError(f"uniform family on {n} points has more than 2^20 orbit representatives")
     total = (len(offsets) * slots) ** n
 
@@ -168,11 +149,11 @@ def _uniform_tables(law: TableLaw, points: Sequence[int], t: int) -> Iterator[tu
     yield from extend((), 0)
 
 
-def _cached_probs(law: TableLaw, support: tuple, points, table, params, cache: dict) -> np.ndarray:
+def _cached_probs(law: Callable, support: tuple, points, table, params, cache: dict) -> np.ndarray:
     key = (support, tuple(map(table.__getitem__, points)))
     got = cache.get(key)
     if got is None:
-        got = cache[key] = law.probs(support, table, params)
+        got = cache[key] = law(support, table, params)
     return got
 
 
@@ -184,36 +165,32 @@ def verify_ldp(mechanism: str, params) -> float:
     """Max over inputs, hash tables and outputs of log(P[z|x,H] / P[z|x',H]).
 
     The check is exhaustive over all hash tables.  A pair (x, x') reads at
-    most 2|points(x)| points, so every pair lies in some set of that many
-    points of the domain (or in the whole domain).  Each such set is
-    checked on the uniform family restricted to it, an exact marginal,
-    over the inputs that read only its points.  Permuting dims and swapping
-    a dim's two signs maps inputs onto inputs and the uniform family onto
-    itself, and both laws are equivariant under it, so every set has its
-    orbit representative's worst ratios: one set per orbit is checked, and
-    d only decides which orbits exist.  A set's family is enumerated as one
-    table per bucket-relabelling orbit: the worst ratio over z is the same
-    on every table of an orbit.  The size guard counts (input,
-    representative table) evaluations, in closed form before anything is
-    enumerated.
+    most 2s hash points, so every pair lies in some set of that many points
+    of the domain (or in the whole domain), checked on the uniform family
+    restricted to it, an exact marginal, over the inputs that read only its
+    points.  By the symmetries in the module docstring, one set per orbit of
+    dims and signs is checked (d only decides which orbits exist), on one
+    table per bucket-relabelling orbit, where the worst ratio over z is the
+    same.  The size guard counts (input, representative table) evaluations,
+    in closed form before anything is enumerated.
     """
-    law = _law(mechanism, params)
+    law, paired = _law(mechanism, params)
     d, s = params.d, params.s
-    size = min(2 * s, d if law.paired else 2 * d)
-    # Point-set orbits as (a, b): a dims hold both signs' points and b one sign's.  A paired law's points
+    size = min(2 * s, d if paired else 2 * d)
+    # Point-set orbits as (a, b): a dims hold both signs' points and b one sign's.  A paired layout's points
     # are dims, so all its sets are one orbit; an event-code set of a given a has b = size - 2a.
-    orbits = [(size, 0)] if law.paired else [(a, size - 2 * a) for a in range(max(0, size - d), size // 2 + 1)]
+    orbits = [(size, 0)] if paired else [(a, size - 2 * a) for a in range(max(0, size - d), size // 2 + 1)]
     count = sum(math.comb(a, i) * 2**i * math.comb(b, s - i) for a, b in orbits for i in range(s + 1))  # inputs
-    count *= _orbit_count(size, _slots(law, params.t), law.paired)
+    count *= _orbit_count(size, params.t, paired)
     if count * params.t > _SIZE_GUARD:
         raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
     cache: dict[tuple, np.ndarray] = {}
     worst = 0.0
     for a, b in orbits:  # representative: dims 1..a with both signs, then b dims with their minus sign
         signs = {j: (-1, 1) if j <= a else (-1,) for j in range(1, a + b + 1)}
-        points = tuple(signs) if law.paired else tuple(event_code(j, v) for j, vs in signs.items() for v in vs)
-        group = [(x, law.points(x)) for x in _sparse_vectors(s, signs)]
-        for table, _ in _uniform_tables(law, points, params.t):
+        points = tuple(signs) if paired else tuple(event_code(j, v) for j, vs in signs.items() for v in vs)
+        group = [(x, _points(x, paired)) for x in _sparse_vectors(s, signs)]
+        for table, _ in _uniform_tables(paired, points, params.t):
             m = np.stack([_cached_probs(law, x, x_points, table, params, cache) for x, x_points in group])
             worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
     return math.log(worst)
@@ -236,7 +213,7 @@ def exact_estimator_moments(
     An input, event or dim outside the params' domain, or the other
     mechanism's probe keyword, is a ValueError raised before any table.
     """
-    law = _law(mechanism, params)
+    law, paired = _law(mechanism, params)
     if not isinstance(x, TernaryVector) or (x.d, len(x.support)) != (params.d, params.s):
         raise ValueError(f"x must be a TernaryVector with d={params.d} and s={params.s}, got {x!r}")
     if mechanism == "collision":
@@ -251,24 +228,24 @@ def exact_estimator_moments(
         if not (is_integer(dim) and 1 <= dim <= params.d):
             raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
         point = dim
-    moments = _input_moments(mechanism, law, params, x.support)[estimator]
+    moments = _input_moments(mechanism, law, paired, params, x.support)[estimator]
     if isinstance(moments, ValueError):
         raise ValueError(*moments.args)
     return moments[point] if point in moments else moments[None]
 
 
 @functools.lru_cache(maxsize=1)
-def _input_moments(mechanism: str, law: TableLaw, params, support: tuple) -> dict[str, dict | ValueError]:
+def _input_moments(mechanism: str, law: Callable, paired: bool, params, support: tuple) -> dict[str, dict | ValueError]:
     """Every estimator's {point: (mean, variance)} on one input, or the ValueError of its degenerate denominator;
     the points x does not read share the entry keyed None (CoCo has none at s = d)."""
-    points = law.points(support)
-    unread = (q for q in range(1, (params.d if law.paired else 2 * params.d) + 1) if q not in points)
+    points = _points(support, paired)
+    unread = (q for q in range(1, (params.d if paired else 2 * params.d) + 1) if q not in points)
     cache, weights, hits = {}, [], {q: [] for q in points + tuple(islice(unread, 1))}
-    for table, weight in _uniform_tables(law, tuple(hits), params.t):
+    for table, weight in _uniform_tables(paired, tuple(hits), params.t):
         p = _cached_probs(law, support, points, table, params, cache)
         weights.append(weight)
         for q, row in hits.items():  # H(j_+) != H(j_-), so at most one can equal z
-            row.append((p[table[q] - 1], p[pair_partner(table[q], params.t) - 1] if law.paired else 0.0))
+            row.append((p[table[q] - 1], p[pair_partner(table[q], params.t) - 1] if paired else 0.0))
     total = math.fsum(weights)
     moments: dict[str, dict | ValueError] = {}
     for name, (denominator, terms) in _estimators(mechanism, params).items():

@@ -24,10 +24,11 @@ from itertools import combinations, product
 
 import numpy as np
 
+from ldpvec.aggregate import MECHANISMS
 from ldpvec.coco import collision_rates
 from ldpvec.domain import pair_partner
 from ldpvec.oracle import (
-    _SIZE_GUARD, LAWS, _cached_probs, _debiased_indicator, _law, _orbit_count, _slots, _uniform_tables,
+    _SIZE_GUARD, LAWS, _cached_probs, _debiased_indicator, _law, _orbit_count, _points, _uniform_tables,
     all_sparse_vectors,
 )
 
@@ -42,12 +43,12 @@ def uniform_collision_family(codes, t: int) -> list:
 
 def _memo_probs(mechanism: str, params):
     """P[z | x, table] over 1..t, memoised per input on the table's values at the points x reads."""
-    law, memo = LAWS[mechanism], {}
+    law, paired, memo = LAWS[mechanism], MECHANISMS[mechanism].paired, {}
 
     def probs(x, table):
-        key = (x.support, tuple(table[p] for p in law.points(x.support)))
+        key = (x.support, tuple(table[p] for p in _points(x.support, paired)))
         if key not in memo:
-            memo[key] = law.probs(x.support, table, params)
+            memo[key] = law(x.support, table, params)
         return memo[key]
 
     return probs
@@ -81,12 +82,12 @@ def estimator_terms(mechanism: str, params, estimator: str, event=None, dim=None
 
 def per_event_moments(mechanism: str, params, x, estimator: str, event=None, dim=None) -> tuple[float, float]:
     """``exact_estimator_moments`` one event at a time: the orbit tables on x's points and the probed one."""
-    law = _law(mechanism, params)
+    law, paired = _law(mechanism, params)
     point, terms = estimator_terms(mechanism, params, estimator, event, dim)
-    points = law.points(x.support)
+    points = _points(x.support, paired)
     cache: dict = {}
     means, seconds, weights = [], [], []
-    for table, weight in _uniform_tables(law, tuple(dict.fromkeys(points + (point,))), params.t):
+    for table, weight in _uniform_tables(paired, tuple(dict.fromkeys(points + (point,))), params.t):
         mean_t, second_t = terms(_cached_probs(law, x.support, points, table, params, cache), table)
         means.append(weight * mean_t)
         seconds.append(weight * second_t)
@@ -107,21 +108,21 @@ def family_moments(mechanism: str, params, x, family, estimator: str, event=None
 
 def all_point_sets_privacy_loss(mechanism: str, params) -> float:
     """``verify_ldp``'s maximum over every set of min(2s, |domain|) hash points, not one per orbit, with its guard on that work."""
-    law = _law(mechanism, params)
+    law, paired = _law(mechanism, params)
     d, s = params.d, params.s
-    domain = range(1, (d if law.paired else 2 * d) + 1)  # dims or event codes
+    domain = range(1, (d if paired else 2 * d) + 1)  # dims or event codes
     size = min(2 * s, len(domain))
     # comb(d, s) 2^s inputs, each reading s points and lying in comb(|domain| - s, size - s) of the point sets
     count = math.comb(d, s) * 2**s * math.comb(len(domain) - s, size - s)
-    count *= _orbit_count(size, _slots(law, params.t), law.paired)
+    count *= _orbit_count(size, params.t, paired)
     if count * params.t > _SIZE_GUARD:
         raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
-    reads = [(x.support, law.points(x.support)) for x in all_sparse_vectors(d, s)]
+    reads = [(x.support, _points(x.support, paired)) for x in all_sparse_vectors(d, s)]
     cache: dict = {}
     worst = 0.0
     for points in combinations(domain, size):
         group = [r for r in reads if set(r[1]).issubset(points)]
-        for table, _ in _uniform_tables(law, points, params.t):
+        for table, _ in _uniform_tables(paired, points, params.t):
             m = np.stack([_cached_probs(law, x, x_points, table, params, cache) for x, x_points in group])
             worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
     return math.log(worst)

@@ -323,7 +323,7 @@ def test_every_randomizer_reports_one_integer_per_user(name):
     k = {"privkv": 3 * d, "pckv_grr": 2 * d, "pckv_agrr": 2 * d}.get(name, params.t)
     assert views.shape == (n,) and np.issubdtype(views.dtype, np.integer)
     assert views.min() == 1 and views.max() == k
-    if mech.hash_keys is None:  # the baselines' debias takes the same array, and rejects each malformed one
+    if mech.check is None:  # the baselines' debias takes the same array, and rejects each malformed one
         for bad in (views.reshape(2, -1), views.astype(float), np.array([0]), np.array([k + 1]), views[:0]):
             with pytest.raises(ValueError):
                 aggregate_frequencies(bad, name, params)
@@ -358,7 +358,7 @@ def test_hit_kernels_match_the_reference_layouts(instance, data):
     name, params, seeds, z, buckets = instance
     expected = buckets == z[:, None]
     mech = MECHANISMS[name]
-    keys = mech.hash_keys(params)
+    keys = domain.hash_keys(params.d, mech.paired)
     count = domain.hit_counter(keys, params.t, mech.paired, len(seeds))
     for i in range(len(seeds)):  # each view on its own: a one-row batch counts that row's hits
         counts = count(seeds[i : i + 1], z[i : i + 1])
@@ -382,7 +382,7 @@ def test_hit_counts_over_chunks_that_do_not_divide_among_the_workers(monkeypatch
     seeds = user_hash_seeds(11, 7)
     buckets = REFERENCE_BUCKETS[name](seeds, params)
     z = buckets[np.arange(7), np.arange(7) % (2 * params.d)]
-    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", len(MECHANISMS[name].hash_keys(params)))  # one user per chunk: 7 chunks
+    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", len(domain.hash_keys(params.d, MECHANISMS[name].paired)))  # one user per chunk: 7 chunks
     monkeypatch.setattr(domain, "pool_workers", lambda: workers)
     counts = event_hit_counts(seeds, z, MECHANISMS[name], params)
     assert np.array_equal(counts, (buckets == z[:, None]).sum(axis=0))
@@ -409,7 +409,7 @@ def test_a_counter_reused_on_a_shorter_chunk_counts_only_that_chunk(name):
     z = buckets[np.arange(9), (3 * np.arange(9)) % (2 * params.d)]
     hits = buckets == z[:, None]
     mech = MECHANISMS[name]
-    count = domain.hit_counter(mech.hash_keys(params), params.t, mech.paired, 9)
+    count = domain.hit_counter(domain.hash_keys(params.d, mech.paired), params.t, mech.paired, 9)
     for m in (9, 4, 1, 9, 8):
         assert np.array_equal(count(seeds[:m], z[:m]), hits[:m].sum(axis=0)), m
 
@@ -423,7 +423,7 @@ def test_a_single_chunk_starts_no_thread(monkeypatch):
     baseline = threading.active_count()
     for name in ("collision", "coco"):
         params = MECHANISMS[name].params(8, 2, 1.0, "mean")
-        users = aggregate.HIT_CHUNK_CELLS // len(MECHANISMS[name].hash_keys(params))  # exactly one chunk
+        users = aggregate.HIT_CHUNK_CELLS // len(domain.hash_keys(params.d, MECHANISMS[name].paired))  # exactly one chunk
         seeds, z = user_hash_seeds(3, users + 1), np.ones(users + 1, dtype=np.int64)
         counts = event_hit_counts(seeds[:users], z[:users], MECHANISMS[name], params)
         assert counts.shape == (2 * params.d,)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,14 @@ def test_generic_clone_alpha_examples():
 def test_query_rejects_n_outside_the_window_range(n):
     with pytest.raises(ValueError, match=rf"n must lie in 1\.\.2\^63-1, got n={n}$"):
         AmplificationQuery(n, 1.0, generic_clone_alpha(1.0), 1e-6)
+
+
+@pytest.mark.parametrize("n", [2.5, 1.0, 1e5, True])
+def test_query_and_closed_form_reject_a_float_or_bool_n(n):
+    # efmrtt_closed_form returned 28.2 at n=2.5 and 44.6 at n=True; the query named the range for a type fault
+    for call in (lambda: AmplificationQuery(n, 1.0, generic_clone_alpha(1.0), 1e-6), lambda: efmrtt_closed_form(1.0, 1e-6, n)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n must be an integer, got n={n!r}')}$"):
+            call()
 
 
 def test_query_accepts_the_largest_n_without_building_its_window():

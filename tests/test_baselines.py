@@ -111,6 +111,15 @@ def test_privkv_codes_fit_int64_up_to_the_largest_d():
         privkv_randomize_batch(np.array([[1]]), np.array([[1]]), table_params("privkv", top + 1, 1, 1.0), rng)
 
 
+@pytest.mark.parametrize("d", [2**62 - 1, np.int64(2**62 - 1)], ids=["int", "int64"])
+def test_privkv_debias_rejects_a_d_past_its_int64_codes(d):
+    # 3d raised OverflowError for a Python int d, and overflowed with a RuntimeWarning for a numpy int64 d
+    params = table_params("privkv", d, 1, 1.0)
+    for debias in (lambda: privkv_debias(np.array([1, 2]), params), lambda: aggregate_frequencies(np.array([1, 2]), "privkv", params)):
+        with pytest.raises(ValueError, match=rf"d must be < 2\*\*63 / 3, since PrivKV's codes 1\.\.3d are int64, got d={d}$"):
+            debias()
+
+
 def test_privkv_ldp_by_enumeration():
     # channel x -> (j, v): ratio bounded by e^eps exactly
     for eps in (0.5, 1.0):

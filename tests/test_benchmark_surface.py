@@ -36,6 +36,27 @@ def test_benchmark_oracle_and_closed_forms_run_without_failures(monkeypatch):
     assert all(math.isfinite(v) and v > 0 for v in predicted)
 
 
+def test_benchmark_verify_round_runs_without_failures(monkeypatch):
+    # the verify workload's whole round: accountant queries of every bound and both oracle grids
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import layers
+    import workloads as wl
+    from spans import Tracer
+
+    tally, tracer = wl.Tally(), Tracer("test")
+    layers.install(tracer)
+    try:
+        families, _ = wl.verify_round(wl.SMOKE_VERIFY, tally, wl.Digests())
+    finally:
+        assert tracer.restore() == []
+    assert tally.attempted > 0 and tally.failures == []
+    assert set(families) == set(wl.FAMILIES)
+    for name in ("amplification.amplified_epsilon", "amplification.pq_divergence", "oracle.verify_ldp",
+                 "oracle.exact_estimator_moments"):
+        assert tracer.named(name), name
+
+
 def test_benchmark_sees_every_stage_of_every_mechanism(monkeypatch):
     # perfbench times a stage by wrapping the module function a point calls,
     # so a mechanism table entry bound to the function object hides it

@@ -179,7 +179,7 @@ def test_aggregation_rejects_bad_t_before_hashing(monkeypatch):
     def too_late(*args, **kwargs):
         raise AssertionError("hashed before the params were checked")
 
-    monkeypatch.setattr(coco, "stream_keys", too_late)
+    monkeypatch.setattr(aggregate, "hash_keys", too_late)
     monkeypatch.setattr(aggregate, "hit_counter", too_late)
     views = (user_hash_seeds(0, 2), np.array([1, 3]))
     with pytest.raises(ValueError, match=r"CoCo needs even t >= 2s\+2, got t=5, s=1"):

@@ -123,7 +123,7 @@ def test_collision_entry_points_reject_params_without_the_normaliser(entry, monk
         raise AssertionError("hashed or enumerated before the params were checked")
 
     for module, name in (
-        (collision, "stream_keys"), (aggregate, "hit_counter"), (collision, "hash_buckets"),
+        (aggregate, "hash_keys"), (aggregate, "hit_counter"), (collision, "hash_buckets"),
         (oracle, "_uniform_tables"), (oracle, "all_sparse_vectors"),
     ):
         monkeypatch.setattr(module, name, too_late)

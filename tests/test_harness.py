@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import threading
 import tracemalloc
 from collections import Counter
@@ -104,6 +105,14 @@ def test_cli_gen_at_huge_dimension():
     assert all(len(dims) == 3 and 1 <= dims[0] < dims[1] < dims[2] <= d for dims in rows)
 
 
+def test_user_hash_seeds_rejects_a_negative_n():
+    # it returned no seeds
+    for n in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n must be an integer >= 0, got n={n!r}')}$"):
+            domain.user_hash_seeds(1, n)
+    assert len(domain.user_hash_seeds(1, 0)) == 0 and len(domain.user_hash_seeds(1, np.int64(3))) == 3
+
+
 def test_gen_synthetic_rejects_oversparse():
     for n, s in ((10, 5), (10, 0), (10, -1)):
         with pytest.raises(ValueError, match=rf"need 1 <= s <= d, got s={s}, d=4"):
@@ -179,14 +188,18 @@ SIZE_ENTRIES = {  # every library entry that takes a size, given one bad value
     "ExperimentConfig.repetitions": lambda v: _grid_config(repetitions=v),
     "run_amplification_sweep.n": lambda v: run_amplification_sweep([v], [2], [1.0], 1e-6),
     "run_amplification_sweep.s": lambda v: run_amplification_sweep([1000], [v], [1.0], 1e-6),
+    "user_hash_seeds.n": lambda v: domain.user_hash_seeds(1, v),
+    "gen_synthetic_arrays.n": lambda v: gen_synthetic_arrays(v, 8, 2, np.random.default_rng(0)),
+    "gen_synthetic_arrays.d": lambda v: gen_synthetic_arrays(3, v, 2, np.random.default_rng(0)),
+    "gen_synthetic_arrays.s": lambda v: gen_synthetic_arrays(3, 8, v, np.random.default_rng(0)),
 }
 
 
 @pytest.mark.parametrize("value", [2.5, 8.0, True])
 @pytest.mark.parametrize("entry", list(SIZE_ENTRIES))
 def test_every_size_entry_rejects_a_float_or_bool(entry, value):
-    # each was accepted, or ended in a TypeError (or, for n=True, returned an eps_c) past its checks
-    with pytest.raises(ValueError, match="integer|n must lie in"):
+    # each was accepted, or ended in a TypeError (or, for n=True, returned an eps_c) past its checks, or named a range
+    with pytest.raises(ValueError, match="integer"):
         SIZE_ENTRIES[entry](value)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpvec import oracle
+from ldpvec import aggregate, oracle
 from ldpvec.amplification import collision_alpha
 from ldpvec.coco import coco_params
 from ldpvec.collision import collision_params
@@ -14,7 +14,6 @@ from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code
 from ldpvec.oracle import (
     LAWS,
     _orbit_count,
-    _slots,
     _uniform_tables,
     all_sparse_vectors,
     exact_estimator_moments,
@@ -44,13 +43,13 @@ def test_enumerate_collision_fixed_hash():
     params = collision_params(6, 2, LN2, 4)
     support = ((3, 1), (5, -1))
     table = {event_code(3, 1): 1, event_code(5, -1): 3}
-    assert LAWS["collision"].probs(support, table, params) == pytest.approx([1 / 3, 1 / 6, 1 / 3, 1 / 6])
+    assert LAWS["collision"](support, table, params) == pytest.approx([1 / 3, 1 / 6, 1 / 3, 1 / 6])
 
 
 def test_enumerate_coco_single_entry():
     params = MechanismParams(d=4, s=1, epsilon=LN2, t=4)
     table = {2: 3}  # H1 = 1, H2 = +1
-    probs = LAWS["coco"].probs(((2, 1),), table, params)
+    probs = LAWS["coco"](((2, 1),), table, params)
     omega = 5.0
     hb, lb = event_buckets(table, 2, 4)
     w = (omega - 3.0) / 2.0
@@ -63,7 +62,7 @@ def test_enumerate_coco_single_entry():
 def test_enumerate_zero_budget_uniform():
     params = collision_params(4, 1, 1e-12, 3)
     family = uniform_collision_family((event_code(1, 1),), 3)
-    per_z = sum(w * LAWS["collision"].probs(((1, 1),), table, params) for table, w in family)
+    per_z = sum(w * LAWS["collision"](((1, 1),), table, params) for table, w in family)
     assert per_z == pytest.approx([1 / 3] * 3, abs=1e-9)
 
 
@@ -158,11 +157,18 @@ def test_moments_reject_probes_outside_the_params(mechanism, params, x, probe, m
 
 def test_oracle_checks_the_domain_once_per_call(monkeypatch):
     calls = []
-    monkeypatch.setitem(LAWS, "coco", LAWS["coco"]._replace(check=lambda params: calls.append((params.s, params.t))))
+    coco = aggregate.MECHANISMS["coco"]
+    monkeypatch.setitem(aggregate.MECHANISMS, "coco", coco._replace(check=lambda params: calls.append((params.s, params.t))))
     params = MechanismParams(d=3, s=1, epsilon=LN2, t=4)
     verify_ldp("coco", params)
     exact_estimator_moments("coco", params, TernaryVector(d=3, support=((2, -1),)), "mean", dim=2)
     assert calls == [(1, 4), (1, 4)]
+
+
+def test_every_registered_hash_mechanism_has_an_exact_law():
+    # the oracle reads each law's layout and domain check from the registry, so a law needs a hash entry there,
+    # and a hash mechanism registered without a law would go uncertified
+    assert set(LAWS) == {name for name, mech in aggregate.MECHANISMS.items() if mech.check is not None}
 
 
 def _full_family(mechanism, d, t):
@@ -199,9 +205,9 @@ def test_orbit_representatives_match_the_full_uniform_family(data):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(mechanism=st.sampled_from(sorted(LAWS)), n=st.integers(0, 6), t=st.integers(2, 9))
 def test_orbit_count_and_weights(mechanism, n, t):
-    law = LAWS[mechanism]
-    weights = [w for _, w in _uniform_tables(law, tuple(range(1, n + 1)), t)]
-    assert len(weights) == _orbit_count(n, _slots(law, t), law.paired)
+    paired = aggregate.MECHANISMS[mechanism].paired
+    weights = [w for _, w in _uniform_tables(paired, tuple(range(1, n + 1)), t)]
+    assert len(weights) == _orbit_count(n, t, paired)
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -352,7 +358,7 @@ def test_the_moment_memo_follows_a_replaced_law(mechanism, params, x, probe, mon
     # the memo is keyed on the law itself, so a replaced entry is never served the old law's moments
     before = exact_estimator_moments(mechanism, params, x, **probe)
     law = LAWS[mechanism]
-    monkeypatch.setitem(LAWS, mechanism, law._replace(probs=lambda *args: np.roll(law.probs(*args), 1)))
+    monkeypatch.setitem(LAWS, mechanism, lambda *args: np.roll(law(*args), 1))
     assert exact_estimator_moments(mechanism, params, x, **probe) != before
     monkeypatch.undo()
     assert exact_estimator_moments(mechanism, params, x, **probe) == before
@@ -384,7 +390,7 @@ def test_mixture_decompose_identical_inputs():
 
 def _collision_pair_distributions(params, x, xp, family):
     """The laws of (table, z) for x and for x' over ``family``, on the same cells."""
-    law = LAWS["collision"].probs
+    law = LAWS["collision"]
     return tuple(np.concatenate([w * law(v.support, table, params) for table, w in family]) for v in (x, xp))
 
 
