@@ -32,7 +32,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
@@ -209,7 +208,9 @@ def user_hash_seeds(master_seed: int, n: int) -> np.ndarray:
     """Hash seeds of users 0..n-1, derived from one master seed (whose key under stream 0 is mix(master))."""
     if not is_integer(n) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got n={n!r}")
-    return keyed_hashes(stream_keys(master_seed & _MASK64, 0), stream_keys(np.arange(n), _STREAM_USER))
+    if not is_integer(master_seed) or not 0 <= master_seed < 1 << 64:
+        raise ValueError(f"master_seed must be an integer in 0..2**64-1, got {master_seed!r}")
+    return keyed_hashes(stream_keys(master_seed, 0), stream_keys(np.arange(n), _STREAM_USER))
 
 
 def stream_keys(values, stream: int) -> np.ndarray:

@@ -26,9 +26,13 @@ Permuting dimensions and swapping a dimension's two events maps inputs
 onto inputs and that family onto itself, and both laws are equivariant
 under it too, so ``verify_ldp`` checks one set of hash points per orbit of
 that symmetry, and its work does not grow with d.  Hash values are iid
-over points, so ``exact_estimator_moments`` enumerates an input once, on its
-points plus one free point that stands for every point it does not read,
-and keeps the last input's moments for all of its events.
+over points, so ``exact_estimator_moments`` enumerates an input on its
+points plus one free point that stands for every point it does not read.
+That enumeration sees only the number of points, so it runs once per
+parameter set and orbit, on x's dims relabelled to 1..s in support order.
+Collision's points are event codes, which carry the signs: one orbit.
+CoCo's law reads x's signs, so it keeps them (2^s orbits): its two pair
+weights are not computed as mirror images, so folding signs moves ulps.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ def _sparse_vectors(s: int, signs: dict[int, tuple[int, ...]]) -> Iterator[tuple
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
+    if not (is_integer(d) and is_integer(s) and 1 <= s <= d):
+        raise ValueError(f"need integers 1 <= s <= d, got d={d!r}, s={s!r}")
     return [TernaryVector(d, support) for support in _sparse_vectors(s, dict.fromkeys(range(1, d + 1), (-1, 1)))]
 
 
@@ -208,7 +214,7 @@ def exact_estimator_moments(
     event: EventId | None = None,
     dim: int | None = None,
 ) -> tuple[float, float]:
-    """Exact (mean, variance) of one per-user estimator under ideal hashing, from x's one enumeration.
+    """Exact (mean, variance) of one per-user estimator under ideal hashing, from the enumeration of x's orbit.
 
     An input, event or dim outside the params' domain, or the other
     mechanism's probe keyword, is a ValueError raised before any table.
@@ -228,14 +234,24 @@ def exact_estimator_moments(
         if not (is_integer(dim) and 1 <= dim <= params.d):
             raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
         point = dim
-    moments = _input_moments(mechanism, law, paired, params, x.support)[estimator]
+    rep = tuple((i, b if paired else 1) for i, (_, b) in enumerate(x.support, 1))
+    memo = _input_moments(mechanism, law, paired, params)
+    if rep not in memo:
+        memo[rep] = _representative_moments(mechanism, law, paired, params, rep)
+    moments = memo[rep][estimator]
     if isinstance(moments, ValueError):
         raise ValueError(*moments.args)
-    return moments[point] if point in moments else moments[None]
+    # x's points map onto the representative's in support order; a point x does not read maps to the free point
+    return moments[dict(zip(_points(x.support, paired), _points(rep, paired))).get(point)]
 
 
 @functools.lru_cache(maxsize=1)
-def _input_moments(mechanism: str, law: Callable, paired: bool, params, support: tuple) -> dict[str, dict | ValueError]:
+def _input_moments(mechanism: str, law: Callable, paired: bool, params) -> dict[tuple, dict[str, dict | ValueError]]:
+    """One parameter set's moments, filled in per orbit representative: x's dims relabelled 1..s (signs kept if paired)."""
+    return {}
+
+
+def _representative_moments(mechanism: str, law: Callable, paired: bool, params, support: tuple) -> dict:
     """Every estimator's {point: (mean, variance)} on one input, or the ValueError of its degenerate denominator;
     the points x does not read share the entry keyed None (CoCo has none at s = d)."""
     points = _points(support, paired)

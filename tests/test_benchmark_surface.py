@@ -32,7 +32,7 @@ def test_benchmark_oracle_and_closed_forms_run_without_failures(monkeypatch):
         assert tracer.restore() == []
     assert tally.attempted > 0 and tally.failures == []
     assert tracer.named("oracle.verify_ldp") and tracer.named("oracle.exact_estimator_moments")
-    assert oracle._input_moments.cache_info().currsize <= 1  # the oracle remembers one input, not the grid
+    assert oracle._input_moments.cache_info().currsize <= 1  # the oracle remembers one parameter set, not the grid
     assert all(math.isfinite(v) and v > 0 for v in predicted)
 
 

@@ -113,6 +113,17 @@ def test_user_hash_seeds_rejects_a_negative_n():
     assert len(domain.user_hash_seeds(1, 0)) == 0 and len(domain.user_hash_seeds(1, np.int64(3))) == 3
 
 
+def test_user_hash_seeds_rejects_a_master_seed_outside_64_bits():
+    # -1 acted as 2**64 - 1 and 2**64 as 0, a float ended in a TypeError, and True acted as 1
+    for seed in (-1, 2**64, np.int64(-1), 1.0, True):
+        message = f"master_seed must be an integer in 0..2**64-1, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            domain.user_hash_seeds(seed, 2)
+    top = domain.user_hash_seeds(2**64 - 1, 2)
+    assert np.array_equal(domain.user_hash_seeds(np.uint64(2**64 - 1), 2), top)
+    assert not np.array_equal(domain.user_hash_seeds(0, 2), top)
+
+
 def test_gen_synthetic_rejects_oversparse():
     for n, s in ((10, 5), (10, 0), (10, -1)):
         with pytest.raises(ValueError, match=rf"need 1 <= s <= d, got s={s}, d=4"):

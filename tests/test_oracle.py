@@ -348,6 +348,48 @@ def test_moments_match_the_per_event_reference():
     assert checked > 3264
 
 
+def _probes_of(mechanism, params):
+    """Every probe of an input with the point it reads: each event code for collision, each dim and estimator for CoCo."""
+    if mechanism == "collision":
+        return [("indicator", code, {"event": EventId.from_code(code)}) for code in range(1, 2 * params.d + 1)]
+    return [(name, j, {"dim": j}) for j in range(1, params.d + 1) for name in ("mean", "nonmissing")]
+
+
+@pytest.mark.parametrize("mechanism, params", [
+    ("collision", collision_params(4, 2, LN2, 4)),
+    ("collision", collision_params(4, 2, 2.0, 3)),  # the least t, s + 1
+    ("collision", collision_params(3, 3, 0.5, 4)),
+    ("coco", MechanismParams(d=4, s=2, epsilon=LN2, t=6)),  # the least t, 2s + 2
+    ("coco", MechanismParams(d=4, s=1, epsilon=2.0, t=8)),
+    ("coco", MechanismParams(d=3, s=3, epsilon=0.5, t=8)),  # s = d: no free dim
+])
+def test_moments_enumerate_once_per_input_orbit(mechanism, params, monkeypatch):
+    # one enumeration per input used to run: 24 at d=4, s=2, where collision needs one and CoCo 2^s
+    law, paired = LAWS[mechanism], aggregate.MECHANISMS[mechanism].paired
+    inputs = all_sparse_vectors(params.d, params.s)
+    direct = [oracle._representative_moments(mechanism, law, paired, params, x.support) for x in inputs]
+    calls = []
+    uniform_tables = oracle._uniform_tables
+    monkeypatch.setattr(oracle, "_uniform_tables", lambda *args: calls.append(args) or uniform_tables(*args))
+    oracle._input_moments.cache_clear()
+    for x, own in zip(inputs, direct):
+        reads = oracle._points(x.support, paired)
+        for estimator, point, probe in _probes_of(mechanism, params):
+            got = exact_estimator_moments(mechanism, params, x, estimator, **probe)
+            want = own[estimator][point if point in reads else None]
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (x, probe)  # bitwise
+    assert len(calls) == (1 if mechanism == "collision" else 2**params.s)
+    assert all(len(points) == min(params.s + 1, params.d if paired else 2 * params.d) for _, points, _ in calls)
+    assert oracle._input_moments.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("d, s", [(2.5, 1), (3, 1.0), (True, 1), (3, 4), (-1, 1), (4, 0), (0, 0)])
+def test_all_sparse_vectors_rejects_sizes_outside_its_domain(d, s):
+    # (2.5, 1) raised a TypeError, and (3, 4) and (-1, 1) returned no inputs
+    with pytest.raises(ValueError, match=rf"^need integers 1 <= s <= d, got d={d!r}, s={s!r}$"):
+        all_sparse_vectors(d, s)
+
+
 @pytest.mark.parametrize("mechanism, params, x, probe", [
     ("collision", collision_params(4, 2, LN2, 4), TernaryVector(d=4, support=((1, 1), (3, -1))),
      {"estimator": "indicator", "event": EventId(1, 1)}),
