@@ -155,8 +155,8 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
     randomness, idempotent.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"estimates must be one 1-d vector, got shape {v.shape}")
+    if v.ndim != 1 or not v.size:
+        raise ValueError(f"estimates must be one non-empty 1-d vector, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("estimates must be finite")
     u = np.sort(v)[::-1]
@@ -207,6 +207,8 @@ def _as_matched_arrays(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.asarray(estimate, dtype=float), np.asarray(truth, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    if not a.size:
+        raise ValueError("estimate and truth are empty")
     return a, b
 
 

@@ -54,7 +54,7 @@ import numpy as np
 from scipy.special import betainc, gammaln, xlog1py, xlogy
 
 from .collision import collision_omega
-from .domain import FLOAT_MAX, exp_budget, is_integer
+from .domain import FLOAT_MAX, check_budget, check_size, exp_budget
 
 # Width of the final bisection bracket of ``amplified_epsilon``; also, capped
 # at eps, the floor on eps_c in the log2 amplification ratio.
@@ -68,17 +68,16 @@ def collision_alpha(s: int, epsilon: float, t: int) -> float:
     both, the bound it gives holds for the counting statistic only; a real
     shuffled batch of (seed, z) views can exceed it at small n.
     """
+    check_size("s", s)
+    check_budget(epsilon)
     if t <= s:
         raise ValueError("need t > s")
-    if s < 1 or not epsilon > 0:
-        raise ValueError("need s >= 1 and epsilon > 0")
     return s * math.expm1(epsilon) / collision_omega(s, epsilon, t)
 
 
 def generic_clone_alpha(epsilon: float) -> float:
     """Amplification parameter available to every eps-LDP randomizer."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    check_budget(epsilon)
     eeps = exp_budget(epsilon)
     return math.expm1(epsilon) / (eeps + 1.0)
 
@@ -89,10 +88,10 @@ def efmrtt_closed_form(epsilon: float, delta: float, n: int) -> float:
     Stated validity conditions on (eps, n) are not re-checked here;
     callers should treat the value as indicative outside them.
     """
-    if not is_integer(n):
-        raise ValueError(f"n must be an integer, got n={n!r}")
-    if n < 1 or not epsilon > 0 or not 0.0 < delta < 1.0:
-        raise ValueError("need n >= 1, epsilon > 0 and delta in (0,1)")
+    check_size("n", n)
+    check_budget(epsilon)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0,1)")
     if math.isinf(1.0 / delta):
         raise ValueError(f"1/delta overflows float arithmetic at delta={delta!r}")
     if n > FLOAT_MAX:  # n / float overflows
@@ -110,12 +109,10 @@ class AmplificationQuery:
     delta: float
 
     def __post_init__(self):
-        if not is_integer(self.n):
-            raise ValueError(f"n must be an integer, got n={self.n!r}")
-        if not 1 <= self.n < 2**63:  # the C-window bisects range(n), whose length fits a ssize_t
+        check_size("n", self.n)
+        if self.n >= 2**63:  # the C-window bisects range(n), whose length fits a ssize_t
             raise ValueError(f"n must lie in 1..2^63-1, got n={self.n!r}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        check_budget(self.epsilon)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0,1)")
         amax = generic_clone_alpha(self.epsilon)

@@ -21,15 +21,13 @@ import math
 
 import numpy as np
 
-from .domain import MechanismParams, check_batch, check_integer, debias_denominator, event_code, exp_budget
+from .domain import MechanismParams, check_batch, check_budget, check_integer, check_size, debias_denominator, event_code, exp_budget
 
 
 def amplified_budget(s: int, epsilon: float) -> float:
     """Sampling-amplified budget log(s(e^eps - 1) + 1); > eps when s > 1."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    check_size("s", s)
+    check_budget(epsilon)
     exp_budget(epsilon, s)
     return math.log1p(s * math.expm1(epsilon))
 

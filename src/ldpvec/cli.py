@@ -18,6 +18,7 @@ import numpy as np
 
 from . import harness
 from .aggregate import TARGETS, project_to_simplex
+from .domain import check_size
 
 
 def _open_out(out: str | None):
@@ -133,8 +134,7 @@ def amplify(n, s, epsilon, delta, bounds, out, fmt):
 def project(s, in_path, out):
     """Project each line of a CSV of frequency estimates onto the simplex."""
     try:
-        if s < 1:
-            raise ValueError("s must be >= 1")
+        check_size("s", s)
         lines = []
         with open(in_path) as fh:
             for line in fh:
@@ -158,8 +158,7 @@ def project(s, in_path, out):
 def gen(n, d, s, seed, out):
     """Dump a synthetic dataset, one user per line as signed dimensions."""
     try:
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        check_size("seed", seed, low=0)
         rng = np.random.default_rng(seed)
         supports, signs = harness.gen_synthetic_arrays(n, d, s, rng)
     except (ValueError, MemoryError) as exc:

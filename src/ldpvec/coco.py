@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    FLOAT_MAX, STREAM_H1, MechanismParams, check_batch, debias_denominator, exp_budget, hash_buckets, is_integer,
-    map_rows, pair_partner, sample_layout,
+    FLOAT_MAX, STREAM_H1, MechanismParams, check_batch, check_budget, check_size, check_sparsity, debias_denominator,
+    exp_budget, hash_buckets, map_rows, pair_partner, sample_layout,
 )
 
 
@@ -60,10 +60,8 @@ def coco_omega(s: int, epsilon: float, t: int) -> float:
 
 def check_coco_domain(s: int, t: int) -> None:
     """Reject a (s, t) outside CoCo's domain, an integer t with even t >= 2s+2 that a float holds, with a ValueError."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if not is_integer(t):
-        raise ValueError(f"t must be an integer, got t={t!r}")
+    check_size("s", s)
+    check_size("t", t)
     if t > FLOAT_MAX:  # the closed forms take t as a float
         raise ValueError(f"t must be at most {FLOAT_MAX:g}, got t={t}")
     if t % 2 != 0 or t < 2 * s + 2:
@@ -99,15 +97,15 @@ def collision_rates(s: int, epsilon: float, t: int) -> CollisionRates:
 
 
 def coco_choose_t(s: int, epsilon: float, which: str) -> int:
-    """Output-size choice minimising the predicted MSE, rounded up to even.
+    """Closed-form output size, rounded up to the nearest even t >= 2s+2, as the randomizer needs even t:
 
     mean:       ceil(e^eps s + s + 2)
     nonmissing: ceil(e^eps s + 5 s)
-    The ceiling can be odd while the randomizer needs even t, so the value
-    is rounded up to the nearest even integer >= 2s+2.
+    It does not minimise ``coco_predicted_mse``: at d = 512, s = 1..32 and eps in 0.001..4 that is up to 50% (mean)
+    and 33% (nonmissing) above the best even t's, both at s = 1, eps = 0.001 (6 and 8 against 4).
     """
-    if s < 1 or not epsilon > 0:
-        raise ValueError("need s >= 1 and epsilon > 0")
+    check_size("s", s)
+    check_budget(epsilon)
     if which == "mean":
         t = math.ceil(exp_budget(epsilon, s) + s + 2)
     elif which == "nonmissing":
@@ -115,14 +113,11 @@ def coco_choose_t(s: int, epsilon: float, which: str) -> int:
     else:
         raise ValueError(f"which must be 'mean' or 'nonmissing', got {which!r}")
     t = max(t, 2 * s + 2)
-    if t % 2 != 0:
-        t += 1
-    return t
+    return t + t % 2
 
 
 def coco_params(d: int, s: int, epsilon: float, t: int | None = None, which: str = "mean") -> MechanismParams:
-    if t is None:
-        t = coco_choose_t(s, epsilon, which)
+    t = coco_choose_t(s, epsilon, which) if t is None else t
     check_coco_domain(s, t)
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 
@@ -171,8 +166,7 @@ def coco_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarr
 
 def coco_predicted_mse(d: int, s: int, rates: CollisionRates, which: str) -> float:
     """Single-user summed estimator MSE predicted from the collision rates."""
-    if d < s:
-        raise ValueError("need d >= s")
+    check_sparsity(d, s)
     both, p_f = rates.p_t + rates.p_o, rates.p_f
     if which == "nonmissing":
         return (s * both * (1.0 - both) + (d - s) * 2.0 * p_f * (1.0 - 2.0 * p_f)) / rates.nonmissing_denominator**2

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    MechanismParams, check_batch, debias_denominator, event_code, exp_budget, hash_buckets, is_integer, map_rows,
-    sample_layout,
+    MechanismParams, check_batch, check_budget, check_size, debias_denominator, event_code, exp_budget, hash_buckets,
+    map_rows, sample_layout,
 )
 
 
@@ -70,23 +70,19 @@ def check_collision_params(params: MechanismParams) -> None:
         raise ValueError(
             f"collision needs CollisionParams, got {type(params).__name__}; build them with collision_params(d, s, epsilon, t)"
         )
-    if not is_integer(params.t):
-        raise ValueError(f"t must be an integer, got t={params.t!r}")
+    check_size("t", params.t)
 
 
 def collision_optimal_t(s: int, epsilon: float) -> int:
-    """Variance-minimising output size: max(s+1, floor(s*e^eps + 2s - 1))."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    """Closed-form output size max(s+1, floor(s*e^eps + 2s - 1)).  It does not minimise ``collision_predicted_sum_variance``:
+    at d = 512, s = 1..32 and eps in 0.001..4 that is up to 5.4% above the best integer t's (s = 1, eps = 0.5: 2 against 3)."""
+    check_size("s", s)
+    check_budget(epsilon)
     return max(s + 1, math.floor(exp_budget(epsilon, s) + 2 * s - 1))
 
 
 def collision_params(d: int, s: int, epsilon: float, t: int | None = None) -> CollisionParams:
-    if t is None:
-        t = collision_optimal_t(s, epsilon)
-    return CollisionParams(d=d, s=s, epsilon=epsilon, t=t)
+    return CollisionParams(d=d, s=s, epsilon=epsilon, t=collision_optimal_t(s, epsilon) if t is None else t)
 
 
 def collision_output_probabilities(hit_buckets: frozenset[int], params: CollisionParams) -> np.ndarray:

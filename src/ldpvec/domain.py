@@ -25,6 +25,7 @@ layer's weight, and every other bucket takes the residual weight.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent import futures  # ThreadPoolExecutor loads on first use, not at import
 from dataclasses import dataclass
@@ -67,11 +68,8 @@ class EventId(NamedTuple):
 
     @classmethod
     def from_code(cls, code: int) -> "EventId":
-        if not is_integer(code) or code < 1:
-            raise ValueError(f"event code must be an integer >= 1, got {code!r}")
-        index = (code + 1) // 2
-        sign = 1 if code % 2 == 0 else -1
-        return cls(index, sign)
+        check_size("code", code)
+        return cls((code + 1) // 2, 1 if code % 2 == 0 else -1)
 
 
 def event_code(index, sign):
@@ -82,6 +80,38 @@ def event_code(index, sign):
 def is_integer(value) -> bool:
     """Whether ``value`` is an int or a numpy integer scalar; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_size(name: str, value, low: int = 1) -> None:
+    """Reject a size ``name`` that is not an integer (``is_integer``) >= ``low``."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {name}={value}")
+
+
+def check_budget(epsilon) -> None:
+    """Reject a privacy budget that is not a real number > 0; a bool is not one, and nan is not > 0."""
+    if not isinstance(epsilon, numbers.Real) or isinstance(epsilon, bool):
+        raise ValueError(f"epsilon must be a real number, got epsilon={epsilon!r}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got epsilon={epsilon}")
+
+
+def check_sparsity(d, s) -> None:
+    """Reject a dimension d and sparsity s that are not integers with 1 <= s <= d."""
+    if not (is_integer(d) and is_integer(s)):
+        raise ValueError(f"d and s must be integers, got d={d!r}, s={s!r}")
+    if not 1 <= s <= d:
+        raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
+
+
+def check_master_seed(master_seed) -> None:
+    """Reject a master seed that is not an integer in 0..2^64-1: every random stream is keyed by the whole seed."""
+    if not is_integer(master_seed):
+        raise ValueError(f"master_seed must be an integer, got master_seed={master_seed!r}")
+    if not 0 <= master_seed < 1 << 64:
+        raise ValueError(f"master_seed must lie in 0..2**64-1, got {master_seed}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +150,8 @@ class MechanismParams:
     t: int
 
     def __post_init__(self):
-        if not (is_integer(self.d) and is_integer(self.s)):
-            raise ValueError(f"d and s must be integers, got d={self.d!r}, s={self.s!r}")
-        if self.d < 1 or self.s < 1 or self.s > self.d:
-            raise ValueError(f"need 1 <= s <= d, got s={self.s}, d={self.d}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        check_sparsity(self.d, self.s)
+        check_budget(self.epsilon)
         if self.d >= 2**62:
             raise ValueError(f"d must be < 2**62, since event codes 1..2d are int64, got d={self.d}")
         exp_budget(self.epsilon, self.s)
@@ -206,10 +232,8 @@ def map_rows(rows: Callable[[slice], np.ndarray], n: int, s: int) -> np.ndarray:
 
 def user_hash_seeds(master_seed: int, n: int) -> np.ndarray:
     """Hash seeds of users 0..n-1, derived from one master seed (whose key under stream 0 is mix(master))."""
-    if not is_integer(n) or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got n={n!r}")
-    if not is_integer(master_seed) or not 0 <= master_seed < 1 << 64:
-        raise ValueError(f"master_seed must be an integer in 0..2**64-1, got {master_seed!r}")
+    check_size("n", n, low=0)
+    check_master_seed(master_seed)
     return keyed_hashes(stream_keys(master_seed, 0), stream_keys(np.arange(n), _STREAM_USER))
 
 

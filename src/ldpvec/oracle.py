@@ -45,10 +45,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .aggregate import MECHANISMS
+from .aggregate import mechanism as registered
 from .coco import coco_omega, collision_rates
 from .collision import CollisionParams, collision_output_probabilities
-from .domain import EventId, MechanismParams, TernaryVector, event_code, is_integer, pair_partner
+from .domain import EventId, MechanismParams, TernaryVector, check_sparsity, event_code, is_integer, pair_partner
 
 _SIZE_GUARD = 10**6
 
@@ -61,8 +61,7 @@ def _sparse_vectors(s: int, signs: dict[int, tuple[int, ...]]) -> Iterator[tuple
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
-    if not (is_integer(d) and is_integer(s) and 1 <= s <= d):
-        raise ValueError(f"need integers 1 <= s <= d, got d={d!r}, s={s!r}")
+    check_sparsity(d, s)
     return [TernaryVector(d, support) for support in _sparse_vectors(s, dict.fromkeys(range(1, d + 1), (-1, 1)))]
 
 
@@ -107,9 +106,9 @@ LAWS: dict[str, Callable] = {"collision": _collision_table_probs, "coco": _coco_
 
 def _law(mechanism: str, params) -> tuple[Callable, bool]:
     """The law of ``mechanism`` and its registered ``paired``, once the registered domain check passed on ``params``."""
+    mech = registered(mechanism)  # an unknown name is a ValueError
     if mechanism not in LAWS:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    mech = MECHANISMS[mechanism]
+        raise ValueError(f"mechanism {mechanism!r} has no exact law")
     mech.check(params)
     return LAWS[mechanism], mech.paired
 

@@ -60,10 +60,14 @@ def test_projection_examples():
     assert simplex_projection(feasible) == pytest.approx(feasible)
     vertex = simplex_projection([-1.0, -2.0, -3.0])
     assert vertex == pytest.approx([1.0, 0.0, 0.0])
-    # one vector in, not a batch of rows or a scalar
-    for bad in (np.zeros((2, 3)), np.float64(0.5)):
-        with pytest.raises(ValueError, match="estimates must be one 1-d vector"):
+    # one vector in, not a batch of rows, a scalar or an empty vector
+    for bad in (np.zeros((2, 3)), np.float64(0.5), np.array([])):
+        message = f"estimates must be one non-empty 1-d vector, got shape {np.shape(bad)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             simplex_projection(bad)
+    # an empty vector was reported as "estimates overflow float arithmetic"
+    with pytest.raises(ValueError, match=r"^estimates must be one non-empty 1-d vector, got shape \(0,\)$"):
+        project_to_simplex(np.array([]), 1)
 
 
 @pytest.mark.parametrize("s", [0, -1, 0.5, math.nan])
@@ -115,6 +119,10 @@ def test_metrics_examples():
         assert mae(a, b) <= tve(a, b) + 1e-15
     with pytest.raises(ValueError):
         tve(np.zeros(3), np.zeros(4))
+    # mae leaked numpy's "zero-size array to reduction operation maximum", and tve returned 0.0
+    for metric in (tve, mae):
+        with pytest.raises(ValueError, match="^estimate and truth are empty$"):
+            metric([], [])
 
 
 def test_mean_estimate_identities_exact():

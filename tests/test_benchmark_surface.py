@@ -10,6 +10,8 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 from ldpvec import oracle
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -82,3 +84,16 @@ def test_benchmark_sees_every_stage_of_every_mechanism(monkeypatch):
         mechanism = point["attrs"]["mechanism"]
         expected = {"gen", "randomize", "aggregate", "metrics"} | ({"seeds"} if mechanism in ("collision", "coco") else set())
         assert expected <= stages[point["id"]], mechanism
+
+
+@pytest.mark.parametrize("is_sweep", [True, False])
+def test_benchmark_whole_plan_runs_without_failures(monkeypatch, is_sweep):
+    # the workload round plus every layer probe, the accountant's and domain.hash_buckets' among them
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import layers
+    import workloads as wl
+
+    tally = wl.Tally()
+    layers.run_plan(wl.SMOKE_SWEEP, wl.SMOKE_VERIFY, is_sweep, 1, tally, wl.Digests())
+    assert tally.attempted > 0 and tally.failures == []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ldpvec.domain import (
     TernaryVector,
     event_code,
     hash_buckets,
+    is_integer,
     remainder_inplace,
     sample_layout,
     user_hash_seeds,
@@ -89,7 +91,8 @@ def test_vector_roundtrip_and_validation():
 @pytest.mark.parametrize("code", [2.5, 2.0, np.float64(3.0), True, 0, -1])
 def test_event_from_code_rejects_a_non_integer_or_bool_code(code):
     # from_code(2.5) returned EventId(index=1.0, sign=-1)
-    with pytest.raises(ValueError, match="event code must be an integer >= 1"):
+    message = f"code must be >= 1, got code={code}" if is_integer(code) else f"code must be an integer, got code={code!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         EventId.from_code(code)
     assert EventId.from_code(np.int64(4)) == EventId(2, 1)
 

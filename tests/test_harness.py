@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from ldpvec import aggregate, domain, harness
 from ldpvec.aggregate import TARGETS
-from ldpvec.amplification import amplified_epsilon, generic_clone_alpha
+from ldpvec.amplification import AmplificationQuery, amplified_epsilon, collision_alpha, efmrtt_closed_form, generic_clone_alpha
+from ldpvec.baselines import amplified_budget
+from ldpvec.coco import check_coco_domain, coco_choose_t
 from ldpvec.cli import main
-from ldpvec.collision import collision_params
+from ldpvec.collision import collision_optimal_t, collision_params
 from ldpvec.harness import (
     METRICS,
     REPORTS,
@@ -108,7 +110,7 @@ def test_cli_gen_at_huge_dimension():
 def test_user_hash_seeds_rejects_a_negative_n():
     # it returned no seeds
     for n in (-1, np.int64(-3)):
-        with pytest.raises(ValueError, match=f"^{re.escape(f'n must be an integer >= 0, got n={n!r}')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n must be >= 0, got n={n}')}$"):
             domain.user_hash_seeds(1, n)
     assert len(domain.user_hash_seeds(1, 0)) == 0 and len(domain.user_hash_seeds(1, np.int64(3))) == 3
 
@@ -116,9 +118,14 @@ def test_user_hash_seeds_rejects_a_negative_n():
 def test_user_hash_seeds_rejects_a_master_seed_outside_64_bits():
     # -1 acted as 2**64 - 1 and 2**64 as 0, a float ended in a TypeError, and True acted as 1
     for seed in (-1, 2**64, np.int64(-1), 1.0, True):
-        message = f"master_seed must be an integer in 0..2**64-1, got {seed!r}"
+        if domain.is_integer(seed):
+            message = f"master_seed must lie in 0..2**64-1, got {seed}"
+        else:
+            message = f"master_seed must be an integer, got master_seed={seed!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             domain.user_hash_seeds(seed, 2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):  # the config states the same rule
+            _grid_config(master_seed=seed)
     top = domain.user_hash_seeds(2**64 - 1, 2)
     assert np.array_equal(domain.user_hash_seeds(np.uint64(2**64 - 1), 2), top)
     assert not np.array_equal(domain.user_hash_seeds(0, 2), top)
@@ -138,7 +145,7 @@ def test_gen_synthetic_rejects_oversparse():
 def test_cli_gen_rejects_a_negative_seed_by_name():
     res = CliRunner().invoke(main, ["gen", "--n", "3", "--d", "4", "--s", "2", "--seed", "-5"])
     assert res.exit_code == 1 and res.stdout == ""
-    assert res.stderr == "invalid config: seed must be >= 0, got -5\n"
+    assert res.stderr == "invalid config: seed must be >= 0, got seed=-5\n"
     res = CliRunner().invoke(main, ["gen", "--n", "3", "--d", "4", "--s", "2", "--seed", "0"])
     supports, signs = gen_synthetic_arrays(3, 4, 2, np.random.default_rng(0))
     assert res.exit_code == 0
@@ -203,15 +210,47 @@ SIZE_ENTRIES = {  # every library entry that takes a size, given one bad value
     "gen_synthetic_arrays.n": lambda v: gen_synthetic_arrays(v, 8, 2, np.random.default_rng(0)),
     "gen_synthetic_arrays.d": lambda v: gen_synthetic_arrays(3, v, 2, np.random.default_rng(0)),
     "gen_synthetic_arrays.s": lambda v: gen_synthetic_arrays(3, 8, v, np.random.default_rng(0)),
+    "collision_optimal_t.s": lambda v: collision_optimal_t(v, 1.0),
+    "coco_choose_t.s": lambda v: coco_choose_t(v, 1.0, "mean"),
+    "check_coco_domain.s": lambda v: check_coco_domain(v, 20),
+    "amplified_budget.s": lambda v: amplified_budget(v, 1.0),
+    "collision_alpha.s": lambda v: collision_alpha(v, 1.0, 40),
 }
 
 
 @pytest.mark.parametrize("value", [2.5, 8.0, True])
 @pytest.mark.parametrize("entry", list(SIZE_ENTRIES))
 def test_every_size_entry_rejects_a_float_or_bool(entry, value):
-    # each was accepted, or ended in a TypeError (or, for n=True, returned an eps_c) past its checks, or named a range
+    # each was accepted, or ended in a TypeError (or, for n=True, returned an eps_c) past its checks, or named a range;
+    # collision_optimal_t(2.5, 1.0) returned t=10 and check_coco_domain(1.5, 6) passed
     with pytest.raises(ValueError, match="integer"):
         SIZE_ENTRIES[entry](value)
+
+
+BUDGET_ENTRIES = {  # every library entry that takes a budget epsilon, given one bad value
+    "MechanismParams": lambda v: domain.MechanismParams(4, 1, v, 6),
+    "collision_optimal_t": lambda v: collision_optimal_t(2, v),
+    "coco_choose_t": lambda v: coco_choose_t(2, v, "mean"),
+    "amplified_budget": lambda v: amplified_budget(2, v),
+    "collision_alpha": lambda v: collision_alpha(2, v, 8),
+    "generic_clone_alpha": generic_clone_alpha,
+    "efmrtt_closed_form": lambda v: efmrtt_closed_form(v, 1e-6, 100),
+    "AmplificationQuery": lambda v: AmplificationQuery(100, v, 0.1, 1e-6),
+    "ExperimentConfig": lambda v: _grid_config(epsilon=(v,)),
+    "run_amplification_sweep": lambda v: run_amplification_sweep([1000], [2], [v], 1e-6),
+}
+
+
+@pytest.mark.parametrize("value", [True, "1.0", 0, -1, math.nan])
+@pytest.mark.parametrize("entry", list(BUDGET_ENTRIES))
+def test_every_budget_entry_rejects_a_bool_string_or_nonpositive_epsilon(entry, value):
+    # a bool passed every check (ExperimentConfig ran True and wrote epsilon=1), and a string ended in a TypeError
+    if isinstance(value, (bool, str)):
+        message = f"epsilon must be a real number, got epsilon={value!r}"
+    else:
+        message = f"epsilon must be > 0, got epsilon={value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BUDGET_ENTRIES[entry](value)
 
 
 def test_config_parsing_and_overrides():
@@ -587,7 +626,7 @@ def _simulate(*flags):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (("--n", "0,-3"), "n must be >= 1, got n=-3"),
+        (("--n", "0,-3"), "n must be >= 1, got n=0"),
         (("--n", "0"), "n must be >= 1, got n=0"),
         (("--d", "0"), "d must be >= 1, got d=0"),
         (("--s", "0"), "s must be >= 1, got s=0"),

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -10,7 +11,7 @@ from ldpvec import aggregate, oracle
 from ldpvec.amplification import collision_alpha
 from ldpvec.coco import coco_params
 from ldpvec.collision import collision_params
-from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code
+from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code, is_integer
 from ldpvec.oracle import (
     LAWS,
     _orbit_count,
@@ -386,7 +387,9 @@ def test_moments_enumerate_once_per_input_orbit(mechanism, params, monkeypatch):
 @pytest.mark.parametrize("d, s", [(2.5, 1), (3, 1.0), (True, 1), (3, 4), (-1, 1), (4, 0), (0, 0)])
 def test_all_sparse_vectors_rejects_sizes_outside_its_domain(d, s):
     # (2.5, 1) raised a TypeError, and (3, 4) and (-1, 1) returned no inputs
-    with pytest.raises(ValueError, match=rf"^need integers 1 <= s <= d, got d={d!r}, s={s!r}$"):
+    integers = is_integer(d) and is_integer(s)
+    message = f"need 1 <= s <= d, got s={s}, d={d}" if integers else f"d and s must be integers, got d={d!r}, s={s!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         all_sparse_vectors(d, s)
 
 
