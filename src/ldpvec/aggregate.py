@@ -173,7 +173,7 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
 
 def project_to_simplex(estimate: np.ndarray, s: int) -> np.ndarray:
     """Project 1/s-scaled frequencies onto the simplex, rescale back by s."""
-    if not s >= 1:  # also rejects nan
+    if isinstance(s, (bool, np.bool_)) or not s >= 1:  # a bool is no scale, and nan is not >= 1
         raise ValueError(f"s must be at least 1, got s={s}")
     if s > FLOAT_MAX:  # a float64 overflows
         raise ValueError(f"s must be at most {FLOAT_MAX:g}, got s={s}")

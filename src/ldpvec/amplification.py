@@ -54,7 +54,7 @@ import numpy as np
 from scipy.special import betainc, gammaln, xlog1py, xlogy
 
 from .collision import collision_omega
-from .domain import FLOAT_MAX, check_budget, check_size, exp_budget
+from .domain import FLOAT_MAX, check_budget, check_delta, check_size, exp_budget
 
 # Width of the final bisection bracket of ``amplified_epsilon``; also, capped
 # at eps, the floor on eps_c in the log2 amplification ratio.
@@ -90,8 +90,7 @@ def efmrtt_closed_form(epsilon: float, delta: float, n: int) -> float:
     """
     check_size("n", n)
     check_budget(epsilon)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0,1)")
+    check_delta(delta)
     if math.isinf(1.0 / delta):
         raise ValueError(f"1/delta overflows float arithmetic at delta={delta!r}")
     if n > FLOAT_MAX:  # n / float overflows
@@ -113,8 +112,7 @@ class AmplificationQuery:
         if self.n >= 2**63:  # the C-window bisects range(n), whose length fits a ssize_t
             raise ValueError(f"n must lie in 1..2^63-1, got n={self.n!r}")
         check_budget(self.epsilon)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0,1)")
+        check_delta(self.delta)
         amax = generic_clone_alpha(self.epsilon)
         if not 0.0 < self.alpha <= amax * (1.0 + 1e-12):
             raise ValueError(f"alpha must lie in (0, {amax}], got {self.alpha}")

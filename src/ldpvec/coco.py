@@ -106,17 +106,20 @@ def coco_choose_t(s: int, epsilon: float, which: str) -> int:
     """
     check_size("s", s)
     check_budget(epsilon)
-    if which == "mean":
-        t = math.ceil(exp_budget(epsilon, s) + s + 2)
-    elif which == "nonmissing":
-        t = math.ceil(exp_budget(epsilon, s) + 5 * s)
-    else:
-        raise ValueError(f"which must be 'mean' or 'nonmissing', got {which!r}")
+    check_which(which)
+    t = math.ceil(exp_budget(epsilon, s) + s + 2) if which == "mean" else math.ceil(exp_budget(epsilon, s) + 5 * s)
     t = max(t, 2 * s + 2)
     return t + t % 2
 
 
+def check_which(which) -> None:
+    """Reject a target other than CoCo's two: its ``mean`` and ``nonmissing`` estimates."""
+    if which not in ("mean", "nonmissing"):
+        raise ValueError(f"which must be 'mean' or 'nonmissing', got {which!r}")
+
+
 def coco_params(d: int, s: int, epsilon: float, t: int | None = None, which: str = "mean") -> MechanismParams:
+    check_which(which)
     t = coco_choose_t(s, epsilon, which) if t is None else t
     check_coco_domain(s, t)
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
@@ -167,10 +170,9 @@ def coco_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarr
 def coco_predicted_mse(d: int, s: int, rates: CollisionRates, which: str) -> float:
     """Single-user summed estimator MSE predicted from the collision rates."""
     check_sparsity(d, s)
+    check_which(which)
     both, p_f = rates.p_t + rates.p_o, rates.p_f
     if which == "nonmissing":
         return (s * both * (1.0 - both) + (d - s) * 2.0 * p_f * (1.0 - 2.0 * p_f)) / rates.nonmissing_denominator**2
-    if which == "mean":
-        denom = rates.mean_denominator
-        return (s * (both - denom**2) + (d - s) * 2.0 * p_f) / denom**2
-    raise ValueError(f"which must be 'mean' or 'nonmissing', got {which!r}")
+    denom = rates.mean_denominator
+    return (s * (both - denom**2) + (d - s) * 2.0 * p_f) / denom**2

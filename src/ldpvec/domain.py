@@ -98,6 +98,12 @@ def check_budget(epsilon) -> None:
         raise ValueError(f"epsilon must be > 0, got epsilon={epsilon}")
 
 
+def check_delta(delta) -> None:
+    """Reject a failure probability that is not a real number in (0, 1); a bool is not one, and nan is not in it."""
+    if not isinstance(delta, numbers.Real) or isinstance(delta, bool) or not 0 < delta < 1:
+        raise ValueError("delta must lie in (0,1)")
+
+
 def check_sparsity(d, s) -> None:
     """Reject a dimension d and sparsity s that are not integers with 1 <= s <= d."""
     if not (is_integer(d) and is_integer(s)):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import collision as col
-from .domain import check_budget, check_master_seed, check_size, check_sparsity, user_hash_seeds
+from .domain import check_budget, check_delta, check_master_seed, check_size, check_sparsity, user_hash_seeds
 
 MECHANISMS = tuple(agg.MECHANISMS)
 METRICS = ("tve", "mae")
@@ -280,8 +280,7 @@ AMPLIFICATION_BOUNDS = ("collision", "clone", "efmrtt")
 
 def check_amplification_grid(n_list, s_list, epsilons, delta: float, bounds) -> None:
     """Reject an amplification grid, as ``run_amplification_sweep`` would, before any query runs."""
-    if not 0.0 < delta < 1.0:  # also rejects nan
-        raise ValueError("delta must lie in (0,1)")
+    check_delta(delta)
     _check_grid(
         {"n": n_list, "s": s_list, "epsilon": epsilons, "bounds": bounds}, ("n", "s"),
         {"bounds": ("bound", AMPLIFICATION_BOUNDS)},

@@ -1,9 +1,8 @@
 """Exact small-instance computations used to verify the randomizers.
 
-Everything here enumerates explicit hash tables (weighted lookup tables)
-rather than sampling, so privacy ratios and estimator moments come out
-exact up to float accumulation.  Sums are taken with ``math.fsum``
-(correctly-rounded accumulation).
+Everything here enumerates explicit hash tables rather than sampling, so
+privacy ratios and estimator moments are exact up to float rounding; sums
+are taken with ``math.fsum`` (correctly-rounded accumulation).
 
 ``LAWS`` holds each hash mechanism's output law given an explicit
 ``{point: bucket}`` table; its layout and domain check are read from its
@@ -14,39 +13,42 @@ law is in closed form over surviving writers: for a fixed table only the
 last writer of each bucket pair keeps it, and under a uniformly random
 write order it is uniform over the pair's writers.
 
-Mechanisms only read a hash at the events (or dimensions) an instance
-touches, so the uniform family over all functions, restricted to those
-points, is an exact marginal of the full family; it is the one family
-the oracle enumerates.  Both laws are equivariant under relabelling
-buckets (permuting slots, and swapping the two buckets of a pair), and
-every quantity taken from them here is invariant, so that family is
-enumerated as one table per relabelling orbit, weighted by the orbit's
-share; it is materialised only when the representatives fit in 20 bits.
-Permuting dimensions and swapping a dimension's two events maps inputs
-onto inputs and that family onto itself, and both laws are equivariant
-under it too, so ``verify_ldp`` checks one set of hash points per orbit of
-that symmetry, and its work does not grow with d.  Hash values are iid
-over points, so ``exact_estimator_moments`` enumerates an input on its
-points plus one free point that stands for every point it does not read.
-That enumeration sees only the number of points, so it runs once per
-parameter set and orbit, on x's dims relabelled to 1..s in support order.
-Collision's points are event codes, which carry the signs: one orbit.
-CoCo's law reads x's signs, so it keeps them (2^s orbits): its two pair
-weights are not computed as mirror images, so folding signs moves ulps.
+Mechanisms only read a hash at the points an instance touches, so the
+uniform family over all functions, restricted to those points, is an
+exact marginal of the full family; it is the one family the oracle
+enumerates.  Both laws are equivariant under relabelling buckets
+(permuting slots, and swapping the two buckets of a pair), and every
+quantity taken from them here is invariant, so that family is enumerated
+as one table per relabelling orbit, weighted by the orbit's share; it is
+materialised only when the representatives fit in 20 bits.  Permuting
+dimensions and swapping a dimension's two events maps inputs and that
+family onto themselves, so ``verify_ldp`` checks one set of hash points
+per orbit of that symmetry, and its work does not grow with d.
+
+``exact_estimator_moments`` checks the estimators the server runs: once
+per parameter set, one user's hit counts at each outcome of a probe (a
+hit on the probed event, on j_minus or j_plus of a paired dim, or none)
+go through the registered ``debias`` and ``aggregate.target_values``, and
+each table adds sum_o P[o] v_o and sum_o P[o] v_o^2.  Hash values are iid
+over points, so an input is enumerated on its points plus one free point
+that stands for every point it does not read, once per orbit: x's dims
+relabelled 1..s in support order.  Collision's points are event codes,
+which carry the signs (one orbit); CoCo's law reads x's signs, so it
+keeps them (2^s orbits): its two pair weights are not computed as mirror
+images, so folding signs moves ulps.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from itertools import combinations, islice, product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .aggregate import mechanism as registered
-from .coco import coco_omega, collision_rates
+from .aggregate import mechanism as registered, target_values
+from .coco import coco_omega
 from .collision import CollisionParams, collision_output_probabilities
 from .domain import EventId, MechanismParams, TernaryVector, check_sparsity, event_code, is_integer, pair_partner
 
@@ -213,82 +215,63 @@ def exact_estimator_moments(
     event: EventId | None = None,
     dim: int | None = None,
 ) -> tuple[float, float]:
-    """Exact (mean, variance) of one per-user estimator under ideal hashing, from the enumeration of x's orbit.
+    """Exact (mean, variance) of one user's estimate under ideal hashing, from the enumeration of x's orbit.
 
-    An input, event or dim outside the params' domain, or the other
-    mechanism's probe keyword, is a ValueError raised before any table.
+    The estimate is the registered debias read through ``aggregate.target_values``: an unpaired layout's
+    ``indicator`` of an event, a paired layout's ``mean`` or ``nonmissing`` of a dim.  An input, event or dim outside
+    the params' domain, the other layout's probe keyword or a degenerate denominator is a ValueError raised before
+    any table.
     """
     law, paired = _law(mechanism, params)
     if not isinstance(x, TernaryVector) or (x.d, len(x.support)) != (params.d, params.s):
         raise ValueError(f"x must be a TernaryVector with d={params.d} and s={params.s}, got {x!r}")
-    if mechanism == "collision":
-        if estimator != "indicator" or event is None or dim is not None:
-            raise ValueError("collision supports estimator='indicator' with an event and no dim")
-        if not (is_integer(event.index) and 1 <= event.index <= params.d and event.sign in (-1, 1)):
-            raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
-        point = event.code
-    else:
-        if estimator not in ("mean", "nonmissing") or dim is None or event is not None:
-            raise ValueError("coco supports estimator in {'mean','nonmissing'} with a dim and no event")
-        if not (is_integer(dim) and 1 <= dim <= params.d):
-            raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
-        point = dim
+    probe, other = (dim, event) if paired else (event, dim)
+    if estimator not in _ESTIMATORS[paired] or probe is None or other is not None:
+        raise ValueError(f"{mechanism} supports estimator in {sorted(_ESTIMATORS[paired])} with "
+                         + ("a dim and no event" if paired else "an event and no dim"))
+    if paired and not (is_integer(dim) and 1 <= dim <= params.d):
+        raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
+    if not (paired or is_integer(event.index) and 1 <= event.index <= params.d and event.sign in (-1, 1)):
+        raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
+    point = dim if paired else event.code
     rep = tuple((i, b if paired else 1) for i, (_, b) in enumerate(x.support, 1))
-    memo = _input_moments(mechanism, law, paired, params)
+    values, memo = _input_moments(law, registered(mechanism).debias, paired, params)
     if rep not in memo:
-        memo[rep] = _representative_moments(mechanism, law, paired, params, rep)
-    moments = memo[rep][estimator]
-    if isinstance(moments, ValueError):
-        raise ValueError(*moments.args)
-    # x's points map onto the representative's in support order; a point x does not read maps to the free point
-    return moments[dict(zip(_points(x.support, paired), _points(rep, paired))).get(point)]
+        memo[rep] = _representative_moments(law, paired, params, rep, values)
+    # x's points map onto the representative's in support order; a point x does not read maps to the free point, last
+    reads = _points(x.support, paired)
+    return memo[rep][estimator][reads.index(point) if point in reads else -1]
+
+
+# Each layout's estimators and the ``aggregate`` target each reads: an event code's indicator, a dim's mean or not.
+_ESTIMATORS = {False: {"indicator": "frequency"}, True: {"mean": "mean", "nonmissing": "nonmissing"}}
 
 
 @functools.lru_cache(maxsize=1)
-def _input_moments(mechanism: str, law: Callable, paired: bool, params) -> dict[tuple, dict[str, dict | ValueError]]:
-    """One parameter set's moments, filled in per orbit representative: x's dims relabelled 1..s (signs kept if paired)."""
-    return {}
+def _input_moments(law: Callable, debias: Callable, paired: bool, params) -> tuple[np.ndarray, dict]:
+    """One parameter set's estimates at each outcome of a probe, a row per estimator then a row per square, and its
+    moments, filled in per orbit representative: x's dims relabelled 1..s (signs kept if paired).  The outcomes are a
+    hit on the probed point's event (paired: on j_minus, then on j_plus, the debias's column order), then no hit."""
+    frequencies = debias(np.eye(3, 2) if paired else np.eye(2, 1), 1, params)  # one row of hit counts per outcome
+    values = np.array([target_values(frequencies, target)[:, 0] for target in _ESTIMATORS[paired].values()])
+    return np.vstack([values, values**2]), {}
 
 
-def _representative_moments(mechanism: str, law: Callable, paired: bool, params, support: tuple) -> dict:
-    """Every estimator's {point: (mean, variance)} on one input, or the ValueError of its degenerate denominator;
-    the points x does not read share the entry keyed None (CoCo has none at s = d)."""
+def _representative_moments(law: Callable, paired: bool, params, support: tuple, values: np.ndarray) -> dict[str, list]:
+    """Every estimator's (mean, variance) at each point the input reads, in support order, then at one point it does
+    not read, which stands for all of them (CoCo has none at s = d), from ``_input_moments``' ``values``."""
     points = _points(support, paired)
     unread = (q for q in range(1, (params.d if paired else 2 * params.d) + 1) if q not in points)
-    cache, weights, hits = {}, [], {q: [] for q in points + tuple(islice(unread, 1))}
-    for table, weight in _uniform_tables(paired, tuple(hits), params.t):
-        p = _cached_probs(law, support, points, table, params, cache)
-        weights.append(weight)
-        for q, row in hits.items():  # H(j_+) != H(j_-), so at most one can equal z
-            row.append((p[table[q] - 1], p[pair_partner(table[q], params.t) - 1] if paired else 0.0))
+    probed = points + tuple(islice(unread, 1))
+    cache, (tables, weights) = {}, zip(*_uniform_tables(paired, probed, params.t))
+    laws = np.stack([_cached_probs(law, support, points, table, params, cache) for table in tables])
+    buckets, rows = np.array([[table[q] for q in probed] for table in tables]), np.arange(len(tables))[:, None]
+    # P[outcome] per (table, probed point): z on H(q)'s partner (j_minus) if paired, z on H(q), neither
+    hits = [laws[rows, b - 1] for b in ((pair_partner(buckets, params.t), buckets) if paired else (buckets,))]
+    outcomes, weights = hits + [1 - sum(hits)], np.array(weights)
+    # sum over outcomes of P[o] v_o per (row of values, table, probed point), in outcome order, times the table's weight
+    terms = sum(p * v[:, None, None] for p, v in zip(outcomes, values.T)) * weights[:, None]
     total = math.fsum(weights)
-    moments: dict[str, dict | ValueError] = {}
-    for name, (denominator, terms) in _estimators(mechanism, params).items():
-        try:
-            den = denominator()
-        except ValueError as error:  # a degenerate denominator fails only the calls that ask for its estimator
-            moments[name] = error
-            continue
-        moments[name] = {}
-        for q, row in hits.items():
-            mean_t, second_t = zip(*(terms(plus, minus, den) for plus, minus in row))
-            mean, second = (math.fsum(map(operator.mul, weights, column)) / total for column in (mean_t, second_t))
-            moments[name][q if q in points else None] = mean, second - mean**2
-    return moments
-
-
-def _debiased_indicator(p_hit: float, p_false: float, denom: float) -> tuple[float, float]:
-    """Mean and second moment of (1[hit] - p_false) / denom when P[hit] = p_hit."""
-    hit_v, miss_v = (1.0 - p_false) / denom, (0.0 - p_false) / denom
-    return p_hit * hit_v + (1 - p_hit) * miss_v, p_hit * hit_v**2 + (1 - p_hit) * miss_v**2
-
-
-def _estimators(mechanism: str, params) -> dict[str, tuple[Callable, Callable]]:
-    """Each estimator's denominator, unevaluated, and its terms: (P[z = H(q)], P[z = partner], den) -> (mean, second)."""
-    if mechanism == "collision":
-        indicator = lambda hit, _, den: _debiased_indicator(hit, params.false_prob, den)
-        return {"indicator": (lambda: params.denominator, indicator)}
-    rates = collision_rates(params.s, params.epsilon, params.t)
-    mean = lambda plus, minus, den: ((plus - minus) / den, (plus + minus) / den**2)
-    present = lambda plus, minus, den: _debiased_indicator(plus + minus, 2.0 * rates.p_f, den)
-    return {"mean": (lambda: rates.mean_denominator, mean), "nonmissing": (lambda: rates.nonmissing_denominator, present)}
+    sums = [[math.fsum(column) / total for column in term.T.tolist()] for term in terms]
+    n = len(sums) // 2
+    return {name: [(m, v - m**2) for m, v in zip(sums[i], sums[n + i])] for i, name in enumerate(_ESTIMATORS[paired])}

@@ -10,6 +10,8 @@ check the oracle's enumeration without sharing it.
 ``per_event_moments`` is ``exact_estimator_moments`` one probe at a time:
 each call enumerates the orbit tables on x's points and the probed point,
 where the oracle enumerates x's points and one free point once for all.
+Both references write each estimator out again (``estimator_terms``),
+where the oracle reads the registered debias.
 ``all_point_sets_privacy_loss`` is ``verify_ldp`` without its point-set
 symmetry: it checks every set of 2s hash points of the domain, where the
 oracle checks one set per orbit.  ``mixture_decompose``
@@ -28,7 +30,7 @@ from ldpvec.aggregate import MECHANISMS
 from ldpvec.coco import collision_rates
 from ldpvec.domain import pair_partner
 from ldpvec.oracle import (
-    _SIZE_GUARD, LAWS, _cached_probs, _debiased_indicator, _law, _orbit_count, _points, _uniform_tables,
+    _SIZE_GUARD, LAWS, _cached_probs, _law, _orbit_count, _points, _uniform_tables,
     all_sparse_vectors,
 )
 
@@ -64,18 +66,24 @@ def family_privacy_loss(mechanism: str, params, inputs, family) -> float:
     return math.log(worst)
 
 
+def indicator_terms(p_hit: float, p_false: float, denom: float) -> tuple[float, float]:
+    """Mean and second moment of (1[hit] - p_false) / denom when P[hit] = p_hit."""
+    hit_v, miss_v = (1.0 - p_false) / denom, (0.0 - p_false) / denom
+    return p_hit * hit_v + (1 - p_hit) * miss_v, p_hit * hit_v**2 + (1 - p_hit) * miss_v**2
+
+
 def estimator_terms(mechanism: str, params, estimator: str, event=None, dim=None):
     """The hash point an estimator reads, and its (mean, second moment) given the law p of z on one table."""
     if mechanism == "collision":
         denom = params.denominator
-        return event.code, lambda p, table: _debiased_indicator(p[table[event.code] - 1], params.false_prob, denom)
+        return event.code, lambda p, table: indicator_terms(p[table[event.code] - 1], params.false_prob, denom)
     rates = collision_rates(params.s, params.epsilon, params.t)
     if estimator == "mean":
         denom = rates.mean_denominator
         moments = lambda pp, pm: ((pp - pm) / denom, (pp + pm) / denom**2)
     else:
         denom = rates.nonmissing_denominator
-        moments = lambda pp, pm: _debiased_indicator(pp + pm, 2.0 * rates.p_f, denom)
+        moments = lambda pp, pm: indicator_terms(pp + pm, 2.0 * rates.p_f, denom)
     # H(j_+) != H(j_-), so at most one can equal z
     return dim, lambda p, table: moments(p[table[dim] - 1], p[pair_partner(table[dim], params.t) - 1])
 

@@ -70,9 +70,10 @@ def test_projection_examples():
         project_to_simplex(np.array([]), 1)
 
 
-@pytest.mark.parametrize("s", [0, -1, 0.5, math.nan])
+@pytest.mark.parametrize("s", [0, -1, 0.5, math.nan, True, np.True_])
 def test_projection_rejects_a_scale_below_one(s):
-    # s=0 raised "estimates must be finite" after a divide-by-zero warning; s=-1 projected onto the negative simplex
+    # s=0 raised "estimates must be finite" after a divide-by-zero warning; s=-1 projected onto the negative simplex;
+    # s=True projected at s = 1
     with pytest.raises(ValueError, match=f"s must be at least 1, got s={s}"):
         project_to_simplex(np.array([0.8, 0.4]), s)
 

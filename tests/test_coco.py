@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpvec import aggregate, coco
+from ldpvec import aggregate, coco, oracle
 from ldpvec.aggregate import aggregate_frequencies, target_values
 from ldpvec.coco import (
     CollisionRates,
@@ -252,7 +252,9 @@ def test_contribution_examples():
 def test_contribution_rejects_degenerate_rates():
     # at 1e-15, p_t - p_o and p_t + p_o - 2 p_f are ~3e-16: non-zero but under the
     # guard's threshold; at 1e-17, e^eps rounds to 1 and both are exactly 0.
-    # The oracle and the closed-form MSE used to divide by them regardless.
+    # The oracle and the closed-form MSE used to divide by them regardless.  The oracle
+    # reads coco_debias, which forms the mean first, so both its estimators raise as the
+    # aggregation does.
     x = TernaryVector(d=4, support=((1, 1),))
     mean, nonmissing = "degenerate rates: p_t equals p_o", r"degenerate rates: p_t \+ p_o equals 2 p_f"
     for eps in (1e-15, 1e-17):
@@ -261,7 +263,7 @@ def test_contribution_rejects_degenerate_rates():
         for call, message in (
             (lambda: aggregate_frequencies((user_hash_seeds(1, 1), [1]), "coco", params), mean),
             (lambda: exact_estimator_moments("coco", params, x, "mean", dim=1), mean),
-            (lambda: exact_estimator_moments("coco", params, x, "nonmissing", dim=2), nonmissing),
+            (lambda: exact_estimator_moments("coco", params, x, "nonmissing", dim=2), mean),
             (lambda: coco_predicted_mse(4, 1, rates, "mean"), mean),
             (lambda: coco_predicted_mse(4, 1, rates, "nonmissing"), nonmissing),
         ):
@@ -270,10 +272,18 @@ def test_contribution_rejects_degenerate_rates():
 
 
 def test_contribution_rejects_degenerate_nonmissing_rates(monkeypatch):
-    # p_t + p_o == 2 p_f while p_t != p_o: only the non-missing denominator fails
+    # p_t + p_o == 2 p_f while p_t != p_o: only the non-missing denominator fails, and the oracle,
+    # which reads coco_debias, raises it for both estimators (its mean call used to return moments)
     monkeypatch.setattr(coco, "collision_rates", lambda s, eps, t: CollisionRates(p_t=0.4, p_f=0.25, p_o=0.1, p_ow=0.0))
-    with pytest.raises(ValueError, match=r"degenerate rates: p_t \+ p_o equals 2 p_f"):
-        aggregate_frequencies((user_hash_seeds(1, 1), [1]), "coco", coco_params(4, 1, 1.0, t=4))
+    params, x = coco_params(4, 1, 1.0, t=4), TernaryVector(d=4, support=((1, 1),))
+    oracle._input_moments.cache_clear()  # the memo may hold these params' estimates at the true rates
+    for call in (
+        lambda: aggregate_frequencies((user_hash_seeds(1, 1), [1]), "coco", params),
+        lambda: exact_estimator_moments("coco", params, x, "mean", dim=1),
+        lambda: exact_estimator_moments("coco", params, x, "nonmissing", dim=2),
+    ):
+        with pytest.raises(ValueError, match=r"degenerate rates: p_t \+ p_o equals 2 p_f"):
+            call()
 
 
 def test_predicted_mse_examples():

@@ -253,6 +253,22 @@ def test_every_budget_entry_rejects_a_bool_string_or_nonpositive_epsilon(entry, 
         BUDGET_ENTRIES[entry](value)
 
 
+DELTA_ENTRIES = {  # every library entry that takes a failure probability delta, given one bad value
+    "efmrtt_closed_form": lambda v: efmrtt_closed_form(1.0, v, 100),
+    "AmplificationQuery": lambda v: AmplificationQuery(100, 1.0, 0.1, v),
+    "check_amplification_grid": lambda v: harness.check_amplification_grid([1000], [2], [1.0], v, ["clone"]),
+    "run_amplification_sweep": lambda v: run_amplification_sweep([1000], [2], [1.0], v),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "1e-6", 0, 1, -0.5, 1.5, math.nan])
+@pytest.mark.parametrize("entry", list(DELTA_ENTRIES))
+def test_every_delta_entry_rejects_a_bool_string_or_value_outside_the_unit_interval(entry, value):
+    # a string delta ended in a TypeError at each entry
+    with pytest.raises(ValueError, match=r"^delta must lie in \(0,1\)$"):
+        DELTA_ENTRIES[entry](value)
+
+
 def test_config_parsing_and_overrides():
     text = """
     # experiment sweep

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from ldpvec import aggregate
 from ldpvec.amplification import AmplificationQuery, efmrtt_closed_form, generic_clone_alpha
 from ldpvec.cli import main
-from ldpvec.coco import coco_choose_t, coco_predicted_mse, collision_rates
+from ldpvec.coco import coco_choose_t, coco_params, coco_predicted_mse, collision_rates
 from ldpvec.collision import collision_params
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
 from ldpvec.harness import ExperimentConfig, build_config, parse_config_text
@@ -46,6 +46,10 @@ REJECTIONS = {
     "collision_rates: negative epsilon": (lambda: collision_rates(1, -0.5, 4), "epsilon must be non-negative"),
     "coco_choose_t: unknown which": (
         lambda: coco_choose_t(2, 1.0, "median"), "which must be 'mean' or 'nonmissing', got 'median'",
+    ),
+    # with t given, which went unread: coco_params(4, 1, 1.0, t=4, which="median") returned params
+    "coco_params: unknown which beside a t": (
+        lambda: coco_params(4, 1, 1.0, t=4, which="median"), "which must be 'mean' or 'nonmissing', got 'median'",
     ),
     "coco_predicted_mse: unknown which": (
         lambda: coco_predicted_mse(8, 2, collision_rates(2, 1.0, 8), "median"),
