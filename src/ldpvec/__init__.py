@@ -26,7 +26,6 @@ from .coco import (
     collision_rates,
 )
 from .collision import (
-    CollisionParams,
     collision_optimal_t,
     collision_params,
     collision_randomize_batch,

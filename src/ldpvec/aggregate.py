@@ -11,8 +11,8 @@ The conditional mean of dimension j is the post-processing
 mean_j / nonmissing_j of these two estimates.
 
 Mechanisms are looked up by name in ``MECHANISMS``.  A hash mechanism's
-entry is the one statement of its domain ``check`` and its layout
-(``paired``), which the exact oracle reads too.  Both hash mechanisms
+entry is the one statement of its domain ``check``, layout (``paired``)
+and ``law``, which the exact oracle reads too.  Both hash mechanisms
 count, per event, the views whose own hash sends it onto their symbol z
 (``domain.hit_counter`` on ``domain.hash_keys(d, paired)``), then debias
 the integer counts.  ``event_hit_counts`` runs chunks of
@@ -28,7 +28,7 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import FLOAT_MAX, MechanismParams, check_integer, deal_chunks, event_code, hash_keys, hit_counter
+from .domain import FLOAT_MAX, MechanismParams, check_integer, deal_chunks, event_code, hash_keys, hit_counter, is_real
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
@@ -42,7 +42,7 @@ class Mechanism(NamedTuple):
     """One randomizer and its server-side estimator.
 
     Hash mechanisms debias per-event hit counts: ``debias(counts, n, params)``.
-    The hash-free baselines have no ``check`` and debias their
+    The hash-free baselines have no ``check`` or ``law`` and debias their
     reports: ``debias(views, params) -> values``.  Either way the values
     are the 2d event-frequency estimates in event-code order.
     """
@@ -52,6 +52,7 @@ class Mechanism(NamedTuple):
     check: Callable | None  # params -> None, a ValueError outside a hash mechanism's domain; None for a baseline
     debias: Callable
     paired: bool = False  # a hash point is a dim whose events sit on a bucket pair, else an event code
+    law: Callable | None = None  # (support, {point: bucket} table, params) -> P[z | x, table] over z = 1..t
 
 
 def mechanism(name: str) -> Mechanism:
@@ -78,18 +79,19 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
 def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
     if not (isinstance(views, tuple) and len(views) == 2):
         raise ValueError("hash mechanisms take a (seeds, z) pair")
-    seeds, z = views
+    seeds, z = map(np.asarray, views)
     check_integer(seeds=seeds, z=z)
-    seeds, z = np.asarray(seeds, dtype=np.uint64), np.asarray(z, dtype=np.int64)
     if seeds.ndim != 1 or z.ndim != 1:
         raise ValueError(f"seeds and z must be 1-d arrays, got shapes {seeds.shape} and {z.shape}")
     if len(seeds) != len(z):
         raise ValueError(f"seeds and z differ in length: {len(seeds)} vs {len(z)}")
     if len(z) == 0:
         raise ValueError("no views to aggregate")
+    if seeds.min() < 0:  # checked as given, since the cast would wrap it; a uint64 holds every seed
+        raise ValueError(f"seeds must lie in 0..2**64-1, got values in {seeds.min()}..{seeds.max()}")
     if z.min() < 1 or z.max() > t:
         raise ValueError(f"z must lie in 1..{t}, got values in {z.min()}..{z.max()}")
-    return seeds, z
+    return seeds.astype(np.uint64, copy=False), z.astype(np.int64, copy=False)
 
 
 def event_hit_counts(seeds: np.ndarray, z: np.ndarray, mech: Mechanism, params) -> np.ndarray:
@@ -123,7 +125,8 @@ MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
         lambda d, s, epsilon, target: _col.collision_params(d, s, epsilon),
         lambda *args: _col.collision_randomize_batch(*args),
-        _col.check_collision_params, _col.collision_debias,
+        lambda params: _col.check_collision_domain(params.s, params.t), _col.collision_debias,
+        law=_col.collision_table_probs,
     ),
     "coco": Mechanism(
         lambda d, s, epsilon, target: _coco.coco_params(
@@ -131,6 +134,7 @@ MECHANISMS: dict[str, Mechanism] = {
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
         lambda params: _coco.check_coco_domain(params.s, params.t), _coco.coco_debias, paired=True,
+        law=_coco.coco_table_probs,
     ),
     "privkv": Mechanism(
         lambda d, s, epsilon, target: MechanismParams(d, s, epsilon, 3),
@@ -173,7 +177,7 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
 
 def project_to_simplex(estimate: np.ndarray, s: int) -> np.ndarray:
     """Project 1/s-scaled frequencies onto the simplex, rescale back by s."""
-    if isinstance(s, (bool, np.bool_)) or not s >= 1:  # a bool is no scale, and nan is not >= 1
+    if not is_real(s) or not s >= 1:  # a bool or a string is no scale, and nan is not >= 1
         raise ValueError(f"s must be at least 1, got s={s}")
     if s > FLOAT_MAX:  # a float64 overflows
         raise ValueError(f"s must be at most {FLOAT_MAX:g}, got s={s}")

@@ -53,8 +53,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import betainc, gammaln, xlog1py, xlogy
 
-from .collision import collision_omega
-from .domain import FLOAT_MAX, check_budget, check_delta, check_size, exp_budget
+from .collision import check_collision_domain, collision_omega
+from .domain import FLOAT_MAX, check_budget, check_delta, check_size, exp_budget, is_real
 
 # Width of the final bisection bracket of ``amplified_epsilon``; also, capped
 # at eps, the floor on eps_c in the log2 amplification ratio.
@@ -68,10 +68,8 @@ def collision_alpha(s: int, epsilon: float, t: int) -> float:
     both, the bound it gives holds for the counting statistic only; a real
     shuffled batch of (seed, z) views can exceed it at small n.
     """
-    check_size("s", s)
+    check_collision_domain(s, t)
     check_budget(epsilon)
-    if t <= s:
-        raise ValueError("need t > s")
     return s * math.expm1(epsilon) / collision_omega(s, epsilon, t)
 
 
@@ -114,8 +112,8 @@ class AmplificationQuery:
         check_budget(self.epsilon)
         check_delta(self.delta)
         amax = generic_clone_alpha(self.epsilon)
-        if not 0.0 < self.alpha <= amax * (1.0 + 1e-12):
-            raise ValueError(f"alpha must lie in (0, {amax}], got {self.alpha}")
+        if not (is_real(self.alpha) and 0.0 < self.alpha <= amax * (1.0 + 1e-12)):  # a bool is no alpha
+            raise ValueError(f"alpha must be a real number in (0, {amax}], got alpha={self.alpha!r}")
         # Equivalent check that the (D1, D2) law is a distribution.
         if math.exp(self.epsilon) * self.clone_prob + self.clone_prob > 1.0 + 1e-12:
             raise ValueError("invalid alpha: clone mixture weights exceed 1")
@@ -210,7 +208,7 @@ def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResu
     Exact within the C-window; the C-tail mass outside it is returned
     separately and belongs on top of the reported delta.
     """
-    if not (math.isfinite(epsilon_c) and epsilon_c >= 0):
+    if not (is_real(epsilon_c) and math.isfinite(epsilon_c) and epsilon_c >= 0):
         raise ValueError(f"epsilon_c must be finite and non-negative, got {epsilon_c!r}")
     win = query.window
     if epsilon_c >= query.epsilon:

@@ -16,6 +16,7 @@ Omega = (e^eps + 1)*s + t - 2s holds for every input and hash.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .domain import (
     FLOAT_MAX, STREAM_H1, MechanismParams, check_batch, check_budget, check_size, check_sparsity, debias_denominator,
-    exp_budget, hash_buckets, map_rows, pair_partner, sample_layout,
+    exp_budget, hash_buckets, is_real, map_rows, pair_partner, sample_layout,
 )
 
 
@@ -84,8 +85,8 @@ def overwrite_probability(s: int, t: int) -> float:
 def collision_rates(s: int, epsilon: float, t: int) -> CollisionRates:
     """Marginal collision rates of CoCo under ideal uniform hashing."""
     check_coco_domain(s, t)
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not (is_real(epsilon) and epsilon >= 0):  # a bool is no budget, and nan is not >= 0
+        raise ValueError(f"epsilon must be a non-negative real number, got epsilon={epsilon!r}")
     p_ow = overwrite_probability(s, t)
     omega = coco_omega(s, epsilon, t)
     eeps = math.exp(epsilon)
@@ -125,6 +126,40 @@ def coco_params(d: int, s: int, epsilon: float, t: int | None = None, which: str
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
+def coco_free_weight(params: MechanismParams, m):
+    """The weight (Omega - m(e^eps + 1))/(t - 2m) of a free pair's bucket with m pairs occupied (an int or array m)."""
+    return (coco_omega(params.s, params.epsilon, params.t) - m * (math.exp(params.epsilon) + 1.0)) / (params.t - 2 * m)
+
+
+def coco_table_probs(support: tuple, table: dict[int, int], params: MechanismParams) -> np.ndarray:
+    """P[z | x, table] over z = 1..t for a ``{dim: j_plus bucket}`` table under a uniformly random write order.
+
+    It is in closed form over surviving writers: only the last writer of each bucket pair (k, k + t/2), its
+    slot k, survives, uniform over the slot's g writers.  If a of them put their e^eps bucket at slot k, bucket k
+    carries weight (a e^eps + g - a)/g and bucket k + t/2 carries ((g - a) e^eps + a)/g.  With m occupied slots,
+    every bucket of a free pair carries ``coco_free_weight``.
+    """
+    t, half = params.t, params.t // 2
+    eeps, omega = math.exp(params.epsilon), coco_omega(params.s, params.epsilon, t)
+    writers: dict[int, list[int]] = {}  # occupied slot -> its writers' e^eps buckets
+    for j, b in support:
+        plus = table[j]
+        writers.setdefault((plus - 1) % half + 1, []).append(plus if b > 0 else pair_partner(plus, t))
+    w = [0.0] * t
+    for slot, high in writers.items():
+        g, a = len(high), high.count(slot)
+        w[slot - 1] = (a * eeps + g - a) / g
+        w[slot + half - 1] = ((g - a) * eeps + a) / g
+    free = coco_free_weight(params, len(writers))
+    for slot in set(range(1, half + 1)) - writers.keys():
+        w[slot - 1] = w[slot + half - 1] = free
+    if abs(math.fsum(w) - omega) > 1e-9 * max(1.0, omega):
+        raise ValueError(f"weights sum to {math.fsum(w)}, expected omega={omega}")
+    if min(w) < 1.0 - 1e-12 or max(w) > eeps * (1.0 + 1e-12):
+        raise ValueError("weights must lie in [1, e^eps]")
+    return np.array(w) / omega
+
+
 def coco_randomize_batch(
     supports: np.ndarray,
     signs: np.ndarray,
@@ -133,8 +168,8 @@ def coco_randomize_batch(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One output symbol per row under a uniformly random write order (the surviving-writer law of
-    ``oracle._coco_table_probs``): the last writer of each of the m distinct occupied bucket pairs puts e^eps on
-    its own event's bucket and 1 on the partner, and the t - 2m buckets of the other pairs take the residual.
+    ``coco_table_probs``): the last writer of each of the m distinct occupied bucket pairs puts e^eps on
+    its own event's bucket and 1 on the partner, and the t - 2m buckets of the other pairs take ``coco_free_weight``.
     """
     check_coco_domain(params.s, params.t)
     check_batch(supports, signs, params.d, params.s)
@@ -150,7 +185,7 @@ def coco_randomize_batch(
         order = np.lexsort((-write[r], slot), axis=1)
         slot_s, high_s = np.take_along_axis(slot, order, axis=1), np.take_along_axis(high, order, axis=1)
         layers = [(high_s, eeps), (pair_partner(high_s, t), 1.0)]
-        return sample_layout(u[r] * omega, slot_s, layers, lambda m: (omega - m * (eeps + 1.0)) / (t - 2 * m), half)
+        return sample_layout(u[r] * omega, slot_s, layers, functools.partial(coco_free_weight, params), half)
 
     return map_rows(rows, n, s)
 

@@ -15,8 +15,8 @@ the server averages it over users from per-event hit counts.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,51 +26,33 @@ from .domain import (
 )
 
 
-@dataclass(frozen=True)
-class CollisionParams(MechanismParams):
-    """Validated parameters with the normaliser Omega = s*e^eps + t - s."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.t <= self.s:
-            raise ValueError(f"collision mechanism needs t > s, got t={self.t}, s={self.s}")
-
-    @property
-    def omega(self) -> float:
-        return collision_omega(self.s, self.epsilon, self.t)
-
-    @property
-    def hit_prob(self) -> float:
-        """P[z = b] for a bucket b hit by a hashed event: e^eps / Omega."""
-        return math.exp(self.epsilon) / self.omega
-
-    @property
-    def false_prob(self) -> float:
-        """Marginal hit rate 1/t of a uniformly hashed absent event."""
-        return 1.0 / self.t
-
-    def residual_prob(self, k: int) -> float:
-        """P[z = b] for an unhit bucket when k distinct buckets are hit."""
-        return (self.omega - math.exp(self.epsilon) * k) / ((self.t - k) * self.omega)
-
-    @property
-    def denominator(self) -> float:
-        """e^eps/Omega - 1/t, the debias denominator; a ValueError when it is too close to 0."""
-        return debias_denominator(self.hit_prob - self.false_prob, "degenerate parameters: e^eps/Omega equals 1/t")
-
-
 def collision_omega(s: int, epsilon: float, t: float) -> float:
     """The normaliser Omega = s*e^eps + t - s; an e^eps too large for a float is a ValueError."""
     return exp_budget(epsilon, s) + t - s
 
 
-def check_collision_params(params: MechanismParams) -> None:
-    """Reject params without collision's normaliser, which only ``CollisionParams`` carries, or with a non-integer t."""
-    if not isinstance(params, CollisionParams):
-        raise ValueError(
-            f"collision needs CollisionParams, got {type(params).__name__}; build them with collision_params(d, s, epsilon, t)"
-        )
-    check_size("t", params.t)
+def check_collision_domain(s: int, t: int) -> None:
+    """Reject a (s, t) outside collision's domain, an integer t > s, with a ValueError."""
+    check_size("s", s)
+    check_size("t", t)
+    if t <= s:
+        raise ValueError(f"collision mechanism needs t > s, got t={t}, s={s}")
+
+
+def collision_hit_prob(params: MechanismParams) -> float:
+    """P[z = b] for a bucket b hit by a hashed event: e^eps / Omega."""
+    return math.exp(params.epsilon) / collision_omega(params.s, params.epsilon, params.t)
+
+
+def collision_residual_prob(params: MechanismParams, k):
+    """P[z = b] for an unhit bucket when k distinct buckets are hit, for an int or elementwise over an array k."""
+    omega = collision_omega(params.s, params.epsilon, params.t)
+    return (omega - math.exp(params.epsilon) * k) / ((params.t - k) * omega)
+
+
+def collision_denominator(params: MechanismParams) -> float:
+    """e^eps/Omega - 1/t, the debias denominator; a ValueError when it is too close to 0."""
+    return debias_denominator(collision_hit_prob(params) - 1.0 / params.t, "degenerate parameters: e^eps/Omega equals 1/t")
 
 
 def collision_optimal_t(s: int, epsilon: float) -> int:
@@ -81,25 +63,31 @@ def collision_optimal_t(s: int, epsilon: float) -> int:
     return max(s + 1, math.floor(exp_budget(epsilon, s) + 2 * s - 1))
 
 
-def collision_params(d: int, s: int, epsilon: float, t: int | None = None) -> CollisionParams:
-    return CollisionParams(d=d, s=s, epsilon=epsilon, t=collision_optimal_t(s, epsilon) if t is None else t)
+def collision_params(d: int, s: int, epsilon: float, t: int | None = None) -> MechanismParams:
+    t = collision_optimal_t(s, epsilon) if t is None else t
+    check_collision_domain(s, t)
+    return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
-def collision_output_probabilities(hit_buckets: frozenset[int], params: CollisionParams) -> np.ndarray:
+def collision_output_probabilities(hit_buckets: frozenset[int], params: MechanismParams) -> np.ndarray:
     """Exact output law over buckets 1..t given the set of hit buckets."""
-    t = params.t
-    k = len(hit_buckets)
-    probs = np.full(t, params.residual_prob(k))
+    probs = np.full(params.t, collision_residual_prob(params, len(hit_buckets)))
+    hit = collision_hit_prob(params)
     for b in hit_buckets:
-        probs[b - 1] = params.hit_prob
+        probs[b - 1] = hit
     return probs
+
+
+def collision_table_probs(support: tuple, table: dict[int, int], params: MechanismParams) -> np.ndarray:
+    """P[z | x, table] over z = 1..t for the input ``support`` under an explicit ``{event code: bucket}`` table."""
+    return collision_output_probabilities(frozenset(table[event_code(j, b)] for j, b in support), params)
 
 
 def collision_randomize_batch(
     supports: np.ndarray,
     signs: np.ndarray,
     seeds: np.ndarray,
-    params: CollisionParams,
+    params: MechanismParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One output symbol per row: each of the k distinct hashed buckets at e^eps/Omega, the t - k others at the residual.
@@ -108,27 +96,29 @@ def collision_randomize_batch(
     signs:    (n, s) entries in {-1, +1}.
     seeds:    (n,) per-user single-layout hash seeds.
     """
-    check_collision_params(params)
+    check_collision_domain(params.s, params.t)
     check_batch(supports, signs, params.d, params.s)
-    u = rng.random(len(supports))
+    u, hit = rng.random(len(supports)), collision_hit_prob(params)
 
     def rows(r: slice) -> np.ndarray:
         hs = np.sort(hash_buckets(seeds[r, None], event_code(supports[r], signs[r]), params.t), axis=1)
-        return sample_layout(u[r], hs, [(hs, params.hit_prob)], params.residual_prob, params.t)
+        return sample_layout(u[r], hs, [(hs, hit)], functools.partial(collision_residual_prob, params), params.t)
 
     return map_rows(rows, *supports.shape)
 
 
-def collision_debias(counts: np.ndarray, n: int, params: CollisionParams) -> np.ndarray:
-    """The 2d event-frequency estimates from ``n`` views' per-event hit counts."""
-    return (counts / n - params.false_prob) / params.denominator
+def collision_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
+    """The 2d event-frequency estimates from ``n`` views' per-event hit counts; 1/t is an absent event's hit rate."""
+    return (counts / n - 1.0 / params.t) / collision_denominator(params)
 
 
 def collision_predicted_sum_variance(d: int, s: int, epsilon: float, t: float) -> float:
     """Single-user variance of the 2d indicator estimates, summed.
 
-    Treats t as a real parameter; used for the convexity of the t-choice.
+    Treats t as a real parameter > s; used for the convexity of the t-choice.
     """
-    params = CollisionParams(d=d, s=s, epsilon=epsilon, t=t)
-    p, q = params.hit_prob, params.false_prob
-    return (s * p * (1 - p) + (2 * d - s) * q * (1 - q)) / params.denominator**2
+    params = MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
+    if t <= s:
+        raise ValueError(f"collision mechanism needs t > s, got t={t}, s={s}")
+    p, q = collision_hit_prob(params), 1.0 / t
+    return (s * p * (1 - p) + (2 * d - s) * q * (1 - q)) / collision_denominator(params)**2

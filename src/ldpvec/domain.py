@@ -82,6 +82,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (``numbers.Real``, numpy's too); a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_size(name: str, value, low: int = 1) -> None:
     """Reject a size ``name`` that is not an integer (``is_integer``) >= ``low``."""
     if not is_integer(value):
@@ -92,7 +97,7 @@ def check_size(name: str, value, low: int = 1) -> None:
 
 def check_budget(epsilon) -> None:
     """Reject a privacy budget that is not a real number > 0; a bool is not one, and nan is not > 0."""
-    if not isinstance(epsilon, numbers.Real) or isinstance(epsilon, bool):
+    if not is_real(epsilon):
         raise ValueError(f"epsilon must be a real number, got epsilon={epsilon!r}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got epsilon={epsilon}")
@@ -100,7 +105,7 @@ def check_budget(epsilon) -> None:
 
 def check_delta(delta) -> None:
     """Reject a failure probability that is not a real number in (0, 1); a bool is not one, and nan is not in it."""
-    if not isinstance(delta, numbers.Real) or isinstance(delta, bool) or not 0 < delta < 1:
+    if not is_real(delta) or not 0 < delta < 1:
         raise ValueError("delta must lie in (0,1)")
 
 

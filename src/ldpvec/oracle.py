@@ -4,14 +4,11 @@ Everything here enumerates explicit hash tables rather than sampling, so
 privacy ratios and estimator moments are exact up to float rounding; sums
 are taken with ``math.fsum`` (correctly-rounded accumulation).
 
-``LAWS`` holds each hash mechanism's output law given an explicit
-``{point: bucket}`` table; its layout and domain check are read from its
+Each hash mechanism's output law given an explicit ``{point: bucket}``
+table, its layout and its domain check are read from its
 ``aggregate.MECHANISMS`` entry.  Collision's points are event codes on t
 buckets; CoCo's (``paired``) are dims on t/2 bucket pairs (k, k + t/2):
-a dim maps to j_plus's bucket and j_minus takes the other one.  CoCo's
-law is in closed form over surviving writers: for a fixed table only the
-last writer of each bucket pair keeps it, and under a uniformly random
-write order it is uniform over the pair's writers.
+a dim maps to j_plus's bucket and j_minus takes the other one.
 
 Mechanisms only read a hash at the points an instance touches, so the
 uniform family over all functions, restricted to those points, is an
@@ -47,10 +44,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .aggregate import mechanism as registered, target_values
-from .coco import coco_omega
-from .collision import CollisionParams, collision_output_probabilities
-from .domain import EventId, MechanismParams, TernaryVector, check_sparsity, event_code, is_integer, pair_partner
+from .aggregate import Mechanism, mechanism as registered, target_values
+from .domain import EventId, TernaryVector, check_sparsity, event_code, is_integer, pair_partner
 
 _SIZE_GUARD = 10**6
 
@@ -67,52 +62,13 @@ def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
     return [TernaryVector(d, support) for support in _sparse_vectors(s, dict.fromkeys(range(1, d + 1), (-1, 1)))]
 
 
-def _collision_table_probs(support: tuple, table: dict[int, int], params: CollisionParams) -> np.ndarray:
-    return collision_output_probabilities(frozenset(table[event_code(j, b)] for j, b in support), params)
-
-
-def _coco_table_probs(support: tuple, table: dict[int, int], params: MechanismParams) -> np.ndarray:
-    """Output law for a fixed table under a uniformly random write order.
-
-    Only the last writer of each bucket pair (k, k + t/2), its slot k,
-    survives, uniform over the slot's g writers.  If a of them put their
-    e^eps bucket at slot k, bucket k carries weight (a e^eps + g - a)/g and
-    bucket k + t/2 carries ((g - a) e^eps + a)/g.  With m occupied slots, every
-    bucket of a free pair carries the residual (Omega - m(e^eps + 1))/(t - 2m).
-    """
-    eeps = math.exp(params.epsilon)
-    t, half = params.t, params.t // 2
-    omega = coco_omega(len(support), params.epsilon, t)
-    writers: dict[int, list[int]] = {}  # occupied slot -> its writers' e^eps buckets
-    for j, b in support:
-        plus = table[j]
-        writers.setdefault((plus - 1) % half + 1, []).append(plus if b > 0 else pair_partner(plus, t))
-    w = [0.0] * t
-    for slot, high in writers.items():
-        g, a = len(high), high.count(slot)
-        w[slot - 1] = (a * eeps + g - a) / g
-        w[slot + half - 1] = ((g - a) * eeps + a) / g
-    m = len(writers)
-    for slot in set(range(1, half + 1)) - writers.keys():
-        w[slot - 1] = w[slot + half - 1] = (omega - m * (eeps + 1.0)) / (t - 2 * m)
-    if abs(math.fsum(w) - omega) > 1e-9 * max(1.0, omega):
-        raise ValueError(f"weights sum to {math.fsum(w)}, expected omega={omega}")
-    if min(w) < 1.0 - 1e-12 or max(w) > eeps * (1.0 + 1e-12):
-        raise ValueError("weights must lie in [1, e^eps]")
-    return np.array(w) / omega
-
-
-# (support, table, params) -> P[z | x, table] over z = 1..t, per hash mechanism
-LAWS: dict[str, Callable] = {"collision": _collision_table_probs, "coco": _coco_table_probs}
-
-
-def _law(mechanism: str, params) -> tuple[Callable, bool]:
-    """The law of ``mechanism`` and its registered ``paired``, once the registered domain check passed on ``params``."""
+def _law(mechanism: str, params) -> Mechanism:
+    """The registered entry of ``mechanism``, once it has a law and its domain check passed on ``params``."""
     mech = registered(mechanism)  # an unknown name is a ValueError
-    if mechanism not in LAWS:
+    if mech.law is None:
         raise ValueError(f"mechanism {mechanism!r} has no exact law")
     mech.check(params)
-    return LAWS[mechanism], mech.paired
+    return mech
 
 
 def _points(support: tuple, paired: bool) -> tuple[int, ...]:
@@ -181,8 +137,8 @@ def verify_ldp(mechanism: str, params) -> float:
     same.  The size guard counts (input, representative table) evaluations,
     in closed form before anything is enumerated.
     """
-    law, paired = _law(mechanism, params)
-    d, s = params.d, params.s
+    mech = _law(mechanism, params)
+    d, s, paired = params.d, params.s, mech.paired
     size = min(2 * s, d if paired else 2 * d)
     # Point-set orbits as (a, b): a dims hold both signs' points and b one sign's.  A paired layout's points
     # are dims, so all its sets are one orbit; an event-code set of a given a has b = size - 2a.
@@ -198,7 +154,7 @@ def verify_ldp(mechanism: str, params) -> float:
         points = tuple(signs) if paired else tuple(event_code(j, v) for j, vs in signs.items() for v in vs)
         group = [(x, _points(x, paired)) for x in _sparse_vectors(s, signs)]
         for table, _ in _uniform_tables(paired, points, params.t):
-            m = np.stack([_cached_probs(law, x, x_points, table, params, cache) for x, x_points in group])
+            m = np.stack([_cached_probs(mech.law, x, x_points, table, params, cache) for x, x_points in group])
             worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
     return math.log(worst)
 
@@ -222,7 +178,8 @@ def exact_estimator_moments(
     the params' domain, the other layout's probe keyword or a degenerate denominator is a ValueError raised before
     any table.
     """
-    law, paired = _law(mechanism, params)
+    mech = _law(mechanism, params)
+    paired = mech.paired
     if not isinstance(x, TernaryVector) or (x.d, len(x.support)) != (params.d, params.s):
         raise ValueError(f"x must be a TernaryVector with d={params.d} and s={params.s}, got {x!r}")
     probe, other = (dim, event) if paired else (event, dim)
@@ -231,13 +188,14 @@ def exact_estimator_moments(
                          + ("a dim and no event" if paired else "an event and no dim"))
     if paired and not (is_integer(dim) and 1 <= dim <= params.d):
         raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
-    if not (paired or is_integer(event.index) and 1 <= event.index <= params.d and event.sign in (-1, 1)):
+    if not (paired or isinstance(event, EventId) and is_integer(event.index) and 1 <= event.index <= params.d
+            and event.sign in (-1, 1)):
         raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
     point = dim if paired else event.code
     rep = tuple((i, b if paired else 1) for i, (_, b) in enumerate(x.support, 1))
-    values, memo = _input_moments(law, registered(mechanism).debias, paired, params)
+    values, memo = _input_moments(mech, params)
     if rep not in memo:
-        memo[rep] = _representative_moments(law, paired, params, rep, values)
+        memo[rep] = _representative_moments(mech, params, rep, values)
     # x's points map onto the representative's in support order; a point x does not read maps to the free point, last
     reads = _points(x.support, paired)
     return memo[rep][estimator][reads.index(point) if point in reads else -1]
@@ -248,23 +206,24 @@ _ESTIMATORS = {False: {"indicator": "frequency"}, True: {"mean": "mean", "nonmis
 
 
 @functools.lru_cache(maxsize=1)
-def _input_moments(law: Callable, debias: Callable, paired: bool, params) -> tuple[np.ndarray, dict]:
-    """One parameter set's estimates at each outcome of a probe, a row per estimator then a row per square, and its
-    moments, filled in per orbit representative: x's dims relabelled 1..s (signs kept if paired).  The outcomes are a
-    hit on the probed point's event (paired: on j_minus, then on j_plus, the debias's column order), then no hit."""
-    frequencies = debias(np.eye(3, 2) if paired else np.eye(2, 1), 1, params)  # one row of hit counts per outcome
-    values = np.array([target_values(frequencies, target)[:, 0] for target in _ESTIMATORS[paired].values()])
+def _input_moments(mech: Mechanism, params) -> tuple[np.ndarray, dict]:
+    """One entry's and parameter set's estimates at each outcome of a probe, a row per estimator then per square, and
+    its moments, filled in per orbit representative: x's dims relabelled 1..s (signs kept if paired).  The outcomes are
+    a hit on the probed point's event (paired: on j_minus, then on j_plus, the debias's column order), then no hit."""
+    frequencies = mech.debias(np.eye(3, 2) if mech.paired else np.eye(2, 1), 1, params)  # hit counts per outcome
+    values = np.array([target_values(frequencies, target)[:, 0] for target in _ESTIMATORS[mech.paired].values()])
     return np.vstack([values, values**2]), {}
 
 
-def _representative_moments(law: Callable, paired: bool, params, support: tuple, values: np.ndarray) -> dict[str, list]:
+def _representative_moments(mech: Mechanism, params, support: tuple, values: np.ndarray) -> dict[str, list]:
     """Every estimator's (mean, variance) at each point the input reads, in support order, then at one point it does
     not read, which stands for all of them (CoCo has none at s = d), from ``_input_moments``' ``values``."""
+    paired = mech.paired
     points = _points(support, paired)
     unread = (q for q in range(1, (params.d if paired else 2 * params.d) + 1) if q not in points)
     probed = points + tuple(islice(unread, 1))
     cache, (tables, weights) = {}, zip(*_uniform_tables(paired, probed, params.t))
-    laws = np.stack([_cached_probs(law, support, points, table, params, cache) for table in tables])
+    laws = np.stack([_cached_probs(mech.law, support, points, table, params, cache) for table in tables])
     buckets, rows = np.array([[table[q] for q in probed] for table in tables]), np.arange(len(tables))[:, None]
     # P[outcome] per (table, probed point): z on H(q)'s partner (j_minus) if paired, z on H(q), neither
     hits = [laws[rows, b - 1] for b in ((pair_partner(buckets, params.t), buckets) if paired else (buckets,))]

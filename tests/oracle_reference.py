@@ -28,11 +28,9 @@ import numpy as np
 
 from ldpvec.aggregate import MECHANISMS
 from ldpvec.coco import collision_rates
+from ldpvec.collision import collision_denominator
 from ldpvec.domain import pair_partner
-from ldpvec.oracle import (
-    _SIZE_GUARD, LAWS, _cached_probs, _law, _orbit_count, _points, _uniform_tables,
-    all_sparse_vectors,
-)
+from ldpvec.oracle import _SIZE_GUARD, _cached_probs, _law, _orbit_count, _points, _uniform_tables, all_sparse_vectors
 
 
 def uniform_collision_family(codes, t: int) -> list:
@@ -45,7 +43,7 @@ def uniform_collision_family(codes, t: int) -> list:
 
 def _memo_probs(mechanism: str, params):
     """P[z | x, table] over 1..t, memoised per input on the table's values at the points x reads."""
-    law, paired, memo = LAWS[mechanism], MECHANISMS[mechanism].paired, {}
+    law, paired, memo = MECHANISMS[mechanism].law, MECHANISMS[mechanism].paired, {}
 
     def probs(x, table):
         key = (x.support, tuple(table[p] for p in _points(x.support, paired)))
@@ -75,8 +73,8 @@ def indicator_terms(p_hit: float, p_false: float, denom: float) -> tuple[float, 
 def estimator_terms(mechanism: str, params, estimator: str, event=None, dim=None):
     """The hash point an estimator reads, and its (mean, second moment) given the law p of z on one table."""
     if mechanism == "collision":
-        denom = params.denominator
-        return event.code, lambda p, table: indicator_terms(p[table[event.code] - 1], params.false_prob, denom)
+        denom = collision_denominator(params)
+        return event.code, lambda p, table: indicator_terms(p[table[event.code] - 1], 1.0 / params.t, denom)
     rates = collision_rates(params.s, params.epsilon, params.t)
     if estimator == "mean":
         denom = rates.mean_denominator
@@ -90,7 +88,8 @@ def estimator_terms(mechanism: str, params, estimator: str, event=None, dim=None
 
 def per_event_moments(mechanism: str, params, x, estimator: str, event=None, dim=None) -> tuple[float, float]:
     """``exact_estimator_moments`` one event at a time: the orbit tables on x's points and the probed one."""
-    law, paired = _law(mechanism, params)
+    mech = _law(mechanism, params)
+    law, paired = mech.law, mech.paired
     point, terms = estimator_terms(mechanism, params, estimator, event, dim)
     points = _points(x.support, paired)
     cache: dict = {}
@@ -116,7 +115,8 @@ def family_moments(mechanism: str, params, x, family, estimator: str, event=None
 
 def all_point_sets_privacy_loss(mechanism: str, params) -> float:
     """``verify_ldp``'s maximum over every set of min(2s, |domain|) hash points, not one per orbit, with its guard on that work."""
-    law, paired = _law(mechanism, params)
+    mech = _law(mechanism, params)
+    law, paired = mech.law, mech.paired
     d, s = params.d, params.s
     domain = range(1, (d if paired else 2 * d) + 1)  # dims or event codes
     size = min(2 * s, len(domain))

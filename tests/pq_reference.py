@@ -11,7 +11,8 @@ statistic.
 
 import math
 
-from ldpvec.collision import CollisionParams, collision_output_probabilities
+from ldpvec.collision import collision_output_probabilities
+from ldpvec.domain import MechanismParams
 
 
 def exact_pq_laws(n: int, epsilon: float, alpha: float) -> tuple[dict, dict]:
@@ -41,7 +42,7 @@ def exact_pq_laws(n: int, epsilon: float, alpha: float) -> tuple[dict, dict]:
 
 
 def lower_bound_statistic_distribution(
-    n: int, params: CollisionParams, swapped: bool = False
+    n: int, params: MechanismParams, swapped: bool = False
 ) -> dict[tuple[int, int], float]:
     """Exact law of the two-sided count statistic over a shuffled batch.
 

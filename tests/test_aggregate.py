@@ -70,10 +70,10 @@ def test_projection_examples():
         project_to_simplex(np.array([]), 1)
 
 
-@pytest.mark.parametrize("s", [0, -1, 0.5, math.nan, True, np.True_])
+@pytest.mark.parametrize("s", [0, -1, 0.5, math.nan, True, np.True_, "2", None])
 def test_projection_rejects_a_scale_below_one(s):
     # s=0 raised "estimates must be finite" after a divide-by-zero warning; s=-1 projected onto the negative simplex;
-    # s=True projected at s = 1
+    # s=True projected at s = 1; s="2" and s=None ended in a TypeError
     with pytest.raises(ValueError, match=f"s must be at least 1, got s={s}"):
         project_to_simplex(np.array([0.8, 0.4]), s)
 
@@ -144,22 +144,24 @@ def test_mechanism_table_builds_one_params_type():
     for name, mech in MECHANISMS.items():
         for target in TARGETS:
             params = mech.params(6, 2, 0.8, target)
-            assert isinstance(params, MechanismParams), name
+            assert type(params) is MechanismParams, name
             assert (params.d, params.s) == (6, 2)
 
 
 @pytest.mark.parametrize("mechanism, params", [
-    ("collision", collision_params(4, 1, 1.0, 4.5)),
-    ("collision", collision_params(4, 1, 1.0, np.float64(5.0))),
+    ("collision", MechanismParams(d=4, s=1, epsilon=1.0, t=4.5)),
+    ("collision", MechanismParams(d=4, s=1, epsilon=1.0, t=np.float64(5.0))),
     ("coco", MechanismParams(d=4, s=1, epsilon=1.0, t=6.0)),
     ("coco", MechanismParams(d=4, s=1, epsilon=1.0, t=np.float64(6.0))),
 ])
 def test_every_hash_entry_point_rejects_a_non_integer_t(mechanism, params):
     # collision at t=4.5 drew float64 symbols up to 4.5, whose aggregate was biased by ~+0.23 on each absent event
     randomize = collision_randomize_batch if mechanism == "collision" else coco_randomize_batch
+    build = collision_params if mechanism == "collision" else coco_params
     probe = {"estimator": "indicator", "event": EventId(1, 1)} if mechanism == "collision" else {"estimator": "mean", "dim": 1}
     seeds = user_hash_seeds(0, 2)
     for call in (
+        lambda: build(4, 1, 1.0, params.t),
         lambda: randomize(np.array([[1]]), np.array([[1]]), seeds[:1], params, np.random.default_rng(0)),
         lambda: aggregate_frequencies((seeds, np.array([1, 2])), mechanism, params),
         lambda: verify_ldp(mechanism, params),
@@ -289,6 +291,20 @@ def test_aggregate_rejects_non_integer_seeds_or_symbols(mechanism, params):
         aggregate_frequencies((seeds, [1.7, 2.2, 3.9]), mechanism, params)
     with pytest.raises(ValueError, match="seeds must be an integer array"):
         aggregate_frequencies((seeds.astype(float), [1, 2, 3]), mechanism, params)
+
+
+@pytest.mark.parametrize("mechanism, params", [("collision", collision_params(4, 1, 1.0, 3)), ("coco", coco_params(4, 1, 1.0))])
+def test_aggregate_checks_ranges_on_the_values_as_given(mechanism, params):
+    # an int64 seed of -1 was read as 2^64 - 1 and aggregated, a list's -1 leaked numpy's OverflowError, and a uint64
+    # z of 2^63 was reported as -9223372036854775808
+    for seeds in (np.array([5, -1], dtype=np.int64), [5, -1]):
+        with pytest.raises(ValueError, match=r"^seeds must lie in 0\.\.2\*\*64-1, got values in -1\.\.5$"):
+            aggregate_frequencies((seeds, [1, 2]), mechanism, params)
+    z = np.array([1, 2**63], dtype=np.uint64)
+    with pytest.raises(ValueError, match=rf"^z must lie in 1\.\.{params.t}, got values in 1\.\.{2**63}$"):
+        aggregate_frequencies((user_hash_seeds(1, 2), z), mechanism, params)
+    seeds = np.array([0, 2**64 - 1], dtype=np.uint64)  # the whole seed range aggregates
+    assert aggregate_frequencies((seeds, [1, 2]), mechanism, params).shape == (8,)
 
 
 def test_aggregate_rejects_non_integer_baseline_reports():
@@ -454,8 +470,8 @@ def test_a_worker_error_reaches_the_caller(monkeypatch):
         raise MemoryError("hit matrix too large")
 
     monkeypatch.setattr(aggregate, "hit_counter", out_of_memory)
-    with pytest.raises(ValueError, match="collision needs CollisionParams, got MechanismParams"):
-        event_hit_counts(seeds, z, MECHANISMS["collision"], MechanismParams(4, 1, 1.0, 3))
+    with pytest.raises(ValueError, match=r"^collision mechanism needs t > s, got t=1, s=1$"):
+        event_hit_counts(seeds, z, MECHANISMS["collision"], MechanismParams(4, 1, 1.0, 1))
     assert threading.active_count() == baseline and callers == []  # rejected before any worker built a counter
     with pytest.raises(MemoryError, match="hit matrix too large"):
         event_hit_counts(seeds, z, MECHANISMS["collision"], collision_params(4, 1, 1.0, 3))

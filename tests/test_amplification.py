@@ -105,6 +105,17 @@ def test_collision_alpha_examples():
         collision_alpha(4, 1.0, 4)
 
 
+@pytest.mark.parametrize("t, message", [
+    (4.5, "t must be an integer, got t=4.5"),  # returned 0.433, at a t no collision params accept
+    ("5", "t must be an integer, got t='5'"),  # a TypeError
+    (True, "t must be an integer, got t=True"),
+    (2, "collision mechanism needs t > s, got t=2, s=2"),
+])
+def test_collision_alpha_takes_t_in_the_collision_domain(t, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        collision_alpha(2, 1.0, t)
+
+
 def test_generic_clone_alpha_examples():
     assert generic_clone_alpha(math.log(3)) == pytest.approx(0.5)
     assert generic_clone_alpha(LN2) == pytest.approx(1 / 3)
@@ -152,6 +163,21 @@ def test_query_validation():
         AmplificationQuery(n=10, epsilon=1.0, alpha=0.5, delta=1e-6)
     with pytest.raises(ValueError):
         AmplificationQuery(n=10, epsilon=1.0, alpha=0.2, delta=1.5)
+
+
+ALPHA_ENTRIES = {  # every library entry that takes an amplification parameter alpha, given one bad value
+    "AmplificationQuery": lambda v: AmplificationQuery(100, 1.0, v, 1e-6),
+    "amplified_epsilon": lambda v: amplified_epsilon(100, 1.0, v, 1e-6),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.1", None, 0, -0.1, 0.5, math.nan])
+@pytest.mark.parametrize("entry", list(ALPHA_ENTRIES))
+def test_every_alpha_entry_rejects_a_bool_string_or_value_outside_the_clone_range(entry, value):
+    # a string or None ended in a TypeError, and a bool was read as alpha = 1
+    message = f"alpha must be a real number in (0, {generic_clone_alpha(1.0)}], got alpha={value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ALPHA_ENTRIES[entry](value)
 
 
 def test_n1_hand_values():
@@ -368,10 +394,11 @@ def test_binom_tail_of_a_point_mass(p):
             assert float(amplification._binom_tail(one, n, p)) == expected
 
 
-@pytest.mark.parametrize("eps_c", [math.nan, math.inf, -math.inf, -0.1])
+@pytest.mark.parametrize("eps_c", [math.nan, math.inf, -math.inf, -0.1, True, "0.5", None])
 def test_divergence_rejects_non_finite_or_negative_eps_c(eps_c):
+    # a bool was read as eps_c = 1, and a string or None ended in a TypeError
     query = AmplificationQuery(n=100, epsilon=1.0, alpha=0.2, delta=1e-6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'epsilon_c must be finite and non-negative, got {eps_c!r}')}$"):
         pq_divergence(query, eps_c)
 
 

@@ -16,11 +16,12 @@ from ldpvec.coco import (
     coco_params,
     coco_predicted_mse,
     coco_randomize_batch,
+    coco_table_probs,
     collision_rates,
     overwrite_probability,
 )
 from ldpvec.domain import STREAM_H1, MechanismParams, TernaryVector, keyed_hashes, stream_keys, user_hash_seeds
-from ldpvec.oracle import _coco_table_probs, all_sparse_vectors, exact_estimator_moments
+from ldpvec.oracle import all_sparse_vectors, exact_estimator_moments
 from coco_reference import CocoWeights, coco_exact_rates_by_rank, coco_weight_vector, event_buckets
 
 LN2 = math.log(2)
@@ -125,7 +126,7 @@ def test_closed_form_law_matches_permutation_average(data):
     orders = list(permutations(support))
     weights = sum(coco_weight_vector(order, table, eps, t).w for order in orders)
     reference = weights / (len(orders) * coco_omega(s, eps, t))
-    exact = _coco_table_probs(support, table, MechanismParams(d=d, s=s, epsilon=eps, t=t))
+    exact = coco_table_probs(support, table, MechanismParams(d=d, s=s, epsilon=eps, t=t))
     assert np.abs(exact - reference).max() <= 1e-14
 
 
@@ -199,7 +200,7 @@ def test_randomize_matches_exact_law(data):
     signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=s, max_size=s))
     params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
     user = user_hash_seeds(seed, 1)
-    exact = _coco_table_probs(tuple(zip(dims, signs)), user_table(user[0], dims, t), params)
+    exact = coco_table_probs(tuple(zip(dims, signs)), user_table(user[0], dims, t), params)
     n = 40_000
     z = coco_randomize_batch(
         np.tile(dims, (n, 1)), np.tile(signs, (n, 1)), np.repeat(user, n), params, np.random.default_rng(seed)
@@ -214,7 +215,7 @@ def test_randomize_batch_matches_exact_law():
         x_support = tuple((j + 1, (-1) ** j) for j in range(s))
         params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
         user = user_hash_seeds(seed, 1)[0]
-        exact = _coco_table_probs(x_support, user_table(user, [j for j, _ in x_support], t), params)
+        exact = coco_table_probs(x_support, user_table(user, [j for j, _ in x_support], t), params)
         n = 200_000
         seeds = np.full(n, user, dtype=np.uint64)
         sup = np.tile([[j for j, _ in x_support]], (n, 1))

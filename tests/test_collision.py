@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ldpvec import aggregate, collision, oracle
 from ldpvec.aggregate import aggregate_frequencies
 from ldpvec.collision import (
-    CollisionParams,
+    collision_hit_prob,
+    collision_omega,
     collision_optimal_t,
     collision_output_probabilities,
     collision_params,
@@ -23,7 +24,7 @@ LN2 = math.log(2)
 def test_output_probabilities_no_conflict():
     # d=6, s=2, t=4, eps=ln 2: hashed buckets 1/3 each, others 1/6
     params = collision_params(6, 2, LN2, 4)
-    assert params.omega == pytest.approx(6.0)
+    assert collision_omega(params.s, params.epsilon, params.t) == pytest.approx(6.0)
     probs = collision_output_probabilities(frozenset({1, 3}), params)
     assert probs[0] == pytest.approx(1 / 3) and probs[2] == pytest.approx(1 / 3)
     assert probs[1] == pytest.approx(1 / 6) and probs[3] == pytest.approx(1 / 6)
@@ -65,8 +66,8 @@ def test_optimal_t_examples():
 
 
 def test_params_reject_t_not_above_s():
-    with pytest.raises(ValueError):
-        CollisionParams(d=6, s=2, epsilon=1.0, t=2)
+    with pytest.raises(ValueError, match=r"^collision mechanism needs t > s, got t=2, s=2$"):
+        collision_params(6, 2, 1.0, 2)
 
 
 def test_indicator_estimate_values_and_unbiasedness_identities():
@@ -106,7 +107,7 @@ _ONE_HOT = TernaryVector(d=3, support=((2, 1),))
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda params: aggregate_frequencies((user_hash_seeds(0, 2), np.array([1, 3])), "collision", params),
+        lambda params: aggregate_frequencies((user_hash_seeds(0, 2), np.array([1, 1])), "collision", params),
         lambda params: oracle.verify_ldp("collision", params),
         lambda params: oracle.exact_estimator_moments("collision", params, _ONE_HOT, "indicator", event=EventId(1, 1)),
         lambda params: collision_randomize_batch(
@@ -117,8 +118,8 @@ _ONE_HOT = TernaryVector(d=3, support=((2, 1),))
         "aggregate_frequencies", "verify_ldp", "exact_estimator_moments", "collision_randomize_batch",
     ],
 )
-def test_collision_entry_points_reject_params_without_the_normaliser(entry, monkeypatch):
-    # a plain MechanismParams lacks Omega and the hit/residual probabilities
+def test_collision_entry_points_reject_params_outside_the_domain(entry, monkeypatch):
+    # Omega = s*e^eps + t - s leaves no residual for the t - k unhit buckets at t <= s
     def too_late(*args, **kwargs):
         raise AssertionError("hashed or enumerated before the params were checked")
 
@@ -127,8 +128,8 @@ def test_collision_entry_points_reject_params_without_the_normaliser(entry, monk
         (oracle, "_uniform_tables"), (oracle, "all_sparse_vectors"),
     ):
         monkeypatch.setattr(module, name, too_late)
-    with pytest.raises(ValueError, match=r"collision needs CollisionParams.*collision_params\(d, s, epsilon, t\)"):
-        entry(MechanismParams(d=3, s=1, epsilon=1.0, t=3))
+    with pytest.raises(ValueError, match=r"^collision mechanism needs t > s, got t=1, s=1$"):
+        entry(MechanismParams(d=3, s=1, epsilon=1.0, t=1))
 
 
 def _distinct_rows(draw, d, s):
@@ -208,8 +209,9 @@ def test_variance_formula_matches_exact_enumeration():
 
     params = collision_params(4, 2, 0.9, 5)
     x = TernaryVector(d=4, support=((1, 1), (3, -1)))
-    denom = params.hit_prob - params.false_prob
-    for event, p in ((EventId(1, 1), params.hit_prob), (EventId(2, 1), params.false_prob)):
+    hit, false = collision_hit_prob(params), 1 / params.t
+    denom = hit - false
+    for event, p in ((EventId(1, 1), hit), (EventId(2, 1), false)):
         _, var = exact_estimator_moments("collision", params, x, "indicator", event=event)
         assert abs(var - p * (1 - p) / denom**2) < 1e-9
 

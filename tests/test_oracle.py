@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpvec import aggregate, oracle
+from ldpvec.aggregate import MECHANISMS
 from ldpvec.amplification import collision_alpha
 from ldpvec.coco import coco_params
 from ldpvec.collision import collision_params
 from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code, is_integer
 from ldpvec.oracle import (
-    LAWS,
     _orbit_count,
     _uniform_tables,
     all_sparse_vectors,
@@ -33,6 +33,7 @@ from oracle_reference import (
 from pq_reference import lower_bound_statistic_distribution
 
 LN2 = math.log(2)
+HASHED = sorted(name for name, mech in MECHANISMS.items() if mech.law is not None)
 EPSILONS = (0.5, LN2, 2.0)  # criteria 1-2's grid
 
 
@@ -44,13 +45,13 @@ def test_enumerate_collision_fixed_hash():
     params = collision_params(6, 2, LN2, 4)
     support = ((3, 1), (5, -1))
     table = {event_code(3, 1): 1, event_code(5, -1): 3}
-    assert LAWS["collision"](support, table, params) == pytest.approx([1 / 3, 1 / 6, 1 / 3, 1 / 6])
+    assert MECHANISMS["collision"].law(support, table, params) == pytest.approx([1 / 3, 1 / 6, 1 / 3, 1 / 6])
 
 
 def test_enumerate_coco_single_entry():
     params = MechanismParams(d=4, s=1, epsilon=LN2, t=4)
     table = {2: 3}  # H1 = 1, H2 = +1
-    probs = LAWS["coco"](((2, 1),), table, params)
+    probs = MECHANISMS["coco"].law(((2, 1),), table, params)
     omega = 5.0
     hb, lb = event_buckets(table, 2, 4)
     w = (omega - 3.0) / 2.0
@@ -63,7 +64,7 @@ def test_enumerate_coco_single_entry():
 def test_enumerate_zero_budget_uniform():
     params = collision_params(4, 1, 1e-12, 3)
     family = uniform_collision_family((event_code(1, 1),), 3)
-    per_z = sum(w * LAWS["collision"](((1, 1),), table, params) for table, w in family)
+    per_z = sum(w * MECHANISMS["collision"].law(((1, 1),), table, params) for table, w in family)
     assert per_z == pytest.approx([1 / 3] * 3, abs=1e-9)
 
 
@@ -182,9 +183,10 @@ def test_oracle_checks_the_domain_once_per_call(monkeypatch):
 
 
 def test_every_registered_hash_mechanism_has_an_exact_law():
-    # the oracle reads each law's layout and domain check from the registry, so a law needs a hash entry there,
+    # the oracle reads each law's layout and domain check from its entry, so a law needs a domain check beside it,
     # and a hash mechanism registered without a law would go uncertified
-    assert set(LAWS) == {name for name, mech in aggregate.MECHANISMS.items() if mech.check is not None}
+    for name, mech in MECHANISMS.items():
+        assert (mech.law is None) == (mech.check is None), name
 
 
 def _full_family(mechanism, d, t):
@@ -204,7 +206,7 @@ FAMILY_ULPS = 2300
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_orbit_representatives_match_the_full_uniform_family(data):
-    mechanism = data.draw(st.sampled_from(sorted(LAWS)))
+    mechanism = data.draw(st.sampled_from(HASHED))
     d = data.draw(st.integers(1, 3))
     s = data.draw(st.integers(1, d))
     if mechanism == "collision":
@@ -226,7 +228,7 @@ def test_orbit_representatives_match_the_full_uniform_family(data):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(mechanism=st.sampled_from(sorted(LAWS)), n=st.integers(0, 6), t=st.integers(2, 9))
+@given(mechanism=st.sampled_from(HASHED), n=st.integers(0, 6), t=st.integers(2, 9))
 def test_orbit_count_and_weights(mechanism, n, t):
     paired = aggregate.MECHANISMS[mechanism].paired
     weights = [w for _, w in _uniform_tables(paired, tuple(range(1, n + 1)), t)]
@@ -388,10 +390,10 @@ def _probes_of(mechanism, params):
 ])
 def test_moments_enumerate_once_per_input_orbit(mechanism, params, monkeypatch):
     # one enumeration per input used to run: 24 at d=4, s=2, where collision needs one and CoCo 2^s
-    law, mech = LAWS[mechanism], aggregate.MECHANISMS[mechanism]
+    mech = MECHANISMS[mechanism]
     paired, inputs = mech.paired, all_sparse_vectors(params.d, params.s)
-    values, _ = oracle._input_moments(law, mech.debias, paired, params)
-    direct = [oracle._representative_moments(law, paired, params, x.support, values) for x in inputs]
+    values, _ = oracle._input_moments(mech, params)
+    direct = [oracle._representative_moments(mech, params, x.support, values) for x in inputs]
     calls = []
     uniform_tables = oracle._uniform_tables
     monkeypatch.setattr(oracle, "_uniform_tables", lambda *args: calls.append(args) or uniform_tables(*args))
@@ -423,10 +425,10 @@ def test_all_sparse_vectors_rejects_sizes_outside_its_domain(d, s):
      {"estimator": "mean", "dim": 2}),
 ])
 def test_the_moment_memo_follows_a_replaced_law(mechanism, params, x, probe, monkeypatch):
-    # the memo is keyed on the law itself, so a replaced entry is never served the old law's moments
+    # the memo is keyed on the registered entry, so a replaced entry is never served the old law's moments
     before = exact_estimator_moments(mechanism, params, x, **probe)
-    law = LAWS[mechanism]
-    monkeypatch.setitem(LAWS, mechanism, lambda *args: np.roll(law(*args), 1))
+    mech = MECHANISMS[mechanism]
+    monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(law=lambda *args: np.roll(mech.law(*args), 1)))
     assert exact_estimator_moments(mechanism, params, x, **probe) != before
     monkeypatch.undo()
     assert exact_estimator_moments(mechanism, params, x, **probe) == before
@@ -458,7 +460,7 @@ def test_mixture_decompose_identical_inputs():
 
 def _collision_pair_distributions(params, x, xp, family):
     """The laws of (table, z) for x and for x' over ``family``, on the same cells."""
-    law = LAWS["collision"]
+    law = MECHANISMS["collision"].law
     return tuple(np.concatenate([w * law(v.support, table, params) for table, w in family]) for v in (x, xp))
 
 

@@ -2,7 +2,7 @@
 
 Three raises guard internal invariants that no input reaches, so none has
 a row: the CoCo law's weight-sum and weight-range checks
-(``oracle._coco_table_probs``) and ``CollisionRates``' probability range.
+(``coco.coco_table_probs``) and ``CollisionRates``' probability range.
 """
 
 import re
@@ -38,12 +38,31 @@ REJECTIONS = {
         ),
         "uniform family on 12 points has more than 2^20 orbit representatives",
     ),
+    # an int event ended in an AttributeError
+    "oracle: an event that is not an EventId": (
+        lambda: exact_estimator_moments(
+            "collision", collision_params(4, 1, 1.0), TernaryVector(4, ((1, 1),)), "indicator", event=3
+        ),
+        "event must have an integer index in 1..4 and sign -1 or +1, got 3",
+    ),
     "query: clone mixture weights": (
         lambda: AmplificationQuery(100, MIXTURE_EPSILON, generic_clone_alpha(MIXTURE_EPSILON) * (1 + 1e-12), 1e-6),
         "invalid alpha: clone mixture weights exceed 1",
     ),
     "efmrtt_closed_form: delta outside (0,1)": (lambda: efmrtt_closed_form(1.0, 1.0, 100), "delta must lie in (0,1)"),
-    "collision_rates: negative epsilon": (lambda: collision_rates(1, -0.5, 4), "epsilon must be non-negative"),
+    "collision_rates: negative epsilon": (
+        lambda: collision_rates(1, -0.5, 4), "epsilon must be a non-negative real number, got epsilon=-0.5",
+    ),
+    # a bool returned rates, a string ended in a TypeError, and nan failed as "p_t=nan is not a probability"
+    "collision_rates: bool epsilon": (
+        lambda: collision_rates(1, True, 4), "epsilon must be a non-negative real number, got epsilon=True",
+    ),
+    "collision_rates: string epsilon": (
+        lambda: collision_rates(1, "1.0", 4), "epsilon must be a non-negative real number, got epsilon='1.0'",
+    ),
+    "collision_rates: nan epsilon": (
+        lambda: collision_rates(1, float("nan"), 4), "epsilon must be a non-negative real number, got epsilon=nan",
+    ),
     "coco_choose_t: unknown which": (
         lambda: coco_choose_t(2, 1.0, "median"), "which must be 'mean' or 'nonmissing', got 'median'",
     ),
