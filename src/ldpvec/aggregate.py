@@ -15,8 +15,8 @@ entry is the one statement of its domain ``check``, layout (``paired``)
 and ``law``, which the exact oracle reads too.  Both hash mechanisms
 count, per event, the views whose own hash sends it onto their symbol z
 (``domain.hit_counter`` on ``domain.hash_keys(d, paired)``), then debias
-the integer counts.  ``event_hit_counts`` runs chunks of
-``HIT_CHUNK_CELLS // len(keys)`` users on the shared pool, one per thread.
+the integer counts.  ``event_hit_counts`` counts chunks of users on a
+thread pool that ``domain.deal_chunks`` starts for each call.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import FLOAT_MAX, MechanismParams, check_integer, deal_chunks, event_code, hash_keys, hit_counter, is_real
+from .domain import FLOAT_MAX, MechanismParams, deal_chunks, event_code, hash_keys, hit_counter, is_real, read_view
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
@@ -72,32 +72,18 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     mech = mechanism(mechanism_name)
     if mech.check is None:
         return mech.debias(views, params)
-    seeds, z = _views_to_arrays(views, params.t)
-    return mech.debias(event_hit_counts(seeds, z, mech, params), len(seeds), params)
-
-
-def _views_to_arrays(views, t: int) -> tuple[np.ndarray, np.ndarray]:
     if not (isinstance(views, tuple) and len(views) == 2):
         raise ValueError("hash mechanisms take a (seeds, z) pair")
-    seeds, z = map(np.asarray, views)
-    check_integer(seeds=seeds, z=z)
-    if seeds.ndim != 1 or z.ndim != 1:
-        raise ValueError(f"seeds and z must be 1-d arrays, got shapes {seeds.shape} and {z.shape}")
+    seeds, z = read_view("seeds", views[0], 0, 2**64 - 1), read_view("z", views[1], 1, params.t)
     if len(seeds) != len(z):
         raise ValueError(f"seeds and z differ in length: {len(seeds)} vs {len(z)}")
-    if len(z) == 0:
-        raise ValueError("no views to aggregate")
-    if seeds.min() < 0:  # checked as given, since the cast would wrap it; a uint64 holds every seed
-        raise ValueError(f"seeds must lie in 0..2**64-1, got values in {seeds.min()}..{seeds.max()}")
-    if z.min() < 1 or z.max() > t:
-        raise ValueError(f"z must lie in 1..{t}, got values in {z.min()}..{z.max()}")
-    return seeds.astype(np.uint64, copy=False), z.astype(np.int64, copy=False)
+    return mech.debias(event_hit_counts(seeds, z, mech, params), len(seeds), params)
 
 
 def event_hit_counts(seeds: np.ndarray, z: np.ndarray, mech: Mechanism, params) -> np.ndarray:
     """Per event code 1..2d, the number of views whose hash sends it onto their z.
 
-    Chunks of ``HIT_CHUNK_CELLS // len(keys)`` users, whose hashes stay in cache, run on the shared pool
+    Chunks of ``HIT_CHUNK_CELLS // len(keys)`` users, whose hashes stay in cache, run on a pool started for the call
     (``domain.deal_chunks``).  Each worker builds one counter, so no chunk allocates, and sums its chunks'
     counts.  Counts are integers, so neither the chunking nor the thread count can change the result.
     """

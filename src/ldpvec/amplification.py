@@ -23,16 +23,18 @@ alpha = (e^eps - 1)/(e^eps + 1), i.e. a = 1/(e^eps + 1).
 Divergences are evaluated in closed form per row.  A pair of counts
 (u, v) lies on row m = u + v; with B(m, u) the Binomial(m, 1/2) pmf,
 E = e^eps, c = e^eps_c, X = a pc(m-1), Z = r pc(m) and r the (0, 0)
-weight,
+weight, the bracket grouped by (E - c) and (1 - c) is
 
-    P(u) - c Q(u) = B(m, u) [X (2u/m)(E - 1)(1 + c) + 2X(1 - cE) + Z(1 - c)].
+    P(u) - c Q(u) = 2 B(m, u) [top - slope (m - u)/m],
+    top = (E - c) X + (1 - c) Z/2,   slope = (E - 1) X (1 + c),
 
-The bracket increases with u, so the cells where P exceeds cQ form a
-suffix u >= k(m) of the row with k in closed form, and the row's share
-of the divergence is a sum of Binomial(., 1/2) upper tails at k.  Every
-row is kept whole (u = 0..m), so one evaluation is one ``betainc`` and
-one pmf array over the rows; everything that does not depend on eps_c
-(the rows, pc and the truncation mass) is built once per query.
+with no product E c (whose expansion cancels from eps ~ 27 on) and no
+overflow below eps = 709.78.  It increases with u, so the cells where
+P exceeds cQ form the suffix u >= m + 1 - ceil(m top/slope) of the row,
+whose share of the divergence is a sum of Binomial(., 1/2) upper tails.
+Every row is kept whole (u = 0..m), so one evaluation is one ``betainc``
+and one pmf array over the rows; everything that does not depend on
+eps_c (the rows, pc and the truncation mass) is built once per query.
 Swapping the two coordinates maps P to Q and every row onto itself, so
 the reverse divergence equals the forward one.
 
@@ -215,25 +217,19 @@ def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResu
         # P <= e^eps Q on every cell, so both divergences vanish.
         return DivergenceResult(delta=0.0, truncation_mass=win.truncation_mass)
     eeps, ee_c = math.exp(query.epsilon), math.exp(epsilon_c)
-    slope = 2.0 * (eeps - 1.0) * (1.0 + ee_c) * win.x
-    level = 2.0 * (1.0 - ee_c * eeps) * win.x + (1.0 - ee_c) * win.z
-    # P(u) > c Q(u) exactly for u > -m level / slope; nowhere on rows with
-    # slope 0, where the bracket is Z(1 - c) <= 0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cut = np.floor(-win.m * level / slope) + 1.0
-    k = np.where(slope > 0, np.clip(cut, 0, win.m + 1), win.m + 1).astype(np.int64)
+    top = (eeps - ee_c) * win.x + 0.5 * (1.0 - ee_c) * win.z
+    slope = (eeps - 1.0) * win.x * (1.0 + ee_c)
+    # P(u) > c Q(u) exactly for m - u < m top/slope; nowhere on rows with top <= 0, the bracket at u = m.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cut = win.m + 1 - np.ceil(win.m * top / slope)
+    k = np.where(top > 0, np.clip(cut, 0, win.m + 1), win.m + 1).astype(np.int64)
     live = k <= win.m
     k, m, x, z = k[live], win.m[live], win.x[live], win.z[live]
-    # Sum over u = k..m of P - cQ = X(E - c) B(m-1, u-1) + X(1 - cE) B(m-1, u)
-    # + Z(1 - c) B(m, u).  With G(c, j) = P(Binomial(c, 1/2) >= j), t = G(m-1, k) and b = B(m-1, k-1),
-    # Pascal's rule gives G(m-1, k-1) = t + b and G(m, k) = t + b/2.
-    t = _binom_tail(k - 1, m - 1, 0.5)
-    b = _binom_pmf(m - 1, k - 1, 0.5)
-    row = (
-        (eeps - ee_c) * x * (t + b)
-        + (1.0 - ee_c * eeps) * x * t
-        + (1.0 - ee_c) * z * (t + 0.5 * b)
-    )
+    # P - cQ = X(E - c)(B(m-1, u-1) - B(m-1, u)) + (1 - c)((1 + E) X B(m-1, u) + Z B(m, u)).  Over u = k..m, with
+    # G(c, j) = P(Binomial(c, 1/2) >= j), t = G(m-1, k) and b = B(m-1, k-1), the difference telescopes to b and
+    # Pascal's rule gives G(m, k) = t + b/2.
+    t, b = _binom_tail(k - 1, m - 1, 0.5), _binom_pmf(m - 1, k - 1, 0.5)
+    row = (eeps - ee_c) * x * b + (1.0 - ee_c) * ((1.0 + eeps) * x * t + z * (t + 0.5 * b))
     # Q - cP on cell u equals P - cQ on cell m - u of the same row.
     return DivergenceResult(delta=float(np.maximum(row, 0.0).sum()), truncation_mass=win.truncation_mass)
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .domain import MechanismParams, check_batch, check_budget, check_integer, check_size, debias_denominator, event_code, exp_budget
+from .domain import MechanismParams, check_batch, check_budget, check_size, debias_denominator, event_code, exp_budget, read_view
 
 
 def amplified_budget(s: int, epsilon: float) -> float:
@@ -57,15 +57,8 @@ def _randomized_response(truth: np.ndarray, k: int, epsilon: float, rng: np.rand
 
 
 def _report_counts(views, k: int) -> tuple[np.ndarray, int]:
-    """The count of each category 1..k among a batch of reports, a non-empty 1-d integer array in 1..k, and its size."""
-    codes = np.asarray(views)
-    if codes.ndim != 1:
-        raise ValueError(f"reported codes must be a 1-d array, got shape {codes.shape}")
-    if len(codes) == 0:
-        raise ValueError("no views to aggregate")
-    check_integer(codes=codes)
-    if codes.min() < 1 or codes.max() > k:
-        raise ValueError(f"reported codes must lie in 1..{k}")
+    """The count of each category 1..k among a batch of reports (``domain.read_view``), and its size."""
+    codes = read_view("reported codes", views, 1, k)
     return np.bincount(codes - 1, minlength=k).astype(float), len(codes)
 
 

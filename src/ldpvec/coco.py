@@ -84,10 +84,9 @@ def overwrite_probability(s: int, t: int) -> float:
 
 def collision_rates(s: int, epsilon: float, t: int) -> CollisionRates:
     """Marginal collision rates of CoCo under ideal uniform hashing."""
-    check_coco_domain(s, t)
+    p_ow = overwrite_probability(s, t)  # checks (s, t) against CoCo's domain
     if not (is_real(epsilon) and epsilon >= 0):  # a bool is no budget, and nan is not >= 0
         raise ValueError(f"epsilon must be a non-negative real number, got epsilon={epsilon!r}")
-    p_ow = overwrite_probability(s, t)
     omega = coco_omega(s, epsilon, t)
     eeps = math.exp(epsilon)
     shared = p_ow * (eeps + 1.0) / (2.0 * omega)
@@ -120,8 +119,10 @@ def check_which(which) -> None:
 
 
 def coco_params(d: int, s: int, epsilon: float, t: int | None = None, which: str = "mean") -> MechanismParams:
-    check_which(which)
-    t = coco_choose_t(s, epsilon, which) if t is None else t
+    if t is None:
+        t = coco_choose_t(s, epsilon, which)  # checks which
+    else:
+        check_which(which)
     check_coco_domain(s, t)
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 

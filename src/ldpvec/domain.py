@@ -197,6 +197,29 @@ def check_integer(**arrays) -> None:
             raise ValueError(f"{name} must be an integer array, got dtype {dtype}")
 
 
+def read_view(name: str, values, low: int, high: int) -> np.ndarray:
+    """A server-side view ``name``: a non-empty 1-d integer array in low..high, as int64 (uint64 from high >= 2^63).
+
+    An array is read by its dtype, anything else value by value, so that numpy's common type neither passes a bool as 1
+    nor turns integers from 2^63 on into floats.  The range is checked on the values as given, before the cast.
+    """
+    array = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array, got shape {array.shape}")
+    if not len(array):
+        raise ValueError("no views to aggregate")
+    if array.dtype == object:
+        bad = next((f"value {v!r}" for v in array if not is_integer(v)), None)
+    else:
+        bad = None if np.issubdtype(array.dtype, np.integer) else f"dtype {array.dtype}"
+    if bad:
+        raise ValueError(f"{name} must be an integer array, got {bad}")
+    lo, hi = array.min(), array.max()
+    if lo < low or hi > high:
+        raise ValueError(f"{name} must lie in {low}..{'2**64-1' if high == 2**64 - 1 else high}, got values in {lo}..{hi}")
+    return array.astype(np.uint64 if high >= 2**63 else np.int64, copy=False)
+
+
 def check_batch(supports: np.ndarray, signs: np.ndarray, d: int, s: int) -> None:
     """Reject a malformed batch of (n, s) supports and signs over dimensions 1..d in O(n*s)."""
     check_integer(supports=supports, signs=signs)

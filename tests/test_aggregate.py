@@ -278,9 +278,9 @@ def test_aggregate_rejects_seeds_and_z_of_different_lengths(mechanism, params):
 @pytest.mark.parametrize("mechanism, params", [("collision", collision_params(4, 1, 1.0, 3)), ("coco", coco_params(4, 1, 1.0))])
 def test_aggregate_rejects_arrays_that_are_not_1d(mechanism, params):
     seeds = user_hash_seeds(1, 4)
-    with pytest.raises(ValueError, match="must be 1-d"):
+    with pytest.raises(ValueError, match=r"^seeds must be a 1-d array, got shape \(2, 2\)$"):
         aggregate_frequencies((seeds.reshape(2, 2), np.ones((2, 2), dtype=np.int64)), mechanism, params)
-    with pytest.raises(ValueError, match="must be 1-d"):
+    with pytest.raises(ValueError, match=r"^z must be a 1-d array, got shape \(4, 1\)$"):
         aggregate_frequencies((seeds, np.ones((4, 1), dtype=np.int64)), mechanism, params)
 
 
@@ -305,6 +305,35 @@ def test_aggregate_checks_ranges_on_the_values_as_given(mechanism, params):
         aggregate_frequencies((user_hash_seeds(1, 2), z), mechanism, params)
     seeds = np.array([0, 2**64 - 1], dtype=np.uint64)  # the whole seed range aggregates
     assert aggregate_frequencies((seeds, [1, 2]), mechanism, params).shape == (8,)
+
+
+@pytest.mark.parametrize("mechanism, params", [("collision", collision_params(4, 1, 1.0)), ("coco", coco_params(4, 1, 1.0))])
+def test_aggregate_reads_a_list_of_seeds_value_by_value(mechanism, params):
+    # numpy read [1, 2**64 - 1] as float64, so valid seeds given as a list were "not an integer array"
+    seeds = [1, 2**64 - 1]
+    want = aggregate_frequencies((np.array(seeds, dtype=np.uint64), [1, 2]), mechanism, params)
+    np.testing.assert_array_equal(aggregate_frequencies((seeds, [1, 2]), mechanism, params), want)
+
+
+def test_every_view_reader_rejects_a_bool_inside_a_list():
+    # numpy read [True, 2] as int64, so the bool aggregated as 1, while a bool array was rejected
+    cases = [
+        (lambda v: aggregate_frequencies((v, [1, 2]), "collision", collision_params(4, 1, 1.0)), "seeds"),
+        (lambda v: aggregate_frequencies((user_hash_seeds(1, 2), v), "coco", coco_params(4, 1, 1.0)), "z"),
+        (lambda v: aggregate_frequencies(v, "privkv", MechanismParams(4, 1, 1.0, 3)), "reported codes"),
+        (lambda v: aggregate_frequencies(v, "pckv_grr", MechanismParams(4, 1, 1.0, 8)), "reported codes"),
+    ]
+    for call, name in cases:
+        for bad in (True, np.True_):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer array, got value {bad!r}')}$"):
+                call([bad, 2])
+
+
+@pytest.mark.parametrize("mechanism, params", [("collision", collision_params(4, 1, 1.0)), ("coco", coco_params(4, 1, 1.0))])
+def test_aggregate_reports_a_list_value_from_2_63_as_out_of_range(mechanism, params):
+    # numpy read [1, 2**63] as float64, so an out-of-range z was reported as "not an integer array"
+    with pytest.raises(ValueError, match=rf"^z must lie in 1\.\.{params.t}, got values in 1\.\.{2**63}$"):
+        aggregate_frequencies((user_hash_seeds(1, 2), [1, 2**63]), mechanism, params)
 
 
 def test_aggregate_rejects_non_integer_baseline_reports():

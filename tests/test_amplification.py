@@ -217,16 +217,40 @@ def test_engine_matches_exact_laws_at_moderate_n():
     # windows genuinely truncate here; reported delta must stay a tight
     # conservative envelope of the exact value
     n, eps, alpha = 100, 1.0, 0.25
-    P, Q = exact_pq_laws(n, eps, alpha)
     for eps_c in (0.0, 0.3, 0.8):
-        ec = math.exp(eps_c)
-        exact = max(
-            sum(max(0.0, P[k] - ec * Q.get(k, 0.0)) for k in P),
-            sum(max(0.0, Q[k] - ec * P.get(k, 0.0)) for k in Q),
-        )
+        exact = exact_divergence(n, eps, alpha, eps_c)
         got = pq_divergence(AmplificationQuery(n=n, epsilon=eps, alpha=alpha, delta=1e-6), eps_c)
         assert got.truncation_mass < 1e-9
         assert exact <= got.reported_delta <= exact + 1e-9
+
+
+def exact_divergence(n, eps, alpha, eps_c):
+    """The larger of the two hockey-stick divergences of ``exact_pq_laws`` at e^eps_c."""
+    P, Q = exact_pq_laws(n, eps, alpha)
+    ec = math.exp(eps_c)
+    return max(
+        sum(max(0.0, P[k] - ec * Q.get(k, 0.0)) for k in P),
+        sum(max(0.0, Q[k] - ec * P.get(k, 0.0)) for k in Q),
+    )
+
+
+# collision's alpha needs s e^eps in a float, so at s = 2 it stops short of 709.5
+LARGE_EPSILON_BOUNDS = [("clone", eps) for eps in (28, 33, 40, 60, 400, 705, 709.5)] + [
+    ("collision", eps) for eps in (28, 33, 40, 60, 400, 705)
+]
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-6])
+@pytest.mark.parametrize("n", [3, 20])
+@pytest.mark.parametrize("bound, epsilon", LARGE_EPSILON_BOUNDS)
+def test_amplified_epsilon_is_sound_at_large_epsilon(bound, epsilon, n, delta):
+    # expanded with the product e^eps e^eps_c, the bracket cancelled from eps ~ 27 and dropped live cells: the
+    # clone bound certified 37.22 at n = 3, eps = 40, where the exact delta is 0.938, and from eps = 600 it raised
+    alpha = generic_clone_alpha(epsilon) if bound == "clone" else collision_alpha(2, epsilon, collision_optimal_t(2, epsilon))
+    eps_c = amplified_epsilon(n, epsilon, alpha, delta)
+    assert 0.0 <= eps_c <= epsilon
+    if eps_c < epsilon:
+        assert exact_divergence(n, epsilon, alpha, eps_c) <= delta * (1.0 + 1e-9)
 
 
 def test_divergence_zero_at_local_budget():

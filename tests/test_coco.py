@@ -63,6 +63,22 @@ def test_rates_reject_bad_domain():
         collision_rates(2, 1.0, 4)  # t < 2s+2
 
 
+def test_coco_checks_each_rule_once_per_call(monkeypatch):
+    # collision_rates checked (s, t) itself and again in overwrite_probability, and coco_params checked which twice
+    calls = []
+    for name in ("check_coco_domain", "check_which"):
+        real = getattr(coco, name)
+        monkeypatch.setattr(coco, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    params = MechanismParams(d=4, s=1, epsilon=1.0, t=4)
+    coco.collision_rates(1, 1.0, 4)
+    coco.coco_debias(np.zeros(8, dtype=np.int64), 1, params)
+    assert calls == ["check_coco_domain", "check_coco_domain"]
+    calls.clear()
+    coco_params(4, 1, 1.0)
+    coco_params(4, 1, 1.0, t=6)
+    assert calls == ["check_which", "check_coco_domain"] * 2
+
+
 def test_choose_t_examples():
     assert coco_choose_t(8, 0.5, "mean") == 24
     assert coco_choose_t(8, 0.5, "nonmissing") == 54
