@@ -52,7 +52,7 @@ class Mechanism(NamedTuple):
     check: Callable | None  # params -> None, a ValueError outside a hash mechanism's domain; None for a baseline
     debias: Callable
     paired: bool = False  # a hash point is a dim whose events sit on a bucket pair, else an event code
-    law: Callable | None = None  # (support, {point: bucket} table, params) -> P[z | x, table] over z = 1..t
+    law: Callable | None = None  # (x's buckets, x's signs, params) -> P[z | x, table], z = 1..t on a new last axis
 
 
 def mechanism(name: str) -> Mechanism:

@@ -11,7 +11,8 @@ shrinks the variance of the mean estimator.
 Entries are written in a uniformly random order; on a pair conflict the
 later entry overwrites the whole bucket pair.  The probability freed by
 overwrites is spread evenly over untouched pairs so the normaliser
-Omega = (e^eps + 1)*s + t - 2s holds for every input and hash.
+Omega = (e^eps + 1)*s + t - 2s holds for every input and hash
+(``coco_table_probs``, for arrays of hash tables and inputs at once).
 """
 
 from __future__ import annotations
@@ -132,33 +133,32 @@ def coco_free_weight(params: MechanismParams, m):
     return (coco_omega(params.s, params.epsilon, params.t) - m * (math.exp(params.epsilon) + 1.0)) / (params.t - 2 * m)
 
 
-def coco_table_probs(support: tuple, table: dict[int, int], params: MechanismParams) -> np.ndarray:
-    """P[z | x, table] over z = 1..t for a ``{dim: j_plus bucket}`` table under a uniformly random write order.
+def coco_table_probs(buckets: np.ndarray, signs: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """P[z | x, table] over z = 1..t, on a new last axis, from x's j_plus buckets and signs on the last axis of
+    ``buckets`` and ``signs`` (leading axes, tables and inputs, broadcast), under a uniformly random write order.
 
     It is in closed form over surviving writers: only the last writer of each bucket pair (k, k + t/2), its
     slot k, survives, uniform over the slot's g writers.  If a of them put their e^eps bucket at slot k, bucket k
     carries weight (a e^eps + g - a)/g and bucket k + t/2 carries ((g - a) e^eps + a)/g.  With m occupied slots,
-    every bucket of a free pair carries ``coco_free_weight``.
+    every bucket of a free pair carries ``coco_free_weight``.  Each row's weights must lie in [1, e^eps] and sum to Omega.
     """
     t, half = params.t, params.t // 2
     eeps, omega = math.exp(params.epsilon), coco_omega(params.s, params.epsilon, t)
-    writers: dict[int, list[int]] = {}  # occupied slot -> its writers' e^eps buckets
-    for j, b in support:
-        plus = table[j]
-        writers.setdefault((plus - 1) % half + 1, []).append(plus if b > 0 else pair_partner(plus, t))
-    w = [0.0] * t
-    for slot, high in writers.items():
-        g, a = len(high), high.count(slot)
-        w[slot - 1] = (a * eeps + g - a) / g
-        w[slot + half - 1] = ((g - a) * eeps + a) / g
-    free = coco_free_weight(params, len(writers))
-    for slot in set(range(1, half + 1)) - writers.keys():
-        w[slot - 1] = w[slot + half - 1] = free
-    if abs(math.fsum(w) - omega) > 1e-9 * max(1.0, omega):
-        raise ValueError(f"weights sum to {math.fsum(w)}, expected omega={omega}")
-    if min(w) < 1.0 - 1e-12 or max(w) > eeps * (1.0 + 1e-12):
+    slot = buckets - half * (buckets > half)  # the pair's lower bucket, in 1..t/2
+    writes = slot[..., None] == np.arange(1, half + 1)  # (..., writer, slot)
+    g = writes.sum(axis=-2)
+    # a writer puts e^eps on its slot's lower bucket when j_plus is there and x_j = +1, or j_plus is not and x_j = -1
+    a = (writes & ((buckets <= half) == (signs > 0))[..., None]).sum(axis=-2)
+    free = coco_free_weight(params, (g > 0).sum(axis=-1))[..., None]
+    g_or_1 = np.maximum(g, 1)  # a free slot divides by 1, not 0, and takes ``free``
+    w = np.concatenate([np.where(g > 0, (a * eeps + g - a) / g_or_1, free),
+                        np.where(g > 0, ((g - a) * eeps + a) / g_or_1, free)], axis=-1)
+    total = w.sum(axis=-1)
+    if np.any(abs(total - omega) > 1e-9 * max(1.0, omega)):
+        raise ValueError(f"weights sum to {total.flat[np.argmax(abs(total - omega))]}, expected omega={omega}")
+    if w.min() < 1.0 - 1e-12 or w.max() > eeps * (1.0 + 1e-12):
         raise ValueError("weights must lie in [1, e^eps]")
-    return np.array(w) / omega
+    return w / omega
 
 
 def coco_randomize_batch(

@@ -4,7 +4,8 @@ The randomizer hashes a user's event set into buckets 1..t and emits one
 bucket z.  Buckets hit by a hashed event carry relative weight e^eps; the
 fixed normaliser Omega = s*e^eps + t - s makes the output law sum to one
 for every input, with the probability freed by internal hash conflicts
-spread uniformly over the unhit buckets.
+spread uniformly over the unhit buckets (``collision_table_probs``, for
+arrays of hash tables and inputs at once).
 
 Each user's unbiased estimate of the indicator [event in Y_x] is
 
@@ -27,8 +28,11 @@ from .domain import (
 
 
 def collision_omega(s: int, epsilon: float, t: float) -> float:
-    """The normaliser Omega = s*e^eps + t - s; an e^eps too large for a float is a ValueError."""
-    return exp_budget(epsilon, s) + t - s
+    """The normaliser Omega = s*e^eps + t - s; an e^eps or an Omega too large for a float is a ValueError."""
+    omega = exp_budget(epsilon, s) + t - s
+    if math.isinf(omega):  # t ~ s*e^eps at the default t, so from eps ~ 709.1 at s = 1
+        raise ValueError(f"epsilon={epsilon} is too large: the normaliser s*e^epsilon + t - s overflows float arithmetic")
+    return omega
 
 
 def check_collision_domain(s: int, t: int) -> None:
@@ -69,18 +73,14 @@ def collision_params(d: int, s: int, epsilon: float, t: int | None = None) -> Me
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
-def collision_output_probabilities(hit_buckets: frozenset[int], params: MechanismParams) -> np.ndarray:
-    """Exact output law over buckets 1..t given the set of hit buckets."""
-    probs = np.full(params.t, collision_residual_prob(params, len(hit_buckets)))
-    hit = collision_hit_prob(params)
-    for b in hit_buckets:
-        probs[b - 1] = hit
-    return probs
+def collision_table_probs(buckets: np.ndarray, signs, params: MechanismParams) -> np.ndarray:
+    """P[z | x, table] over z = 1..t, on a new last axis, from x's event-code buckets on the last axis of ``buckets``.
 
-
-def collision_table_probs(support: tuple, table: dict[int, int], params: MechanismParams) -> np.ndarray:
-    """P[z | x, table] over z = 1..t for the input ``support`` under an explicit ``{event code: bucket}`` table."""
-    return collision_output_probabilities(frozenset(table[event_code(j, b)] for j, b in support), params)
+    Leading axes (tables, inputs) broadcast.  Each bucket a row hits takes e^eps/Omega and each of the t - k others
+    ``collision_residual_prob`` of the row's k distinct hit buckets.  ``signs`` goes unread: event codes carry them.
+    """
+    hit = (buckets[..., None] == np.arange(1, params.t + 1)).any(axis=-2)
+    return np.where(hit, collision_hit_prob(params), collision_residual_prob(params, hit.sum(axis=-1))[..., None])
 
 
 def collision_randomize_batch(

@@ -4,11 +4,13 @@ Everything here enumerates explicit hash tables rather than sampling, so
 privacy ratios and estimator moments are exact up to float rounding; sums
 are taken with ``math.fsum`` (correctly-rounded accumulation).
 
-Each hash mechanism's output law given an explicit ``{point: bucket}``
-table, its layout and its domain check are read from its
-``aggregate.MECHANISMS`` entry.  Collision's points are event codes on t
-buckets; CoCo's (``paired``) are dims on t/2 bucket pairs (k, k + t/2):
-a dim maps to j_plus's bucket and j_minus takes the other one.
+Each hash mechanism's output law, its layout and its domain check are
+read from its ``aggregate.MECHANISMS`` entry.  The law takes the buckets
+of the points an input reads, and its signs, with tables and inputs on
+leading axes, so each set of tables is evaluated in one call.
+Collision's points are event codes on t buckets; CoCo's (``paired``) are
+dims on t/2 bucket pairs (k, k + t/2): a dim maps to j_plus's bucket and
+j_minus takes the other one.
 
 Mechanisms only read a hash at the points an instance touches, so the
 uniform family over all functions, restricted to those points, is an
@@ -40,14 +42,14 @@ from __future__ import annotations
 import functools
 import math
 from itertools import combinations, islice, product
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .aggregate import Mechanism, mechanism as registered, target_values
 from .domain import EventId, TernaryVector, check_sparsity, event_code, is_integer, pair_partner
 
-_SIZE_GUARD = 10**6
+_SIZE_GUARD = 10**6  # cells of verify_ldp's law arrays: its closed-form (input, representative table) count times t
 
 
 def _sparse_vectors(s: int, signs: dict[int, tuple[int, ...]]) -> Iterator[tuple]:
@@ -85,13 +87,14 @@ def _orbit_count(n: int, t: int, paired: bool) -> int:
     return sum(ways)
 
 
-def _uniform_tables(paired: bool, points: Sequence[int], t: int) -> Iterator[tuple[dict[int, int], float]]:
-    """One table per relabelling orbit on ``points``, weighted by its share of the uniform family.
+def _uniform_tables(paired: bool, points: Sequence[int], t: int) -> tuple[np.ndarray, np.ndarray]:
+    """One table per relabelling orbit on ``points``, weighted by its share of the uniform family: a (tables, points)
+    array of buckets, a row per table and a column per point in ``points``' order, and the tables' weights.
 
     Slots are numbered by first use and, for a paired layout, the first point
     in a slot takes its lower bucket.  An orbit using k slots holds
     perm(slots, k) tables, times 2^k if paired, out of (slots * 2)^n or
-    slots^n.  Generated lazily; the 20-bit guard counts representatives.
+    slots^n.  The 20-bit guard counts representatives before any is built.
     """
     slots, n = t // 2 if paired else t, len(points)
     offsets = (0, slots) if paired else (0,)
@@ -99,9 +102,9 @@ def _uniform_tables(paired: bool, points: Sequence[int], t: int) -> Iterator[tup
         raise ValueError(f"uniform family on {n} points has more than 2^20 orbit representatives")
     total = (len(offsets) * slots) ** n
 
-    def extend(values: tuple[int, ...], used: int) -> Iterator[tuple[dict[int, int], float]]:
+    def extend(values: tuple[int, ...], used: int) -> Iterator[tuple[tuple[int, ...], float]]:
         if len(values) == n:
-            yield dict(zip(points, values)), math.perm(slots, used) * len(offsets) ** used / total
+            yield values, math.perm(slots, used) * len(offsets) ** used / total
             return
         for slot in range(1, used + 1):
             for offset in offsets:
@@ -109,15 +112,8 @@ def _uniform_tables(paired: bool, points: Sequence[int], t: int) -> Iterator[tup
         if used < slots:
             yield from extend(values + (used + 1,), used + 1)
 
-    yield from extend((), 0)
-
-
-def _cached_probs(law: Callable, support: tuple, points, table, params, cache: dict) -> np.ndarray:
-    key = (support, tuple(map(table.__getitem__, points)))
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = law(support, table, params)
-    return got
+    rows, weights = zip(*extend((), 0))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n), np.array(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +130,10 @@ def verify_ldp(mechanism: str, params) -> float:
     points.  By the symmetries in the module docstring, one set per orbit of
     dims and signs is checked (d only decides which orbits exist), on one
     table per bucket-relabelling orbit, where the worst ratio over z is the
-    same.  The size guard counts (input, representative table) evaluations,
-    in closed form before anything is enumerated.
+    same.  Each set's law is one (tables, inputs, t) array from one law call,
+    so the size guard's count of (input, representative table) pairs times t,
+    taken in closed form before anything is enumerated, is exactly the number
+    of cells of those arrays: it bounds memory.
     """
     mech = _law(mechanism, params)
     d, s, paired = params.d, params.s, mech.paired
@@ -147,15 +145,15 @@ def verify_ldp(mechanism: str, params) -> float:
     count *= _orbit_count(size, params.t, paired)
     if count * params.t > _SIZE_GUARD:
         raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
-    cache: dict[tuple, np.ndarray] = {}
     worst = 0.0
     for a, b in orbits:  # representative: dims 1..a with both signs, then b dims with their minus sign
         signs = {j: (-1, 1) if j <= a else (-1,) for j in range(1, a + b + 1)}
         points = tuple(signs) if paired else tuple(event_code(j, v) for j, vs in signs.items() for v in vs)
-        group = [(x, _points(x, paired)) for x in _sparse_vectors(s, signs)]
-        for table, _ in _uniform_tables(paired, points, params.t):
-            m = np.stack([_cached_probs(mech.law, x, x_points, table, params, cache) for x, x_points in group])
-            worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
+        tables, _ = _uniform_tables(paired, points, params.t)
+        inputs, column = list(_sparse_vectors(s, signs)), {q: i for i, q in enumerate(points)}
+        reads = np.array([[column[q] for q in _points(x, paired)] for x in inputs])  # (inputs, s) columns of tables
+        laws = mech.law(tables[:, reads], np.array([[v for _, v in x] for x in inputs]), params)  # (tables, inputs, t)
+        worst = max(worst, float(np.max(laws.max(axis=1) / laws.min(axis=1))))
     return math.log(worst)
 
 
@@ -222,12 +220,12 @@ def _representative_moments(mech: Mechanism, params, support: tuple, values: np.
     points = _points(support, paired)
     unread = (q for q in range(1, (params.d if paired else 2 * params.d) + 1) if q not in points)
     probed = points + tuple(islice(unread, 1))
-    cache, (tables, weights) = {}, zip(*_uniform_tables(paired, probed, params.t))
-    laws = np.stack([_cached_probs(mech.law, support, points, table, params, cache) for table in tables])
-    buckets, rows = np.array([[table[q] for q in probed] for table in tables]), np.arange(len(tables))[:, None]
+    buckets, weights = _uniform_tables(paired, probed, params.t)
+    laws = mech.law(buckets[:, : len(points)], np.array([v for _, v in support]), params)  # (tables, t)
+    rows = np.arange(len(buckets))[:, None]
     # P[outcome] per (table, probed point): z on H(q)'s partner (j_minus) if paired, z on H(q), neither
     hits = [laws[rows, b - 1] for b in ((pair_partner(buckets, params.t), buckets) if paired else (buckets,))]
-    outcomes, weights = hits + [1 - sum(hits)], np.array(weights)
+    outcomes = hits + [1 - sum(hits)]
     # sum over outcomes of P[o] v_o per (row of values, table, probed point), in outcome order, times the table's weight
     terms = sum(p * v[:, None, None] for p, v in zip(outcomes, values.T)) * weights[:, None]
     total = math.fsum(weights)

@@ -3,10 +3,13 @@
 ``uniform_collision_family`` lists every single-layout hash table on a
 set of event codes, the full family that the oracle's orbit
 representatives stand for.  ``family_privacy_loss`` and
-``family_moments`` evaluate the oracle's two quantities table by table
-over such an explicit family, from the law of each table alone: no
-orbit representatives, orbit weights or point-set grouping, so they
-check the oracle's enumeration without sharing it.
+``family_moments`` evaluate the oracle's two quantities over such an
+explicit family, from the law of each table alone: no orbit
+representatives, orbit weights or point-set grouping, so they check the
+oracle's enumeration without sharing it.  Each evaluates the law on the
+whole family in one call (``law_block``), as the oracle does on one set
+of points; the law's agreement with its own row-by-row evaluation is
+tested on its own.
 ``per_event_moments`` is ``exact_estimator_moments`` one probe at a time:
 each call enumerates the orbit tables on x's points and the probed point,
 where the oracle enumerates x's points and one free point once for all.
@@ -30,7 +33,7 @@ from ldpvec.aggregate import MECHANISMS
 from ldpvec.coco import collision_rates
 from ldpvec.collision import collision_denominator
 from ldpvec.domain import pair_partner
-from ldpvec.oracle import _SIZE_GUARD, _cached_probs, _law, _orbit_count, _points, _uniform_tables, all_sparse_vectors
+from ldpvec.oracle import _SIZE_GUARD, _law, _orbit_count, _points, _uniform_tables, all_sparse_vectors
 
 
 def uniform_collision_family(codes, t: int) -> list:
@@ -41,27 +44,24 @@ def uniform_collision_family(codes, t: int) -> list:
     return [(dict(zip(codes, values)), 1.0 / count) for values in product(range(1, t + 1), repeat=len(codes))]
 
 
-def _memo_probs(mechanism: str, params):
-    """P[z | x, table] over 1..t, memoised per input on the table's values at the points x reads."""
-    law, paired, memo = MECHANISMS[mechanism].law, MECHANISMS[mechanism].paired, {}
+def law_block(mechanism: str, params, supports, points, tables: np.ndarray) -> np.ndarray:
+    """P[z | x, table] as a (tables, inputs, t) array from one law call; ``tables`` holds a row of buckets per table,
+    a column per point of ``points``, and every input reads only those points."""
+    mech, column = MECHANISMS[mechanism], {q: i for i, q in enumerate(points)}
+    reads = np.array([[column[q] for q in _points(support, mech.paired)] for support in supports])
+    return mech.law(tables[:, reads], np.array([[v for _, v in support] for support in supports]), params)
 
-    def probs(x, table):
-        key = (x.support, tuple(table[p] for p in _points(x.support, paired)))
-        if key not in memo:
-            memo[key] = law(x.support, table, params)
-        return memo[key]
 
-    return probs
+def _family_laws(mechanism: str, params, supports, family) -> np.ndarray:
+    """``law_block`` over the dict tables of ``family``."""
+    points = list(family[0][0])
+    return law_block(mechanism, params, supports, points, np.array([[table[q] for q in points] for table, _ in family]))
 
 
 def family_privacy_loss(mechanism: str, params, inputs, family) -> float:
     """Max over the tables of ``family``, the inputs and z of log(P[z|x,H] / P[z|x',H])."""
-    probs = _memo_probs(mechanism, params)
-    worst = 0.0
-    for table, _ in family:
-        laws = np.stack([probs(x, table) for x in inputs])
-        worst = max(worst, float(np.max(laws.max(axis=0) / laws.min(axis=0))))
-    return math.log(worst)
+    laws = _family_laws(mechanism, params, [x.support for x in inputs], family)
+    return math.log(float(np.max(laws.max(axis=1) / laws.min(axis=1))))
 
 
 def indicator_terms(p_hit: float, p_false: float, denom: float) -> tuple[float, float]:
@@ -88,26 +88,25 @@ def estimator_terms(mechanism: str, params, estimator: str, event=None, dim=None
 
 def per_event_moments(mechanism: str, params, x, estimator: str, event=None, dim=None) -> tuple[float, float]:
     """``exact_estimator_moments`` one event at a time: the orbit tables on x's points and the probed one."""
-    mech = _law(mechanism, params)
-    law, paired = mech.law, mech.paired
+    paired = _law(mechanism, params).paired
     point, terms = estimator_terms(mechanism, params, estimator, event, dim)
-    points = _points(x.support, paired)
-    cache: dict = {}
-    means, seconds, weights = [], [], []
-    for table, weight in _uniform_tables(paired, tuple(dict.fromkeys(points + (point,))), params.t):
-        mean_t, second_t = terms(_cached_probs(law, x.support, points, table, params, cache), table)
+    probed = tuple(dict.fromkeys(_points(x.support, paired) + (point,)))
+    tables, weights = _uniform_tables(paired, probed, params.t)
+    laws = law_block(mechanism, params, [x.support], probed, tables)[:, 0]
+    means, seconds = [], []
+    for row, probs, weight in zip(tables.tolist(), laws, weights):
+        mean_t, second_t = terms(probs, dict(zip(probed, row)))
         means.append(weight * mean_t)
         seconds.append(weight * second_t)
-        weights.append(weight)
     mean = math.fsum(means) / math.fsum(weights)
     return mean, math.fsum(seconds) / math.fsum(weights) - mean**2
 
 
 def family_moments(mechanism: str, params, x, family, estimator: str, event=None, dim=None) -> tuple[float, float]:
     """(mean, variance) of one per-user estimator over the weighted tables of ``family``."""
-    probs = _memo_probs(mechanism, params)
     _, terms = estimator_terms(mechanism, params, estimator, event, dim)
-    moments = [(weight, *terms(probs(x, table), table)) for table, weight in family]
+    laws = _family_laws(mechanism, params, [x.support], family)[:, 0]
+    moments = [(weight, *terms(probs, table)) for (table, weight), probs in zip(family, laws)]
     total = math.fsum(w for w, _, _ in moments)
     mean = math.fsum(w * m for w, m, _ in moments) / total
     return mean, math.fsum(w * second for w, _, second in moments) / total - mean**2
@@ -115,8 +114,7 @@ def family_moments(mechanism: str, params, x, family, estimator: str, event=None
 
 def all_point_sets_privacy_loss(mechanism: str, params) -> float:
     """``verify_ldp``'s maximum over every set of min(2s, |domain|) hash points, not one per orbit, with its guard on that work."""
-    mech = _law(mechanism, params)
-    law, paired = mech.law, mech.paired
+    paired = _law(mechanism, params).paired
     d, s = params.d, params.s
     domain = range(1, (d if paired else 2 * d) + 1)  # dims or event codes
     size = min(2 * s, len(domain))
@@ -125,14 +123,12 @@ def all_point_sets_privacy_loss(mechanism: str, params) -> float:
     count *= _orbit_count(size, params.t, paired)
     if count * params.t > _SIZE_GUARD:
         raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
-    reads = [(x.support, _points(x.support, paired)) for x in all_sparse_vectors(d, s)]
-    cache: dict = {}
+    reads = [(x.support, set(_points(x.support, paired))) for x in all_sparse_vectors(d, s)]
     worst = 0.0
     for points in combinations(domain, size):
-        group = [r for r in reads if set(r[1]).issubset(points)]
-        for table, _ in _uniform_tables(paired, points, params.t):
-            m = np.stack([_cached_probs(law, x, x_points, table, params, cache) for x, x_points in group])
-            worst = max(worst, float(np.max(m.max(axis=0) / m.min(axis=0))))
+        group = [support for support, read in reads if read.issubset(points)]
+        laws = law_block(mechanism, params, group, points, _uniform_tables(paired, points, params.t)[0])
+        worst = max(worst, float(np.max(laws.max(axis=1) / laws.min(axis=1))))
     return math.log(worst)
 
 

@@ -11,7 +11,9 @@ statistic.
 
 import math
 
-from ldpvec.collision import collision_output_probabilities
+import numpy as np
+
+from ldpvec.collision import collision_table_probs
 from ldpvec.domain import MechanismParams
 
 
@@ -61,12 +63,12 @@ def lower_bound_statistic_distribution(
     if t < 3 * s:
         raise ValueError("worst-case construction needs t >= 3s")
 
-    def block_law(hit_buckets: frozenset[int]) -> dict[tuple[int, int], float]:
-        probs = collision_output_probabilities(hit_buckets, params)
+    def block_law(hit_buckets: range) -> dict[tuple[int, int], float]:
+        probs = collision_table_probs(np.array(hit_buckets), None, params)
         return {(1, 0): math.fsum(probs[:s]), (0, 1): math.fsum(probs[s : 2 * s]), (0, 0): math.fsum(probs[2 * s :])}
 
-    first = block_law(frozenset(range(s + 1, 2 * s + 1) if swapped else range(1, s + 1)))
-    background = block_law(frozenset(range(2 * s + 1, 3 * s + 1)))
+    first = block_law(range(s + 1, 2 * s + 1) if swapped else range(1, s + 1))
+    background = block_law(range(2 * s + 1, 3 * s + 1))
 
     law = {(0, 0): 1.0}
     for part in [first] + [background] * (n - 1):

@@ -142,7 +142,8 @@ def test_closed_form_law_matches_permutation_average(data):
     orders = list(permutations(support))
     weights = sum(coco_weight_vector(order, table, eps, t).w for order in orders)
     reference = weights / (len(orders) * coco_omega(s, eps, t))
-    exact = coco_table_probs(support, table, MechanismParams(d=d, s=s, epsilon=eps, t=t))
+    params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
+    exact = coco_table_probs(np.array([table[j] for j in dims]), np.array(signs), params)
     assert np.abs(exact - reference).max() <= 1e-14
 
 
@@ -216,7 +217,8 @@ def test_randomize_matches_exact_law(data):
     signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=s, max_size=s))
     params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
     user = user_hash_seeds(seed, 1)
-    exact = coco_table_probs(tuple(zip(dims, signs)), user_table(user[0], dims, t), params)
+    table = user_table(user[0], dims, t)
+    exact = coco_table_probs(np.array([table[j] for j in dims]), np.array(signs), params)
     n = 40_000
     z = coco_randomize_batch(
         np.tile(dims, (n, 1)), np.tile(signs, (n, 1)), np.repeat(user, n), params, np.random.default_rng(seed)
@@ -231,7 +233,8 @@ def test_randomize_batch_matches_exact_law():
         x_support = tuple((j + 1, (-1) ** j) for j in range(s))
         params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
         user = user_hash_seeds(seed, 1)[0]
-        exact = coco_table_probs(x_support, user_table(user, [j for j, _ in x_support], t), params)
+        table = user_table(user, [j for j, _ in x_support], t)
+        exact = coco_table_probs(np.array([table[j] for j, _ in x_support]), np.array([b for _, b in x_support]), params)
         n = 200_000
         seeds = np.full(n, user, dtype=np.uint64)
         sup = np.tile([[j for j, _ in x_support]], (n, 1))

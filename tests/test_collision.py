@@ -11,10 +11,10 @@ from ldpvec.collision import (
     collision_hit_prob,
     collision_omega,
     collision_optimal_t,
-    collision_output_probabilities,
     collision_params,
     collision_predicted_sum_variance,
     collision_randomize_batch,
+    collision_table_probs,
 )
 from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code, hash_buckets, user_hash_seeds
 
@@ -25,7 +25,7 @@ def test_output_probabilities_no_conflict():
     # d=6, s=2, t=4, eps=ln 2: hashed buckets 1/3 each, others 1/6
     params = collision_params(6, 2, LN2, 4)
     assert collision_omega(params.s, params.epsilon, params.t) == pytest.approx(6.0)
-    probs = collision_output_probabilities(frozenset({1, 3}), params)
+    probs = collision_table_probs(np.array([1, 3]), None, params)
     assert probs[0] == pytest.approx(1 / 3) and probs[2] == pytest.approx(1 / 3)
     assert probs[1] == pytest.approx(1 / 6) and probs[3] == pytest.approx(1 / 6)
 
@@ -33,7 +33,7 @@ def test_output_probabilities_no_conflict():
 def test_output_probabilities_conflict():
     # same params, both events hash together (k=1): 1/3 vs 2/9 each
     params = collision_params(6, 2, LN2, 4)
-    probs = collision_output_probabilities(frozenset({2}), params)
+    probs = collision_table_probs(np.array([2, 2]), None, params)
     assert probs[1] == pytest.approx(1 / 3)
     for idx in (0, 2, 3):
         assert probs[idx] == pytest.approx(2 / 9)
@@ -42,7 +42,7 @@ def test_output_probabilities_conflict():
 
 def test_small_epsilon_approaches_uniform():
     params = collision_params(6, 2, 1e-9, 4)
-    probs = collision_output_probabilities(frozenset({1, 2}), params)
+    probs = collision_table_probs(np.array([1, 2]), None, params)
     assert np.abs(probs - 0.25).max() < 1e-9
 
 
@@ -53,7 +53,7 @@ def test_probability_normalization_all_hit_sets():
                 continue
             params = collision_params(8, s, 0.8, t)
             for k in range(1, s + 1):
-                probs = collision_output_probabilities(frozenset(range(1, k + 1)), params)
+                probs = collision_table_probs(np.minimum(np.arange(1, s + 1), k), None, params)  # k distinct buckets
                 assert abs(probs.sum() - 1.0) < 1e-12
 
 
@@ -149,9 +149,7 @@ def test_randomize_matches_exact_law(data):
     signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=s, max_size=s))
     params = collision_params(d, s, eps, t)
     user = user_hash_seeds(seed, 1)
-    exact = collision_output_probabilities(
-        frozenset(hash_buckets(user, event_code(np.array(support), np.array(signs)), t).tolist()), params
-    )
+    exact = collision_table_probs(hash_buckets(user, event_code(np.array(support), np.array(signs)), t), None, params)
     n = 40_000
     z = collision_randomize_batch(
         np.tile(support, (n, 1)), np.tile(signs, (n, 1)), np.repeat(user, n), params, np.random.default_rng(seed)
@@ -177,7 +175,7 @@ def test_randomize_batch_matches_exact_law_with_and_without_conflict():
         seeds = np.full(n, user, dtype=np.uint64)
         z = collision_randomize_batch(supports, signs, seeds, params, rng)
         emp = np.bincount(z - 1, minlength=4) / n
-        exact = collision_output_probabilities(hits, params)
+        exact = collision_table_probs(row, None, params)
         assert np.abs(emp - exact).max() < 4 * math.sqrt(0.25 / n)
         checked_conflict = checked_conflict or len(hits) == 1
         checked_clean = checked_clean or len(hits) == 2

@@ -606,6 +606,17 @@ def test_cli_large_epsilon_is_a_per_point_failure():
     assert {row.split(",")[0] for row in res.stdout.splitlines()[1:]} == {"bound:efmrtt"}
 
 
+def test_cli_collision_bound_names_an_overflowing_normaliser():
+    # from eps ~ 709.1 at s = 1 the normaliser s e^eps + t - s is inf, and the point failed on "got alpha=0.0"
+    res = CliRunner().invoke(main, ["amplify", "--n", "100", "--s", "1", "--epsilon", "709.1", "--bounds", "collision,clone"])
+    assert res.exit_code == 2, res.output
+    assert [row.split(",")[0] for row in res.stdout.splitlines()[1:]] == ["bound:clone"] * 2
+    assert res.stderr.splitlines() == [
+        "point failed: collision n=100 s=1 epsilon=709.1: "
+        "epsilon=709.1 is too large: the normaliser s*e^epsilon + t - s overflows float arithmetic"
+    ]
+
+
 def test_cli_out_of_range_t_fails_on_one_short_line():
     # at epsilon = 700 the hash mechanisms' default t has over 300 digits
     res = _simulate("--epsilon", "700", "--n", "10", "--d", "8", "--mechanism", "collision,coco")

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from ldpvec import aggregate, oracle
 from ldpvec.aggregate import MECHANISMS
 from ldpvec.amplification import collision_alpha
-from ldpvec.coco import coco_params
+from ldpvec.coco import coco_omega, coco_params
 from ldpvec.collision import collision_params
 from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code, is_integer
 from ldpvec.oracle import (
@@ -21,7 +22,7 @@ from ldpvec.oracle import (
     verify_ldp,
 )
 import pq_reference
-from coco_reference import event_buckets, uniform_coco_family
+from coco_reference import coco_weight_vector, event_buckets, uniform_coco_family
 from oracle_reference import (
     all_point_sets_privacy_loss,
     family_moments,
@@ -41,17 +42,23 @@ def _single_table_family(mapping, t=None):
     return [(dict(mapping), 1.0)]
 
 
+def _row_law(mechanism, support, table, params):
+    """The registered law of one input as one row: the buckets of the points it reads on a ``{point: bucket}`` table."""
+    buckets = [table[q] for q in oracle._points(support, MECHANISMS[mechanism].paired)]
+    return MECHANISMS[mechanism].law(np.array(buckets), np.array([v for _, v in support]), params)
+
+
 def test_enumerate_collision_fixed_hash():
     params = collision_params(6, 2, LN2, 4)
     support = ((3, 1), (5, -1))
     table = {event_code(3, 1): 1, event_code(5, -1): 3}
-    assert MECHANISMS["collision"].law(support, table, params) == pytest.approx([1 / 3, 1 / 6, 1 / 3, 1 / 6])
+    assert _row_law("collision", support, table, params) == pytest.approx([1 / 3, 1 / 6, 1 / 3, 1 / 6])
 
 
 def test_enumerate_coco_single_entry():
     params = MechanismParams(d=4, s=1, epsilon=LN2, t=4)
     table = {2: 3}  # H1 = 1, H2 = +1
-    probs = MECHANISMS["coco"].law(((2, 1),), table, params)
+    probs = _row_law("coco", ((2, 1),), table, params)
     omega = 5.0
     hb, lb = event_buckets(table, 2, 4)
     w = (omega - 3.0) / 2.0
@@ -64,8 +71,46 @@ def test_enumerate_coco_single_entry():
 def test_enumerate_zero_budget_uniform():
     params = collision_params(4, 1, 1e-12, 3)
     family = uniform_collision_family((event_code(1, 1),), 3)
-    per_z = sum(w * MECHANISMS["collision"].law(((1, 1),), table, params) for table, w in family)
+    per_z = sum(w * _row_law("collision", ((1, 1),), table, params) for table, w in family)
     assert per_z == pytest.approx([1 / 3] * 3, abs=1e-9)
+
+
+def _collision_hit_set_law(support, table, params):
+    """Collision's law written out: e^eps/Omega on each of the k hit buckets, (Omega - k e^eps)/((t - k) Omega) elsewhere."""
+    hit, eeps = {table[event_code(j, b)] for j, b in support}, math.exp(params.epsilon)
+    omega, k = params.s * eeps + params.t - params.s, len(hit)
+    return [eeps / omega if z in hit else (omega - k * eeps) / ((params.t - k) * omega) for z in range(1, params.t + 1)]
+
+
+def _coco_order_average_law(support, table, params):
+    """CoCo's law as the literal assignment loop averaged over every write order (``coco_reference``)."""
+    orders = list(permutations(support))
+    weights = sum(coco_weight_vector(order, table, params.epsilon, params.t).w for order in orders)
+    return weights / (len(orders) * coco_omega(params.s, params.epsilon, params.t))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("mechanism", HASHED)
+def test_the_array_law_is_its_own_row_by_row_evaluation(mechanism, s):
+    # one (tables, inputs, s) block of every representative table against the stack of one-row calls, bit for bit: a
+    # law that reduces over a leading axis passes one row and fails the block; then every row against a reference
+    paired, epsilon = MECHANISMS[mechanism].paired, (0.5, LN2, 2.0)[s - 1]
+    if paired:  # s + 1 dims on t/2 = s + 1 slots, so inputs leave a slot free or share one
+        params, points = MechanismParams(d=s + 1, s=s, epsilon=epsilon, t=2 * s + 2), tuple(range(1, s + 2))
+    else:  # both events of s dims on the least t, s + 1
+        params, points = collision_params(s, s, epsilon, s + 1), tuple(range(1, 2 * s + 1))
+    supports = [x.support for x in all_sparse_vectors(params.d, s)]
+    tables, _ = _uniform_tables(paired, points, params.t)
+    reads = np.array([[points.index(q) for q in oracle._points(x, paired)] for x in supports])
+    signs, law = np.array([[v for _, v in x] for x in supports]), MECHANISMS[mechanism].law
+    block = law(tables[:, reads], signs, params)
+    rows = np.array([[law(table[r], sign, params) for r, sign in zip(reads, signs)] for table in tables])
+    assert block.shape == rows.shape == (len(tables), len(supports), params.t)
+    assert list(map(float.hex, block.ravel().tolist())) == list(map(float.hex, rows.ravel().tolist()))
+    reference = _coco_order_average_law if paired else _collision_hit_set_law
+    for table, laws in zip(tables.tolist(), block):
+        for support, got in zip(supports, laws):
+            assert np.abs(got - reference(support, dict(zip(points, table)), params)).max() <= 1e-14
 
 
 def test_verify_ldp_equality_witness_collision():
@@ -231,8 +276,8 @@ def test_orbit_representatives_match_the_full_uniform_family(data):
 @given(mechanism=st.sampled_from(HASHED), n=st.integers(0, 6), t=st.integers(2, 9))
 def test_orbit_count_and_weights(mechanism, n, t):
     paired = aggregate.MECHANISMS[mechanism].paired
-    weights = [w for _, w in _uniform_tables(paired, tuple(range(1, n + 1)), t)]
-    assert len(weights) == _orbit_count(n, t, paired)
+    tables, weights = _uniform_tables(paired, tuple(range(1, n + 1)), t)
+    assert tables.shape == (len(weights), n) and len(weights) == _orbit_count(n, t, paired)
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -248,6 +293,36 @@ def test_exhaustive_guard_counts_orbit_representatives():
     with pytest.raises(ValueError, match=r"enumeration size 869400\*8 exceeds guard"):  # 210 inputs times 4140 tables
         verify_ldp("collision", collision_params(8, 4, 1.0, 8))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("epsilon", [0.5, LN2, 1.0])
+def test_verify_ldp_at_the_default_t_for_three_nonzeros(epsilon):
+    assert verify_ldp("collision", collision_params(6, 3, epsilon)) == pytest.approx(epsilon, abs=1e-9)
+    # at d = 6 two CoCo inputs read up to 6 dims: 160 inputs times 1538 or 1539 tables times t is over the guard, so
+    # d = 5 is CoCo's largest instance at s = 3
+    assert verify_ldp("coco", coco_params(5, 3, epsilon)) <= epsilon + 1e-9
+    with pytest.raises(ValueError, match=r"enumeration size 246(08|24)0\*1[024] exceeds guard 1000000"):
+        verify_ldp("coco", coco_params(6, 3, epsilon))
+
+
+@pytest.mark.parametrize("mechanism, params, point_set_orbits, representatives", [
+    ("collision", collision_params(4, 2, LN2, 4), 3, 1),  # 0, 1 or 2 dims hold both events of a 4-code set
+    ("collision", collision_params(6, 3, 1.0, 6), 4, 1),
+    ("coco", coco_params(4, 2, LN2), 1, 4),  # every set of dims is one orbit; a representative keeps x's signs
+    ("coco", MechanismParams(d=3, s=3, epsilon=0.5, t=8), 1, 8),
+])
+def test_the_law_is_called_once_per_orbit(mechanism, params, point_set_orbits, representatives, monkeypatch):
+    # each point-set orbit of verify_ldp is one (tables, inputs, s) block and each representative's moments one
+    # (tables, s) block, however many inputs, tables and probes they hold
+    calls, mech = [], MECHANISMS[mechanism]
+    monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(law=lambda *args: calls.append(args[0].shape) or mech.law(*args)))
+    verify_ldp(mechanism, params)
+    assert len(calls) == point_set_orbits and all(len(shape) == 3 and shape[-1] == params.s for shape in calls)
+    calls.clear()
+    for x in all_sparse_vectors(params.d, params.s):
+        for estimator, _, probe in _probes_of(mechanism, params):
+            exact_estimator_moments(mechanism, params, x, estimator, **probe)
+    assert len(calls) == representatives and all(len(shape) == 2 and shape[-1] == params.s for shape in calls)
 
 
 def _identity_grid():
@@ -428,7 +503,7 @@ def test_the_moment_memo_follows_a_replaced_law(mechanism, params, x, probe, mon
     # the memo is keyed on the registered entry, so a replaced entry is never served the old law's moments
     before = exact_estimator_moments(mechanism, params, x, **probe)
     mech = MECHANISMS[mechanism]
-    monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(law=lambda *args: np.roll(mech.law(*args), 1)))
+    monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(law=lambda *args: np.roll(mech.law(*args), 1, axis=-1)))
     assert exact_estimator_moments(mechanism, params, x, **probe) != before
     monkeypatch.undo()
     assert exact_estimator_moments(mechanism, params, x, **probe) == before
@@ -460,8 +535,8 @@ def test_mixture_decompose_identical_inputs():
 
 def _collision_pair_distributions(params, x, xp, family):
     """The laws of (table, z) for x and for x' over ``family``, on the same cells."""
-    law = MECHANISMS["collision"].law
-    return tuple(np.concatenate([w * law(v.support, table, params) for table, w in family]) for v in (x, xp))
+    return tuple(np.concatenate([w * _row_law("collision", v.support, table, params) for table, w in family])
+                 for v in (x, xp))
 
 
 def test_mixture_decompose_disjoint_images():
@@ -530,6 +605,6 @@ def test_lower_bound_statistic_requires_room():
 def test_lower_bound_statistic_rejects_a_law_that_is_not_a_distribution(monkeypatch):
     params = collision_params(3, 1, LN2, 4)
     for probs, message in (([1.2, -0.2, 0.0, 0.0], "negative probability"), ([0.3] * 4, "sum to 1.2")):
-        monkeypatch.setattr(pq_reference, "collision_output_probabilities", lambda *args: np.array(probs))
+        monkeypatch.setattr(pq_reference, "collision_table_probs", lambda *args: np.array(probs))
         with pytest.raises(ValueError, match=message):
             lower_bound_statistic_distribution(1, params)

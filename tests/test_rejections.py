@@ -12,10 +12,10 @@ import pytest
 from click.testing import CliRunner
 
 from ldpvec import aggregate
-from ldpvec.amplification import AmplificationQuery, efmrtt_closed_form, generic_clone_alpha
+from ldpvec.amplification import AmplificationQuery, collision_alpha, efmrtt_closed_form, generic_clone_alpha
 from ldpvec.cli import main
 from ldpvec.coco import coco_choose_t, coco_params, coco_predicted_mse, collision_rates
-from ldpvec.collision import collision_params
+from ldpvec.collision import collision_optimal_t, collision_params
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
 from ldpvec.harness import ExperimentConfig, build_config, parse_config_text
 from ldpvec.oracle import exact_estimator_moments, verify_ldp
@@ -48,6 +48,11 @@ REJECTIONS = {
     "query: clone mixture weights": (
         lambda: AmplificationQuery(100, MIXTURE_EPSILON, generic_clone_alpha(MIXTURE_EPSILON) * (1 + 1e-12), 1e-6),
         "invalid alpha: clone mixture weights exceed 1",
+    ),
+    # Omega overflowed to inf, and alpha failed as "alpha must be a real number in (0, 1.0], got alpha=0.0"
+    "collision_alpha: normaliser overflow": (
+        lambda: collision_alpha(1, 709.1, collision_optimal_t(1, 709.1)),
+        "epsilon=709.1 is too large: the normaliser s*e^epsilon + t - s overflows float arithmetic",
     ),
     "efmrtt_closed_form: delta outside (0,1)": (lambda: efmrtt_closed_form(1.0, 1.0, 100), "delta must lie in (0,1)"),
     "collision_rates: negative epsilon": (
