@@ -12,7 +12,8 @@ Entries are written in a uniformly random order; on a pair conflict the
 later entry overwrites the whole bucket pair.  The probability freed by
 overwrites is spread evenly over untouched pairs so the normaliser
 Omega = (e^eps + 1)*s + t - 2s holds for every input and hash
-(``coco_table_probs``, for arrays of hash tables and inputs at once).
+(``coco_table_probs``, for arrays of hash tables and inputs at once),
+whose two weights on a pair are mirror images bit for bit.
 """
 
 from __future__ import annotations
@@ -138,9 +139,10 @@ def coco_table_probs(buckets: np.ndarray, signs: np.ndarray, params: MechanismPa
     ``buckets`` and ``signs`` (leading axes, tables and inputs, broadcast), under a uniformly random write order.
 
     It is in closed form over surviving writers: only the last writer of each bucket pair (k, k + t/2), its
-    slot k, survives, uniform over the slot's g writers.  If a of them put their e^eps bucket at slot k, bucket k
-    carries weight (a e^eps + g - a)/g and bucket k + t/2 carries ((g - a) e^eps + a)/g.  With m occupied slots,
-    every bucket of a free pair carries ``coco_free_weight``.  Each row's weights must lie in [1, e^eps] and sum to Omega.
+    slot k, survives, uniform over the slot's g writers.  If a of them put their e^eps bucket at k and b = g - a at
+    k + t/2, bucket k carries weight (a e^eps + b)/g and bucket k + t/2 (b e^eps + a)/g: mirror images, so swapping
+    the pair or a writer's sign swaps them bit for bit.  With m occupied slots, every bucket of a free pair carries
+    ``coco_free_weight``.  Each row's weights must lie in [1, e^eps] and sum to Omega.
     """
     t, half = params.t, params.t // 2
     eeps, omega = math.exp(params.epsilon), coco_omega(params.s, params.epsilon, t)
@@ -149,10 +151,11 @@ def coco_table_probs(buckets: np.ndarray, signs: np.ndarray, params: MechanismPa
     g = writes.sum(axis=-2)
     # a writer puts e^eps on its slot's lower bucket when j_plus is there and x_j = +1, or j_plus is not and x_j = -1
     a = (writes & ((buckets <= half) == (signs > 0))[..., None]).sum(axis=-2)
+    b = g - a
     free = coco_free_weight(params, (g > 0).sum(axis=-1))[..., None]
     g_or_1 = np.maximum(g, 1)  # a free slot divides by 1, not 0, and takes ``free``
-    w = np.concatenate([np.where(g > 0, (a * eeps + g - a) / g_or_1, free),
-                        np.where(g > 0, ((g - a) * eeps + a) / g_or_1, free)], axis=-1)
+    w = np.concatenate([np.where(g > 0, (a * eeps + b) / g_or_1, free),
+                        np.where(g > 0, (b * eeps + a) / g_or_1, free)], axis=-1)
     total = w.sum(axis=-1)
     if np.any(abs(total - omega) > 1e-9 * max(1.0, omega)):
         raise ValueError(f"weights sum to {total.flat[np.argmax(abs(total - omega))]}, expected omega={omega}")

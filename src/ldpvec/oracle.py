@@ -6,35 +6,33 @@ are taken with ``math.fsum`` (correctly-rounded accumulation).
 
 Each hash mechanism's output law, its layout and its domain check are
 read from its ``aggregate.MECHANISMS`` entry.  The law takes the buckets
-of the points an input reads, and its signs, with tables and inputs on
-leading axes, so each set of tables is evaluated in one call.
-Collision's points are event codes on t buckets; CoCo's (``paired``) are
-dims on t/2 bucket pairs (k, k + t/2): a dim maps to j_plus's bucket and
-j_minus takes the other one.
+of the points an input reads, and its signs, with tables on leading
+axes, so each set of tables is evaluated in one call.  Collision's
+points are event codes on t buckets; CoCo's (``paired``) are dims on t/2
+bucket pairs (k, k + t/2): a dim maps to j_plus's bucket and j_minus
+takes the other one.
 
 Mechanisms only read a hash at the points an instance touches, so the
 uniform family over all functions, restricted to those points, is an
 exact marginal of the full family; it is the one family the oracle
 enumerates.  Both laws are equivariant under relabelling buckets
-(permuting slots, and swapping the two buckets of a pair), and every
-quantity taken from them here is invariant, so that family is enumerated
-as one table per relabelling orbit, weighted by the orbit's share; it is
-materialised only when the representatives fit in 20 bits.  Permuting
-dimensions and swapping a dimension's two events maps inputs and that
-family onto themselves, so ``verify_ldp`` checks one set of hash points
-per orbit of that symmetry, and its work does not grow with d.
+(permuting slots, and swapping the two buckets of a pair) bit for bit,
+and every quantity taken from them here is invariant, so that family is
+enumerated as one table per relabelling orbit, weighted by the orbit's
+share; it is materialised only when the representatives fit in 20 bits.
 
-``exact_estimator_moments`` checks the estimators the server runs: once
-per parameter set, one user's hit counts at each outcome of a probe (a
-hit on the probed event, on j_minus or j_plus of a paired dim, or none)
-go through the registered ``debias`` and ``aggregate.target_values``, and
-each table adds sum_o P[o] v_o and sum_o P[o] v_o^2.  Hash values are iid
-over points, so an input is enumerated on its points plus one free point
-that stands for every point it does not read, once per orbit: x's dims
-relabelled 1..s in support order.  Collision's points are event codes,
-which carry the signs (one orbit); CoCo's law reads x's signs, so it
-keeps them (2^s orbits): its two pair weights are not computed as mirror
-images, so folding signs moves ulps.
+Hash values are iid over points, and permuting dims maps inputs and that
+family onto themselves, so one input, ((1, +1), ..., (s, +1)), stands for
+all of a parameter set.  Collision's event codes carry x's signs; a CoCo
+dim of sign -1 has, bit for bit, the law of the +1 dim on its mirrored
+bucket, so its j_minus and j_plus outcomes swap.  ``verify_ldp`` reads
+that input's law alone.  ``exact_estimator_moments`` enumerates it once
+per parameter set, on its points plus one free point that stands for
+every point it does not read: one user's hit counts at each outcome of a
+probe (a hit on the probed event, on j_minus or j_plus of a paired dim,
+or none) go through the registered ``debias`` and
+``aggregate.target_values``, as read and mirrored, and each table adds
+sum_o P[o] v_o and sum_o P[o] v_o^2.
 """
 
 from __future__ import annotations
@@ -49,19 +47,13 @@ import numpy as np
 from .aggregate import Mechanism, mechanism as registered, target_values
 from .domain import EventId, TernaryVector, check_sparsity, event_code, is_integer, pair_partner
 
-_SIZE_GUARD = 10**6  # cells of verify_ldp's law arrays: its closed-form (input, representative table) count times t
-
-
-def _sparse_vectors(s: int, signs: dict[int, tuple[int, ...]]) -> Iterator[tuple]:
-    """The supports of s nonzero dims among ``signs``' keys, each dim taking one of its signs."""
-    for dims in combinations(signs, s):
-        for picked in product(*map(signs.__getitem__, dims)):
-            yield tuple(zip(dims, picked))
+_SIZE_GUARD = 10**6  # cells of verify_ldp's law array: the representative's orbit tables on s points, times t
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
     check_sparsity(d, s)
-    return [TernaryVector(d, support) for support in _sparse_vectors(s, dict.fromkeys(range(1, d + 1), (-1, 1)))]
+    return [TernaryVector(d, tuple(zip(dims, signs)))
+            for dims in combinations(range(1, d + 1), s) for signs in product((-1, 1), repeat=s)]
 
 
 def _law(mechanism: str, params) -> Mechanism:
@@ -76,6 +68,11 @@ def _law(mechanism: str, params) -> Mechanism:
 def _points(support: tuple, paired: bool) -> tuple[int, ...]:
     """The hash points an input reads: its dims if paired, else its event codes."""
     return tuple(j if paired else event_code(j, b) for j, b in support)
+
+
+def _representative(s: int, paired: bool) -> tuple[tuple[int, ...], np.ndarray]:
+    """The points and signs of the input that stands for all of a parameter set: dims 1..s, each of sign +1."""
+    return _points(tuple((j, 1) for j in range(1, s + 1)), paired), np.ones(s, dtype=np.int64)
 
 
 def _orbit_count(n: int, t: int, paired: bool) -> int:
@@ -121,40 +118,21 @@ def _uniform_tables(paired: bool, points: Sequence[int], t: int) -> tuple[np.nda
 
 
 def verify_ldp(mechanism: str, params) -> float:
-    """Max over inputs, hash tables and outputs of log(P[z|x,H] / P[z|x',H]).
+    """log(max P[z|x,H] / min P[z|x,H]) over one input x (the representative), its orbit tables H and outputs z.
 
-    The check is exhaustive over all hash tables.  A pair (x, x') reads at
-    most 2s hash points, so every pair lies in some set of that many points
-    of the domain (or in the whole domain), checked on the uniform family
-    restricted to it, an exact marginal, over the inputs that read only its
-    points.  By the symmetries in the module docstring, one set per orbit of
-    dims and signs is checked (d only decides which orbits exist), on one
-    table per bucket-relabelling orbit, where the worst ratio over z is the
-    same.  Each set's law is one (tables, inputs, t) array from one law call,
-    so the size guard's count of (input, representative table) pairs times t,
-    taken in closed form before anything is enumerated, is exactly the number
-    of cells of those arrays: it bounds memory.
+    An input's law depends only on the buckets of its own s points, and every input shares one z-space, so by the
+    module docstring's symmetries every (x, H, z) has a cell of the same value in that one law.  So this is an upper
+    bound on the max over inputs x, x', tables and z of log(P[z|x,H] / P[z|x',H]), and equals it wherever one pair
+    on one table attains both extremes at one z (it lies above by ulps for CoCo at s = d).  The size guard counts
+    the cells of that (tables, t) law array in closed form before any table is built: it bounds memory.
     """
     mech = _law(mechanism, params)
-    d, s, paired = params.d, params.s, mech.paired
-    size = min(2 * s, d if paired else 2 * d)
-    # Point-set orbits as (a, b): a dims hold both signs' points and b one sign's.  A paired layout's points
-    # are dims, so all its sets are one orbit; an event-code set of a given a has b = size - 2a.
-    orbits = [(size, 0)] if paired else [(a, size - 2 * a) for a in range(max(0, size - d), size // 2 + 1)]
-    count = sum(math.comb(a, i) * 2**i * math.comb(b, s - i) for a, b in orbits for i in range(s + 1))  # inputs
-    count *= _orbit_count(size, params.t, paired)
+    count = _orbit_count(params.s, params.t, mech.paired)
     if count * params.t > _SIZE_GUARD:
         raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
-    worst = 0.0
-    for a, b in orbits:  # representative: dims 1..a with both signs, then b dims with their minus sign
-        signs = {j: (-1, 1) if j <= a else (-1,) for j in range(1, a + b + 1)}
-        points = tuple(signs) if paired else tuple(event_code(j, v) for j, vs in signs.items() for v in vs)
-        tables, _ = _uniform_tables(paired, points, params.t)
-        inputs, column = list(_sparse_vectors(s, signs)), {q: i for i, q in enumerate(points)}
-        reads = np.array([[column[q] for q in _points(x, paired)] for x in inputs])  # (inputs, s) columns of tables
-        laws = mech.law(tables[:, reads], np.array([[v for _, v in x] for x in inputs]), params)  # (tables, inputs, t)
-        worst = max(worst, float(np.max(laws.max(axis=1) / laws.min(axis=1))))
-    return math.log(worst)
+    points, signs = _representative(params.s, mech.paired)
+    laws = mech.law(_uniform_tables(mech.paired, points, params.t)[0], signs, params)  # (tables, t)
+    return math.log(float(laws.max() / laws.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +147,7 @@ def exact_estimator_moments(
     event: EventId | None = None,
     dim: int | None = None,
 ) -> tuple[float, float]:
-    """Exact (mean, variance) of one user's estimate under ideal hashing, from the enumeration of x's orbit.
+    """Exact (mean, variance) of one user's estimate under ideal hashing, read off the representative's enumeration.
 
     The estimate is the registered debias read through ``aggregate.target_values``: an unpaired layout's
     ``indicator`` of an event, a paired layout's ``mean`` or ``nonmissing`` of a dim.  An input, event or dim outside
@@ -190,13 +168,11 @@ def exact_estimator_moments(
             and event.sign in (-1, 1)):
         raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
     point = dim if paired else event.code
-    rep = tuple((i, b if paired else 1) for i, (_, b) in enumerate(x.support, 1))
-    values, memo = _input_moments(mech, params)
-    if rep not in memo:
-        memo[rep] = _representative_moments(mech, params, rep, values)
-    # x's points map onto the representative's in support order; a point x does not read maps to the free point, last
+    moments = _input_moments(mech, params)
+    # x's points map onto the representative's in order, an unread point onto the free point (last); sign -1 mirrors
     reads = _points(x.support, paired)
-    return memo[rep][estimator][reads.index(point) if point in reads else -1]
+    k = reads.index(point) if point in reads else -1
+    return moments[k >= 0 and x.support[k][1] < 0, estimator][k]
 
 
 # Each layout's estimators and the ``aggregate`` target each reads: an event code's indicator, a dim's mean or not.
@@ -204,24 +180,23 @@ _ESTIMATORS = {False: {"indicator": "frequency"}, True: {"mean": "mean", "nonmis
 
 
 @functools.lru_cache(maxsize=1)
-def _input_moments(mech: Mechanism, params) -> tuple[np.ndarray, dict]:
-    """One entry's and parameter set's estimates at each outcome of a probe, a row per estimator then per square, and
-    its moments, filled in per orbit representative: x's dims relabelled 1..s (signs kept if paired).  The outcomes are
-    a hit on the probed point's event (paired: on j_minus, then on j_plus, the debias's column order), then no hit."""
-    frequencies = mech.debias(np.eye(3, 2) if mech.paired else np.eye(2, 1), 1, params)  # hit counts per outcome
-    values = np.array([target_values(frequencies, target)[:, 0] for target in _ESTIMATORS[mech.paired].values()])
-    return np.vstack([values, values**2]), {}
-
-
-def _representative_moments(mech: Mechanism, params, support: tuple, values: np.ndarray) -> dict[str, list]:
-    """Every estimator's (mean, variance) at each point the input reads, in support order, then at one point it does
-    not read, which stands for all of them (CoCo has none at s = d), from ``_input_moments``' ``values``."""
-    paired = mech.paired
-    points = _points(support, paired)
+def _input_moments(mech: Mechanism, params) -> dict[tuple[bool, str], list]:
+    """One entry's and parameter set's moments, keyed by (mirrored, estimator): the representative's (mean, variance)
+    at each point it reads, in order, then at one point it does not read, which stands for all of them (none for CoCo
+    at s = d).  The estimates are one user's hit counts at each outcome of a probe (a hit on the probed point's event,
+    paired: on j_minus, then j_plus, the debias's column order; then none) through the registered debias.  Mirrored,
+    as a dim of sign -1 reads them, the counts' columns are reversed: CoCo's mean is negated, the rest kept."""
+    paired, targets = mech.paired, _ESTIMATORS[mech.paired]
+    counts = np.eye(3, 2) if paired else np.eye(2, 1)  # one user's hit counts per outcome
+    values = np.array([target_values(mech.debias(c, 1, params), target)[:, 0]
+                       for c in (counts, counts[:, ::-1]) for target in targets.values()])
+    # a row per (power, mirrored, estimator); rows that coincide, as an event's mirror and the squares do, sum once
+    values, inverse = np.unique(np.vstack([values, values**2]), axis=0, return_inverse=True)
+    points, signs = _representative(params.s, paired)
     unread = (q for q in range(1, (params.d if paired else 2 * params.d) + 1) if q not in points)
     probed = points + tuple(islice(unread, 1))
     buckets, weights = _uniform_tables(paired, probed, params.t)
-    laws = mech.law(buckets[:, : len(points)], np.array([v for _, v in support]), params)  # (tables, t)
+    laws = mech.law(buckets[:, : len(points)], signs, params)  # (tables, t)
     rows = np.arange(len(buckets))[:, None]
     # P[outcome] per (table, probed point): z on H(q)'s partner (j_minus) if paired, z on H(q), neither
     hits = [laws[rows, b - 1] for b in ((pair_partner(buckets, params.t), buckets) if paired else (buckets,))]
@@ -230,5 +205,7 @@ def _representative_moments(mech: Mechanism, params, support: tuple, values: np.
     terms = sum(p * v[:, None, None] for p, v in zip(outcomes, values.T)) * weights[:, None]
     total = math.fsum(weights)
     sums = [[math.fsum(column) / total for column in term.T.tolist()] for term in terms]
+    sums = [sums[i] for i in inverse.reshape(-1)]
     n = len(sums) // 2
-    return {name: [(m, v - m**2) for m, v in zip(sums[i], sums[n + i])] for i, name in enumerate(_ESTIMATORS[paired])}
+    moments = [[(m, v - m**2) for m, v in zip(sums[i], sums[n + i])] for i in range(n)]
+    return dict(zip(product((False, True), targets), moments))

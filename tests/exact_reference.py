@@ -15,21 +15,25 @@ exact values rather than against another float enumeration.
   Collision's hit buckets carry e^eps / Omega and the t - k unhit ones the
   residual (Omega - k e^eps) / ((t - k) Omega), Omega = s e^eps + t - s.
   CoCo's surviving-writer law: a bucket pair (k, k + t/2) written by g
-  entries, a of which carry e^eps at bucket k, gives bucket k the weight
-  (a e^eps + g - a) / g and bucket k + t/2 ((g - a) e^eps + a) / g, and
-  the buckets of the t/2 - m free pairs share what is left of
-  Omega = (e^eps + 1) s + t - 2s.
+  entries, a of which carry e^eps at bucket k and b = g - a at
+  k + t/2, gives bucket k the weight (a e^eps + b) / g and bucket
+  k + t/2 (b e^eps + a) / g, and the buckets of the t/2 - m free pairs
+  share what is left of Omega = (e^eps + 1) s + t - 2s.
 * ``coco_rates``: (p_t, p_o, p_f) with
   p_ow = 1 - (t^s - (t-2)^s) / (2 t^(s-1) s).
 * ``moments``: the exact (mean, variance) of one user's estimate:
   collision's (1[z = H(c)] - 1/t) / (e^eps/Omega - 1/t) for event code c,
   and CoCo's mean (1[z = H(j+)] - 1[z = H(j-)]) / (p_t - p_o) and
   non-missing (1[z in {H(j+), H(j-)}] - 2 p_f) / (p_t + p_o - 2 p_f).
-* ``worst_ratio``: ``verify_ldp``'s max over inputs, tables and z of
+* ``worst_ratio``: the pairwise max over inputs, tables and z of
   P[z | x, H] / P[z | x', H], over every set of min(2s, |domain|) hash
-  points.
+  points, which ``verify_ldp`` bounds from above.
+* ``certificate_ratio``: ``verify_ldp``'s certificate, the max of
+  P[z | x, H] over inputs on dims 1..s with every sign pattern, their
+  tables and z, divided by the min of the same.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -92,8 +96,9 @@ def coco_law(support: tuple, table: dict, t: int) -> list[Fraction]:
     w: list = [None] * t
     for slot, high in writers.items():
         g, a = len(high), high.count(slot)
-        w[slot - 1] = (a * E + g - a) / g
-        w[slot + half - 1] = ((g - a) * E + a) / g
+        b = g - a
+        w[slot - 1] = (a * E + b) / g
+        w[slot + half - 1] = (b * E + a) / g
     for slot in set(range(1, half + 1)) - writers.keys():
         w[slot - 1] = w[slot + half - 1] = (omega - len(writers) * (E + 1)) / (t - 2 * len(writers))
     assert sum(w) == omega and all(1 <= v <= E for v in w)
@@ -142,6 +147,7 @@ def moments(mechanism: str, d: int, s: int, t: int, support: tuple, estimator: s
     return mean, second - mean * mean
 
 
+@functools.lru_cache(maxsize=None)  # two tests read each grid point's
 def worst_ratio(mechanism: str, d: int, s: int, t: int) -> Fraction:
     """Max over inputs x, x', tables and z of P[z | x, H] / P[z | x', H], on every set of min(2s, |domain|) points."""
     paired = MECHANISMS[mechanism]
@@ -154,3 +160,13 @@ def worst_ratio(mechanism: str, d: int, s: int, t: int) -> Fraction:
             laws = [LAWS[mechanism](support, table, t) for support in group]
             worst = max(worst, max(max(column) / min(column) for column in zip(*laws)))
     return worst
+
+
+def certificate_ratio(mechanism: str, s: int, t: int) -> Fraction:
+    """Max over every sign pattern x on dims 1..s, its tables and z of P[z | x, H], over the min of the same."""
+    paired, cells = MECHANISMS[mechanism], []
+    for signs in product((-1, 1), repeat=s):
+        support = tuple(zip(range(1, s + 1), signs))
+        for table, _ in orbit_tables(read_points(support, paired), t, paired):
+            cells += LAWS[mechanism](support, table, t)
+    return max(cells) / min(cells)

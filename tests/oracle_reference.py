@@ -15,9 +15,10 @@ each call enumerates the orbit tables on x's points and the probed point,
 where the oracle enumerates x's points and one free point once for all.
 Both references write each estimator out again (``estimator_terms``),
 where the oracle reads the registered debias.
-``all_point_sets_privacy_loss`` is ``verify_ldp`` without its point-set
-symmetry: it checks every set of 2s hash points of the domain, where the
-oracle checks one set per orbit.  ``mixture_decompose``
+``all_point_sets_privacy_loss`` is the pairwise maximum that
+``verify_ldp``'s one-input certificate bounds from above: it checks every
+input pair on every set of 2s hash points of the domain, where the
+oracle reads one input's law.  ``mixture_decompose``
 splits a pair of e^eps-ratio-bounded output laws into the
 three-component clone mixture of Feldman, McMillan & Talwar ("Hiding
 Among the Clones", FOCS 2021), so tests can check its weight beta
@@ -113,7 +114,8 @@ def family_moments(mechanism: str, params, x, family, estimator: str, event=None
 
 
 def all_point_sets_privacy_loss(mechanism: str, params) -> float:
-    """``verify_ldp``'s maximum over every set of min(2s, |domain|) hash points, not one per orbit, with its guard on that work."""
+    """The max over input pairs, tables and z of log(P[z|x,H] / P[z|x',H]), on every set of min(2s, |domain|) hash
+    points, with the size guard on that work."""
     paired = _law(mechanism, params).paired
     d, s = params.d, params.s
     domain = range(1, (d if paired else 2 * d) + 1)  # dims or event codes

@@ -92,3 +92,12 @@ def test_verify_ldp_lies_within_the_derived_bound_of_exact(mechanism, params):
     exact = exact_reference.worst_ratio(mechanism, params.d, params.s, params.t)
     assert exact <= 2
     assert _ulps(verify_ldp(mechanism, params), Fraction(math.log(exact))) <= ULPS
+
+
+@pytest.mark.parametrize("mechanism, params", GRID, ids=IDS)
+def test_verify_ldp_lies_within_the_derived_bound_of_the_exact_certificate(mechanism, params):
+    # the exact certificate takes every sign pattern on dims 1..s, so it checks the oracle's sign fold, not assumes it
+    exact = exact_reference.certificate_ratio(mechanism, params.s, params.t)
+    assert _ulps(verify_ldp(mechanism, params), Fraction(math.log(exact))) <= ULPS
+    # an upper bound on the pairwise worst ratio, and equal to it here, CoCo at s = d included: both are e^eps
+    assert exact == exact_reference.worst_ratio(mechanism, params.d, params.s, params.t) == 2

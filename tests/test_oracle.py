@@ -1,7 +1,7 @@
 import math
 import re
 import time
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from ldpvec.aggregate import MECHANISMS
 from ldpvec.amplification import collision_alpha
 from ldpvec.coco import coco_omega, coco_params
 from ldpvec.collision import collision_params
-from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code, is_integer
+from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code, is_integer, pair_partner
 from ldpvec.oracle import (
     _orbit_count,
     _uniform_tables,
@@ -36,6 +36,7 @@ from pq_reference import lower_bound_statistic_distribution
 LN2 = math.log(2)
 HASHED = sorted(name for name, mech in MECHANISMS.items() if mech.law is not None)
 EPSILONS = (0.5, LN2, 2.0)  # criteria 1-2's grid
+FULL_SCALE_EPSILONS = (0.001, 0.01, 0.1, 0.2, 0.4, 0.8, 1.0, 1.5, 2.0)  # ``ldpvec simulate --full-scale``'s grid
 
 
 def _single_table_family(mapping, t=None):
@@ -111,6 +112,29 @@ def test_the_array_law_is_its_own_row_by_row_evaluation(mechanism, s):
     for table, laws in zip(tables.tolist(), block):
         for support, got in zip(supports, laws):
             assert np.abs(got - reference(support, dict(zip(points, table)), params)).max() <= 1e-14
+
+
+def test_the_coco_law_is_relabelling_equivariant_bit_for_bit():
+    # swapping the pair (1, 1 + t/2) in a table swaps the law's columns 1 and 1 + t/2, and a flipped sign gives the law
+    # of the mirrored bucket, both exactly: the oracle folds x's signs and certifies from one input on that.  With the
+    # pair's weights written (a e^eps + g - a)/g and ((g - a) e^eps + a)/g, 121 of these 20,856 cells differed
+    law, cells = MECHANISMS["coco"].law, 0
+    for s in range(1, 5):
+        plus = np.ones(s, dtype=np.int64)
+        for t in range(2 * s + 2, 17, 2):
+            tables, _ = _uniform_tables(True, tuple(range(1, s + 1)), t)
+            half = t // 2
+            swapped = np.where(tables == 1, 1 + half, np.where(tables == 1 + half, 1, tables))
+            columns = np.r_[half, 1:half, 0, half + 1:t]  # z = 1 + t/2, 2..t/2, 1, t/2 + 2..t
+            for epsilon in (0.001, 0.1, 0.5, LN2, 1.0, 2.0):
+                params = MechanismParams(d=s, s=s, epsilon=epsilon, t=t)
+                laws = law(tables, plus, params)
+                assert np.array_equal(law(swapped, plus, params), laws[:, columns]), (s, t, epsilon)
+                for signs in map(np.array, product((-1, 1), repeat=s)):
+                    mirrored = np.where(signs < 0, pair_partner(tables, t), tables)
+                    assert np.array_equal(law(tables, signs, params), law(mirrored, plus, params)), (s, t, signs)
+                cells += laws.size
+    assert cells == 20856
 
 
 def test_verify_ldp_equality_witness_collision():
@@ -282,47 +306,53 @@ def test_orbit_count_and_weights(mechanism, n, t):
 
 
 def test_exhaustive_guard_counts_orbit_representatives():
-    # 8^6 tables on all six dims would exceed the guard; representatives on 4-dim sets do not
+    # 8^6 tables on all six dims would exceed the guard; the representative's tables on its own dims do not
     params = MechanismParams(d=6, s=2, epsilon=1.0, t=8)
     assert verify_ldp("coco", params) <= 1.0 + 1e-9
     for d, t in ((5, 6), (6, 4)):
         assert verify_ldp("collision", collision_params(d, 2, 1.0, t)) == pytest.approx(1.0, abs=1e-9)
-    # 56 inputs over the four point-set orbits, times 203 tables and t = 6: 68,208 evaluations
     assert verify_ldp("collision", collision_params(6, 3, 1.0, 6)) <= 1.0 + 1e-9
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"enumeration size 869400\*8 exceeds guard"):  # 210 inputs times 4140 tables
-        verify_ldp("collision", collision_params(8, 4, 1.0, 8))
-    assert time.perf_counter() - start < 1.0
+    # the pairwise check's 210 inputs times 4140 tables on 8-point sets, 869,400*8 cells, were over the guard; one
+    # input's 15 tables on its 4 points are 120 cells
+    assert verify_ldp("collision", collision_params(8, 4, 1.0, 8)) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("epsilon", [0.5, LN2, 1.0])
 def test_verify_ldp_at_the_default_t_for_three_nonzeros(epsilon):
     assert verify_ldp("collision", collision_params(6, 3, epsilon)) == pytest.approx(epsilon, abs=1e-9)
-    # at d = 6 two CoCo inputs read up to 6 dims: 160 inputs times 1538 or 1539 tables times t is over the guard, so
-    # d = 5 is CoCo's largest instance at s = 3
-    assert verify_ldp("coco", coco_params(5, 3, epsilon)) <= epsilon + 1e-9
-    with pytest.raises(ValueError, match=r"enumeration size 246(08|24)0\*1[024] exceeds guard 1000000"):
-        verify_ldp("coco", coco_params(6, 3, epsilon))
+    # at d = 6 two CoCo inputs read up to 6 dims, and the pairwise check's 160 inputs times 1538 or 1539 tables times
+    # t were over the guard; one input's tables on its 3 dims certify at any d
+    for d in (5, 6, 512):
+        assert verify_ldp("coco", coco_params(d, 3, epsilon)) <= epsilon + 1e-9
 
 
-@pytest.mark.parametrize("mechanism, params, point_set_orbits, representatives", [
-    ("collision", collision_params(4, 2, LN2, 4), 3, 1),  # 0, 1 or 2 dims hold both events of a 4-code set
-    ("collision", collision_params(6, 3, 1.0, 6), 4, 1),
-    ("coco", coco_params(4, 2, LN2), 1, 4),  # every set of dims is one orbit; a representative keeps x's signs
-    ("coco", MechanismParams(d=3, s=3, epsilon=0.5, t=8), 1, 8),
+def test_verify_ldp_certifies_the_full_scale_shapes():
+    # d = 512 at the default t: collision attains eps at s = 4 and 8, and CoCo stays within it at s = 4
+    for epsilon in FULL_SCALE_EPSILONS:
+        for s in (4, 8):
+            assert verify_ldp("collision", collision_params(512, s, epsilon)) == pytest.approx(epsilon, abs=1e-9)
+        assert verify_ldp("coco", coco_params(512, 4, epsilon)) <= epsilon + 1e-9
+
+
+@pytest.mark.parametrize("mechanism, params", [
+    ("collision", collision_params(4, 2, LN2, 4)),
+    ("collision", collision_params(6, 3, 1.0, 6)),
+    ("coco", coco_params(4, 2, LN2)),
+    ("coco", MechanismParams(d=3, s=3, epsilon=0.5, t=8)),
 ])
-def test_the_law_is_called_once_per_orbit(mechanism, params, point_set_orbits, representatives, monkeypatch):
-    # each point-set orbit of verify_ldp is one (tables, inputs, s) block and each representative's moments one
-    # (tables, s) block, however many inputs, tables and probes they hold
+def test_the_law_is_called_once_per_parameter_set(mechanism, params, monkeypatch):
+    # verify_ldp is one (tables, s) block of the representative's tables, and the moments of every input and probe one
+    # more; the pairwise check made one call per point-set orbit (3 and 4 for collision here), and CoCo's moments one
+    # per sign pattern (4 and 8)
     calls, mech = [], MECHANISMS[mechanism]
     monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(law=lambda *args: calls.append(args[0].shape) or mech.law(*args)))
     verify_ldp(mechanism, params)
-    assert len(calls) == point_set_orbits and all(len(shape) == 3 and shape[-1] == params.s for shape in calls)
+    assert calls == [(_orbit_count(params.s, params.t, mech.paired), params.s)]
     calls.clear()
     for x in all_sparse_vectors(params.d, params.s):
         for estimator, _, probe in _probes_of(mechanism, params):
             exact_estimator_moments(mechanism, params, x, estimator, **probe)
-    assert len(calls) == representatives and all(len(shape) == 2 and shape[-1] == params.s for shape in calls)
+    assert len(calls) == 1 and len(calls[0]) == 2 and calls[0][-1] == params.s
 
 
 def _identity_grid():
@@ -340,15 +370,18 @@ def _identity_grid():
     return grid
 
 
-def test_one_point_set_per_orbit_is_bitwise_the_all_sets_maximum():
-    # every instance the all-sets reference runs within its own guard (the work of the all-sets loop)
+def test_the_certificate_bounds_the_pairwise_maximum():
+    # every instance the pairwise reference runs within its own guard: the certificate is never below it, and equal to
+    # it bit for bit except CoCo at s = d, where no pair attains both float extremes and it lies above by ulps
     checked = 0
     for mechanism, params in _identity_grid():
         try:
             want = all_point_sets_privacy_loss(mechanism, params)
         except ValueError:
             continue
-        assert verify_ldp(mechanism, params) == want, (mechanism, params)
+        got = verify_ldp(mechanism, params)
+        assert want <= got <= want + 4 * math.ulp(1.0), (mechanism, params)
+        assert got == want or (mechanism, params.s) == ("coco", params.d), (mechanism, params)
         checked += 1
     assert checked >= 70
 
@@ -358,24 +391,16 @@ def test_one_point_set_per_orbit_is_bitwise_the_all_sets_maximum():
     ("coco", lambda d: coco_params(d, 2, LN2)),
 ])
 def test_verify_ldp_does_not_depend_on_d(mechanism, params_at, monkeypatch):
-    listed = []
-    sparse_vectors = oracle._sparse_vectors
-
-    def counted(*args):
-        for x in sparse_vectors(*args):
-            listed.append(x)
-            yield x
-
-    monkeypatch.setattr(oracle, "_sparse_vectors", counted)
-    loss, inputs = {}, {}
+    enumerated = []
+    uniform_tables = oracle._uniform_tables
+    monkeypatch.setattr(oracle, "_uniform_tables", lambda *args: enumerated.append(args[1]) or uniform_tables(*args))
+    loss = {}
     for d in (4, 512):  # d = 2s, then the paper's d
-        listed.clear()
         start = time.perf_counter()
         loss[d] = verify_ldp(mechanism, params_at(d))
         assert time.perf_counter() - start < 1.0
-        inputs[d] = len(listed)
     assert loss[512] == loss[4]
-    assert inputs[512] == inputs[4] < math.comb(512, 2) * 4
+    assert len(enumerated) == 2 and enumerated[0] == enumerated[1] and len(enumerated[0]) == 2  # one input's 2 points
     if mechanism == "collision":
         assert loss[512] == pytest.approx(LN2, abs=1e-9)
     else:
@@ -396,18 +421,16 @@ def test_verify_ldp_constructs_no_vector(mechanism, params, monkeypatch):
     assert verify_ldp(mechanism, params) == want
 
 
-@pytest.mark.parametrize("mechanism, params", [
-    ("collision", collision_params(64, 8, 1.0)),
-    ("coco", coco_params(64, 8, 1.0)),
-])
-def test_exhaustive_guard_counts_before_enumerating_inputs(mechanism, params, monkeypatch):
-    # the comb(64, 8) 2^8 = 1.1e12 inputs were listed before the guard was counted, so this never returned
+def test_exhaustive_guard_counts_before_enumerating_inputs(monkeypatch):
+    # CoCo at d = 512, s = 8 and eps = 0.001's default t = 20: 75,905 orbit tables on 8 dims, times t cells.  When
+    # the inputs were listed before the guard was counted, comb(64, 8) 2^8 = 1.1e12 of them never returned
     def unread(*args):
-        raise AssertionError("an input was enumerated before the size guard")
+        raise AssertionError("a table or an input was enumerated before the size guard")
 
+    monkeypatch.setattr(oracle, "_uniform_tables", unread)
     monkeypatch.setattr(oracle, "all_sparse_vectors", unread)
-    with pytest.raises(ValueError, match=r"enumeration size \d+\*\d+ exceeds guard 1000000"):
-        verify_ldp(mechanism, params)
+    with pytest.raises(ValueError, match=r"^enumeration size 75905\*20 exceeds guard 1000000$"):
+        verify_ldp("coco", coco_params(512, 8, 0.001))
 
 
 def test_exact_moments_collision_unbiased():
@@ -463,23 +486,28 @@ def _probes_of(mechanism, params):
     ("coco", MechanismParams(d=4, s=1, epsilon=2.0, t=8)),
     ("coco", MechanismParams(d=3, s=3, epsilon=0.5, t=8)),  # s = d: no free dim
 ])
-def test_moments_enumerate_once_per_input_orbit(mechanism, params, monkeypatch):
-    # one enumeration per input used to run: 24 at d=4, s=2, where collision needs one and CoCo 2^s
-    mech = MECHANISMS[mechanism]
-    paired, inputs = mech.paired, all_sparse_vectors(params.d, params.s)
-    values, _ = oracle._input_moments(mech, params)
-    direct = [oracle._representative_moments(mech, params, x.support, values) for x in inputs]
+def test_moments_enumerate_once_per_parameter_set(mechanism, params, monkeypatch):
+    # one enumeration per input used to run, 24 at d=4, s=2, and then one per orbit, 2^s for CoCo, which kept x's signs
+    paired = MECHANISMS[mechanism].paired
     calls = []
     uniform_tables = oracle._uniform_tables
     monkeypatch.setattr(oracle, "_uniform_tables", lambda *args: calls.append(args) or uniform_tables(*args))
     oracle._input_moments.cache_clear()
-    for x, own in zip(inputs, direct):
-        reads = oracle._points(x.support, paired)
+    for x in all_sparse_vectors(params.d, params.s):
+        plus, signs = TernaryVector(params.d, tuple((j, 1) for j, _ in x.support)), dict(x.support)
         for estimator, point, probe in _probes_of(mechanism, params):
             got = exact_estimator_moments(mechanism, params, x, estimator, **probe)
-            want = own[estimator][reads.index(point) if point in reads else -1]
-            assert list(map(float.hex, got)) == list(map(float.hex, want)), (x, probe)  # bitwise
-    assert len(calls) == (1 if mechanism == "collision" else 2**params.s)
+            # bitwise the all-plus input's: a flipped CoCo dim negates the mean, and x's event (j, -1) is plus's (j, +1)
+            if paired:
+                mean, variance = exact_estimator_moments(mechanism, params, plus, estimator, **probe)
+                want = (mean * signs.get(point, 1) if estimator == "mean" else mean, variance)
+            else:
+                event = probe["event"]
+                want = exact_estimator_moments(
+                    mechanism, params, plus, estimator, event=EventId(event.index, event.sign * signs.get(event.index, 1))
+                )
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (x, probe)
+    assert len(calls) == 1
     assert all(len(points) == min(params.s + 1, params.d if paired else 2 * params.d) for _, points, _ in calls)
     assert oracle._input_moments.cache_info().currsize == 1
 
