@@ -13,10 +13,8 @@ mean_j / nonmissing_j of these two estimates.
 Mechanisms are looked up by name in ``MECHANISMS``.  A hash mechanism's
 entry is the one statement of its domain ``check``, layout (``paired``)
 and ``law``, which the exact oracle reads too.  Both hash mechanisms
-count, per event, the views whose own hash sends it onto their symbol z
-(``domain.hit_counter`` on ``domain.hash_keys(d, paired)``), then debias
-the integer counts.  ``event_hit_counts`` counts chunks of users on a
-thread pool that ``domain.deal_chunks`` starts for each call.
+debias one count (``domain.event_hit_counts``): per event, the views
+whose own hash sends it onto their symbol z.
 """
 
 from __future__ import annotations
@@ -28,14 +26,10 @@ import numpy as np
 from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
-from .domain import FLOAT_MAX, MechanismParams, deal_chunks, event_code, hash_keys, hit_counter, is_real, read_view
+from . import domain as _dom
+from .domain import FLOAT_MAX, MechanismParams, event_code, is_real, read_view
 
 TARGETS = ("frequency", "mean", "nonmissing")
-
-# Cells hashed per chunk of the hit count, so that each worker's kernel buffers for one chunk
-# stay in the L2 cache of the core it runs on.  The counter holds two uint64 arrays of
-# users x len(keys): 1 MiB together, for collision's 2d events and CoCo's d dims alike.
-HIT_CHUNK_CELLS = 1 << 16
 
 
 class Mechanism(NamedTuple):
@@ -72,33 +66,13 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     mech = mechanism(mechanism_name)
     if mech.check is None:
         return mech.debias(views, params)
+    mech.check(params)
     if not (isinstance(views, tuple) and len(views) == 2):
         raise ValueError("hash mechanisms take a (seeds, z) pair")
     seeds, z = read_view("seeds", views[0], 0, 2**64 - 1), read_view("z", views[1], 1, params.t)
     if len(seeds) != len(z):
         raise ValueError(f"seeds and z differ in length: {len(seeds)} vs {len(z)}")
-    return mech.debias(event_hit_counts(seeds, z, mech, params), len(seeds), params)
-
-
-def event_hit_counts(seeds: np.ndarray, z: np.ndarray, mech: Mechanism, params) -> np.ndarray:
-    """Per event code 1..2d, the number of views whose hash sends it onto their z.
-
-    Chunks of ``HIT_CHUNK_CELLS // len(keys)`` users, whose hashes stay in cache, run on a pool started for the call
-    (``domain.deal_chunks``).  Each worker builds one counter, so no chunk allocates, and sums its chunks'
-    counts.  Counts are integers, so neither the chunking nor the thread count can change the result.
-    """
-    mech.check(params)
-    keys = hash_keys(params.d, mech.paired)
-    chunk = max(1, HIT_CHUNK_CELLS // len(keys))
-
-    def count(mine: range) -> np.ndarray:
-        counter = hit_counter(keys, params.t, mech.paired, min(chunk, len(seeds)))
-        counts = np.zeros(2 * params.d, dtype=np.int64)
-        for lo in mine:
-            counts += counter(seeds[lo : lo + chunk], z[lo : lo + chunk])
-        return counts
-
-    return sum(deal_chunks(count, range(0, len(seeds), chunk)))
+    return mech.debias(_dom.event_hit_counts(seeds, z, params.d, params.t, mech.paired), len(seeds), params)
 
 
 def _pckv_batch(supports, signs, seeds, params, rng):

@@ -33,6 +33,7 @@ def amplified_budget(s: int, epsilon: float) -> float:
 
 
 def _check_categories(params: MechanismParams, k: int) -> None:
+    check_size("t", params.t)  # a float t equal to k would pass the comparison and make float codes
     if params.t != k:
         raise ValueError(f"this GRR reports one of {k} categories, got t={params.t}")
 

@@ -19,7 +19,9 @@ by a scalar multiplies and shifts, its ``%`` divides per element.  One hash serv
 Both randomizers emit one bucket of a weighted layout over such positions with a
 fixed normaliser Omega, by inversion of its CDF (``sample_layout``; Devroye 1986,
 ch. 2): each distinct occupied position holds one bucket per layer at that
-layer's weight, and every other bucket takes the residual weight.
+layer's weight, and every other bucket takes the residual weight.  The server's one
+per-user step is the count of the views whose hash sends each event onto their
+symbol (``event_hit_counts``), over cache-sized chunks on a thread pool.
 """
 
 from __future__ import annotations
@@ -237,6 +239,9 @@ def check_batch(supports: np.ndarray, signs: np.ndarray, d: int, s: int) -> None
 
 # (row x support entry) cells per row chunk of a batch randomizer: a desk-scale batch (n*s = 8e4) is one chunk.
 ROW_CHUNK_CELLS = 1 << 17
+# (user x hash point) cells per chunk of the hit count, so that each worker's two uint64 buffers for one chunk, 1 MiB
+# together, stay in the L2 cache of the core it runs on, for collision's 2d events and CoCo's d dims alike.
+HIT_CHUNK_CELLS = 1 << 16
 
 
 def pool_workers() -> int:
@@ -304,31 +309,35 @@ def pair_partner(bucket, t: int):
     return bucket - t // 2 + t * (bucket <= t // 2)
 
 
-def hash_keys(d: int, paired: bool) -> np.ndarray:
-    """The stream keys of a layout's hash points: event codes 1..2d, or dims 1..d of a paired layout under ``STREAM_H1``."""
-    return stream_keys(np.arange(1, d + 1), STREAM_H1) if paired else stream_keys(np.arange(1, 2 * d + 1), STREAM_SINGLE)
+def event_hit_counts(seeds: np.ndarray, z: np.ndarray, d: int, t: int, paired: bool) -> np.ndarray:
+    """Per event code c = 1..2d, the number of views (uint64 ``seeds``, int64 ``z`` in 1..t) whose hash sends c onto z.
 
-
-def hit_counter(keys: np.ndarray, t: int, paired: bool, users: int):
-    """``count(seeds, z)``: per event code c = 1..2d, how many of at most ``users`` views' hash sends c onto z.
-
-    ``keys`` are ``hash_keys(d, paired)``.  One chunk's buffers are made once, here.  Buckets are compared 0-based in
-    uint64, H - 1 = mix(seed ^ key) mod t against z - 1; a paired layout also compares with z's partner - 1, for j_minus.
+    The hash points are event codes 1..2d, or dims 1..d of a ``paired`` layout under ``STREAM_H1``.  Chunks of
+    ``HIT_CHUNK_CELLS // points`` users run on a pool started for the call (``deal_chunks``); each worker makes one
+    chunk's buffers once and sums its chunks' counts.  Buckets are compared 0-based in uint64, H - 1 = mix(seed ^ key)
+    mod t against z - 1; a paired layout also compares with z's partner - 1, for j_minus.  Counts are integers, so
+    neither the chunking nor the thread count can change the result.
     """
-    vals, tmp = np.empty((2, users, len(keys)), dtype=np.uint64)
-    hit = np.empty((users, len(keys)), dtype=bool)
+    keys = stream_keys(np.arange(1, d + 1), STREAM_H1) if paired else stream_keys(np.arange(1, 2 * d + 1), STREAM_SINGLE)
+    chunk = max(1, HIT_CHUNK_CELLS // len(keys))
 
-    def count(seeds: np.ndarray, z: np.ndarray) -> np.ndarray:
-        m = len(seeds)
-        v = remainder_inplace(keyed_hashes(seeds[:, None], keys, vals[:m], tmp[:m]), np.uint64(t), tmp[:m])
-        hits = lambda b: np.equal(v, (b - 1).astype(np.uint64)[:, None], out=hit[:m]).sum(axis=0, dtype=np.int64)
-        if not paired:
-            return hits(z)
-        counts = np.empty(2 * len(keys), dtype=np.int64)
-        counts[0::2], counts[1::2] = hits(pair_partner(z, t)), hits(z)  # (j_minus, j_plus) of each dim
+    def count(mine: range) -> np.ndarray:
+        vals, tmp = np.empty((2, min(chunk, len(seeds)), len(keys)), dtype=np.uint64)
+        hit = np.empty(vals.shape, dtype=bool)
+        counts = np.zeros(2 * d, dtype=np.int64)
+        for lo in mine:
+            chunk_seeds, chunk_z = seeds[lo : lo + chunk], z[lo : lo + chunk]
+            m = len(chunk_seeds)
+            v = remainder_inplace(keyed_hashes(chunk_seeds[:, None], keys, vals[:m], tmp[:m]), np.uint64(t), tmp[:m])
+            hits = lambda b: np.equal(v, (b - 1).astype(np.uint64)[:, None], out=hit[:m]).sum(axis=0, dtype=np.int64)
+            if paired:  # (j_minus, j_plus) of each dim
+                counts[0::2] += hits(pair_partner(chunk_z, t))
+                counts[1::2] += hits(chunk_z)
+            else:
+                counts += hits(chunk_z)
         return counts
 
-    return count
+    return sum(deal_chunks(count, range(0, len(seeds), chunk)))
 
 
 def sample_layout(u: np.ndarray, pos: np.ndarray, layers, residual, space: int) -> np.ndarray:

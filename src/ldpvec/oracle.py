@@ -48,6 +48,9 @@ from .aggregate import Mechanism, mechanism as registered, target_values
 from .domain import EventId, TernaryVector, check_sparsity, event_code, is_integer, pair_partner
 
 _SIZE_GUARD = 10**6  # cells of verify_ldp's law array: the representative's orbit tables on s points, times t
+# Cells of the moments' law array: orbit tables on the representative's points and the free point, times t.  It admits
+# CoCo's full-scale shapes (d = 512, s = 8: 609,441 tables x t <= 100) at a few GB, and refuses a t of 2^40 up front.
+_MOMENTS_GUARD = 1 << 26
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
@@ -82,6 +85,13 @@ def _orbit_count(n: int, t: int, paired: bool) -> int:
     for _ in range(n):
         ways = [0] + [ways[k] * k * members + ways[k - 1] for k in range(1, len(ways))]
     return sum(ways)
+
+
+def _check_cells(n: int, t: int, paired: bool, guard: int) -> None:
+    """Refuse a law array of more than ``guard`` cells, the orbit tables on n points times t, before any is built."""
+    count = _orbit_count(n, t, paired)
+    if count * t > guard:
+        raise ValueError(f"enumeration size {count}*{t} exceeds guard {guard}")
 
 
 def _uniform_tables(paired: bool, points: Sequence[int], t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,9 +137,7 @@ def verify_ldp(mechanism: str, params) -> float:
     the cells of that (tables, t) law array in closed form before any table is built: it bounds memory.
     """
     mech = _law(mechanism, params)
-    count = _orbit_count(params.s, params.t, mech.paired)
-    if count * params.t > _SIZE_GUARD:
-        raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
+    _check_cells(params.s, params.t, mech.paired, _SIZE_GUARD)
     points, signs = _representative(params.s, mech.paired)
     laws = mech.law(_uniform_tables(mech.paired, points, params.t)[0], signs, params)  # (tables, t)
     return math.log(float(laws.max() / laws.min()))
@@ -151,8 +159,8 @@ def exact_estimator_moments(
 
     The estimate is the registered debias read through ``aggregate.target_values``: an unpaired layout's
     ``indicator`` of an event, a paired layout's ``mean`` or ``nonmissing`` of a dim.  An input, event or dim outside
-    the params' domain, the other layout's probe keyword or a degenerate denominator is a ValueError raised before
-    any table.
+    the params' domain, the other layout's probe keyword, a degenerate denominator or a law array of more than
+    ``_MOMENTS_GUARD`` cells is a ValueError raised before any table.
     """
     mech = _law(mechanism, params)
     paired = mech.paired
@@ -187,14 +195,15 @@ def _input_moments(mech: Mechanism, params) -> dict[tuple[bool, str], list]:
     paired: on j_minus, then j_plus, the debias's column order; then none) through the registered debias.  Mirrored,
     as a dim of sign -1 reads them, the counts' columns are reversed: CoCo's mean is negated, the rest kept."""
     paired, targets = mech.paired, _ESTIMATORS[mech.paired]
+    points, signs = _representative(params.s, paired)
+    unread = (q for q in range(1, (params.d if paired else 2 * params.d) + 1) if q not in points)
+    probed = points + tuple(islice(unread, 1))
+    _check_cells(len(probed), params.t, paired, _MOMENTS_GUARD)
     counts = np.eye(3, 2) if paired else np.eye(2, 1)  # one user's hit counts per outcome
     values = np.array([target_values(mech.debias(c, 1, params), target)[:, 0]
                        for c in (counts, counts[:, ::-1]) for target in targets.values()])
     # a row per (power, mirrored, estimator); rows that coincide, as an event's mirror and the squares do, sum once
     values, inverse = np.unique(np.vstack([values, values**2]), axis=0, return_inverse=True)
-    points, signs = _representative(params.s, paired)
-    unread = (q for q in range(1, (params.d if paired else 2 * params.d) + 1) if q not in points)
-    probed = points + tuple(islice(unread, 1))
     buckets, weights = _uniform_tables(paired, probed, params.t)
     laws = mech.law(buckets[:, : len(points)], signs, params)  # (tables, t)
     rows = np.arange(len(buckets))[:, None]

@@ -2,7 +2,7 @@
 
 Each layout returns every user's bucket for every event code 1..2d, shape
 (n, 2d), built from the public hash streams; a view hits event c exactly
-when its row's bucket for c equals its symbol z.  ``ldpvec.domain.hit_counter``
+when its row's bucket for c equals its symbol z.  ``ldpvec.domain.event_hit_counts``
 counts those hits without materialising buckets.
 """
 

@@ -15,7 +15,6 @@ from ldpvec.aggregate import (
     MECHANISMS,
     TARGETS,
     aggregate_frequencies,
-    event_hit_counts,
     mae,
     project_to_simplex,
     simplex_projection,
@@ -25,7 +24,16 @@ from ldpvec.aggregate import (
 )
 from ldpvec.coco import coco_params, coco_randomize_batch, collision_rates
 from ldpvec.collision import collision_params, collision_randomize_batch
-from ldpvec.domain import STREAM_H1, EventId, MechanismParams, hash_buckets, keyed_hashes, stream_keys, user_hash_seeds
+from ldpvec.domain import (
+    STREAM_H1,
+    EventId,
+    MechanismParams,
+    event_hit_counts,
+    hash_buckets,
+    keyed_hashes,
+    stream_keys,
+    user_hash_seeds,
+)
 from ldpvec.harness import gen_synthetic_arrays
 from ldpvec.oracle import all_sparse_vectors, exact_estimator_moments, verify_ldp
 
@@ -153,6 +161,7 @@ def test_mechanism_table_builds_one_params_type():
     ("collision", MechanismParams(d=4, s=1, epsilon=1.0, t=np.float64(5.0))),
     ("coco", MechanismParams(d=4, s=1, epsilon=1.0, t=6.0)),
     ("coco", MechanismParams(d=4, s=1, epsilon=1.0, t=np.float64(6.0))),
+    ("collision", MechanismParams(d=4, s=1, epsilon=1.0, t=1.5)),  # z = 2 was read against t first: "z must lie in 1..1.5"
 ])
 def test_every_hash_entry_point_rejects_a_non_integer_t(mechanism, params):
     # collision at t=4.5 drew float64 symbols up to 4.5, whose aggregate was biased by ~+0.23 on each absent event
@@ -406,26 +415,32 @@ def _hit_instances(draw):
     return name, params, seeds, z, buckets
 
 
+def _points(name: str, d: int) -> int:
+    """The hash points per user of a mechanism's layout: d dims if paired, else 2d event codes."""
+    return d if MECHANISMS[name].paired else 2 * d
+
+
+def _counts(seeds, z, name, params):
+    return event_hit_counts(seeds, z, params.d, params.t, MECHANISMS[name].paired)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(instance=_hit_instances(), data=st.data())
 def test_hit_kernels_match_the_reference_layouts(instance, data):
     name, params, seeds, z, buckets = instance
     expected = buckets == z[:, None]
-    mech = MECHANISMS[name]
-    keys = domain.hash_keys(params.d, mech.paired)
-    count = domain.hit_counter(keys, params.t, mech.paired, len(seeds))
-    for i in range(len(seeds)):  # each view on its own: a one-row batch counts that row's hits
-        counts = count(seeds[i : i + 1], z[i : i + 1])
+    for i in range(len(seeds)):  # each view on its own: a one-view count is that view's hits
+        counts = _counts(seeds[i : i + 1], z[i : i + 1], name, params)
         assert counts.dtype == np.int64 and np.array_equal(counts, expected[i]), i
     cells = len(seeds) * 2 * params.d
-    width = len(keys)  # one user per chunk up to 2 * width - 1 cells, two from 2 * width
+    width = _points(name, params.d)  # one user per chunk up to 2 * width - 1 cells, two from 2 * width
     chunks = {1, 2 * params.d - 1, 2 * params.d, data.draw(st.integers(2, 3 * cells).filter(lambda c: cells % c))}
     for chunk in sorted(chunks | {c for c in (width - 1, width, 2 * width - 1, 2 * width) if c >= 1}):
         for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(aggregate, "HIT_CHUNK_CELLS", chunk)
+                mp.setattr(domain, "HIT_CHUNK_CELLS", chunk)
                 mp.setattr(domain, "pool_workers", lambda: workers)
-                counts = event_hit_counts(seeds, z, mech, params)
+                counts = _counts(seeds, z, name, params)
             assert counts.dtype == np.int64 and np.array_equal(counts, expected.sum(axis=0)), (chunk, workers)
 
 
@@ -436,9 +451,9 @@ def test_hit_counts_over_chunks_that_do_not_divide_among_the_workers(monkeypatch
     seeds = user_hash_seeds(11, 7)
     buckets = REFERENCE_BUCKETS[name](seeds, params)
     z = buckets[np.arange(7), np.arange(7) % (2 * params.d)]
-    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", len(domain.hash_keys(params.d, MECHANISMS[name].paired)))  # one user per chunk: 7 chunks
+    monkeypatch.setattr(domain, "HIT_CHUNK_CELLS", _points(name, params.d))  # one user per chunk: 7 chunks
     monkeypatch.setattr(domain, "pool_workers", lambda: workers)
-    counts = event_hit_counts(seeds, z, MECHANISMS[name], params)
+    counts = _counts(seeds, z, name, params)
     assert np.array_equal(counts, (buckets == z[:, None]).sum(axis=0))
 
 
@@ -451,21 +466,21 @@ def test_hit_counts_at_the_top_of_the_range_of_t(name):
     buckets = REFERENCE_BUCKETS[name](seeds, params)
     for code in range(2 * params.d):
         z = buckets[:, code]
-        assert np.array_equal(event_hit_counts(seeds, z, MECHANISMS[name], params), (buckets == z[:, None]).sum(axis=0))
+        assert np.array_equal(_counts(seeds, z, name, params), (buckets == z[:, None]).sum(axis=0))
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_BUCKETS))
-def test_a_counter_reused_on_a_shorter_chunk_counts_only_that_chunk(name):
-    # every view sits on one of its own buckets, so rows left over from a longer chunk would add hits
+def test_a_counter_reused_on_a_shorter_chunk_counts_only_that_chunk(monkeypatch, name):
+    # every view sits on one of its own buckets, so rows left over from a longer chunk would add hits; one worker
+    # counts all 9 views in one set of buffers, in chunks of 4, 5 or 8 views, the last of them 1, 4 or 1 views long
     params = MECHANISMS[name].params(6, 2, 1.0, "mean")
     seeds = user_hash_seeds(23, 9)
     buckets = REFERENCE_BUCKETS[name](seeds, params)
     z = buckets[np.arange(9), (3 * np.arange(9)) % (2 * params.d)]
-    hits = buckets == z[:, None]
-    mech = MECHANISMS[name]
-    count = domain.hit_counter(domain.hash_keys(params.d, mech.paired), params.t, mech.paired, 9)
-    for m in (9, 4, 1, 9, 8):
-        assert np.array_equal(count(seeds[:m], z[:m]), hits[:m].sum(axis=0)), m
+    monkeypatch.setattr(domain, "pool_workers", lambda: 1)
+    for users in (4, 5, 8):
+        monkeypatch.setattr(domain, "HIT_CHUNK_CELLS", users * _points(name, params.d))
+        assert np.array_equal(_counts(seeds, z, name, params), (buckets == z[:, None]).sum(axis=0)), users
 
 
 def test_a_single_chunk_starts_no_thread(monkeypatch):
@@ -477,18 +492,18 @@ def test_a_single_chunk_starts_no_thread(monkeypatch):
     baseline = threading.active_count()
     for name in ("collision", "coco"):
         params = MECHANISMS[name].params(8, 2, 1.0, "mean")
-        users = aggregate.HIT_CHUNK_CELLS // len(domain.hash_keys(params.d, MECHANISMS[name].paired))  # exactly one chunk
+        users = domain.HIT_CHUNK_CELLS // _points(name, params.d)  # exactly one chunk
         seeds, z = user_hash_seeds(3, users + 1), np.ones(users + 1, dtype=np.int64)
-        counts = event_hit_counts(seeds[:users], z[:users], MECHANISMS[name], params)
+        counts = _counts(seeds[:users], z[:users], name, params)
         assert counts.shape == (2 * params.d,)
         aggregate_frequencies((seeds[:users], z[:users]), name, params)
         with pytest.raises(AssertionError, match="a thread pool was built"):  # one user more is two chunks
-            event_hit_counts(seeds, z, MECHANISMS[name], params)
+            _counts(seeds, z, name, params)
     assert threading.active_count() == baseline
 
 
 def test_a_worker_error_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 4 chunks
+    monkeypatch.setattr(domain, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 4 chunks
     monkeypatch.setattr(domain, "pool_workers", lambda: 2)
     seeds, z = user_hash_seeds(5, 4), np.ones(4, dtype=np.int64)
     baseline = threading.active_count()
@@ -498,11 +513,11 @@ def test_a_worker_error_reaches_the_caller(monkeypatch):
         callers.append(threading.current_thread())
         raise MemoryError("hit matrix too large")
 
-    monkeypatch.setattr(aggregate, "hit_counter", out_of_memory)
+    monkeypatch.setattr(domain, "keyed_hashes", out_of_memory)  # the seeds are built: only the count's workers hash
     with pytest.raises(ValueError, match=r"^collision mechanism needs t > s, got t=1, s=1$"):
-        event_hit_counts(seeds, z, MECHANISMS["collision"], MechanismParams(4, 1, 1.0, 1))
-    assert threading.active_count() == baseline and callers == []  # rejected before any worker built a counter
+        aggregate_frequencies((seeds, z), "collision", MechanismParams(4, 1, 1.0, 1))
+    assert threading.active_count() == baseline and callers == []  # rejected before any worker hashed
     with pytest.raises(MemoryError, match="hit matrix too large"):
-        event_hit_counts(seeds, z, MECHANISMS["collision"], collision_params(4, 1, 1.0, 3))
+        aggregate_frequencies((seeds, z), "collision", collision_params(4, 1, 1.0, 3))
     assert threading.active_count() == baseline
     assert callers and threading.main_thread() not in callers

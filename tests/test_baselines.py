@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ def test_baselines_reject_params_of_another_alphabet():
         pckv_randomize_batch(supports, signs, privkv, rng)
     with pytest.raises(ValueError, match="8 categories, got t=3"):
         pckv_debias(np.array([1]), privkv)
+
+
+@pytest.mark.parametrize("name", ["privkv", "pckv_grr", "pckv_agrr"])
+@pytest.mark.parametrize("real", [float, np.float64], ids=["float", "float64"])
+def test_baselines_reject_a_non_integer_t(name, real):
+    # a real t equal to the alphabet's size passed: PCKV at t=8.0 drew float64 codes [3., 6.], which its own debias
+    # then rejected, and PrivKV at t=3.0 ran end to end
+    randomize, debias = (privkv_randomize_batch, privkv_debias) if name == "privkv" else (pckv_randomize_batch, pckv_debias)
+    exact = table_params(name, 4, 2, 1.0)
+    params = MechanismParams(exact.d, exact.s, exact.epsilon, real(exact.t))
+    reports = np.array([1, 2])
+    for call in (
+        lambda: randomize(np.array([[1, 3]]), np.array([[1, -1]]), params, np.random.default_rng(0)),
+        lambda: debias(reports, params),
+        lambda: aggregate_frequencies(reports, name, params),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"t must be an integer, got t={params.t!r}")):
+            call()
 
 
 def test_privkv_channel_probabilities():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpvec import aggregate, coco, oracle
+from ldpvec import coco, domain, oracle
 from ldpvec.aggregate import aggregate_frequencies, target_values
 from ldpvec.coco import (
     CollisionRates,
@@ -197,9 +197,9 @@ def test_aggregation_rejects_bad_t_before_hashing(monkeypatch):
     def too_late(*args, **kwargs):
         raise AssertionError("hashed before the params were checked")
 
-    monkeypatch.setattr(aggregate, "hash_keys", too_late)
-    monkeypatch.setattr(aggregate, "hit_counter", too_late)
     views = (user_hash_seeds(0, 2), np.array([1, 3]))
+    monkeypatch.setattr(domain, "stream_keys", too_late)  # the seeds are built: only the hit count's keys and
+    monkeypatch.setattr(domain, "keyed_hashes", too_late)  # hashes are left
     with pytest.raises(ValueError, match=r"CoCo needs even t >= 2s\+2, got t=5, s=1"):
         aggregate_frequencies(views, "coco", MechanismParams(d=3, s=1, epsilon=1.0, t=5))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpvec import aggregate, collision, oracle
+from ldpvec import collision, domain, oracle
 from ldpvec.aggregate import aggregate_frequencies
 from ldpvec.collision import (
     collision_hit_prob,
@@ -102,16 +102,17 @@ def test_indicator_estimate_rejects_degenerate_denominator():
 
 
 _ONE_HOT = TernaryVector(d=3, support=((2, 1),))
+_SEEDS = user_hash_seeds(0, 2)  # built before the hash functions are replaced
 
 
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda params: aggregate_frequencies((user_hash_seeds(0, 2), np.array([1, 1])), "collision", params),
+        lambda params: aggregate_frequencies((_SEEDS, np.array([1, 1])), "collision", params),
         lambda params: oracle.verify_ldp("collision", params),
         lambda params: oracle.exact_estimator_moments("collision", params, _ONE_HOT, "indicator", event=EventId(1, 1)),
         lambda params: collision_randomize_batch(
-            np.array([[2]]), np.array([[1]]), user_hash_seeds(0, 1), params, np.random.default_rng(0)
+            np.array([[2]]), np.array([[1]]), _SEEDS[:1], params, np.random.default_rng(0)
         ),
     ],
     ids=[
@@ -124,7 +125,7 @@ def test_collision_entry_points_reject_params_outside_the_domain(entry, monkeypa
         raise AssertionError("hashed or enumerated before the params were checked")
 
     for module, name in (
-        (aggregate, "hash_keys"), (aggregate, "hit_counter"), (collision, "hash_buckets"),
+        (domain, "stream_keys"), (domain, "keyed_hashes"), (collision, "hash_buckets"),
         (oracle, "_uniform_tables"), (oracle, "all_sparse_vectors"),
     ):
         monkeypatch.setattr(module, name, too_late)

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpvec import aggregate, domain, harness
+from ldpvec import domain, harness
 from ldpvec.aggregate import TARGETS
 from ldpvec.amplification import AmplificationQuery, amplified_epsilon, collision_alpha, efmrtt_closed_form, generic_clone_alpha
 from ldpvec.baselines import amplified_budget
@@ -856,13 +856,16 @@ def test_cli_unallocatable_point_is_a_per_point_failure():
 @pytest.mark.parametrize("error", [ValueError("no hits for you"), MemoryError("hit matrix too large")])
 def test_a_worker_error_is_a_per_point_failure(monkeypatch, error):
     callers = []
+    keyed_hashes = domain.keyed_hashes
 
-    def failing_hits(*args):
+    def failing_hits(*args, **kwargs):  # seeds and randomizers hash on the main thread, only the hit count off it
+        if threading.current_thread() is threading.main_thread():
+            return keyed_hashes(*args, **kwargs)
         callers.append(threading.current_thread())
         raise error
 
-    monkeypatch.setattr(aggregate, "hit_counter", failing_hits)  # privkv counts no hits, so only collision fails
-    monkeypatch.setattr(aggregate, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 50 chunks
+    monkeypatch.setattr(domain, "keyed_hashes", failing_hits)  # privkv counts no hits, so only collision fails
+    monkeypatch.setattr(domain, "HIT_CHUNK_CELLS", 1)  # one user per chunk: 50 chunks
     monkeypatch.setattr(domain, "pool_workers", lambda: 2)
     baseline = threading.active_count()
     cfg = ExperimentConfig(n=(50,), d=(4,), s=(2,), epsilon=(1.0,), mechanism=("collision", "privkv"),

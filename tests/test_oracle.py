@@ -433,6 +433,51 @@ def test_exhaustive_guard_counts_before_enumerating_inputs(monkeypatch):
         verify_ldp("coco", coco_params(512, 8, 0.001))
 
 
+def test_the_points_an_input_reads_have_bitwise_equal_moments():
+    # each point's moments come from its own orbit rows; they agree bit for bit because both laws are equivariant
+    # under relabelling buckets and invariant under permuting x's points (hit and writer counts are integers)
+    rows = 0
+    for mechanism, build, low in (("collision", collision_params, lambda s: s + 1), ("coco", coco_params, lambda s: 2 * s + 2)):
+        for (d, s), epsilon, small in product(((4, 2), (5, 3), (6, 4), (8, 5), (64, 3), (5, 5), (4, 4)),
+                                              (0.05, 0.5, LN2, 1.0, 2.0, 3.3), (False, True)):
+            params = build(d, s, epsilon, low(s) if small else None)
+            for sign, dims in ((1, range(d - s + 1, d + 1)), (-1, range(1, s + 1))):
+                x = TernaryVector(d, tuple((j, sign) for j in dims))
+                probes = ([{"estimator": "indicator", "event": EventId(j, sign)} for j in dims] if mechanism == "collision"
+                          else [{"estimator": e, "dim": j} for e in ("mean", "nonmissing") for j in dims])
+                got = {}
+                for probe in probes:
+                    moments = exact_estimator_moments(mechanism, params, x, **probe)
+                    got.setdefault(probe["estimator"], set()).add(tuple(map(float.hex, moments)))
+                assert all(len(values) == 1 for values in got.values()), (mechanism, params, sign, got)
+                rows += len(probes)
+    assert rows == 1872
+
+
+def test_moments_guard_counts_cells_before_enumerating(monkeypatch):
+    # the orbit guard counted tables, not t: one call's traced peak grew linearly with t (171.7 MB at t = 4e6), so
+    # t = 2^40 asked for terabytes.  Orbit tables on the representative's 2 points and the free one: Bell(3) = 5
+    def unread(*args):
+        raise AssertionError("a table was enumerated before the size guard")
+
+    monkeypatch.setattr(oracle, "_uniform_tables", unread)
+    with pytest.raises(ValueError, match=rf"^enumeration size 5\*{2**40} exceeds guard 67108864$"):
+        exact_estimator_moments(
+            "collision", collision_params(4, 2, 1.0, 2**40), TernaryVector(4, ((1, 1), (2, 1))), "indicator",
+            event=EventId(1, 1),
+        )
+
+
+@pytest.mark.parametrize("mechanism, build", [("collision", collision_params), ("coco", coco_params)])
+def test_moments_guard_admits_the_full_scale_shapes(mechanism, build):
+    # d = 512, s = 8 on the full-scale grid, CoCo at either target's t: s + 1 = 9 points per enumeration
+    paired = MECHANISMS[mechanism].paired
+    for epsilon in FULL_SCALE_EPSILONS:
+        for which in ("mean", "nonmissing") if paired else (None,):
+            params = build(512, 8, epsilon, which=which) if paired else build(512, 8, epsilon)
+            assert _orbit_count(9, params.t, paired) * params.t <= oracle._MOMENTS_GUARD, (epsilon, which)
+
+
 def test_exact_moments_collision_unbiased():
     params = collision_params(4, 2, LN2, 4)
     x = TernaryVector(d=4, support=((1, 1), (3, -1)))
