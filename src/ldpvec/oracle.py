@@ -23,24 +23,27 @@ share; it is materialised only when the representatives fit in 20 bits.
 
 Hash values are iid over points, and permuting dims maps inputs and that
 family onto themselves, so one input, ((1, +1), ..., (s, +1)), stands for
-all of a parameter set.  Collision's event codes carry x's signs; a CoCo
+all of a parameter set, and its orbit tables on its s points are the one
+set of tables enumerated.  Collision's event codes carry x's signs; a CoCo
 dim of sign -1 has, bit for bit, the law of the +1 dim on its mirrored
 bucket, so its j_minus and j_plus outcomes swap.  ``verify_ldp`` reads
-that input's law alone.  ``exact_estimator_moments`` enumerates it once
-per parameter set, on its points plus one free point that stands for
-every point it does not read: one user's hit counts at each outcome of a
-probe (a hit on the probed event, on j_minus or j_plus of a paired dim,
-or none) go through the registered ``debias`` and
-``aggregate.target_values``, as read and mirrored, and each table adds
-sum_o P[o] v_o and sum_o P[o] v_o^2.
+that input's law alone.  ``exact_estimator_moments`` puts one user's hit
+counts at each outcome of a probe (a hit on the probed event, on j_minus
+or j_plus of a paired dim, or none) through the registered ``debias`` and
+``aggregate.target_values``, as read and mirrored, and takes
+sum_o P[o] v_o and sum_o P[o] v_o^2 once per parameter set at two points:
+the representative's first, which stands for every point x reads (the
+law is invariant under permuting them); and an unread point, whose bucket
+is uniform and independent of z, so each hit outcome there has
+probability 1/t on every table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations, islice, product
-from typing import Iterator, Sequence
+from itertools import combinations, product
+from typing import Iterator
 
 import numpy as np
 
@@ -48,8 +51,8 @@ from .aggregate import Mechanism, mechanism as registered, target_values
 from .domain import EventId, TernaryVector, check_sparsity, event_code, is_integer, pair_partner
 
 _SIZE_GUARD = 10**6  # cells of verify_ldp's law array: the representative's orbit tables on s points, times t
-# Cells of the moments' law array: orbit tables on the representative's points and the free point, times t.  It admits
-# CoCo's full-scale shapes (d = 512, s = 8: 609,441 tables x t <= 100) at a few GB, and refuses a t of 2^40 up front.
+# Cells of the moments' law array, counted as verify_ldp's.  It admits CoCo's full-scale shapes (d = 512, s = 8:
+# 75,905 tables x t <= 100) at a few hundred MB, and refuses a t of 2^40 up front.
 _MOMENTS_GUARD = 1 << 26
 
 
@@ -73,11 +76,6 @@ def _points(support: tuple, paired: bool) -> tuple[int, ...]:
     return tuple(j if paired else event_code(j, b) for j, b in support)
 
 
-def _representative(s: int, paired: bool) -> tuple[tuple[int, ...], np.ndarray]:
-    """The points and signs of the input that stands for all of a parameter set: dims 1..s, each of sign +1."""
-    return _points(tuple((j, 1) for j in range(1, s + 1)), paired), np.ones(s, dtype=np.int64)
-
-
 def _orbit_count(n: int, t: int, paired: bool) -> int:
     """Relabelling orbits of tables on n points: sum over k <= slots (t/2 pairs or t) of S(n, k), times 2^(n-k) if paired."""
     slots, members = (t // 2, 2) if paired else (t, 1)
@@ -87,23 +85,27 @@ def _orbit_count(n: int, t: int, paired: bool) -> int:
     return sum(ways)
 
 
-def _check_cells(n: int, t: int, paired: bool, guard: int) -> None:
-    """Refuse a law array of more than ``guard`` cells, the orbit tables on n points times t, before any is built."""
-    count = _orbit_count(n, t, paired)
-    if count * t > guard:
-        raise ValueError(f"enumeration size {count}*{t} exceeds guard {guard}")
+def _representative_law(mech: Mechanism, params, guard: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (tables, s) buckets, weights and (tables, t) law of the input that stands for all of a parameter set, dims
+    1..s each of sign +1, on its orbit tables.  More than ``guard`` law cells, tables times t, are refused before any
+    table is built."""
+    count = _orbit_count(params.s, params.t, mech.paired)
+    if count * params.t > guard:
+        raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {guard}")
+    buckets, weights = _uniform_tables(mech.paired, params.s, params.t)
+    return buckets, weights, mech.law(buckets, np.ones(params.s, dtype=np.int64), params)
 
 
-def _uniform_tables(paired: bool, points: Sequence[int], t: int) -> tuple[np.ndarray, np.ndarray]:
-    """One table per relabelling orbit on ``points``, weighted by its share of the uniform family: a (tables, points)
-    array of buckets, a row per table and a column per point in ``points``' order, and the tables' weights.
+def _uniform_tables(paired: bool, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """One table per relabelling orbit on n points, weighted by its share of the uniform family: a (tables, n) array
+    of buckets, a row per table and a column per point, and the tables' weights.
 
     Slots are numbered by first use and, for a paired layout, the first point
     in a slot takes its lower bucket.  An orbit using k slots holds
     perm(slots, k) tables, times 2^k if paired, out of (slots * 2)^n or
     slots^n.  The 20-bit guard counts representatives before any is built.
     """
-    slots, n = t // 2 if paired else t, len(points)
+    slots = t // 2 if paired else t
     offsets = (0, slots) if paired else (0,)
     if _orbit_count(n, t, paired) > 1 << 20:
         raise ValueError(f"uniform family on {n} points has more than 2^20 orbit representatives")
@@ -136,10 +138,7 @@ def verify_ldp(mechanism: str, params) -> float:
     on one table attains both extremes at one z (it lies above by ulps for CoCo at s = d).  The size guard counts
     the cells of that (tables, t) law array in closed form before any table is built: it bounds memory.
     """
-    mech = _law(mechanism, params)
-    _check_cells(params.s, params.t, mech.paired, _SIZE_GUARD)
-    points, signs = _representative(params.s, mech.paired)
-    laws = mech.law(_uniform_tables(mech.paired, points, params.t)[0], signs, params)  # (tables, t)
+    laws = _representative_law(_law(mechanism, params), params, _SIZE_GUARD)[2]  # (tables, t)
     return math.log(float(laws.max() / laws.min()))
 
 
@@ -175,12 +174,11 @@ def exact_estimator_moments(
     if not (paired or isinstance(event, EventId) and is_integer(event.index) and 1 <= event.index <= params.d
             and event.sign in (-1, 1)):
         raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
-    point = dim if paired else event.code
-    moments = _input_moments(mech, params)
-    # x's points map onto the representative's in order, an unread point onto the free point (last); sign -1 mirrors
-    reads = _points(x.support, paired)
+    point, reads = dim if paired else event.code, _points(x.support, paired)
+    # a point x reads maps onto the representative's first point (column 0), any other onto an unread one (column 1);
+    # sign -1 mirrors
     k = reads.index(point) if point in reads else -1
-    return moments[k >= 0 and x.support[k][1] < 0, estimator][k]
+    return _input_moments(mech, params)[k >= 0 and x.support[k][1] < 0, estimator][k < 0]
 
 
 # Each layout's estimators and the ``aggregate`` target each reads: an event code's indicator, a dim's mean or not.
@@ -189,28 +187,28 @@ _ESTIMATORS = {False: {"indicator": "frequency"}, True: {"mean": "mean", "nonmis
 
 @functools.lru_cache(maxsize=1)
 def _input_moments(mech: Mechanism, params) -> dict[tuple[bool, str], list]:
-    """One entry's and parameter set's moments, keyed by (mirrored, estimator): the representative's (mean, variance)
-    at each point it reads, in order, then at one point it does not read, which stands for all of them (none for CoCo
-    at s = d).  The estimates are one user's hit counts at each outcome of a probe (a hit on the probed point's event,
-    paired: on j_minus, then j_plus, the debias's column order; then none) through the registered debias.  Mirrored,
-    as a dim of sign -1 reads them, the counts' columns are reversed: CoCo's mean is negated, the rest kept."""
+    """One entry's and parameter set's moments, keyed by (mirrored, estimator): the (mean, variance) at the
+    representative's first point, which stands for every point it reads, then at a point it does not read, which
+    stands for all of those.  The estimates are one user's hit counts at each outcome of a probe (a hit on the probed
+    point's event, paired: on j_minus, then j_plus, the debias's column order; then none) through the registered
+    debias.  Mirrored, as a dim of sign -1 reads them, the counts' columns are reversed: CoCo's mean is negated, the
+    rest kept."""
     paired, targets = mech.paired, _ESTIMATORS[mech.paired]
-    points, signs = _representative(params.s, paired)
-    unread = (q for q in range(1, (params.d if paired else 2 * params.d) + 1) if q not in points)
-    probed = points + tuple(islice(unread, 1))
-    _check_cells(len(probed), params.t, paired, _MOMENTS_GUARD)
     counts = np.eye(3, 2) if paired else np.eye(2, 1)  # one user's hit counts per outcome
     values = np.array([target_values(mech.debias(c, 1, params), target)[:, 0]
                        for c in (counts, counts[:, ::-1]) for target in targets.values()])
     # a row per (power, mirrored, estimator); rows that coincide, as an event's mirror and the squares do, sum once
     values, inverse = np.unique(np.vstack([values, values**2]), axis=0, return_inverse=True)
-    buckets, weights = _uniform_tables(paired, probed, params.t)
-    laws = mech.law(buckets[:, : len(points)], signs, params)  # (tables, t)
-    rows = np.arange(len(buckets))[:, None]
-    # P[outcome] per (table, probed point): z on H(q)'s partner (j_minus) if paired, z on H(q), neither
-    hits = [laws[rows, b - 1] for b in ((pair_partner(buckets, params.t), buckets) if paired else (buckets,))]
+    buckets, weights, laws = _representative_law(mech, params, _MOMENTS_GUARD)
+    first, rows = buckets[:, :1], np.arange(len(buckets))[:, None]
+    read = (pair_partner(first, params.t), first) if paired else (first,)
+    # P[outcome] per (table, point): z on H(q)'s partner (j_minus) if paired, z on H(q), neither.  Column 0 is the
+    # representative's first point; column 1 an unread point, whose H(q) is uniform and independent of z, whose law
+    # sums to 1, so each hit there has probability 1/t
+    unread = np.full(first.shape, 1 / params.t)
+    hits = [np.hstack([laws[rows, b - 1], unread]) for b in read]
     outcomes = hits + [1 - sum(hits)]
-    # sum over outcomes of P[o] v_o per (row of values, table, probed point), in outcome order, times the table's weight
+    # sum over outcomes of P[o] v_o per (row of values, table, point), in outcome order, times the table's weight
     terms = sum(p * v[:, None, None] for p, v in zip(outcomes, values.T)) * weights[:, None]
     total = math.fsum(weights)
     sums = [[math.fsum(column) / total for column in term.T.tolist()] for term in terms]

@@ -12,7 +12,9 @@ of points; the law's agreement with its own row-by-row evaluation is
 tested on its own.
 ``per_event_moments`` is ``exact_estimator_moments`` one probe at a time:
 each call enumerates the orbit tables on x's points and the probed point,
-where the oracle enumerates x's points and one free point once for all.
+where the oracle enumerates the representative's s points once for all,
+reads one of them for every point x reads, and puts an unread point's
+outcomes in closed form.
 Both references write each estimator out again (``estimator_terms``),
 where the oracle reads the registered debias.
 ``all_point_sets_privacy_loss`` is the pairwise maximum that
@@ -92,7 +94,7 @@ def per_event_moments(mechanism: str, params, x, estimator: str, event=None, dim
     paired = _law(mechanism, params).paired
     point, terms = estimator_terms(mechanism, params, estimator, event, dim)
     probed = tuple(dict.fromkeys(_points(x.support, paired) + (point,)))
-    tables, weights = _uniform_tables(paired, probed, params.t)
+    tables, weights = _uniform_tables(paired, len(probed), params.t)
     laws = law_block(mechanism, params, [x.support], probed, tables)[:, 0]
     means, seconds = [], []
     for row, probs, weight in zip(tables.tolist(), laws, weights):
@@ -129,7 +131,7 @@ def all_point_sets_privacy_loss(mechanism: str, params) -> float:
     worst = 0.0
     for points in combinations(domain, size):
         group = [support for support, read in reads if read.issubset(points)]
-        laws = law_block(mechanism, params, group, points, _uniform_tables(paired, points, params.t)[0])
+        laws = law_block(mechanism, params, group, points, _uniform_tables(paired, len(points), params.t)[0])
         worst = max(worst, float(np.max(laws.max(axis=1) / laws.min(axis=1))))
     return math.log(worst)
 

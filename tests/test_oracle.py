@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from ldpvec import aggregate, oracle
 from ldpvec.aggregate import MECHANISMS
 from ldpvec.amplification import collision_alpha
-from ldpvec.coco import coco_omega, coco_params
-from ldpvec.collision import collision_params
+from ldpvec.coco import coco_omega, coco_params, coco_predicted_mse, collision_rates
+from ldpvec.collision import collision_params, collision_predicted_sum_variance
 from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code, is_integer, pair_partner
 from ldpvec.oracle import (
     _orbit_count,
@@ -101,7 +101,7 @@ def test_the_array_law_is_its_own_row_by_row_evaluation(mechanism, s):
     else:  # both events of s dims on the least t, s + 1
         params, points = collision_params(s, s, epsilon, s + 1), tuple(range(1, 2 * s + 1))
     supports = [x.support for x in all_sparse_vectors(params.d, s)]
-    tables, _ = _uniform_tables(paired, points, params.t)
+    tables, _ = _uniform_tables(paired, len(points), params.t)
     reads = np.array([[points.index(q) for q in oracle._points(x, paired)] for x in supports])
     signs, law = np.array([[v for _, v in x] for x in supports]), MECHANISMS[mechanism].law
     block = law(tables[:, reads], signs, params)
@@ -122,7 +122,7 @@ def test_the_coco_law_is_relabelling_equivariant_bit_for_bit():
     for s in range(1, 5):
         plus = np.ones(s, dtype=np.int64)
         for t in range(2 * s + 2, 17, 2):
-            tables, _ = _uniform_tables(True, tuple(range(1, s + 1)), t)
+            tables, _ = _uniform_tables(True, s, t)
             half = t // 2
             swapped = np.where(tables == 1, 1 + half, np.where(tables == 1 + half, 1, tables))
             columns = np.r_[half, 1:half, 0, half + 1:t]  # z = 1 + t/2, 2..t/2, 1, t/2 + 2..t
@@ -300,7 +300,7 @@ def test_orbit_representatives_match_the_full_uniform_family(data):
 @given(mechanism=st.sampled_from(HASHED), n=st.integers(0, 6), t=st.integers(2, 9))
 def test_orbit_count_and_weights(mechanism, n, t):
     paired = aggregate.MECHANISMS[mechanism].paired
-    tables, weights = _uniform_tables(paired, tuple(range(1, n + 1)), t)
+    tables, weights = _uniform_tables(paired, n, t)
     assert tables.shape == (len(weights), n) and len(weights) == _orbit_count(n, t, paired)
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
 
@@ -400,7 +400,7 @@ def test_verify_ldp_does_not_depend_on_d(mechanism, params_at, monkeypatch):
         loss[d] = verify_ldp(mechanism, params_at(d))
         assert time.perf_counter() - start < 1.0
     assert loss[512] == loss[4]
-    assert len(enumerated) == 2 and enumerated[0] == enumerated[1] and len(enumerated[0]) == 2  # one input's 2 points
+    assert enumerated == [2, 2]  # one input's 2 points, at either d
     if mechanism == "collision":
         assert loss[512] == pytest.approx(LN2, abs=1e-9)
     else:
@@ -434,8 +434,9 @@ def test_exhaustive_guard_counts_before_enumerating_inputs(monkeypatch):
 
 
 def test_the_points_an_input_reads_have_bitwise_equal_moments():
-    # each point's moments come from its own orbit rows; they agree bit for bit because both laws are equivariant
-    # under relabelling buckets and invariant under permuting x's points (hit and writer counts are integers)
+    # every point x reads is served the representative's first point, which stands for all of them because both laws
+    # are equivariant under relabelling buckets and invariant under permuting x's points (hit and writer counts are
+    # integers); when each point was enumerated on its own orbit rows, they agreed bit for bit on this grid
     rows = 0
     for mechanism, build, low in (("collision", collision_params, lambda s: s + 1), ("coco", coco_params, lambda s: 2 * s + 2)):
         for (d, s), epsilon, small in product(((4, 2), (5, 3), (6, 4), (8, 5), (64, 3), (5, 5), (4, 4)),
@@ -456,12 +457,12 @@ def test_the_points_an_input_reads_have_bitwise_equal_moments():
 
 def test_moments_guard_counts_cells_before_enumerating(monkeypatch):
     # the orbit guard counted tables, not t: one call's traced peak grew linearly with t (171.7 MB at t = 4e6), so
-    # t = 2^40 asked for terabytes.  Orbit tables on the representative's 2 points and the free one: Bell(3) = 5
+    # t = 2^40 asked for terabytes.  Orbit tables on the representative's 2 points: Bell(2) = 2
     def unread(*args):
         raise AssertionError("a table was enumerated before the size guard")
 
     monkeypatch.setattr(oracle, "_uniform_tables", unread)
-    with pytest.raises(ValueError, match=rf"^enumeration size 5\*{2**40} exceeds guard 67108864$"):
+    with pytest.raises(ValueError, match=rf"^enumeration size 2\*{2**40} exceeds guard 67108864$"):
         exact_estimator_moments(
             "collision", collision_params(4, 2, 1.0, 2**40), TernaryVector(4, ((1, 1), (2, 1))), "indicator",
             event=EventId(1, 1),
@@ -470,12 +471,30 @@ def test_moments_guard_counts_cells_before_enumerating(monkeypatch):
 
 @pytest.mark.parametrize("mechanism, build", [("collision", collision_params), ("coco", coco_params)])
 def test_moments_guard_admits_the_full_scale_shapes(mechanism, build):
-    # d = 512, s = 8 on the full-scale grid, CoCo at either target's t: s + 1 = 9 points per enumeration
+    # d = 512, s = 8 on the full-scale grid, CoCo at either target's t: the representative's s = 8 points per
+    # enumeration, at most 75,905 tables x t = 100 cells
     paired = MECHANISMS[mechanism].paired
     for epsilon in FULL_SCALE_EPSILONS:
         for which in ("mean", "nonmissing") if paired else (None,):
             params = build(512, 8, epsilon, which=which) if paired else build(512, 8, epsilon)
-            assert _orbit_count(9, params.t, paired) * params.t <= oracle._MOMENTS_GUARD, (epsilon, which)
+            assert _orbit_count(8, params.t, paired) * params.t <= oracle._MOMENTS_GUARD, (epsilon, which)
+
+
+def test_full_scale_moments_sum_to_the_closed_forms():
+    # d = 512, s = 8: the read points' and unread points' variances, summed over an input's points, are collision's
+    # single-user sum variance on the full-scale grid and CoCo's single-user MSE for both targets at eps = 0.5
+    x = TernaryVector(512, tuple((j, 1) for j in range(1, 9)))
+    for epsilon in FULL_SCALE_EPSILONS:
+        params = collision_params(512, 8, epsilon)
+        read, unread = (exact_estimator_moments("collision", params, x, "indicator", event=EventId(1, sign))[1]
+                        for sign in (1, -1))
+        want = collision_predicted_sum_variance(512, 8, epsilon, params.t)
+        assert 8 * read + (2 * 512 - 8) * unread == pytest.approx(want, rel=1e-12, abs=0), epsilon
+    for which in ("mean", "nonmissing"):
+        params = coco_params(512, 8, 0.5, which=which)
+        read, unread = (exact_estimator_moments("coco", params, x, which, dim=j)[1] for j in (1, 9))
+        want = coco_predicted_mse(512, 8, collision_rates(8, 0.5, params.t), which)
+        assert 8 * read + (512 - 8) * unread == pytest.approx(want, rel=1e-12, abs=0), which
 
 
 def test_exact_moments_collision_unbiased():
@@ -553,7 +572,7 @@ def test_moments_enumerate_once_per_parameter_set(mechanism, params, monkeypatch
                 )
             assert list(map(float.hex, got)) == list(map(float.hex, want)), (x, probe)
     assert len(calls) == 1
-    assert all(len(points) == min(params.s + 1, params.d if paired else 2 * params.d) for _, points, _ in calls)
+    assert all(n == params.s for _, n, _ in calls)  # the representative's s points
     assert oracle._input_moments.cache_info().currsize == 1
 
 
@@ -570,7 +589,7 @@ def test_all_sparse_vectors_rejects_sizes_outside_its_domain(d, s):
     ("collision", collision_params(4, 2, LN2, 4), TernaryVector(d=4, support=((1, 1), (3, -1))),
      {"estimator": "indicator", "event": EventId(1, 1)}),
     ("coco", MechanismParams(d=4, s=2, epsilon=LN2, t=6), TernaryVector(d=4, support=((1, 1), (3, -1))),
-     {"estimator": "mean", "dim": 2}),
+     {"estimator": "mean", "dim": 1}),
 ])
 def test_the_moment_memo_follows_a_replaced_law(mechanism, params, x, probe, monkeypatch):
     # the memo is keyed on the registered entry, so a replaced entry is never served the old law's moments

@@ -23,8 +23,9 @@ from ldpvec.oracle import exact_estimator_moments, verify_ldp
 GRID = dict(n=(50,), d=(8,), s=(2,), epsilon=(1.0,), mechanism=("privkv",), master_seed=1, repetitions=1)
 # alpha within the 1e-12 slack above the clone bound, where e^eps a + a still exceeds 1 + 1e-12
 MIXTURE_EPSILON = 0.27208633254958964
-# 11 event codes plus the free point: more than 2^20 relabelling orbits on t = 12 buckets
-GUARDED = collision_params(12, 11, 1.0, 12)
+# 12 event codes: Bell(12) = 4,213,597 relabelling orbits on t = 13 buckets, more than 2^20, in 54.8M law cells, under
+# the moments' cell guard
+GUARDED = collision_params(13, 12, 1.0, 13)
 
 REJECTIONS = {
     "mechanism: unknown name": (lambda: aggregate.mechanism("bogus"), "unknown mechanism 'bogus'"),
@@ -34,7 +35,7 @@ REJECTIONS = {
     ),
     "oracle: orbit guard": (
         lambda: exact_estimator_moments(
-            "collision", GUARDED, TernaryVector(12, tuple((j, 1) for j in range(1, 12))), "indicator", event=EventId(1, 1)
+            "collision", GUARDED, TernaryVector(13, tuple((j, 1) for j in range(1, 13))), "indicator", event=EventId(1, 1)
         ),
         "uniform family on 12 points has more than 2^20 orbit representatives",
     ),
