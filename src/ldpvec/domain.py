@@ -143,6 +143,10 @@ class TernaryVector:
         if not self.support:
             raise ValueError("support must be non-empty")
         dims, signs = zip(*self.support)
+        # value by value, as read_view reads a list: numpy's common type passes a bool beside an int as 1
+        for name, values in (("supports", dims), ("signs", signs)):
+            if bad := [v for v in values if not is_integer(v)]:
+                raise ValueError(f"{name} must be an integer array, got value {bad[0]!r}")
         check_batch(np.array([dims]), np.array([signs]), self.d, len(self.support))
 
     def event_set(self) -> frozenset[EventId]:

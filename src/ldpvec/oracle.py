@@ -27,15 +27,15 @@ all of a parameter set, and its orbit tables on its s points are the one
 set of tables enumerated.  Collision's event codes carry x's signs; a CoCo
 dim of sign -1 has, bit for bit, the law of the +1 dim on its mirrored
 bucket, so its j_minus and j_plus outcomes swap.  ``verify_ldp`` reads
-that input's law alone.  ``exact_estimator_moments`` puts one user's hit
-counts at each outcome of a probe (a hit on the probed event, on j_minus
-or j_plus of a paired dim, or none) through the registered ``debias`` and
-``aggregate.target_values``, as read and mirrored, and takes
-sum_o P[o] v_o and sum_o P[o] v_o^2 once per parameter set at two points:
-the representative's first, which stands for every point x reads (the
-law is invariant under permuting them); and an unread point, whose bucket
-is uniform and independent of z, so each hit outcome there has
-probability 1/t on every table.
+that input's law alone.  ``exact_estimator_moments`` takes from it the
+law of a probe's outcomes (a hit on the probed event, on j_minus or
+j_plus of a paired dim, or none), averaged over the tables, at the
+representative's first point, which stands for every point x reads (the
+law is invariant under permuting them), and at an unread point, whose
+bucket is uniform and independent of z, so each hit there is 1/t.  A
+moment is that law's dot product with one user's estimate per outcome,
+the registered ``debias`` and ``aggregate.target_values`` as read and
+mirrored.  Both read one (tables, t) law array of at most 2^26 cells.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ import numpy as np
 from .aggregate import Mechanism, mechanism as registered, target_values
 from .domain import EventId, TernaryVector, check_sparsity, event_code, is_integer, pair_partner
 
-_SIZE_GUARD = 10**6  # cells of verify_ldp's law array: the representative's orbit tables on s points, times t
-# Cells of the moments' law array, counted as verify_ldp's.  It admits CoCo's full-scale shapes (d = 512, s = 8:
-# 75,905 tables x t <= 100) at a few hundred MB, and refuses a t of 2^40 up front.
-_MOMENTS_GUARD = 1 << 26
+# Cells of the one law array both callers read, the representative's orbit tables on s points times t.  It admits
+# CoCo's full-scale shapes (d = 512, s = 8: 75,905 tables x t <= 100) at a few hundred MB, and refuses a t of 2^40.
+_LAW_GUARD = 1 << 26
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
@@ -85,13 +84,13 @@ def _orbit_count(n: int, t: int, paired: bool) -> int:
     return sum(ways)
 
 
-def _representative_law(mech: Mechanism, params, guard: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _representative_law(mech: Mechanism, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (tables, s) buckets, weights and (tables, t) law of the input that stands for all of a parameter set, dims
-    1..s each of sign +1, on its orbit tables.  More than ``guard`` law cells, tables times t, are refused before any
-    table is built."""
+    1..s each of sign +1, on its orbit tables.  More than ``_LAW_GUARD`` law cells, tables times t, are refused before
+    any table is built."""
     count = _orbit_count(params.s, params.t, mech.paired)
-    if count * params.t > guard:
-        raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {guard}")
+    if count * params.t > _LAW_GUARD:
+        raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_LAW_GUARD}")
     buckets, weights = _uniform_tables(mech.paired, params.s, params.t)
     return buckets, weights, mech.law(buckets, np.ones(params.s, dtype=np.int64), params)
 
@@ -138,7 +137,7 @@ def verify_ldp(mechanism: str, params) -> float:
     on one table attains both extremes at one z (it lies above by ulps for CoCo at s = d).  The size guard counts
     the cells of that (tables, t) law array in closed form before any table is built: it bounds memory.
     """
-    laws = _representative_law(_law(mechanism, params), params, _SIZE_GUARD)[2]  # (tables, t)
+    laws = _representative_law(_law(mechanism, params), params)[2]  # (tables, t)
     return math.log(float(laws.max() / laws.min()))
 
 
@@ -159,7 +158,7 @@ def exact_estimator_moments(
     The estimate is the registered debias read through ``aggregate.target_values``: an unpaired layout's
     ``indicator`` of an event, a paired layout's ``mean`` or ``nonmissing`` of a dim.  An input, event or dim outside
     the params' domain, the other layout's probe keyword, a degenerate denominator or a law array of more than
-    ``_MOMENTS_GUARD`` cells is a ValueError raised before any table.
+    ``_LAW_GUARD`` cells is a ValueError raised before any table.
     """
     mech = _law(mechanism, params)
     paired = mech.paired
@@ -172,11 +171,10 @@ def exact_estimator_moments(
     if paired and not (is_integer(dim) and 1 <= dim <= params.d):
         raise ValueError(f"dim must be an integer in 1..{params.d}, got {dim!r}")
     if not (paired or isinstance(event, EventId) and is_integer(event.index) and 1 <= event.index <= params.d
-            and event.sign in (-1, 1)):
+            and is_integer(event.sign) and event.sign in (-1, 1)):
         raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
     point, reads = dim if paired else event.code, _points(x.support, paired)
-    # a point x reads maps onto the representative's first point (column 0), any other onto an unread one (column 1);
-    # sign -1 mirrors
+    # a point x reads maps onto the representative's first point (entry 0), any other onto an unread one; -1 mirrors
     k = reads.index(point) if point in reads else -1
     return _input_moments(mech, params)[k >= 0 and x.support[k][1] < 0, estimator][k < 0]
 
@@ -188,31 +186,21 @@ _ESTIMATORS = {False: {"indicator": "frequency"}, True: {"mean": "mean", "nonmis
 @functools.lru_cache(maxsize=1)
 def _input_moments(mech: Mechanism, params) -> dict[tuple[bool, str], list]:
     """One entry's and parameter set's moments, keyed by (mirrored, estimator): the (mean, variance) at the
-    representative's first point, which stands for every point it reads, then at a point it does not read, which
-    stands for all of those.  The estimates are one user's hit counts at each outcome of a probe (a hit on the probed
-    point's event, paired: on j_minus, then j_plus, the debias's column order; then none) through the registered
-    debias.  Mirrored, as a dim of sign -1 reads them, the counts' columns are reversed: CoCo's mean is negated, the
-    rest kept."""
+    representative's first point, which stands for every point it reads, then at a point it does not read.  Each is a
+    dot product of the outcomes' law (a hit on the probed point's event, paired: on j_minus, then j_plus, the debias's
+    column order; then none) with one user's hit counts at each outcome through the registered debias.  Mirrored, as a
+    dim of sign -1 reads them, the counts' columns are reversed: CoCo's mean is negated, the rest kept."""
     paired, targets = mech.paired, _ESTIMATORS[mech.paired]
     counts = np.eye(3, 2) if paired else np.eye(2, 1)  # one user's hit counts per outcome
     values = np.array([target_values(mech.debias(c, 1, params), target)[:, 0]
-                       for c in (counts, counts[:, ::-1]) for target in targets.values()])
-    # a row per (power, mirrored, estimator); rows that coincide, as an event's mirror and the squares do, sum once
-    values, inverse = np.unique(np.vstack([values, values**2]), axis=0, return_inverse=True)
-    buckets, weights, laws = _representative_law(mech, params, _MOMENTS_GUARD)
-    first, rows = buckets[:, :1], np.arange(len(buckets))[:, None]
+                       for c in (counts, counts[:, ::-1]) for target in targets.values()])  # a row per key
+    buckets, weights, laws = _representative_law(mech, params)
+    first, total = buckets[:, 0], math.fsum(weights)
     read = (pair_partner(first, params.t), first) if paired else (first,)
-    # P[outcome] per (table, point): z on H(q)'s partner (j_minus) if paired, z on H(q), neither.  Column 0 is the
-    # representative's first point; column 1 an unread point, whose H(q) is uniform and independent of z, whose law
-    # sums to 1, so each hit there has probability 1/t
-    unread = np.full(first.shape, 1 / params.t)
-    hits = [np.hstack([laws[rows, b - 1], unread]) for b in read]
-    outcomes = hits + [1 - sum(hits)]
-    # sum over outcomes of P[o] v_o per (row of values, table, point), in outcome order, times the table's weight
-    terms = sum(p * v[:, None, None] for p, v in zip(outcomes, values.T)) * weights[:, None]
-    total = math.fsum(weights)
-    sums = [[math.fsum(column) / total for column in term.T.tolist()] for term in terms]
-    sums = [sums[i] for i in inverse.reshape(-1)]
-    n = len(sums) // 2
-    moments = [[(m, v - m**2) for m, v in zip(sums[i], sums[n + i])] for i in range(n)]
+    # each hit's probability, z on H(q)'s partner (j_minus) if paired then on H(q): averaged over the tables at the
+    # representative's first point, and 1/t at an unread point, whose bucket is uniform and independent of z
+    hits = [[math.fsum(weights * laws[np.arange(len(first)), b - 1]) / total for b in read], [1 / params.t] * len(read)]
+    law = np.array([row + [1 - sum(row)] for row in hits])  # (read, unread) x outcome, none last
+    means, seconds = ((law[:, None] * w).sum(axis=-1).T.tolist() for w in (values, values**2))
+    moments = [[(m, e2 - m**2) for m, e2 in zip(*key)] for key in zip(means, seconds)]
     return dict(zip(product((False, True), targets), moments))

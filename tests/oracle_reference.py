@@ -36,7 +36,11 @@ from ldpvec.aggregate import MECHANISMS
 from ldpvec.coco import collision_rates
 from ldpvec.collision import collision_denominator
 from ldpvec.domain import pair_partner
-from ldpvec.oracle import _SIZE_GUARD, _law, _orbit_count, _points, _uniform_tables, all_sparse_vectors
+from ldpvec.oracle import _law, _orbit_count, _points, _uniform_tables, all_sparse_vectors
+
+# the pairwise check's own limit on its work, (input, point set) pairs times orbit tables times t, apart from the
+# oracle's law-array guard
+_SIZE_GUARD = 10**6
 
 
 def uniform_collision_family(codes, t: int) -> list:

@@ -17,20 +17,27 @@ and every value counted in units of u * max(|exact|, 1):
   u ((4 (e^eps + 1)/Omega + 2/t)/D + 1).  Each is a common factor of the
   values it divides, so it scales the mean by its error once and the
   variance twice.
-* per table and outcome o (a hit on the probed point, on its pair
-  partner, or none): P[o] within 3u of P[o] (none: within 3u absolutely);
-  the value v_o, apart from its denominator, within a few u of the
-  magnitudes it is formed from, including the (nm +- m)/2 of CoCo's
-  event frequencies; two rounded products and sums per table; the
-  weighted fsum, the division by the total weight, the square of the
-  mean and the final subtraction.
+* hit probabilities: at the read point each hit's table average is the
+  fsum over the tables of rounded weight * law products (each within
+  4u), one more u, then one rounded division by the total weight (within
+  2u of 1), so within 8u relatively; at an unread point each hit is 1/t,
+  within u.  P[none] = 1 - (sum of the hits) is
+  within the hits' errors, one rounded sum if paired and u P[none],
+  absolutely.
+* per outcome o (a hit on the probed point, on its pair partner, or
+  none): the value v_o, apart from its denominator, within a few u of
+  the magnitudes it is formed from, including the (nm +- m)/2 of CoCo's
+  event frequencies, and v_o^2 one more rounding; then one product with
+  P[o] and a sum over the two or three outcomes, the square of the mean
+  and the final subtraction.
 
-That gives |mean error| <= u (kappa + 4)|mean| + 8 E|v| + 3|v_none| + E[r]
-and a like sum for the variance, with E over the tables and outcomes.
-Evaluated exactly over this grid (no float oracle value involved), the
-largest is 312 u * max(|exact|, 1), at CoCo's non-missing mean at
-d = s = 3, t = 8.  ULPS is that, rounded up; second-order terms are below
-one ulp.  ``verify_ldp`` needs 8 (a ratio of two laws, then one log).
+That gives |mean error| <= u kappa |mean| + sum_o (pi_o |v_o| + P[o] r_o)
++ n sum_o P[o] |v_o|, with pi_o the error of P[o], r_o that of v_o and n
+the number of outcomes, and a like sum for the variance.  Evaluated
+exactly over this grid (no float oracle value involved), the largest is
+297 u * max(|exact|, 1), at CoCo's non-missing mean at d = s = 3, t = 8.
+ULPS is that, rounded up with room; second-order terms are below one
+ulp.  ``verify_ldp`` needs 8 (a ratio of two laws, then one log).
 """
 
 import math

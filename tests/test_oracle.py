@@ -214,6 +214,16 @@ def test_coco_oracle_rejects_t_outside_its_domain(t, monkeypatch):
          {"estimator": "indicator", "event": EventId(2, 1), "dim": 99}, "with an event and no dim"),
         ("coco", MechanismParams(d=3, s=1, epsilon=1.0, t=4), TernaryVector(d=3, support=((2, -1),)),
          {"estimator": "mean", "dim": 2, "event": EventId(99, 5)}, "with a dim and no event"),
+        # a bool or float sign was read as the +-1 event
+        ("collision", collision_params(3, 1, 1.0, 3), TernaryVector(d=3, support=((2, 1),)),
+         {"estimator": "indicator", "event": EventId(1, True)},
+         r"index in 1\.\.3 and sign -1 or \+1, got EventId\(index=1, sign=True\)"),
+        ("collision", collision_params(3, 1, 1.0, 3), TernaryVector(d=3, support=((2, 1),)),
+         {"estimator": "indicator", "event": EventId(1, 1.0)},
+         r"index in 1\.\.3 and sign -1 or \+1, got EventId\(index=1, sign=1\.0\)"),
+        ("collision", collision_params(3, 1, 1.0, 3), TernaryVector(d=3, support=((2, 1),)),
+         {"estimator": "indicator", "event": EventId(1, -1.0)},
+         r"index in 1\.\.3 and sign -1 or \+1, got EventId\(index=1, sign=-1\.0\)"),
     ],
 )
 def test_moments_reject_probes_outside_the_params(mechanism, params, x, probe, message, monkeypatch):
@@ -327,11 +337,12 @@ def test_verify_ldp_at_the_default_t_for_three_nonzeros(epsilon):
 
 
 def test_verify_ldp_certifies_the_full_scale_shapes():
-    # d = 512 at the default t: collision attains eps at s = 4 and 8, and CoCo stays within it at s = 4
+    # d = 512 at the default t: collision attains eps at s = 4 and 8, and CoCo stays within it at s = 4 and 8 (at s = 8,
+    # 75,905 tables x t = 20 to 70 law cells)
     for epsilon in FULL_SCALE_EPSILONS:
         for s in (4, 8):
             assert verify_ldp("collision", collision_params(512, s, epsilon)) == pytest.approx(epsilon, abs=1e-9)
-        assert verify_ldp("coco", coco_params(512, 4, epsilon)) <= epsilon + 1e-9
+            assert verify_ldp("coco", coco_params(512, s, epsilon)) <= epsilon + 1e-9
 
 
 @pytest.mark.parametrize("mechanism, params", [
@@ -422,15 +433,15 @@ def test_verify_ldp_constructs_no_vector(mechanism, params, monkeypatch):
 
 
 def test_exhaustive_guard_counts_before_enumerating_inputs(monkeypatch):
-    # CoCo at d = 512, s = 8 and eps = 0.001's default t = 20: 75,905 orbit tables on 8 dims, times t cells.  When
-    # the inputs were listed before the guard was counted, comb(64, 8) 2^8 = 1.1e12 of them never returned
+    # CoCo at d = 512, s = 8 and t = 2^40: 75,905 orbit tables on 8 dims, times t cells.  When the inputs were listed
+    # before the guard was counted, comb(64, 8) 2^8 = 1.1e12 of them never returned
     def unread(*args):
         raise AssertionError("a table or an input was enumerated before the size guard")
 
     monkeypatch.setattr(oracle, "_uniform_tables", unread)
     monkeypatch.setattr(oracle, "all_sparse_vectors", unread)
-    with pytest.raises(ValueError, match=r"^enumeration size 75905\*20 exceeds guard 1000000$"):
-        verify_ldp("coco", coco_params(512, 8, 0.001))
+    with pytest.raises(ValueError, match=rf"^enumeration size 75905\*{2**40} exceeds guard {oracle._LAW_GUARD}$"):
+        verify_ldp("coco", coco_params(512, 8, 0.001, t=2**40))
 
 
 def test_the_points_an_input_reads_have_bitwise_equal_moments():
@@ -462,7 +473,7 @@ def test_moments_guard_counts_cells_before_enumerating(monkeypatch):
         raise AssertionError("a table was enumerated before the size guard")
 
     monkeypatch.setattr(oracle, "_uniform_tables", unread)
-    with pytest.raises(ValueError, match=rf"^enumeration size 2\*{2**40} exceeds guard 67108864$"):
+    with pytest.raises(ValueError, match=rf"^enumeration size 2\*{2**40} exceeds guard {oracle._LAW_GUARD}$"):
         exact_estimator_moments(
             "collision", collision_params(4, 2, 1.0, 2**40), TernaryVector(4, ((1, 1), (2, 1))), "indicator",
             event=EventId(1, 1),
@@ -477,7 +488,7 @@ def test_moments_guard_admits_the_full_scale_shapes(mechanism, build):
     for epsilon in FULL_SCALE_EPSILONS:
         for which in ("mean", "nonmissing") if paired else (None,):
             params = build(512, 8, epsilon, which=which) if paired else build(512, 8, epsilon)
-            assert _orbit_count(8, params.t, paired) * params.t <= oracle._MOMENTS_GUARD, (epsilon, which)
+            assert _orbit_count(8, params.t, paired) * params.t <= oracle._LAW_GUARD, (epsilon, which)
 
 
 def test_full_scale_moments_sum_to_the_closed_forms():
@@ -526,7 +537,8 @@ def _moment_probes():
 
 
 def test_moments_match_the_per_event_reference():
-    # one enumeration per input, on its points plus one free point, against one per event on its points plus that event's
+    # one enumeration per parameter set, on the representative's s points with an unread point's hits at 1/t, against
+    # one per input and event on its points plus that event's
     checked = 0
     for mechanism, params, x, probe in _moment_probes():
         got = exact_estimator_moments(mechanism, params, x, **probe)

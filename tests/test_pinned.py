@@ -9,8 +9,9 @@ pointing into ``tests/pinned/``) and says so in CHANGES.md.
 ``exact_estimator_moments`` value on the oracle grids of acceptance
 criteria 1 and 2, as 17 significant digits, so every float is pinned
 exactly.  A change that alters an oracle value on purpose regenerates it
-with ``PYTHONPATH=src python tests/test_pinned.py`` and says so in
-CHANGES.md.
+with ``PYTHONPATH=src python tests/test_pinned.py``, which first prints
+how many values moved and the worst move against the committed file, and
+says so in CHANGES.md.
 """
 
 import math
@@ -90,5 +91,18 @@ def test_oracle_values_match_pinned_bytes():
     assert oracle_moments_csv().encode() == ORACLE_MOMENTS.read_bytes()
 
 
+def moved_values(old: str, new: str) -> tuple[int, float]:
+    """How many values of the csv ``new`` differ from ``old``'s on the same row, and the worst move in ulps of
+    max(|v|, 1), v being ``old``'s value."""
+    before = dict(line.rsplit(",", 1) for line in old.splitlines()[1:])
+    moves = [abs(float(value) - float(before[key])) / math.ulp(max(abs(float(before[key])), 1.0))
+             for key, value in (line.rsplit(",", 1) for line in new.splitlines()[1:])
+             if key in before and float(value) != float(before[key])]
+    return len(moves), max(moves, default=0.0)
+
+
 if __name__ == "__main__":
-    ORACLE_MOMENTS.write_bytes(oracle_moments_csv().encode())
+    csv = oracle_moments_csv()
+    moved, worst = moved_values(ORACLE_MOMENTS.read_text() if ORACLE_MOMENTS.exists() else "", csv)
+    print(f"{ORACLE_MOMENTS.name}: {moved} values moved, the worst by {worst:.3g} ulps of max(|v|, 1)")
+    ORACLE_MOMENTS.write_bytes(csv.encode())

@@ -24,7 +24,7 @@ GRID = dict(n=(50,), d=(8,), s=(2,), epsilon=(1.0,), mechanism=("privkv",), mast
 # alpha within the 1e-12 slack above the clone bound, where e^eps a + a still exceeds 1 + 1e-12
 MIXTURE_EPSILON = 0.27208633254958964
 # 12 event codes: Bell(12) = 4,213,597 relabelling orbits on t = 13 buckets, more than 2^20, in 54.8M law cells, under
-# the moments' cell guard
+# the law-array guard
 GUARDED = collision_params(13, 12, 1.0, 13)
 
 REJECTIONS = {
@@ -38,6 +38,13 @@ REJECTIONS = {
             "collision", GUARDED, TernaryVector(13, tuple((j, 1) for j in range(1, 13))), "indicator", event=EventId(1, 1)
         ),
         "uniform family on 12 points has more than 2^20 orbit representatives",
+    ),
+    # numpy's common type of a bool and an int is int, so each vector constructed with True read as 1
+    "vector: a bool sign beside an int": (
+        lambda: TernaryVector(4, ((1, True), (2, 1))), "signs must be an integer array, got value True",
+    ),
+    "vector: a bool index beside an int": (
+        lambda: TernaryVector(4, ((True, 1), (2, 1))), "supports must be an integer array, got value True",
     ),
     # an int event ended in an AttributeError
     "oracle: an event that is not an EventId": (
