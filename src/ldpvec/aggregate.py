@@ -69,7 +69,7 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     mech.check(params)
     if not (isinstance(views, tuple) and len(views) == 2):
         raise ValueError("hash mechanisms take a (seeds, z) pair")
-    seeds, z = read_view("seeds", views[0], 0, 2**64 - 1), read_view("z", views[1], 1, params.t)
+    seeds, z = read_view("seeds", views[0], 0, 2**64 - 1, ndim=1), read_view("z", views[1], 1, params.t, ndim=1)
     if len(seeds) != len(z):
         raise ValueError(f"seeds and z differ in length: {len(seeds)} vs {len(z)}")
     return mech.debias(_dom.event_hit_counts(seeds, z, params.d, params.t, mech.paired), len(seeds), params)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .domain import MechanismParams, check_batch, check_budget, check_size, debias_denominator, event_code, exp_budget, read_view
+from .domain import MechanismParams, check_budget, check_size, debias_denominator, event_code, exp_budget, read_batch, read_view
 
 
 def amplified_budget(s: int, epsilon: float) -> float:
@@ -59,7 +59,7 @@ def _randomized_response(truth: np.ndarray, k: int, epsilon: float, rng: np.rand
 
 def _report_counts(views, k: int) -> tuple[np.ndarray, int]:
     """The count of each category 1..k among a batch of reports (``domain.read_view``), and its size."""
-    codes = read_view("reported codes", views, 1, k)
+    codes = read_view("reported codes", views, 1, k, ndim=1)
     return np.bincount(codes - 1, minlength=k).astype(float), len(codes)
 
 
@@ -74,7 +74,7 @@ def privkv_randomize_batch(
     supports: np.ndarray, signs: np.ndarray, params: MechanismParams, rng: np.random.Generator
 ) -> np.ndarray:
     _check_privkv(params)
-    check_batch(supports, signs, params.d, params.s)
+    supports, signs = read_batch(supports, signs, params.d, params.s)
     n, s = supports.shape
     j = rng.integers(1, params.d + 1, size=n)
     clipped = np.minimum((supports < j[:, None]).sum(axis=1), s - 1)  # j's slot in the row, if present
@@ -90,7 +90,7 @@ def pckv_randomize_batch(
     supports: np.ndarray, signs: np.ndarray, params: MechanismParams, rng: np.random.Generator
 ) -> np.ndarray:
     _check_categories(params, 2 * params.d)
-    check_batch(supports, signs, params.d, params.s)
+    supports, signs = read_batch(supports, signs, params.d, params.s)
     n, s = supports.shape
     slot = rng.integers(0, s, size=n)
     code = event_code(supports[np.arange(n), slot], signs[np.arange(n), slot])

@@ -117,8 +117,8 @@ def simulate(config_path, full_scale, out, fmt, **grid):
 def amplify(n, s, epsilon, delta, bounds, out, fmt):
     """Amplified budgets eps_c and log2 amplification ratios."""
     try:
-        grid = (harness._parse_list(n, int), harness._parse_list(s, int), harness._parse_list(epsilon, float), delta,
-                harness._parse_list(bounds, str))
+        grid = (harness._parse_list("n", n, int), harness._parse_list("s", s, int),
+                harness._parse_list("epsilon", epsilon, float), delta, harness._parse_list("bounds", bounds, str))
         harness.check_amplification_grid(*grid)
     except ValueError as exc:
         _fail_invalid(str(exc))

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    FLOAT_MAX, STREAM_H1, MechanismParams, check_batch, check_budget, check_size, check_sparsity, debias_denominator,
-    exp_budget, hash_buckets, is_real, map_rows, pair_partner, sample_layout,
+    FLOAT_MAX, STREAM_H1, MechanismParams, check_budget, check_size, check_sparsity, debias_denominator, exp_budget,
+    hash_buckets, is_real, map_rows, pair_partner, read_batch, read_view, sample_layout,
 )
 
 
@@ -176,7 +176,10 @@ def coco_randomize_batch(
     its own event's bucket and 1 on the partner, and the t - 2m buckets of the other pairs take ``coco_free_weight``.
     """
     check_coco_domain(params.s, params.t)
-    check_batch(supports, signs, params.d, params.s)
+    supports, signs = read_batch(supports, signs, params.d, params.s)
+    seeds = read_view("seeds", seeds, 0, 2**64 - 1, ndim=1)
+    if len(seeds) != len(supports):
+        raise ValueError(f"seeds and supports differ in length: {len(seeds)} vs {len(supports)}")
     (n, s), t, half = supports.shape, params.t, params.t // 2
     eeps, omega = math.exp(params.epsilon), coco_omega(s, params.epsilon, t)
     write, u = rng.random((n, s)), rng.random(n)

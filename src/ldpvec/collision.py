@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .domain import (
-    MechanismParams, check_batch, check_budget, check_size, debias_denominator, event_code, exp_budget, hash_buckets,
-    map_rows, sample_layout,
+    MechanismParams, check_budget, check_size, debias_denominator, event_code, exp_budget, hash_buckets, map_rows,
+    read_batch, read_view, sample_layout,
 )
 
 
@@ -94,10 +94,13 @@ def collision_randomize_batch(
 
     supports: (n, s) 1-based dimension indices, ascending per row.
     signs:    (n, s) entries in {-1, +1}.
-    seeds:    (n,) per-user single-layout hash seeds.
+    seeds:    (n,) per-user single-layout hash seeds, one per row.
     """
     check_collision_domain(params.s, params.t)
-    check_batch(supports, signs, params.d, params.s)
+    supports, signs = read_batch(supports, signs, params.d, params.s)
+    seeds = read_view("seeds", seeds, 0, 2**64 - 1, ndim=1)
+    if len(seeds) != len(supports):
+        raise ValueError(f"seeds and supports differ in length: {len(seeds)} vs {len(supports)}")
     u, hit = rng.random(len(supports)), collision_hit_prob(params)
 
     def rows(r: slice) -> np.ndarray:

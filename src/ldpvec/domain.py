@@ -132,22 +132,18 @@ class TernaryVector:
     """A d-dimensional vector in {-1,0,+1}^d with non-zero support.
 
     ``support`` lists (index, sign) pairs with strictly increasing
-    1-based indices; its length is the sparsity s.  It is one row of the
-    batch form, and ``check_batch`` checks it as one.
+    1-based indices; its length is the sparsity s.  It is read as one
+    (s, 2) object array, each column a batch row for ``read_batch``.
     """
 
     d: int
     support: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not self.support:
-            raise ValueError("support must be non-empty")
-        dims, signs = zip(*self.support)
-        # value by value, as read_view reads a list: numpy's common type passes a bool beside an int as 1
-        for name, values in (("supports", dims), ("signs", signs)):
-            if bad := [v for v in values if not is_integer(v)]:
-                raise ValueError(f"{name} must be an integer array, got value {bad[0]!r}")
-        check_batch(np.array([dims]), np.array([signs]), self.d, len(self.support))
+        support = np.array(self.support, dtype=object)
+        if support.ndim != 2 or support.shape[1] != 2:
+            raise ValueError(f"support must be non-empty (index, sign) pairs, got {self.support!r}")
+        read_batch(support[None, :, 0], support[None, :, 1], self.d, len(support))
 
     def event_set(self) -> frozenset[EventId]:
         return frozenset(EventId(j, b) for j, b in self.support)
@@ -195,27 +191,19 @@ def debias_denominator(value: float, message: str) -> float:
     return value
 
 
-def check_integer(**arrays) -> None:
-    """Reject, by dtype alone, any named array that does not hold integers."""
-    for name, values in arrays.items():
-        dtype = np.asarray(values).dtype
-        if not np.issubdtype(dtype, np.integer):
-            raise ValueError(f"{name} must be an integer array, got dtype {dtype}")
-
-
-def read_view(name: str, values, low: int, high: int) -> np.ndarray:
-    """A server-side view ``name``: a non-empty 1-d integer array in low..high, as int64 (uint64 from high >= 2^63).
-
-    An array is read by its dtype, anything else value by value, so that numpy's common type neither passes a bool as 1
-    nor turns integers from 2^63 on into floats.  The range is checked on the values as given, before the cast.
+def read_view(name: str, values, low: int, high: int, *, ndim: int) -> np.ndarray:
+    """An integer array ``name`` from outside the library (a view, a batch, a randomizer's seeds): non-empty, of ``ndim``
+    axes, in low..high, as int64 (uint64 from high >= 2^63).  An ndarray is read by its dtype, anything else (and an
+    object array) value by value over ``.flat``, so that numpy's common type neither passes a bool as 1 nor turns
+    integers from 2^63 on into floats.  The range is checked on the values as given, before the cast.
     """
     array = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    if array.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d array, got shape {array.shape}")
-    if not len(array):
-        raise ValueError("no views to aggregate")
+    if array.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-d array, got shape {array.shape}")
+    if not array.size:
+        raise ValueError(f"{name} must be non-empty, got shape {array.shape}")
     if array.dtype == object:
-        bad = next((f"value {v!r}" for v in array if not is_integer(v)), None)
+        bad = next((f"value {v!r}" for v in array.flat if not is_integer(v)), None)
     else:
         bad = None if np.issubdtype(array.dtype, np.integer) else f"dtype {array.dtype}"
     if bad:
@@ -226,19 +214,18 @@ def read_view(name: str, values, low: int, high: int) -> np.ndarray:
     return array.astype(np.uint64 if high >= 2**63 else np.int64, copy=False)
 
 
-def check_batch(supports: np.ndarray, signs: np.ndarray, d: int, s: int) -> None:
-    """Reject a malformed batch of (n, s) supports and signs over dimensions 1..d in O(n*s)."""
-    check_integer(supports=supports, signs=signs)
-    if supports.ndim != 2 or supports.shape[1] != s:
+def read_batch(supports, signs, d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of (n, s) supports over dimensions 1..d and their signs -1 or +1, each read by ``read_view``, in O(n*s)."""
+    supports, signs = read_view("supports", supports, 1, d, ndim=2), read_view("signs", signs, -1, 1, ndim=2)
+    if supports.shape[1] != s:
         raise ValueError(f"supports must have shape (n, {s}), got {supports.shape}")
     if signs.shape != supports.shape:
         raise ValueError(f"signs shape {signs.shape} differs from supports shape {supports.shape}")
-    if supports.size and (supports.min() < 1 or supports.max() > d):
-        raise ValueError(f"support dimensions must lie in 1..{d}")
     if (supports[:, 1:] <= supports[:, :-1]).any():
         raise ValueError("support dimensions must be strictly ascending in every row")
-    if not (np.abs(signs) == 1).all():
+    if not signs.all():
         raise ValueError("signs must be -1 or +1")
+    return supports, signs
 
 
 # (row x support entry) cells per row chunk of a batch randomizer: a desk-scale batch (n*s = 8e4) is one chunk.
@@ -268,7 +255,7 @@ def deal_chunks(work: Callable[[Sequence], object], chunks: Sequence) -> list:
 def map_rows(rows: Callable[[slice], np.ndarray], n: int, s: int) -> np.ndarray:
     """A pure row function ``rows(slice)`` over chunks of ``ROW_CHUNK_CELLS // s`` of n rows, concatenated in order."""
     step = max(1, ROW_CHUNK_CELLS // s)
-    runs = deal_chunks(lambda mine: [rows(slice(lo, lo + step)) for lo in mine], range(0, max(n, 1), step))  # n=0: one chunk
+    runs = deal_chunks(lambda mine: [rows(slice(lo, lo + step)) for lo in mine], range(0, n, step))
     parts = [part for run in runs for part in run]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)  # copying a lone chunk cost a desk batch ~30%
 

@@ -350,15 +350,19 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_list(value: str, cast):
+def _read(key: str, value: str, cast):
+    """``cast(value)``; a value that int or float cannot read is a ValueError that names ``key``, as the checks do."""
+    try:
+        return cast(value)
+    except ValueError:
+        raise ValueError(f"{key} must be {'an integer' if cast is int else 'a real number'}, got {key}={value!r}") from None
+
+
+def _parse_list(key: str, value: str, cast):
     items = [v.strip() for v in value.split(",") if v.strip()]
     if not items:
         raise ValueError(f"empty list value {value!r}")
-    return tuple(cast(v) for v in items)
-
-
-def _list_of(cast):
-    return lambda value: _parse_list(value, cast)
+    return tuple(_read(key, v, cast) for v in items)
 
 
 def _flag(value: str) -> bool | str:
@@ -368,9 +372,9 @@ def _flag(value: str) -> bool | str:
 # How each ExperimentConfig field is read from its config text, and the grid
 # fields' defaults: desk scale, or full scale (``ldpvec simulate --full-scale``).
 _CONFIG_CASTS = {
-    "n": _list_of(int), "d": _list_of(int), "s": _list_of(int), "epsilon": _list_of(float),
-    "mechanism": _list_of(str), "master_seed": int, "repetitions": int, "metrics": _list_of(str),
-    "target": str, "projection": _flag, "report": str,
+    "n": (_parse_list, int), "d": (_parse_list, int), "s": (_parse_list, int), "epsilon": (_parse_list, float),
+    "mechanism": (_parse_list, str), "master_seed": (_read, int), "repetitions": (_read, int),
+    "metrics": (_parse_list, str), "target": (_read, str), "projection": (_read, _flag), "report": (_read, str),
 }
 _DESK_DEFAULTS = {"n": "10000", "d": "64", "s": "8", "epsilon": "1.0", "mechanism": "collision"}
 _FULL_SCALE_DEFAULTS = {
@@ -386,4 +390,4 @@ def build_config(raw: dict[str, str], full_scale: bool = False) -> ExperimentCon
     if "master_seed" not in raw:
         raise ValueError("master_seed is mandatory")
     text = {**(_FULL_SCALE_DEFAULTS if full_scale else _DESK_DEFAULTS), **raw}
-    return ExperimentConfig(**{key: cast(text[key]) for key, cast in _CONFIG_CASTS.items() if key in text})
+    return ExperimentConfig(**{key: read(key, text[key], cast) for key, (read, cast) in _CONFIG_CASTS.items() if key in text})

@@ -74,9 +74,9 @@ def test_vector_roundtrip_and_validation():
     for support, message in (
         ((), "support must be non-empty"),
         (((2, 1), (2, -1)), "strictly ascending"),
-        (((1, 2),), r"signs must be -1 or \+1"),
+        (((1, 2),), r"signs must lie in -1\.\.1, got values in 2\.\.2"),
         (((3, 1), (1, 1)), "strictly ascending"),
-        (((0, 1),), r"support dimensions must lie in 1\.\.3"),
+        (((0, 1),), r"supports must lie in 1\.\.3, got values in 0\.\.0"),
         (((1.5, 1), (3, -1)), "supports must be an integer array"),
         (((np.float64(2.0), 1),), "supports must be an integer array"),
         (((True, 1),), "supports must be an integer array"),
@@ -210,7 +210,8 @@ def test_paired_hash_requires_even_t():
 
 
 def _batch_randomizers(d, s):
-    """Every batch randomizer, bound to parameters (d, s, eps=1)."""
+    """Every batch randomizer, bound to parameters (d, s, eps=1) and one generator of seed 0; collision and CoCo take
+    per-user seeds, ``user_hash_seeds(1, n)`` when none are given."""
     from ldpvec.aggregate import MECHANISMS
     from ldpvec.baselines import pckv_randomize_batch, privkv_randomize_batch
     from ldpvec.coco import coco_params, coco_randomize_batch
@@ -219,12 +220,54 @@ def _batch_randomizers(d, s):
     rng = np.random.default_rng(0)
     col, coco = collision_params(d, s, 1.0), coco_params(d, s, 1.0)
     privkv, pckv = (MECHANISMS[name].params(d, s, 1.0, "frequency") for name in ("privkv", "pckv_grr"))
+
+    def hashed(randomize, params):
+        return lambda sup, sg, seeds=None: randomize(
+            sup, sg, user_hash_seeds(1, len(sup)) if seeds is None else seeds, params, rng
+        )
+
     return {
-        "collision": lambda sup, sg: collision_randomize_batch(sup, sg, user_hash_seeds(1, len(sup)), col, rng),
-        "coco": lambda sup, sg: coco_randomize_batch(sup, sg, user_hash_seeds(1, len(sup)), coco, rng),
+        "collision": hashed(collision_randomize_batch, col),
+        "coco": hashed(coco_randomize_batch, coco),
         "privkv": lambda sup, sg: privkv_randomize_batch(sup, sg, privkv, rng),
         "pckv": lambda sup, sg: pckv_randomize_batch(sup, sg, pckv, rng),
     }
+
+
+def test_batch_randomizers_read_a_list_batch_as_its_array():
+    # a list batch ended in an AttributeError; it is read value by value, as read_view reads a list
+    supports, signs = [[1, 4], [2, 8], [3, 5], [6, 7]], [[1, -1], [-1, -1], [1, 1], [-1, 1]]
+    arrays, lists = _batch_randomizers(8, 2), _batch_randomizers(8, 2)
+    for name, randomize in arrays.items():
+        want = randomize(np.array(supports), np.array(signs))
+        np.testing.assert_array_equal(lists[name](supports, signs), want, err_msg=name)
+
+
+def test_batch_randomizers_reject_a_bool_in_a_list_and_an_empty_batch():
+    for name, randomize in _batch_randomizers(8, 2).items():
+        with pytest.raises(ValueError, match="^supports must be an integer array, got value True$"):
+            randomize([[1, 2], [True, 3]], [[1, 1], [1, 1]])
+        with pytest.raises(ValueError, match="^signs must be an integer array, got value True$"):
+            randomize([[1, 2]], [[1, True]])
+        # an empty batch returned an empty array of symbols, where an empty view is refused
+        with pytest.raises(ValueError, match=r"^supports must be non-empty, got shape \(0, 2\)$"):
+            randomize(np.empty((0, 2), dtype=np.int64), np.empty((0, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", ["collision", "coco"])
+def test_hash_randomizers_take_one_valid_seed_per_row(name):
+    # one seed hashed both rows, a float seed of 1.5 was truncated to 1, and an int64 seed of -1 wrapped to 2^64 - 1
+    randomize = _batch_randomizers(8, 2)[name]
+    supports, signs = np.array([[1, 2], [3, 4]]), np.array([[1, -1], [1, 1]])
+    for seeds, message in (
+        (user_hash_seeds(1, 1), "seeds and supports differ in length: 1 vs 2"),
+        (user_hash_seeds(1, 3), "seeds and supports differ in length: 3 vs 2"),
+        (np.array([1.5, 2.0]), "seeds must be an integer array, got dtype float64"),
+        (np.array([-1, 2], dtype=np.int64), "seeds must lie in 0..2**64-1, got values in -1..2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            randomize(supports, signs, seeds)
+    assert randomize(supports, signs, np.array([0, 2**64 - 1], dtype=np.uint64)).shape == (2,)
 
 
 def test_batch_randomizers_reject_duplicated_dimension():

@@ -669,6 +669,11 @@ def _simulate(*flags):
         (("--mechanism", "privkv,privkv"), "mechanism 'privkv' given twice"),
         (("--master-seed", "-1"), "master_seed must lie in 0..2**64-1, got -1"),
         (("--master-seed", str(2**64)), f"master_seed must lie in 0..2**64-1, got {2**64}"),
+        # a value its cast could not read was reported as Python's "invalid literal for int() with base 10: '1.5'"
+        (("--n", "1.5"), "n must be an integer, got n='1.5'"),
+        (("--d", "4,x"), "d must be an integer, got d='x'"),
+        (("--repetitions", "1.5"), "repetitions must be an integer, got repetitions='1.5'"),
+        (("--epsilon", "abc"), "epsilon must be a real number, got epsilon='abc'"),
     ],
 )
 def test_cli_rejects_grid_values_outside_the_domain(flags, message):
@@ -738,6 +743,9 @@ def _amplify(*flags):
         (("--n", "100,100"), "n 100 given twice"),
         (("--s", "2,3,2"), "s 2 given twice"),
         (("--epsilon", "0.5,0.50"), "epsilon 0.5 given twice"),
+        (("--n", "1e4"), "n must be an integer, got n='1e4'"),
+        (("--s", "2,2.5"), "s must be an integer, got s='2.5'"),
+        (("--epsilon", "abc"), "epsilon must be a real number, got epsilon='abc'"),
     ],
 )
 def test_cli_amplify_rejects_grid_values_outside_the_domain(flags, message):

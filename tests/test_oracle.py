@@ -423,7 +423,7 @@ def test_verify_ldp_does_not_depend_on_d(mechanism, params_at, monkeypatch):
     ("coco", coco_params(4, 2, LN2)),
 ])
 def test_verify_ldp_constructs_no_vector(mechanism, params, monkeypatch):
-    # its inputs are plain supports, one batch row each: a vector's check_batch stays out of the loops
+    # its inputs are plain supports, one batch row each: a vector's read_batch stays out of the loops
     def built(self):
         raise AssertionError("verify_ldp constructed a TernaryVector")
 

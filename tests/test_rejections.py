@@ -46,6 +46,14 @@ REJECTIONS = {
     "vector: a bool index beside an int": (
         lambda: TernaryVector(4, ((True, 1), (2, 1))), "supports must be an integer array, got value True",
     ),
+    # a 3-tuple entry constructed, and event_set() then failed to unpack it; a 1-tuple failed to unpack in construction
+    "vector: an entry of three values": (
+        lambda: TernaryVector(4, ((1, 1, 7), (2, 1))),
+        "support must be non-empty (index, sign) pairs, got ((1, 1, 7), (2, 1))",
+    ),
+    "vector: an entry of one value": (
+        lambda: TernaryVector(4, ((1,),)), "support must be non-empty (index, sign) pairs, got ((1,),)",
+    ),
     # an int event ended in an AttributeError
     "oracle: an event that is not an EventId": (
         lambda: exact_estimator_moments(
@@ -99,6 +107,10 @@ REJECTIONS = {
     "config text: projection = maybe": (
         lambda: build_config(parse_config_text("master_seed = 1\nprojection = maybe\n")),
         "projection must be true or false, got projection='maybe'",
+    ),
+    # the command line's --master-seed is click-typed, but a config file's was "invalid literal for int() ..."
+    "config text: master_seed = abc": (
+        lambda: build_config(parse_config_text("master_seed = abc\n")), "master_seed must be an integer, got master_seed='abc'",
     ),
 }
 
