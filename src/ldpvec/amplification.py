@@ -43,6 +43,10 @@ Binomial(n-1, 2a) mass; its quantiles and tails are ``betainc`` values,
 finite for any n.  The C-tail mass it excludes is added to the
 reported delta, so the result is a conservative upper bound that is
 exact inside the C-window.
+
+``amplified_epsilon`` bisects, but one evaluation settles all midpoints
+on its side (delta is non-increasing in eps_c), so it returns what the
+bisection does; secant steps first settle most, at bisection points.
 """
 
 from __future__ import annotations
@@ -234,27 +238,48 @@ def pq_divergence(query: AmplificationQuery, epsilon_c: float) -> DivergenceResu
     return DivergenceResult(delta=float(np.maximum(row, 0.0).sum()), truncation_mass=win.truncation_mass)
 
 
+def _bisection(epsilon: float, certified) -> tuple[float, float]:  # [0, eps] halved to BRACKET_WIDTH, down if certified
+    lo, hi = 0.0, epsilon
+    while hi - lo > BRACKET_WIDTH:  # eps <= 709.78 takes at most 23 halvings
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if certified(mid) else (mid, hi)
+    return lo, hi
+
+
 def amplified_epsilon(n: int, epsilon: float, alpha: float, delta: float) -> float:
     """Smallest eps_c in [0, eps] whose reported delta is below ``delta``.
 
-    Binary search over the monotone divergence, stopped once the bracket
-    is at most ``BRACKET_WIDTH`` wide; its upper end is returned.  At
-    eps_c = eps the divergence vanishes, so the bracket always closes
-    unless truncation alone exceeds delta, which raises ``ValueError``.
+    Bisection to a ``BRACKET_WIDTH`` bracket, whose upper end is returned; it closes at eps, where the divergence
+    vanishes, unless truncation alone exceeds delta (``ValueError``).  Secant steps start from the Gaussian limit
+    N(mu^2/2, mu^2), mu^2 = 2 alpha (e^eps - 1)/n, of the loss: delta ~ mu phi(x)/(1 + x^2) at mu x, mu/sqrt(2 pi) at 0.
     """
     query = AmplificationQuery(n=n, epsilon=epsilon, alpha=alpha, delta=delta)
     mass = query.window.truncation_mass
     if mass > delta:
         raise ValueError(f"truncation mass {mass:.6g} exceeds delta {delta:.6g}: no eps_c can be certified")
-    if pq_divergence(query, 0.0).reported_delta <= delta:
-        return 0.0
-    lo, hi = 0.0, epsilon
-    for _ in range(64):
-        if hi - lo <= BRACKET_WIDTH:
+    log_mu = 0.5 * (math.log(2.0 * alpha) + math.log(math.expm1(epsilon)) - math.log(n))
+    memo = {False: -1.0, True: epsilon}  # the largest eps_c evaluated above delta, the smallest at or below it
+    trail = [(0.0, log_mu - math.log(delta * math.sqrt(2.0 * math.pi)))]  # (eps_c, log(divergence/delta)) evaluated
+
+    def certified(eps_c: float) -> bool:
+        if memo[False] < eps_c < memo[True]:
+            result = pq_divergence(query, eps_c)
+            memo[result.reported_delta <= delta] = eps_c
+            trail.append((eps_c, math.log(max(result.delta, 1e-300)) - math.log(delta)))
+        return eps_c >= memo[True]
+
+    guess = math.exp(log_mu) * math.sqrt(max(0.0, 2.0 * (trail[0][1] - math.log1p(max(0.0, 2.0 * trail[0][1])))))
+    while True:
+        below, above = memo[False], memo[True]
+        decided = []  # whether the memo decides each midpoint on the bisection's way to the guess
+        lo, hi = _bisection(epsilon, lambda mid: decided.append(not below < mid < above) or mid >= guess)
+        point = min((lo, hi), key=lambda e: (not below < e < above, abs(e - guess)))
+        if below < 0.0 == lo:  # nearer 0 evaluations cost more: in [0, w], w first, then the target itself
+            point = hi if hi < above and guess > 0.0 else max(guess, 0.0)
+        saved = (below >= 0.0) * (1 + (decided + [False]).index(False))  # the bisection's evaluations settled so far
+        if not below < point < above or len(trail) > 2 + saved:  # never two evaluations more than the bisection
             break
-        mid = 0.5 * (lo + hi)
-        if pq_divergence(query, mid).reported_delta <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        certified(point)
+        (e1, g1), (e2, g2) = trail[-2:]
+        guess = e2 - g2 * (e2 - e1) / (g2 - g1) if g1 != g2 else -1.0
+    return 0.0 if certified(0.0) else _bisection(epsilon, certified)[1]

@@ -314,13 +314,13 @@ def event_hit_counts(seeds: np.ndarray, z: np.ndarray, d: int, t: int, paired: b
 
     def count(mine: range) -> np.ndarray:
         vals, tmp = np.empty((2, min(chunk, len(seeds)), len(keys)), dtype=np.uint64)
-        hit = np.empty(vals.shape, dtype=bool)
-        counts = np.zeros(2 * d, dtype=np.int64)
+        hit, counts = np.empty(vals.shape, dtype=bool), np.zeros(2 * d, dtype=np.int64)
         for lo in mine:
             chunk_seeds, chunk_z = seeds[lo : lo + chunk], z[lo : lo + chunk]
             m = len(chunk_seeds)
             v = remainder_inplace(keyed_hashes(chunk_seeds[:, None], keys, vals[:m], tmp[:m]), np.uint64(t), tmp[:m])
-            hits = lambda b: np.equal(v, (b - 1).astype(np.uint64)[:, None], out=hit[:m]).sum(axis=0, dtype=np.int64)
+            hits = lambda b: np.add.reduce(  # column sums in the smallest type holding m: exact, cheaper than int64
+                np.equal(v, (b - 1).astype(np.uint64)[:, None], out=hit[:m]).view(np.uint8), 0, np.min_scalar_type(m))
             if paired:  # (j_minus, j_plus) of each dim
                 counts[0::2] += hits(pair_partner(chunk_z, t))
                 counts[1::2] += hits(chunk_z)

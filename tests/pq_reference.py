@@ -3,16 +3,20 @@
 ``exact_pq_laws`` builds the P and Q laws of ``ldpvec.amplification`` by
 direct convolution over every (clone count, split) cell, with no window
 and no closed form, so tests can check the divergence engine against it.
-``lower_bound_statistic_distribution`` builds the law of the worst-case
-counting statistic of a real shuffled collision batch, which criterion
-10 checks against (P, Q): the clone reduction is tight for that
-statistic.
+``reference_amplified_epsilon`` is the accountant's plain bisection, each
+midpoint decided by its own divergence evaluation; the shipped accountant
+must return the same float.  ``lower_bound_statistic_distribution`` builds
+the law of the worst-case counting statistic of a real shuffled collision
+batch, which criterion 10 checks against (P, Q): the clone reduction is
+tight for that statistic.
 """
 
 import math
 
 import numpy as np
 
+from ldpvec import amplification
+from ldpvec.amplification import BRACKET_WIDTH, AmplificationQuery
 from ldpvec.collision import collision_table_probs
 from ldpvec.domain import MechanismParams
 
@@ -41,6 +45,30 @@ def exact_pq_laws(n: int, epsilon: float, alpha: float) -> tuple[dict, dict]:
                 P[kp] = P.get(kp, 0.0) + base * pd
                 Q[kq] = Q.get(kq, 0.0) + base * pd
     return P, Q
+
+
+def reference_amplified_epsilon(n: int, epsilon: float, alpha: float, delta: float) -> float:
+    """Smallest eps_c in [0, eps] whose reported delta is below ``delta``, by plain bisection.
+
+    Every decision is one ``amplification.pq_divergence`` evaluation, looked up on the module so that a test can
+    count them.
+    """
+    query = AmplificationQuery(n=n, epsilon=epsilon, alpha=alpha, delta=delta)
+    mass = query.window.truncation_mass
+    if mass > delta:
+        raise ValueError(f"truncation mass {mass:.6g} exceeds delta {delta:.6g}: no eps_c can be certified")
+    if amplification.pq_divergence(query, 0.0).reported_delta <= delta:
+        return 0.0
+    lo, hi = 0.0, epsilon
+    for _ in range(64):
+        if hi - lo <= BRACKET_WIDTH:
+            break
+        mid = 0.5 * (lo + hi)
+        if amplification.pq_divergence(query, mid).reported_delta <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def lower_bound_statistic_distribution(

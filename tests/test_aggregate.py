@@ -458,6 +458,18 @@ def test_hit_counts_over_chunks_that_do_not_divide_among_the_workers(monkeypatch
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_BUCKETS))
+def test_a_column_sum_holds_a_full_chunk_of_hits(monkeypatch, name):
+    # each chunk's column sums are taken in the smallest unsigned type that holds its row count: a uint8 sum of 256
+    # hits, or a uint16 one of 65536, would wrap to 0
+    params = MECHANISMS[name].params(2, 1, 1.0, "mean")
+    seeds = user_hash_seeds(29, 65_536)
+    z = REFERENCE_BUCKETS[name](seeds, params)[:, 0]  # every view hits event code 1
+    for rows in (255, 256, 65_535, 65_536):
+        monkeypatch.setattr(domain, "HIT_CHUNK_CELLS", rows * _points(name, params.d))
+        assert _counts(seeds, z, name, params)[0] == len(seeds), rows
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BUCKETS))
 def test_hit_counts_at_the_top_of_the_range_of_t(name):
     # from t ~ 2^63 * 2/3, z - 1 + t/2 overflows int64: a partner taken as (z - 1 + t/2) mod t there counted
     # 17 of 40 views on dim 1's j_minus

@@ -20,7 +20,7 @@ from ldpvec.amplification import (
     pq_divergence,
 )
 from ldpvec.collision import collision_optimal_t
-from pq_reference import exact_pq_laws
+from pq_reference import exact_pq_laws, reference_amplified_epsilon
 
 LN2 = math.log(2)
 
@@ -431,3 +431,75 @@ def test_divergence_vanishes_above_local_budget():
     res = pq_divergence(query, 800.0)
     assert res.delta == 0.0
     assert res.truncation_mass == pq_divergence(query, 0.5).truncation_mass > 0.0
+
+
+# Fixed before the memo's first run; it holds 0.0 returns, eps returns and interior ones for both bounds.
+IDENTITY_GRID = [
+    (n, epsilon, delta, s)
+    for n in (1, 2, 5, 30, 300, 10_000, 100_000)
+    for epsilon in (0.05, 0.5, 1.0, 3.0, 8.0)
+    for delta in (1e-3, 1e-6, 1e-9)
+    for s in (1, 4)
+]
+
+
+def bound_alpha(bound, s, epsilon):
+    return collision_alpha(s, epsilon, collision_optimal_t(s, epsilon)) if bound == "collision" else generic_clone_alpha(epsilon)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The eps_c of every divergence evaluated through ``amplification.pq_divergence``, in call order."""
+    seen = []
+    real = amplification.pq_divergence
+
+    def record(query, epsilon_c):
+        seen.append(epsilon_c)
+        return real(query, epsilon_c)
+
+    monkeypatch.setattr(amplification, "pq_divergence", record)
+    return seen
+
+
+@pytest.mark.parametrize("bound", ["collision", "clone"])
+def test_the_memo_returns_the_plain_bisection_result(monkeypatch, evaluations, bound):
+    outcomes = set()
+    for n, epsilon, delta, s in IDENTITY_GRID:
+        alpha = bound_alpha(bound, s, epsilon)
+        expected = reference_amplified_epsilon(n, epsilon, alpha, delta)
+        plain = len(evaluations)
+        evaluations.clear()
+        got = amplified_epsilon(n, epsilon, alpha, delta)
+        assert got == expected, (n, epsilon, delta, s)
+        # never more than two evaluations over the bisection, and the eps_c returned is one of them, so that its
+        # own divergence certifies it, unless it is 0.0 (evaluated too) or eps (where the divergence vanishes)
+        assert len(evaluations) <= plain + 2, (n, epsilon, delta, s, plain, evaluations)
+        assert got in evaluations or got == epsilon, (n, epsilon, delta, s)
+        evaluations.clear()
+        outcomes.add("zero" if got == 0.0 else "eps" if got == epsilon else "interior")
+    assert outcomes == {"zero", "eps", "interior"}
+    real = amplification._query_window
+    monkeypatch.setattr(amplification, "_query_window", lambda q: dataclasses.replace(real(q), truncation_mass=2 * q.delta))
+    for search in (reference_amplified_epsilon, amplified_epsilon):
+        with pytest.raises(ValueError, match=r"^truncation mass 2e-06 exceeds delta 1e-06: no eps_c can be certified$"):
+            search(300, 1.0, bound_alpha(bound, 4, 1.0), 1e-6)
+    assert evaluations == []
+
+
+@pytest.mark.parametrize("bound", ["collision", "clone"])
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_a_query_at_the_verify_shapes_makes_at_most_8_evaluations(evaluations, bound, n):
+    # the plain bisection makes 15 here: eps_c = 0, then 14 halvings of [0, 1] down to 1e-4
+    eps_c = amplified_epsilon(n, 1.0, bound_alpha(bound, 4, 1.0), 1e-6)
+    assert len(evaluations) <= 8 and eps_c in evaluations, evaluations
+
+
+def test_the_secant_steps_stop_two_evaluations_over_the_bisection(evaluations):
+    # eps = 10 is far from the Gaussian limit the steps start from: left to run on, they made 24 evaluations here to
+    # the bisection's 18
+    alpha = generic_clone_alpha(10.0)
+    expected = reference_amplified_epsilon(100_000, 10.0, alpha, 0.01)
+    plain = len(evaluations)
+    evaluations.clear()
+    assert amplified_epsilon(100_000, 10.0, alpha, 0.01) == expected
+    assert plain == 18 and len(evaluations) <= plain + 2

@@ -99,3 +99,13 @@ def test_unknown_attribute_is_an_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'ldpvec' has no attribute 'no_such_name'"):
         ldpvec.no_such_name
     assert not hasattr(ldpvec, "amplified_epsilons")
+
+
+def test_a_query_imports_no_root_finder():
+    # a benchmark round of the accountant is one timed operation, so a lazy scipy.optimize (~0.2 s) would land in it
+    code = (
+        "import json, sys; from ldpvec.amplification import amplified_epsilon;"
+        "print(json.dumps([amplified_epsilon(10_000, 1.0, 0.2, 1e-6), 'scipy.optimize' in sys.modules]))"
+    )
+    ((eps_c, optimize),) = _fresh_python(code)
+    assert 0.0 < eps_c < 1.0 and not optimize
