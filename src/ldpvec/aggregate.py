@@ -10,11 +10,11 @@ mean / non-missing values derived through the exact identities
 The conditional mean of dimension j is the post-processing
 mean_j / nonmissing_j of these two estimates.
 
-Mechanisms are looked up by name in ``MECHANISMS``.  A hash mechanism's
-entry is the one statement of its domain ``check``, layout (``paired``)
-and ``law``, which the exact oracle reads too.  Both hash mechanisms
-debias one count (``domain.event_hit_counts``): per event, the views
-whose own hash sends it onto their symbol z.
+Mechanisms are looked up by name in ``MECHANISMS``.  Each entry states
+its domain ``check``; a hash mechanism's also its layout (``paired``) and
+``law``, which the exact oracle reads too.  Every debias reads counts of
+views: per event, those whose own hash sends it onto their symbol z
+(``domain.event_hit_counts``), or per symbol for a mechanism with no law.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import baselines as _bl
 from . import coco as _coco
 from . import collision as _col
 from . import domain as _dom
-from .domain import FLOAT_MAX, MechanismParams, event_code, is_real, read_view
+from .domain import FLOAT_MAX, event_code, is_real, read_view
 
 TARGETS = ("frequency", "mean", "nonmissing")
 
@@ -35,16 +35,16 @@ TARGETS = ("frequency", "mean", "nonmissing")
 class Mechanism(NamedTuple):
     """One randomizer and its server-side estimator.
 
-    Hash mechanisms debias per-event hit counts: ``debias(counts, n, params)``.
-    The hash-free baselines have no ``check`` or ``law`` and debias their
-    reports: ``debias(views, params) -> values``.  Either way the values
-    are the 2d event-frequency estimates in event-code order.
+    Every view is a symbol z in 1..t, the report alphabet.  ``debias(counts,
+    n, params)`` reads n views' counts (per event, a hash mechanism's hits;
+    per symbol, a baseline's reports, as it has no ``law``) and returns the
+    2d event-frequency estimates in event-code order.
     """
 
     params: Callable  # (d, s, epsilon, target) -> MechanismParams at the mechanism's default t
     randomize: Callable  # (supports, signs, seeds, params, rng) -> views
-    check: Callable | None  # params -> None, a ValueError outside a hash mechanism's domain; None for a baseline
-    debias: Callable
+    check: Callable  # params -> None, a ValueError outside the mechanism's domain
+    debias: Callable  # (counts, n, params) -> values
     paired: bool = False  # a hash point is a dim whose events sit on a bucket pair, else an event code
     law: Callable | None = None  # (x's buckets, x's signs, params) -> P[z | x, table], z = 1..t on a new last axis
 
@@ -60,27 +60,29 @@ def mechanism(name: str) -> Mechanism:
 def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     """Average the per-user unbiased contributions for all 2d events.
 
-    Hash mechanisms take a ``(seeds, z)`` pair of 1-d integer arrays;
-    baselines take their batch randomizer's reports.
+    Hash mechanisms take a ``(seeds, z)`` pair of 1-d integer arrays, a
+    mechanism with no ``law`` its symbols z alone.
     """
     mech = mechanism(mechanism_name)
-    if mech.check is None:
-        return mech.debias(views, params)
     mech.check(params)
-    if not (isinstance(views, tuple) and len(views) == 2):
+    if mech.law is not None and not (isinstance(views, tuple) and len(views) == 2):
         raise ValueError("hash mechanisms take a (seeds, z) pair")
-    seeds, z = read_view("seeds", views[0], 0, 2**64 - 1, ndim=1), read_view("z", views[1], 1, params.t, ndim=1)
+    seeds = None if mech.law is None else read_view("seeds", views[0], 0, 2**64 - 1, ndim=1)
+    z = read_view("z", views if seeds is None else views[1], 1, params.t, ndim=1)
+    if seeds is None:
+        return mech.debias(np.bincount(z - 1, minlength=params.t), len(z), params)
     if len(seeds) != len(z):
         raise ValueError(f"seeds and z differ in length: {len(seeds)} vs {len(z)}")
-    return mech.debias(_dom.event_hit_counts(seeds, z, params.d, params.t, mech.paired), len(seeds), params)
-
-
-def _pckv_batch(supports, signs, seeds, params, rng):
-    return _bl.pckv_randomize_batch(supports, signs, params, rng)
+    return mech.debias(_dom.event_hit_counts(seeds, z, params.d, params.t, mech.paired), len(z), params)
 
 
 # Randomizers are looked up on their modules at call time, so a wrapper
 # installed on a module attribute (a profiler, say) sees every call.
+_PCKV = Mechanism(
+    lambda d, s, epsilon, target: _bl.grr_params(d, s, epsilon, 2),
+    lambda supports, signs, seeds, params, rng: _bl.pckv_randomize_batch(supports, signs, params, rng),
+    lambda params: _bl.check_alphabet(params, 2), _bl.pckv_debias,
+)
 MECHANISMS: dict[str, Mechanism] = {
     "collision": Mechanism(
         lambda d, s, epsilon, target: _col.collision_params(d, s, epsilon),
@@ -97,18 +99,12 @@ MECHANISMS: dict[str, Mechanism] = {
         law=_coco.coco_table_probs,
     ),
     "privkv": Mechanism(
-        lambda d, s, epsilon, target: MechanismParams(d, s, epsilon, 3),
+        lambda d, s, epsilon, target: _bl.grr_params(d, s, epsilon, 3),
         lambda supports, signs, seeds, params, rng: _bl.privkv_randomize_batch(supports, signs, params, rng),
-        None, _bl.privkv_debias,
+        lambda params: _bl.check_alphabet(params, 3), _bl.privkv_debias,
     ),
-    "pckv_grr": Mechanism(
-        lambda d, s, epsilon, target: MechanismParams(d, s, epsilon, 2 * d),
-        _pckv_batch, None, _bl.pckv_debias,
-    ),
-    "pckv_agrr": Mechanism(  # the PCKV GRR at the sampling-amplified inner budget
-        lambda d, s, epsilon, target: MechanismParams(d, s, _bl.amplified_budget(s, epsilon), 2 * d),
-        _pckv_batch, None, _bl.pckv_debias,
-    ),
+    "pckv_grr": _PCKV,
+    "pckv_agrr": _PCKV._replace(params=lambda d, s, eps, target: _bl.grr_params(d, s, _bl.amplified_budget(s, eps), 2)),
 }
 
 

@@ -1,15 +1,16 @@
 """Comparison mechanisms: PrivKV, PCKV-GRR and the amplified PCKV-AGRR.
 
 Each is a generalized randomized response (GRR) on one sampled item that
-reports one category code.  PrivKV samples one dimension j uniformly from
-[d] and passes its ternary value through a 3-outcome GRR, reporting the
-code 3(j - 1) + c + 1 in 1..3d (c = 0, 1, 2 for the values -1, 0, +1).
+reports one symbol z in 1..t.  PrivKV samples one dimension j uniformly
+from [d] and passes its ternary value through a 3-outcome GRR, reporting
+the code 3(j - 1) + c + 1 in 1..3d (c = 0, 1, 2 for the values -1, 0, +1).
 PCKV samples one of the s existing entries and reports its event code
 through a GRR over all 2d codes; PCKV-AGRR is the same GRR run at the
 amplified inner budget eps' = log(s(e^eps - 1) + 1).  Their
-``MechanismParams`` carry the GRR's budget as ``epsilon`` and its number
-of categories as ``t``: 3 for PrivKV, 2d for PCKV.  Each debias takes a
-batch of codes and returns the 2d event-frequency estimates.
+``MechanismParams`` carry the GRR's budget as ``epsilon`` and the report
+alphabet as ``t``: 3d for PrivKV, 2d for PCKV.  Each debias takes the
+counts of the t symbols among n reports and returns the 2d event-frequency
+estimates, as the hash mechanisms' do: ``debias(counts, n, params)``.
 
 These reconstructions keep the error orders of the originals, which is
 all the comparative experiments rely on.
@@ -21,7 +22,9 @@ import math
 
 import numpy as np
 
-from .domain import MechanismParams, check_budget, check_size, debias_denominator, event_code, exp_budget, read_batch, read_view
+from .domain import (
+    MechanismParams, check_budget, check_size, check_sparsity, debias_denominator, event_code, exp_budget, read_batch,
+)
 
 
 def amplified_budget(s: int, epsilon: float) -> float:
@@ -32,16 +35,17 @@ def amplified_budget(s: int, epsilon: float) -> float:
     return math.log1p(s * math.expm1(epsilon))
 
 
-def _check_categories(params: MechanismParams, k: int) -> None:
-    check_size("t", params.t)  # a float t equal to k would pass the comparison and make float codes
-    if params.t != k:
-        raise ValueError(f"this GRR reports one of {k} categories, got t={params.t}")
+def grr_params(d: int, s: int, epsilon: float, per_dim: int) -> MechanismParams:
+    """The params of a GRR over per_dim * d symbols, its alphabet taken in Python ints once d is known an integer."""
+    check_sparsity(d, s)  # before the product, which overflows for a numpy d
+    return MechanismParams(d, s, epsilon, per_dim * int(d))
 
 
-def _check_privkv(params: MechanismParams) -> None:
-    _check_categories(params, 3)
-    if params.d > (2**63 - 1) // 3:
-        raise ValueError(f"d must be < 2**63 / 3, since PrivKV's codes 1..3d are int64, got d={params.d}")
+def check_alphabet(params: MechanismParams, per_dim: int) -> None:
+    """Reject params whose t is not the alphabet of a GRR over per_dim * d symbols."""
+    check_size("t", params.t)  # a float t equal to the alphabet's size would pass the comparison and make float codes
+    if params.t != per_dim * int(params.d):
+        raise ValueError(f"this GRR reports one of {per_dim * int(params.d)} categories, got t={params.t}")
 
 
 def grr_probabilities(epsilon: float, k: int) -> tuple[float, float]:
@@ -57,23 +61,17 @@ def _randomized_response(truth: np.ndarray, k: int, epsilon: float, rng: np.rand
     return np.where(keep, truth, (truth - 1 + shift) % k + 1)
 
 
-def _report_counts(views, k: int) -> tuple[np.ndarray, int]:
-    """The count of each category 1..k among a batch of reports (``domain.read_view``), and its size."""
-    codes = read_view("reported codes", views, 1, k, ndim=1)
-    return np.bincount(codes - 1, minlength=k).astype(float), len(codes)
-
-
-def _debias_probabilities(params: MechanismParams) -> tuple[float, float]:
-    """The GRR's (p, q), with p - q too small to divide by as a ValueError."""
-    p, q = grr_probabilities(params.epsilon, params.t)
-    debias_denominator(p - q, f"degenerate GRR: p - q = {p - q:.3g} at GRR budget {params.epsilon:g} over {params.t} categories")
+def _debias_probabilities(epsilon: float, k: int) -> tuple[float, float]:
+    """The (p, q) of a k-outcome GRR, with p - q too small to divide by as a ValueError."""
+    p, q = grr_probabilities(epsilon, k)
+    debias_denominator(p - q, f"degenerate GRR: p - q = {p - q:.3g} at GRR budget {epsilon:g} over {k} categories")
     return p, q
 
 
 def privkv_randomize_batch(
     supports: np.ndarray, signs: np.ndarray, params: MechanismParams, rng: np.random.Generator
 ) -> np.ndarray:
-    _check_privkv(params)
+    check_alphabet(params, 3)
     supports, signs = read_batch(supports, signs, params.d, params.s)
     n, s = supports.shape
     j = rng.integers(1, params.d + 1, size=n)
@@ -89,7 +87,7 @@ def privkv_randomize_batch(
 def pckv_randomize_batch(
     supports: np.ndarray, signs: np.ndarray, params: MechanismParams, rng: np.random.Generator
 ) -> np.ndarray:
-    _check_categories(params, 2 * params.d)
+    check_alphabet(params, 2)
     supports, signs = read_batch(supports, signs, params.d, params.s)
     n, s = supports.shape
     slot = rng.integers(0, s, size=n)
@@ -97,23 +95,19 @@ def pckv_randomize_batch(
     return _randomized_response(code, params.t, params.epsilon, rng)
 
 
-def privkv_debias(views, params: MechanismParams) -> np.ndarray:
-    """Unbiased event-frequency estimates from PrivKV's codes.
+def privkv_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
+    """Unbiased event-frequency estimates from the counts of PrivKV's 3d codes among n reports.
 
     A report only carries information about its sampled dimension, so each
     contribution is debiased within dimension j's group and scaled by d.
     """
-    _check_privkv(params)
-    hits, n = _report_counts(views, 3 * params.d)
-    p, q = _debias_probabilities(params)
-    hits = hits.reshape(params.d, 3)  # per dimension, the reports of -1, 0 and +1
+    p, q = _debias_probabilities(params.epsilon, 3)
+    hits = counts.reshape(params.d, 3)  # per dimension, the reports of -1, 0 and +1
     group = hits.sum(axis=1, keepdims=True)
     return (params.d * (hits[:, ::2] - q * group) / (p - q) / n).ravel()  # rows of (j_minus, j_plus): event-code order
 
 
-def pckv_debias(views, params: MechanismParams) -> np.ndarray:
-    """Unbiased event-frequency estimates (scale s) from PCKV code reports."""
-    _check_categories(params, 2 * params.d)
-    hits, n = _report_counts(views, params.t)
-    p, q = _debias_probabilities(params)
-    return params.s * (hits / n - q) / (p - q)
+def pckv_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
+    """Unbiased event-frequency estimates (scale s) from the counts of PCKV's 2d codes among n reports."""
+    p, q = _debias_probabilities(params.epsilon, params.t)
+    return params.s * (counts / n - q) / (p - q)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from itertools import product
 from typing import Sequence
@@ -207,7 +208,7 @@ def simulate_point(
     truth = agg.target_values(agg.true_event_frequencies(supports, signs, d), target)
 
     # Randomize under the mechanism (its default t) and aggregate the event frequencies.
-    seeds = None if mech.check is None else user_hash_seeds(hash_master, n)
+    seeds = None if mech.law is None else user_hash_seeds(hash_master, n)
     views = mech.randomize(supports, signs, seeds, params, rng_mech)
     est = agg.aggregate_frequencies(views if seeds is None else (seeds, views), mechanism, params)
     raw = agg.target_values(est, target)
@@ -355,6 +356,9 @@ def _read(key: str, value: str, cast):
     try:
         return cast(value)
     except ValueError:
+        if cast is int and re.fullmatch(r"\s*[+-]?\d(_?\d)*\s*", value):  # int's grammar, over its digit limit
+            head = value.strip()[:20]
+            raise ValueError(f"{key} has too many digits to read, got {key}='{head}...' ({len(value)} characters)") from None
         raise ValueError(f"{key} must be {'an integer' if cast is int else 'a real number'}, got {key}={value!r}") from None
 
 

@@ -329,8 +329,8 @@ def test_every_view_reader_rejects_a_bool_inside_a_list():
     cases = [
         (lambda v: aggregate_frequencies((v, [1, 2]), "collision", collision_params(4, 1, 1.0)), "seeds"),
         (lambda v: aggregate_frequencies((user_hash_seeds(1, 2), v), "coco", coco_params(4, 1, 1.0)), "z"),
-        (lambda v: aggregate_frequencies(v, "privkv", MechanismParams(4, 1, 1.0, 3)), "reported codes"),
-        (lambda v: aggregate_frequencies(v, "pckv_grr", MechanismParams(4, 1, 1.0, 8)), "reported codes"),
+        (lambda v: aggregate_frequencies(v, "privkv", MechanismParams(4, 1, 1.0, 12)), "z"),
+        (lambda v: aggregate_frequencies(v, "pckv_grr", MechanismParams(4, 1, 1.0, 8)), "z"),
     ]
     for call, name in cases:
         for bad in (True, np.True_):
@@ -348,48 +348,50 @@ def test_aggregate_reports_a_list_value_from_2_63_as_out_of_range(mechanism, par
 def test_aggregate_rejects_non_integer_baseline_reports():
     privkv = MECHANISMS["privkv"].params(4, 1, 1.0, "frequency")
     # PrivKV's codes for (j, value) = (1, +1), (2, -1), as floats
-    with pytest.raises(ValueError, match="codes must be an integer array"):
+    with pytest.raises(ValueError, match="z must be an integer array"):
         aggregate_frequencies(np.array([3.0, 4.0]), "privkv", privkv)
     for name in ("pckv_grr", "pckv_agrr"):
         pckv = MECHANISMS[name].params(4, 1, 1.0, "frequency")
-        with pytest.raises(ValueError, match="codes must be an integer array"):
+        with pytest.raises(ValueError, match="z must be an integer array"):
             aggregate_frequencies(np.array([1.5, 2.0]), name, pckv)
 
 
 def test_aggregate_rejects_malformed_baseline_reports():
     privkv = MECHANISMS["privkv"].params(4, 1, 1.0, "frequency")
     # a code below dimension 1's first, and one past dimension 4's last
-    with pytest.raises(ValueError, match=r"reported codes must lie in 1\.\.12"):
+    with pytest.raises(ValueError, match=r"z must lie in 1\.\.12"):
         aggregate_frequencies(np.array([0, 4]), "privkv", privkv)
-    with pytest.raises(ValueError, match=r"reported codes must lie in 1\.\.12"):
+    with pytest.raises(ValueError, match=r"z must lie in 1\.\.12"):
         aggregate_frequencies(np.array([3, 13]), "privkv", privkv)
     pckv = MECHANISMS["pckv_grr"].params(4, 1, 1.0, "frequency")
-    with pytest.raises(ValueError, match="codes"):
+    with pytest.raises(ValueError, match=r"z must lie in 1\.\.8"):
         aggregate_frequencies(np.array([1, 9]), "pckv_grr", pckv)
     # each used to escape as a TypeError or a numpy error from len, unpacking or bincount
-    with pytest.raises(ValueError, match=r"reported codes must be a 1-d array, got shape \(\)"):
+    with pytest.raises(ValueError, match=r"z must be a 1-d array, got shape \(\)"):
         aggregate_frequencies(np.array(3), "pckv_grr", pckv)
     for views in (np.array(2), np.array([[2, 6]])):
-        with pytest.raises(ValueError, match="reported codes must be a 1-d array"):
+        with pytest.raises(ValueError, match="z must be a 1-d array"):
             aggregate_frequencies(views, "privkv", privkv)
 
 
 @pytest.mark.parametrize("name", list(MECHANISMS))
 def test_every_randomizer_reports_one_integer_per_user(name):
-    # z in 1..t for the hash mechanisms, an event code in 1..2d for PCKV, a (dimension, value) code in 1..3d for PrivKV
+    # z in 1..t: a bucket for the hash mechanisms, an event code (t = 2d) for PCKV, a (dimension, value) code (t = 3d)
+    # for PrivKV
     n, d, s = 400, 6, 2
     rng = np.random.default_rng(11)
     supports, signs = gen_synthetic_arrays(n, d, s, rng)
     mech = MECHANISMS[name]
     params = mech.params(d, s, 1.0, "frequency")
     views = mech.randomize(supports, signs, user_hash_seeds(5, n), params, rng)
-    k = {"privkv": 3 * d, "pckv_grr": 2 * d, "pckv_agrr": 2 * d}.get(name, params.t)
     assert views.shape == (n,) and np.issubdtype(views.dtype, np.integer)
-    assert views.min() == 1 and views.max() == k
-    if mech.check is None:  # the baselines' debias takes the same array, and rejects each malformed one
-        for bad in (views.reshape(2, -1), views.astype(float), np.array([0]), np.array([k + 1]), views[:0]):
-            with pytest.raises(ValueError):
-                aggregate_frequencies(bad, name, params)
+    assert views.min() == 1 and views.max() == params.t
+    # every aggregation reads the same array as z, with the users' seeds beside it for a hash mechanism
+    view = (lambda z: z) if mech.law is None else (lambda z: (user_hash_seeds(5, n), z))
+    assert aggregate_frequencies(view(views), name, params).shape == (2 * d,)
+    for bad in (views.reshape(2, -1), views.astype(float), np.array([0]), np.array([params.t + 1]), views[:0]):
+        with pytest.raises(ValueError, match="^z must"):
+            aggregate_frequencies(view(bad), name, params)
 
 
 @st.composite

@@ -8,9 +8,7 @@ from ldpvec.aggregate import MECHANISMS, aggregate_frequencies
 from ldpvec.baselines import (
     amplified_budget,
     grr_probabilities,
-    pckv_debias,
     pckv_randomize_batch,
-    privkv_debias,
     privkv_randomize_batch,
 )
 from ldpvec.domain import MechanismParams, TernaryVector
@@ -62,7 +60,7 @@ def test_amplified_budget_keeps_precision_at_small_epsilon():
 
 def test_table_builds_each_grr_at_its_budget_and_alphabet():
     d, s, eps = 5, 3, 0.7
-    assert table_params("privkv", d, s, eps) == MechanismParams(d=d, s=s, epsilon=eps, t=3)
+    assert table_params("privkv", d, s, eps) == MechanismParams(d=d, s=s, epsilon=eps, t=3 * d)
     assert table_params("pckv_grr", d, s, eps) == MechanismParams(d=d, s=s, epsilon=eps, t=2 * d)
     # PCKV-AGRR is PCKV-GRR at the amplified inner budget, and nothing else
     agrr = table_params("pckv_agrr", d, s, eps)
@@ -74,29 +72,28 @@ def test_baselines_reject_params_of_another_alphabet():
     supports, signs = np.array([[1, 3]]), np.array([[1, -1]])
     rng = np.random.default_rng(0)
     pckv, privkv = table_params("pckv_grr", 4, 2, 1.0), table_params("privkv", 4, 2, 1.0)
-    with pytest.raises(ValueError, match="3 categories, got t=8"):
+    with pytest.raises(ValueError, match="12 categories, got t=8"):
         privkv_randomize_batch(supports, signs, pckv, rng)
-    with pytest.raises(ValueError, match="3 categories, got t=8"):
-        privkv_debias(np.array([privkv_code(1, 0)]), pckv)
-    with pytest.raises(ValueError, match="8 categories, got t=3"):
+    with pytest.raises(ValueError, match="12 categories, got t=8"):
+        aggregate_frequencies(np.array([privkv_code(1, 0)]), "privkv", pckv)
+    with pytest.raises(ValueError, match="8 categories, got t=12"):
         pckv_randomize_batch(supports, signs, privkv, rng)
-    with pytest.raises(ValueError, match="8 categories, got t=3"):
-        pckv_debias(np.array([1]), privkv)
+    for name in ("pckv_grr", "pckv_agrr"):
+        with pytest.raises(ValueError, match="8 categories, got t=12"):
+            aggregate_frequencies(np.array([1]), name, privkv)
 
 
 @pytest.mark.parametrize("name", ["privkv", "pckv_grr", "pckv_agrr"])
 @pytest.mark.parametrize("real", [float, np.float64], ids=["float", "float64"])
 def test_baselines_reject_a_non_integer_t(name, real):
     # a real t equal to the alphabet's size passed: PCKV at t=8.0 drew float64 codes [3., 6.], which its own debias
-    # then rejected, and PrivKV at t=3.0 ran end to end
-    randomize, debias = (privkv_randomize_batch, privkv_debias) if name == "privkv" else (pckv_randomize_batch, pckv_debias)
+    # then rejected, and PrivKV at t=3.0 (then its GRR's size) ran end to end
+    randomize = privkv_randomize_batch if name == "privkv" else pckv_randomize_batch
     exact = table_params(name, 4, 2, 1.0)
     params = MechanismParams(exact.d, exact.s, exact.epsilon, real(exact.t))
-    reports = np.array([1, 2])
     for call in (
         lambda: randomize(np.array([[1, 3]]), np.array([[1, -1]]), params, np.random.default_rng(0)),
-        lambda: debias(reports, params),
-        lambda: aggregate_frequencies(reports, name, params),
+        lambda: aggregate_frequencies(np.array([1, 2]), name, params),
     ):
         with pytest.raises(ValueError, match=re.escape(f"t must be an integer, got t={params.t!r}")):
             call()
@@ -126,17 +123,34 @@ def test_privkv_codes_fit_int64_up_to_the_largest_d():
     j, v = privkv_decode(codes)
     assert codes.min() >= 1 and codes.max() <= 3 * top and j.min() >= 1
     assert np.array_equal(v, (j == top).astype(int))  # e^50 keeps each truth but for ~1e-21
-    with pytest.raises(ValueError, match=r"d must be < 2\*\*63 / 3"):
-        privkv_randomize_batch(np.array([[1]]), np.array([[1]]), table_params("privkv", top + 1, 1, 1.0), rng)
 
 
-@pytest.mark.parametrize("d", [2**62 - 1, np.int64(2**62 - 1)], ids=["int", "int64"])
-def test_privkv_debias_rejects_a_d_past_its_int64_codes(d):
-    # 3d raised OverflowError for a Python int d, and overflowed with a RuntimeWarning for a numpy int64 d
-    params = table_params("privkv", d, 1, 1.0)
-    for debias in (lambda: privkv_debias(np.array([1, 2]), params), lambda: aggregate_frequencies(np.array([1, 2]), "privkv", params)):
-        with pytest.raises(ValueError, match=rf"d must be < 2\*\*63 / 3, since PrivKV's codes 1\.\.3d are int64, got d={d}$"):
-            debias()
+@pytest.mark.parametrize("d", [(2**63 - 1) // 3 + 1, 2**62 - 1], ids=["first", "last"])
+@pytest.mark.parametrize("integer", [int, np.int64])
+def test_privkv_rejects_a_d_past_its_int64_codes(d, integer):
+    # 3d raised OverflowError for a Python int d, and overflowed with a RuntimeWarning for a numpy int64 d.  PrivKV's
+    # alphabet t = 3d is int64, so the table's params reject such a d, and its randomizer and aggregation reject any
+    # other t, with the alphabet computed in Python ints
+    d, bits = integer(d), math.log2(3 * d)
+    with pytest.raises(ValueError, match=rf"^t must be an integer in 1\.\.2\^63-1, got about 2\^{bits:.1f}$"):
+        table_params("privkv", d, 1, 1.0)
+    params = MechanismParams(d, 1, 1.0, 3)
+    for call in (
+        lambda: privkv_randomize_batch(np.array([[1]]), np.array([[1]]), params, np.random.default_rng(0)),
+        lambda: aggregate_frequencies(np.array([1, 2]), "privkv", params),
+    ):
+        with pytest.raises(ValueError, match=rf"^this GRR reports one of {3 * int(d)} categories, got t=3$"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["privkv", "pckv_grr", "pckv_agrr"])
+def test_baseline_params_reject_a_numpy_d_as_a_python_d(name):
+    # 2 * np.int64(2**62) overflowed with a RuntimeWarning before MechanismParams rejected d; PrivKV's 3d from
+    # (2**63 - 1) // 3 + 1 on is test_privkv_rejects_a_d_past_its_int64_codes
+    with pytest.raises(ValueError) as want:
+        table_params(name, 2**62, 1, 1.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        table_params(name, np.int64(2**62), 1, 1.0)
 
 
 def test_privkv_ldp_by_enumeration():

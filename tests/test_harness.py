@@ -756,6 +756,25 @@ def test_cli_amplify_rejects_grid_values_outside_the_domain(flags, message):
     assert "point failed:" not in res.stderr
 
 
+@pytest.mark.parametrize("command", ["amplify", "simulate", "config"])
+def test_cli_names_an_integer_with_too_many_digits_to_read(command, tmp_path):
+    # int() refuses a string of more than 4300 digits, and the whole value was echoed as "not an integer"
+    nines = "9" * 5000
+    if command == "amplify":
+        res = _amplify("--n", nines)
+    elif command == "simulate":
+        res = _simulate("--n", nines)
+    else:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"master_seed = 1\nn = 50\nrepetitions = {nines}\n")
+        res = CliRunner().invoke(main, ["simulate", "--config", str(cfg)])
+    key = "repetitions" if command == "config" else "n"
+    assert res.exit_code == 1, res.output
+    assert res.stdout == ""
+    message = f"{key} has too many digits to read, got {key}='{nines[:20]}...' (5000 characters)"
+    assert res.stderr == f"invalid config: {message}\n" and len(res.stderr) < 200
+
+
 @pytest.mark.parametrize("n", [2**63, 10**30])
 def test_cli_amplify_past_the_window_range_is_a_per_point_failure(n):
     # n >= 2^63 ended in an OverflowError traceback from the C-window's bisection, losing the efmrtt rows too

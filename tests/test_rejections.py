@@ -1,8 +1,9 @@
 """Rejection paths that no other test reaches, one table row each, with the whole message.
 
-Three raises guard internal invariants that no input reaches, so none has
-a row: the CoCo law's weight-sum and weight-range checks
-(``coco.coco_table_probs``) and ``CollisionRates``' probability range.
+The CoCo law's weight-sum check (``coco.coco_table_probs``) guards an
+invariant that no input reaches; a planted free weight reaches it below.
+``tools/line_reach.py`` lists every line of ``src/ldpvec`` that no tier-1
+test executes.
 """
 
 import re
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ldpvec import aggregate
+from ldpvec import aggregate, coco
 from ldpvec.amplification import AmplificationQuery, collision_alpha, efmrtt_closed_form, generic_clone_alpha
 from ldpvec.cli import main
-from ldpvec.coco import coco_choose_t, coco_params, coco_predicted_mse, collision_rates
-from ldpvec.collision import collision_optimal_t, collision_params
+from ldpvec.coco import (
+    CollisionRates, coco_choose_t, coco_params, coco_predicted_mse, coco_table_probs, collision_rates,
+)
+from ldpvec.collision import collision_optimal_t, collision_params, collision_predicted_sum_variance
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
 from ldpvec.harness import ExperimentConfig, build_config, parse_config_text
 from ldpvec.oracle import exact_estimator_moments, verify_ldp
@@ -31,7 +34,7 @@ REJECTIONS = {
     "mechanism: unknown name": (lambda: aggregate.mechanism("bogus"), "unknown mechanism 'bogus'"),
     "oracle: unknown name": (lambda: verify_ldp("bogus", collision_params(4, 1, 1.0)), "unknown mechanism 'bogus'"),
     "oracle: a baseline": (
-        lambda: verify_ldp("privkv", MechanismParams(4, 1, 1.0, 3)), "mechanism 'privkv' has no exact law",
+        lambda: verify_ldp("privkv", MechanismParams(4, 1, 1.0, 12)), "mechanism 'privkv' has no exact law",
     ),
     "oracle: orbit guard": (
         lambda: exact_estimator_moments(
@@ -84,6 +87,24 @@ REJECTIONS = {
     "collision_rates: nan epsilon": (
         lambda: collision_rates(1, float("nan"), 4), "epsilon must be a non-negative real number, got epsilon=nan",
     ),
+    "CollisionRates: a rate above 1": (
+        lambda: CollisionRates(p_t=1.5, p_f=0.25, p_o=0.1, p_ow=0.0), "p_t=1.5 is not a probability",
+    ),
+    "CollisionRates: a nan rate": (
+        lambda: CollisionRates(p_t=0.5, p_f=float("nan"), p_o=0.1, p_ow=0.0), "p_f=nan is not a probability",
+    ),
+    # three writers under params of s = 1: each of the t - 6 free buckets takes (Omega - 3(e^eps + 1))/(t - 6) < 1
+    "coco_table_probs: more writers than s": (
+        lambda: coco_table_probs(np.array([1, 2, 3]), np.array([1, 1, 1]), MechanismParams(4, 1, 1.0, 8)),
+        "weights must lie in [1, e^eps]",
+    ),
+    # the tests that match this message reach check_collision_domain first; the closed form takes a real t
+    "collision_predicted_sum_variance: t <= s": (
+        lambda: collision_predicted_sum_variance(4, 2, 1.0, 2), "collision mechanism needs t > s, got t=2, s=2",
+    ),
+    "collision_predicted_sum_variance: a real t <= s": (
+        lambda: collision_predicted_sum_variance(4, 2, 1.0, 1.5), "collision mechanism needs t > s, got t=1.5, s=2",
+    ),
     "coco_choose_t: unknown which": (
         lambda: coco_choose_t(2, 1.0, "median"), "which must be 'mean' or 'nonmissing', got 'median'",
     ),
@@ -120,6 +141,20 @@ def test_rejection_path_raises_its_whole_message(case):
     call, message = REJECTIONS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_the_coco_law_refuses_rows_off_its_normaliser(monkeypatch):
+    # a planted law: every free bucket 1% heavier, as a sampler whose free weight drifted would draw
+    free_weight = coco.coco_free_weight
+    monkeypatch.setattr(coco, "coco_free_weight", lambda params, m: 1.01 * free_weight(params, m))
+    params = coco_params(4, 1, 1.0)
+    omega = coco.coco_omega(1, 1.0, params.t)
+    message = rf"^weights sum to (\S+), expected omega={re.escape(str(omega))}$"
+    with pytest.raises(ValueError, match=message) as err:
+        coco_table_probs(np.array([1]), np.array([1]), params)
+    total = float(re.match(message, str(err.value)).group(1))
+    # one occupied pair leaves t - 2 free buckets
+    assert total == pytest.approx(omega + 0.01 * (params.t - 2) * free_weight(params, 1), rel=1e-12)
 
 
 def test_config_text_projection_reads_either_case():
