@@ -31,6 +31,17 @@ def _open_out(out: str | None):
         _fail_invalid(f"cannot write --out {out}: {exc.strerror or exc}")
 
 
+class _Integer(click.ParamType):
+    """click's int, read as ``harness._read`` reads config values: one past int()'s digit limit is named, not echoed."""
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        try:
+            return harness._read(param.name, value, int)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
 def _fail_invalid(message: str) -> None:
     click.echo(f"invalid config: {message}", err=True)
     sys.exit(1)
@@ -72,7 +83,7 @@ def main():
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--master-seed", type=int, default=None, help="Mandatory; overrides the config file.")
+@click.option("--master-seed", type=_Integer(), default=None, help="Mandatory; overrides the config file.")
 @click.option("--n", default=None, help="Comma-separated user counts.")
 @click.option("--d", default=None, help="Comma-separated dimensions.")
 @click.option("--s", default=None, help="Comma-separated sparsities.")
@@ -127,7 +138,7 @@ def amplify(n, s, epsilon, delta, bounds, out, fmt):
 
 
 @main.command()
-@click.option("--s", type=int, required=True, help="Scale: estimates sum to s after projection.")
+@click.option("--s", type=_Integer(), required=True, help="Scale: estimates sum to s after projection.")
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help="CSV, one comma-separated estimate vector per line.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -150,10 +161,10 @@ def project(s, in_path, out):
 
 
 @main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--s", type=int, required=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--n", type=_Integer(), required=True)
+@click.option("--d", type=_Integer(), required=True)
+@click.option("--s", type=_Integer(), required=True)
+@click.option("--seed", type=_Integer(), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def gen(n, d, s, seed, out):
     """Dump a synthetic dataset, one user per line as signed dimensions."""

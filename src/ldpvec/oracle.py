@@ -23,19 +23,16 @@ share; it is materialised only when the representatives fit in 20 bits.
 
 Hash values are iid over points, and permuting dims maps inputs and that
 family onto themselves, so one input, ((1, +1), ..., (s, +1)), stands for
-all of a parameter set, and its orbit tables on its s points are the one
-set of tables enumerated.  Collision's event codes carry x's signs; a CoCo
-dim of sign -1 has, bit for bit, the law of the +1 dim on its mirrored
-bucket, so its j_minus and j_plus outcomes swap.  ``verify_ldp`` reads
-that input's law alone.  ``exact_estimator_moments`` takes from it the
-law of a probe's outcomes (a hit on the probed event, on j_minus or
-j_plus of a paired dim, or none), averaged over the tables, at the
-representative's first point, which stands for every point x reads (the
-law is invariant under permuting them), and at an unread point, whose
-bucket is uniform and independent of z, so each hit there is 1/t.  A
-moment is that law's dot product with one user's estimate per outcome,
-the registered ``debias`` and ``aggregate.target_values`` as read and
-mirrored.  Both read one (tables, t) law array of at most 2^26 cells.
+all of a parameter set: its orbit tables on its s points are the one set
+enumerated.  A CoCo dim of sign -1 has, bit for bit, the law of the +1 dim
+on its mirrored bucket, so its j_minus and j_plus outcomes swap.  A moment
+is the dot product of a probe's outcome law (a hit on the probed event, on
+j_minus or j_plus of a paired dim, or none), averaged over the tables at
+the representative's first point, which stands for every point x reads, or
+1/t per hit at an unread one, with one user's estimate per outcome through
+the registered ``debias``.  One memo holds a parameter set's loss and
+moments, never its law array, so both callers share one enumeration and
+its checks, and a later probe costs its own checks and a lookup.
 """
 
 from __future__ import annotations
@@ -48,31 +45,37 @@ from typing import Iterator
 import numpy as np
 
 from .aggregate import Mechanism, mechanism as registered, target_values
-from .domain import EventId, TernaryVector, check_sparsity, event_code, is_integer, pair_partner
+from .domain import EventId, TernaryVector, check_sparsity, is_integer, pair_partner
 
 # Cells of the one law array both callers read, the representative's orbit tables on s points times t.  It admits
 # CoCo's full-scale shapes (d = 512, s = 8: 75,905 tables x t <= 100) at a few hundred MB, and refuses a t of 2^40.
 _LAW_GUARD = 1 << 26
+_checked = [None, None]  # the entry and the params object whose checks last passed, held by reference
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
-    check_sparsity(d, s)
-    return [TernaryVector(d, tuple(zip(dims, signs)))
-            for dims in combinations(range(1, d + 1), s) for signs in product((-1, 1), repeat=s)]
+    check_sparsity(d, s)  # before the lookup, where (3, 1.0) would be (3, 1)
+    return list(_sparse_vectors(d, s))
+
+
+@functools.lru_cache(maxsize=2, typed=True)
+def _sparse_vectors(d: int, s: int) -> tuple[TernaryVector, ...]:
+    return tuple(TernaryVector(d, tuple(zip(dims, signs)))
+                 for dims in combinations(range(1, d + 1), s) for signs in product((-1, 1), repeat=s))
 
 
 def _law(mechanism: str, params) -> Mechanism:
-    """The registered entry of ``mechanism``, once it has a law and its domain check passed on ``params``."""
+    """The registered entry of ``mechanism``, once it has a law and its domain check passed on ``params``: once per
+    parameter set, as a replaced entry or a value-equal params of other field types (t=6.0) is another object."""
     mech = registered(mechanism)  # an unknown name is a ValueError
+    last_mech, last_params = _checked  # one read of the pair, which a concurrent call may replace
+    if last_mech is mech and last_params is params:
+        return mech
     if mech.law is None:
         raise ValueError(f"mechanism {mechanism!r} has no exact law")
     mech.check(params)
+    _checked[:] = mech, params
     return mech
-
-
-def _points(support: tuple, paired: bool) -> tuple[int, ...]:
-    """The hash points an input reads: its dims if paired, else its event codes."""
-    return tuple(j if paired else event_code(j, b) for j, b in support)
 
 
 def _orbit_count(n: int, t: int, paired: bool) -> int:
@@ -82,17 +85,6 @@ def _orbit_count(n: int, t: int, paired: bool) -> int:
     for _ in range(n):
         ways = [0] + [ways[k] * k * members + ways[k - 1] for k in range(1, len(ways))]
     return sum(ways)
-
-
-def _representative_law(mech: Mechanism, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (tables, s) buckets, weights and (tables, t) law of the input that stands for all of a parameter set, dims
-    1..s each of sign +1, on its orbit tables.  More than ``_LAW_GUARD`` law cells, tables times t, are refused before
-    any table is built."""
-    count = _orbit_count(params.s, params.t, mech.paired)
-    if count * params.t > _LAW_GUARD:
-        raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_LAW_GUARD}")
-    buckets, weights = _uniform_tables(mech.paired, params.s, params.t)
-    return buckets, weights, mech.law(buckets, np.ones(params.s, dtype=np.int64), params)
 
 
 def _uniform_tables(paired: bool, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +129,7 @@ def verify_ldp(mechanism: str, params) -> float:
     on one table attains both extremes at one z (it lies above by ulps for CoCo at s = d).  The size guard counts
     the cells of that (tables, t) law array in closed form before any table is built: it bounds memory.
     """
-    laws = _representative_law(_law(mechanism, params), params)[2]  # (tables, t)
-    return math.log(float(laws.max() / laws.min()))
+    return _enumerated(_law(mechanism, params), params)["loss"]
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +164,10 @@ def exact_estimator_moments(
     if not (paired or isinstance(event, EventId) and is_integer(event.index) and 1 <= event.index <= params.d
             and is_integer(event.sign) and event.sign in (-1, 1)):
         raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
-    point, reads = dim if paired else event.code, _points(x.support, paired)
-    # a point x reads maps onto the representative's first point (entry 0), any other onto an unread one; -1 mirrors
-    k = reads.index(point) if point in reads else -1
-    return _input_moments(mech, params)[k >= 0 and x.support[k][1] < 0, estimator][k < 0]
+    held = next((b for j, b in x.support if j == (dim if paired else event.index)), 0)  # x's sign at the dim, or 0
+    read = held != 0 if paired else held == event.sign
+    moments = _input_moments(mech, params).get("moments") or _moments(mech, params)
+    return moments[read and held < 0, estimator][not read]
 
 
 # Each layout's estimators and the ``aggregate`` target each reads: an event code's indicator, a dim's mean or not.
@@ -184,23 +175,36 @@ _ESTIMATORS = {False: {"indicator": "frequency"}, True: {"mean": "mean", "nonmis
 
 
 @functools.lru_cache(maxsize=1)
-def _input_moments(mech: Mechanism, params) -> dict[tuple[bool, str], list]:
-    """One entry's and parameter set's moments, keyed by (mirrored, estimator): the (mean, variance) at the
-    representative's first point, which stands for every point it reads, then at a point it does not read.  Each is a
-    dot product of the outcomes' law (a hit on the probed point's event, paired: on j_minus, then j_plus, the debias's
-    column order; then none) with one user's hit counts at each outcome through the registered debias.  Mirrored, as a
-    dim of sign -1 reads them, the counts' columns are reversed: CoCo's mean is negated, the rest kept."""
-    paired, targets = mech.paired, _ESTIMATORS[mech.paired]
-    counts = np.eye(3, 2) if paired else np.eye(2, 1)  # one user's hit counts per outcome
-    values = np.array([target_values(mech.debias(c, 1, params), target)[:, 0]
-                       for c in (counts, counts[:, ::-1]) for target in targets.values()])  # a row per key
-    buckets, weights, laws = _representative_law(mech, params)
-    first, total = buckets[:, 0], math.fsum(weights)
-    read = (pair_partner(first, params.t), first) if paired else (first,)
-    # each hit's probability, z on H(q)'s partner (j_minus) if paired then on H(q): averaged over the tables at the
-    # representative's first point, and 1/t at an unread point, whose bucket is uniform and independent of z
-    hits = [[math.fsum(weights * laws[np.arange(len(first)), b - 1]) / total for b in read], [1 / params.t] * len(read)]
-    law = np.array([row + [1 - sum(row)] for row in hits])  # (read, unread) x outcome, none last
-    means, seconds = ((law[:, None] * w).sum(axis=-1).T.tolist() for w in (values, values**2))
+def _input_moments(mech: Mechanism, params) -> dict:  # one entry's and parameter set's memo, filled as it is read
+    return {}
+
+
+def _enumerated(mech: Mechanism, params) -> dict:
+    """The memo with the privacy loss and the (read, unread) law of a probe's outcomes: a hit, paired: on j_minus,
+    then j_plus, the debias's column order; then none.  Over ``_LAW_GUARD`` law cells are refused before any table."""
+    memo = _input_moments(mech, params)
+    if "loss" not in memo:
+        count = _orbit_count(params.s, params.t, mech.paired)
+        if count * params.t > _LAW_GUARD:
+            raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_LAW_GUARD}")
+        buckets, weights = _uniform_tables(mech.paired, params.s, params.t)
+        laws = mech.law(buckets, np.ones(params.s, dtype=np.int64), params)  # (tables, t)
+        first, rows, total = buckets[:, 0], np.arange(len(buckets)), math.fsum(weights)
+        read = (pair_partner(first, params.t), first) if mech.paired else (first,)
+        # each hit's probability, z on H(q)'s partner (j_minus) if paired then on H(q): averaged over the tables at
+        # the representative's first point, and 1/t at an unread point, whose bucket is uniform and independent of z
+        hits = [[math.fsum(weights * laws[rows, b - 1]) / total for b in read], [1 / params.t] * len(read)]
+        memo.update(loss=math.log(float(laws.max() / laws.min())), law=np.array([row + [1 - sum(row)] for row in hits]))
+    return memo
+
+
+def _moments(mech: Mechanism, params) -> dict[tuple[bool, str], list]:
+    """(mean, variance) read then unread, keyed by (mirrored, estimator), through the debias, run first once per
+    orientation.  Mirrored, as a dim of sign -1 reads them, the counts' columns swap: CoCo's mean is negated."""
+    targets, counts = _ESTIMATORS[mech.paired], np.eye(3, 2) if mech.paired else np.eye(2, 1)
+    estimates = [mech.debias(c, 1, params) for c in (counts, counts[:, ::-1])]  # before any table
+    values = np.array([target_values(e, target)[:, 0] for e in estimates for target in targets.values()])  # row per key
+    memo = _enumerated(mech, params)
+    means, seconds = ((memo["law"][:, None] * w).sum(axis=-1).T.tolist() for w in (values, values**2))
     moments = [[(m, e2 - m**2) for m, e2 in zip(*key)] for key in zip(means, seconds)]
-    return dict(zip(product((False, True), targets), moments))
+    return memo.setdefault("moments", dict(zip(product((False, True), targets), moments)))

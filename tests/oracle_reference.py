@@ -36,7 +36,9 @@ from ldpvec.aggregate import MECHANISMS
 from ldpvec.coco import collision_rates
 from ldpvec.collision import collision_denominator
 from ldpvec.domain import pair_partner
-from ldpvec.oracle import _law, _orbit_count, _points, _uniform_tables, all_sparse_vectors
+from ldpvec.oracle import _law, _orbit_count, _uniform_tables, all_sparse_vectors
+
+from exact_reference import read_points
 
 # the pairwise check's own limit on its work, (input, point set) pairs times orbit tables times t, apart from the
 # oracle's law-array guard
@@ -55,7 +57,7 @@ def law_block(mechanism: str, params, supports, points, tables: np.ndarray) -> n
     """P[z | x, table] as a (tables, inputs, t) array from one law call; ``tables`` holds a row of buckets per table,
     a column per point of ``points``, and every input reads only those points."""
     mech, column = MECHANISMS[mechanism], {q: i for i, q in enumerate(points)}
-    reads = np.array([[column[q] for q in _points(support, mech.paired)] for support in supports])
+    reads = np.array([[column[q] for q in read_points(support, mech.paired)] for support in supports])
     return mech.law(tables[:, reads], np.array([[v for _, v in support] for support in supports]), params)
 
 
@@ -97,7 +99,7 @@ def per_event_moments(mechanism: str, params, x, estimator: str, event=None, dim
     """``exact_estimator_moments`` one event at a time: the orbit tables on x's points and the probed one."""
     paired = _law(mechanism, params).paired
     point, terms = estimator_terms(mechanism, params, estimator, event, dim)
-    probed = tuple(dict.fromkeys(_points(x.support, paired) + (point,)))
+    probed = tuple(dict.fromkeys(read_points(x.support, paired) + (point,)))
     tables, weights = _uniform_tables(paired, len(probed), params.t)
     laws = law_block(mechanism, params, [x.support], probed, tables)[:, 0]
     means, seconds = [], []
@@ -131,7 +133,7 @@ def all_point_sets_privacy_loss(mechanism: str, params) -> float:
     count *= _orbit_count(size, params.t, paired)
     if count * params.t > _SIZE_GUARD:
         raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_SIZE_GUARD}")
-    reads = [(x.support, set(_points(x.support, paired))) for x in all_sparse_vectors(d, s)]
+    reads = [(x.support, set(read_points(x.support, paired))) for x in all_sparse_vectors(d, s)]
     worst = 0.0
     for points in combinations(domain, size):
         group = [support for support, read in reads if read.issubset(points)]

@@ -775,6 +775,25 @@ def test_cli_names_an_integer_with_too_many_digits_to_read(command, tmp_path):
     assert res.stderr == f"invalid config: {message}\n" and len(res.stderr) < 200
 
 
+@pytest.mark.parametrize("command, option", [("gen", "--n"), ("gen", "--seed"), ("simulate", "--master-seed"),
+                                             ("project", "--s")])
+def test_cli_names_an_integer_option_with_too_many_digits_to_read(command, option, tmp_path):
+    # click's int type quoted the whole value: "'999...' is not a valid integer." in ~5100 characters
+    nines = "9" * 5000
+    given = {"gen": {"--n": "2", "--d": "4", "--s": "2", "--seed": "1"}, "simulate": {}, "project": {"--s": "1"}}[command]
+    (tmp_path / "in.csv").write_text("0.5,0.5\n")
+    extra = ["--in", str(tmp_path / "in.csv")] if command == "project" else []
+    args = [command, *(arg for flag, value in {**given, option: nines}.items() for arg in (flag, value)), *extra]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert res.stdout == ""
+    key = option[2:].replace("-", "_")
+    error = res.stderr.splitlines()[-1]
+    assert error == (f"Error: Invalid value for '{option}': "
+                     f"{key} has too many digits to read, got {key}='{nines[:20]}...' (5000 characters)")
+    assert len(error) < 200
+
+
 @pytest.mark.parametrize("n", [2**63, 10**30])
 def test_cli_amplify_past_the_window_range_is_a_per_point_failure(n):
     # n >= 2^63 ended in an OverflowError traceback from the C-window's bisection, losing the efmrtt rows too

@@ -23,6 +23,7 @@ from ldpvec.oracle import (
 )
 import pq_reference
 from coco_reference import coco_weight_vector, event_buckets, uniform_coco_family
+from exact_reference import read_points
 from oracle_reference import (
     all_point_sets_privacy_loss,
     family_moments,
@@ -45,7 +46,7 @@ def _single_table_family(mapping, t=None):
 
 def _row_law(mechanism, support, table, params):
     """The registered law of one input as one row: the buckets of the points it reads on a ``{point: bucket}`` table."""
-    buckets = [table[q] for q in oracle._points(support, MECHANISMS[mechanism].paired)]
+    buckets = [table[q] for q in read_points(support, MECHANISMS[mechanism].paired)]
     return MECHANISMS[mechanism].law(np.array(buckets), np.array([v for _, v in support]), params)
 
 
@@ -102,7 +103,7 @@ def test_the_array_law_is_its_own_row_by_row_evaluation(mechanism, s):
         params, points = collision_params(s, s, epsilon, s + 1), tuple(range(1, 2 * s + 1))
     supports = [x.support for x in all_sparse_vectors(params.d, s)]
     tables, _ = _uniform_tables(paired, len(points), params.t)
-    reads = np.array([[points.index(q) for q in oracle._points(x, paired)] for x in supports])
+    reads = np.array([[points.index(q) for q in read_points(x, paired)] for x in supports])
     signs, law = np.array([[v for _, v in x] for x in supports]), MECHANISMS[mechanism].law
     block = law(tables[:, reads], signs, params)
     rows = np.array([[law(table[r], sign, params) for r, sign in zip(reads, signs)] for table in tables])
@@ -252,12 +253,16 @@ def test_a_degenerate_denominator_raises_from_the_debias_before_any_table(mechan
 
 
 def test_oracle_checks_the_domain_once_per_call(monkeypatch):
+    # at most once per call and once per parameter set: a call on the params object last checked skips it, and a
+    # value-equal copy is another parameter set
     calls = []
     coco = aggregate.MECHANISMS["coco"]
     monkeypatch.setitem(aggregate.MECHANISMS, "coco", coco._replace(check=lambda params: calls.append((params.s, params.t))))
-    params = MechanismParams(d=3, s=1, epsilon=LN2, t=4)
+    params, x = MechanismParams(d=3, s=1, epsilon=LN2, t=4), TernaryVector(d=3, support=((2, -1),))
     verify_ldp("coco", params)
-    exact_estimator_moments("coco", params, TernaryVector(d=3, support=((2, -1),)), "mean", dim=2)
+    exact_estimator_moments("coco", params, x, "mean", dim=2)
+    assert calls == [(1, 4)]
+    exact_estimator_moments("coco", MechanismParams(d=3, s=1, epsilon=LN2, t=4), x, "mean", dim=2)
     assert calls == [(1, 4), (1, 4)]
 
 
@@ -353,18 +358,16 @@ def test_verify_ldp_certifies_the_full_scale_shapes():
     ("coco", MechanismParams(d=3, s=3, epsilon=0.5, t=8)),
 ])
 def test_the_law_is_called_once_per_parameter_set(mechanism, params, monkeypatch):
-    # verify_ldp is one (tables, s) block of the representative's tables, and the moments of every input and probe one
-    # more; the pairwise check made one call per point-set orbit (3 and 4 for collision here), and CoCo's moments one
-    # per sign pattern (4 and 8)
+    # verify_ldp and the moments of every input and probe share one (tables, s) block of the representative's tables;
+    # each of them used to evaluate it, the pairwise check made one call per point-set orbit (3 and 4 for collision
+    # here), and CoCo's moments one per sign pattern (4 and 8)
     calls, mech = [], MECHANISMS[mechanism]
     monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(law=lambda *args: calls.append(args[0].shape) or mech.law(*args)))
     verify_ldp(mechanism, params)
-    assert calls == [(_orbit_count(params.s, params.t, mech.paired), params.s)]
-    calls.clear()
     for x in all_sparse_vectors(params.d, params.s):
         for estimator, _, probe in _probes_of(mechanism, params):
             exact_estimator_moments(mechanism, params, x, estimator, **probe)
-    assert len(calls) == 1 and len(calls[0]) == 2 and calls[0][-1] == params.s
+    assert calls == [(_orbit_count(params.s, params.t, mech.paired), params.s)]
 
 
 def _identity_grid():
@@ -612,6 +615,66 @@ def test_the_moment_memo_follows_a_replaced_law(mechanism, params, x, probe, mon
     assert exact_estimator_moments(mechanism, params, x, **probe) != before
     monkeypatch.undo()
     assert exact_estimator_moments(mechanism, params, x, **probe) == before
+
+
+@pytest.mark.parametrize("mechanism", ["collision", "coco"])
+def test_a_value_equal_params_of_other_field_types_is_checked_again(mechanism):
+    # MechanismParams(..., t=6.0) equals and hashes like t=6, so a memo keyed on its value would skip check_size
+    params, x = MechanismParams(d=4, s=2, epsilon=1.0, t=6), TernaryVector(d=4, support=((1, 1), (3, -1)))
+    probe = {"estimator": "mean", "dim": 1} if mechanism == "coco" else {"estimator": "indicator", "event": EventId(1, 1)}
+    verify_ldp(mechanism, params)
+    exact_estimator_moments(mechanism, params, x, **probe)
+    real_t = MechanismParams(d=4, s=2, epsilon=1.0, t=6.0)
+    assert real_t == params and hash(real_t) == hash(params)
+    with pytest.raises(ValueError, match="^t must be an integer, got t=6.0$"):
+        verify_ldp(mechanism, real_t)
+    with pytest.raises(ValueError, match="^t must be an integer, got t=6.0$"):
+        exact_estimator_moments(mechanism, real_t, x, **probe)
+
+
+def test_all_sparse_vectors_checks_before_its_memo():
+    assert all_sparse_vectors(3, 1) == all_sparse_vectors(3, 1)
+    assert all_sparse_vectors(3, 1) is not all_sparse_vectors(3, 1)  # a fresh list each call
+    with pytest.raises(ValueError, match=r"^d and s must be integers, got d=3, s=1\.0$"):
+        all_sparse_vectors(3, 1.0)
+
+
+def test_an_entry_replaced_between_calls_is_read(monkeypatch):
+    params, x = MechanismParams(d=4, s=1, epsilon=LN2, t=6), TernaryVector(d=4, support=((2, -1),))
+    verify_ldp("coco", params)
+    exact_estimator_moments("coco", params, x, "mean", dim=2)
+
+    def refuse(params):
+        raise ValueError("replaced check")
+
+    monkeypatch.setitem(MECHANISMS, "coco", MECHANISMS["coco"]._replace(check=refuse))
+    with pytest.raises(ValueError, match="^replaced check$"):
+        verify_ldp("coco", params)
+    with pytest.raises(ValueError, match="^replaced check$"):
+        exact_estimator_moments("coco", params, x, "mean", dim=2)
+
+
+@pytest.mark.parametrize("mechanism, params", [
+    ("collision", collision_params(4, 2, LN2, 4)),
+    ("coco", MechanismParams(d=4, s=2, epsilon=LN2, t=6)),
+])
+def test_a_probe_after_the_first_is_a_lookup(mechanism, params, monkeypatch):
+    # the domain check and the law run for the first probe of a parameter set; each later probe runs its own checks
+    # and reads the memo
+    calls, mech = [], MECHANISMS[mechanism]
+    monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(
+        check=lambda *args: calls.append("check") or mech.check(*args),
+        law=lambda *args: calls.append("law") or mech.law(*args),
+    ))
+    inputs, probes = all_sparse_vectors(params.d, params.s), _probes_of(mechanism, params)
+    estimator, _, probe = probes[0]
+    first = exact_estimator_moments(mechanism, params, inputs[0], estimator, **probe)
+    assert calls == ["check", "law"]
+    for x in inputs:
+        for estimator, _, probe in probes:
+            exact_estimator_moments(mechanism, params, x, estimator, **probe)
+    assert calls == ["check", "law"]
+    assert exact_estimator_moments(mechanism, params, inputs[0], probes[0][0], **probes[0][2]) == first
 
 
 def test_exact_moments_coco_appendix_variances():

@@ -109,3 +109,31 @@ def test_a_query_imports_no_root_finder():
     )
     ((eps_c, optimize),) = _fresh_python(code)
     assert 0.0 < eps_c < 1.0 and not optimize
+
+
+PLANTED_PROPERTY_FAILURE = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_planted_failure(x):
+    assert x < 0
+
+
+def test_after_it():
+    pass
+"""
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    # hypothesis reports a failure through libcst, whose import draws mypy_extensions' DeprecationWarning; under the
+    # suite's error filter that was an INTERNALERROR, and no later test was reported
+    (tmp_path / "test_planted.py").write_text(PLANTED_PROPERTY_FAILURE)
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config), "test_planted.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout, out.stdout[-2000:]
