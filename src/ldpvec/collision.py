@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .domain import (
-    MechanismParams, check_budget, check_size, debias_denominator, event_code, exp_budget, hash_buckets, map_rows,
-    read_batch, read_view, sample_layout,
+    MechanismParams, check_budget, check_size, check_sparsity, debias_denominator, event_code, exp_budget, hash_buckets,
+    map_rows, read_batch, read_view, sample_layout,
 )
 
 
@@ -43,9 +43,9 @@ def check_collision_domain(s: int, t: int) -> None:
         raise ValueError(f"collision mechanism needs t > s, got t={t}, s={s}")
 
 
-def collision_hit_prob(params: MechanismParams) -> float:
+def collision_hit_prob(s: int, epsilon: float, t: float) -> float:
     """P[z = b] for a bucket b hit by a hashed event: e^eps / Omega."""
-    return math.exp(params.epsilon) / collision_omega(params.s, params.epsilon, params.t)
+    return math.exp(epsilon) / collision_omega(s, epsilon, t)
 
 
 def collision_residual_prob(params: MechanismParams, k):
@@ -54,9 +54,9 @@ def collision_residual_prob(params: MechanismParams, k):
     return (omega - math.exp(params.epsilon) * k) / ((params.t - k) * omega)
 
 
-def collision_denominator(params: MechanismParams) -> float:
+def collision_denominator(s: int, epsilon: float, t: float) -> float:
     """e^eps/Omega - 1/t, the debias denominator; a ValueError when it is too close to 0."""
-    return debias_denominator(collision_hit_prob(params) - 1.0 / params.t, "degenerate parameters: e^eps/Omega equals 1/t")
+    return debias_denominator(collision_hit_prob(s, epsilon, t) - 1.0 / t, "degenerate parameters: e^eps/Omega equals 1/t")
 
 
 def collision_optimal_t(s: int, epsilon: float) -> int:
@@ -80,7 +80,8 @@ def collision_table_probs(buckets: np.ndarray, signs, params: MechanismParams) -
     ``collision_residual_prob`` of the row's k distinct hit buckets.  ``signs`` goes unread: event codes carry them.
     """
     hit = (buckets[..., None] == np.arange(1, params.t + 1)).any(axis=-2)
-    return np.where(hit, collision_hit_prob(params), collision_residual_prob(params, hit.sum(axis=-1))[..., None])
+    weight = collision_hit_prob(params.s, params.epsilon, params.t)
+    return np.where(hit, weight, collision_residual_prob(params, hit.sum(axis=-1))[..., None])
 
 
 def collision_randomize_batch(
@@ -101,7 +102,7 @@ def collision_randomize_batch(
     seeds = read_view("seeds", seeds, 0, 2**64 - 1, ndim=1)
     if len(seeds) != len(supports):
         raise ValueError(f"seeds and supports differ in length: {len(seeds)} vs {len(supports)}")
-    u, hit = rng.random(len(supports)), collision_hit_prob(params)
+    u, hit = rng.random(len(supports)), collision_hit_prob(params.s, params.epsilon, params.t)
 
     def rows(r: slice) -> np.ndarray:
         hs = np.sort(hash_buckets(seeds[r, None], event_code(supports[r], signs[r]), params.t), axis=1)
@@ -112,16 +113,17 @@ def collision_randomize_batch(
 
 def collision_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:
     """The 2d event-frequency estimates from ``n`` views' per-event hit counts; 1/t is an absent event's hit rate."""
-    return (counts / n - 1.0 / params.t) / collision_denominator(params)
+    return (counts / n - 1.0 / params.t) / collision_denominator(params.s, params.epsilon, params.t)
 
 
 def collision_predicted_sum_variance(d: int, s: int, epsilon: float, t: float) -> float:
     """Single-user variance of the 2d indicator estimates, summed.
 
-    Treats t as a real parameter > s; used for the convexity of the t-choice.
+    Takes t as a real number > s, which a ``MechanismParams`` cannot hold; used for the t-choice's convexity.
     """
-    params = MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
-    if t <= s:
-        raise ValueError(f"collision mechanism needs t > s, got t={t}, s={s}")
-    p, q = collision_hit_prob(params), 1.0 / t
-    return (s * p * (1 - p) + (2 * d - s) * q * (1 - q)) / collision_denominator(params)**2
+    check_sparsity(d, s)
+    check_budget(epsilon)
+    if not s < t < math.inf:  # nan fails too
+        raise ValueError(f"collision mechanism needs a finite t > s, got t={t}, s={s}")
+    p, q = collision_hit_prob(s, epsilon, t), 1.0 / t
+    return (s * p * (1 - p) + (2 * d - s) * q * (1 - q)) / collision_denominator(s, epsilon, t)**2

@@ -131,9 +131,9 @@ def check_master_seed(master_seed) -> None:
 class TernaryVector:
     """A d-dimensional vector in {-1,0,+1}^d with non-zero support.
 
-    ``support`` lists (index, sign) pairs with strictly increasing
-    1-based indices; its length is the sparsity s.  It is read as one
-    (s, 2) object array, each column a batch row for ``read_batch``.
+    ``support`` lists (index, sign) pairs with strictly increasing 1-based indices; its length is the sparsity s,
+    checked with d by ``check_sparsity``.  It is read as one (s, 2) object array, each column a batch row for
+    ``read_batch``.
     """
 
     d: int
@@ -143,6 +143,7 @@ class TernaryVector:
         support = np.array(self.support, dtype=object)
         if support.ndim != 2 or support.shape[1] != 2:
             raise ValueError(f"support must be non-empty (index, sign) pairs, got {self.support!r}")
+        check_sparsity(self.d, len(support))
         read_batch(support[None, :, 0], support[None, :, 1], self.d, len(support))
 
     def event_set(self) -> frozenset[EventId]:
@@ -151,7 +152,7 @@ class TernaryVector:
 
 @dataclass(frozen=True)
 class MechanismParams:
-    """Shared mechanism parameters (d, s, epsilon, t).
+    """Shared mechanism parameters (d, s, epsilon, t), t the report alphabet's size: an integer, not a bool or a float.
 
     Mechanism-specific constraints (t > s for the single-hash randomizer,
     even t >= 2s+2 for the paired one) are checked by the mechanisms.
@@ -168,8 +169,8 @@ class MechanismParams:
         if self.d >= 2**62:
             raise ValueError(f"d must be < 2**62, since event codes 1..2d are int64, got d={self.d}")
         exp_budget(self.epsilon, self.s)
-        if not 1 <= self.t < 2**63:  # buckets are returned as int64
-            got = f"about 2^{math.log2(self.t):.1f}" if self.t >= 2**63 else self.t  # t from a huge epsilon has ~300 digits
+        if not (is_integer(self.t) and 1 <= self.t < 2**63):  # buckets are int64; a huge epsilon's t has ~300 digits
+            got = f"about 2^{math.log2(self.t):.1f}" if is_integer(self.t) and self.t >= 2**63 else self.t
             raise ValueError(f"t must be an integer in 1..2^63-1, got {got}")
 
 

@@ -30,9 +30,10 @@ is the dot product of a probe's outcome law (a hit on the probed event, on
 j_minus or j_plus of a paired dim, or none), averaged over the tables at
 the representative's first point, which stands for every point x reads, or
 1/t per hit at an unread one, with one user's estimate per outcome through
-the registered ``debias``.  One memo holds a parameter set's loss and
-moments, never its law array, so both callers share one enumeration and
-its checks, and a later probe costs its own checks and a lookup.
+the registered ``debias``.  One memo per registry entry and parameter set,
+keyed by value and made once the entry's domain check passed, holds the
+loss and moments, never the law array: both callers share one enumeration
+and one check, and a later probe costs its own checks and a lookup.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .domain import EventId, TernaryVector, check_sparsity, is_integer, pair_par
 # Cells of the one law array both callers read, the representative's orbit tables on s points times t.  It admits
 # CoCo's full-scale shapes (d = 512, s = 8: 75,905 tables x t <= 100) at a few hundred MB, and refuses a t of 2^40.
 _LAW_GUARD = 1 << 26
-_checked = [None, None]  # the entry and the params object whose checks last passed, held by reference
 
 
 def all_sparse_vectors(d: int, s: int) -> list[TernaryVector]:
@@ -64,17 +64,11 @@ def _sparse_vectors(d: int, s: int) -> tuple[TernaryVector, ...]:
                  for dims in combinations(range(1, d + 1), s) for signs in product((-1, 1), repeat=s))
 
 
-def _law(mechanism: str, params) -> Mechanism:
-    """The registered entry of ``mechanism``, once it has a law and its domain check passed on ``params``: once per
-    parameter set, as a replaced entry or a value-equal params of other field types (t=6.0) is another object."""
+def _law(mechanism: str) -> Mechanism:
+    """The registered entry of ``mechanism``, once it has a law."""
     mech = registered(mechanism)  # an unknown name is a ValueError
-    last_mech, last_params = _checked  # one read of the pair, which a concurrent call may replace
-    if last_mech is mech and last_params is params:
-        return mech
     if mech.law is None:
         raise ValueError(f"mechanism {mechanism!r} has no exact law")
-    mech.check(params)
-    _checked[:] = mech, params
     return mech
 
 
@@ -96,11 +90,11 @@ def _uniform_tables(paired: bool, n: int, t: int) -> tuple[np.ndarray, np.ndarra
     perm(slots, k) tables, times 2^k if paired, out of (slots * 2)^n or
     slots^n.  The 20-bit guard counts representatives before any is built.
     """
-    slots = t // 2 if paired else t
+    slots = int(t) // 2 if paired else int(t)  # Python ints, as a numpy int32 t's family size t^n overflows
     offsets = (0, slots) if paired else (0,)
     if _orbit_count(n, t, paired) > 1 << 20:
         raise ValueError(f"uniform family on {n} points has more than 2^20 orbit representatives")
-    total = (len(offsets) * slots) ** n
+    total = (len(offsets) * slots) ** int(n)
 
     def extend(values: tuple[int, ...], used: int) -> Iterator[tuple[tuple[int, ...], float]]:
         if len(values) == n:
@@ -129,7 +123,7 @@ def verify_ldp(mechanism: str, params) -> float:
     on one table attains both extremes at one z (it lies above by ulps for CoCo at s = d).  The size guard counts
     the cells of that (tables, t) law array in closed form before any table is built: it bounds memory.
     """
-    return _enumerated(_law(mechanism, params), params)["loss"]
+    return _enumerated(_law(mechanism), params)["loss"]
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +145,8 @@ def exact_estimator_moments(
     the params' domain, the other layout's probe keyword, a degenerate denominator or a law array of more than
     ``_LAW_GUARD`` cells is a ValueError raised before any table.
     """
-    mech = _law(mechanism, params)
-    paired = mech.paired
+    mech = _law(mechanism)
+    memo, paired = _input_moments(mech, params), mech.paired
     if not isinstance(x, TernaryVector) or (x.d, len(x.support)) != (params.d, params.s):
         raise ValueError(f"x must be a TernaryVector with d={params.d} and s={params.s}, got {x!r}")
     probe, other = (dim, event) if paired else (event, dim)
@@ -166,7 +160,7 @@ def exact_estimator_moments(
         raise ValueError(f"event must have an integer index in 1..{params.d} and sign -1 or +1, got {event!r}")
     held = next((b for j, b in x.support if j == (dim if paired else event.index)), 0)  # x's sign at the dim, or 0
     read = held != 0 if paired else held == event.sign
-    moments = _input_moments(mech, params).get("moments") or _moments(mech, params)
+    moments = memo.get("moments") or _moments(mech, params)
     return moments[read and held < 0, estimator][not read]
 
 
@@ -175,7 +169,10 @@ _ESTIMATORS = {False: {"indicator": "frequency"}, True: {"mean": "mean", "nonmis
 
 
 @functools.lru_cache(maxsize=1)
-def _input_moments(mech: Mechanism, params) -> dict:  # one entry's and parameter set's memo, filled as it is read
+def _input_moments(mech: Mechanism, params) -> dict:
+    """One entry's and parameter set's memo, filled as it is read, made once the entry's domain check passed.  Keyed by
+    value: every check reads values only, as t is an integer, and a replaced entry's functions compare by identity."""
+    mech.check(params)
     return {}
 
 
@@ -185,7 +182,7 @@ def _enumerated(mech: Mechanism, params) -> dict:
     memo = _input_moments(mech, params)
     if "loss" not in memo:
         count = _orbit_count(params.s, params.t, mech.paired)
-        if count * params.t > _LAW_GUARD:
+        if count * int(params.t) > _LAW_GUARD:  # in Python ints: a numpy t's product could wrap below the guard
             raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_LAW_GUARD}")
         buckets, weights = _uniform_tables(mech.paired, params.s, params.t)
         laws = mech.law(buckets, np.ones(params.s, dtype=np.int64), params)  # (tables, t)

@@ -82,7 +82,7 @@ def indicator_terms(p_hit: float, p_false: float, denom: float) -> tuple[float, 
 def estimator_terms(mechanism: str, params, estimator: str, event=None, dim=None):
     """The hash point an estimator reads, and its (mean, second moment) given the law p of z on one table."""
     if mechanism == "collision":
-        denom = collision_denominator(params)
+        denom = collision_denominator(params.s, params.epsilon, params.t)
         return event.code, lambda p, table: indicator_terms(p[table[event.code] - 1], 1.0 / params.t, denom)
     rates = collision_rates(params.s, params.epsilon, params.t)
     if estimator == "mean":
@@ -97,7 +97,7 @@ def estimator_terms(mechanism: str, params, estimator: str, event=None, dim=None
 
 def per_event_moments(mechanism: str, params, x, estimator: str, event=None, dim=None) -> tuple[float, float]:
     """``exact_estimator_moments`` one event at a time: the orbit tables on x's points and the probed one."""
-    paired = _law(mechanism, params).paired
+    paired = _law(mechanism).paired
     point, terms = estimator_terms(mechanism, params, estimator, event, dim)
     probed = tuple(dict.fromkeys(read_points(x.support, paired) + (point,)))
     tables, weights = _uniform_tables(paired, len(probed), params.t)
@@ -124,7 +124,7 @@ def family_moments(mechanism: str, params, x, family, estimator: str, event=None
 def all_point_sets_privacy_loss(mechanism: str, params) -> float:
     """The max over input pairs, tables and z of log(P[z|x,H] / P[z|x',H]), on every set of min(2s, |domain|) hash
     points, with the size guard on that work."""
-    paired = _law(mechanism, params).paired
+    paired = _law(mechanism).paired
     d, s = params.d, params.s
     domain = range(1, (d if paired else 2 * d) + 1)  # dims or event codes
     size = min(2 * s, len(domain))

@@ -35,7 +35,7 @@ from ldpvec.domain import (
     user_hash_seeds,
 )
 from ldpvec.harness import gen_synthetic_arrays
-from ldpvec.oracle import all_sparse_vectors, exact_estimator_moments, verify_ldp
+from ldpvec.oracle import all_sparse_vectors, exact_estimator_moments
 
 LN2 = math.log(2)
 
@@ -156,28 +156,20 @@ def test_mechanism_table_builds_one_params_type():
             assert (params.d, params.s) == (6, 2)
 
 
-@pytest.mark.parametrize("mechanism, params", [
-    ("collision", MechanismParams(d=4, s=1, epsilon=1.0, t=4.5)),
-    ("collision", MechanismParams(d=4, s=1, epsilon=1.0, t=np.float64(5.0))),
-    ("coco", MechanismParams(d=4, s=1, epsilon=1.0, t=6.0)),
-    ("coco", MechanismParams(d=4, s=1, epsilon=1.0, t=np.float64(6.0))),
-    ("collision", MechanismParams(d=4, s=1, epsilon=1.0, t=1.5)),  # z = 2 was read against t first: "z must lie in 1..1.5"
-])
-def test_every_hash_entry_point_rejects_a_non_integer_t(mechanism, params):
-    # collision at t=4.5 drew float64 symbols up to 4.5, whose aggregate was biased by ~+0.23 on each absent event
-    randomize = collision_randomize_batch if mechanism == "collision" else coco_randomize_batch
-    build = collision_params if mechanism == "collision" else coco_params
-    probe = {"estimator": "indicator", "event": EventId(1, 1)} if mechanism == "collision" else {"estimator": "mean", "dim": 1}
-    seeds = user_hash_seeds(0, 2)
-    for call in (
-        lambda: build(4, 1, 1.0, params.t),
-        lambda: randomize(np.array([[1]]), np.array([[1]]), seeds[:1], params, np.random.default_rng(0)),
-        lambda: aggregate_frequencies((seeds, np.array([1, 2])), mechanism, params),
-        lambda: verify_ldp(mechanism, params),
-        lambda: exact_estimator_moments(mechanism, params, all_sparse_vectors(4, 1)[0], **probe),
-    ):
-        with pytest.raises(ValueError, match=re.escape(f"t must be an integer, got t={params.t!r}")):
-            call()
+# Each t was a real or bool alphabet that MechanismParams held, and an entry point had to refuse: collision at t=4.5
+# drew float64 symbols up to 4.5 (each absent event's aggregate biased by ~+0.23), at t=1.5 read z = 2 against t
+# ("z must lie in 1..1.5"), and CoCo took t=6.0 as 6; PCKV at t=8.0 drew float64 codes its own debias rejected, and
+# PrivKV ran end to end at a real t; and t=6.0 equals and hashes like t=6, so the oracle's value-keyed memo would
+# serve it the checked set's values.
+@pytest.mark.parametrize("t", [
+    4.5, np.float64(5.0), 1.5, 6.0, np.float64(6.0), 8.0, np.float64(8.0), 12.0, np.float64(12.0), True,
+], ids=repr)
+def test_params_refuse_a_t_that_is_not_an_integer(t):
+    with pytest.raises(ValueError, match=f"^{re.escape(f't must be an integer in 1..2^63-1, got {t}')}$"):
+        MechanismParams(d=4, s=1, epsilon=1.0, t=t)
+    for build in (collision_params, coco_params):  # the factories check t before they build
+        with pytest.raises(ValueError, match=f"^{re.escape(f't must be an integer, got t={t!r}')}$"):
+            build(4, 1, 1.0, t)
 
 
 def test_collision_single_view_contribution_pattern():

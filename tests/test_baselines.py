@@ -83,22 +83,6 @@ def test_baselines_reject_params_of_another_alphabet():
             aggregate_frequencies(np.array([1]), name, privkv)
 
 
-@pytest.mark.parametrize("name", ["privkv", "pckv_grr", "pckv_agrr"])
-@pytest.mark.parametrize("real", [float, np.float64], ids=["float", "float64"])
-def test_baselines_reject_a_non_integer_t(name, real):
-    # a real t equal to the alphabet's size passed: PCKV at t=8.0 drew float64 codes [3., 6.], which its own debias
-    # then rejected, and PrivKV at t=3.0 (then its GRR's size) ran end to end
-    randomize = privkv_randomize_batch if name == "privkv" else pckv_randomize_batch
-    exact = table_params(name, 4, 2, 1.0)
-    params = MechanismParams(exact.d, exact.s, exact.epsilon, real(exact.t))
-    for call in (
-        lambda: randomize(np.array([[1, 3]]), np.array([[1, -1]]), params, np.random.default_rng(0)),
-        lambda: aggregate_frequencies(np.array([1, 2]), name, params),
-    ):
-        with pytest.raises(ValueError, match=re.escape(f"t must be an integer, got t={params.t!r}")):
-            call()
-
-
 def test_privkv_channel_probabilities():
     # empirical response distribution matches 3-ary GRR at eps
     rng = np.random.default_rng(0)

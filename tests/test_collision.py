@@ -208,7 +208,7 @@ def test_variance_formula_matches_exact_enumeration():
 
     params = collision_params(4, 2, 0.9, 5)
     x = TernaryVector(d=4, support=((1, 1), (3, -1)))
-    hit, false = collision_hit_prob(params), 1 / params.t
+    hit, false = collision_hit_prob(params.s, params.epsilon, params.t), 1 / params.t
     denom = hit - false
     for event, p in ((EventId(1, 1), hit), (EventId(2, 1), false)):
         _, var = exact_estimator_moments("collision", params, x, "indicator", event=event)

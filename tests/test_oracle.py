@@ -253,8 +253,8 @@ def test_a_degenerate_denominator_raises_from_the_debias_before_any_table(mechan
 
 
 def test_oracle_checks_the_domain_once_per_call(monkeypatch):
-    # at most once per call and once per parameter set: a call on the params object last checked skips it, and a
-    # value-equal copy is another parameter set
+    # at most once per call and once per parameter set: a value-equal copy is the same parameter set, and another t is
+    # another one
     calls = []
     coco = aggregate.MECHANISMS["coco"]
     monkeypatch.setitem(aggregate.MECHANISMS, "coco", coco._replace(check=lambda params: calls.append((params.s, params.t))))
@@ -263,7 +263,9 @@ def test_oracle_checks_the_domain_once_per_call(monkeypatch):
     exact_estimator_moments("coco", params, x, "mean", dim=2)
     assert calls == [(1, 4)]
     exact_estimator_moments("coco", MechanismParams(d=3, s=1, epsilon=LN2, t=4), x, "mean", dim=2)
-    assert calls == [(1, 4), (1, 4)]
+    assert calls == [(1, 4)]
+    exact_estimator_moments("coco", MechanismParams(d=3, s=1, epsilon=LN2, t=6), x, "mean", dim=2)
+    assert calls == [(1, 4), (1, 6)]
 
 
 def test_every_registered_hash_mechanism_has_an_exact_law():
@@ -618,18 +620,36 @@ def test_the_moment_memo_follows_a_replaced_law(mechanism, params, x, probe, mon
 
 
 @pytest.mark.parametrize("mechanism", ["collision", "coco"])
-def test_a_value_equal_params_of_other_field_types_is_checked_again(mechanism):
-    # MechanismParams(..., t=6.0) equals and hashes like t=6, so a memo keyed on its value would skip check_size
-    params, x = MechanismParams(d=4, s=2, epsilon=1.0, t=6), TernaryVector(d=4, support=((1, 1), (3, -1)))
-    probe = {"estimator": "mean", "dim": 1} if mechanism == "coco" else {"estimator": "indicator", "event": EventId(1, 1)}
-    verify_ldp(mechanism, params)
-    exact_estimator_moments(mechanism, params, x, **probe)
-    real_t = MechanismParams(d=4, s=2, epsilon=1.0, t=6.0)
-    assert real_t == params and hash(real_t) == hash(params)
-    with pytest.raises(ValueError, match="^t must be an integer, got t=6.0$"):
-        verify_ldp(mechanism, real_t)
-    with pytest.raises(ValueError, match="^t must be an integer, got t=6.0$"):
-        exact_estimator_moments(mechanism, real_t, x, **probe)
+@pytest.mark.parametrize("s, t", [(2, 6), (3, 2048)])
+def test_value_equal_params_of_every_field_type_share_one_memo_entry(mechanism, s, t, monkeypatch):
+    # the memo is keyed by value, which is sound as every field type the params admit gives one parameter set the same
+    # check and the same numbers: one entry, one check and one law call, and each params' values bit for bit its own
+    # cold computation's.  At s=3, t=2048 a numpy int32 t's family size (t^s) overflowed to 0: its moments were nan
+    sizes = lambda v: (v, np.int64(v), np.int32(v))
+    variants = [MechanismParams(d, s_, epsilon, t_)
+                for d, s_, t_, epsilon in product(sizes(4), sizes(s), sizes(t), (1.0, 1, np.float64(1.0)))]
+    inputs, probes = all_sparse_vectors(4, s), _probes_of(mechanism, variants[0])
+    calls, mech = [], MECHANISMS[mechanism]
+    monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(
+        check=lambda *args: calls.append("check") or mech.check(*args),
+        law=lambda *args: calls.append("law") or mech.law(*args),
+    ))
+
+    def values(params):
+        moments = [exact_estimator_moments(mechanism, params, x, estimator, **probe)
+                   for x in inputs for estimator, _, probe in probes]
+        return list(map(float.hex, [verify_ldp(mechanism, params), *(v for pair in moments for v in pair)]))
+
+    oracle._input_moments.cache_clear()
+    shared = [values(params) for params in variants]
+    assert calls == ["check", "law"]
+    assert oracle._input_moments.cache_info().misses == 1
+    for params, got in zip(variants, shared):
+        oracle._input_moments.cache_clear()
+        assert values(params) == got, params
+    for real in (6.0, np.float64(6.0), True):
+        with pytest.raises(ValueError, match=f"^{re.escape(f't must be an integer in 1..2^63-1, got {real}')}$"):
+            MechanismParams(4, 2, 1.0, real)
 
 
 def test_all_sparse_vectors_checks_before_its_memo():

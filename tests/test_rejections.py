@@ -57,6 +57,19 @@ REJECTIONS = {
     "vector: an entry of one value": (
         lambda: TernaryVector(4, ((1,),)), "support must be non-empty (index, sign) pairs, got ((1,),)",
     ),
+    # 2 orbit tables x t cells: in int32 the product wrapped to -2 and passed the guard, and the law would then have
+    # built np.arange over all 2^31 - 1 buckets
+    "oracle: a numpy int32 t past the law guard": (
+        lambda: verify_ldp("collision", MechanismParams(4, 2, 1.0, np.int32(2**31 - 1))),
+        "enumeration size 2*2147483647 exceeds guard 67108864",
+    ),
+    # the three non-integer d constructed, and the oracle took a vector of d=4.0 as one of d=4
+    "vector: a real d": (lambda: TernaryVector(4.5, ((1, 1),)), "d and s must be integers, got d=4.5, s=1"),
+    "vector: an integral real d": (lambda: TernaryVector(4.0, ((1, 1),)), "d and s must be integers, got d=4.0, s=1"),
+    "vector: a bool d": (lambda: TernaryVector(True, ((1, 1),)), "d and s must be integers, got d=True, s=1"),
+    "vector: more entries than d": (
+        lambda: TernaryVector(1, ((1, 1), (2, 1))), "need 1 <= s <= d, got s=2, d=1",
+    ),
     # an int event ended in an AttributeError
     "oracle: an event that is not an EventId": (
         lambda: exact_estimator_moments(
@@ -98,12 +111,22 @@ REJECTIONS = {
         lambda: coco_table_probs(np.array([1, 2, 3]), np.array([1, 1, 1]), MechanismParams(4, 1, 1.0, 8)),
         "weights must lie in [1, e^eps]",
     ),
-    # the tests that match this message reach check_collision_domain first; the closed form takes a real t
+    # the closed form takes a real t, finite and above s
     "collision_predicted_sum_variance: t <= s": (
-        lambda: collision_predicted_sum_variance(4, 2, 1.0, 2), "collision mechanism needs t > s, got t=2, s=2",
+        lambda: collision_predicted_sum_variance(4, 2, 1.0, 2), "collision mechanism needs a finite t > s, got t=2, s=2",
     ),
     "collision_predicted_sum_variance: a real t <= s": (
-        lambda: collision_predicted_sum_variance(4, 2, 1.0, 1.5), "collision mechanism needs t > s, got t=1.5, s=2",
+        lambda: collision_predicted_sum_variance(4, 2, 1.0, 1.5),
+        "collision mechanism needs a finite t > s, got t=1.5, s=2",
+    ),
+    # an infinite t has no normaliser, and nan compares false with s
+    "collision_predicted_sum_variance: an infinite t": (
+        lambda: collision_predicted_sum_variance(4, 2, 1.0, float("inf")),
+        "collision mechanism needs a finite t > s, got t=inf, s=2",
+    ),
+    "collision_predicted_sum_variance: a nan t": (
+        lambda: collision_predicted_sum_variance(4, 2, 1.0, float("nan")),
+        "collision mechanism needs a finite t > s, got t=nan, s=2",
     ),
     "coco_choose_t: unknown which": (
         lambda: coco_choose_t(2, 1.0, "median"), "which must be 'mean' or 'nonmissing', got 'median'",
