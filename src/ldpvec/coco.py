@@ -9,16 +9,15 @@ that drives the opposite collision rate P_o below the false rate P_f and
 shrinks the variance of the mean estimator.
 
 Entries are written in a uniformly random order; on a pair conflict the
-later entry overwrites the whole bucket pair.  The probability freed by
+later entry overwrites the whole bucket pair.  The weight freed by
 overwrites is spread evenly over untouched pairs so the normaliser
-Omega = (e^eps + 1)*s + t - 2s holds for every input and hash
-(``coco_table_probs``, for arrays of hash tables and inputs at once),
-whose two weights on a pair are mirror images bit for bit.
+Omega = (e^eps + 1)*s + t - 2s holds for every input and hash.  The
+randomizer inverts ``coco_layout``, and ``coco_table_probs`` is its law
+(``domain.layout_law``), whose two weights on a pair mirror bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .domain import (
     FLOAT_MAX, STREAM_H1, MechanismParams, check_budget, check_size, check_sparsity, debias_denominator, exp_budget,
-    hash_buckets, is_real, map_rows, pair_partner, read_batch, read_view, sample_layout,
+    hash_buckets, is_real, layout_law, map_rows, pair_partner, read_batch, read_view, sample_layout,
 )
 
 
@@ -129,39 +128,19 @@ def coco_params(d: int, s: int, epsilon: float, t: int | None = None, which: str
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
-def coco_free_weight(params: MechanismParams, m):
-    """The weight (Omega - m(e^eps + 1))/(t - 2m) of a free pair's bucket with m pairs occupied (an int or array m)."""
-    return (coco_omega(params.s, params.epsilon, params.t) - m * (math.exp(params.epsilon) + 1.0)) / (params.t - 2 * m)
+def coco_layout(buckets: np.ndarray, signs: np.ndarray, params: MechanismParams):
+    """(positions, layers) from x's j_plus buckets and signs: a dim's position is the lower bucket k in 1..t/2 of its
+    pair (k, k + t/2), its present event's bucket carries e^eps and the partner 1."""
+    t, half = params.t, params.t // 2
+    high = np.where(signs < 0, pair_partner(buckets, t), buckets)  # j_minus's bucket where the sign is -1
+    return high - half * (high > half), [(high, math.exp(params.epsilon)), (pair_partner(high, t), 1.0)]
 
 
 def coco_table_probs(buckets: np.ndarray, signs: np.ndarray, params: MechanismParams) -> np.ndarray:
     """P[z | x, table] over z = 1..t, on a new last axis, from x's j_plus buckets and signs on the last axis of
-    ``buckets`` and ``signs`` (leading axes, tables and inputs, broadcast), under a uniformly random write order.
-
-    It is in closed form over surviving writers: only the last writer of each bucket pair (k, k + t/2), its
-    slot k, survives, uniform over the slot's g writers.  If a of them put their e^eps bucket at k and b = g - a at
-    k + t/2, bucket k carries weight (a e^eps + b)/g and bucket k + t/2 (b e^eps + a)/g: mirror images, so swapping
-    the pair or a writer's sign swaps them bit for bit.  With m occupied slots, every bucket of a free pair carries
-    ``coco_free_weight``.  Each row's weights must lie in [1, e^eps] and sum to Omega.
-    """
-    t, half = params.t, params.t // 2
-    eeps, omega = math.exp(params.epsilon), coco_omega(params.s, params.epsilon, t)
-    slot = buckets - half * (buckets > half)  # the pair's lower bucket, in 1..t/2
-    writes = slot[..., None] == np.arange(1, half + 1)  # (..., writer, slot)
-    g = writes.sum(axis=-2)
-    # a writer puts e^eps on its slot's lower bucket when j_plus is there and x_j = +1, or j_plus is not and x_j = -1
-    a = (writes & ((buckets <= half) == (signs > 0))[..., None]).sum(axis=-2)
-    b = g - a
-    free = coco_free_weight(params, (g > 0).sum(axis=-1))[..., None]
-    g_or_1 = np.maximum(g, 1)  # a free slot divides by 1, not 0, and takes ``free``
-    w = np.concatenate([np.where(g > 0, (a * eeps + b) / g_or_1, free),
-                        np.where(g > 0, (b * eeps + a) / g_or_1, free)], axis=-1)
-    total = w.sum(axis=-1)
-    if np.any(abs(total - omega) > 1e-9 * max(1.0, omega)):
-        raise ValueError(f"weights sum to {total.flat[np.argmax(abs(total - omega))]}, expected omega={omega}")
-    if w.min() < 1.0 - 1e-12 or w.max() > eeps * (1.0 + 1e-12):
-        raise ValueError("weights must lie in [1, e^eps]")
-    return w / omega
+    ``buckets`` and ``signs`` (leading axes, tables and inputs, broadcast): ``coco_layout``'s law under a uniformly
+    random write order.  If a of a pair's g writers put e^eps on its lower bucket, it carries (a e^eps + g - a)/g."""
+    return layout_law(*coco_layout(buckets, signs, params), coco_omega(params.s, params.epsilon, params.t), params.t // 2)
 
 
 def coco_randomize_batch(
@@ -171,28 +150,22 @@ def coco_randomize_batch(
     params: MechanismParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One output symbol per row under a uniformly random write order (the surviving-writer law of
-    ``coco_table_probs``): the last writer of each of the m distinct occupied bucket pairs puts e^eps on
-    its own event's bucket and 1 on the partner, and the t - 2m buckets of the other pairs take ``coco_free_weight``.
-    """
+    """One output symbol per row from ``coco_layout``, under a uniformly random write order: the last writer
+    of each of the m distinct occupied bucket pairs puts e^eps on its own event's bucket and 1 on the partner."""
     check_coco_domain(params.s, params.t)
     supports, signs = read_batch(supports, signs, params.d, params.s)
     seeds = read_view("seeds", seeds, 0, 2**64 - 1, ndim=1)
     if len(seeds) != len(supports):
         raise ValueError(f"seeds and supports differ in length: {len(seeds)} vs {len(supports)}")
-    (n, s), t, half = supports.shape, params.t, params.t // 2
-    eeps, omega = math.exp(params.epsilon), coco_omega(s, params.epsilon, t)
+    (n, s), t, omega = supports.shape, params.t, coco_omega(params.s, params.epsilon, params.t)
     write, u = rng.random((n, s)), rng.random(n)
 
     def rows(r: slice) -> np.ndarray:
-        high = hash_buckets(seeds[r, None], supports[r], t, STREAM_H1)  # j_plus's bucket; where the sign is -1,
-        np.copyto(high, pair_partner(high, t), where=signs[r] < 0)  # j_minus's: the bucket carrying e^eps
-        slot = high - half * (high > half)  # the pair's lower bucket, in 1..t/2
-        # Random write order; sorted by slot, and within equal slots the last-written (max) entry first.
+        slot, layers = coco_layout(hash_buckets(seeds[r, None], supports[r], t, STREAM_H1), signs[r], params)
+        # Random write order; sorted by slot, and within equal slots the last-written (max) entry first, to lead.
         order = np.lexsort((-write[r], slot), axis=1)
-        slot_s, high_s = np.take_along_axis(slot, order, axis=1), np.take_along_axis(high, order, axis=1)
-        layers = [(high_s, eeps), (pair_partner(high_s, t), 1.0)]
-        return sample_layout(u[r] * omega, slot_s, layers, functools.partial(coco_free_weight, params), half)
+        layers = [(np.take_along_axis(buckets, order, axis=1), weight) for buckets, weight in layers]
+        return sample_layout(u[r] * omega, np.take_along_axis(slot, order, axis=1), layers, omega, t // 2)
 
     return map_rows(rows, n, s)
 

@@ -3,9 +3,9 @@
 The randomizer hashes a user's event set into buckets 1..t and emits one
 bucket z.  Buckets hit by a hashed event carry relative weight e^eps; the
 fixed normaliser Omega = s*e^eps + t - s makes the output law sum to one
-for every input, with the probability freed by internal hash conflicts
-spread uniformly over the unhit buckets (``collision_table_probs``, for
-arrays of hash tables and inputs at once).
+for every input, with the weight freed by internal hash conflicts spread
+evenly over the unhit buckets.  The randomizer inverts ``collision_layout``,
+and ``collision_table_probs`` is its law (``domain.layout_law``).
 
 Each user's unbiased estimate of the indicator [event in Y_x] is
 
@@ -16,14 +16,13 @@ the server averages it over users from per-event hit counts.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .domain import (
     MechanismParams, check_budget, check_size, check_sparsity, debias_denominator, event_code, exp_budget, hash_buckets,
-    map_rows, read_batch, read_view, sample_layout,
+    layout_law, map_rows, read_batch, read_view, sample_layout,
 )
 
 
@@ -48,12 +47,6 @@ def collision_hit_prob(s: int, epsilon: float, t: float) -> float:
     return math.exp(epsilon) / collision_omega(s, epsilon, t)
 
 
-def collision_residual_prob(params: MechanismParams, k):
-    """P[z = b] for an unhit bucket when k distinct buckets are hit, for an int or elementwise over an array k."""
-    omega = collision_omega(params.s, params.epsilon, params.t)
-    return (omega - math.exp(params.epsilon) * k) / ((params.t - k) * omega)
-
-
 def collision_denominator(s: int, epsilon: float, t: float) -> float:
     """e^eps/Omega - 1/t, the debias denominator; a ValueError when it is too close to 0."""
     return debias_denominator(collision_hit_prob(s, epsilon, t) - 1.0 / t, "degenerate parameters: e^eps/Omega equals 1/t")
@@ -73,15 +66,15 @@ def collision_params(d: int, s: int, epsilon: float, t: int | None = None) -> Me
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
-def collision_table_probs(buckets: np.ndarray, signs, params: MechanismParams) -> np.ndarray:
-    """P[z | x, table] over z = 1..t, on a new last axis, from x's event-code buckets on the last axis of ``buckets``.
+def collision_layout(buckets: np.ndarray, params: MechanismParams):
+    """(positions, layers) from x's event-code buckets: each hit bucket is its own position, at weight e^eps."""
+    return buckets, [(buckets, math.exp(params.epsilon))]
 
-    Leading axes (tables, inputs) broadcast.  Each bucket a row hits takes e^eps/Omega and each of the t - k others
-    ``collision_residual_prob`` of the row's k distinct hit buckets.  ``signs`` goes unread: event codes carry them.
-    """
-    hit = (buckets[..., None] == np.arange(1, params.t + 1)).any(axis=-2)
-    weight = collision_hit_prob(params.s, params.epsilon, params.t)
-    return np.where(hit, weight, collision_residual_prob(params, hit.sum(axis=-1))[..., None])
+
+def collision_table_probs(buckets: np.ndarray, signs, params: MechanismParams) -> np.ndarray:
+    """P[z | x, table] over z = 1..t, on a new last axis, from x's event-code buckets on the last axis of ``buckets``
+    (leading axes, tables and inputs, broadcast): ``collision_layout``'s law.  Event codes carry the unread ``signs``."""
+    return layout_law(*collision_layout(buckets, params), collision_omega(params.s, params.epsilon, params.t), params.t)
 
 
 def collision_randomize_batch(
@@ -91,7 +84,7 @@ def collision_randomize_batch(
     params: MechanismParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One output symbol per row: each of the k distinct hashed buckets at e^eps/Omega, the t - k others at the residual.
+    """One output symbol per row, drawn from ``collision_layout``: each of the k distinct hashed buckets at e^eps/Omega.
 
     supports: (n, s) 1-based dimension indices, ascending per row.
     signs:    (n, s) entries in {-1, +1}.
@@ -102,11 +95,11 @@ def collision_randomize_batch(
     seeds = read_view("seeds", seeds, 0, 2**64 - 1, ndim=1)
     if len(seeds) != len(supports):
         raise ValueError(f"seeds and supports differ in length: {len(seeds)} vs {len(supports)}")
-    u, hit = rng.random(len(supports)), collision_hit_prob(params.s, params.epsilon, params.t)
+    u, omega = rng.random(len(supports)), collision_omega(params.s, params.epsilon, params.t)
 
     def rows(r: slice) -> np.ndarray:
         hs = np.sort(hash_buckets(seeds[r, None], event_code(supports[r], signs[r]), params.t), axis=1)
-        return sample_layout(u[r], hs, [(hs, hit)], functools.partial(collision_residual_prob, params), params.t)
+        return sample_layout(u[r] * omega, *collision_layout(hs, params), omega, params.t)
 
     return map_rows(rows, *supports.shape)
 

@@ -18,10 +18,11 @@ by a scalar multiplies and shifts, its ``%`` divides per element.  One hash serv
 
 Both randomizers emit one bucket of a weighted layout over such positions with a
 fixed normaliser Omega, by inversion of its CDF (``sample_layout``; Devroye 1986,
-ch. 2): each distinct occupied position holds one bucket per layer at that
-layer's weight, and every other bucket takes the residual weight.  The server's one
-per-user step is the count of the views whose hash sends each event onto their
-symbol (``event_hit_counts``), over cache-sized chunks on a thread pool.
+ch. 2), which fixes its law (``layout_law``): each distinct occupied position holds
+one bucket per layer at that layer's weight, and every other bucket an even share
+of the rest of Omega (``free_weight``).  The server's one per-user step is the
+count of the views whose hash sends each event onto their symbol
+(``event_hit_counts``), over cache-sized chunks on a thread pool.
 """
 
 from __future__ import annotations
@@ -332,16 +333,26 @@ def event_hit_counts(seeds: np.ndarray, z: np.ndarray, d: int, t: int, paired: b
     return sum(deal_chunks(count, range(0, len(seeds), chunk)))
 
 
-def sample_layout(u: np.ndarray, pos: np.ndarray, layers, residual, space: int) -> np.ndarray:
+def free_weight(omega: float, layers, m, space: int, s: int):
+    """Each free bucket's weight, the rest of Omega, (Omega - m W) / (len(layers) (space - m)) at m occupied positions
+    (an int or array m), W the layers' weight sum.  Both mechanisms' Omega make it fall to exactly 1 at m = s; one that
+    rounds below 1 there (e^eps absorbing t - s in Omega) is a ValueError for the parameter set, whatever m rows hold."""
+    total = sum(weight for _, weight in layers)
+    if (omega - s * total) / (len(layers) * (space - s)) < 1.0 - 1e-12:
+        raise ValueError("weights must lie in [1, e^eps]")
+    return (omega - m * total) / (len(layers) * (space - m))
+
+
+def sample_layout(u: np.ndarray, pos: np.ndarray, layers, omega: float, space: int) -> np.ndarray:
     """One bucket per row, the inverse CDF of its layout at ``u``, uniform on [0, Omega).
 
-    ``pos`` (n, s) holds each row's occupied positions in 1..``space``, ascending; a row's m distinct
-    positions are the entries that differ from their left neighbour.  Each layer (buckets, weight)
-    gives every distinct position the bucket ``buckets`` holds at its first entry.  The CDF runs
-    through the layers in order, a band of m * weight each, where the idx-th distinct position's
-    bucket takes [idx * weight, (idx + 1) * weight) of the band.  The len(layers) * (space - m)
-    free buckets follow at weight ``residual(m)``: free bucket r is free position r mod (space - m),
-    counted past the occupied positions, plus r // (space - m) * space.
+    ``pos`` (n, s) holds each row's occupied positions in 1..``space``, ascending; a row's m distinct positions
+    are the entries that differ from their left neighbour, each leading its position.  Each layer (buckets,
+    weight) gives every distinct position the bucket ``buckets`` holds at its leading entry.  The CDF runs
+    through the layers in order, a band of m * weight each, where the idx-th distinct position's bucket takes
+    [idx * weight, (idx + 1) * weight) of the band.  The len(layers) * (space - m) free buckets follow at
+    ``free_weight``: free bucket r is free position r mod (space - m), counted past the occupied positions,
+    plus r // (space - m) * space.
     """
     lead = np.ones(pos.shape, dtype=bool)
     lead[:, 1:] = pos[:, 1:] != pos[:, :-1]
@@ -357,8 +368,8 @@ def sample_layout(u: np.ndarray, pos: np.ndarray, layers, residual, space: int) 
     pick = lead & (rank == (np.minimum(idx, m - 1) + 1)[:, None])
 
     free = space - m
-    r = np.maximum(np.minimum((offset / residual(m)).astype(np.int64), len(layers) * free - 1), 0)
-    copy, r = np.divmod(r, free)
+    r = (offset / free_weight(omega, layers, m, space, pos.shape[1])).astype(np.int64)
+    copy, r = np.divmod(np.maximum(np.minimum(r, len(layers) * free - 1), 0), free)
     z = r + 1
     for col in range(pos.shape[1]):
         z += lead[:, col] & (pos[:, col] <= z)
@@ -366,3 +377,24 @@ def sample_layout(u: np.ndarray, pos: np.ndarray, layers, residual, space: int) 
     for (buckets, _), edge in zip(layers[::-1], edges[::-1]):
         z = np.where(u < edge, (buckets * pick).sum(axis=1), z)
     return z
+
+
+def layout_law(pos: np.ndarray, layers, omega: float, space: int) -> np.ndarray:
+    """``sample_layout``'s law over its len(layers) * space buckets, on a new last axis, with the entry leading each
+    position uniform over its g entries.  ``pos`` and the layers' buckets share one shape, entries on the last axis in
+    any order and rows (tables, inputs) on the leading ones, each row in the one-row call's float operations.  A bucket
+    takes the sum over layers of the weight times its entries there, over g, and a free one ``free_weight``.  Every
+    row's weights must sum to Omega."""
+    *shape, s = pos.shape
+    rows = np.arange(math.prod(shape))[:, None]
+    count = lambda keys, size: np.bincount(  # each row's entries on each of 1..size
+        (rows * size + keys.reshape(-1, s) - 1).ravel(), minlength=len(rows) * size).reshape(*shape, size)
+    g = count(pos, space)
+    free = free_weight(omega, layers, (g > 0).sum(axis=-1), space, s)[..., None]
+    g = np.tile(g, len(layers))  # per bucket, the entries at its position
+    weight = sum(w * count(buckets, len(layers) * space) for buckets, w in layers)
+    law = np.where(g > 0, weight / np.maximum(g, 1), free)
+    total = law.sum(axis=-1)
+    if np.any(abs(total - omega) > 1e-9 * max(1.0, omega)):
+        raise ValueError(f"weights sum to {total.flat[np.argmax(abs(total - omega))]}, expected omega={omega}")
+    return law / omega

@@ -5,12 +5,13 @@ privacy ratios and estimator moments are exact up to float rounding; sums
 are taken with ``math.fsum`` (correctly-rounded accumulation).
 
 Each hash mechanism's output law, its layout and its domain check are
-read from its ``aggregate.MECHANISMS`` entry.  The law takes the buckets
-of the points an input reads, and its signs, with tables on leading
-axes, so each set of tables is evaluated in one call.  Collision's
-points are event codes on t buckets; CoCo's (``paired``) are dims on t/2
-bucket pairs (k, k + t/2): a dim maps to j_plus's bucket and j_minus
-takes the other one.
+read from its ``aggregate.MECHANISMS`` entry; the law is that of the
+layout its randomizer inverts (``domain.layout_law``).  It takes the
+buckets of the points an input reads, and its signs, with tables on
+leading axes, so each set of tables is evaluated in one call.
+Collision's points are event codes on t buckets; CoCo's (``paired``) are
+dims on t/2 bucket pairs (k, k + t/2): a dim maps to j_plus's bucket and
+j_minus takes the other one.
 
 Mechanisms only read a hash at the points an instance touches, so the
 uniform family over all functions, restricted to those points, is an

@@ -6,8 +6,10 @@ total length of the u on which it takes each value (L. Devroye, *Non-Uniform Ran
 ch. 2).  ``sampler_law`` runs the shipped batch randomizer on ``ChosenDraws``, a stand-in generator that returns
 chosen u (and CoCo's write ranks), one row per u.  It scans u on a grid, bisects each switch of z between two grid
 points down to adjacent floats, and sums the lengths of the pieces; for CoCo it averages over all s! write orders,
-which ``coco_table_probs`` takes as uniform.  Each symbol sits in one band of the CDF, one interval of u, so a piece
-that falls between two grid points lies between two different symbols and the bisection finds it.
+which the registered law takes as uniform.  Each symbol sits in one band of the CDF, one interval of u, so a piece
+that falls between two grid points lies between two different symbols and the bisection finds it.  The sampler and
+the registered law read one layout builder per mechanism (``domain.sample_layout`` and ``domain.layout_law``), so
+this checks the inversion against the law; ``exact_reference`` states both laws without ``ldpvec``.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -12,6 +13,7 @@ from ldpvec.domain import (
     event_code,
     hash_buckets,
     is_integer,
+    layout_law,
     remainder_inplace,
     sample_layout,
     user_hash_seeds,
@@ -138,8 +140,19 @@ def test_sample_layout_maps_each_bucket_midpoint_to_its_bucket(pos, layers, spac
         assert math.isclose(starts[-1], omega)
         u = starts[:-1] + np.array([w for _, w in ref]) / 2
         rows = np.full(len(ref), row)
-        z = sample_layout(u, pos[rows], [(b[rows], w) for b, w in layers], residual, space)
+        z = sample_layout(u, pos[rows], [(b[rows], w) for b, w in layers], omega, space)
         assert z.tolist() == [b for b, _ in ref]
+
+        # the law: the reference's weights averaged over which entry leads each shared position, every write
+        # order sorted stably by position making each of a position's entries first equally often
+        law = np.zeros(len(ref))
+        for order in itertools.permutations(range(pos.shape[1])):
+            order = sorted(order, key=lambda i: pos[row, i])
+            for bucket, weight in _layout_reference(list(pos[row, order]), [(b[row, order], w) for b, w in layers],
+                                                    residual, space):
+                law[bucket - 1] += weight / math.factorial(pos.shape[1])
+        got = layout_law(pos[row], [(b[row], w) for b, w in layers], omega, space)
+        assert np.allclose(got * omega, law, rtol=1e-12, atol=0)
 
 
 def test_user_hash_seeds_deterministic_and_distinct():

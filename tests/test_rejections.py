@@ -1,6 +1,6 @@
 """Rejection paths that no other test reaches, one table row each, with the whole message.
 
-The CoCo law's weight-sum check (``coco.coco_table_probs``) guards an
+The hash laws' weight-sum check (``domain.layout_law``) guards an
 invariant that no input reaches; a planted free weight reaches it below.
 ``tools/line_reach.py`` lists every line of ``src/ldpvec`` that no tier-1
 test executes.
@@ -12,13 +12,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ldpvec import aggregate, coco
+from ldpvec import aggregate, domain
 from ldpvec.amplification import AmplificationQuery, collision_alpha, efmrtt_closed_form, generic_clone_alpha
 from ldpvec.cli import main
 from ldpvec.coco import (
-    CollisionRates, coco_choose_t, coco_params, coco_predicted_mse, coco_table_probs, collision_rates,
+    CollisionRates, coco_choose_t, coco_omega, coco_params, coco_predicted_mse, coco_randomize_batch, coco_table_probs,
+    collision_rates,
 )
-from ldpvec.collision import collision_optimal_t, collision_params, collision_predicted_sum_variance
+from ldpvec.collision import (
+    collision_omega, collision_optimal_t, collision_params, collision_predicted_sum_variance, collision_randomize_batch,
+    collision_table_probs,
+)
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
 from ldpvec.harness import ExperimentConfig, build_config, parse_config_text
 from ldpvec.oracle import exact_estimator_moments, verify_ldp
@@ -111,6 +115,29 @@ REJECTIONS = {
         lambda: coco_table_probs(np.array([1, 2, 3]), np.array([1, 1, 1]), MechanismParams(4, 1, 1.0, 8)),
         "weights must lie in [1, e^eps]",
     ),
+    # three hit buckets under params of s = 1: each of the t - 3 unhit buckets took (Omega - 3e^eps)/(t - 3) = 0.313
+    "collision_table_probs: more hit buckets than s": (
+        lambda: collision_table_probs(np.array([1, 2, 3]), None, MechanismParams(4, 1, 1.0, 8)),
+        "weights must lie in [1, e^eps]",
+    ),
+    # e^40 absorbs t - s in Omega, so the free weight at m = s, exactly 1, rounds to 0: collision's verify_ldp returned
+    # inf (CoCo's law refused a row already), and both randomizers divided by zero
+    "verify_ldp: collision's free weight rounds to 0": (
+        lambda: verify_ldp("collision", collision_params(4, 2, 40.0, 3)), "weights must lie in [1, e^eps]",
+    ),
+    "verify_ldp: CoCo's free weight rounds to 0": (
+        lambda: verify_ldp("coco", coco_params(4, 2, 40.0, 6)), "weights must lie in [1, e^eps]",
+    ),
+    "collision_randomize_batch: the free weight rounds to 0": (
+        lambda: collision_randomize_batch(np.array([[1, 2]]), np.array([[1, 1]]), np.array([1]),
+                                          collision_params(4, 2, 40.0, 3), np.random.default_rng(0)),
+        "weights must lie in [1, e^eps]",
+    ),
+    "coco_randomize_batch: the free weight rounds to 0": (
+        lambda: coco_randomize_batch(np.array([[1, 2]]), np.array([[1, 1]]), np.array([1]),
+                                     coco_params(4, 2, 40.0, 6), np.random.default_rng(0)),
+        "weights must lie in [1, e^eps]",
+    ),
     # the closed form takes a real t, finite and above s
     "collision_predicted_sum_variance: t <= s": (
         lambda: collision_predicted_sum_variance(4, 2, 1.0, 2), "collision mechanism needs a finite t > s, got t=2, s=2",
@@ -166,18 +193,25 @@ def test_rejection_path_raises_its_whole_message(case):
         call()
 
 
-def test_the_coco_law_refuses_rows_off_its_normaliser(monkeypatch):
+@pytest.mark.parametrize("mechanism", ["collision", "coco"])
+def test_the_hash_laws_refuse_rows_off_their_normaliser(mechanism, monkeypatch):
     # a planted law: every free bucket 1% heavier, as a sampler whose free weight drifted would draw
-    free_weight = coco.coco_free_weight
-    monkeypatch.setattr(coco, "coco_free_weight", lambda params, m: 1.01 * free_weight(params, m))
-    params = coco_params(4, 1, 1.0)
-    omega = coco.coco_omega(1, 1.0, params.t)
+    free_weight, unplanted = domain.free_weight, []
+
+    def drifted(*args):
+        unplanted.append(free_weight(*args))
+        return 1.01 * unplanted[-1]
+
+    monkeypatch.setattr(domain, "free_weight", drifted)
+    mech = aggregate.MECHANISMS[mechanism]
+    params = mech.params(4, 1, 1.0, "mean")
+    omega = (coco_omega if mech.paired else collision_omega)(1, 1.0, params.t)
     message = rf"^weights sum to (\S+), expected omega={re.escape(str(omega))}$"
     with pytest.raises(ValueError, match=message) as err:
-        coco_table_probs(np.array([1]), np.array([1]), params)
+        mech.law(np.array([1]), np.array([1]), params)
     total = float(re.match(message, str(err.value)).group(1))
-    # one occupied pair leaves t - 2 free buckets
-    assert total == pytest.approx(omega + 0.01 * (params.t - 2) * free_weight(params, 1), rel=1e-12)
+    # one occupied bucket leaves t - 1 free buckets; one occupied pair, t - 2
+    assert total == pytest.approx(omega + 0.01 * (params.t - 1 - mech.paired) * unplanted[-1], rel=1e-12)
 
 
 def test_config_text_projection_reads_either_case():
