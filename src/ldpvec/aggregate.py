@@ -11,10 +11,10 @@ The conditional mean of dimension j is the post-processing
 mean_j / nonmissing_j of these two estimates.
 
 Mechanisms are looked up by name in ``MECHANISMS``.  Each entry states
-its domain ``check``; a hash mechanism's also its layout (``paired``) and
-``law``, which the exact oracle reads too.  Every debias reads counts of
-views: per event, those whose own hash sends it onto their symbol z
-(``domain.event_hit_counts``), or per symbol for a mechanism with no law.
+its domain ``check``; a hash mechanism's also its points (``paired``) and
+``layout``, which its randomizer inverts and whose law the exact oracle
+reads.  Every debias reads counts of views: per event, those whose own hash
+sends it onto their symbol z (``domain.event_hit_counts``), or per symbol.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class Mechanism(NamedTuple):
 
     Every view is a symbol z in 1..t, the report alphabet.  ``debias(counts,
     n, params)`` reads n views' counts (per event, a hash mechanism's hits;
-    per symbol, a baseline's reports, as it has no ``law``) and returns the
-    2d event-frequency estimates in event-code order.
+    per symbol, a baseline's reports, as it has no ``layout``) and returns
+    the 2d event-frequency estimates in event-code order.
     """
 
     params: Callable  # (d, s, epsilon, target) -> MechanismParams at the mechanism's default t
@@ -46,7 +46,7 @@ class Mechanism(NamedTuple):
     check: Callable  # params -> None, a ValueError outside the mechanism's domain
     debias: Callable  # (counts, n, params) -> values
     paired: bool = False  # a hash point is a dim whose events sit on a bucket pair, else an event code
-    law: Callable | None = None  # (x's buckets, x's signs, params) -> P[z | x, table], z = 1..t on a new last axis
+    layout: Callable | None = None  # (x's buckets, x's signs, params) -> (positions, layers, Omega, space)
 
 
 def mechanism(name: str) -> Mechanism:
@@ -61,13 +61,13 @@ def aggregate_frequencies(views, mechanism_name: str, params) -> np.ndarray:
     """Average the per-user unbiased contributions for all 2d events.
 
     Hash mechanisms take a ``(seeds, z)`` pair of 1-d integer arrays, a
-    mechanism with no ``law`` its symbols z alone.
+    mechanism with no ``layout`` its symbols z alone.
     """
     mech = mechanism(mechanism_name)
     mech.check(params)
-    if mech.law is not None and not (isinstance(views, tuple) and len(views) == 2):
+    if mech.layout is not None and not (isinstance(views, tuple) and len(views) == 2):
         raise ValueError("hash mechanisms take a (seeds, z) pair")
-    seeds = None if mech.law is None else read_view("seeds", views[0], 0, 2**64 - 1, ndim=1)
+    seeds = None if mech.layout is None else read_view("seeds", views[0], 0, 2**64 - 1, ndim=1)
     z = read_view("z", views if seeds is None else views[1], 1, params.t, ndim=1)
     if seeds is None:
         return mech.debias(np.bincount(z - 1, minlength=params.t), len(z), params)
@@ -88,7 +88,7 @@ MECHANISMS: dict[str, Mechanism] = {
         lambda d, s, epsilon, target: _col.collision_params(d, s, epsilon),
         lambda *args: _col.collision_randomize_batch(*args),
         lambda params: _col.check_collision_domain(params.s, params.t), _col.collision_debias,
-        law=_col.collision_table_probs,
+        layout=_col.collision_layout,
     ),
     "coco": Mechanism(
         lambda d, s, epsilon, target: _coco.coco_params(
@@ -96,7 +96,7 @@ MECHANISMS: dict[str, Mechanism] = {
         ),
         lambda *args: _coco.coco_randomize_batch(*args),
         lambda params: _coco.check_coco_domain(params.s, params.t), _coco.coco_debias, paired=True,
-        law=_coco.coco_table_probs,
+        layout=_coco.coco_layout,
     ),
     "privkv": Mechanism(
         lambda d, s, epsilon, target: _bl.grr_params(d, s, epsilon, 3),

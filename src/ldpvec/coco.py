@@ -11,9 +11,10 @@ shrinks the variance of the mean estimator.
 Entries are written in a uniformly random order; on a pair conflict the
 later entry overwrites the whole bucket pair.  The weight freed by
 overwrites is spread evenly over untouched pairs so the normaliser
-Omega = (e^eps + 1)*s + t - 2s holds for every input and hash.  The
-randomizer inverts ``coco_layout``, and ``coco_table_probs`` is its law
-(``domain.layout_law``), whose two weights on a pair mirror bit for bit.
+Omega = (e^eps + 1)*s + t - 2s holds for every input and hash.
+``coco_layout`` states that layout once: the randomizer inverts it
+(``domain.randomize_layout``, which draws the write order), and its law is
+``domain.layout_law`` of it, whose two weights on a pair mirror bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    FLOAT_MAX, STREAM_H1, MechanismParams, check_budget, check_size, check_sparsity, debias_denominator, exp_budget,
-    hash_buckets, is_real, layout_law, map_rows, pair_partner, read_batch, read_view, sample_layout,
+    FLOAT_MAX, MechanismParams, check_budget, check_size, check_sparsity, debias_denominator, exp_budget, is_real,
+    pair_partner, randomize_layout,
 )
 
 
@@ -129,45 +130,21 @@ def coco_params(d: int, s: int, epsilon: float, t: int | None = None, which: str
 
 
 def coco_layout(buckets: np.ndarray, signs: np.ndarray, params: MechanismParams):
-    """(positions, layers) from x's j_plus buckets and signs: a dim's position is the lower bucket k in 1..t/2 of its
-    pair (k, k + t/2), its present event's bucket carries e^eps and the partner 1."""
+    """(positions, layers, Omega, t/2) from x's j_plus buckets and signs on the last axis: a dim's position is the lower
+    bucket k in 1..t/2 of its pair (k, k + t/2), its present event's bucket carries e^eps and the partner 1.  Under a
+    uniform write order, a pair's lower bucket carries (a e^eps + g - a)/g if a of its g writers put e^eps there."""
     t, half = params.t, params.t // 2
     high = np.where(signs < 0, pair_partner(buckets, t), buckets)  # j_minus's bucket where the sign is -1
-    return high - half * (high > half), [(high, math.exp(params.epsilon)), (pair_partner(high, t), 1.0)]
+    layers = [(high, math.exp(params.epsilon)), (pair_partner(high, t), 1.0)]
+    return high - half * (high > half), layers, coco_omega(params.s, params.epsilon, t), half
 
 
-def coco_table_probs(buckets: np.ndarray, signs: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """P[z | x, table] over z = 1..t, on a new last axis, from x's j_plus buckets and signs on the last axis of
-    ``buckets`` and ``signs`` (leading axes, tables and inputs, broadcast): ``coco_layout``'s law under a uniformly
-    random write order.  If a of a pair's g writers put e^eps on its lower bucket, it carries (a e^eps + g - a)/g."""
-    return layout_law(*coco_layout(buckets, signs, params), coco_omega(params.s, params.epsilon, params.t), params.t // 2)
-
-
-def coco_randomize_batch(
-    supports: np.ndarray,
-    signs: np.ndarray,
-    seeds: np.ndarray,
-    params: MechanismParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One output symbol per row from ``coco_layout``, under a uniformly random write order: the last writer
-    of each of the m distinct occupied bucket pairs puts e^eps on its own event's bucket and 1 on the partner."""
+def coco_randomize_batch(supports: np.ndarray, signs: np.ndarray, seeds: np.ndarray, params: MechanismParams,
+                         rng: np.random.Generator) -> np.ndarray:
+    """One symbol per row from ``coco_layout`` by ``domain.randomize_layout``, under a uniformly random write order: the
+    last writer of each of the m occupied bucket pairs puts e^eps on its own event's bucket and 1 on the partner."""
     check_coco_domain(params.s, params.t)
-    supports, signs = read_batch(supports, signs, params.d, params.s)
-    seeds = read_view("seeds", seeds, 0, 2**64 - 1, ndim=1)
-    if len(seeds) != len(supports):
-        raise ValueError(f"seeds and supports differ in length: {len(seeds)} vs {len(supports)}")
-    (n, s), t, omega = supports.shape, params.t, coco_omega(params.s, params.epsilon, params.t)
-    write, u = rng.random((n, s)), rng.random(n)
-
-    def rows(r: slice) -> np.ndarray:
-        slot, layers = coco_layout(hash_buckets(seeds[r, None], supports[r], t, STREAM_H1), signs[r], params)
-        # Random write order; sorted by slot, and within equal slots the last-written (max) entry first, to lead.
-        order = np.lexsort((-write[r], slot), axis=1)
-        layers = [(np.take_along_axis(buckets, order, axis=1), weight) for buckets, weight in layers]
-        return sample_layout(u[r] * omega, np.take_along_axis(slot, order, axis=1), layers, omega, t // 2)
-
-    return map_rows(rows, n, s)
+    return randomize_layout(coco_layout, True, supports, signs, seeds, params, rng)
 
 
 def coco_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:

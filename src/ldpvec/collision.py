@@ -4,8 +4,9 @@ The randomizer hashes a user's event set into buckets 1..t and emits one
 bucket z.  Buckets hit by a hashed event carry relative weight e^eps; the
 fixed normaliser Omega = s*e^eps + t - s makes the output law sum to one
 for every input, with the weight freed by internal hash conflicts spread
-evenly over the unhit buckets.  The randomizer inverts ``collision_layout``,
-and ``collision_table_probs`` is its law (``domain.layout_law``).
+evenly over the unhit buckets.  ``collision_layout`` states that layout once:
+the randomizer inverts it (``domain.randomize_layout``), and its law is
+``domain.layout_law`` of it.
 
 Each user's unbiased estimate of the indicator [event in Y_x] is
 
@@ -21,8 +22,7 @@ import math
 import numpy as np
 
 from .domain import (
-    MechanismParams, check_budget, check_size, check_sparsity, debias_denominator, event_code, exp_budget, hash_buckets,
-    layout_law, map_rows, read_batch, read_view, sample_layout,
+    MechanismParams, check_budget, check_size, check_sparsity, debias_denominator, exp_budget, randomize_layout,
 )
 
 
@@ -66,42 +66,20 @@ def collision_params(d: int, s: int, epsilon: float, t: int | None = None) -> Me
     return MechanismParams(d=d, s=s, epsilon=epsilon, t=t)
 
 
-def collision_layout(buckets: np.ndarray, params: MechanismParams):
-    """(positions, layers) from x's event-code buckets: each hit bucket is its own position, at weight e^eps."""
-    return buckets, [(buckets, math.exp(params.epsilon))]
+def collision_layout(buckets: np.ndarray, signs, params: MechanismParams):
+    """(positions, layers, Omega, t) from x's event-code buckets on the last axis (event codes carry the unread
+    ``signs``): each hit bucket is its own position, at weight e^eps, sorted so that each position's entries are
+    adjacent.  ``np.sort`` costs a fraction of a sort by key and gathers, and ``domain.layout_law`` reads no order."""
+    buckets = np.sort(buckets, axis=-1)
+    return buckets, [(buckets, math.exp(params.epsilon))], collision_omega(params.s, params.epsilon, params.t), params.t
 
 
-def collision_table_probs(buckets: np.ndarray, signs, params: MechanismParams) -> np.ndarray:
-    """P[z | x, table] over z = 1..t, on a new last axis, from x's event-code buckets on the last axis of ``buckets``
-    (leading axes, tables and inputs, broadcast): ``collision_layout``'s law.  Event codes carry the unread ``signs``."""
-    return layout_law(*collision_layout(buckets, params), collision_omega(params.s, params.epsilon, params.t), params.t)
-
-
-def collision_randomize_batch(
-    supports: np.ndarray,
-    signs: np.ndarray,
-    seeds: np.ndarray,
-    params: MechanismParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One output symbol per row, drawn from ``collision_layout``: each of the k distinct hashed buckets at e^eps/Omega.
-
-    supports: (n, s) 1-based dimension indices, ascending per row.
-    signs:    (n, s) entries in {-1, +1}.
-    seeds:    (n,) per-user single-layout hash seeds, one per row.
-    """
+def collision_randomize_batch(supports: np.ndarray, signs: np.ndarray, seeds: np.ndarray, params: MechanismParams,
+                              rng: np.random.Generator) -> np.ndarray:
+    """One symbol per row of a batch ((n, s) supports and signs, (n,) hash seeds), drawn from ``collision_layout`` by
+    ``domain.randomize_layout``: each of the k distinct hashed buckets at e^eps/Omega."""
     check_collision_domain(params.s, params.t)
-    supports, signs = read_batch(supports, signs, params.d, params.s)
-    seeds = read_view("seeds", seeds, 0, 2**64 - 1, ndim=1)
-    if len(seeds) != len(supports):
-        raise ValueError(f"seeds and supports differ in length: {len(seeds)} vs {len(supports)}")
-    u, omega = rng.random(len(supports)), collision_omega(params.s, params.epsilon, params.t)
-
-    def rows(r: slice) -> np.ndarray:
-        hs = np.sort(hash_buckets(seeds[r, None], event_code(supports[r], signs[r]), params.t), axis=1)
-        return sample_layout(u[r] * omega, *collision_layout(hs, params), omega, params.t)
-
-    return map_rows(rows, *supports.shape)
+    return randomize_layout(collision_layout, False, supports, signs, seeds, params, rng)
 
 
 def collision_debias(counts: np.ndarray, n: int, params: MechanismParams) -> np.ndarray:

@@ -16,13 +16,14 @@ by a scalar multiplies and shifts, its ``%`` divides per element.  One hash serv
   * ``paired`` (even t): H maps dimension j onto j_plus's bucket in 1..t, and j_minus
     takes the other member of its bucket pair (k, k + t/2) (``pair_partner``).
 
-Both randomizers emit one bucket of a weighted layout over such positions with a
-fixed normaliser Omega, by inversion of its CDF (``sample_layout``; Devroye 1986,
-ch. 2), which fixes its law (``layout_law``): each distinct occupied position holds
-one bucket per layer at that layer's weight, and every other bucket an even share
-of the rest of Omega (``free_weight``).  The server's one per-user step is the
-count of the views whose hash sends each event onto their symbol
-(``event_hit_counts``), over cache-sized chunks on a thread pool.
+Both randomizers call one function (``randomize_layout``): it turns a batch's hashed
+points into a weighted layout with a fixed normaliser Omega and emits one bucket by
+inversion of its CDF (``sample_layout``; Devroye 1986, ch. 2), which fixes its law
+(``layout_law``): each distinct occupied position holds one bucket per layer at that
+layer's weight, and every other bucket an even share of the rest of Omega
+(``free_weight``).  The server's one per-user step is the count of the views whose
+hash sends each event onto their symbol (``event_hit_counts``), over cache-sized
+chunks on a thread pool.
 """
 
 from __future__ import annotations
@@ -335,8 +336,10 @@ def event_hit_counts(seeds: np.ndarray, z: np.ndarray, d: int, t: int, paired: b
 
 def free_weight(omega: float, layers, m, space: int, s: int):
     """Each free bucket's weight, the rest of Omega, (Omega - m W) / (len(layers) (space - m)) at m occupied positions
-    (an int or array m), W the layers' weight sum.  Both mechanisms' Omega make it fall to exactly 1 at m = s; one that
-    rounds below 1 there (e^eps absorbing t - s in Omega) is a ValueError for the parameter set, whatever m rows hold."""
+    (an int or array m) of rows of s < space points, W the layers' weight sum.  Both mechanisms' Omega make it fall to
+    exactly 1 at m = s; one that rounds below 1 there (e^eps absorbing t - s) is a ValueError, whatever m rows hold."""
+    if s >= space:
+        raise ValueError(f"a layout of {s} points needs more than {s} positions, got {space}")
     total = sum(weight for _, weight in layers)
     if (omega - s * total) / (len(layers) * (space - s)) < 1.0 - 1e-12:
         raise ValueError("weights must lie in [1, e^eps]")
@@ -377,6 +380,30 @@ def sample_layout(u: np.ndarray, pos: np.ndarray, layers, omega: float, space: i
     for (buckets, _), edge in zip(layers[::-1], edges[::-1]):
         z = np.where(u < edge, (buckets * pick).sum(axis=1), z)
     return z
+
+
+def randomize_layout(layout: Callable, paired: bool, supports, signs, seeds, params: MechanismParams,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One symbol per row of a batch, the inverse CDF (``sample_layout``) of the (positions, layers, Omega, space) that
+    ``layout(buckets, signs, params)`` builds from the buckets of the rows' event codes, or of their dims under
+    ``STREAM_H1`` if ``paired``.  A paired layout's write ranks are drawn before u, and a shared position's last writer
+    leads it.  Every draw is made on the calling thread, so row chunking changes no symbol and no generator state."""
+    supports, signs = read_batch(supports, signs, params.d, params.s)
+    seeds = read_view("seeds", seeds, 0, 2**64 - 1, ndim=1)
+    if len(seeds) != len(supports):
+        raise ValueError(f"seeds and supports differ in length: {len(seeds)} vs {len(supports)}")
+    write, u = rng.random(supports.shape) if paired else None, rng.random(len(supports))
+
+    def rows(r: slice) -> np.ndarray:
+        pos, layers, omega, space = layout(hash_buckets(
+            seeds[r, None], supports[r] if paired else event_code(supports[r], signs[r]), params.t,
+            STREAM_H1 if paired else STREAM_SINGLE), signs[r], params)
+        if paired:  # sorted by position, and within one the last-written (max rank) entry first, to lead
+            order = np.lexsort((-write[r], pos), axis=1)
+            pos, layers = np.take_along_axis(pos, order, 1), [(np.take_along_axis(b, order, 1), w) for b, w in layers]
+        return sample_layout(u[r] * omega, pos, layers, omega, space)
+
+    return map_rows(rows, *supports.shape)
 
 
 def layout_law(pos: np.ndarray, layers, omega: float, space: int) -> np.ndarray:

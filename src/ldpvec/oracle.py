@@ -4,11 +4,11 @@ Everything here enumerates explicit hash tables rather than sampling, so
 privacy ratios and estimator moments are exact up to float rounding; sums
 are taken with ``math.fsum`` (correctly-rounded accumulation).
 
-Each hash mechanism's output law, its layout and its domain check are
-read from its ``aggregate.MECHANISMS`` entry; the law is that of the
-layout its randomizer inverts (``domain.layout_law``).  It takes the
-buckets of the points an input reads, and its signs, with tables on
-leading axes, so each set of tables is evaluated in one call.
+Each hash mechanism's layout, hash points and domain check are read
+from its ``aggregate.MECHANISMS`` entry; its output law is
+``domain.layout_law`` of the layout its randomizer inverts.  The layout
+takes the buckets of the points an input reads, and its signs, with tables
+on leading axes, so each set of tables is evaluated in one call.
 Collision's points are event codes on t buckets; CoCo's (``paired``) are
 dims on t/2 bucket pairs (k, k + t/2): a dim maps to j_plus's bucket and
 j_minus takes the other one.
@@ -47,7 +47,7 @@ from typing import Iterator
 import numpy as np
 
 from .aggregate import Mechanism, mechanism as registered, target_values
-from .domain import EventId, TernaryVector, check_sparsity, is_integer, pair_partner
+from .domain import EventId, TernaryVector, check_sparsity, is_integer, layout_law, pair_partner
 
 # Cells of the one law array both callers read, the representative's orbit tables on s points times t.  It admits
 # CoCo's full-scale shapes (d = 512, s = 8: 75,905 tables x t <= 100) at a few hundred MB, and refuses a t of 2^40.
@@ -66,9 +66,9 @@ def _sparse_vectors(d: int, s: int) -> tuple[TernaryVector, ...]:
 
 
 def _law(mechanism: str) -> Mechanism:
-    """The registered entry of ``mechanism``, once it has a law."""
+    """The registered entry of ``mechanism``, once it has a layout, and so a law."""
     mech = registered(mechanism)  # an unknown name is a ValueError
-    if mech.law is None:
+    if mech.layout is None:
         raise ValueError(f"mechanism {mechanism!r} has no exact law")
     return mech
 
@@ -186,7 +186,7 @@ def _enumerated(mech: Mechanism, params) -> dict:
         if count * int(params.t) > _LAW_GUARD:  # in Python ints: a numpy t's product could wrap below the guard
             raise ValueError(f"enumeration size {count}*{params.t} exceeds guard {_LAW_GUARD}")
         buckets, weights = _uniform_tables(mech.paired, params.s, params.t)
-        laws = mech.law(buckets, np.ones(params.s, dtype=np.int64), params)  # (tables, t)
+        laws = layout_law(*mech.layout(buckets, np.ones(params.s, dtype=np.int64), params))  # (tables, t)
         first, rows, total = buckets[:, 0], np.arange(len(buckets)), math.fsum(weights)
         read = (pair_partner(first, params.t), first) if mech.paired else (first,)
         # each hit's probability, z on H(q)'s partner (j_minus) if paired then on H(q): averaged over the tables at

@@ -3,8 +3,8 @@
 ``coco_weight_vector`` runs the randomizer's assignment loop for one
 write order of the support, and ``CocoWeights`` validates one such
 trace.  Averaging the weight vector over all s! orders gives the law
-that ``ldpvec.coco.coco_table_probs`` reads off CoCo's layout with each
-pair's last writer uniform, so tests can check that law against it.
+that ``ldpvec.domain.layout_law`` reads off ``ldpvec.coco.coco_layout`` with
+each pair's last writer uniform, so tests can check that law against it.
 ``event_buckets`` states the pair rule of a table on its own, and
 ``uniform_coco_family`` lists every table on a set of dimensions, the
 full family that the oracle's orbit representatives stand for.

@@ -35,7 +35,7 @@ import numpy as np
 from ldpvec.aggregate import MECHANISMS
 from ldpvec.coco import collision_rates
 from ldpvec.collision import collision_denominator
-from ldpvec.domain import pair_partner
+from ldpvec.domain import layout_law, pair_partner
 from ldpvec.oracle import _law, _orbit_count, _uniform_tables, all_sparse_vectors
 
 from exact_reference import read_points
@@ -58,7 +58,8 @@ def law_block(mechanism: str, params, supports, points, tables: np.ndarray) -> n
     a column per point of ``points``, and every input reads only those points."""
     mech, column = MECHANISMS[mechanism], {q: i for i, q in enumerate(points)}
     reads = np.array([[column[q] for q in read_points(support, mech.paired)] for support in supports])
-    return mech.law(tables[:, reads], np.array([[v for _, v in support] for support in supports]), params)
+    signs = np.array([[v for _, v in support] for support in supports])
+    return layout_law(*mech.layout(tables[:, reads], signs, params))
 
 
 def _family_laws(mechanism: str, params, supports, family) -> np.ndarray:

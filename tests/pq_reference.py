@@ -17,8 +17,8 @@ import numpy as np
 
 from ldpvec import amplification
 from ldpvec.amplification import BRACKET_WIDTH, AmplificationQuery
-from ldpvec.collision import collision_table_probs
-from ldpvec.domain import MechanismParams
+from ldpvec.collision import collision_layout
+from ldpvec.domain import MechanismParams, layout_law
 
 
 def exact_pq_laws(n: int, epsilon: float, alpha: float) -> tuple[dict, dict]:
@@ -92,7 +92,7 @@ def lower_bound_statistic_distribution(
         raise ValueError("worst-case construction needs t >= 3s")
 
     def block_law(hit_buckets: range) -> dict[tuple[int, int], float]:
-        probs = collision_table_probs(np.array(hit_buckets), None, params)
+        probs = layout_law(*collision_layout(np.array(hit_buckets), None, params))
         return {(1, 0): math.fsum(probs[:s]), (0, 1): math.fsum(probs[s : 2 * s]), (0, 0): math.fsum(probs[2 * s :])}
 
     first = block_law(range(s + 1, 2 * s + 1) if swapped else range(1, s + 1))

@@ -379,7 +379,7 @@ def test_every_randomizer_reports_one_integer_per_user(name):
     assert views.shape == (n,) and np.issubdtype(views.dtype, np.integer)
     assert views.min() == 1 and views.max() == params.t
     # every aggregation reads the same array as z, with the users' seeds beside it for a hash mechanism
-    view = (lambda z: z) if mech.law is None else (lambda z: (user_hash_seeds(5, n), z))
+    view = (lambda z: z) if mech.layout is None else (lambda z: (user_hash_seeds(5, n), z))
     assert aggregate_frequencies(view(views), name, params).shape == (2 * d,)
     for bad in (views.reshape(2, -1), views.astype(float), np.array([0]), np.array([params.t + 1]), views[:0]):
         with pytest.raises(ValueError, match="^z must"):

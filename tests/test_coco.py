@@ -15,12 +15,14 @@ from ldpvec.coco import (
     coco_omega,
     coco_params,
     coco_predicted_mse,
+    coco_layout,
     coco_randomize_batch,
-    coco_table_probs,
     collision_rates,
     overwrite_probability,
 )
-from ldpvec.domain import STREAM_H1, MechanismParams, TernaryVector, keyed_hashes, stream_keys, user_hash_seeds
+from ldpvec.domain import (
+    STREAM_H1, MechanismParams, TernaryVector, keyed_hashes, layout_law, stream_keys, user_hash_seeds,
+)
 from ldpvec.oracle import all_sparse_vectors, exact_estimator_moments
 from coco_reference import CocoWeights, coco_exact_rates_by_rank, coco_weight_vector, event_buckets
 
@@ -143,7 +145,7 @@ def test_closed_form_law_matches_permutation_average(data):
     weights = sum(coco_weight_vector(order, table, eps, t).w for order in orders)
     reference = weights / (len(orders) * coco_omega(s, eps, t))
     params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
-    exact = coco_table_probs(np.array([table[j] for j in dims]), np.array(signs), params)
+    exact = layout_law(*coco_layout(np.array([table[j] for j in dims]), np.array(signs), params))
     assert np.abs(exact - reference).max() <= 1e-14
 
 
@@ -218,7 +220,7 @@ def test_randomize_matches_exact_law(data):
     params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
     user = user_hash_seeds(seed, 1)
     table = user_table(user[0], dims, t)
-    exact = coco_table_probs(np.array([table[j] for j in dims]), np.array(signs), params)
+    exact = layout_law(*coco_layout(np.array([table[j] for j in dims]), np.array(signs), params))
     n = 40_000
     z = coco_randomize_batch(
         np.tile(dims, (n, 1)), np.tile(signs, (n, 1)), np.repeat(user, n), params, np.random.default_rng(seed)
@@ -234,7 +236,8 @@ def test_randomize_batch_matches_exact_law():
         params = MechanismParams(d=d, s=s, epsilon=eps, t=t)
         user = user_hash_seeds(seed, 1)[0]
         table = user_table(user, [j for j, _ in x_support], t)
-        exact = coco_table_probs(np.array([table[j] for j, _ in x_support]), np.array([b for _, b in x_support]), params)
+        buckets, signs = np.array([table[j] for j, _ in x_support]), np.array([b for _, b in x_support])
+        exact = layout_law(*coco_layout(buckets, signs, params))
         n = 200_000
         seeds = np.full(n, user, dtype=np.uint64)
         sup = np.tile([[j for j, _ in x_support]], (n, 1))

@@ -13,7 +13,7 @@ from ldpvec.aggregate import MECHANISMS
 from ldpvec.amplification import collision_alpha
 from ldpvec.coco import coco_omega, coco_params, coco_predicted_mse, collision_rates
 from ldpvec.collision import collision_params, collision_predicted_sum_variance
-from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code, is_integer, pair_partner
+from ldpvec.domain import EventId, MechanismParams, TernaryVector, event_code, is_integer, layout_law, pair_partner
 from ldpvec.oracle import (
     _orbit_count,
     _uniform_tables,
@@ -35,7 +35,7 @@ from oracle_reference import (
 from pq_reference import lower_bound_statistic_distribution
 
 LN2 = math.log(2)
-HASHED = sorted(name for name, mech in MECHANISMS.items() if mech.law is not None)
+HASHED = sorted(name for name, mech in MECHANISMS.items() if mech.layout is not None)
 EPSILONS = (0.5, LN2, 2.0)  # criteria 1-2's grid
 FULL_SCALE_EPSILONS = (0.001, 0.01, 0.1, 0.2, 0.4, 0.8, 1.0, 1.5, 2.0)  # ``ldpvec simulate --full-scale``'s grid
 
@@ -47,7 +47,7 @@ def _single_table_family(mapping, t=None):
 def _row_law(mechanism, support, table, params):
     """The registered law of one input as one row: the buckets of the points it reads on a ``{point: bucket}`` table."""
     buckets = [table[q] for q in read_points(support, MECHANISMS[mechanism].paired)]
-    return MECHANISMS[mechanism].law(np.array(buckets), np.array([v for _, v in support]), params)
+    return layout_law(*MECHANISMS[mechanism].layout(np.array(buckets), np.array([v for _, v in support]), params))
 
 
 def test_enumerate_collision_fixed_hash():
@@ -104,7 +104,8 @@ def test_the_array_law_is_its_own_row_by_row_evaluation(mechanism, s):
     supports = [x.support for x in all_sparse_vectors(params.d, s)]
     tables, _ = _uniform_tables(paired, len(points), params.t)
     reads = np.array([[points.index(q) for q in read_points(x, paired)] for x in supports])
-    signs, law = np.array([[v for _, v in x] for x in supports]), MECHANISMS[mechanism].law
+    signs = np.array([[v for _, v in x] for x in supports])
+    law = lambda *args: layout_law(*MECHANISMS[mechanism].layout(*args))
     block = law(tables[:, reads], signs, params)
     rows = np.array([[law(table[r], sign, params) for r, sign in zip(reads, signs)] for table in tables])
     assert block.shape == rows.shape == (len(tables), len(supports), params.t)
@@ -119,7 +120,7 @@ def test_the_coco_law_is_relabelling_equivariant_bit_for_bit():
     # swapping the pair (1, 1 + t/2) in a table swaps the law's columns 1 and 1 + t/2, and a flipped sign gives the law
     # of the mirrored bucket, both exactly: the oracle folds x's signs and certifies from one input on that.  With the
     # pair's weights written (a e^eps + g - a)/g and ((g - a) e^eps + a)/g, 121 of these 20,856 cells differed
-    law, cells = MECHANISMS["coco"].law, 0
+    law, cells = lambda *args: layout_law(*MECHANISMS["coco"].layout(*args)), 0
     for s in range(1, 5):
         plus = np.ones(s, dtype=np.int64)
         for t in range(2 * s + 2, 17, 2):
@@ -364,7 +365,8 @@ def test_the_law_is_called_once_per_parameter_set(mechanism, params, monkeypatch
     # each of them used to evaluate it, the pairwise check made one call per point-set orbit (3 and 4 for collision
     # here), and CoCo's moments one per sign pattern (4 and 8)
     calls, mech = [], MECHANISMS[mechanism]
-    monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(law=lambda *args: calls.append(args[0].shape) or mech.law(*args)))
+    monkeypatch.setitem(
+        MECHANISMS, mechanism, mech._replace(layout=lambda *args: calls.append(args[0].shape) or mech.layout(*args)))
     verify_ldp(mechanism, params)
     for x in all_sparse_vectors(params.d, params.s):
         for estimator, _, probe in _probes_of(mechanism, params):
@@ -603,6 +605,11 @@ def test_all_sparse_vectors_rejects_sizes_outside_its_domain(d, s):
         all_sparse_vectors(d, s)
 
 
+def _rolled(pos, layers, omega, space):
+    """A layout with every bucket one place on, cyclically, whose law is the original's rolled by one bucket."""
+    return pos % space + 1, [(buckets % (len(layers) * space) + 1, weight) for buckets, weight in layers], omega, space
+
+
 @pytest.mark.parametrize("mechanism, params, x, probe", [
     ("collision", collision_params(4, 2, LN2, 4), TernaryVector(d=4, support=((1, 1), (3, -1))),
      {"estimator": "indicator", "event": EventId(1, 1)}),
@@ -613,7 +620,7 @@ def test_the_moment_memo_follows_a_replaced_law(mechanism, params, x, probe, mon
     # the memo is keyed on the registered entry, so a replaced entry is never served the old law's moments
     before = exact_estimator_moments(mechanism, params, x, **probe)
     mech = MECHANISMS[mechanism]
-    monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(law=lambda *args: np.roll(mech.law(*args), 1, axis=-1)))
+    monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(layout=lambda *args: _rolled(*mech.layout(*args))))
     assert exact_estimator_moments(mechanism, params, x, **probe) != before
     monkeypatch.undo()
     assert exact_estimator_moments(mechanism, params, x, **probe) == before
@@ -632,7 +639,7 @@ def test_value_equal_params_of_every_field_type_share_one_memo_entry(mechanism, 
     calls, mech = [], MECHANISMS[mechanism]
     monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(
         check=lambda *args: calls.append("check") or mech.check(*args),
-        law=lambda *args: calls.append("law") or mech.law(*args),
+        layout=lambda *args: calls.append("layout") or mech.layout(*args),
     ))
 
     def values(params):
@@ -642,7 +649,7 @@ def test_value_equal_params_of_every_field_type_share_one_memo_entry(mechanism, 
 
     oracle._input_moments.cache_clear()
     shared = [values(params) for params in variants]
-    assert calls == ["check", "law"]
+    assert calls == ["check", "layout"]
     assert oracle._input_moments.cache_info().misses == 1
     for params, got in zip(variants, shared):
         oracle._input_moments.cache_clear()
@@ -684,16 +691,16 @@ def test_a_probe_after_the_first_is_a_lookup(mechanism, params, monkeypatch):
     calls, mech = [], MECHANISMS[mechanism]
     monkeypatch.setitem(MECHANISMS, mechanism, mech._replace(
         check=lambda *args: calls.append("check") or mech.check(*args),
-        law=lambda *args: calls.append("law") or mech.law(*args),
+        layout=lambda *args: calls.append("layout") or mech.layout(*args),
     ))
     inputs, probes = all_sparse_vectors(params.d, params.s), _probes_of(mechanism, params)
     estimator, _, probe = probes[0]
     first = exact_estimator_moments(mechanism, params, inputs[0], estimator, **probe)
-    assert calls == ["check", "law"]
+    assert calls == ["check", "layout"]
     for x in inputs:
         for estimator, _, probe in probes:
             exact_estimator_moments(mechanism, params, x, estimator, **probe)
-    assert calls == ["check", "law"]
+    assert calls == ["check", "layout"]
     assert exact_estimator_moments(mechanism, params, inputs[0], probes[0][0], **probes[0][2]) == first
 
 
@@ -793,6 +800,6 @@ def test_lower_bound_statistic_requires_room():
 def test_lower_bound_statistic_rejects_a_law_that_is_not_a_distribution(monkeypatch):
     params = collision_params(3, 1, LN2, 4)
     for probs, message in (([1.2, -0.2, 0.0, 0.0], "negative probability"), ([0.3] * 4, "sum to 1.2")):
-        monkeypatch.setattr(pq_reference, "collision_table_probs", lambda *args: np.array(probs))
+        monkeypatch.setattr(pq_reference, "layout_law", lambda *args: np.array(probs))
         with pytest.raises(ValueError, match=message):
             lower_bound_statistic_distribution(1, params)

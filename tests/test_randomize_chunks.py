@@ -67,7 +67,6 @@ def test_a_desk_batch_is_one_chunk_and_starts_no_thread(monkeypatch, name):
 
 @pytest.mark.parametrize("name, hashed", [("collision", "hash_buckets"), ("coco", "hash_buckets")])
 def test_an_error_in_a_randomize_worker_reaches_the_caller(monkeypatch, name, hashed):
-    module = collision if name == "collision" else coco
     callers = []
 
     def out_of_memory(*args):
@@ -76,7 +75,7 @@ def test_an_error_in_a_randomize_worker_reaches_the_caller(monkeypatch, name, ha
 
     monkeypatch.setattr(domain, "ROW_CHUNK_CELLS", 1)  # one row per chunk
     monkeypatch.setattr(domain, "pool_workers", lambda: 2)
-    monkeypatch.setattr(module, hashed, out_of_memory)
+    monkeypatch.setattr(domain, hashed, out_of_memory)
     baseline = threading.active_count()
     with pytest.raises(MemoryError, match="row chunk too large"):
         _randomize(name, 6, 4, 2, None)

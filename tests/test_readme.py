@@ -1,9 +1,12 @@
-"""The README's library quick tour runs as written, and its CLI docs name real options."""
+"""The README's library quick tour runs as written, its CLI docs name real options, and its code names are real."""
 
+import importlib
+import pkgutil
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import ldpvec
 from ldpvec.cli import main
 from ldpvec.harness import ExperimentConfig
 
@@ -44,3 +47,40 @@ def test_config_example_uses_only_config_fields():
     block = _first_block_after("Config files are flat", "")
     keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
     assert keys and keys <= {f.name for f in fields(ExperimentConfig)}
+
+
+# Backticked snake_case names in the README that are no library attribute: CSV columns, a metric name and test names.
+NOT_API = {
+    "eps_c", "epsilon_c", "log2_amplification", "setup_s",
+    "test_criterion_6_mechanism_ordering", "test_ordering_at_high_dimension",
+}
+
+
+def test_backticked_code_names_resolve():
+    # a backticked name, or a call of one, resolves when it is dotted from an ``ldpvec`` module or a library attribute
+    # (``domain.layout_law``, ``CollisionRates.mean_denominator``), or is a bare snake_case attribute of the package or
+    # one of its modules; a file name (``oracle.py``) and a name from elsewhere (``np.bincount``) are not read
+    names = [info.name for info in pkgutil.iter_modules(ldpvec.__path__)]
+    modules = {name: importlib.import_module(f"ldpvec.{name}") for name in names}
+    owners = [ldpvec, *modules.values()]
+    resolved, unresolved = set(), set()
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.S | re.M)  # code blocks have their own tests
+    for token in re.findall(r"`([^`]+)`", prose):
+        match = re.fullmatch(r"(?:ldpvec\.)?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*)?", token, re.S)
+        if not match or match.group(1).endswith(".py"):
+            continue
+        head, *attrs = match.group(1).split(".")
+        if attrs:
+            owner = modules.get(head) or next((getattr(o, head) for o in owners if hasattr(o, head)), None)
+            if owner is None:
+                continue
+            for attr in attrs:
+                owner = getattr(owner, attr, None)
+            found = owner is not None
+        elif re.fullmatch(r"[a-z][a-z0-9]*(_[a-z0-9]+)+", head):
+            found = any(hasattr(o, head) for o in owners)
+        else:
+            continue
+        (resolved if found else unresolved).add(match.group(1))
+    assert {"domain.layout_law", "aggregate.target_values", "aggregate_frequencies", "verify_ldp"} <= resolved
+    assert unresolved <= NOT_API, f"README names no library attribute: {sorted(unresolved - NOT_API)}"

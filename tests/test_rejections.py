@@ -16,12 +16,11 @@ from ldpvec import aggregate, domain
 from ldpvec.amplification import AmplificationQuery, collision_alpha, efmrtt_closed_form, generic_clone_alpha
 from ldpvec.cli import main
 from ldpvec.coco import (
-    CollisionRates, coco_choose_t, coco_omega, coco_params, coco_predicted_mse, coco_randomize_batch, coco_table_probs,
+    CollisionRates, coco_choose_t, coco_omega, coco_params, coco_predicted_mse, coco_randomize_batch,
     collision_rates,
 )
 from ldpvec.collision import (
     collision_omega, collision_optimal_t, collision_params, collision_predicted_sum_variance, collision_randomize_batch,
-    collision_table_probs,
 )
 from ldpvec.domain import EventId, MechanismParams, TernaryVector
 from ldpvec.harness import ExperimentConfig, build_config, parse_config_text
@@ -33,6 +32,12 @@ MIXTURE_EPSILON = 0.27208633254958964
 # 12 event codes: Bell(12) = 4,213,597 relabelling orbits on t = 13 buckets, more than 2^20, in 54.8M law cells, under
 # the law-array guard
 GUARDED = collision_params(13, 12, 1.0, 13)
+
+
+def _layout_law(mechanism, buckets, signs, params):
+    """The law of a registered hash mechanism's layout of x's buckets and signs."""
+    return domain.layout_law(*aggregate.MECHANISMS[mechanism].layout(buckets, signs, params))
+
 
 REJECTIONS = {
     "mechanism: unknown name": (lambda: aggregate.mechanism("bogus"), "unknown mechanism 'bogus'"),
@@ -111,14 +116,24 @@ REJECTIONS = {
         lambda: CollisionRates(p_t=0.5, p_f=float("nan"), p_o=0.1, p_ow=0.0), "p_f=nan is not a probability",
     ),
     # three writers under params of s = 1: each of the t - 6 free buckets takes (Omega - 3(e^eps + 1))/(t - 6) < 1
-    "coco_table_probs: more writers than s": (
-        lambda: coco_table_probs(np.array([1, 2, 3]), np.array([1, 1, 1]), MechanismParams(4, 1, 1.0, 8)),
+    "coco layout_law: more writers than s": (
+        lambda: _layout_law("coco", np.array([1, 2, 3]), np.array([1, 1, 1]), MechanismParams(4, 1, 1.0, 8)),
         "weights must lie in [1, e^eps]",
     ),
     # three hit buckets under params of s = 1: each of the t - 3 unhit buckets took (Omega - 3e^eps)/(t - 3) = 0.313
-    "collision_table_probs: more hit buckets than s": (
-        lambda: collision_table_probs(np.array([1, 2, 3]), None, MechanismParams(4, 1, 1.0, 8)),
+    "collision layout_law: more hit buckets than s": (
+        lambda: _layout_law("collision", np.array([1, 2, 3]), None, MechanismParams(4, 1, 1.0, 8)),
         "weights must lie in [1, e^eps]",
+    ),
+    # as many points as positions could leave no free bucket: CoCo's law warned of a division by zero, and collision's
+    # raised ZeroDivisionError
+    "coco layout_law: as many points as bucket pairs": (
+        lambda: _layout_law("coco", np.array([1, 2, 3, 4, 5]), np.ones(5, dtype=int), MechanismParams(8, 1, 1.0, 8)),
+        "a layout of 5 points needs more than 5 positions, got 4",
+    ),
+    "collision layout_law: as many points as buckets": (
+        lambda: _layout_law("collision", np.arange(1, 9), None, MechanismParams(8, 1, 1.0, 8)),
+        "a layout of 8 points needs more than 8 positions, got 8",
     ),
     # e^40 absorbs t - s in Omega, so the free weight at m = s, exactly 1, rounds to 0: collision's verify_ldp returned
     # inf (CoCo's law refused a row already), and both randomizers divided by zero
@@ -208,7 +223,7 @@ def test_the_hash_laws_refuse_rows_off_their_normaliser(mechanism, monkeypatch):
     omega = (coco_omega if mech.paired else collision_omega)(1, 1.0, params.t)
     message = rf"^weights sum to (\S+), expected omega={re.escape(str(omega))}$"
     with pytest.raises(ValueError, match=message) as err:
-        mech.law(np.array([1]), np.array([1]), params)
+        _layout_law(mechanism, np.array([1]), np.array([1]), params)
     total = float(re.match(message, str(err.value)).group(1))
     # one occupied bucket leaves t - 1 free buckets; one occupied pair, t - 2
     assert total == pytest.approx(omega + 0.01 * (params.t - 1 - mech.paired) * unplanted[-1], rel=1e-12)
