@@ -13,7 +13,8 @@ later entry overwrites the whole bucket pair.  The weight freed by
 overwrites is spread evenly over untouched pairs so the normaliser
 Omega = (e^eps + 1)*s + t - 2s holds for every input and hash.
 ``coco_layout`` states that layout once: the randomizer inverts it
-(``domain.randomize_layout``, which draws the write order), and its law is
+(``domain.randomize_layout``, which draws the write order; the sampler finds
+the drawn pair's last writer without sorting entries by it), and its law is
 ``domain.layout_law`` of it, whose two weights on a pair mirror bit for bit.
 """
 
@@ -133,10 +134,9 @@ def coco_layout(buckets: np.ndarray, signs: np.ndarray, params: MechanismParams)
     """(positions, layers, Omega, t/2) from x's j_plus buckets and signs on the last axis: a dim's position is the lower
     bucket k in 1..t/2 of its pair (k, k + t/2), its present event's bucket carries e^eps and the partner 1.  Under a
     uniform write order, a pair's lower bucket carries (a e^eps + g - a)/g if a of its g writers put e^eps there."""
-    t, half = params.t, params.t // 2
-    high = np.where(signs < 0, pair_partner(buckets, t), buckets)  # j_minus's bucket where the sign is -1
-    layers = [(high, math.exp(params.epsilon)), (pair_partner(high, t), 1.0)]
-    return high - half * (high > half), layers, coco_omega(params.s, params.epsilon, t), half
+    partner, neg = pair_partner(buckets, params.t), signs < 0  # j_minus takes the partner
+    layers = [(np.where(neg, partner, buckets), math.exp(params.epsilon)), (np.where(neg, buckets, partner), 1.0)]
+    return np.minimum(buckets, partner), layers, coco_omega(params.s, params.epsilon, params.t), params.t // 2
 
 
 def coco_randomize_batch(supports: np.ndarray, signs: np.ndarray, seeds: np.ndarray, params: MechanismParams,

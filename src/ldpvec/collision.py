@@ -68,9 +68,8 @@ def collision_params(d: int, s: int, epsilon: float, t: int | None = None) -> Me
 
 def collision_layout(buckets: np.ndarray, signs, params: MechanismParams):
     """(positions, layers, Omega, t) from x's event-code buckets on the last axis (event codes carry the unread
-    ``signs``): each hit bucket is its own position, at weight e^eps, sorted so that each position's entries are
-    adjacent.  ``np.sort`` costs a fraction of a sort by key and gathers, and ``domain.layout_law`` reads no order."""
-    buckets = np.sort(buckets, axis=-1)
+    ``signs``): each hit bucket is its own position, at weight e^eps, in the entries' own order, which neither
+    ``domain.sample_layout`` nor ``domain.layout_law`` reads."""
     return buckets, [(buckets, math.exp(params.epsilon))], collision_omega(params.s, params.epsilon, params.t), params.t
 
 

@@ -16,14 +16,14 @@ by a scalar multiplies and shifts, its ``%`` divides per element.  One hash serv
   * ``paired`` (even t): H maps dimension j onto j_plus's bucket in 1..t, and j_minus
     takes the other member of its bucket pair (k, k + t/2) (``pair_partner``).
 
-Both randomizers call one function (``randomize_layout``): it turns a batch's hashed
-points into a weighted layout with a fixed normaliser Omega and emits one bucket by
-inversion of its CDF (``sample_layout``; Devroye 1986, ch. 2), which fixes its law
-(``layout_law``): each distinct occupied position holds one bucket per layer at that
-layer's weight, and every other bucket an even share of the rest of Omega
-(``free_weight``).  The server's one per-user step is the count of the views whose
-hash sends each event onto their symbol (``event_hit_counts``), over cache-sized
-chunks on a thread pool.
+Both randomizers call one function (``randomize_layout``): it turns a batch's hashed points into a weighted
+layout with a fixed normaliser Omega and emits one bucket by inversion of its CDF (``sample_layout``; Devroye
+1986, ch. 2), which fixes its law (``layout_law``): each distinct occupied position holds one bucket per layer
+at that layer's weight, and every other bucket an even share of the rest of Omega (``free_weight``).  The
+sampler takes a row's entries in any order: it sorts the positions once, runs its passes entries-major over
+all rows at once, and resolves the leader (the highest write rank) of the one drawn position only.  The
+server's one per-user step is the count of the views whose hash sends each event onto their symbol
+(``event_hit_counts``), over cache-sized chunks on a thread pool.
 """
 
 from __future__ import annotations
@@ -346,21 +346,21 @@ def free_weight(omega: float, layers, m, space: int, s: int):
     return (omega - m * total) / (len(layers) * (space - m))
 
 
-def sample_layout(u: np.ndarray, pos: np.ndarray, layers, omega: float, space: int) -> np.ndarray:
+def sample_layout(u: np.ndarray, pos: np.ndarray, layers, omega: float, space: int, write=None) -> np.ndarray:
     """One bucket per row, the inverse CDF of its layout at ``u``, uniform on [0, Omega).
 
-    ``pos`` (n, s) holds each row's occupied positions in 1..``space``, ascending; a row's m distinct positions
-    are the entries that differ from their left neighbour, each leading its position.  Each layer (buckets,
-    weight) gives every distinct position the bucket ``buckets`` holds at its leading entry.  The CDF runs
-    through the layers in order, a band of m * weight each, where the idx-th distinct position's bucket takes
-    [idx * weight, (idx + 1) * weight) of the band.  The len(layers) * (space - m) free buckets follow at
-    ``free_weight``: free bucket r is free position r mod (space - m), counted past the occupied positions,
-    plus r // (space - m) * space.
+    ``pos`` (n, s) holds each row's occupied positions in 1..``space``, entries in any order; a row has m distinct
+    positions.  Each layer (buckets, weight) gives every distinct position the bucket ``buckets`` holds at the entry
+    that leads it: the one of highest ``write`` (n, s), the first on a tie, or with no ``write`` the first.  The CDF
+    runs through the layers in order, a band of m * weight each, where the idx-th distinct position in ascending order
+    takes [idx * weight, (idx + 1) * weight) of the band.  The len(layers) * (space - m) free buckets follow at
+    ``free_weight``: free bucket r is free position r mod (space - m), counted past the occupied positions, plus
+    r // (space - m) * space.  Entries are sorted by position alone; only the drawn position's leader is looked for.
     """
-    lead = np.ones(pos.shape, dtype=bool)
-    lead[:, 1:] = pos[:, 1:] != pos[:, :-1]
-    rank = np.cumsum(lead, axis=1)  # the 1-based rank of each distinct position; the last is m
-    m = rank[:, -1]
+    srt = np.ascontiguousarray(np.sort(pos.T, axis=0))  # (s, n): row i holds every pos row's i-th smallest entry
+    lead = np.ones(srt.shape, dtype=bool)  # an entry that differs from the one before it starts a distinct position
+    np.not_equal(srt[1:], srt[:-1], out=lead[1:])
+    m = lead.sum(axis=0)
     edges, idx, offset, end = [], None, u, 0.0  # offset: u less the ends of the bands before
     for _, weight in layers:
         band = (offset / weight).astype(np.int64)
@@ -368,17 +368,21 @@ def sample_layout(u: np.ndarray, pos: np.ndarray, layers, omega: float, space: i
         end += weight
         edges.append(m * end)
         offset = u - edges[-1]
-    pick = lead & (rank == (np.minimum(idx, m - 1) + 1)[:, None])
 
     free = space - m
     r = (offset / free_weight(omega, layers, m, space, pos.shape[1])).astype(np.int64)
     copy, r = np.divmod(np.maximum(np.minimum(r, len(layers) * free - 1), 0), free)
-    z = r + 1
-    for col in range(pos.shape[1]):
-        z += lead[:, col] & (pos[:, col] <= z)
+    z, rank, at, target = r + 1, np.zeros_like(m), np.zeros_like(m), np.minimum(idx, m - 1) + 1
+    for row, first in zip(srt, lead):  # positions ascending: the idx-th distinct one, and z past the occupied ones
+        rank += first
+        np.copyto(at, row, where=first & (rank == target))
+        z += first & (row <= z)
     z += copy * space
+    hit = pos.T == at
+    leader = (hit if write is None else np.where(hit, write.T, -np.inf)).argmax(axis=0)  # the first maximum
+    flat = np.arange(len(u)) * pos.shape[1] + leader
     for (buckets, _), edge in zip(layers[::-1], edges[::-1]):
-        z = np.where(u < edge, (buckets * pick).sum(axis=1), z)
+        z = np.where(u < edge, buckets.ravel()[flat], z)
     return z
 
 
@@ -386,8 +390,8 @@ def randomize_layout(layout: Callable, paired: bool, supports, signs, seeds, par
                      rng: np.random.Generator) -> np.ndarray:
     """One symbol per row of a batch, the inverse CDF (``sample_layout``) of the (positions, layers, Omega, space) that
     ``layout(buckets, signs, params)`` builds from the buckets of the rows' event codes, or of their dims under
-    ``STREAM_H1`` if ``paired``.  A paired layout's write ranks are drawn before u, and a shared position's last writer
-    leads it.  Every draw is made on the calling thread, so row chunking changes no symbol and no generator state."""
+    ``STREAM_H1`` if ``paired``.  A paired layout's write ranks are drawn before u; the highest, a shared position's
+    last writer, leads it.  All draws are made on the calling thread: chunking changes no symbol or generator state."""
     supports, signs = read_batch(supports, signs, params.d, params.s)
     seeds = read_view("seeds", seeds, 0, 2**64 - 1, ndim=1)
     if len(seeds) != len(supports):
@@ -398,10 +402,7 @@ def randomize_layout(layout: Callable, paired: bool, supports, signs, seeds, par
         pos, layers, omega, space = layout(hash_buckets(
             seeds[r, None], supports[r] if paired else event_code(supports[r], signs[r]), params.t,
             STREAM_H1 if paired else STREAM_SINGLE), signs[r], params)
-        if paired:  # sorted by position, and within one the last-written (max rank) entry first, to lead
-            order = np.lexsort((-write[r], pos), axis=1)
-            pos, layers = np.take_along_axis(pos, order, 1), [(np.take_along_axis(b, order, 1), w) for b, w in layers]
-        return sample_layout(u[r] * omega, pos, layers, omega, space)
+        return sample_layout(u[r] * omega, pos, layers, omega, space, None if write is None else write[r])
 
     return map_rows(rows, *supports.shape)
 

@@ -11,6 +11,9 @@ that falls between two grid points lies between two different symbols and the bi
 call one function, ``domain.randomize_layout``, over their registered ``layout``, and the registered law is
 ``domain.layout_law`` of that layout, so this checks the inversion and the write order against the law;
 ``exact_reference`` states both laws without ``ldpvec``.
+
+``lexsort_sample_layout`` is the inversion the shipped sampler replaced, kept as its reference: it sorts each row's
+entries by (position, highest write first), stably, and reads each position's bucket at its first entry.
 """
 
 from __future__ import annotations
@@ -21,8 +24,40 @@ import numpy as np
 
 from ldpvec.coco import coco_randomize_batch
 from ldpvec.collision import collision_randomize_batch
+from ldpvec.domain import free_weight
 
 GRID = 2**14
+
+
+def lexsort_sample_layout(u: np.ndarray, pos: np.ndarray, layers, omega: float, space: int, write=None) -> np.ndarray:
+    """``domain.sample_layout`` by a stable sort of every row's entries: by position and, within one, by descending
+    ``write`` (by column alone with no ``write``), so that each position's leader comes first; then the distinct
+    positions are the entries that differ from their left neighbour, and the CDF is read off short-axis passes."""
+    order = np.lexsort((pos,) if write is None else (-write, pos), axis=1)
+    pos, layers = np.take_along_axis(pos, order, 1), [(np.take_along_axis(b, order, 1), w) for b, w in layers]
+    lead = np.ones(pos.shape, dtype=bool)
+    lead[:, 1:] = pos[:, 1:] != pos[:, :-1]
+    rank = np.cumsum(lead, axis=1)  # the 1-based rank of each distinct position; the last is m
+    m = rank[:, -1]
+    edges, idx, offset, end = [], None, u, 0.0  # offset: u less the ends of the bands before
+    for _, weight in layers:
+        band = (offset / weight).astype(np.int64)
+        idx = band if idx is None else np.where(u < edges[-1], idx, band)
+        end += weight
+        edges.append(m * end)
+        offset = u - edges[-1]
+    pick = lead & (rank == (np.minimum(idx, m - 1) + 1)[:, None])
+
+    free = space - m
+    r = (offset / free_weight(omega, layers, m, space, pos.shape[1])).astype(np.int64)
+    copy, r = np.divmod(np.maximum(np.minimum(r, len(layers) * free - 1), 0), free)
+    z = r + 1
+    for col in range(pos.shape[1]):
+        z += lead[:, col] & (pos[:, col] <= z)
+    z += copy * space
+    for (buckets, _), edge in zip(layers[::-1], edges[::-1]):
+        z = np.where(u < edge, (buckets * pick).sum(axis=1), z)
+    return z
 
 
 class ChosenDraws:

@@ -18,6 +18,7 @@ from ldpvec.domain import (
     sample_layout,
     user_hash_seeds,
 )
+from sampler_reference import lexsort_sample_layout
 
 # Reference splitmix64 on python ints, written independently of the
 # vectorised uint64 kernel it checks.
@@ -153,6 +154,50 @@ def test_sample_layout_maps_each_bucket_midpoint_to_its_bucket(pos, layers, spac
                 law[bucket - 1] += weight / math.factorial(pos.shape[1])
         got = layout_law(pos[row], [(b[row], w) for b, w in layers], omega, space)
         assert np.allclose(got * omega, law, rtol=1e-12, atol=0)
+
+
+# Fixed before the first run: rows per case, u per row on a regular grid, and each case's (layers, s, space): one
+# layer over s + 2 positions at weight 2.5, or two over s + 1 at weights 3 and 1 (CoCo's shape), so that positions
+# repeat; Omega makes the free weight 1 at m = s, as both mechanisms' do.
+_ROWS, _GRID_U = 24, 64
+
+
+@pytest.mark.parametrize("write_ties", [False, True], ids=["no-write", "write-ties"])
+@pytest.mark.parametrize("s", [1, 2, 8, 32])
+@pytest.mark.parametrize("weights", [(2.5,), (3.0, 1.0)], ids=["single", "paired"])
+def test_sample_layout_matches_the_lexsort_reference(weights, s, write_ties):
+    space = s + 3 - len(weights)
+    omega = s * sum(weights) + len(weights) * (space - s)
+    rng = np.random.default_rng(100 * len(weights) + s)
+    pos = np.sort(rng.integers(1, space + 1, (_ROWS, s)), axis=1)
+    pos[:3] = pos[:3, :1]  # m = 1
+    if len(weights) == 1:
+        buckets = [pos]
+    else:
+        flip = space * rng.integers(0, 2, pos.shape)
+        buckets = [pos + flip, pos + space - flip]
+    write = rng.integers(0, 3, pos.shape) / 4  # three values: many exact ties
+    write[3] = 0.5  # a row of one write
+    # each row as drawn (ascending) and with its entries in a shuffled column order
+    shuffle = np.argsort(rng.random(pos.shape), axis=1)
+    pos, write, *buckets = (np.concatenate([a, np.take_along_axis(a, shuffle, 1)]) for a in (pos, write, *buckets))
+
+    rows, us, grid = [], [], np.arange(_GRID_U) / _GRID_U * omega
+    for row in range(len(pos)):
+        m = len(set(pos[row]))
+        starts = np.cumsum((0.0,) + tuple(m * w for w in weights))
+        edges = [start + k * w for start, w in zip(starts, weights) for k in range(m + 1)]
+        free = (omega - m * sum(weights)) / (len(weights) * (space - m))
+        edges += [starts[-1] + j * free for j in range(len(weights) * (space - m) + 1)]
+        u = np.concatenate([grid, edges, np.nextafter(edges, -1), np.nextafter(edges, omega)])
+        u = u[(u >= 0) & (u < omega)]
+        rows.append(np.full(len(u), row))
+        us.append(u)
+    rows, u = np.concatenate(rows), np.concatenate(us)
+    layers = [(b[rows], w) for b, w in zip(buckets, weights)]
+    writes = write[rows] if write_ties else None
+    want = lexsort_sample_layout(u, pos[rows], layers, omega, space, writes)
+    assert np.array_equal(sample_layout(u, pos[rows], layers, omega, space, writes), want)
 
 
 def test_user_hash_seeds_deterministic_and_distinct():
